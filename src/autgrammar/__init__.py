@@ -18,7 +18,6 @@ from .decomp import (
     YieldOrder,
     compute_path_decomposition,
     compute_tree_decomposition,
-    leaf_order_permutation,
     make_permutation_yielding,
     read_pace_td,
     validate_tree_decomposition,

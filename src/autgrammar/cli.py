@@ -39,6 +39,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise _UsageError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise _UsageError(f"cannot read {path}: not ASCII text") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -58,6 +60,13 @@ def _load_grammar(path: str):
         return gmod.grammar_from_json(_read(path))
     except gmod.GrammarError as e:
         raise _UsageError(f"bad grammar file {path}: {e}") from None
+
+
+def _load_lp(path: str):
+    try:
+        return polytope.parse_lp(_read(path))
+    except polytope.PolytopeError as e:
+        raise _UsageError(f"bad LP file {path}: {e}") from None
 
 
 def _build_parser() -> _Parser:
@@ -201,14 +210,14 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    parsed = polytope.parse_lp(_read(args.model))
+    parsed = _load_lp(args.model)
     try:
         values = [Fraction(tok) for tok in args.point.split()]
     except (ValueError, ZeroDivisionError):
         raise _UsageError(f"bad --point {args.point!r}") from None
+    names = {v for _, terms, _, _ in parsed.constraints for _, v in terms}
     xs = sorted(
-        {v for _, terms, _, _ in parsed.constraints for _, v in terms if v.startswith("x_")},
-        key=lambda v: int(v.split("_")[1]),
+        (v for v in names if v.startswith("x_") and v[2:].isdigit()), key=lambda v: int(v[2:])
     )
     if len(values) != len(xs):
         raise _UsageError(f"point has {len(values)} coordinates, model has {len(xs)}")

@@ -36,14 +36,24 @@ class TdParseError(DecompositionError):
     pass
 
 
-def parent(p: Pos) -> Pos:
-    if p == ROOT:
-        raise DecompositionError("root has no parent")
-    return p[:-1]
-
-
 def is_prefix(p: Pos, q: Pos) -> bool:
     return len(p) <= len(q) and q[: len(p)] == p
+
+
+def _preorder_positions(root, adj: dict) -> dict:
+    """Number a tree from its root: the root gets ROOT, and the i-th not yet
+    numbered entry of adj[v] gets pos(v) + (i,).  With children lists, adj
+    numbers every child; with neighbor lists of an undirected tree, the
+    parent is the one entry skipped.  Nodes not reached are left out."""
+    pos = {root: ROOT}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        kids = [c for c in adj.get(v, ()) if c not in pos]
+        for i, c in enumerate(kids, start=1):
+            pos[c] = pos[v] + (i,)
+        stack.extend(kids)
+    return pos
 
 
 class TreeDecomposition:
@@ -178,15 +188,8 @@ def _decomposition_from_elimination(g: Graph, order: list[int]) -> TreeDecomposi
             kids[parent_of[v]].append(v)
     for v in kids:
         kids[v].sort(key=lambda u: rank[u])
-    bags: dict[Pos, tuple[int, ...]] = {}
-
-    def assign(v: int, pos: Pos) -> None:
-        bags[pos] = bag_of[v]
-        for i, c in enumerate(kids[v], start=1):
-            assign(c, pos + (i,))
-
-    assign(roots[0], ROOT)
-    return TreeDecomposition(bags)
+    pos = _preorder_positions(roots[0], kids)
+    return TreeDecomposition({p: bag_of[v] for v, p in pos.items()})
 
 
 def _min_fill_order(g: Graph) -> list[int]:
@@ -306,46 +309,46 @@ def compute_tree_decomposition(
 def read_pace_td(text: str) -> TreeDecomposition:
     n_bags = None
     bag_by_id: dict[int, tuple[int, ...]] = {}
-    links: dict[int, list[int]] = {}
+    edges: list[tuple[int, int]] = []
     for ln in text.split("\n"):
         ln = ln.strip()
         if not ln or ln.startswith("c"):
             continue
         toks = ln.split()
-        if toks[0] == "s":
-            if len(toks) != 5 or toks[1] != "td":
-                raise TdParseError(f"bad header {ln!r}")
-            n_bags = int(toks[2])
-        elif toks[0] == "b":
-            if n_bags is None:
-                raise TdParseError("bag line before header")
-            bid = int(toks[1])
-            if bid in bag_by_id:
-                raise TdParseError(f"duplicate bag id {bid}")
-            bag_by_id[bid] = tuple(sorted(int(v) for v in toks[2:]))
-        else:
-            a, b = int(toks[0]), int(toks[1])
-            links.setdefault(a, []).append(b)
-            links.setdefault(b, []).append(a)
+        try:
+            if toks[0] == "s":
+                if len(toks) != 5 or toks[1] != "td":
+                    raise TdParseError(f"bad header {ln!r}")
+                n_bags = int(toks[2])
+            elif toks[0] == "b":
+                if n_bags is None:
+                    raise TdParseError("bag line before header")
+                bid = int(toks[1])
+                if bid in bag_by_id:
+                    raise TdParseError(f"duplicate bag id {bid}")
+                bag_by_id[bid] = tuple(sorted(int(v) for v in toks[2:]))
+            else:
+                a, b = map(int, toks)  # exactly two bag ids
+                edges.append((a, b))
+        except (ValueError, IndexError):
+            raise TdParseError(f"malformed line {ln!r}") from None
     if n_bags is None:
         raise TdParseError("missing 's td' header")
-    if set(bag_by_id) != set(range(1, n_bags + 1)):
+    # the length test comes first so a huge declared count builds no range set
+    if n_bags < 1 or len(bag_by_id) != n_bags or set(bag_by_id) != set(range(1, n_bags + 1)):
         raise TdParseError("bag ids must be exactly 1..#bags")
-    bags: dict[Pos, tuple[int, ...]] = {}
-    seen = {1}
-
-    def build(bid: int, pos: Pos) -> None:
-        bags[pos] = bag_by_id[bid]
-        nxt = [b for b in sorted(links.get(bid, [])) if b not in seen]
-        for b in nxt:
-            seen.add(b)
-        for i, b in enumerate(nxt, start=1):
-            build(b, pos + (i,))
-
-    build(1, ROOT)
-    if len(bags) != n_bags:
+    if len(edges) != n_bags - 1:
+        raise TdParseError(f"{len(edges)} tree edges for {n_bags} bags, expected {n_bags - 1}")
+    links: dict[int, set[int]] = {}
+    for a, b in edges:
+        if a not in bag_by_id or b not in bag_by_id:
+            raise TdParseError(f"tree edge {a} {b} names an unknown bag")
+        links.setdefault(a, set()).add(b)
+        links.setdefault(b, set()).add(a)
+    pos = _preorder_positions(1, {b: sorted(ns) for b, ns in links.items()})
+    if len(pos) != n_bags:
         raise TdParseError("tree edges do not connect all bags")
-    return TreeDecomposition(bags)
+    return TreeDecomposition({p: bag_by_id[b] for b, p in pos.items()})
 
 
 def write_pace_td(t: TreeDecomposition, vertex_count: int) -> str:
@@ -368,23 +371,17 @@ class YieldOrder:
     """Left-to-right leaf order of a yielding decomposition.
 
     leaf_sequence is the leaves in traversal order; vertex_of_leaf maps each
-    leaf to the single vertex of its bag.  alpha_t is the permutation whose
-    one-line string is that vertex sequence v_1 ... v_n, and alpha is the
+    leaf to the single vertex of its bag.  alpha is the permutation whose
+    one-line string is that vertex sequence v_1 ... v_n; it is also the
     alignment permutation used by the grammar pipeline: a grammar word w
     produced for an automorphism s satisfies w_i = s(alpha(i)), i.e. w is
-    the string of s repositioned by alpha.  That makes alpha equal to
-    alpha_t itself (see the compose order of permute_word).
+    the string of s repositioned by alpha (see the compose order of
+    permute_word).
     """
 
     leaf_sequence: tuple[Pos, ...]
     vertex_of_leaf: dict[Pos, int]
-    alpha_t: Permutation
     alpha: Permutation
-
-
-def leaf_order_permutation(y: YieldOrder) -> Permutation:
-    """The alignment permutation recorded by the yield order."""
-    return y.alpha
 
 
 def yield_order_of(t: TreeDecomposition) -> YieldOrder:
@@ -398,8 +395,7 @@ def yield_order_of(t: TreeDecomposition) -> YieldOrder:
     seq = tuple(vertex_of_leaf[p] for p in leaves)
     if sorted(seq) != sorted(set(seq)):
         raise DecompositionError("leaf vertices are not pairwise distinct")
-    alpha_t = Permutation(seq)
-    return YieldOrder(leaves, vertex_of_leaf, alpha_t, alpha_t)
+    return YieldOrder(leaves, vertex_of_leaf, Permutation(seq))
 
 
 def is_permutation_yielding(g: Graph, t: TreeDecomposition) -> bool:
@@ -464,16 +460,9 @@ def make_permutation_yielding(
         for i in range(len(top), len(p) + 1):
             keep.add(p[:i])
 
-    renumbered: dict[Pos, tuple[int, ...]] = {}
-
-    def rebuild(old: Pos, new: Pos) -> None:
-        renumbered[new] = bags[old]
-        kept_kids = [c for c in children[old] if c in keep]
-        for i, c in enumerate(kept_kids, start=1):
-            rebuild(c, new + (i,))
-
-    rebuild(top, ROOT)
-    out = TreeDecomposition(renumbered)
+    kept_kids = {p: [c for c in children[p] if c in keep] for p in keep}
+    pos = _preorder_positions(top, kept_kids)
+    out = TreeDecomposition({new: bags[old] for old, new in pos.items()})
     out_report = validate_tree_decomposition(g, out)
     assert out_report.ok, "yielding transform produced an invalid decomposition"
     assert out.width == t.width, "yielding transform changed the width"

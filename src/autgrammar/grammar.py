@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -83,9 +84,6 @@ class Grammar:
             and self.accepts_empty == other.accepts_empty
         )
 
-    def rules_of(self, v: str) -> list:
-        return [(i, rhs) for i, (lhs, rhs) in enumerate(self.rules) if lhs == v]
-
 
 def topological_variables(gr: Grammar) -> list[str]:
     """Variables ordered dependencies-first; raises on recursion."""
@@ -93,21 +91,25 @@ def topological_variables(gr: Grammar) -> list[str]:
     for lhs, rhs in gr.rules:
         deps[lhs].update(x for x in rhs if isinstance(x, str))
     order: list[str] = []
-    state: dict[str, int] = {}
-
-    def visit(v: str) -> None:
-        if state.get(v) == 2:
-            return
-        if state.get(v) == 1:
-            raise CyclicGrammarError(f"variable {v!r} depends on itself")
-        state[v] = 1
-        for u in sorted(deps[v]):
-            visit(u)
-        state[v] = 2
-        order.append(v)
-
-    for v in gr.variables:
-        visit(v)
+    state: dict[str, int] = {}  # 1 while on the stack, 2 once ordered
+    for root in gr.variables:
+        if root in state:
+            continue
+        state[root] = 1
+        stack = [(root, iter(sorted(deps[root])))]
+        while stack:
+            v, pending = stack[-1]
+            for u in pending:
+                if state.get(u) == 1:
+                    raise CyclicGrammarError(f"variable {u!r} depends on itself")
+                if u not in state:
+                    state[u] = 1
+                    stack.append((u, iter(sorted(deps[u]))))
+                    break
+            else:
+                stack.pop()
+                state[v] = 2
+                order.append(v)
     return order
 
 
@@ -141,29 +143,48 @@ def is_regular(gr: Grammar) -> bool:
 
 
 def _rules_by_lhs(gr: Grammar) -> dict[str, list]:
+    """(rule index, rhs) pairs per variable, in rule order."""
     table: dict[str, list] = {v: [] for v in gr.variables}
-    for lhs, rhs in gr.rules:
-        table[lhs].append(rhs)
+    for r, (lhs, rhs) in enumerate(gr.rules):
+        table[lhs].append((r, rhs))
     return table
 
 
-def _variable_languages(gr: Grammar) -> dict[str, set[tuple[int, ...]]]:
+def _evaluate(gr: Grammar, weight, leaf, times, plus) -> dict:
+    """One bottom-up pass over the variables in topological order, valued in
+    a semiring (Goodman, "Semiring parsing", 1999).
+
+    A rule's value folds its rhs with times, starting from weight(rule
+    index): a terminal a contributes leaf(a), a variable the value already
+    computed for it.  A variable's value is plus over the values of its
+    rules, which plus receives as an iterable (empty for no rules)."""
     table = _rules_by_lhs(gr)
-    lang: dict[str, set[tuple[int, ...]]] = {}
-    for v in topological_variables(gr):
-        words: set[tuple[int, ...]] = set()
-        for rhs in table[v]:
-            partial: set[tuple[int, ...]] = {()}
+    value: dict = {}
+
+    def rule_values(v: str):
+        for r, rhs in table[v]:
+            acc = weight(r)
             for x in rhs:
-                if isinstance(x, int):
-                    partial = {w + (x,) for w in partial}
-                else:
-                    partial = {w + u for w in partial for u in lang[x]}
-                if not partial:
-                    break
-            words |= partial
-        lang[v] = words
-    return lang
+                acc = times(acc, value[x] if isinstance(x, str) else leaf(x))
+            yield acc
+
+    for v in topological_variables(gr):
+        value[v] = plus(rule_values(v))
+    return value
+
+
+def _union(sets) -> set:
+    # consumes rule values one at a time, so a variable's rule values are
+    # never all held at once (the enum command's peak memory)
+    out: set = set()
+    for s in sets:
+        out |= s
+    return out
+
+
+def _pairwise_sums(xs: set, ys: set) -> set:
+    # concatenation of word sets, Minkowski sum of length sets
+    return {x + y for x in xs for y in ys}
 
 
 class LanguageResult(NamedTuple):
@@ -173,7 +194,7 @@ class LanguageResult(NamedTuple):
 
 def enumerate_language(gr: Grammar, cap: int | None = None) -> LanguageResult:
     """All distinct words, lexicographically sorted, truncated at cap."""
-    raw = _variable_languages(gr)[gr.start]
+    raw = _evaluate(gr, lambda r: {()}, lambda a: {(a,)}, _pairwise_sums, _union)[gr.start]
     if gr.accepts_empty:
         raw = raw | {()}
     ordered = sorted(raw)
@@ -185,72 +206,32 @@ def enumerate_language(gr: Grammar, cap: int | None = None) -> LanguageResult:
 
 def count_parse_trees(gr: Grammar) -> int:
     """Number of accepting parse trees (duplicate rules count separately)."""
-    table = _rules_by_lhs(gr)
-    counts: dict[str, int] = {}
-    for v in topological_variables(gr):
-        total = 0
-        for rhs in table[v]:
-            prod = 1
-            for x in rhs:
-                if isinstance(x, str):
-                    prod *= counts[x]
-                    if prod == 0:
-                        break
-            total += prod
-        counts[v] = total
-    return counts[gr.start]
+    return _evaluate(gr, lambda r: 1, lambda a: 1, operator.mul, sum)[gr.start]
 
 
 def _variable_lengths(gr: Grammar) -> dict[str, set[int]]:
-    table = _rules_by_lhs(gr)
-    lengths: dict[str, set[int]] = {}
-    for v in topological_variables(gr):
-        out: set[int] = set()
-        for rhs in table[v]:
-            partial = {0}
-            for x in rhs:
-                if isinstance(x, int):
-                    partial = {n + 1 for n in partial}
-                else:
-                    partial = {n + k for n in partial for k in lengths[x]}
-                if not partial:
-                    break
-            out |= partial
-        lengths[v] = out
-    return lengths
+    return _evaluate(gr, lambda r: {0}, lambda a: {1}, _pairwise_sums, _union)
 
 
 def membership(gr: Grammar, w: Word) -> bool:
+    """Whether w is in the language: each variable is valued by the spans
+    (i, j) of w it derives, and w is a member iff the start derives (0, |w|)."""
     symbols = w.symbols
     if len(symbols) == 0:
         return gr.accepts_empty
-    table = _rules_by_lhs(gr)
-    lengths = _variable_lengths(gr)
-    memo: dict[tuple[str, int, int], bool] = {}
+    at: dict[int, set] = {}
+    for i, a in enumerate(symbols):
+        at.setdefault(a, set()).add((i, i + 1))
+    empty_spans = {(i, i) for i in range(len(symbols) + 1)}
 
-    def derives(v: str, i: int, j: int) -> bool:
-        key = (v, i, j)
-        if key in memo:
-            return memo[key]
-        memo[key] = False  # acyclic, so no self-dependency to worry about
-        for rhs in table[v]:
-            if match(rhs, 0, i, j):
-                memo[key] = True
-                break
-        return memo[key]
+    def join(left: set, right: set) -> set:
+        ends: dict[int, list[int]] = {}
+        for j, k in right:
+            ends.setdefault(j, []).append(k)
+        return {(i, k) for i, j in left for k in ends.get(j, ())}
 
-    def match(rhs, k: int, i: int, j: int) -> bool:
-        if k == len(rhs):
-            return i == j
-        x = rhs[k]
-        if isinstance(x, int):
-            return i < j and symbols[i] == x and match(rhs, k + 1, i + 1, j)
-        for n in sorted(lengths[x]):
-            if i + n <= j and derives(x, i, i + n) and match(rhs, k + 1, i + n, j):
-                return True
-        return False
-
-    return derives(gr.start, 0, len(symbols))
+    spans = _evaluate(gr, lambda r: empty_spans, lambda a: at.get(a, set()), join, _union)
+    return (0, len(symbols)) in spans[gr.start]
 
 
 def trim(gr: Grammar) -> Grammar:
@@ -581,10 +562,6 @@ def permutation_from_aligned_word(w: Word, alpha: Permutation) -> Permutation:
     return Permutation(tuple(w.symbols[inv(j) - 1] for j in range(1, alpha.size + 1)))
 
 
-def language_as_permutations(words, alpha: Permutation) -> tuple[Permutation, ...]:
-    return tuple(sorted(permutation_from_aligned_word(w, alpha) for w in words))
-
-
 # ---------------------------------------------------------------------------
 # Parse trees.
 
@@ -596,40 +573,39 @@ class ParseTree:
 
 def enumerate_parse_trees(gr: Grammar) -> list[ParseTree]:
     """Every accepting parse tree, in rule order."""
-    topological_variables(gr)  # raises on cycles
-    memo: dict[str, list[ParseTree]] = {}
 
-    def trees_for(v: str) -> list[ParseTree]:
-        if v in memo:
-            return memo[v]
-        out: list[ParseTree] = []
-        for idx, (lhs, rhs) in enumerate(gr.rules):
-            if lhs != v:
-                continue
-            child_lists = [trees_for(x) for x in rhs if isinstance(x, str)]
-            for combo in itertools.product(*child_lists):
-                out.append(ParseTree(idx, tuple(combo)))
-        memo[v] = out
-        return out
+    def graft(partial: list, trees: list | None) -> list:
+        # partial trees are (rule index, children so far); terminals add none
+        if trees is None:
+            return partial
+        return [(r, kids + (t,)) for r, kids in partial for t in trees]
 
-    return trees_for(gr.start)
+    def finish(partials) -> list[ParseTree]:
+        return [ParseTree(r, kids) for partial in partials for r, kids in partial]
+
+    return _evaluate(gr, lambda r: [(r, ())], lambda a: None, graft, finish)[gr.start]
 
 
 def parse_tree_yield(gr: Grammar, t: ParseTree) -> Word:
-    lhs, rhs = gr.rules[t.rule_index]
     out: list[int] = []
-    child_iter = iter(t.children)
-    for x in rhs:
-        if isinstance(x, int):
-            out.append(x)
-        else:
-            child = next(child_iter)
-            clhs, _ = gr.rules[child.rule_index]
-            if clhs != x:
-                raise GrammarError("parse tree does not follow the grammar rules")
-            out.extend(parse_tree_yield(gr, child).symbols)
-    if list(child_iter):
-        raise GrammarError("parse tree has extra children")
+    stack: list = [t]  # terminals and subtrees still to spell, last first
+    while stack:
+        node = stack.pop()
+        if isinstance(node, int):
+            out.append(node)
+            continue
+        kids = iter(node.children)
+        items: list = []
+        for x in gr.rules[node.rule_index][1]:
+            if isinstance(x, str):
+                child = next(kids, None)
+                if child is None or gr.rules[child.rule_index][0] != x:
+                    raise GrammarError("parse tree does not follow the grammar rules")
+                x = child
+            items.append(x)
+        if next(kids, None) is not None:
+            raise GrammarError("parse tree has extra children")
+        stack.extend(reversed(items))
     return Word(tuple(out))
 
 
@@ -653,17 +629,29 @@ def grammar_to_json(gr: Grammar) -> str:
 def grammar_from_json(text: str) -> Grammar:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nesting too deep
         raise GrammarError(f"bad grammar JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise GrammarError("grammar JSON must be an object")
     for key in ("sigma_max", "start", "variables", "rules"):
         if key not in doc:
             raise GrammarError(f"grammar JSON missing field {key!r}")
+    shapes_ok = isinstance(doc["variables"], list) and isinstance(doc["rules"], list) and all(
+        isinstance(r, list) and len(r) == 2 and isinstance(r[0], str) and isinstance(r[1], list)
+        for r in doc["rules"]
+    )
+    if not shapes_ok:
+        raise GrammarError("grammar JSON needs a variables array and [lhs, rhs] rule pairs")
+    try:
+        sigma_max = int(doc["sigma_max"])
+    except (TypeError, ValueError, OverflowError):
+        raise GrammarError(f"sigma_max {doc['sigma_max']!r} is not an integer") from None
     rules = tuple(
         (lhs, tuple(x if isinstance(x, int) else str(x) for x in rhs))
         for lhs, rhs in doc["rules"]
     )
     return Grammar(
-        int(doc["sigma_max"]),
+        sigma_max,
         str(doc["start"]),
         tuple(str(v) for v in doc["variables"]),
         rules,

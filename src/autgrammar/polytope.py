@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .grammar import Grammar, ParseTree, parse_tree_yield, topological_variables
+from .grammar import Grammar, ParseTree, _rules_by_lhs, _variable_lengths, parse_tree_yield
 
 
 class PolytopeError(Exception):
@@ -49,14 +49,10 @@ class ExtendedFormulation:
         return len(self.constraints) + 2 * len(self.flow_vars) + self.word_length
 
 
-def _spans(gr: Grammar) -> tuple[int, dict[str, int], dict[str, int]]:
+def _spans(gr: Grammar, length_sets: dict) -> tuple[int, dict[str, int], dict[str, int]]:
     """Fixed length and start offset per variable; raises unless positional."""
-    from .grammar import _variable_lengths  # DP shared with the analytics
-
-    topological_variables(gr)  # cycle check
     if gr.accepts_empty:
         raise PolytopeError("grammar accepts the empty word; not positional")
-    length_sets = _variable_lengths(gr)
     lengths: dict[str, int] = {}
     for v, ls in length_sets.items():
         if len(ls) != 1:
@@ -66,13 +62,10 @@ def _spans(gr: Grammar) -> tuple[int, dict[str, int], dict[str, int]]:
         lengths[v] = next(iter(ls))
     offset: dict[str, int] = {gr.start: 1}
     pending = [gr.start]
-    seen = {gr.start}
-    rules_by_lhs: dict[str, list] = {v: [] for v in gr.variables}
-    for lhs, rhs in gr.rules:
-        rules_by_lhs[lhs].append(rhs)
+    rules_by_lhs = _rules_by_lhs(gr)
     while pending:
         v = pending.pop(0)
-        for rhs in rules_by_lhs[v]:
+        for _, rhs in rules_by_lhs[v]:
             at = offset[v]
             for x in rhs:
                 if isinstance(x, int):
@@ -86,11 +79,10 @@ def _spans(gr: Grammar) -> tuple[int, dict[str, int], dict[str, int]]:
                             )
                     else:
                         offset[x] = at
-                        seen.add(x)
                         pending.append(x)
                     at += lengths[x]
     for v in gr.variables:
-        if v not in seen:
+        if v not in offset:
             raise PolytopeError(f"variable {v!r} unreachable; trim the grammar first")
     return lengths[gr.start], lengths, offset
 
@@ -100,15 +92,14 @@ def build_extended_formulation(gr: Grammar, style: str = "value") -> ExtendedFor
     projection x_i = sum of (symbol written at i) * (rule flow)."""
     if style not in ("value", "matrix"):
         raise PolytopeError(f"unknown projection style {style!r}")
-    from .grammar import _variable_lengths
-
-    empty_language = not _variable_lengths(gr)[gr.start] and not gr.accepts_empty
+    length_sets = _variable_lengths(gr)
+    empty_language = not length_sets[gr.start] and not gr.accepts_empty
     if empty_language:
         # no words to project; the flow system itself is infeasible
         warnings.warn("grammar generates no words; source row is infeasible", stacklevel=2)
         n, lengths, offset = 0, {}, {}
     else:
-        n, lengths, offset = _spans(gr)
+        n, lengths, offset = _spans(gr, length_sets)
     flow_vars = tuple(f"y_{r}" for r in range(len(gr.rules)))
 
     out_rules: dict[str, list[int]] = {v: [] for v in gr.variables}
@@ -171,13 +162,11 @@ def lift_parse_tree(ef: ExtendedFormulation, t: ParseTree) -> dict:
     """0/1 point with one unit of flow on every rule the tree uses."""
     parse_tree_yield(ef.grammar, t)  # raises if the tree does not fit the rules
     counts: dict[int, int] = {}
-
-    def walk(node: ParseTree) -> None:
+    stack = [t]
+    while stack:
+        node = stack.pop()
         counts[node.rule_index] = counts.get(node.rule_index, 0) + 1
-        for c in node.children:
-            walk(c)
-
-    walk(t)
+        stack.extend(node.children)
     lhs, _ = ef.grammar.rules[t.rule_index]
     if lhs != ef.grammar.start:
         raise PolytopeError("parse tree is not accepting (root is not the start rule)")
@@ -491,7 +480,7 @@ def _parse_row(line: str):
     if rel_at is None or rel_at != len(toks) - 2:
         raise PolytopeError(f"row must end with 'rel number': {line!r}")
     rel = toks[rel_at]
-    rhs = Fraction(toks[-1])
+    rhs = _number(toks[-1])
     terms: list[tuple[Fraction, str]] = []
     sign = Fraction(1)
     coef: Fraction | None = None
@@ -512,6 +501,8 @@ def _parse_row(line: str):
                 terms.append((sign * (coef if coef is not None else 1), t))
                 sign, coef = Fraction(1), None
                 continue
+            except ZeroDivisionError:
+                raise PolytopeError(f"bad number {t!r}") from None
             if coef is not None:
                 constant += sign * coef
                 coef = value
@@ -522,14 +513,21 @@ def _parse_row(line: str):
     return (name.strip(), tuple(terms), rel, rhs - constant)
 
 
+def _number(tok: str) -> Fraction:
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise PolytopeError(f"bad number {tok!r}") from None
+
+
 def _parse_bound(line: str):
     toks = line.split()
     if len(toks) == 2 and toks[1].lower() == "free":
         return toks[0], None, None
     if len(toks) == 5 and toks[1] == "<=" and toks[3] == "<=":
-        return toks[2], Fraction(toks[0]), Fraction(toks[4])
+        return toks[2], _number(toks[0]), _number(toks[4])
     if len(toks) == 3 and toks[1] == "<=":
-        return toks[0], Fraction(0), Fraction(toks[2])
+        return toks[0], Fraction(0), _number(toks[2])
     raise PolytopeError(f"unsupported bound line: {line!r}")
 
 

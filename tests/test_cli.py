@@ -197,3 +197,48 @@ def test_enum_cap(c4_file, tmp_path):
     r = run_cli("enum", out, "--cap", "3")
     assert len(r.stdout.strip().split("\n")) == 3
     assert "truncated" in r.stderr
+
+
+C4_TD_BAGS = "b 1 1 2 4\nb 2 2 3 4\n"
+RULES_OK = '"start": "B1", "variables": ["B1"], "rules": [["B1", [1]]]'
+LP_HEAD = "Minimize\n obj: 0\nSubject To\n"
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("build", "s td 2 3 4\nb 1 1 2 x\nb 2 2 3 4\n1 2\n"),  # non-integer token
+        ("build", "s td 2 3 4\n" + C4_TD_BAGS + "1\n"),  # edge line with one token
+        ("build", "s td 2 3 4\n" + C4_TD_BAGS + "1 3\n"),  # edge to an unknown bag
+        ("build", "s td 3 3 4\n" + C4_TD_BAGS + "b 3 4\n1 2\n2 3\n1 3\n"),  # 3 edges, 3 bags
+        ("stats", '{"sigma_max": 1, "start": "B1", "variables": ["B1"], "rules": [["B1", [1], 1]]}'),
+        ("stats", '["sigma_max", "start", "variables", "rules"]'),
+        ("stats", '{"sigma_max": "one", ' + RULES_OK + "}"),
+        ("stats", '{"sigma_max": 1, ' + RULES_OK.replace("B1", "B\u00e9") + "}"),
+        ("check", LP_HEAD + " px1: x_1 - y_0 = 1.2.3\nBounds\n 0 <= y_0 <= 1\nEnd\n"),
+    ],
+    ids=[
+        "td-token",
+        "td-short-edge",
+        "td-unknown-bag",
+        "td-edge-count",
+        "grammar-rule-shape",
+        "grammar-not-object",
+        "grammar-sigma-max",
+        "grammar-non-ascii",
+        "lp-number",
+    ],
+)
+def test_malformed_input_exit_2(c4_file, tmp_path, command, text):
+    f = tmp_path / "input"
+    f.write_text(text, encoding="utf-8")
+    args = {
+        "build": ("build", "--graph", c4_file, "--td", str(f), "--out", str(tmp_path / "g.json")),
+        "stats": ("stats", str(f)),
+        "check": ("check", str(f), "--point", "1"),
+    }[command]
+    r = run_cli(*args)
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith("error: ")

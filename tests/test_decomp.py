@@ -8,7 +8,6 @@ from autgrammar.decomp import (
     compute_tree_decomposition,
     introduced_order,
     is_permutation_yielding,
-    leaf_order_permutation,
     make_permutation_yielding,
     read_pace_td,
     validate_tree_decomposition,
@@ -140,7 +139,7 @@ def test_yielding_fixed_point(p3):
     )
     assert is_permutation_yielding(p3, t)
     out, y = make_permutation_yielding(p3, t)
-    assert y.alpha_t == Permutation((3, 1, 2))
+    assert y.alpha == Permutation((3, 1, 2))
     assert [out.bag(p) for p in out.leaves()] == [(3,), (1,), (2,)]
 
 
@@ -153,7 +152,7 @@ def test_yielding_invariants_corpus(corpus):
         leaves = out.leaves()
         assert len(leaves) == g.vertex_count, name
         assert sorted(out.bag(p)[0] for p in leaves) == list(g.vertices), name
-        assert y.alpha_t.image == tuple(out.bag(p)[0] for p in leaves)
+        assert y.alpha.image == tuple(out.bag(p)[0] for p in leaves)
 
 
 def test_yielding_rejects_invalid(p3):
@@ -169,11 +168,11 @@ def test_leaf_order_permutation_examples():
             bags[(i,)] = (v,)
         return yield_order_of(TreeDecomposition(bags))
 
-    assert leaf_order_permutation(yo((1, 2, 3))) == Permutation((1, 2, 3))
-    assert leaf_order_permutation(yo((2, 1, 3))) == Permutation((2, 1, 3))
+    assert yo((1, 2, 3)).alpha == Permutation((1, 2, 3))
+    assert yo((2, 1, 3)).alpha == Permutation((2, 1, 3))
     # alignment permutation reads the yield itself: see the language
     # contract exercised in test_grammar / test_acceptance
-    assert leaf_order_permutation(yo((3, 1, 2))) == Permutation((3, 1, 2))
+    assert yo((3, 1, 2)).alpha == Permutation((3, 1, 2))
 
 
 def test_pace_round_trip(c4):
@@ -182,6 +181,15 @@ def test_pace_round_trip(c4):
     back = read_pace_td(text)
     assert back == t
     assert write_pace_td(back, c4.vertex_count) == text
+
+
+def test_deep_min_fill_and_pace_round_trip():
+    # min-fill eliminates a path end to end, so its decomposition is a
+    # chain 1199 positions deep, beyond Python's default recursion limit
+    g = path_graph(1200)
+    t = compute_tree_decomposition(g, "min-fill")
+    assert max(len(p) for p in t.positions) == 1199
+    assert read_pace_td(write_pace_td(t, g.vertex_count)) == t
 
 
 def test_pace_reroots_at_bag_one(p3):
@@ -248,7 +256,7 @@ def test_yielding_reroots_below_top():
     assert validate_tree_decomposition(g, out).ok
     assert out.width == t.width
     assert len(out.positions) == 3  # re-rooted at the deepest shared ancestor
-    assert y.alpha_t.image == (1, 2)
+    assert y.alpha.image == (1, 2)
 
 
 def test_introduced_order(c4):

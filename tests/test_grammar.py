@@ -43,6 +43,7 @@ from autgrammar.perm import (
     permute_word,
     to_string_word,
 )
+from autgrammar.polytope import build_extended_formulation, lift_parse_tree
 
 
 def aut_grammar(g):
@@ -139,8 +140,43 @@ def test_enumerate_cap():
 
 def test_enumerate_rejects_cyclic():
     cyc = Grammar(1, "B1", ("B1",), (("B1", (1, "B1")), ("B1", (1,))))
-    with pytest.raises(CyclicGrammarError):
-        enumerate_language(cyc)
+    analytics = (
+        enumerate_language,
+        count_parse_trees,
+        enumerate_parse_trees,
+        lambda gr: membership(gr, Word((1, 1))),
+        trim,
+        lambda gr: erase_terminals(gr, 1),
+        build_extended_formulation,
+    )
+    for analytic in analytics:
+        with pytest.raises(CyclicGrammarError):
+            analytic(cyc)
+
+
+def chain_grammar(depth):
+    """A_i -> (i+1) A_{i+1}, ending in A_{depth-1} -> depth: one word, 1..depth."""
+    names = tuple(f"A{i}" for i in range(depth))
+    rules = tuple((names[i], (i + 1, names[i + 1])) for i in range(depth - 1))
+    return Grammar(depth, names[0], names, rules + ((names[-1], (depth,)),))
+
+
+def test_deep_chain_grammar():
+    # deeper than Python's default recursion limit of 1000
+    depth = 3000
+    gr = chain_grammar(depth)
+    word = Word(tuple(range(1, depth + 1)))
+    assert count_parse_trees(gr) == 1
+    assert enumerate_language(gr).words == (word,)
+    assert membership(gr, word)
+    assert not membership(gr, Word(word.symbols[:-1]))
+    (tree,) = enumerate_parse_trees(gr)
+    assert parse_tree_yield(gr, tree) == word
+    assert trim(gr) == gr
+    ef = build_extended_formulation(gr)
+    assert ef.word_length == depth
+    point = lift_parse_tree(ef, tree)
+    assert set(point.values()) == {1}
 
 
 def test_membership(c4):
@@ -164,9 +200,12 @@ def test_membership_agrees_with_enumeration(corpus):
     import random
 
     rng = random.Random(31337)
-    for name, g in corpus.items():
-        _, gr = aut_grammar(g)
+    grammars = {name: aut_grammar(g)[1] for name, g in corpus.items()}
+    # non-positional: images 1 and 2 sit at different positions per automorphism
+    grammars["star5 erased to 1..2"] = erase_terminals(grammars["star5"], 2)
+    for name, gr in grammars.items():
         words = set(enumerate_language(gr).words)
+        assert membership(gr, Word(())) == (Word(()) in words), name
         for w in sorted(words):
             assert membership(gr, w), name
         for w in sorted(words)[:4]:
