@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .decomp import TreeDecomposition, validate_tree_decomposition
+from .decomp import ROOT, TreeDecomposition, validate_tree_decomposition
 from .graph import Graph, closed_neighborhood, induced_subgraph
 from .perm import Permutation
 
@@ -215,30 +215,65 @@ def annotation_morphism(g: Graph, a: AnnotationAssignment) -> Permutation:
     return sigma
 
 
+def join_annotations(g: Graph, t: TreeDecomposition) -> tuple[dict, dict]:
+    """(ann, links): ann[p] lists the annotations of the bag at p in
+    enumeration order; links[p] maps the index of each annotation at p that
+    takes part in some consistent annotation of the whole tree to a tuple
+    holding, per child c of p, the indices of such annotations at c that
+    are consistent with it.
+
+    Annotations at p and c are consistent when their images agree on the
+    shared domain N[S_p] & N[S_c], which is fixed, so one dict lookup finds
+    a parent's partners.  A bottom-up pass keeps the annotations with a
+    partner in every child and a top-down pass those a surviving parent
+    reaches: Yannakakis' full reducer (VLDB 1981)."""
+    ann = {p: enumerate_annotated_bags(g, t.bag(p)) for p in t.positions}
+
+    def images_on(p, shared: set) -> list[tuple[int, ...]]:
+        at = [k for k, v in enumerate(ann[p][0].domain) if v in shared]
+        return [tuple(b.phi[k][1] for k in at) for b in ann[p]]
+
+    links: dict = {}
+    for p in reversed(t.positions):  # children before parents
+        columns = []
+        for c in t.children(p):
+            shared = set(ann[p][0].domain) & set(ann[c][0].domain)
+            child_keys = images_on(c, shared)
+            buckets: dict = {}
+            for j in links[c]:
+                buckets.setdefault(child_keys[j], []).append(j)
+            columns.append([buckets.get(key, ()) for key in images_on(p, shared)])
+        partners = zip(*columns) if columns else ((),) * len(ann[p])
+        links[p] = {i: ps for i, ps in enumerate(partners) if all(ps)}
+    for p in t.positions:  # parents before children
+        for k, c in enumerate(t.children(p)):
+            reached = {j for ps in links[p].values() for j in ps[k]}
+            links[c] = {j: ps for j, ps in links[c].items() if j in reached}
+    return ann, links
+
+
 def enumerate_assignments(g: Graph, t: TreeDecomposition):
     """Yield every valid annotation assignment of t, in canonical order
     (per-position bag choices explored in enumeration order)."""
     report = validate_tree_decomposition(g, t)
     if not report.ok:
         raise AnnotationError(f"decomposition invalid: {report.violations}")
-    positions = list(t.positions)  # preorder: parents precede children
-    options = {p: enumerate_annotated_bags(g, t.bag(p)) for p in positions}
+    ann, links = join_annotations(g, t)
+    positions = t.positions  # preorder: parents precede children
+    slot = {c: (p, k) for p in positions for k, c in enumerate(t.children(p))}
     chosen: dict = {}
-
-    def place(k: int):
-        if k == len(positions):
-            yield make_assignment(t, dict(chosen))
-            return
-        p = positions[k]
-        par = p[:-1] if p else None
-        for b in options[p]:
-            if par is not None and not consistent_bags(chosen[par], b):
-                continue
-            chosen[p] = b
-            yield from place(k + 1)
-            del chosen[p]
-
-    yield from place(0)
+    stack = [iter(links[ROOT])]  # choices left at each placed position
+    while stack:
+        i = next(stack[-1], None)
+        if i is None:
+            stack.pop()
+            continue
+        chosen[positions[len(stack) - 1]] = i
+        if len(stack) == len(positions):
+            yield make_assignment(t, {p: ann[p][chosen[p]] for p in positions})
+        else:
+            par, k = slot[positions[len(stack)]]
+            stack.append(iter(links[par][chosen[par]][k]))
 
 
 def count_assignments(g: Graph, t: TreeDecomposition) -> int:

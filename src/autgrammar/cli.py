@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import annotate, decomp, grammar as gmod, oracle, polytope
 from .graph import DisconnectedGraphError, GraphError, parse_graph
@@ -212,9 +211,9 @@ def _cmd_lift(args) -> int:
 def _cmd_check(args) -> int:
     parsed = _load_lp(args.model)
     try:
-        values = [Fraction(tok) for tok in args.point.split()]
-    except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"bad --point {args.point!r}") from None
+        values = [polytope.parse_number(tok) for tok in args.point.split()]
+    except polytope.PolytopeError as e:
+        raise _UsageError(f"bad --point {args.point!r}: {e}") from None
     names = {v for _, terms, _, _ in parsed.constraints for _, v in terms}
     xs = sorted(
         (v for v in names if v.startswith("x_") and v[2:].isdigit()), key=lambda v: int(v[2:])

@@ -127,36 +127,30 @@ def validate_tree_decomposition(g: Graph, t: TreeDecomposition) -> ValidationRep
     """Check T1 (vertices covered), T2 (edges covered), T3 (per-vertex
     positions form a connected subterm).  Violations are data, not errors."""
     violations: list[Violation] = []
-    covered: set[int] = set()
-    for p in t.positions:
-        for v in t.bag(p):
+    holding: dict[int, list[Pos]] = {}  # vertex -> positions holding it, in order
+    for p, bag in t.bags.items():
+        for v in bag:
             if not (1 <= v <= g.vertex_count):
                 violations.append(
                     Violation("T1", f"bag at {p} references out-of-range vertex {v}")
                 )
-        covered.update(t.bag(p))
+            holding.setdefault(v, []).append(p)
     for v in g.vertices:
-        if v not in covered:
+        if v not in holding:
             violations.append(Violation("T1", f"vertex {v} not covered by any bag"))
     for u, v in sorted(g.edges):
-        if not any(u in t.bag(p) and v in t.bag(p) for p in t.positions):
+        if not any(v in t.bags[p] for p in holding.get(u, ())):
             violations.append(Violation("T2", f"edge {{{u},{v}}} not inside any bag"))
     for v in g.vertices:
-        holding = [p for p in t.positions if v in t.bag(p)]
-        if not holding:
-            continue
-        top = min(holding, key=len)
-        holdset = set(holding)
-        for p in holding:
-            if not is_prefix(top, p):
-                violations.append(
-                    Violation("T3", f"positions holding vertex {v} have no common root")
-                )
-                break
+        held = holding.get(v, [])
+        top = min(held, key=len, default=None)
+        holdset = set(held)
+        # report the first position whose parent lacks v: a position outside
+        # top's subtree has such an ancestor, which comes earlier in preorder
+        for p in held:
             if p != top and p[:-1] not in holdset:
-                violations.append(
-                    Violation("T3", f"positions holding vertex {v} are not connected at {p}")
-                )
+                where = f"are not connected at {p}" if is_prefix(top, p) else "have no common root"
+                violations.append(Violation("T3", f"positions holding vertex {v} {where}"))
                 break
     return ValidationReport(t.width, tuple(violations))
 
@@ -436,10 +430,14 @@ def make_permutation_yielding(
         b = bags[p]
         if len(b) == 1:
             singleton_leaves[b[0]].append(p)
+    first_holder: dict[int, Pos] = {}  # preorder-smallest position holding v
+    for p, b in t.bags.items():
+        for v in b:
+            first_holder.setdefault(v, p)
     for v in g.vertices:
         if singleton_leaves[v]:
             continue
-        host = min(p for p in bags if v in bags[p])
+        host = first_holder[v]
         leaf = host + (len(children[host]) + 1,)
         bags[leaf] = (v,)
         children[host].append(leaf)
@@ -448,17 +446,18 @@ def make_permutation_yielding(
     chosen = {v: min(ps) for v, ps in singleton_leaves.items()}
     selected = sorted(chosen.values())
     # closest ancestral closure: everything between the longest common
-    # prefix of the selected leaves and the leaves themselves
-    top = selected[0]
-    for p in selected[1:]:
-        k = 0
-        while k < len(top) and k < len(p) and top[k] == p[k]:
-            k += 1
-        top = top[:k]
-    keep = set()
+    # prefix of the selected leaves (that of the first and the last, as they
+    # are sorted) and the leaves themselves
+    first, last = selected[0], selected[-1]
+    k = 0
+    while k < min(len(first), len(last)) and first[k] == last[k]:
+        k += 1
+    top = first[:k]
+    keep = {top}
     for p in selected:
-        for i in range(len(top), len(p) + 1):
-            keep.add(p[:i])
+        while p not in keep:  # walk up until the path meets a kept position
+            keep.add(p)
+            p = p[:-1]
 
     kept_kids = {p: [c for c in children[p] if c in keep] for p in keep}
     pos = _preorder_positions(top, kept_kids)

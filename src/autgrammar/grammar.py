@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import oracle as _oracle
-from .annotate import AnnotatedBag, enumerate_annotated_bags
+from .annotate import AnnotatedBag, join_annotations
 from .decomp import (
     ROOT,
     Pos,
@@ -239,28 +239,22 @@ def trim(gr: Grammar) -> Grammar:
     start; declaration and rule order are preserved."""
     lengths = _variable_lengths(gr)
     productive = {v for v, ls in lengths.items() if ls}
-    usable = [
-        (lhs, rhs)
-        for lhs, rhs in gr.rules
-        if all(x in productive for x in rhs if isinstance(x, str))
-    ]
+
+    def usable(rhs) -> bool:
+        return all(x in productive for x in rhs if isinstance(x, str))
+
+    table = _rules_by_lhs(gr)
     reach = {gr.start}
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in usable:
-            if lhs in reach:
-                for x in rhs:
-                    if isinstance(x, str) and x not in reach:
-                        reach.add(x)
-                        changed = True
+    todo = [gr.start]  # reached variables whose rules are not yet walked
+    while todo:
+        for _, rhs in table[todo.pop()]:
+            if usable(rhs):
+                fresh = {x for x in rhs if isinstance(x, str)} - reach
+                reach |= fresh
+                todo.extend(fresh)
     keep = (reach & productive) | {gr.start}
     variables = tuple(v for v in gr.variables if v in keep)
-    rules = tuple(
-        (lhs, rhs)
-        for lhs, rhs in usable
-        if lhs in keep and all(x in keep for x in rhs if isinstance(x, str))
-    )
+    rules = tuple((lhs, rhs) for lhs, rhs in gr.rules if lhs in keep and usable(rhs))
     provenance = None
     if gr.provenance is not None:
         provenance = {v: gr.provenance[v] for v in variables if v in gr.provenance}
@@ -276,16 +270,6 @@ def _pos_str(p: Pos) -> str:
 
 def _var_name(p: Pos, idx: int) -> str:
     return f"p:{_pos_str(p)}|b:{idx}"
-
-
-def _consistent_dicts(a: dict[int, int], b: dict[int, int]) -> bool:
-    if len(b) < len(a):
-        a, b = b, a
-    for v, img in a.items():
-        other = b.get(v)
-        if other is not None and other != img:
-            return False
-    return True
 
 
 def _bag_provenance(p: Pos, b: AnnotatedBag) -> dict:
@@ -309,45 +293,23 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
     if not is_permutation_yielding(g, t):
         raise GrammarError("decomposition is not permutation yielding")
     y = yield_order_of(t)
-    ann = {p: enumerate_annotated_bags(g, t.bag(p)) for p in t.positions}
-    maps = {p: [b.as_dict() for b in ann[p]] for p in t.positions}
-
-    variables = ["B1"]
-    for p in t.positions:
-        variables.extend(_var_name(p, i) for i in range(len(ann[p])))
-    provenance: dict[str, dict] = {}
-    for p in t.positions:
-        for i, b in enumerate(ann[p]):
-            provenance[_var_name(p, i)] = _bag_provenance(p, b)
-
-    rules: list = []
-    for i in range(len(ann[ROOT])):
-        rules.append(("B1", (_var_name(ROOT, i),)))
+    ann, links = join_annotations(g, t)
+    # one variable per surviving annotation, in position order
+    provenance = {
+        _var_name(p, i): _bag_provenance(p, ann[p][i]) for p in t.positions for i in links[p]
+    }
+    rules: list = [("B1", (_var_name(ROOT, i),)) for i in links[ROOT]]
     for p in t.positions:
         kids = t.children(p)
-        if kids:
-            for i, pmap in enumerate(maps[p]):
-                per_child = [
-                    [j for j, cmap in enumerate(maps[c]) if _consistent_dicts(pmap, cmap)]
-                    for c in kids
-                ]
-                for combo in itertools.product(*per_child):
-                    rules.append(
-                        (_var_name(p, i), tuple(_var_name(c, j) for c, j in zip(kids, combo)))
-                    )
-        else:
-            v = t.bag(p)[0]
-            for i, b in enumerate(ann[p]):
-                rules.append((_var_name(p, i), (b.maps(v),)))
-
-    gr = Grammar(
-        sigma_max=g.vertex_count,
-        start="B1",
-        variables=tuple(variables),
-        rules=tuple(rules),
-        provenance=provenance,
-    )
-    return y.alpha, trim(gr)
+        for i, partners in links[p].items():
+            if kids:
+                rules.extend(
+                    (_var_name(p, i), tuple(_var_name(c, j) for c, j in zip(kids, combo)))
+                    for combo in itertools.product(*partners)
+                )
+            else:
+                rules.append((_var_name(p, i), (ann[p][i].maps(t.bag(p)[0]),)))
+    return y.alpha, Grammar(g.vertex_count, "B1", ("B1", *provenance), tuple(rules), provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -363,47 +325,29 @@ def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutat
         raise GrammarError(f"invalid decomposition: {report.violations[0].message}")
     order = introduced_order(g, pd)
     n = g.vertex_count
-    chain: list[Pos] = [ROOT]
-    while pd.children(chain[-1]):
-        chain.append(pd.children(chain[-1])[0])
-    ann = [enumerate_annotated_bags(g, pd.bag(p)) for p in chain]
-    maps = [[b.as_dict() for b in lvl] for lvl in ann]
+    chain = pd.positions  # path shaped: the root, then one child per level
+    ann, links = join_annotations(g, pd)
     alpha = Permutation(tuple(order))
 
     def state(i: int, j: int) -> str:
         return f"q:{i}|b:{j}"
 
-    variables = ["B1"]
-    provenance: dict[str, dict] = {}
+    provenance: dict[str, dict] = {}  # one variable per surviving annotation
     for i in range(2, n + 1):
-        for j in range(len(ann[i - 2])):
-            variables.append(state(i, j))
-            provenance[state(i, j)] = _bag_provenance(chain[i - 2], ann[i - 2][j])
+        for j in links[chain[i - 2]]:
+            provenance[state(i, j)] = _bag_provenance(chain[i - 2], ann[chain[i - 2]][j])
     rules: list = []
-    if n == 1:
-        for b in ann[0]:
-            rules.append(("B1", (b.maps(order[0]),)))
-    else:
-        for j, b in enumerate(ann[0]):
-            rules.append(("B1", (b.maps(order[0]), state(2, j))))
-        for i in range(2, n):
-            for j, pmap in enumerate(maps[i - 2]):
-                for j2, b2 in enumerate(ann[i - 1]):
-                    if _consistent_dicts(pmap, maps[i - 1][j2]):
-                        rules.append((state(i, j), (b2.maps(order[i - 1]), state(i + 1, j2))))
-        for j, pmap in enumerate(maps[n - 2]):
-            for b2, cmap in zip(ann[n - 1], maps[n - 1]):
-                if _consistent_dicts(pmap, cmap):
-                    rules.append((state(n, j), (b2.maps(order[n - 1]),)))
-
-    gr = Grammar(
-        sigma_max=g.vertex_count,
-        start="B1",
-        variables=tuple(variables),
-        rules=tuple(rules),
-        provenance=provenance,
-    )
-    return alpha, trim(gr)
+    for i in range(1, n + 1):
+        # each lhs with the annotations at chain[i - 1] it may continue with
+        if i == 1:
+            steps = [("B1", links[ROOT])]
+        else:
+            steps = [(state(i, j), nxt) for j, (nxt,) in links[chain[i - 2]].items()]
+        for lhs, nxt in steps:
+            for j2 in nxt:
+                emit = ann[chain[i - 1]][j2].maps(order[i - 1])
+                rules.append((lhs, (emit, state(i + 1, j2)) if i < n else (emit,)))
+    return alpha, Grammar(g.vertex_count, "B1", ("B1", *provenance), tuple(rules), provenance)
 
 
 # ---------------------------------------------------------------------------

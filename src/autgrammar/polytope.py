@@ -13,6 +13,7 @@ point enters any verdict.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -480,7 +481,7 @@ def _parse_row(line: str):
     if rel_at is None or rel_at != len(toks) - 2:
         raise PolytopeError(f"row must end with 'rel number': {line!r}")
     rel = toks[rel_at]
-    rhs = _number(toks[-1])
+    rhs = parse_number(toks[-1])
     terms: list[tuple[Fraction, str]] = []
     sign = Fraction(1)
     coef: Fraction | None = None
@@ -496,7 +497,7 @@ def _parse_row(line: str):
             sign, coef = Fraction(-1), None
         else:
             try:
-                value = Fraction(t)
+                value = _fraction(t)
             except ValueError:
                 terms.append((sign * (coef if coef is not None else 1), t))
                 sign, coef = Fraction(1), None
@@ -513,9 +514,22 @@ def _parse_row(line: str):
     return (name.strip(), tuple(terms), rel, rhs - constant)
 
 
-def _number(tok: str) -> Fraction:
+_EXPONENT = re.compile(r"[-+]?(?=\.?\d)[\d_.]*[eE][-+]?([\d_]+)")  # as Fraction reads it
+
+
+def _fraction(tok: str) -> Fraction:
+    """Fraction(tok) with a decimal exponent of at most four digits:
+    Fraction expands it exactly, so 1e10000000 alone takes seconds."""
+    exponent = _EXPONENT.fullmatch(tok)
+    if exponent and len(exponent.group(1)) > 4:
+        raise PolytopeError(f"exponent of {tok!r} has more than 4 digits")
+    return Fraction(tok)
+
+
+def parse_number(tok: str) -> Fraction:
+    """An exact number of an LP file or a projection point."""
     try:
-        return Fraction(tok)
+        return _fraction(tok)
     except (ValueError, ZeroDivisionError):
         raise PolytopeError(f"bad number {tok!r}") from None
 
@@ -525,9 +539,9 @@ def _parse_bound(line: str):
     if len(toks) == 2 and toks[1].lower() == "free":
         return toks[0], None, None
     if len(toks) == 5 and toks[1] == "<=" and toks[3] == "<=":
-        return toks[2], _number(toks[0]), _number(toks[4])
+        return toks[2], parse_number(toks[0]), parse_number(toks[4])
     if len(toks) == 3 and toks[1] == "<=":
-        return toks[0], Fraction(0), _number(toks[2])
+        return toks[0], Fraction(0), parse_number(toks[2])
     raise PolytopeError(f"unsupported bound line: {line!r}")
 
 

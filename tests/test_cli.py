@@ -216,6 +216,8 @@ LP_HEAD = "Minimize\n obj: 0\nSubject To\n"
         ("stats", '{"sigma_max": "one", ' + RULES_OK + "}"),
         ("stats", '{"sigma_max": 1, ' + RULES_OK.replace("B1", "B\u00e9") + "}"),
         ("check", LP_HEAD + " px1: x_1 - y_0 = 1.2.3\nBounds\n 0 <= y_0 <= 1\nEnd\n"),
+        ("check", LP_HEAD + " px1: x_1 - 1e10000000 y_0 = 1\nBounds\n 0 <= y_0 <= 1\nEnd\n"),
+        ("point", LP_HEAD + " px1: x_1 - y_0 = 0\nBounds\n 0 <= y_0 <= 1\nEnd\n"),
     ],
     ids=[
         "td-token",
@@ -227,6 +229,8 @@ LP_HEAD = "Minimize\n obj: 0\nSubject To\n"
         "grammar-sigma-max",
         "grammar-non-ascii",
         "lp-number",
+        "lp-exponent",
+        "point-exponent",
     ],
 )
 def test_malformed_input_exit_2(c4_file, tmp_path, command, text):
@@ -236,6 +240,7 @@ def test_malformed_input_exit_2(c4_file, tmp_path, command, text):
         "build": ("build", "--graph", c4_file, "--td", str(f), "--out", str(tmp_path / "g.json")),
         "stats": ("stats", str(f)),
         "check": ("check", str(f), "--point", "1"),
+        "point": ("check", str(f), "--point", "1e10000000"),
     }[command]
     r = run_cli(*args)
     assert r.returncode == 2, r.stderr

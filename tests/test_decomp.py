@@ -190,6 +190,11 @@ def test_deep_min_fill_and_pace_round_trip():
     t = compute_tree_decomposition(g, "min-fill")
     assert max(len(p) for p in t.positions) == 1199
     assert read_pace_td(write_pace_td(t, g.vertex_count)) == t
+    out, y = make_permutation_yielding(g, t)
+    assert validate_tree_decomposition(g, out).ok
+    assert out.width == 1
+    assert max(len(p) for p in out.positions) == 1200  # a fresh leaf under the deepest bag
+    assert sorted(y.alpha.image) == list(g.vertices)
 
 
 def test_pace_reroots_at_bag_one(p3):

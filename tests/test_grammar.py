@@ -3,10 +3,12 @@ import math
 
 import pytest
 
+from autgrammar.annotate import consistent_bags, count_assignments, enumerate_annotated_bags
 from autgrammar.decomp import (
     TreeDecomposition,
     compute_path_decomposition,
     compute_tree_decomposition,
+    introduced_order,
     make_permutation_yielding,
 )
 from autgrammar.graph import Graph
@@ -173,6 +175,9 @@ def test_deep_chain_grammar():
     (tree,) = enumerate_parse_trees(gr)
     assert parse_tree_yield(gr, tree) == word
     assert trim(gr) == gr
+    # rules listed deepest first: reachability must not take one sweep per level
+    reversed_rules = Grammar(gr.sigma_max, gr.start, gr.variables, gr.rules[::-1])
+    assert trim(reversed_rules) == reversed_rules
     ef = build_extended_formulation(gr)
     assert ef.word_length == depth
     point = lift_parse_tree(ef, tree)
@@ -457,3 +462,73 @@ def test_regular_star(star5):
     alpha, gr = build_regular_aut_grammar(star5, pd)
     assert is_regular(gr)
     assert len(enumerate_language(gr).words) == 24
+
+
+# Reference constructions: every parent/child annotation pair tested with
+# consistent_bags, then trim.  build_aut_grammar and build_regular_aut_grammar
+# must give exactly these grammars, provenance included.
+
+def _provenance(p, b):
+    position = ".".join(map(str, p)) or "e"
+    return {"position": position, "bag": list(b.s), "phi": [list(x) for x in b.phi]}
+
+
+def reference_aut_grammar(g, t):
+    ann = {p: enumerate_annotated_bags(g, t.bag(p)) for p in t.positions}
+    name = {p: [f"p:{_provenance(p, b)['position']}|b:{i}" for i, b in enumerate(bs)]
+            for p, bs in ann.items()}
+    provenance = {name[p][i]: _provenance(p, b) for p in ann for i, b in enumerate(ann[p])}
+    rules = [("B1", (v,)) for v in name[()]]
+    for p in t.positions:
+        kids = t.children(p)
+        for i, b in enumerate(ann[p]):
+            if kids:
+                per_child = [[name[c][j] for j, cb in enumerate(ann[c]) if consistent_bags(b, cb)]
+                             for c in kids]
+                rules.extend((name[p][i], combo) for combo in itertools.product(*per_child))
+            else:
+                rules.append((name[p][i], (b.maps(t.bag(p)[0]),)))
+    return trim(Grammar(g.vertex_count, "B1", ("B1", *provenance), tuple(rules), provenance))
+
+
+def reference_regular_grammar(g, pd):
+    order, chain = introduced_order(g, pd), pd.positions
+    ann = [enumerate_annotated_bags(g, pd.bag(p)) for p in chain]
+    n = len(chain)
+    provenance = {f"q:{i}|b:{j}": _provenance(chain[i - 2], b)
+                  for i in range(2, n + 1) for j, b in enumerate(ann[i - 2])}
+    rules = []
+    for i in range(1, n + 1):
+        lhs = [("B1", None)] if i == 1 else [(f"q:{i}|b:{j}", b) for j, b in enumerate(ann[i - 2])]
+        for var, prev in lhs:
+            for j, b in enumerate(ann[i - 1]):
+                if prev is None or consistent_bags(prev, b):
+                    emit = b.maps(order[i - 1])
+                    rules.append((var, (emit, f"q:{i + 1}|b:{j}") if i < n else (emit,)))
+    return trim(Grammar(g.vertex_count, "B1", ("B1", *provenance), tuple(rules), provenance))
+
+
+def test_join_matches_all_pairs_reference(corpus):
+    import random
+
+    rng = random.Random(31)
+    graphs = []
+    for name, g in corpus.items():
+        graphs.append((name, g))
+        for k in range(2):  # seeded relabellings move the min-fill tie-breaks
+            label = list(g.vertices)
+            rng.shuffle(label)
+            edges = [(label[u - 1], label[v - 1]) for u, v in g.edges]
+            graphs.append((f"{name}/{k}", Graph(g.vertex_count, edges)))
+    graphs += [(f"random/{k}", random_connected_graph(rng, rng.randint(2, 6))) for k in range(6)]
+    for name, g in graphs:
+        t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, "min-fill"))
+        pd = compute_path_decomposition(g)
+        for gr, ref in (
+            (build_aut_grammar(g, t)[1], reference_aut_grammar(g, t)),
+            (build_regular_aut_grammar(g, pd)[1], reference_regular_grammar(g, pd)),
+        ):
+            assert grammar_to_json(gr) == grammar_to_json(ref), name
+            assert gr == ref and gr.provenance == ref.provenance, name
+            assert trim(gr) == gr and trim(gr).provenance == gr.provenance, name
+        assert count_assignments(g, t) == len(brute_force_automorphisms(g)), name

@@ -171,6 +171,17 @@ def test_lp_shifted_bounds():
     assert not check_lp_feasibility(parse_lp(lp.replace("5/2", "3/2")), {})
 
 
+def test_lp_number_exponents():
+    lp = "Minimize\n obj: 0\nSubject To\n r1: y_0 = 5/2\nBounds\n 2 <= y_0 <= 3\nEnd\n"
+    assert check_lp_feasibility(parse_lp(lp.replace("5/2", "0.025e2")), {})
+    assert not check_lp_feasibility(parse_lp(lp.replace("5/2", "25e-9999")), {})
+    for huge in ("1e10000", "-.5E-10000", "1e10000000"):  # expanded exactly, so refused
+        with pytest.raises(PolytopeError):
+            parse_lp(lp.replace("5/2", huge))
+    # a name is never read as a number, however it ends
+    assert check_lp_feasibility(parse_lp(lp.replace("y_0", "e12345")), {})
+
+
 def test_lp_free_variable_requires_point():
     lp = (
         "Minimize\n obj: 0\nSubject To\n r1: x_1 - y_0 = 0\n"
