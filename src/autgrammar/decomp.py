@@ -9,9 +9,10 @@ canonical order used throughout.
 The module covers: axiom validation (T1 vertex cover, T2 edge cover, T3
 connected per-vertex subterm), construction from elimination orderings
 (min-fill heuristic and an exact search for small graphs), PACE-style .td
-file import/export, path decompositions from vertex layouts, and the
-transform that turns any valid decomposition into a permutation-yielding
-one (every vertex in exactly one leaf bag, as a singleton).
+file import/export, path decompositions from vertex layouts (exact for
+small graphs, by the same subset search), and the transform that turns any
+valid decomposition into a permutation-yielding one (every vertex in
+exactly one leaf bag, as a singleton).
 """
 
 from __future__ import annotations
@@ -209,19 +210,38 @@ def _min_fill_order(g: Graph) -> list[int]:
     return order
 
 
-def _exact_order(g: Graph, cap: int) -> list[int]:
-    """Optimal elimination ordering by dynamic programming over the sets of
+def _bits(s: int):
+    """The indices of the set bits of s, smallest first."""
+    while s:
+        low = s & -s
+        s ^= low
+        yield low.bit_length() - 1
+
+
+def _subset_widths(m: int, cost) -> list[int]:
+    """The exact search behind both exact decompositions: a table over the
+    subsets s of range(m), as bitmasks, with width[s] the minimum over i in
+    s of max(width[s - i], cost(s - i, i)).  Each search reads its own
+    order back from the table."""
+    width = [0] * (1 << m)
+    for s in range(1, 1 << m):
+        width[s] = min(max(width[s ^ (1 << i)], cost(s ^ (1 << i), i)) for i in _bits(s))
+    return width
+
+
+def _neighbor_bits(g: Graph) -> list[int]:
+    """Vertex index i = v - 1 -> the bitmask of its neighbors' indices."""
+    return [sum(1 << (u - 1) for u in g.neighbors[v]) for v in g.vertices]
+
+
+def _exact_order(g: Graph) -> list[int]:
+    """Optimal elimination ordering; the table is indexed by the set of
     already-eliminated vertices.  The cost of eliminating v after S is the
     number of vertices outside S reachable from v through S."""
     m = g.vertex_count
-    if m > cap:
-        raise DecompositionError(f"exact-small refused above {cap} vertices (got {m})")
-    verts = list(g.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    nbr_bits = [0] * m
-    for v in verts:
-        for u in g.neighbors[v]:
-            nbr_bits[index[v]] |= 1 << index[u]
+    if m > EXACT_SMALL_CAP:
+        raise DecompositionError(f"exact-small refused above {EXACT_SMALL_CAP} vertices (got {m})")
+    nbr_bits = _neighbor_bits(g)
 
     def cost(eliminated: int, vi: int) -> int:
         # vertices outside `eliminated` adjacent to vi or linked via eliminated
@@ -229,70 +249,36 @@ def _exact_order(g: Graph, cap: int) -> list[int]:
         stack = [vi]
         out = 0
         while stack:
-            w = stack.pop()
-            frontier = nbr_bits[w] & ~seen
+            frontier = nbr_bits[stack.pop()] & ~seen
             seen |= frontier
-            rest = frontier
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                u = low.bit_length() - 1
-                if (eliminated >> u) & 1:
-                    stack.append(u)
-                else:
-                    out += 1
+            stack.extend(_bits(frontier & eliminated))
+            out += (frontier & ~eliminated).bit_count()
         return out
 
-    full = (1 << m) - 1
-    width = {0: 0}
-    pick: dict[int, int] = {}
-    for s in range(1, full + 1):
-        best = None
-        best_v = None
-        rest = s
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            vi = low.bit_length() - 1
-            prev = s ^ low
-            w = max(width[prev], cost(prev, vi))
-            if best is None or w < best or (w == best and vi < best_v):
-                best, best_v = w, vi
-        width[s] = best
-        pick[s] = best_v
+    width = _subset_widths(m, cost)
     order_rev = []
-    s = full
-    while s:
-        vi = pick[s]
-        order_rev.append(verts[vi])
+    s = (1 << m) - 1
+    while s:  # backwards: the smallest last vertex that reaches width[s]
+        vi = next(
+            i for i in _bits(s) if max(width[s ^ (1 << i)], cost(s ^ (1 << i), i)) == width[s]
+        )
+        order_rev.append(vi + 1)
         s ^= 1 << vi
-    return list(reversed(order_rev))
+    return order_rev[::-1]
 
 
-def compute_tree_decomposition(
-    g: Graph, strategy: str = "min-fill", *, cap: int = EXACT_SMALL_CAP, text: str | None = None
-) -> TreeDecomposition:
+def compute_tree_decomposition(g: Graph, strategy: str = "min-fill") -> TreeDecomposition:
     """Construct a valid tree decomposition of a connected graph.
 
-    Strategies: "min-fill" (elimination-ordering heuristic), "exact-small"
-    (guaranteed minimum width, refused above `cap` vertices), "from-file"
-    (parse PACE .td text passed via `text`).
+    Strategies: "min-fill" (elimination-ordering heuristic) and
+    "exact-small" (guaranteed minimum width, refused above EXACT_SMALL_CAP
+    vertices).
     """
     require_connected(g)
-    if strategy == "from-file":
-        if text is None:
-            raise DecompositionError("from-file strategy needs td text")
-        t = read_pace_td(text)
-        report = validate_tree_decomposition(g, t)
-        if not report.ok:
-            raise DecompositionError(
-                f"decomposition invalid: {report.violations[0].message}"
-            )
-        return t
     if strategy == "min-fill":
         return _decomposition_from_elimination(g, _min_fill_order(g))
     if strategy == "exact-small":
-        return _decomposition_from_elimination(g, _exact_order(g, cap))
+        return _decomposition_from_elimination(g, _exact_order(g))
     raise DecompositionError(f"unknown strategy {strategy!r}")
 
 
@@ -483,46 +469,37 @@ def _layout_bags(g: Graph, order: list[int]) -> list[tuple[int, ...]]:
     return bags
 
 
-def _layout_width(g: Graph, order: list[int]) -> int:
-    return max(len(b) for b in _layout_bags(g, order)) - 1
+def _best_layout(g: Graph) -> list[int]:
+    """The lexicographically first layout of minimum width; the identity
+    layout above EXACT_SMALL_CAP vertices.  The table is indexed by the set
+    of vertices still to place, and placing one costs the number of placed
+    vertices with a neighbor not yet placed."""
+    m = g.vertex_count
+    if m > EXACT_SMALL_CAP:
+        return list(g.vertices)
+    nbr_bits = _neighbor_bits(g)
+    full = (1 << m) - 1
+
+    def active(rest: int) -> int:
+        return sum(1 for u in _bits(full ^ rest) if nbr_bits[u] & rest)
+
+    width = _subset_widths(m, lambda later, vi: active(later | (1 << vi)))
+    order = []
+    rest = full
+    while rest:  # forwards: the smallest vertex that an optimal layout continues with
+        step = active(rest)
+        vi = next(i for i in _bits(rest) if max(step, width[rest ^ (1 << i)]) <= width[full])
+        order.append(vi + 1)
+        rest ^= 1 << vi
+    return order
 
 
-def _best_layout(g: Graph, cap: int) -> list[int]:
-    """Branch-and-bound over layouts minimizing the largest bag; falls back
-    to the identity layout above the cap."""
-    verts = list(g.vertices)
-    if g.vertex_count > cap:
-        return verts
-    best_order = verts[:]
-    best = _layout_width(g, best_order)
-    rank_pos = {v: i for i, v in enumerate(verts)}
-
-    def search(prefix: list[int], active: frozenset[int], worst: int) -> None:
-        nonlocal best, best_order
-        if worst >= best:
-            return
-        if len(prefix) == len(verts):
-            best, best_order = worst, prefix[:]
-            return
-        placed = set(prefix)
-        for v in verts:
-            if v in placed:
-                continue
-            after = placed | {v}
-            nxt = {u for u in active if any(w not in after for w in g.neighbors[u])}
-            if any(w not in after for w in g.neighbors[v]):
-                nxt.add(v)
-            search(prefix + [v], frozenset(nxt), max(worst, len(active)))
-
-    search([], frozenset(), 0)
-    return best_order
-
-
-def compute_path_decomposition(g: Graph, *, cap: int = EXACT_SMALL_CAP) -> TreeDecomposition:
+def compute_path_decomposition(g: Graph) -> TreeDecomposition:
     """A path-shaped decomposition in which each bag introduces exactly one
-    new vertex.  Exact minimum width for graphs up to `cap` vertices."""
+    new vertex.  Exact minimum width for graphs up to EXACT_SMALL_CAP
+    vertices."""
     require_connected(g)
-    order = _best_layout(g, cap)
+    order = _best_layout(g)
     bags = _layout_bags(g, order)
     positions: dict[Pos, tuple[int, ...]] = {}
     pos: Pos = ROOT

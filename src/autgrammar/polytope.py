@@ -495,25 +495,19 @@ def _parse_row(line: str):
             if coef is not None:
                 constant += sign * coef
             sign, coef = Fraction(-1), None
-        else:
-            try:
-                value = _fraction(t)
-            except ValueError:
-                terms.append((sign * (coef if coef is not None else 1), t))
-                sign, coef = Fraction(1), None
-                continue
-            except ZeroDivisionError:
-                raise PolytopeError(f"bad number {t!r}") from None
+        elif _NUMBER_START.match(t):  # a malformed number is an error, not a name
             if coef is not None:
                 constant += sign * coef
-                coef = value
-            else:
-                coef = value
+            coef = parse_number(t)
+        else:
+            terms.append((sign * (coef if coef is not None else 1), t))
+            sign, coef = Fraction(1), None
     if coef is not None:
         constant += sign * coef
     return (name.strip(), tuple(terms), rel, rhs - constant)
 
 
+_NUMBER_START = re.compile(r"[-+]?\.?\d")  # how every token Fraction reads starts
 _EXPONENT = re.compile(r"[-+]?(?=\.?\d)[\d_.]*[eE][-+]?([\d_]+)")  # as Fraction reads it
 
 

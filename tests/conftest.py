@@ -1,6 +1,6 @@
 import pytest
 
-from autgrammar.graph import Graph
+from autgrammar.graph import Graph, is_connected
 
 
 def path_graph(n: int) -> Graph:
@@ -34,6 +34,20 @@ def petersen_graph() -> Graph:
     spokes = [(i, i + 5) for i in range(1, 6)]
     inner = [(6, 8), (8, 10), (7, 10), (7, 9), (6, 9)]
     return Graph(10, outer + spokes + inner)
+
+
+def random_connected_graph(rng, n: int) -> Graph:
+    """Draw G(n, 0.45) until it is connected."""
+    while True:
+        edges = [
+            (i, j)
+            for i in range(1, n)
+            for j in range(i + 1, n + 1)
+            if rng.random() < 0.45
+        ]
+        g = Graph(n, edges)
+        if is_connected(g):
+            return g
 
 
 @pytest.fixture(scope="session")

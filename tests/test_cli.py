@@ -217,6 +217,7 @@ LP_HEAD = "Minimize\n obj: 0\nSubject To\n"
         ("stats", '{"sigma_max": 1, ' + RULES_OK.replace("B1", "B\u00e9") + "}"),
         ("check", LP_HEAD + " px1: x_1 - y_0 = 1.2.3\nBounds\n 0 <= y_0 <= 1\nEnd\n"),
         ("check", LP_HEAD + " px1: x_1 - 1e10000000 y_0 = 1\nBounds\n 0 <= y_0 <= 1\nEnd\n"),
+        ("check", LP_HEAD + f" px1: x_1 - {'1' * 5000} y_0 = 0\nBounds\n 0 <= y_0 <= 1\nEnd\n"),
         ("point", LP_HEAD + " px1: x_1 - y_0 = 0\nBounds\n 0 <= y_0 <= 1\nEnd\n"),
     ],
     ids=[
@@ -230,6 +231,7 @@ LP_HEAD = "Minimize\n obj: 0\nSubject To\n"
         "grammar-non-ascii",
         "lp-number",
         "lp-exponent",
+        "lp-long-number",
         "point-exponent",
     ],
 )

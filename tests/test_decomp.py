@@ -1,9 +1,13 @@
+import itertools
+import random
+
 import pytest
 
 from autgrammar.decomp import (
     DecompositionError,
     TdParseError,
     TreeDecomposition,
+    _layout_bags,
     compute_path_decomposition,
     compute_tree_decomposition,
     introduced_order,
@@ -14,9 +18,21 @@ from autgrammar.decomp import (
     write_pace_td,
     yield_order_of,
 )
-from autgrammar.graph import DisconnectedGraphError, Graph
+from autgrammar.graph import DisconnectedGraphError, Graph, is_connected
 from autgrammar.perm import Permutation
-from conftest import cycle_graph, path_graph
+from conftest import cycle_graph, path_graph, random_connected_graph
+
+
+def connected_graphs(max_vertices):
+    """Every connected labelled graph on 1..max_vertices vertices."""
+    graphs = []
+    for m in range(1, max_vertices + 1):
+        pairs = list(itertools.combinations(range(1, m + 1), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(m, [p for k, p in enumerate(pairs) if mask >> k & 1])
+            if is_connected(g):
+                graphs.append(g)
+    return graphs
 
 
 def treewidth_oracle(g):
@@ -108,7 +124,7 @@ def test_exact_small_matches_ordering_oracle(corpus):
 def test_exact_small_cap():
     g = path_graph(11)
     with pytest.raises(DecompositionError):
-        compute_tree_decomposition(g, "exact-small", cap=10)
+        compute_tree_decomposition(g, "exact-small")
 
 
 def test_disconnected_rejected():
@@ -207,13 +223,11 @@ def test_pace_reroots_at_bag_one(p3):
 
 def test_from_file_strategy(c4):
     t = compute_tree_decomposition(c4, "min-fill")
-    text = write_pace_td(t, c4.vertex_count)
-    assert compute_tree_decomposition(c4, "from-file", text=text) == t
-    bad = "s td 2 2 4\nb 1 1 2\nb 2 3 4\n1 2\n"
-    with pytest.raises(DecompositionError):
-        compute_tree_decomposition(c4, "from-file", text=bad)
-    with pytest.raises(DecompositionError):
-        compute_tree_decomposition(c4, "from-file")
+    back = read_pace_td(write_pace_td(t, c4.vertex_count))
+    assert back == t
+    assert validate_tree_decomposition(c4, back).ok
+    bad = read_pace_td("s td 2 2 4\nb 1 1 2\nb 2 3 4\n1 2\n")  # edges {2,3}, {1,4} uncovered
+    assert not validate_tree_decomposition(c4, bad).ok
 
 
 def test_pace_errors():
@@ -225,7 +239,7 @@ def test_pace_errors():
         read_pace_td("s td 2 2 3\nb 1 1\nb 2 2\n")  # bags not linked
 
 
-def test_path_decomposition(p4, c4, k4):
+def test_path_decomposition(p4, c4, k4, petersen):
     t = compute_path_decomposition(p4)
     assert t.is_path_shaped()
     assert t.width == 1
@@ -234,6 +248,19 @@ def test_path_decomposition(p4, c4, k4):
     assert t.width == 2
     assert validate_tree_decomposition(c4, t).ok
     assert compute_path_decomposition(k4).width == 3
+    assert compute_path_decomposition(petersen).width == 5
+
+    def width(g, order):
+        return max(len(b) for b in _layout_bags(g, order)) - 1
+
+    # the layout is the lexicographically first one of minimum width, which
+    # is what min() over all permutations in lexicographic order keeps
+    rng = random.Random(7)
+    sampled = [random_connected_graph(rng, m) for m in (6, 6, 7, 7)]
+    for g in connected_graphs(5) + sampled:
+        order = introduced_order(g, compute_path_decomposition(g))
+        best = min(itertools.permutations(g.vertices), key=lambda o: width(g, o))
+        assert tuple(order) == best, g.edges
 
 
 def test_path_decomposition_disconnected():

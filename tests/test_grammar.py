@@ -46,6 +46,7 @@ from autgrammar.perm import (
     to_string_word,
 )
 from autgrammar.polytope import build_extended_formulation, lift_parse_tree
+from conftest import random_connected_graph
 
 
 def aut_grammar(g):
@@ -398,21 +399,6 @@ def test_json_rejects_garbage():
         grammar_from_json("{not json")
     with pytest.raises(GrammarError):
         grammar_from_json("{}")
-
-
-def random_connected_graph(rng, n):
-    while True:
-        edges = [
-            (i, j)
-            for i in range(1, n)
-            for j in range(i + 1, n + 1)
-            if rng.random() < 0.45
-        ]
-        g = Graph(n, edges)
-        from autgrammar.graph import is_connected
-
-        if is_connected(g):
-            return g
 
 
 def test_random_graphs_cross_check():

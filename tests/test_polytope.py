@@ -180,6 +180,11 @@ def test_lp_number_exponents():
             parse_lp(lp.replace("5/2", huge))
     # a name is never read as a number, however it ends
     assert check_lp_feasibility(parse_lp(lp.replace("y_0", "e12345")), {})
+    # and a token that starts like a number is never read as a name
+    row = "Minimize\n obj: 0\nSubject To\n px1: x_1 - {} y_0 = 0\nEnd\n"
+    for bad in ("1" * 5000, "2x", "-.5z"):  # over the int-string limit, malformed
+        with pytest.raises(PolytopeError):
+            parse_lp(row.format(bad))
 
 
 def test_lp_free_variable_requires_point():
