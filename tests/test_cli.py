@@ -249,3 +249,4 @@ def test_malformed_input_exit_2(c4_file, tmp_path, command, text):
     assert r.stdout == ""
     assert len(r.stderr.splitlines()) == 1
     assert r.stderr.startswith("error: ")
+    assert len(r.stderr) < 200  # a long token is quoted in part

@@ -7,6 +7,7 @@ from autgrammar.decomp import (
     DecompositionError,
     TdParseError,
     TreeDecomposition,
+    _exact_order,
     _layout_bags,
     compute_path_decomposition,
     compute_tree_decomposition,
@@ -119,6 +120,41 @@ def test_exact_small_matches_ordering_oracle(corpus):
     for name, g in corpus.items():
         t = compute_tree_decomposition(g, "exact-small")
         assert t.width == treewidth_oracle(g), name
+
+
+def test_exact_small_tie_break():
+    # brute force: among the elimination orders in which every prefix has
+    # the minimum width for its own vertex set, the one whose reversal is
+    # lexicographically smallest
+    for g in connected_graphs(5):
+        costs = {}
+
+        def cost(done, v):
+            # the vertices outside done | {v} that v reaches through done
+            if (done, v) not in costs:
+                seen, stack = {v}, [v]
+                while stack:
+                    for u in set(g.neighbors[stack.pop()]) - seen:
+                        seen.add(u)
+                        if u in done:
+                            stack.append(u)
+                costs[done, v] = len(seen - done - {v})
+            return costs[done, v]
+
+        prefix_widths, least = {}, {}
+        for order in itertools.permutations(g.vertices):
+            widths = []
+            for k, v in enumerate(order):
+                widths.append(max(widths[-1:] + [cost(frozenset(order[:k]), v)]))
+                s = frozenset(order[: k + 1])
+                least[s] = min(least.get(s, widths[-1]), widths[-1])
+            prefix_widths[order] = widths
+        optimal = [
+            order
+            for order, widths in prefix_widths.items()
+            if all(w == least[frozenset(order[: k + 1])] for k, w in enumerate(widths))
+        ]
+        assert tuple(_exact_order(g)) == min(optimal, key=lambda o: o[::-1]), g.edges
 
 
 def test_exact_small_cap():

@@ -16,6 +16,10 @@ from autgrammar.oracle import brute_force_automorphisms
 from autgrammar.perm import Permutation, permute_word, to_string_word
 from autgrammar.polytope import (
     PolytopeError,
+    _phase_one_feasible,
+    _presolve,
+    _projection_system,
+    _simplex_feasible,
     build_extended_formulation,
     check_lp_feasibility,
     check_projection_feasibility,
@@ -102,14 +106,67 @@ def test_feasibility_matches_group_membership(p3):
 
 def test_feasibility_exhaustive_small_corpus(p3, p4, c4, c5, k4, star5):
     # complete agreement with group membership over every permutation
-    # vector, for all corpus graphs on at most five vertices
+    # vector, for all corpus graphs on at most five vertices, on both the
+    # projection path and the LP-text path of the `check` command
     for g in (p3, p4, c4, c5, k4, star5):
         alpha, gr, ef = aut_ef(g)
+        parsed = parse_lp(emit_lp(ef))
         auts = set(brute_force_automorphisms(g))
         for img in itertools.permutations(range(1, g.vertex_count + 1)):
             sigma = Permutation(img)
             x = permute_word(to_string_word(sigma), alpha).symbols
             assert check_projection_feasibility(ef, x) == (sigma in auts), img
+            point = {f"x_{i}": Fraction(v) for i, v in enumerate(x, start=1)}
+            assert check_lp_feasibility(parsed, point) == (sigma in auts), img
+
+
+def _random_system(rng):
+    # rows through a planted point, some with a shifted rhs; bounds around
+    # the point, some without an upper end and a few empty
+    names = [f"v{k}" for k in range(rng.randint(1, 6))]
+    point = {v: Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for v in names}
+    bounds = {}
+    for v in names:
+        lo = point[v] - rng.randint(0, 2)
+        hi = None if rng.random() < 0.3 else point[v] + rng.randint(0, 2)
+        if rng.random() < 0.05:
+            lo, hi = point[v] + 1, point[v]
+        bounds[v] = (lo, hi)
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        size = min(len(names), rng.choice((0, 1, 2, 2, 2, 3, 4)))
+        coeffs = {
+            v: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2)))
+            for v in rng.sample(names, size)
+        }
+        rhs = sum((c * point[v] for v, c in coeffs.items()), Fraction(0))
+        if rng.random() < 0.15:
+            rhs += rng.choice((-1, 1))
+        rows.append((coeffs, rhs))
+    return rows, bounds
+
+
+def test_presolve_keeps_verdicts():
+    import random
+
+    rng = random.Random(1995)
+    verdicts = []
+    for _ in range(400):
+        rows, bounds = _random_system(rng)
+        verdict = _simplex_feasible(rows, bounds)
+        assert _phase_one_feasible(rows, bounds) == verdict, (rows, bounds)
+        verdicts.append(verdict)
+    assert 100 < sum(verdicts) < 300  # both verdicts well represented
+
+
+def test_presolve_reduction_sizes(c5, q3):
+    # every flow row but the source row is a doubleton on these grammars
+    for g, size in ((c5, (6, 10)), (q3, (9, 48))):
+        alpha, gr, ef = aut_ef(g)
+        x = permute_word(to_string_word(Permutation(tuple(g.vertices))), alpha).symbols
+        rows, bounds = _presolve(*_projection_system(ef, x))
+        assert (len(rows), len(bounds)) == size
+        assert _simplex_feasible(rows, bounds)
 
 
 def test_feasibility_midpoint(c4):
