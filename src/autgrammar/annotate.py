@@ -9,15 +9,21 @@ consistent when they agree on the full intersection of their domains; the
 union of a consistent family over a whole decomposition is then a single
 well-defined vertex map, and for connected graphs that map is exactly an
 automorphism.
+
+Only annotations that can take part in such a family are searched for.
+Every vertex maps to one of its own stable colour (graph.stable_colouring),
+which automorphisms preserve, and join_annotations enumerates each child's
+annotations only as extensions of its parent's images on their shared
+domain.  Nothing is cached between calls: the colouring is computed once
+per call and dropped with the annotations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .decomp import ROOT, TreeDecomposition, validate_tree_decomposition
-from .graph import Graph, closed_neighborhood, induced_subgraph
+from .graph import Graph, closed_neighborhood, induced_subgraph, stable_colouring
 from .perm import Permutation
 
 
@@ -77,70 +83,94 @@ def check_annotated_bag(g: Graph, b: AnnotatedBag) -> bool:
 
 
 def enumerate_annotated_bags(g: Graph, s) -> list[AnnotatedBag]:
-    """Every annotation of bag s, ordered lexicographically by the image
-    tuple over the sorted domain.
+    """Every colour-preserving annotation of bag s, ordered
+    lexicographically by the image tuple over the sorted domain.
 
-    Search assigns images to the bag vertices first (exact degree match is
-    necessary for them), then extends over the boundary, which must land
-    inside the closed neighborhood of the image bag; adjacency is checked
-    in both directions at every step.
-    """
+    Colour-preserving means each vertex of the domain maps to one of its
+    own stable colour (graph.stable_colouring); the restriction of every
+    automorphism is one, so no annotation that can take part in a
+    whole-tree annotation is missing.  The colouring is computed afresh on
+    each call and nothing is cached; join_annotations searches further
+    only among extensions of a parent's images."""
     bag = tuple(sorted(set(s)))
     if not bag:
         raise AnnotationError("empty bag has no annotations")
     for v in bag:
         g._check_vertex(v)
-    return list(_enumerate_cached(g, bag))
+    return _Search(g).annotations(bag, (), [()])
 
 
-@lru_cache(maxsize=4096)
-def _enumerate_cached(g: Graph, bag: tuple[int, ...]) -> tuple[AnnotatedBag, ...]:
-    dom = closed_neighborhood(g, bag)
-    boundary = tuple(v for v in dom if v not in bag)
-    order = bag + boundary
-    degree = {v: len(g.neighbors[v]) for v in g.vertices}
-    results: list[AnnotatedBag] = []
-    phi: dict[int, int] = {}
-    used: set[int] = set()
+class _Search:
+    """The backtracking search for colour-preserving annotations of one
+    graph, holding its stable colouring, neighbour sets and closed
+    neighbourhoods."""
 
-    def adjacency_ok(v: int, cand: int) -> bool:
-        for u, img in phi.items():
-            if g.has_edge(u, v) != g.has_edge(img, cand):
-                return False
-        return True
+    def __init__(self, g: Graph):
+        self.g = g
+        self.colour = stable_colouring(g)
+        self.classes: dict[int, list[int]] = {}
+        for v in g.vertices:
+            self.classes.setdefault(self.colour[v], []).append(v)
+        self.adjacent = {v: frozenset(ns) for v, ns in g.neighbors.items()}
+        self.closed = {v: ns | {v} for v, ns in self.adjacent.items()}
 
-    def extend(k: int, allowed: tuple[int, ...] | None) -> None:
-        if k == len(order):
-            b = AnnotatedBag(bag, tuple(sorted(phi.items())))
-            if check_annotated_bag(g, b):
-                results.append(b)
-            return
-        v = order[k]
-        if allowed is None:
-            candidates = [c for c in g.vertices if degree[c] == degree[v]]
-        else:
-            candidates = list(allowed)
-        for cand in candidates:
-            if cand in used or not adjacency_ok(v, cand):
-                continue
-            phi[v] = cand
-            used.add(cand)
-            if k + 1 == len(bag):
-                # bag fully placed: remaining images must fill the closed
-                # neighborhood of the image bag
-                target = closed_neighborhood(g, [phi[u] for u in bag])
-                if len(target) == len(dom):
-                    extend(k + 1, tuple(c for c in target if c not in used))
-            elif k + 1 < len(bag):
-                extend(k + 1, None)
-            else:
-                extend(k + 1, tuple(c for c in allowed if c != cand))
-            del phi[v]
-            used.discard(cand)
+    def annotations(self, bag: tuple[int, ...], pinned: tuple[int, ...], keys) -> list[AnnotatedBag]:
+        """The annotations of the sorted bag that map the vertices pinned,
+        a part of its domain, to one of the keys, in enumeration order.
+        Each key is the image of pinned under some colour-preserving
+        partial isomorphism (join_annotations passes a parent's images on
+        the shared domain), so the pinned vertices need no check among
+        themselves.
 
-    extend(0, None)
-    results.sort(key=lambda b: tuple(img for _, img in b.phi))
-    return tuple(results)
+        The other bag vertices are placed first, then the other boundary
+        vertices, whose images must fill the closed neighbourhood of the
+        image bag.  Each placement checks colour, injectivity and adjacency
+        to every placed vertex in both directions, so every complete map is
+        an annotation."""
+        colour, adjacent, classes, closed = self.colour, self.adjacent, self.classes, self.closed
+        dom = closed_neighborhood(self.g, bag)
+        order = [v for v in bag if v not in pinned]
+        placed_bag = len(order)
+        order += [v for v in dom if v not in pinned and v not in bag]
+        found: list[tuple[int, ...]] = []
+        phi: dict[int, int] = {}
+        used: set[int] = set()
+
+        def extend(k: int, target: set[int] | None) -> None:
+            if k == placed_bag and target is None:
+                # bag placed: the boundary's images must fill the closed
+                # neighbourhood of the image bag.  A pinned boundary vertex's
+                # image already lies in it, being adjacent to the image of a
+                # bag neighbour: by the key when that neighbour is pinned too,
+                # by the placement check when it is not.
+                target = set().union(*(closed[phi[u]] for u in bag))
+                if len(target) != len(dom):
+                    return
+            if k == len(order):
+                found.append(tuple([phi[v] for v in dom]))
+                return
+            v = order[k]
+            adj_v = adjacent[v]
+            for c in classes[colour[v]] if k < placed_bag else target:
+                if c in used or colour[c] != colour[v]:
+                    continue
+                adj_c = adjacent[c]
+                if any((u in adj_v) != (img in adj_c) for u, img in phi.items()):
+                    continue
+                phi[v] = c
+                used.add(c)
+                extend(k + 1, target)
+                del phi[v]
+                used.discard(c)
+
+        for key in keys:
+            phi.clear()
+            phi.update(zip(pinned, key))
+            used.clear()
+            used.update(key)
+            extend(0, None)
+        found.sort()
+        return [AnnotatedBag(bag, tuple(zip(dom, images))) for images in found]
 
 
 def consistent_bags(parent: AnnotatedBag, child: AnnotatedBag) -> bool:
@@ -158,12 +188,6 @@ class AnnotationAssignment:
 
     decomposition: TreeDecomposition
     bags: tuple[tuple[tuple[int, ...], AnnotatedBag], ...]  # (position, bag)
-
-    def bag_at(self, pos) -> AnnotatedBag:
-        for p, b in self.bags:
-            if p == pos:
-                return b
-        raise AnnotationError(f"no annotation at position {pos}")
 
 
 def make_assignment(t: TreeDecomposition, mapping: dict) -> AnnotationAssignment:
@@ -216,40 +240,62 @@ def annotation_morphism(g: Graph, a: AnnotationAssignment) -> Permutation:
 
 
 def join_annotations(g: Graph, t: TreeDecomposition) -> tuple[dict, dict]:
-    """(ann, links): ann[p] lists the annotations of the bag at p in
-    enumeration order; links[p] maps the index of each annotation at p that
-    takes part in some consistent annotation of the whole tree to a tuple
-    holding, per child c of p, the indices of such annotations at c that
-    are consistent with it.
+    """(ann, links): ann[p] lists, in enumeration order, the annotations of
+    the bag at p that take part in some consistent annotation of the whole
+    tree; links[p][i] holds, per child c of p, the indices into ann[c] of
+    those consistent with ann[p][i].
 
     Annotations at p and c are consistent when their images agree on the
-    shared domain N[S_p] & N[S_c], which is fixed, so one dict lookup finds
-    a parent's partners.  A bottom-up pass keeps the annotations with a
-    partner in every child and a top-down pass those a surviving parent
-    reaches: Yannakakis' full reducer (VLDB 1981)."""
-    ann = {p: enumerate_annotated_bags(g, t.bag(p)) for p in t.positions}
+    shared domain N[S_p] & N[S_c], which is fixed.  The search runs top
+    down: the root's colour-preserving annotations, then each child's only
+    as extensions of the distinct images its parent's annotations give on
+    the shared domain.  A bottom-up pass then keeps the annotations with a
+    partner in every child, one dict lookup per parent annotation, and a
+    top-down pass those a surviving parent reaches: Yannakakis' full
+    reducer (VLDB 1981).  An annotation's index is its rank among the
+    survivors, which no pruning of the search can shift."""
+    search = _Search(g)
+    dom = {p: closed_neighborhood(g, t.bag(p)) for p in t.positions}
+    ann = {ROOT: search.annotations(t.bag(ROOT), (), [()])}
+    at: dict = {}  # c -> where the shared domain sits in dom[parent], dom[c]
 
-    def images_on(p, shared: set) -> list[tuple[int, ...]]:
-        at = [k for k, v in enumerate(ann[p][0].domain) if v in shared]
-        return [tuple(b.phi[k][1] for k in at) for b in ann[p]]
+    def images_at(p, ks: list[int]) -> list[tuple[int, ...]]:
+        return [tuple(b.phi[k][1] for k in ks) for b in ann[p]]
 
+    for p in t.positions:  # parents before children
+        for c in t.children(p):
+            shared = set(dom[p]) & set(dom[c])
+            at[c] = (
+                [k for k, v in enumerate(dom[p]) if v in shared],
+                [k for k, v in enumerate(dom[c]) if v in shared],
+            )
+            pinned = tuple(v for v in dom[c] if v in shared)  # sorted, as in dom[p]
+            ann[c] = search.annotations(t.bag(c), pinned, set(images_at(p, at[c][0])))
     links: dict = {}
     for p in reversed(t.positions):  # children before parents
         columns = []
         for c in t.children(p):
-            shared = set(ann[p][0].domain) & set(ann[c][0].domain)
-            child_keys = images_on(c, shared)
+            child_keys = images_at(c, at[c][1])
             buckets: dict = {}
             for j in links[c]:
                 buckets.setdefault(child_keys[j], []).append(j)
-            columns.append([buckets.get(key, ()) for key in images_on(p, shared)])
+            columns.append([buckets.get(key, ()) for key in images_at(p, at[c][0])])
         partners = zip(*columns) if columns else ((),) * len(ann[p])
         links[p] = {i: ps for i, ps in enumerate(partners) if all(ps)}
     for p in t.positions:  # parents before children
         for k, c in enumerate(t.children(p)):
             reached = {j for ps in links[p].values() for j in ps[k]}
             links[c] = {j: ps for j, ps in links[c].items() if j in reached}
-    return ann, links
+    rank = {p: {i: r for r, i in enumerate(links[p])} for p in t.positions}
+    survivors = {p: [ann[p][i] for i in links[p]] for p in t.positions}
+    ranked = {
+        p: [
+            tuple(tuple(rank[c][j] for j in js) for c, js in zip(t.children(p), ps))
+            for ps in links[p].values()
+        ]
+        for p in t.positions
+    }
+    return survivors, ranked
 
 
 def enumerate_assignments(g: Graph, t: TreeDecomposition):
@@ -262,7 +308,7 @@ def enumerate_assignments(g: Graph, t: TreeDecomposition):
     positions = t.positions  # preorder: parents precede children
     slot = {c: (p, k) for p in positions for k, c in enumerate(t.children(p))}
     chosen: dict = {}
-    stack = [iter(links[ROOT])]  # choices left at each placed position
+    stack = [iter(range(len(ann[ROOT])))]  # choices left at each placed position
     while stack:
         i = next(stack[-1], None)
         if i is None:

@@ -268,10 +268,6 @@ def _pos_str(p: Pos) -> str:
     return "e" if p == ROOT else ".".join(str(i) for i in p)
 
 
-def _var_name(p: Pos, idx: int) -> str:
-    return f"p:{_pos_str(p)}|b:{idx}"
-
-
 def _bag_provenance(p: Pos, b: AnnotatedBag) -> dict:
     return {
         "position": _pos_str(p),
@@ -295,20 +291,19 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
     y = yield_order_of(t)
     ann, links = join_annotations(g, t)
     # one variable per surviving annotation, in position order
-    provenance = {
-        _var_name(p, i): _bag_provenance(p, ann[p][i]) for p in t.positions for i in links[p]
-    }
-    rules: list = [("B1", (_var_name(ROOT, i),)) for i in links[ROOT]]
+    name = {p: [f"p:{_pos_str(p)}|b:{i}" for i in range(len(ann[p]))] for p in t.positions}
+    provenance = {name[p][i]: _bag_provenance(p, b) for p in t.positions for i, b in enumerate(ann[p])}
+    rules: list = [("B1", (v,)) for v in name[ROOT]]
     for p in t.positions:
         kids = t.children(p)
-        for i, partners in links[p].items():
+        for i, partners in enumerate(links[p]):
             if kids:
                 rules.extend(
-                    (_var_name(p, i), tuple(_var_name(c, j) for c, j in zip(kids, combo)))
+                    (name[p][i], tuple(name[c][j] for c, j in zip(kids, combo)))
                     for combo in itertools.product(*partners)
                 )
             else:
-                rules.append((_var_name(p, i), (ann[p][i].maps(t.bag(p)[0]),)))
+                rules.append((name[p][i], (ann[p][i].maps(t.bag(p)[0]),)))
     return y.alpha, Grammar(g.vertex_count, "B1", ("B1", *provenance), tuple(rules), provenance)
 
 
@@ -334,15 +329,15 @@ def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutat
 
     provenance: dict[str, dict] = {}  # one variable per surviving annotation
     for i in range(2, n + 1):
-        for j in links[chain[i - 2]]:
-            provenance[state(i, j)] = _bag_provenance(chain[i - 2], ann[chain[i - 2]][j])
+        for j, b in enumerate(ann[chain[i - 2]]):
+            provenance[state(i, j)] = _bag_provenance(chain[i - 2], b)
     rules: list = []
     for i in range(1, n + 1):
         # each lhs with the annotations at chain[i - 1] it may continue with
         if i == 1:
-            steps = [("B1", links[ROOT])]
+            steps = [("B1", range(len(ann[ROOT])))]
         else:
-            steps = [(state(i, j), nxt) for j, (nxt,) in links[chain[i - 2]].items()]
+            steps = [(state(i, j), nxt) for j, (nxt,) in enumerate(links[chain[i - 2]])]
         for lhs, nxt in steps:
             for j2 in nxt:
                 emit = ann[chain[i - 1]][j2].maps(order[i - 1])

@@ -162,6 +162,49 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> frozenset[tuple[int, int]]:
     return frozenset(e for e in g.edges if e[0] in sset and e[1] in sset)
 
 
+def stable_colouring(g: Graph) -> dict[int, int]:
+    """Colour refinement (1-WL): each vertex's colour is its class in the
+    coarsest partition, finer than the degree partition, in which vertices
+    of one class have equally many neighbours in every class (McKay &
+    Piperno, "Practical graph isomorphism II", 2014).  Automorphisms map
+    every vertex to one of its own colour.
+
+    A worklist of splitter classes (Cardon & Crochemore, 1982): when a
+    class splits, all its parts become splitters if it was waiting, else
+    all parts but the largest (Hopcroft's trick: a count over the largest
+    part is the count over the old class minus those over the others).
+    Colours number the classes in order of creation, so they depend only
+    on g."""
+    cell_of = {v: 0 for v in g.vertices}
+    cells = [list(g.vertices)]
+    pending = [0]
+    waiting = {0}
+    while pending:
+        w = pending.pop()
+        waiting.discard(w)
+        count: dict[int, int] = {}
+        for x in cells[w]:
+            for u in g.neighbors[x]:
+                count[u] = count.get(u, 0) + 1
+        for c in sorted({cell_of[u] for u in count}):
+            parts: dict[int, list[int]] = {}
+            for v in cells[c]:
+                parts.setdefault(count.get(v, 0), []).append(v)
+            if len(parts) == 1:
+                continue
+            # the largest part keeps the class's number (and its place on
+            # the worklist); the other parts become new splitters
+            first, *rest = sorted(parts.values(), key=len, reverse=True)
+            cells[c] = first
+            for part in rest:
+                for v in part:
+                    cell_of[v] = len(cells)
+                waiting.add(len(cells))
+                pending.append(len(cells))
+                cells.append(part)
+    return cell_of
+
+
 def is_connected(g: Graph) -> bool:
     """True iff g has a single connected component (K1 counts as connected)."""
     seen = {1}

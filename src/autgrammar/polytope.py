@@ -562,12 +562,12 @@ def parse_lp(text: str) -> ParsedLP:
 
 def _parse_row(line: str):
     if ":" not in line:
-        raise PolytopeError(f"row without name: {line!r}")
+        raise PolytopeError(f"row without name: {_quote(line)}")
     name, expr = line.split(":", 1)
     toks = expr.split()
     rel_at = next((k for k, t in enumerate(toks) if t in ("=", "<=", ">=")), None)
     if rel_at is None or rel_at != len(toks) - 2:
-        raise PolytopeError(f"row must end with 'rel number': {line!r}")
+        raise PolytopeError(f"row must end with 'rel number': {_quote(line)}")
     rel = toks[rel_at]
     rhs = parse_number(toks[-1])
     terms: list[tuple[Fraction, str]] = []
@@ -609,7 +609,8 @@ def _fraction(tok: str) -> Fraction:
 
 
 def _quote(tok: str) -> str:
-    """tok for an error line: a 5000-digit number must not fill the screen."""
+    """tok for an error line: a 5000-digit number or a 3000-term row must
+    not fill the screen."""
     if len(tok) <= 20:
         return repr(tok)
     return f"{tok[:20]!r}… ({len(tok)} characters)"
@@ -631,7 +632,7 @@ def _parse_bound(line: str):
         return toks[2], parse_number(toks[0]), parse_number(toks[4])
     if len(toks) == 3 and toks[1] == "<=":
         return toks[0], Fraction(0), parse_number(toks[2])
-    raise PolytopeError(f"unsupported bound line: {line!r}")
+    raise PolytopeError(f"unsupported bound line: {_quote(line)}")
 
 
 def check_lp_feasibility(parsed: ParsedLP, point: dict) -> bool:

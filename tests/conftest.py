@@ -1,6 +1,9 @@
+import functools
+import itertools
+
 import pytest
 
-from autgrammar.graph import Graph, is_connected
+from autgrammar.graph import Graph, closed_neighborhood, is_connected
 
 
 def path_graph(n: int) -> Graph:
@@ -36,6 +39,16 @@ def petersen_graph() -> Graph:
     return Graph(10, outer + spokes + inner)
 
 
+def cubic8() -> Graph:
+    """A 3-regular graph on 8 vertices with 4 automorphisms: colour
+    refinement leaves one class, but vertices 1 and 4 lie in no triangle.
+    Its local partial automorphisms include maps that send a non-edge to
+    an edge, and not every annotation of its path decomposition's first
+    bag takes part in an automorphism."""
+    return Graph(8, [(1, 2), (1, 3), (1, 4), (2, 5), (2, 8), (3, 6), (3, 7), (4, 7),
+                     (4, 8), (5, 6), (5, 8), (6, 7)])
+
+
 def random_connected_graph(rng, n: int) -> Graph:
     """Draw G(n, 0.45) until it is connected."""
     while True:
@@ -48,6 +61,34 @@ def random_connected_graph(rng, n: int) -> Graph:
         g = Graph(n, edges)
         if is_connected(g):
             return g
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_annotations(g, s):
+    """Every local partial automorphism of bag s, by brute force: each
+    injective image of the bag whose closed neighbourhood is as large as
+    the domain, each way of filling that neighbourhood from the boundary,
+    and both conditions checked directly.  Sorted by the image tuple over
+    the sorted domain, as pairs (vertex, image)."""
+    bag = tuple(sorted(set(s)))
+    dom = closed_neighborhood(g, bag)
+    boundary = [v for v in dom if v not in bag]
+    out = []
+    for bag_images in itertools.permutations(g.vertices, len(bag)):
+        nbar = set(bag_images)
+        for v in bag_images:
+            nbar.update(g.neighbors[v])
+        if len(nbar) != len(dom):
+            continue
+        for rest in itertools.permutations(sorted(nbar - set(bag_images))):
+            phi = dict(zip(bag, bag_images))
+            phi.update(zip(boundary, rest))
+            if all(
+                g.has_edge(u, v) == g.has_edge(phi[u], phi[v])
+                for u, v in itertools.combinations(dom, 2)
+            ):
+                out.append(tuple(sorted(phi.items())))
+    return tuple(sorted(out, key=lambda pairs: tuple(img for _, img in pairs)))
 
 
 @pytest.fixture(scope="session")

@@ -13,43 +13,26 @@ from autgrammar.annotate import (
     make_annotated_bag,
     make_assignment,
 )
-from autgrammar.decomp import compute_tree_decomposition, make_permutation_yielding
+from autgrammar.decomp import (
+    compute_path_decomposition,
+    compute_tree_decomposition,
+    make_permutation_yielding,
+)
 from autgrammar.graph import Graph, closed_neighborhood
 from autgrammar.oracle import brute_force_automorphisms
 from autgrammar.perm import Permutation
-
-
-def oracle_annotations(g, s):
-    """Independent route: try every injective map on the closed
-    neighborhood and keep those satisfying both conditions directly."""
-    bag = tuple(sorted(set(s)))
-    dom = closed_neighborhood(g, bag)
-    out = []
-    for images in itertools.permutations(g.vertices, len(dom)):
-        phi = dict(zip(dom, images))
-        image_of_bag = {phi[v] for v in bag}
-        nbar = set(image_of_bag)
-        for v in image_of_bag:
-            nbar.update(g.neighbors[v])
-        if set(images) != nbar:
-            continue
-        if all(
-            g.has_edge(u, v) == g.has_edge(phi[u], phi[v])
-            for u, v in itertools.combinations(dom, 2)
-        ):
-            out.append(tuple(sorted(phi.items())))
-    return sorted(out, key=lambda pairs: tuple(img for _, img in pairs))
+from conftest import cubic8, oracle_annotations, path_graph
 
 
 def test_enumeration_matches_oracle_p3(p3):
     got = enumerate_annotated_bags(p3, (2,))
-    assert [b.phi for b in got] == oracle_annotations(p3, (2,))
+    assert tuple(b.phi for b in got) == oracle_annotations(p3, (2,))
     assert len(got) == 2
     assert got[0].as_dict() == {1: 1, 2: 2, 3: 3}
     assert got[1].as_dict() == {1: 3, 2: 2, 3: 1}
 
     got1 = enumerate_annotated_bags(p3, (1,))
-    assert [b.phi for b in got1] == oracle_annotations(p3, (1,))
+    assert tuple(b.phi for b in got1) == oracle_annotations(p3, (1,))
     assert {frozenset(b.as_dict().items()) for b in got1} == {
         frozenset({(1, 1), (2, 2)}),
         frozenset({(1, 3), (2, 2)}),
@@ -59,19 +42,75 @@ def test_enumeration_matches_oracle_p3(p3):
 def test_enumeration_matches_oracle_c4(c4):
     got = enumerate_annotated_bags(c4, (1,))
     assert len(got) == 8
-    assert [b.phi for b in got] == oracle_annotations(c4, (1,))
+    assert tuple(b.phi for b in got) == oracle_annotations(c4, (1,))
 
 
 def test_enumeration_matches_oracle_more(p4, k4, star5):
     for g, s in [(p4, (2, 3)), (k4, (1,)), (k4, (1, 2)), (star5, (5,)), (star5, (1,))]:
         got = enumerate_annotated_bags(g, s)
-        assert [b.phi for b in got] == oracle_annotations(g, s)
+        assert tuple(b.phi for b in got) == oracle_annotations(g, s)
 
 
 def test_enumeration_matches_oracle_cube(q3):
     # a denser case where the closed neighborhood is a proper subset
     got = enumerate_annotated_bags(q3, (1,))
-    assert [b.phi for b in got] == oracle_annotations(q3, (1,))
+    assert tuple(b.phi for b in got) == oracle_annotations(q3, (1,))
+
+
+def spider(legs: int, length: int) -> Graph:
+    """A centre (vertex 1) with `legs` paths of `length` vertices hanging off it."""
+    edges = []
+    for leg in range(legs):
+        first = 2 + leg * length
+        edges.append((1, first))
+        edges.extend((v, v + 1) for v in range(first, first + length - 1))
+    return Graph(1 + legs * length, edges)
+
+
+def test_enumeration_drops_colour_changing_maps():
+    # P4's bag {2}: 1 -> 3 with 2 -> 2 and 3 -> 1 is a local partial
+    # automorphism, but maps an end to an inner vertex, so no automorphism
+    # restricts to it
+    p4 = path_graph(4)
+    got = enumerate_annotated_bags(p4, (2,))
+    assert [b.as_dict() for b in got] == [{1: 1, 2: 2, 3: 3}, {1: 4, 2: 3, 3: 2}]
+    assert len(oracle_annotations(p4, (2,))) == 4
+    # a spider's inner leg vertex: locally its centre and leaf neighbours
+    # may swap, globally never
+    g = spider(3, 2)
+    got = enumerate_annotated_bags(g, (2,))
+    assert [b.as_dict() for b in got] == [{1: 1, 2: v, 3: v + 1} for v in (2, 4, 6)]
+    assert len(oracle_annotations(g, (2,))) == 6
+
+
+def sandwich_cases(corpus):
+    import random
+
+    rng = random.Random(7)
+    graphs = [*corpus.values(), path_graph(5), spider(3, 2), cubic8()]
+    for g in list(graphs):
+        for _ in range(2):
+            label = list(g.vertices)
+            rng.shuffle(label)
+            graphs.append(Graph(g.vertex_count, [(label[u - 1], label[v - 1]) for u, v in g.edges]))
+    for g in graphs:
+        t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, "min-fill"))
+        pd = compute_path_decomposition(g)
+        bags = {t.bag(p) for p in t.positions} | {pd.bag(p) for p in pd.positions}
+        yield g, sorted(bags | {(v,) for v in g.vertices})
+
+
+def test_enumeration_between_restrictions_and_oracle(corpus):
+    # pruning may drop local partial automorphisms, but never the
+    # restriction of an automorphism, and adds nothing
+    for g, bags in sandwich_cases(corpus):
+        auts = brute_force_automorphisms(g)
+        for s in bags:
+            dom = closed_neighborhood(g, s)
+            restrictions = {tuple((v, sigma(v)) for v in dom) for sigma in auts}
+            got = [b.phi for b in enumerate_annotated_bags(g, s)]
+            assert got == sorted(got), (g, s)
+            assert restrictions <= set(got) <= set(oracle_annotations(g, s)), (g, s)
 
 
 def test_enumeration_rejects_empty(p3):

@@ -219,6 +219,8 @@ LP_HEAD = "Minimize\n obj: 0\nSubject To\n"
         ("check", LP_HEAD + " px1: x_1 - 1e10000000 y_0 = 1\nBounds\n 0 <= y_0 <= 1\nEnd\n"),
         ("check", LP_HEAD + f" px1: x_1 - {'1' * 5000} y_0 = 0\nBounds\n 0 <= y_0 <= 1\nEnd\n"),
         ("point", LP_HEAD + " px1: x_1 - y_0 = 0\nBounds\n 0 <= y_0 <= 1\nEnd\n"),
+        ("check", LP_HEAD + " px1: " + " + ".join(f"x_{i}" for i in range(1, 3001)) + "\nEnd\n"),
+        ("long-point", LP_HEAD + " px1: x_1 - y_0 = 0\nBounds\n 0 <= y_0 <= 1\nEnd\n"),
     ],
     ids=[
         "td-token",
@@ -233,6 +235,8 @@ LP_HEAD = "Minimize\n obj: 0\nSubject To\n"
         "lp-exponent",
         "lp-long-number",
         "point-exponent",
+        "lp-long-row",
+        "point-long",
     ],
 )
 def test_malformed_input_exit_2(c4_file, tmp_path, command, text):
@@ -243,6 +247,7 @@ def test_malformed_input_exit_2(c4_file, tmp_path, command, text):
         "stats": ("stats", str(f)),
         "check": ("check", str(f), "--point", "1"),
         "point": ("check", str(f), "--point", "1e10000000"),
+        "long-point": ("check", str(f), "--point", " ".join(["1"] * 2999 + ["1e10000000"])),
     }[command]
     r = run_cli(*args)
     assert r.returncode == 2, r.stderr

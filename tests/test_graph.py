@@ -12,7 +12,9 @@ from autgrammar.graph import (
     is_connected,
     max_degree,
     parse_graph,
+    stable_colouring,
 )
+from conftest import path_graph, petersen_graph, random_connected_graph
 
 
 def test_parse_path():
@@ -98,3 +100,35 @@ def test_max_degree(c4, star5):
 def test_graph_immutable(c4):
     with pytest.raises(AttributeError):
         c4.vertex_count = 9
+
+
+def naive_refinement(g):
+    """Rounds of 1-WL from the degree partition until no class splits, as
+    a set of classes."""
+    colour = {v: len(g.neighbors[v]) for v in g.vertices}
+    while True:
+        refined = {v: (colour[v], tuple(sorted(colour[u] for u in g.neighbors[v]))) for v in g.vertices}
+        if len(set(refined.values())) == len(set(colour.values())):
+            break
+        colour = refined
+    return classes(colour)
+
+
+def classes(colour):
+    out = {}
+    for v, c in colour.items():
+        out.setdefault(c, set()).add(v)
+    return sorted(map(sorted, out.values()))
+
+
+def test_stable_colouring_matches_rounds():
+    import random
+
+    rng = random.Random(5)
+    graphs = [path_graph(7), petersen_graph(), Graph(1, [])]
+    graphs += [random_connected_graph(rng, rng.randint(2, 9)) for _ in range(40)]
+    for g in graphs:
+        assert classes(stable_colouring(g)) == naive_refinement(g), g
+    # P7 splits by distance from the nearer end; Petersen stays one class
+    assert classes(stable_colouring(path_graph(7))) == [[1, 7], [2, 6], [3, 5], [4]]
+    assert len(set(stable_colouring(petersen_graph()).values())) == 1
