@@ -38,9 +38,9 @@ print(text)
 assert read_pace_td(text) == t
 
 # rebuild so every vertex is a singleton leaf; the yield spells out alpha
-ty, y = make_permutation_yielding(c4, t)
+ty, alpha = make_permutation_yielding(c4, t)
 print("leaf bags in order:", [ty.bag(p) for p in ty.leaves()])
-print("alpha:", format_permutation(y.alpha))
+print("alpha:", format_permutation(alpha))
 print("width preserved:", ty.width == t.width)
 
 # path decompositions introduce one vertex per bag and support the regular

@@ -15,7 +15,6 @@ from .annotate import (
 )
 from .decomp import (
     TreeDecomposition,
-    YieldOrder,
     compute_path_decomposition,
     compute_tree_decomposition,
     make_permutation_yielding,

@@ -171,6 +171,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_enum(args) -> int:
+    if args.cap < 0:
+        raise _UsageError(f"--cap must be non-negative, got {args.cap}")
     gr = _load_grammar(args.grammar)
     result = gmod.enumerate_language(gr, cap=args.cap)
     for w in result.words:

@@ -346,36 +346,21 @@ def write_pace_td(t: TreeDecomposition, vertex_count: int) -> str:
 # ---------------------------------------------------------------------------
 # Permutation-yielding transform.
 
-@dataclass(frozen=True)
-class YieldOrder:
-    """Left-to-right leaf order of a yielding decomposition.
-
-    leaf_sequence is the leaves in traversal order; vertex_of_leaf maps each
-    leaf to the single vertex of its bag.  alpha is the permutation whose
-    one-line string is that vertex sequence v_1 ... v_n; it is also the
-    alignment permutation used by the grammar pipeline: a grammar word w
-    produced for an automorphism s satisfies w_i = s(alpha(i)), i.e. w is
-    the string of s repositioned by alpha (see the compose order of
-    permute_word).
-    """
-
-    leaf_sequence: tuple[Pos, ...]
-    vertex_of_leaf: dict[Pos, int]
-    alpha: Permutation
-
-
-def yield_order_of(t: TreeDecomposition) -> YieldOrder:
-    """Read the yield off an already permutation-yielding decomposition."""
-    leaves = t.leaves()
-    vertex_of_leaf: dict[Pos, int] = {}
-    for p in leaves:
+def yield_order_of(t: TreeDecomposition) -> Permutation:
+    """Read the yield off an already permutation-yielding decomposition: the
+    permutation alpha whose one-line string is the leaf vertices v_1 ... v_n
+    in traversal order.  It is also the alignment permutation used by the
+    grammar pipeline: a grammar word w produced for an automorphism s
+    satisfies w_i = s(alpha(i)), i.e. w is the string of s repositioned by
+    alpha (see the compose order of permute_word)."""
+    seq = []
+    for p in t.leaves():
         if len(t.bag(p)) != 1:
             raise DecompositionError(f"leaf {p} bag {t.bag(p)} is not a singleton")
-        vertex_of_leaf[p] = t.bag(p)[0]
-    seq = tuple(vertex_of_leaf[p] for p in leaves)
-    if sorted(seq) != sorted(set(seq)):
+        seq.append(t.bag(p)[0])
+    if len(seq) != len(set(seq)):
         raise DecompositionError("leaf vertices are not pairwise distinct")
-    return YieldOrder(leaves, vertex_of_leaf, Permutation(seq))
+    return Permutation(tuple(seq))
 
 
 def is_permutation_yielding(g: Graph, t: TreeDecomposition) -> bool:
@@ -393,7 +378,7 @@ def is_permutation_yielding(g: Graph, t: TreeDecomposition) -> bool:
 
 def make_permutation_yielding(
     g: Graph, t: TreeDecomposition
-) -> tuple[TreeDecomposition, YieldOrder]:
+) -> tuple[TreeDecomposition, Permutation]:
     """Rebuild t so that every vertex occurs in exactly one leaf bag, as a
     singleton, without increasing the width.
 
@@ -402,7 +387,8 @@ def make_permutation_yielding(
     per vertex is then selected (again preorder-smallest), and the
     decomposition is cut down to all positions on root-to-selected-leaf
     paths, renumbering children to restore well numbering while preserving
-    their relative order.
+    their relative order.  Returns the new decomposition and its yield
+    alpha (yield_order_of).
     """
     report = validate_tree_decomposition(g, t)
     if not report.ok:

@@ -23,11 +23,11 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import oracle as _oracle
-from .annotate import AnnotatedBag, join_annotations
+from .annotate import join_annotations
 from .decomp import (
     ROOT,
     Pos,
@@ -51,13 +51,12 @@ class CyclicGrammarError(GrammarError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Grammar:
     sigma_max: int
     start: str
     variables: tuple[str, ...]
     rules: tuple
-    provenance: dict | None = field(default=None)
     accepts_empty: bool = False
 
     def __post_init__(self):
@@ -73,16 +72,6 @@ class Grammar:
                         raise GrammarError(f"rhs variable {x!r} not declared")
                 elif not 1 <= x <= self.sigma_max:
                     raise GrammarError(f"terminal {x} outside 1..{self.sigma_max}")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Grammar)
-            and self.sigma_max == other.sigma_max
-            and self.start == other.start
-            and self.variables == other.variables
-            and self.rules == other.rules
-            and self.accepts_empty == other.accepts_empty
-        )
 
 
 def topological_variables(gr: Grammar) -> list[str]:
@@ -194,6 +183,8 @@ class LanguageResult(NamedTuple):
 
 def enumerate_language(gr: Grammar, cap: int | None = None) -> LanguageResult:
     """All distinct words, lexicographically sorted, truncated at cap."""
+    if cap is not None and cap < 0:
+        raise GrammarError(f"cap must be non-negative, got {cap}")
     raw = _evaluate(gr, lambda r: {()}, lambda a: {(a,)}, _pairwise_sums, _union)[gr.start]
     if gr.accepts_empty:
         raw = raw | {()}
@@ -255,10 +246,7 @@ def trim(gr: Grammar) -> Grammar:
     keep = (reach & productive) | {gr.start}
     variables = tuple(v for v in gr.variables if v in keep)
     rules = tuple((lhs, rhs) for lhs, rhs in gr.rules if lhs in keep and usable(rhs))
-    provenance = None
-    if gr.provenance is not None:
-        provenance = {v: gr.provenance[v] for v in variables if v in gr.provenance}
-    return Grammar(gr.sigma_max, gr.start, variables, rules, provenance, gr.accepts_empty)
+    return Grammar(gr.sigma_max, gr.start, variables, rules, gr.accepts_empty)
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +254,6 @@ def trim(gr: Grammar) -> Grammar:
 
 def _pos_str(p: Pos) -> str:
     return "e" if p == ROOT else ".".join(str(i) for i in p)
-
-
-def _bag_provenance(p: Pos, b: AnnotatedBag) -> dict:
-    return {
-        "position": _pos_str(p),
-        "bag": list(b.s),
-        "phi": [[v, img] for v, img in b.phi],
-    }
 
 
 def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Grammar]:
@@ -288,11 +268,11 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
         raise GrammarError(f"invalid decomposition: {report.violations[0].message}")
     if not is_permutation_yielding(g, t):
         raise GrammarError("decomposition is not permutation yielding")
-    y = yield_order_of(t)
     ann, links = join_annotations(g, t)
-    # one variable per surviving annotation, in position order
+    # one variable per surviving annotation, in position order: p:<pos>|b:<i>
+    # stands for ann[p][i]
     name = {p: [f"p:{_pos_str(p)}|b:{i}" for i in range(len(ann[p]))] for p in t.positions}
-    provenance = {name[p][i]: _bag_provenance(p, b) for p in t.positions for i, b in enumerate(ann[p])}
+    variables = ("B1", *(v for p in t.positions for v in name[p]))
     rules: list = [("B1", (v,)) for v in name[ROOT]]
     for p in t.positions:
         kids = t.children(p)
@@ -304,7 +284,7 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
                 )
             else:
                 rules.append((name[p][i], (ann[p][i].maps(t.bag(p)[0]),)))
-    return y.alpha, Grammar(g.vertex_count, "B1", ("B1", *provenance), tuple(rules), provenance)
+    return yield_order_of(t), Grammar(g.vertex_count, "B1", variables, tuple(rules))
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +307,11 @@ def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutat
     def state(i: int, j: int) -> str:
         return f"q:{i}|b:{j}"
 
-    provenance: dict[str, dict] = {}  # one variable per surviving annotation
+    # one variable per surviving annotation: q:<i>|b:<j> stands for
+    # ann[chain[i - 2]][j]
+    variables = ["B1"]
     for i in range(2, n + 1):
-        for j, b in enumerate(ann[chain[i - 2]]):
-            provenance[state(i, j)] = _bag_provenance(chain[i - 2], b)
+        variables.extend(state(i, j) for j in range(len(ann[chain[i - 2]])))
     rules: list = []
     for i in range(1, n + 1):
         # each lhs with the annotations at chain[i - 1] it may continue with
@@ -342,7 +323,7 @@ def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutat
             for j2 in nxt:
                 emit = ann[chain[i - 1]][j2].maps(order[i - 1])
                 rules.append((lhs, (emit, state(i + 1, j2)) if i < n else (emit,)))
-    return alpha, Grammar(g.vertex_count, "B1", ("B1", *provenance), tuple(rules), provenance)
+    return alpha, Grammar(g.vertex_count, "B1", tuple(variables), tuple(rules))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +343,7 @@ def rename_terminals(gr: Grammar, b: Permutation) -> Grammar:
         (lhs, tuple(b(x) if isinstance(x, int) else x for x in rhs))
         for lhs, rhs in gr.rules
     )
-    return Grammar(gr.sigma_max, gr.start, gr.variables, rules, None, gr.accepts_empty)
+    return Grammar(gr.sigma_max, gr.start, gr.variables, rules, gr.accepts_empty)
 
 
 def erase_terminals(gr: Grammar, keep: int) -> Grammar:
@@ -377,7 +358,7 @@ def erase_terminals(gr: Grammar, keep: int) -> Grammar:
         (lhs, tuple(x for x in rhs if isinstance(x, str) or x <= keep))
         for lhs, rhs in gr.rules
     )
-    inter = Grammar(gr.sigma_max, gr.start, gr.variables, dropped, None, gr.accepts_empty)
+    inter = Grammar(gr.sigma_max, gr.start, gr.variables, dropped, gr.accepts_empty)
     lengths = _variable_lengths(inter)
     nullable = {v for v, ls in lengths.items() if 0 in ls}
     only_empty = {v for v, ls in lengths.items() if ls == {0}}
@@ -404,7 +385,7 @@ def erase_terminals(gr: Grammar, keep: int) -> Grammar:
                 seen.add(new_rhs)
                 rules.append((lhs, new_rhs))
     accepts_empty = gr.accepts_empty or gr.start in nullable
-    out = Grammar(keep, gr.start, gr.variables, tuple(rules), None, accepts_empty)
+    out = Grammar(keep, gr.start, gr.variables, tuple(rules), accepts_empty)
     return trim(out)
 
 
@@ -429,7 +410,6 @@ def union_grammar(g1: Grammar, g2: Grammar) -> Grammar:
         "B1",
         tuple(variables),
         tuple(rules),
-        None,
         g1.accepts_empty or g2.accepts_empty,
     )
 
@@ -560,8 +540,6 @@ def grammar_to_json(gr: Grammar) -> str:
     }
     if gr.accepts_empty:
         doc["accepts_empty"] = True
-    if gr.provenance is not None:
-        doc["provenance"] = {v: gr.provenance[v] for v in gr.variables if v in gr.provenance}
     return json.dumps(doc, indent=1) + "\n"
 
 
@@ -581,6 +559,11 @@ def grammar_from_json(text: str) -> Grammar:
     )
     if not shapes_ok:
         raise GrammarError("grammar JSON needs a variables array and [lhs, rhs] rule pairs")
+    # Python's bool is an int, so true would otherwise read as terminal 1
+    if isinstance(doc["sigma_max"], bool) or any(
+        isinstance(x, bool) for _, rhs in doc["rules"] for x in rhs
+    ):
+        raise GrammarError("grammar JSON has true or false where an integer belongs")
     try:
         sigma_max = int(doc["sigma_max"])
     except (TypeError, ValueError, OverflowError):
@@ -594,6 +577,5 @@ def grammar_from_json(text: str) -> Grammar:
         str(doc["start"]),
         tuple(str(v) for v in doc["variables"]),
         rules,
-        doc.get("provenance"),
         bool(doc.get("accepts_empty", False)),
     )

@@ -1,16 +1,16 @@
 """Brute-force ground truth for small graphs and permutation sets.
 
-Automorphism groups are found by backtracking over degree-compatible vertex
-images; everything downstream in the package is validated against these
-results at desk scale.  All functions are pure and return deterministically
-ordered values.
+Automorphism groups are found by backtracking over vertex images of the
+same stable colour; everything downstream in the package is validated
+against these results at desk scale.  All functions are pure and return
+deterministically ordered values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import Graph, stable_colouring
 from .perm import Permutation, compose, identity, inverse, restrict
 
 ORACLE_CAP = 10
@@ -20,18 +20,13 @@ class OracleError(Exception):
     pass
 
 
-def _signature(g: Graph, v: int) -> tuple:
-    # degree plus sorted multiset of neighbor degrees; candidates must match
-    return (len(g.neighbors[v]), tuple(sorted(len(g.neighbors[u]) for u in g.neighbors[v])))
-
-
 def brute_force_automorphisms(g: Graph, cap: int = ORACLE_CAP) -> tuple[Permutation, ...]:
     """All adjacency-and-non-adjacency-preserving bijections of V(g)."""
     m = g.vertex_count
     if m > cap:
         raise OracleError(f"graph has {m} vertices, oracle cap is {cap}")
-    sigs = {v: _signature(g, v) for v in g.vertices}
-    candidates = {v: tuple(u for u in g.vertices if sigs[u] == sigs[v]) for v in g.vertices}
+    colour = stable_colouring(g)  # automorphisms preserve it
+    candidates = {v: tuple(u for u in g.vertices if colour[u] == colour[v]) for v in g.vertices}
     found: list[Permutation] = []
     image = [0] * (m + 1)
     used = [False] * (m + 1)

@@ -81,7 +81,7 @@ def test_build_disconnected_exit_3(tmp_path):
     assert "not connected" in r.stderr
 
 
-def test_usage_errors(tmp_path):
+def test_usage_errors(c4_file, tmp_path):
     r = run_cli("build", "--graph", str(tmp_path / "missing.edges"), "--out", "x")
     assert r.returncode == 2
     assert r.stderr.startswith("error:")
@@ -91,6 +91,11 @@ def test_usage_errors(tmp_path):
     bad.write_text("2 1\n1 1\n")
     r = run_cli("build", "--graph", str(bad), "--out", str(tmp_path / "g.json"))
     assert r.returncode == 2
+    out = str(tmp_path / "c4.json")
+    run_cli("build", "--graph", c4_file, "--out", out)
+    r = run_cli("enum", out, "--cap", "-1")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
 
 
 def test_validate(c4_file):
@@ -215,6 +220,7 @@ LP_HEAD = "Minimize\n obj: 0\nSubject To\n"
         ("stats", '["sigma_max", "start", "variables", "rules"]'),
         ("stats", '{"sigma_max": "one", ' + RULES_OK + "}"),
         ("stats", '{"sigma_max": 1, ' + RULES_OK.replace("B1", "B\u00e9") + "}"),
+        ("stats", '{"sigma_max": 1, ' + RULES_OK.replace("[1]", "[true]") + "}"),
         ("check", LP_HEAD + " px1: x_1 - y_0 = 1.2.3\nBounds\n 0 <= y_0 <= 1\nEnd\n"),
         ("check", LP_HEAD + " px1: x_1 - 1e10000000 y_0 = 1\nBounds\n 0 <= y_0 <= 1\nEnd\n"),
         ("check", LP_HEAD + f" px1: x_1 - {'1' * 5000} y_0 = 0\nBounds\n 0 <= y_0 <= 1\nEnd\n"),
@@ -231,6 +237,7 @@ LP_HEAD = "Minimize\n obj: 0\nSubject To\n"
         "grammar-not-object",
         "grammar-sigma-max",
         "grammar-non-ascii",
+        "grammar-bool-terminal",
         "lp-number",
         "lp-exponent",
         "lp-long-number",

@@ -1,10 +1,16 @@
 import itertools
+import json
 import math
 import time
 
 import pytest
 
-from autgrammar.annotate import AnnotatedBag, consistent_bags, count_assignments
+from autgrammar.annotate import (
+    AnnotatedBag,
+    consistent_bags,
+    count_assignments,
+    join_annotations,
+)
 from autgrammar.decomp import (
     TreeDecomposition,
     compute_path_decomposition,
@@ -140,6 +146,9 @@ def test_enumerate_cap():
     res = enumerate_language(gr, cap=2)
     assert res.truncated
     assert [w.symbols for w in res.words] == [(1,), (2,)]
+    assert enumerate_language(gr, cap=0) == ((), True)
+    with pytest.raises(GrammarError):
+        enumerate_language(gr, cap=-1)
 
 
 def test_enumerate_rejects_cyclic():
@@ -393,6 +402,11 @@ def test_json_round_trip(c4):
     back = grammar_from_json(text)
     assert back == gr
     assert grammar_to_json(back) == text
+    # unknown keys are ignored, so files that still carry the provenance
+    # copy older versions wrote load to the same grammar
+    doc = json.loads(text)
+    doc["provenance"] = {v: {"position": "e", "bag": [1], "phi": [[1, 1]]} for v in gr.variables}
+    assert grammar_from_json(json.dumps(doc)) == gr
 
 
 def test_json_rejects_garbage():
@@ -455,39 +469,38 @@ def test_regular_star(star5):
 # from the brute-force oracle, every parent/child pair tested with
 # consistent_bags, then trim, then each variable renamed to its rank among
 # the variables left at its position.  build_aut_grammar and
-# build_regular_aut_grammar must give exactly these grammars, provenance
-# included, however their search prunes.
-
-def _provenance(p, b):
-    position = ".".join(map(str, p)) or "e"
-    return {"position": position, "bag": list(b.s), "phi": [list(x) for x in b.phi]}
-
+# build_regular_aut_grammar must give exactly these grammars however their
+# search prunes.  Each reference also returns, per variable head, the
+# annotations of its variables in rank order.
 
 def _oracle_bags(g, s):
     return [AnnotatedBag(tuple(sorted(s)), phi) for phi in oracle_annotations(g, s)]
 
 
-def _ranked(gr):
+def _ranked(gr, bag_of):
     """gr with variable <head>|b:<i> renamed <head>|b:<rank among the
-    variables with that head>, in declaration order."""
-    rename, ranks = {gr.start: gr.start}, {}
+    variables with that head>, in declaration order, and {head: the
+    annotations of those variables in rank order}."""
+    rename, ranked = {gr.start: gr.start}, {}
     for v in gr.variables[1:]:
         head = v.rsplit("|b:", 1)[0]
-        rename[v] = f"{head}|b:{ranks.get(head, 0)}"
-        ranks[head] = ranks.get(head, 0) + 1
+        rename[v] = f"{head}|b:{len(ranked.setdefault(head, []))}"
+        ranked[head].append(bag_of[v])
     rules = tuple(
         (rename[lhs], tuple(rename[x] if isinstance(x, str) else x for x in rhs))
         for lhs, rhs in gr.rules
     )
-    provenance = {rename[v]: prov for v, prov in gr.provenance.items()}
-    return Grammar(gr.sigma_max, gr.start, tuple(rename[v] for v in gr.variables), rules, provenance)
+    return Grammar(gr.sigma_max, gr.start, tuple(rename[v] for v in gr.variables), rules), ranked
+
+
+def _head(p):
+    return "p:" + (".".join(map(str, p)) or "e")
 
 
 def reference_aut_grammar(g, t):
     ann = {p: _oracle_bags(g, t.bag(p)) for p in t.positions}
-    name = {p: [f"p:{_provenance(p, b)['position']}|b:{i}" for i, b in enumerate(bs)]
-            for p, bs in ann.items()}
-    provenance = {name[p][i]: _provenance(p, b) for p in ann for i, b in enumerate(ann[p])}
+    name = {p: [f"{_head(p)}|b:{i}" for i in range(len(bs))] for p, bs in ann.items()}
+    bag_of = {name[p][i]: b for p in ann for i, b in enumerate(ann[p])}
     rules = [("B1", (v,)) for v in name[()]]
     for p in t.positions:
         kids = t.children(p)
@@ -498,15 +511,14 @@ def reference_aut_grammar(g, t):
                 rules.extend((name[p][i], combo) for combo in itertools.product(*per_child))
             else:
                 rules.append((name[p][i], (b.maps(t.bag(p)[0]),)))
-    return _ranked(trim(Grammar(g.vertex_count, "B1", ("B1", *provenance), tuple(rules), provenance)))
+    return _ranked(trim(Grammar(g.vertex_count, "B1", ("B1", *bag_of), tuple(rules))), bag_of)
 
 
 def reference_regular_grammar(g, pd):
     order, chain = introduced_order(g, pd), pd.positions
     ann = [_oracle_bags(g, pd.bag(p)) for p in chain]
     n = len(chain)
-    provenance = {f"q:{i}|b:{j}": _provenance(chain[i - 2], b)
-                  for i in range(2, n + 1) for j, b in enumerate(ann[i - 2])}
+    bag_of = {f"q:{i}|b:{j}": b for i in range(2, n + 1) for j, b in enumerate(ann[i - 2])}
     rules = []
     for i in range(1, n + 1):
         lhs = [("B1", None)] if i == 1 else [(f"q:{i}|b:{j}", b) for j, b in enumerate(ann[i - 2])]
@@ -515,7 +527,7 @@ def reference_regular_grammar(g, pd):
                 if prev is None or consistent_bags(prev, b):
                     emit = b.maps(order[i - 1])
                     rules.append((var, (emit, f"q:{i + 1}|b:{j}") if i < n else (emit,)))
-    return _ranked(trim(Grammar(g.vertex_count, "B1", ("B1", *provenance), tuple(rules), provenance)))
+    return _ranked(trim(Grammar(g.vertex_count, "B1", ("B1", *bag_of), tuple(rules))), bag_of)
 
 
 def test_join_matches_all_pairs_reference(corpus):
@@ -536,13 +548,19 @@ def test_join_matches_all_pairs_reference(corpus):
     for name, g in graphs:
         t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, "min-fill"))
         pd = compute_path_decomposition(g)
-        for gr, ref in (
-            (build_aut_grammar(g, t)[1], reference_aut_grammar(g, t)),
-            (build_regular_aut_grammar(g, pd)[1], reference_regular_grammar(g, pd)),
+        # variable <head>|b:<i> stands for join_annotations(...)[0][p][i],
+        # with p the position that <head> names
+        ann, pann = join_annotations(g, t)[0], join_annotations(g, pd)[0]
+        chain = pd.positions
+        for gr, (ref, ref_bags), bags in (
+            (build_aut_grammar(g, t)[1], reference_aut_grammar(g, t),
+             {_head(p): ann[p] for p in t.positions}),
+            (build_regular_aut_grammar(g, pd)[1], reference_regular_grammar(g, pd),
+             {f"q:{i}": pann[chain[i - 2]] for i in range(2, len(chain) + 1)}),
         ):
             assert grammar_to_json(gr) == grammar_to_json(ref), name
-            assert gr == ref and gr.provenance == ref.provenance, name
-            assert trim(gr) == gr and trim(gr).provenance == gr.provenance, name
+            assert gr == ref and trim(gr) == gr, name
+            assert {h: list(bs) for h, bs in bags.items()} == ref_bags, name
         assert count_assignments(g, t) == len(brute_force_automorphisms(g)), name
 
 
