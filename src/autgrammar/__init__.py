@@ -1,81 +1,115 @@
 """Compile graph automorphism groups (and groups embedded on a vertex
 prefix) into context-free grammars via annotated tree decompositions, and
 compile those grammars into exact extended formulations of the associated
-permutation polytopes."""
+permutation polytopes.
 
-from .annotate import (
-    AnnotatedBag,
-    AnnotationAssignment,
-    annotation_morphism,
-    check_annotated_bag,
-    consistent_bags,
-    count_assignments,
-    enumerate_annotated_bags,
-    enumerate_assignments,
-)
-from .decomp import (
-    TreeDecomposition,
-    compute_path_decomposition,
-    compute_tree_decomposition,
-    make_permutation_yielding,
-    read_pace_td,
-    validate_tree_decomposition,
-    write_pace_td,
-)
-from .graph import (
-    Graph,
-    closed_neighborhood,
-    format_graph,
-    induced_subgraph,
-    is_connected,
-    max_degree,
-    parse_graph,
-)
-from .grammar import (
-    Grammar,
-    build_aut_grammar,
-    build_embedded_group_grammar,
-    build_regular_aut_grammar,
-    count_parse_trees,
-    enumerate_language,
-    enumerate_parse_trees,
-    erase_terminals,
-    grammar_from_json,
-    grammar_size,
-    grammar_to_json,
-    group_from_subgroup,
-    is_regular,
-    membership,
-    permutation_from_aligned_word,
-    rename_terminals,
-    union_grammar,
-)
-from .oracle import (
-    brute_force_automorphisms,
-    group_index,
-    is_group,
-    left_transversal,
-    restricted_action,
-)
-from .perm import (
-    Permutation,
-    Word,
-    compose,
-    identity,
-    inverse,
-    permutation_from_word,
-    permute_word,
-    to_string_word,
-)
-from .polytope import (
-    ExtendedFormulation,
-    build_extended_formulation,
-    check_projection_feasibility,
-    emit_lp,
-    evaluate_point,
-    lift_parse_tree,
-    parse_lp,
-    project_point,
-)
+`import autgrammar` loads no submodule: each public name below is imported
+from its module on first use (PEP 562), so a process pays only for the
+layers it touches.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+
+class PreconditionError(Exception):
+    """Base class of the errors raised when an input violates a documented
+    precondition (a disconnected graph, an invalid decomposition, a prefix
+    that is not invariant, a size cap); the CLI exits 3 on them."""
+
+
+_EXPORTS = {
+    "annotate": (
+        "AnnotatedBag",
+        "AnnotationAssignment",
+        "annotation_morphism",
+        "check_annotated_bag",
+        "consistent_bags",
+        "count_assignments",
+        "enumerate_annotated_bags",
+        "enumerate_assignments",
+    ),
+    "decomp": (
+        "TreeDecomposition",
+        "compute_path_decomposition",
+        "compute_tree_decomposition",
+        "make_permutation_yielding",
+        "read_pace_td",
+        "validate_tree_decomposition",
+        "write_pace_td",
+    ),
+    "graph": (
+        "Graph",
+        "closed_neighborhood",
+        "format_graph",
+        "induced_subgraph",
+        "is_connected",
+        "max_degree",
+        "parse_graph",
+    ),
+    "grammar": (
+        "Grammar",
+        "build_aut_grammar",
+        "build_embedded_group_grammar",
+        "build_regular_aut_grammar",
+        "count_parse_trees",
+        "enumerate_language",
+        "enumerate_parse_trees",
+        "erase_terminals",
+        "grammar_from_json",
+        "grammar_size",
+        "grammar_to_json",
+        "group_from_subgroup",
+        "is_regular",
+        "membership",
+        "permutation_from_aligned_word",
+        "rename_terminals",
+        "union_grammar",
+    ),
+    "oracle": (
+        "brute_force_automorphisms",
+        "group_index",
+        "is_group",
+        "left_transversal",
+        "restricted_action",
+    ),
+    "perm": (
+        "Permutation",
+        "Word",
+        "compose",
+        "identity",
+        "inverse",
+        "permutation_from_word",
+        "permute_word",
+        "to_string_word",
+    ),
+    "polytope": (
+        "ExtendedFormulation",
+        "build_extended_formulation",
+        "check_projection_feasibility",
+        "emit_lp",
+        "evaluate_point",
+        "lift_parse_tree",
+        "parse_lp",
+        "project_point",
+    ),
+}
+
+# public name -> the submodule that defines it
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["PreconditionError", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups bypass this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import PreconditionError
 from .decomp import ROOT, TreeDecomposition, validate_tree_decomposition
 from .graph import Graph, closed_neighborhood, induced_subgraph, stable_colouring
 from .perm import Permutation
 
 
-class AnnotationError(Exception):
+class AnnotationError(PreconditionError):
     pass
 
 

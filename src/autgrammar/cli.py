@@ -3,6 +3,11 @@ files, and cross-check everything against the brute-force oracle.
 
 Exit codes: 0 success, 1 validation mismatch, 2 usage error, 3 precondition
 violation.  Every failure prints a single machine-parsable line on stderr.
+
+Layering: each command handler imports the layers it runs, so a process
+loads only those, and `--help` or a usage error loads none.  Every
+precondition error derives from `autgrammar.PreconditionError`, defined in
+the package itself, so mapping errors to exit codes loads no layer either.
 """
 
 from __future__ import annotations
@@ -10,17 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import annotate, decomp, grammar as gmod, oracle, polytope
-from .graph import DisconnectedGraphError, GraphError, parse_graph
-from .perm import (
-    PermError,
-    format_permutation,
-    format_word,
-    parse_permutation,
-    parse_word,
-    permute_word,
-    to_string_word,
-)
+from . import PreconditionError
 
 
 class _UsageError(Exception):
@@ -48,6 +43,8 @@ def _write(path: str, text: str) -> None:
 
 
 def _load_graph(path: str):
+    from .graph import GraphError, parse_graph
+
     try:
         return parse_graph(_read(path))
     except GraphError as e:
@@ -55,6 +52,8 @@ def _load_graph(path: str):
 
 
 def _load_grammar(path: str):
+    from . import grammar as gmod
+
     try:
         return gmod.grammar_from_json(_read(path))
     except gmod.GrammarError as e:
@@ -62,6 +61,8 @@ def _load_grammar(path: str):
 
 
 def _load_lp(path: str):
+    from . import polytope
+
     try:
         return polytope.parse_lp(_read(path))
     except polytope.PolytopeError as e:
@@ -116,6 +117,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_build(args) -> int:
+    from . import decomp, grammar as gmod
+    from .perm import format_permutation
+
     g = _load_graph(args.graph)
     if args.path:
         if args.td:
@@ -136,6 +140,8 @@ def _cmd_build(args) -> int:
 
 
 def _load_td(path: str):
+    from . import decomp
+
     try:
         return decomp.read_pace_td(_read(path))
     except decomp.TdParseError as e:
@@ -143,7 +149,12 @@ def _load_td(path: str):
 
 
 def _cmd_embed(args) -> int:
+    from . import grammar as gmod
+    from .perm import PermError, format_permutation, parse_permutation
+
     g = _load_graph(args.graph)
+    if not 1 <= args.keep <= g.vertex_count:
+        raise _UsageError(f"--keep must be in 1..{g.vertex_count}, got {args.keep}")
     beta = None
     if args.beta is not None:
         try:
@@ -161,6 +172,8 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from . import grammar as gmod
+
     gr = _load_grammar(args.grammar)
     size = gmod.grammar_size(gr)
     print(f"rules: {len(gr.rules)}")
@@ -171,24 +184,32 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_enum(args) -> int:
+    from . import grammar as gmod
+
     if args.cap < 0:
         raise _UsageError(f"--cap must be non-negative, got {args.cap}")
     gr = _load_grammar(args.grammar)
     result = gmod.enumerate_language(gr, cap=args.cap)
-    for w in result.words:
-        print(format_word(w))
+    # each terminal converted once, not once per occurrence
+    name = {x: str(x) for _, rhs in gr.rules for x in rhs if isinstance(x, int)}
+    sys.stdout.writelines(" ".join([name[x] for x in w.symbols]) + "\n" for w in result.words)
     if result.truncated:
         print(f"truncated at {args.cap}", file=sys.stderr)
     return 0
 
 
 def _cmd_count(args) -> int:
+    from . import grammar as gmod
+
     gr = _load_grammar(args.grammar)
     print(gmod.count_parse_trees(gr))
     return 0
 
 
 def _cmd_member(args) -> int:
+    from . import grammar as gmod
+    from .perm import PermError, parse_word
+
     gr = _load_grammar(args.grammar)
     try:
         w = parse_word(args.word)
@@ -199,6 +220,8 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_lift(args) -> int:
+    from . import polytope
+
     gr = _load_grammar(args.grammar)
     ef = polytope.build_extended_formulation(gr, style="matrix" if args.matrix else "value")
     _write(args.out, polytope.emit_lp(ef))
@@ -206,6 +229,8 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import polytope
+
     parsed = _load_lp(args.model)
     try:
         values = [polytope.parse_number(tok) for tok in args.point.split()]
@@ -224,6 +249,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from . import annotate, decomp, grammar as gmod, oracle
+    from .perm import permute_word, to_string_word
+
     g = _load_graph(args.graph)
     auts = oracle.brute_force_automorphisms(g)
     t0 = decomp.compute_tree_decomposition(g, args.strategy)
@@ -261,15 +289,6 @@ _COMMANDS = {
     "validate": _cmd_validate,
 }
 
-_PRECONDITION_ERRORS = (
-    DisconnectedGraphError,
-    decomp.DecompositionError,
-    annotate.AnnotationError,
-    gmod.GrammarError,
-    polytope.PolytopeError,
-    oracle.OracleError,
-)
-
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -279,10 +298,14 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except _PRECONDITION_ERRORS as e:
+    except PreconditionError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except GraphError as e:
+    except Exception as e:
+        from .graph import GraphError  # whatever raised one has loaded it
+
+        if not isinstance(e, GraphError):
+            raise
         print(f"error: {e}", file=sys.stderr)
         return 2
 

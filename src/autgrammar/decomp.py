@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import PreconditionError
 from .graph import DisconnectedGraphError, Graph, require_connected
 from .perm import Permutation
 
@@ -29,7 +30,7 @@ ROOT: Pos = ()
 EXACT_SMALL_CAP = 10
 
 
-class DecompositionError(Exception):
+class DecompositionError(PreconditionError):
     pass
 
 

@@ -14,6 +14,12 @@ trees then correspond one-to-one with consistent whole-tree annotations,
 hence with automorphisms.  A word w produced for automorphism s satisfies
 w_i = s(alpha(i)) where alpha spells the leaf vertex order, so the language
 is exactly the string set of the group repositioned by alpha.
+
+Layering: the read side (JSON, the semiring pass `_evaluate` and what is
+built on it: counting, enumeration, membership, size, regularity and the
+transforms) imports no builder layer.  The three builders import `annotate`,
+`decomp`, `graph` and `oracle` inside their own bodies, so a process that
+only reads a grammar file never loads them.
 """
 
 from __future__ import annotations
@@ -24,26 +30,17 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import oracle as _oracle
-from .annotate import join_annotations
-from .decomp import (
-    ROOT,
-    Pos,
-    TreeDecomposition,
-    compute_tree_decomposition,
-    introduced_order,
-    is_permutation_yielding,
-    make_permutation_yielding,
-    validate_tree_decomposition,
-    yield_order_of,
-)
-from .graph import Graph, require_connected
+from . import PreconditionError
 from .perm import Permutation, Word, identity, inverse
 
+if TYPE_CHECKING:
+    from .decomp import Pos, TreeDecomposition
+    from .graph import Graph
 
-class GrammarError(Exception):
+
+class GrammarError(PreconditionError):
     pass
 
 
@@ -253,7 +250,7 @@ def trim(gr: Grammar) -> Grammar:
 # Construction from a permutation-yielding tree decomposition.
 
 def _pos_str(p: Pos) -> str:
-    return "e" if p == ROOT else ".".join(str(i) for i in p)
+    return ".".join(map(str, p)) or "e"  # the root is the empty position
 
 
 def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Grammar]:
@@ -262,6 +259,10 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
     Returns (alpha, grammar) where the language equals the set of one-line
     automorphism strings repositioned by alpha (word position i holds the
     image of vertex alpha(i))."""
+    from .annotate import join_annotations
+    from .decomp import ROOT, is_permutation_yielding, validate_tree_decomposition, yield_order_of
+    from .graph import require_connected
+
     require_connected(g)
     report = validate_tree_decomposition(g, t)
     if not report.ok:
@@ -294,6 +295,10 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
 # variable, so every rule has shape (B, a) or (B, a B').
 
 def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutation, Grammar]:
+    from .annotate import join_annotations
+    from .decomp import ROOT, introduced_order, validate_tree_decomposition
+    from .graph import require_connected
+
     require_connected(g)
     report = validate_tree_decomposition(g, pd)
     if not report.ok:
@@ -446,6 +451,10 @@ def build_embedded_group_grammar(
     strategy: str = "min-fill",
     check_invariance: bool = True,
 ) -> tuple[Permutation, Grammar]:
+    from .decomp import compute_tree_decomposition, make_permutation_yielding
+    from .graph import require_connected
+    from .oracle import restricted_action
+
     require_connected(g)
     m = g.vertex_count
     if not 1 <= n <= m:
@@ -455,7 +464,7 @@ def build_embedded_group_grammar(
     if b.size != n:
         raise GrammarError(f"coset representative must permute 1..{n}")
     if check_invariance:
-        result = _oracle.restricted_action(g, n)
+        result = restricted_action(g, n)
         if not result.invariant:
             raise GrammarError(
                 f"prefix 1..{n} not invariant under the automorphism group "
@@ -560,14 +569,14 @@ def grammar_from_json(text: str) -> Grammar:
     if not shapes_ok:
         raise GrammarError("grammar JSON needs a variables array and [lhs, rhs] rule pairs")
     # Python's bool is an int, so true would otherwise read as terminal 1
-    if isinstance(doc["sigma_max"], bool) or any(
-        isinstance(x, bool) for _, rhs in doc["rules"] for x in rhs
-    ):
+    if any(isinstance(x, bool) for _, rhs in doc["rules"] for x in rhs):
         raise GrammarError("grammar JSON has true or false where an integer belongs")
-    try:
-        sigma_max = int(doc["sigma_max"])
-    except (TypeError, ValueError, OverflowError):
-        raise GrammarError(f"sigma_max {doc['sigma_max']!r} is not an integer") from None
+    sigma_max = doc["sigma_max"]
+    if not isinstance(sigma_max, int) or isinstance(sigma_max, bool):
+        raise GrammarError(f"sigma_max must be an integer, got {type(sigma_max).__name__}")
+    accepts_empty = doc.get("accepts_empty", False)
+    if not isinstance(accepts_empty, bool):
+        raise GrammarError(f"accepts_empty must be true or false, got {type(accepts_empty).__name__}")
     rules = tuple(
         (lhs, tuple(x if isinstance(x, int) else str(x) for x in rhs))
         for lhs, rhs in doc["rules"]
@@ -577,5 +586,5 @@ def grammar_from_json(text: str) -> Grammar:
         str(doc["start"]),
         tuple(str(v) for v in doc["variables"]),
         rules,
-        bool(doc.get("accepts_empty", False)),
+        accepts_empty,
     )

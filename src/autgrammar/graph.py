@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from . import PreconditionError
+
 
 class GraphError(Exception):
     """Base class for graph construction and query errors."""
@@ -34,7 +36,7 @@ class VertexRangeError(GraphError):
     pass
 
 
-class DisconnectedGraphError(GraphError):
+class DisconnectedGraphError(GraphError, PreconditionError):
     """Raised by pipeline entry points that require a connected graph."""
 
 

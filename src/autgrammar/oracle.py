@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import PreconditionError
 from .graph import Graph, stable_colouring
 from .perm import Permutation, compose, identity, inverse, restrict
 
 ORACLE_CAP = 10
 
 
-class OracleError(Exception):
+class OracleError(PreconditionError):
     pass
 
 

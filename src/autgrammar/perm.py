@@ -101,7 +101,7 @@ def parse_permutation(text: str) -> Permutation:
 
 
 def format_permutation(a: Permutation) -> str:
-    return " ".join(str(v) for v in a.image)
+    return " ".join(map(str, a.image))
 
 
 def parse_word(text: str) -> Word:
@@ -112,4 +112,4 @@ def parse_word(text: str) -> Word:
 
 
 def format_word(w: Word) -> str:
-    return " ".join(str(v) for v in w.symbols)
+    return " ".join(map(str, w.symbols))

@@ -11,6 +11,11 @@ exact doubleton presolve, which removes nearly every flow row, followed by
 a phase-1 simplex on what is left, with Bland's rule guarding against
 cycling; no floating point enters any verdict.  The emitted LP is always
 the full formulation.
+
+Layering: the LP-file path (`parse_lp`, `check_lp_feasibility`, the
+presolve and the simplex) imports nothing from `grammar`.  Only
+`build_extended_formulation` and `lift_parse_tree` import it, inside their
+bodies, so deciding a point of an LP file never loads the grammar layer.
 """
 
 from __future__ import annotations
@@ -19,11 +24,15 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .grammar import Grammar, ParseTree, _rules_by_lhs, _variable_lengths, parse_tree_yield
+from . import PreconditionError
+
+if TYPE_CHECKING:
+    from .grammar import Grammar, ParseTree
 
 
-class PolytopeError(Exception):
+class PolytopeError(PreconditionError):
     pass
 
 
@@ -54,6 +63,8 @@ class ExtendedFormulation:
 
 def _spans(gr: Grammar, length_sets: dict) -> tuple[int, dict[str, int], dict[str, int]]:
     """Fixed length and start offset per variable; raises unless positional."""
+    from .grammar import _rules_by_lhs
+
     if gr.accepts_empty:
         raise PolytopeError("grammar accepts the empty word; not positional")
     lengths: dict[str, int] = {}
@@ -93,6 +104,8 @@ def _spans(gr: Grammar, length_sets: dict) -> tuple[int, dict[str, int], dict[st
 def build_extended_formulation(gr: Grammar, style: str = "value") -> ExtendedFormulation:
     """Flow conservation + unit source + [0,1] bounds, with the value
     projection x_i = sum of (symbol written at i) * (rule flow)."""
+    from .grammar import _variable_lengths
+
     if style not in ("value", "matrix"):
         raise PolytopeError(f"unknown projection style {style!r}")
     length_sets = _variable_lengths(gr)
@@ -163,6 +176,8 @@ def build_extended_formulation(gr: Grammar, style: str = "value") -> ExtendedFor
 
 def lift_parse_tree(ef: ExtendedFormulation, t: ParseTree) -> dict:
     """0/1 point with one unit of flow on every rule the tree uses."""
+    from .grammar import parse_tree_yield
+
     parse_tree_yield(ef.grammar, t)  # raises if the tree does not fit the rules
     counts: dict[int, int] = {}
     stack = [t]

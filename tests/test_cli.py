@@ -3,6 +3,15 @@ import sys
 
 import pytest
 
+from autgrammar.grammar import (
+    Grammar,
+    enumerate_language,
+    erase_terminals,
+    grammar_from_json,
+    grammar_to_json,
+)
+from autgrammar.perm import format_word
+
 C4_TEXT = "4 4\n1 2\n2 3\n3 4\n1 4\n"
 STAR5_TEXT = "5 4\n1 5\n2 5\n3 5\n4 5\n"
 P3_TEXT = "3 2\n1 2\n2 3\n"
@@ -96,6 +105,10 @@ def test_usage_errors(c4_file, tmp_path):
     r = run_cli("enum", out, "--cap", "-1")
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
+    for keep in ("-1", "5"):  # C4 has 4 vertices
+        r = run_cli("embed", "--graph", c4_file, "--keep", keep, "--out", str(tmp_path / "e.json"))
+        assert (r.returncode, r.stdout) == (2, ""), r.stderr
+        assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
 
 
 def test_validate(c4_file):
@@ -204,6 +217,29 @@ def test_enum_cap(c4_file, tmp_path):
     assert "truncated" in r.stderr
 
 
+BTREE3_TEXT = "15 14\n" + "".join(f"{i} {2 * i + k}\n" for i in range(1, 8) for k in (0, 1))
+
+
+def test_enum_output_bytes(tmp_path):
+    """enum writes exactly format_word(w) + newline per word, in order."""
+    btree3, erased = tmp_path / "btree3.json", tmp_path / "erased.json"
+    graph = tmp_path / "btree3.edges"
+    graph.write_text(BTREE3_TEXT)
+    assert run_cli("build", "--graph", str(graph), "--out", str(btree3)).returncode == 0
+    # B1 -> 3 erases to the empty word, which sorts first
+    three = Grammar(3, "B1", ("B1",), (("B1", (3,)), ("B1", (1, 2)), ("B1", (2, 1))))
+    erased.write_text(grammar_to_json(erase_terminals(three, 2)))
+    for path, cap in ((btree3, None), (btree3, 5), (erased, None)):
+        words = enumerate_language(grammar_from_json(path.read_text())).words
+        cap_args = ("--cap", str(cap)) if cap else ()
+        r = subprocess.run([sys.executable, "-m", "autgrammar", "enum", str(path), *cap_args],
+                           capture_output=True)
+        assert r.returncode == 0
+        assert r.stdout == "".join(format_word(w) + "\n" for w in words[:cap]).encode()
+        assert r.stderr == (f"truncated at {cap}\n".encode() if cap else b"")
+    assert r.stdout == b"\n1 2\n2 1\n"  # the erased grammar's empty word comes first
+
+
 C4_TD_BAGS = "b 1 1 2 4\nb 2 2 3 4\n"
 RULES_OK = '"start": "B1", "variables": ["B1"], "rules": [["B1", [1]]]'
 LP_HEAD = "Minimize\n obj: 0\nSubject To\n"
@@ -219,6 +255,8 @@ LP_HEAD = "Minimize\n obj: 0\nSubject To\n"
         ("stats", '{"sigma_max": 1, "start": "B1", "variables": ["B1"], "rules": [["B1", [1], 1]]}'),
         ("stats", '["sigma_max", "start", "variables", "rules"]'),
         ("stats", '{"sigma_max": "one", ' + RULES_OK + "}"),
+        ("stats", '{"sigma_max": 4.9, ' + RULES_OK + "}"),
+        ("enum", '{"sigma_max": 1, "accepts_empty": "no", ' + RULES_OK + "}"),
         ("stats", '{"sigma_max": 1, ' + RULES_OK.replace("B1", "B\u00e9") + "}"),
         ("stats", '{"sigma_max": 1, ' + RULES_OK.replace("[1]", "[true]") + "}"),
         ("check", LP_HEAD + " px1: x_1 - y_0 = 1.2.3\nBounds\n 0 <= y_0 <= 1\nEnd\n"),
@@ -236,6 +274,8 @@ LP_HEAD = "Minimize\n obj: 0\nSubject To\n"
         "grammar-rule-shape",
         "grammar-not-object",
         "grammar-sigma-max",
+        "grammar-sigma-max-float",
+        "grammar-accepts-empty-string",
         "grammar-non-ascii",
         "grammar-bool-terminal",
         "lp-number",
@@ -252,6 +292,7 @@ def test_malformed_input_exit_2(c4_file, tmp_path, command, text):
     args = {
         "build": ("build", "--graph", c4_file, "--td", str(f), "--out", str(tmp_path / "g.json")),
         "stats": ("stats", str(f)),
+        "enum": ("enum", str(f)),
         "check": ("check", str(f), "--point", "1"),
         "point": ("check", str(f), "--point", "1e10000000"),
         "long-point": ("check", str(f), "--point", " ".join(["1"] * 2999 + ["1e10000000"])),

@@ -1,0 +1,91 @@
+"""Import boundaries: a process loads only the layers its command runs."""
+
+import subprocess
+import sys
+
+import pytest
+
+import autgrammar
+from autgrammar import cli
+
+C4_TEXT = "4 4\n1 2\n2 3\n3 4\n1 4\n"
+BUILDERS = {"annotate", "decomp", "oracle"}
+
+# runs one CLI command in a fresh interpreter, then prints its exit code and
+# the package's submodules that were loaded, as the last line of stdout
+PROBE = """
+import sys
+from autgrammar import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as e:
+    code = e.code
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("autgrammar."))
+print(code, *loaded)
+"""
+
+
+def loaded_by(*args):
+    r = subprocess.run([sys.executable, "-c", PROBE, *args], capture_output=True, text=True)
+    code, *modules = r.stdout.splitlines()[-1].split()
+    return int(code), set(modules)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("imports")
+    graph, grammar, lp = str(d / "c4.edges"), str(d / "c4.json"), str(d / "c4.lp")
+    (d / "c4.edges").write_text(C4_TEXT)
+    assert cli.main(["build", "--graph", graph, "--out", grammar]) == 0
+    assert cli.main(["lift", grammar, "--out", lp]) == 0
+    return {"graph": graph, "grammar": grammar, "lp": lp, "out": str(d / "out.json")}
+
+
+def test_package_import_loads_no_submodule():
+    probe = "import sys, autgrammar; print(*[m for m in sys.modules if m.startswith('autgrammar.')])"
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == []
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [(["--help"], 0), ([], 2), (["frobnicate"], 2), (["build", "--out", "x.json"], 2)],
+    ids=["help", "no-command", "unknown-command", "missing-option"],
+)
+def test_help_and_usage_errors_load_only_cli(args, code):
+    assert loaded_by(*args) == (code, {"cli"})
+
+
+@pytest.mark.parametrize("command", ["stats", "count", "enum", "member"])
+def test_read_side_loads_no_builder(files, command):
+    extra = ["--word", "1 2 3 4"] if command == "member" else []
+    code, modules = loaded_by(command, files["grammar"], *extra)
+    assert code == 0
+    assert "grammar" in modules
+    assert not modules & (BUILDERS | {"polytope"})
+
+
+def test_check_on_lp_file_loads_no_grammar(files):
+    code, modules = loaded_by("check", files["lp"], "--point", "1 2 3 4")
+    assert code == 0
+    assert "polytope" in modules
+    assert not modules & (BUILDERS | {"grammar"})
+
+
+@pytest.mark.parametrize("path", [False, True], ids=["tree", "path"])
+def test_build_loads_no_oracle_or_polytope(files, path):
+    args = ["build", "--graph", files["graph"], "--out", files["out"]]
+    code, modules = loaded_by(*args, *(["--path"] if path else []))
+    assert code == 0
+    assert not modules & {"oracle", "polytope"}
+
+
+def test_public_names_resolve():
+    for name in autgrammar.__all__:
+        assert getattr(autgrammar, name) is not None, name
+    assert set(autgrammar.__all__) <= set(dir(autgrammar))
+    from autgrammar import Grammar, parse_graph  # noqa: F401
+
+    with pytest.raises(AttributeError):
+        autgrammar.no_such_name
