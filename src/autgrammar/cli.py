@@ -185,14 +185,13 @@ def _cmd_stats(args) -> int:
 
 def _cmd_enum(args) -> int:
     from . import grammar as gmod
+    from .perm import format_word
 
     if args.cap < 0:
         raise _UsageError(f"--cap must be non-negative, got {args.cap}")
     gr = _load_grammar(args.grammar)
     result = gmod.enumerate_language(gr, cap=args.cap)
-    # each terminal converted once, not once per occurrence
-    name = {x: str(x) for _, rhs in gr.rules for x in rhs if isinstance(x, int)}
-    sys.stdout.writelines(" ".join([name[x] for x in w.symbols]) + "\n" for w in result.words)
+    sys.stdout.writelines(format_word(w) + "\n" for w in result.words)
     if result.truncated:
         print(f"truncated at {args.cap}", file=sys.stderr)
     return 0
@@ -301,13 +300,6 @@ def main(argv=None) -> int:
     except PreconditionError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except Exception as e:
-        from .graph import GraphError  # whatever raised one has loaded it
-
-        if not isinstance(e, GraphError):
-            raise
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":
