@@ -19,6 +19,16 @@ class PreconditionError(Exception):
     that is not invariant, a size cap); the CLI exits 3 on them."""
 
 
+def _quote(value) -> str:
+    """A name (as its repr) or a number for an error line, cut to 20
+    characters: a 5000-digit number or a 3000-term row must not fill the
+    screen.  Defined here so that every layer can share it without
+    loading another."""
+    text = str(value)
+    head = repr(text[:20]) if isinstance(value, str) else text[:20]
+    return head if len(text) <= 20 else f"{head}… ({len(text)} characters)"
+
+
 _EXPORTS = {
     "annotate": (
         "AnnotatedBag",

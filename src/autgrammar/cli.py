@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import PreconditionError
+from . import PreconditionError, _quote
 
 
 class _UsageError(Exception):
@@ -234,7 +234,7 @@ def _cmd_check(args) -> int:
     try:
         values = [polytope.parse_number(tok) for tok in args.point.split()]
     except polytope.PolytopeError as e:
-        raise _UsageError(f"bad --point {polytope._quote(args.point)}: {e}") from None
+        raise _UsageError(f"bad --point {_quote(args.point)}: {e}") from None
     names = {v for _, terms, _, _ in parsed.constraints for _, v in terms}
     xs = sorted(
         (v for v in names if v.startswith("x_") and v[2:].isdigit()), key=lambda v: int(v[2:])

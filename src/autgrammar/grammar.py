@@ -32,7 +32,7 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import PreconditionError
+from . import PreconditionError, _quote
 from .perm import Permutation, Word, identity, inverse
 
 if TYPE_CHECKING:
@@ -57,18 +57,26 @@ class Grammar:
     accepts_empty: bool = False
 
     def __post_init__(self):
-        declared = set(self.variables)
+        if self.sigma_max < 0:
+            raise GrammarError(f"sigma_max {_quote(self.sigma_max)} is negative")
+        declared: set[str] = set()
+        for v in self.variables:
+            if v in declared:
+                raise GrammarError(f"variable {_quote(v)} declared twice")
+            declared.add(v)
         if self.start not in declared:
-            raise GrammarError(f"start variable {self.start!r} not declared")
+            raise GrammarError(f"start variable {_quote(self.start)} not declared")
         for lhs, rhs in self.rules:
             if lhs not in declared:
-                raise GrammarError(f"rule lhs {lhs!r} not declared")
+                raise GrammarError(f"rule lhs {_quote(lhs)} not declared")
             for x in rhs:
                 if isinstance(x, str):
                     if x not in declared:
-                        raise GrammarError(f"rhs variable {x!r} not declared")
+                        raise GrammarError(f"rhs variable {_quote(x)} not declared")
                 elif not 1 <= x <= self.sigma_max:
-                    raise GrammarError(f"terminal {x} outside 1..{self.sigma_max}")
+                    raise GrammarError(
+                        f"terminal {_quote(x)} outside 1..{_quote(self.sigma_max)}"
+                    )
 
 
 def topological_variables(gr: Grammar) -> list[str]:
@@ -205,8 +213,6 @@ def membership(gr: Grammar, w: Word) -> bool:
     """Whether w is in the language: each variable is valued by the spans
     (i, j) of w it derives, and w is a member iff the start derives (0, |w|)."""
     symbols = w.symbols
-    if len(symbols) == 0:
-        return gr.accepts_empty
     at: dict[int, set] = {}
     for i, a in enumerate(symbols):
         at.setdefault(a, set()).add((i, i + 1))
@@ -219,7 +225,7 @@ def membership(gr: Grammar, w: Word) -> bool:
         return {(i, k) for i, j in left for k in ends.get(j, ())}
 
     spans = _evaluate(gr, lambda r: empty_spans, lambda a: at.get(a, set()), join, _union)
-    return (0, len(symbols)) in spans[gr.start]
+    return (0, len(symbols)) in spans[gr.start] or (not symbols and gr.accepts_empty)
 
 
 def trim(gr: Grammar) -> Grammar:
@@ -557,6 +563,8 @@ def grammar_from_json(text: str) -> Grammar:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nesting too deep
         raise GrammarError(f"bad grammar JSON: {e}") from None
+    except ValueError:  # an integer over Python's limit on int-string digits
+        raise GrammarError("bad grammar JSON: an integer has too many digits") from None
     if not isinstance(doc, dict):
         raise GrammarError("grammar JSON must be an object")
     for key in ("sigma_max", "start", "variables", "rules"):

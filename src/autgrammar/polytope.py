@@ -6,9 +6,14 @@ and flow is conserved at every other variable.  Because the grammars built
 by this package give every variable a single fixed span, integral flows are
 exactly parse trees and the projection x_i (the symbol value written at
 word position i) maps the flow polytope onto the convex hull of the word
-vectors.  Feasibility of a fixed projection is decided over Fractions by an
-exact doubleton presolve, which removes nearly every flow row, followed by
-a phase-1 simplex on what is left, with Bland's rule guarding against
+vectors.
+
+The extended formulation is an LP: `ExtendedFormulation` holds its rows in
+the form `parse_lp` returns them, so `parse_lp(emit_lp(ef)) == ef.lp`, and
+a point of the projection is decided by the one path that decides a point
+of an LP file, `check_lp_feasibility`.  That path works over Fractions: an
+exact doubleton presolve, which removes nearly every flow row, then a
+phase-1 simplex on what is left, with Bland's rule guarding against
 cycling; no floating point enters any verdict.  The emitted LP is always
 the full formulation.
 
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import PreconditionError
+from . import PreconditionError, _quote
 
 if TYPE_CHECKING:
     from .grammar import Grammar, ParseTree
@@ -37,23 +42,29 @@ class PolytopeError(PreconditionError):
 
 
 @dataclass(frozen=True)
-class Constraint:
-    name: str
-    terms: tuple[tuple[int, str], ...]  # (integer coefficient, variable)
-    rel: str  # "=", "<=", ">="
-    rhs: int
+class ParsedLP:
+    constraints: tuple  # (name, ((Fraction coef, var), ...), rel, Fraction rhs)
+    bounds: dict  # var -> (Fraction lo, Fraction hi or None)
+
+
+_UNIT = (Fraction(0), Fraction(1))
 
 
 @dataclass(frozen=True, eq=False)
 class ExtendedFormulation:
+    """Rows are (name, ((coef, var), ...), rel, rhs), as `parse_lp` returns
+    them, with integer numbers."""
+
     grammar: Grammar
     flow_vars: tuple[str, ...]
-    constraints: tuple[Constraint, ...]  # source + conservation
-    bounds: dict  # flow var -> (0, 1)
-    projection: dict  # word position -> ((coef, var), ...)
+    constraints: tuple  # src, then c_<k> conserving flow at every other variable
+    projection: tuple  # px<i> defining x_i, or pz<i>_<a> defining z_i_a
     word_length: int
-    style: str = "value"
-    matrix_projection: dict | None = None
+
+    @property
+    def lp(self) -> ParsedLP:
+        """The LP that `emit_lp` writes, as `parse_lp` reads it back."""
+        return ParsedLP(self.constraints + self.projection, dict.fromkeys(self.flow_vars, _UNIT))
 
     @property
     def num_constraints(self) -> int:
@@ -61,116 +72,91 @@ class ExtendedFormulation:
         return len(self.constraints) + 2 * len(self.flow_vars) + self.word_length
 
 
-def _spans(gr: Grammar, length_sets: dict) -> tuple[int, dict[str, int], dict[str, int]]:
-    """Fixed length and start offset per variable; raises unless positional."""
-    from .grammar import _rules_by_lhs
-
-    if gr.accepts_empty:
-        raise PolytopeError("grammar accepts the empty word; not positional")
-    lengths: dict[str, int] = {}
-    for v, ls in length_sets.items():
-        if len(ls) != 1:
-            raise PolytopeError(
-                f"variable {v!r} derives strings of lengths {sorted(ls)}; not positional"
-            )
-        lengths[v] = next(iter(ls))
-    offset: dict[str, int] = {gr.start: 1}
-    pending = [gr.start]
-    rules_by_lhs = _rules_by_lhs(gr)
-    while pending:
-        v = pending.pop(0)
-        for _, rhs in rules_by_lhs[v]:
-            at = offset[v]
-            for x in rhs:
-                if isinstance(x, int):
-                    at += 1
-                else:
-                    if x in offset:
-                        if offset[x] != at:
-                            raise PolytopeError(
-                                f"variable {x!r} occurs at spans starting {offset[x]} "
-                                f"and {at}; not positional"
-                            )
-                    else:
-                        offset[x] = at
-                        pending.append(x)
-                    at += lengths[x]
-    for v in gr.variables:
-        if v not in offset:
-            raise PolytopeError(f"variable {v!r} unreachable; trim the grammar first")
-    return lengths[gr.start], lengths, offset
-
-
 def build_extended_formulation(gr: Grammar, style: str = "value") -> ExtendedFormulation:
     """Flow conservation + unit source + [0,1] bounds, with the value
-    projection x_i = sum of (symbol written at i) * (rule flow)."""
-    from .grammar import _variable_lengths
+    projection x_i = sum of (symbol written at i) * (rule flow), or, in
+    the matrix style, z_i_a = sum of the flows of the rules writing a at i.
+
+    Raises unless the grammar is positional: every variable derives words
+    of one length, from one start offset, and is reachable."""
+    from .grammar import _rules_by_lhs, _variable_lengths
 
     if style not in ("value", "matrix"):
         raise PolytopeError(f"unknown projection style {style!r}")
     length_sets = _variable_lengths(gr)
     empty_language = not length_sets[gr.start] and not gr.accepts_empty
+    lengths: dict[str, int] = {}
     if empty_language:
-        # no words to project; the flow system itself is infeasible
+        # no words to project; the flow system itself is infeasible.  The
+        # walk starts at every variable, so every rule keeps its flow terms
         warnings.warn("grammar generates no words; source row is infeasible", stacklevel=2)
-        n, lengths, offset = 0, {}, {}
+        offset = dict.fromkeys(gr.variables, 0)
     else:
-        n, lengths, offset = _spans(gr, length_sets)
-    flow_vars = tuple(f"y_{r}" for r in range(len(gr.rules)))
+        if gr.accepts_empty:
+            raise PolytopeError("grammar accepts the empty word; not positional")
+        for v, ls in length_sets.items():
+            if len(ls) != 1:
+                raise PolytopeError(
+                    f"variable {_quote(v)} derives strings of lengths {sorted(ls)}; not positional"
+                )
+            lengths[v] = next(iter(ls))
+        offset = {gr.start: 1}
 
-    out_rules: dict[str, list[int]] = {v: [] for v in gr.variables}
-    occurrences: dict[str, list[int]] = {v: [] for v in gr.variables}
+    by_lhs = _rules_by_lhs(gr)
+    flow = [f"y_{r}" for r in range(len(gr.rules))]
+    uses: dict[str, dict[int, int]] = {v: {} for v in gr.variables}  # rule -> occurrences
     writes: dict[int, list[tuple[int, int]]] = {}  # position -> (symbol, rule)
-    for r, (lhs, rhs) in enumerate(gr.rules):
-        out_rules[lhs].append(r)
-        at = offset.get(lhs, 0)
-        for x in rhs:
-            if isinstance(x, int):
-                if not empty_language:
+    order = list(offset)
+    for v in order:  # breadth first; grows as the walk reaches new variables
+        for r, rhs in by_lhs[v]:
+            at = offset[v]
+            for x in rhs:
+                if isinstance(x, int):
                     writes.setdefault(at, []).append((x, r))
-                at += 1
-            else:
-                occurrences[x].append(r)
+                    at += 1
+                    continue
+                uses[x][r] = uses[x].get(r, 0) + 1
+                if x not in offset:
+                    offset[x] = at
+                    order.append(x)
+                elif offset[x] != at and not empty_language:
+                    raise PolytopeError(
+                        f"variable {_quote(x)} occurs at spans starting {offset[x]} "
+                        f"and {at}; not positional"
+                    )
                 at += lengths.get(x, 0)
+    if len(order) < len(gr.variables):
+        v = next(v for v in gr.variables if v not in offset)
+        raise PolytopeError(f"variable {_quote(v)} unreachable; trim the grammar first")
 
-    constraints: list[Constraint] = []
-    src_terms = tuple((1, f"y_{r}") for r in out_rules[gr.start])
-    if not src_terms:
+    src = tuple((1, flow[r]) for r, _ in by_lhs[gr.start])
+    if not src:
         warnings.warn("grammar has no start rule; source row is infeasible", stacklevel=2)
-    constraints.append(Constraint("src", src_terms, "=", 1))
-    var_index = {v: i for i, v in enumerate(gr.variables)}
-    for v in gr.variables:
-        if v == gr.start:
-            continue
-        terms = [(1, f"y_{r}") for r in out_rules[v]]
-        in_count: dict[int, int] = {}
-        for r in occurrences[v]:
-            in_count[r] = in_count.get(r, 0) + 1
-        terms.extend((-c, f"y_{r}") for r, c in sorted(in_count.items()))
-        constraints.append(Constraint(f"c_{var_index[v]}", tuple(terms), "=", 0))
+    constraints = [("src", src, "=", 1)]
+    for k, v in enumerate(gr.variables):
+        if v != gr.start:
+            terms = [(1, flow[r]) for r, _ in by_lhs[v]]
+            terms += [(-c, flow[r]) for r, c in sorted(uses[v].items())]
+            constraints.append((f"c_{k}", tuple(terms), "=", 0))
 
-    projection = {
-        i: tuple((sym, f"y_{r}") for sym, r in sorted(writes.get(i, [])))
-        for i in range(1, n + 1)
-    }
-    matrix = None
-    if style == "matrix":
-        matrix = {}
-        for i in range(1, n + 1):
-            per_symbol: dict[int, list[int]] = {}
-            for sym, r in writes.get(i, []):
-                per_symbol.setdefault(sym, []).append(r)
-            for sym in sorted(per_symbol):
-                matrix[(i, sym)] = tuple((1, f"y_{r}") for r in sorted(per_symbol[sym]))
+    n = 0 if empty_language else lengths[gr.start]
+    projection: list = []
+    for i in range(1, n + 1):
+        written = sorted(writes.get(i, ()))
+        if style == "value":
+            terms = [(1, f"x_{i}"), *((-a, flow[r]) for a, r in written)]
+            projection.append((f"px{i}", tuple(terms), "=", 0))
+            continue
+        per_symbol: dict[int, list] = {}
+        for a, r in written:
+            per_symbol.setdefault(a, [(1, f"z_{i}_{a}")]).append((-1, flow[r]))
+        projection.extend((f"pz{i}_{a}", tuple(t), "=", 0) for a, t in per_symbol.items())
     return ExtendedFormulation(
         grammar=gr,
-        flow_vars=flow_vars,
+        flow_vars=tuple(flow),
         constraints=tuple(constraints),
-        bounds={y: (0, 1) for y in flow_vars},
-        projection=projection,
+        projection=tuple(projection),
         word_length=n,
-        style=style,
-        matrix_projection=matrix,
     )
 
 
@@ -192,26 +178,29 @@ def lift_parse_tree(ef: ExtendedFormulation, t: ParseTree) -> dict:
 
 
 def evaluate_point(ef: ExtendedFormulation, point: dict) -> bool:
-    """Exact check of every constraint and bound at the given point."""
-    for c in ef.constraints:
-        total = sum((Fraction(coef) * point[v] for coef, v in c.terms), Fraction(0))
-        if c.rel == "=" and total != c.rhs:
-            return False
-        if c.rel == "<=" and total > c.rhs:
-            return False
-        if c.rel == ">=" and total < c.rhs:
-            return False
-    for v, (lo, hi) in ef.bounds.items():
-        if not (lo <= point[v] <= hi):
-            return False
-    return True
+    """Exact check of every flow row and bound at the given point."""
+    return all(
+        sum(coef * point[v] for coef, v in terms) == rhs for _, terms, _, rhs in ef.constraints
+    ) and all(lo <= point[y] <= hi for y, (lo, hi) in ef.lp.bounds.items())
 
 
 def project_point(ef: ExtendedFormulation, point: dict) -> tuple[Fraction, ...]:
+    """The values that the projection rows give their x (or z) variables."""
     return tuple(
-        sum((Fraction(coef) * point[v] for coef, v in ef.projection[i]), Fraction(0))
-        for i in range(1, ef.word_length + 1)
+        rhs - sum((coef * point[v] for coef, v in terms), Fraction(0))
+        for _, (_, *terms), _, rhs in ef.projection
     )
+
+
+def check_projection_feasibility(ef: ExtendedFormulation, x) -> bool:
+    """Exact membership of the point x in the projected polytope: the LP
+    of `emit_lp` with x_1..x_n fixed, decided as `check` decides it."""
+    point = {f"x_{i}": Fraction(v) for i, v in enumerate(x, start=1)}
+    if len(point) != ef.word_length:
+        raise PolytopeError(f"point has dimension {len(point)}, expected {ef.word_length}")
+    if any(defined not in point for _, ((_, defined), *_), _, _ in ef.projection):
+        raise PolytopeError("a matrix-style formulation has no x coordinates to fix")
+    return check_lp_feasibility(ef.lp, point)
 
 
 # ---------------------------------------------------------------------------
@@ -471,32 +460,6 @@ def _simplex_feasible(rows: list, bounds: dict) -> bool:
     return residue == 0
 
 
-def check_projection_feasibility(ef: ExtendedFormulation, x) -> bool:
-    """Exact membership of the point x in the projected polytope."""
-    return _phase_one_feasible(*_projection_system(ef, x))
-
-
-def _projection_system(ef: ExtendedFormulation, x) -> tuple[list, dict]:
-    """The flow rows, one row per coordinate of x, and the flow bounds."""
-    values = [Fraction(v) for v in x]
-    if len(values) != ef.word_length:
-        raise PolytopeError(
-            f"point has dimension {len(values)}, expected {ef.word_length}"
-        )
-    rows: list[tuple[dict[str, Fraction], Fraction]] = []
-    for c in ef.constraints:
-        coeffs: dict[str, Fraction] = {}
-        for coef, v in c.terms:
-            coeffs[v] = coeffs.get(v, Fraction(0)) + coef
-        rows.append((coeffs, Fraction(c.rhs)))
-    for i in range(1, ef.word_length + 1):
-        coeffs = {}
-        for coef, v in ef.projection[i]:
-            coeffs[v] = coeffs.get(v, Fraction(0)) + coef
-        rows.append((coeffs, values[i - 1]))
-    return rows, {v: (Fraction(0), Fraction(1)) for v in ef.flow_vars}
-
-
 # ---------------------------------------------------------------------------
 # CPLEX LP text.
 
@@ -518,31 +481,17 @@ def emit_lp(ef: ExtendedFormulation) -> str:
     """Feasibility LP: flow rows, definitional projection rows introducing
     the x (or z) variables, and [0,1] bounds on every flow variable."""
     lines = ["Minimize", " obj: 0", "Subject To"]
-    for c in ef.constraints:
-        if c.name == "src" and not c.terms:
+    for name, terms, rel, rhs in ef.constraints:
+        if name == "src" and not terms:
             warnings.warn("emitting infeasible source row for empty grammar", stacklevel=2)
-        lines.append(f" {c.name}: {_render_flow_terms(c.terms)} {c.rel} {c.rhs}")
-    if ef.style == "matrix":
-        for (i, sym), terms in sorted(ef.matrix_projection.items()):
-            body = " ".join(f"- {coef} {v}" for coef, v in terms)
-            lines.append(f" pz{i}_{sym}: z_{i}_{sym} {body} = 0")
-    else:
-        for i in range(1, ef.word_length + 1):
-            body = " ".join(f"- {coef} {v}" for coef, v in ef.projection[i])
-            row = f" px{i}: x_{i} {body} = 0" if body else f" px{i}: x_{i} = 0"
-            lines.append(row)
+        lines.append(f" {name}: {_render_flow_terms(terms)} {rel} {rhs}")
+    for name, ((_, defined), *terms), rel, rhs in ef.projection:
+        body = "".join(f" - {-coef} {v}" for coef, v in terms)
+        lines.append(f" {name}: {defined}{body} {rel} {rhs}")
     lines.append("Bounds")
-    for y in ef.flow_vars:
-        lo, hi = ef.bounds[y]
-        lines.append(f" {lo} <= {y} <= {hi}")
+    lines.extend(f" {lo} <= {y} <= {hi}" for y, (lo, hi) in ef.lp.bounds.items())
     lines.append("End")
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class ParsedLP:
-    constraints: tuple  # (name, ((Fraction coef, var), ...), rel, Fraction rhs)
-    bounds: dict  # var -> (Fraction lo, Fraction hi or None)
 
 
 def parse_lp(text: str) -> ParsedLP:
@@ -623,14 +572,6 @@ def _fraction(tok: str) -> Fraction:
     return Fraction(tok)
 
 
-def _quote(tok: str) -> str:
-    """tok for an error line: a 5000-digit number or a 3000-term row must
-    not fill the screen."""
-    if len(tok) <= 20:
-        return repr(tok)
-    return f"{tok[:20]!r}… ({len(tok)} characters)"
-
-
 def parse_number(tok: str) -> Fraction:
     """An exact number of an LP file or a projection point."""
     try:
@@ -651,17 +592,24 @@ def _parse_bound(line: str):
 
 
 def check_lp_feasibility(parsed: ParsedLP, point: dict) -> bool:
-    """Feasibility of the parsed LP with the given variables fixed.
+    """Feasibility of the parsed LP with the variables of `point` fixed."""
+    return _phase_one_feasible(*_lp_system(parsed, point))
+
+
+def _lp_system(parsed: ParsedLP, point: dict) -> tuple[list, dict]:
+    """The equality rows over Fractions that the presolve and the simplex
+    take, and the bounds of their variables.
 
     Fixed variables (typically the projection coordinates x_<i>) are
-    substituted; remaining variables take their Bounds entries, defaulting
-    to [0, +inf) as in the LP format."""
+    substituted, each inequality gets a slack, and remaining variables
+    take their Bounds entries, defaulting to [0, +inf) as in the LP
+    format."""
     rows: list[tuple[dict[str, Fraction], Fraction]] = []
     slack_id = 0
     bounds: dict[str, tuple[Fraction, Fraction | None]] = {}
     for name, terms, rel, rhs in parsed.constraints:
         coeffs: dict[str, Fraction] = {}
-        adjusted = rhs
+        adjusted = Fraction(rhs)
         for coef, v in terms:
             if v in point:
                 adjusted -= coef * point[v]
@@ -678,6 +626,6 @@ def check_lp_feasibility(parsed: ParsedLP, point: dict) -> bool:
             if v not in bounds:
                 lo, hi = parsed.bounds.get(v, (Fraction(0), None))
                 if lo is None:
-                    raise PolytopeError(f"free variable {v!r} must be fixed by the point")
+                    raise PolytopeError(f"free variable {_quote(v)} must be fixed by the point")
                 bounds[v] = (lo, hi)
-    return _phase_one_feasible(rows, bounds)
+    return rows, bounds

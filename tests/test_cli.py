@@ -259,6 +259,11 @@ LP_HEAD = "Minimize\n obj: 0\nSubject To\n"
         ("enum", '{"sigma_max": 1, "accepts_empty": "no", ' + RULES_OK + "}"),
         ("stats", '{"sigma_max": 1, ' + RULES_OK.replace("B1", "B\u00e9") + "}"),
         ("stats", '{"sigma_max": 1, ' + RULES_OK.replace("[1]", "[true]") + "}"),
+        ("stats", '{"sigma_max": ' + "1" * 5000 + ", " + RULES_OK + "}"),
+        ("stats", '{"sigma_max": -2, "start": "B1", "variables": ["B1", "A"], "rules": [["B1", ["A"]]]}'),
+        ("stats", '{"sigma_max": 1, ' + RULES_OK.replace('["B1"]', '["B1", "B1"]') + "}"),
+        ("stats", '{"sigma_max": 1, ' + RULES_OK.replace('"start": "B1"', f'"start": "{"S" * 3000}"') + "}"),
+        ("stats", '{"sigma_max": 1, ' + RULES_OK.replace("[1]", f"[{'9' * 4000}]") + "}"),
         ("check", LP_HEAD + " px1: x_1 - y_0 = 1.2.3\nBounds\n 0 <= y_0 <= 1\nEnd\n"),
         ("check", LP_HEAD + " px1: x_1 - 1e10000000 y_0 = 1\nBounds\n 0 <= y_0 <= 1\nEnd\n"),
         ("check", LP_HEAD + f" px1: x_1 - {'1' * 5000} y_0 = 0\nBounds\n 0 <= y_0 <= 1\nEnd\n"),
@@ -278,6 +283,11 @@ LP_HEAD = "Minimize\n obj: 0\nSubject To\n"
         "grammar-accepts-empty-string",
         "grammar-non-ascii",
         "grammar-bool-terminal",
+        "grammar-long-integer",
+        "grammar-negative-sigma-max",
+        "grammar-variable-twice",
+        "grammar-long-start",
+        "grammar-long-terminal",
         "lp-number",
         "lp-exponent",
         "lp-long-number",

@@ -1,24 +1,32 @@
 import itertools
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from autgrammar.decomp import compute_tree_decomposition, make_permutation_yielding
+from autgrammar.decomp import (
+    compute_path_decomposition,
+    compute_tree_decomposition,
+    make_permutation_yielding,
+)
 from autgrammar.grammar import (
     Grammar,
     build_aut_grammar,
+    build_embedded_group_grammar,
+    build_regular_aut_grammar,
     enumerate_language,
     enumerate_parse_trees,
     parse_tree_yield,
     union_grammar,
 )
+from autgrammar.graph import Graph
 from autgrammar.oracle import brute_force_automorphisms
 from autgrammar.perm import Permutation, permute_word, to_string_word
 from autgrammar.polytope import (
     PolytopeError,
     _phase_one_feasible,
+    _lp_system,
     _presolve,
-    _projection_system,
     _simplex_feasible,
     build_extended_formulation,
     check_lp_feasibility,
@@ -29,6 +37,7 @@ from autgrammar.polytope import (
     parse_lp,
     project_point,
 )
+from conftest import complete_graph, cube_graph, cycle_graph, path_graph, petersen_graph, star_graph
 
 
 def aut_ef(g):
@@ -42,8 +51,10 @@ def test_single_rule_grammar():
     ef = build_extended_formulation(gr)
     assert ef.flow_vars == ("y_0",)
     assert ef.word_length == 2
-    assert ef.projection[1] == ((1, "y_0"),)
-    assert ef.projection[2] == ((2, "y_0"),)
+    assert ef.projection == (
+        ("px1", ((1, "x_1"), (-1, "y_0")), "=", 0),
+        ("px2", ((1, "x_2"), (-2, "y_0")), "=", 0),
+    )
     point = {"y_0": Fraction(1)}
     assert evaluate_point(ef, point)
     assert project_point(ef, point) == (Fraction(1), Fraction(2))
@@ -164,9 +175,22 @@ def test_presolve_reduction_sizes(c5, q3):
     for g, size in ((c5, (6, 10)), (q3, (9, 48))):
         alpha, gr, ef = aut_ef(g)
         x = permute_word(to_string_word(Permutation(tuple(g.vertices))), alpha).symbols
-        rows, bounds = _presolve(*_projection_system(ef, x))
+        point = {f"x_{i}": Fraction(v) for i, v in enumerate(x, start=1)}
+        rows, bounds = _presolve(*_lp_system(ef.lp, point))
         assert (len(rows), len(bounds)) == size
         assert _simplex_feasible(rows, bounds)
+
+
+def test_lp_system_is_exact(c5):
+    # every number that reaches a verdict is a Fraction, whatever type the
+    # formulation's rows and the point hold
+    alpha, gr, ef = aut_ef(c5)
+    x = permute_word(to_string_word(Permutation(tuple(c5.vertices))), alpha).symbols
+    for point in ({f"x_{i}": v for i, v in enumerate(x, start=1)}, {}):
+        rows, bounds = _lp_system(ef.lp, point)
+        assert all(type(rhs) is Fraction for _, rhs in rows)
+        assert all(type(c) is Fraction for coeffs, _ in rows for c in coeffs.values())
+        assert all(b is None or type(b) is Fraction for lo_hi in bounds.values() for b in lo_hi)
 
 
 def test_feasibility_midpoint(c4):
@@ -190,23 +214,61 @@ def test_constraint_count_bound(c4, q3):
         assert ef.num_constraints <= bound
 
 
-def test_lp_round_trip(c4):
-    _, gr, ef = aut_ef(c4)
-    lp = emit_lp(ef)
-    parsed = parse_lp(lp)
-    by_name = {name: (terms, rel, rhs) for name, terms, rel, rhs in parsed.constraints}
-    for c in ef.constraints:
-        terms, rel, rhs = by_name[c.name]
-        assert rel == c.rel and rhs == c.rhs
-        assert tuple((Fraction(k), v) for k, v in c.terms) == terms
-    for i in range(1, ef.word_length + 1):
-        terms, rel, rhs = by_name[f"px{i}"]
-        assert rel == "=" and rhs == 0
-        assert terms[0] == (Fraction(1), f"x_{i}")
-        assert tuple(terms[1:]) == tuple(
-            (Fraction(-k), v) for k, v in ef.projection[i]
-        )
-    assert parsed.bounds == {y: (Fraction(0), Fraction(1)) for y in ef.flow_vars}
+def _lp_corpus():
+    """The tree and path grammars of a range of graphs, an erased grammar
+    and an empty language with an unreachable rule.  btree4's path grammar
+    (210 k rules) is left out for time."""
+    grid = [(3 * i + j, 3 * i + j + 1) for i in range(3) for j in range(1, 3)]
+    grid += [(k, k + 3) for k in range(1, 7)]
+    graphs = [cycle_graph(5), cycle_graph(6), complete_graph(4), complete_graph(5),
+              star_graph(4), path_graph(5), Graph(9, grid), cube_graph(), petersen_graph(),
+              Graph(15, [(v // 2, v) for v in range(2, 16)]),
+              Graph(7, [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7)])]
+    for g in graphs:
+        t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, "min-fill"))
+        yield build_aut_grammar(g, t)[1]
+        yield build_regular_aut_grammar(g, compute_path_decomposition(g))[1]
+    btree4 = Graph(31, [(v // 2, v) for v in range(2, 32)])
+    t, _ = make_permutation_yielding(btree4, compute_tree_decomposition(btree4, "min-fill"))
+    yield build_aut_grammar(btree4, t)[1]
+    yield build_embedded_group_grammar(star_graph(4), 4)[1]
+    yield Grammar(2, "B1", ("B1", "A", "C"), (("A", (1,)), ("C", ("A", 2)), ("C", (2, "A"))))
+
+
+def test_lp_round_trip():
+    for k, gr in enumerate(_lp_corpus()):
+        for style in ("value", "matrix"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the empty language warns
+                ef = build_extended_formulation(gr, style)
+                assert parse_lp(emit_lp(ef)) == ef.lp, (k, style)
+
+
+# S -> A 3 | 3 B, A -> 1 2 | 2 1, B -> 1 2: words 123, 213, 312
+PINNED = Grammar(3, "S", ("S", "A", "B"), (
+    ("S", ("A", 3)), ("S", (3, "B")), ("A", (1, 2)), ("A", (2, 1)), ("B", (1, 2)),
+))
+PINNED_FLOW = (
+    "Minimize\n obj: 0\nSubject To\n src: y_0 + y_1 = 1\n c_1: y_2 + y_3 - y_0 = 0\n"
+    " c_2: y_4 - y_1 = 0\n"
+)
+PINNED_BOUNDS = "Bounds\n" + "".join(f" 0 <= y_{r} <= 1\n" for r in range(5)) + "End\n"
+
+
+def test_lp_bytes_pinned():
+    value = (
+        " px1: x_1 - 1 y_2 - 2 y_3 - 3 y_1 = 0\n px2: x_2 - 1 y_3 - 1 y_4 - 2 y_2 = 0\n"
+        " px3: x_3 - 2 y_4 - 3 y_0 = 0\n"
+    )
+    matrix = (
+        " pz1_1: z_1_1 - 1 y_2 = 0\n pz1_2: z_1_2 - 1 y_3 = 0\n pz1_3: z_1_3 - 1 y_1 = 0\n"
+        " pz2_1: z_2_1 - 1 y_3 - 1 y_4 = 0\n pz2_2: z_2_2 - 1 y_2 = 0\n"
+        " pz3_2: z_3_2 - 1 y_4 = 0\n pz3_3: z_3_3 - 1 y_0 = 0\n"
+    )
+    assert emit_lp(build_extended_formulation(PINNED)) == PINNED_FLOW + value + PINNED_BOUNDS
+    assert emit_lp(build_extended_formulation(PINNED, style="matrix")) == (
+        PINNED_FLOW + matrix + PINNED_BOUNDS
+    )
 
 
 def test_lp_feasibility_from_file(c4, tmp_path):
@@ -270,6 +332,15 @@ def test_empty_language_lp_warns():
     gr = Grammar(2, "B1", ("B1", "A"), (("A", (1,)),))
     with pytest.warns(UserWarning):
         ef = build_extended_formulation(gr)
+    # unreachable rules keep their flow terms, also where they use a variable
+    unreachable = Grammar(2, "B1", ("B1", "A", "C"), (("A", (1,)), ("C", ("A", 2))))
+    with pytest.warns(UserWarning):
+        rows = build_extended_formulation(unreachable).constraints
+    assert rows == (
+        ("src", (), "=", 1),
+        ("c_1", ((1, "y_0"), (-1, "y_1")), "=", 0),
+        ("c_2", ((1, "y_1"),), "=", 0),
+    )
     with pytest.warns(UserWarning):
         lp = emit_lp(ef)
     parsed = parse_lp(lp)
@@ -344,6 +415,11 @@ def test_matrix_projection(c4):
     trees = enumerate_parse_trees(gr)
     point = lift_parse_tree(ef, trees[0])
     w = parse_tree_yield(gr, trees[0])
-    for (i, sym), terms in ef.matrix_projection.items():
-        val = sum(point[v] for _, v in terms)
-        assert val == (1 if w.symbols[i - 1] == sym else 0)
+    z = project_point(ef, point)
+    for (_, ((_, name), *_), _, _), val in zip(ef.projection, z):
+        _, i, sym = name.split("_")
+        assert val == (1 if w.symbols[int(i) - 1] == int(sym) else 0)
+    # the projection has no x coordinates, so a point cannot be fixed;
+    # `check` on the same LP file exits 2
+    with pytest.raises(PolytopeError):
+        check_projection_feasibility(ef, w.symbols)
