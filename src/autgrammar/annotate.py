@@ -16,10 +16,17 @@ which automorphisms preserve, and join_annotations enumerates each child's
 annotations only as extensions of its parent's images on their shared
 domain.  Nothing is cached between calls: the colouring is computed once
 per call and dropped with the annotations.
+
+The search and the join hold an annotation of bag S as its image tuple
+over the sorted domain N[S], and the grammar builders read images from
+those tuples.  AnnotatedBag, which pairs each domain vertex with its
+image, is the public type: enumerate_annotated_bags and
+enumerate_assignments wrap the tuples in it at their boundary.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import PreconditionError
@@ -98,7 +105,9 @@ def enumerate_annotated_bags(g: Graph, s) -> list[AnnotatedBag]:
         raise AnnotationError("empty bag has no annotations")
     for v in bag:
         g._check_vertex(v)
-    return _Search(g).annotations(bag, (), [()])
+    dom = closed_neighborhood(g, bag)
+    found = _Search(g).annotations(bag, (), [()])
+    return [AnnotatedBag(bag, tuple(zip(dom, images))) for images in found]
 
 
 class _Search:
@@ -115,12 +124,13 @@ class _Search:
         self.adjacent = {v: frozenset(ns) for v, ns in g.neighbors.items()}
         self.closed = {v: ns | {v} for v, ns in self.adjacent.items()}
 
-    def annotations(self, bag: tuple[int, ...], pinned: tuple[int, ...], keys) -> list[AnnotatedBag]:
+    def annotations(self, bag: tuple[int, ...], pinned: tuple[int, ...], keys) -> list[tuple[int, ...]]:
         """The annotations of the sorted bag that map the vertices pinned,
-        a part of its domain, to one of the keys, in enumeration order.
-        Each key is the image of pinned under some colour-preserving
-        partial isomorphism (join_annotations passes a parent's images on
-        the shared domain), so the pinned vertices need no check among
+        a part of its domain, to one of the keys, as image tuples over the
+        sorted domain N[bag], in enumeration (lexicographic) order.  Each
+        key is the image of pinned under some colour-preserving partial
+        isomorphism (join_annotations passes a parent's images on the
+        shared domain), so the pinned vertices need no check among
         themselves.
 
         The other bag vertices are placed first, then the other boundary
@@ -171,7 +181,7 @@ class _Search:
             used.update(key)
             extend(0, None)
         found.sort()
-        return [AnnotatedBag(bag, tuple(zip(dom, images))) for images in found]
+        return found
 
 
 def consistent_bags(parent: AnnotatedBag, child: AnnotatedBag) -> bool:
@@ -240,17 +250,28 @@ def annotation_morphism(g: Graph, a: AnnotationAssignment) -> Permutation:
     return sigma
 
 
-def join_annotations(g: Graph, t: TreeDecomposition) -> tuple[dict, dict]:
-    """(ann, links): ann[p] lists, in enumeration order, the annotations of
-    the bag at p that take part in some consistent annotation of the whole
-    tree; links[p][i] holds, per child c of p, the indices into ann[c] of
-    those consistent with ann[p][i].
+def _images_on(ks: list[int]):
+    """The function taking an image tuple to its images at indices ks, as
+    a tuple: itemgetter, which returns a bare item for one index and takes
+    no empty list, where it can."""
+    if len(ks) > 1:
+        return operator.itemgetter(*ks)
+    return lambda images: tuple([images[k] for k in ks])
+
+
+def join_annotations(g: Graph, t: TreeDecomposition) -> tuple[dict, dict, dict]:
+    """(dom, ann, links): dom[p] is the sorted domain N[S_p] of the bag at
+    p; ann[p] lists, in enumeration order, the image tuples over dom[p] of
+    the annotations of that bag that take part in some consistent
+    annotation of the whole tree; links[p][i] holds, per child c of p, the
+    indices into ann[c] of those consistent with ann[p][i].
 
     Annotations at p and c are consistent when their images agree on the
-    shared domain N[S_p] & N[S_c], which is fixed.  The search runs top
-    down: the root's colour-preserving annotations, then each child's only
-    as extensions of the distinct images its parent's annotations give on
-    the shared domain.  A bottom-up pass then keeps the annotations with a
+    shared domain N[S_p] & N[S_c], which is fixed, so an annotation's join
+    key is its image tuple read at the shared domain's indices.  The
+    search runs top down: the root's colour-preserving annotations, then
+    each child's only as extensions of the distinct keys its parent's
+    annotations give.  A bottom-up pass then keeps the annotations with a
     partner in every child, one dict lookup per parent annotation, and a
     top-down pass those a surviving parent reaches: Yannakakis' full
     reducer (VLDB 1981).  An annotation's index is its rank among the
@@ -258,29 +279,25 @@ def join_annotations(g: Graph, t: TreeDecomposition) -> tuple[dict, dict]:
     search = _Search(g)
     dom = {p: closed_neighborhood(g, t.bag(p)) for p in t.positions}
     ann = {ROOT: search.annotations(t.bag(ROOT), (), [()])}
-    at: dict = {}  # c -> where the shared domain sits in dom[parent], dom[c]
-
-    def images_at(p, ks: list[int]) -> list[tuple[int, ...]]:
-        return [tuple(b.phi[k][1] for k in ks) for b in ann[p]]
-
+    parent_keys: dict = {}  # c -> the key of each annotation at c's parent
+    child_key: dict = {}  # c -> the key function of the annotations at c
     for p in t.positions:  # parents before children
         for c in t.children(p):
             shared = set(dom[p]) & set(dom[c])
-            at[c] = (
-                [k for k, v in enumerate(dom[p]) if v in shared],
-                [k for k, v in enumerate(dom[c]) if v in shared],
-            )
+            parent_key = _images_on([k for k, v in enumerate(dom[p]) if v in shared])
+            child_key[c] = _images_on([k for k, v in enumerate(dom[c]) if v in shared])
+            parent_keys[c] = list(map(parent_key, ann[p]))
             pinned = tuple(v for v in dom[c] if v in shared)  # sorted, as in dom[p]
-            ann[c] = search.annotations(t.bag(c), pinned, set(images_at(p, at[c][0])))
+            ann[c] = search.annotations(t.bag(c), pinned, set(parent_keys[c]))
     links: dict = {}
     for p in reversed(t.positions):  # children before parents
         columns = []
         for c in t.children(p):
-            child_keys = images_at(c, at[c][1])
+            key, images = child_key[c], ann[c]
             buckets: dict = {}
             for j in links[c]:
-                buckets.setdefault(child_keys[j], []).append(j)
-            columns.append([buckets.get(key, ()) for key in images_at(p, at[c][0])])
+                buckets.setdefault(key(images[j]), []).append(j)
+            columns.append([buckets.get(k, ()) for k in parent_keys.pop(c)])
         partners = zip(*columns) if columns else ((),) * len(ann[p])
         links[p] = {i: ps for i, ps in enumerate(partners) if all(ps)}
     for p in t.positions:  # parents before children
@@ -296,7 +313,7 @@ def join_annotations(g: Graph, t: TreeDecomposition) -> tuple[dict, dict]:
         ]
         for p in t.positions
     }
-    return survivors, ranked
+    return dom, survivors, ranked
 
 
 def enumerate_assignments(g: Graph, t: TreeDecomposition):
@@ -305,7 +322,7 @@ def enumerate_assignments(g: Graph, t: TreeDecomposition):
     report = validate_tree_decomposition(g, t)
     if not report.ok:
         raise AnnotationError(f"decomposition invalid: {report.violations}")
-    ann, links = join_annotations(g, t)
+    dom, ann, links = join_annotations(g, t)
     positions = t.positions  # preorder: parents precede children
     slot = {c: (p, k) for p in positions for k, c in enumerate(t.children(p))}
     chosen: dict = {}
@@ -317,7 +334,9 @@ def enumerate_assignments(g: Graph, t: TreeDecomposition):
             continue
         chosen[positions[len(stack) - 1]] = i
         if len(stack) == len(positions):
-            yield make_assignment(t, {p: ann[p][chosen[p]] for p in positions})
+            yield make_assignment(t, {
+                p: AnnotatedBag(t.bag(p), tuple(zip(dom[p], ann[p][chosen[p]]))) for p in positions
+            })
         else:
             par, k = slot[positions[len(stack)]]
             stack.append(iter(links[par][chosen[par]][k]))

@@ -5,7 +5,10 @@ Exit codes: 0 success, 1 validation mismatch, 2 usage error, 3 precondition
 violation.  Every failure prints a single machine-parsable line on stderr.
 
 Layering: each command handler imports the layers it runs, so a process
-loads only those, and `--help` or a usage error loads none.  Every
+loads only those, and `--help` or a usage error loads none.  A handler
+checks each argument it can check without a file before it reads one (so
+a bad argument is reported even when a file is bad too), and reads each
+file before it imports the layer that parses it.  Every
 precondition error derives from `autgrammar.PreconditionError`, defined in
 the package itself, so mapping errors to exit codes loads no layer either.
 """
@@ -43,28 +46,31 @@ def _write(path: str, text: str) -> None:
 
 
 def _load_graph(path: str):
+    text = _read(path)
     from .graph import GraphError, parse_graph
 
     try:
-        return parse_graph(_read(path))
+        return parse_graph(text)
     except GraphError as e:
         raise _UsageError(f"bad graph file {path}: {e}") from None
 
 
 def _load_grammar(path: str):
+    text = _read(path)
     from . import grammar as gmod
 
     try:
-        return gmod.grammar_from_json(_read(path))
+        return gmod.grammar_from_json(text)
     except gmod.GrammarError as e:
         raise _UsageError(f"bad grammar file {path}: {e}") from None
 
 
 def _load_lp(path: str):
+    text = _read(path)
     from . import polytope
 
     try:
-        return polytope.parse_lp(_read(path))
+        return polytope.parse_lp(text)
     except polytope.PolytopeError as e:
         raise _UsageError(f"bad LP file {path}: {e}") from None
 
@@ -117,21 +123,16 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_build(args) -> int:
+    g = _load_graph(args.graph)
+    td = _load_td(args.td) if args.td else None
     from . import decomp, grammar as gmod
     from .perm import format_permutation
 
-    g = _load_graph(args.graph)
     if args.path:
-        if args.td:
-            pd = _load_td(args.td)
-        else:
-            pd = decomp.compute_path_decomposition(g)
+        pd = td if td is not None else decomp.compute_path_decomposition(g)
         alpha, gr = gmod.build_regular_aut_grammar(g, pd)
     else:
-        if args.td:
-            t0 = _load_td(args.td)
-        else:
-            t0 = decomp.compute_tree_decomposition(g, args.strategy)
+        t0 = td if td is not None else decomp.compute_tree_decomposition(g, args.strategy)
         t, _ = decomp.make_permutation_yielding(g, t0)  # validates a .td input
         alpha, gr = gmod.build_aut_grammar(g, t)
     _write(args.out, gmod.grammar_to_json(gr))
@@ -140,21 +141,18 @@ def _cmd_build(args) -> int:
 
 
 def _load_td(path: str):
+    text = _read(path)
     from . import decomp
 
     try:
-        return decomp.read_pace_td(_read(path))
+        return decomp.read_pace_td(text)
     except decomp.TdParseError as e:
         raise _UsageError(f"bad td file {path}: {e}") from None
 
 
 def _cmd_embed(args) -> int:
-    from . import grammar as gmod
     from .perm import PermError, format_permutation, parse_permutation
 
-    g = _load_graph(args.graph)
-    if not 1 <= args.keep <= g.vertex_count:
-        raise _UsageError(f"--keep must be in 1..{g.vertex_count}, got {args.keep}")
     beta = None
     if args.beta is not None:
         try:
@@ -163,6 +161,11 @@ def _cmd_embed(args) -> int:
             raise _UsageError(f"bad --beta: {e}") from None
         if beta.size != args.keep:
             raise _UsageError(f"--beta must permute 1..{args.keep}")
+    g = _load_graph(args.graph)
+    if not 1 <= args.keep <= g.vertex_count:
+        raise _UsageError(f"--keep must be in 1..{g.vertex_count}, got {args.keep}")
+    from . import grammar as gmod
+
     alpha, gr = gmod.build_embedded_group_grammar(
         g, args.keep, beta, check_invariance=not args.unchecked
     )
@@ -172,9 +175,9 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    gr = _load_grammar(args.grammar)
     from . import grammar as gmod
 
-    gr = _load_grammar(args.grammar)
     size = gmod.grammar_size(gr)
     print(f"rules: {len(gr.rules)}")
     print(f"variables: {len(gr.variables)}")
@@ -184,12 +187,12 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_enum(args) -> int:
-    from . import grammar as gmod
-    from .perm import format_word
-
     if args.cap < 0:
         raise _UsageError(f"--cap must be non-negative, got {args.cap}")
     gr = _load_grammar(args.grammar)
+    from . import grammar as gmod
+    from .perm import format_word
+
     result = gmod.enumerate_language(gr, cap=args.cap)
     sys.stdout.writelines(format_word(w) + "\n" for w in result.words)
     if result.truncated:
@@ -198,30 +201,31 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    gr = _load_grammar(args.grammar)
     from . import grammar as gmod
 
-    gr = _load_grammar(args.grammar)
     print(gmod.count_parse_trees(gr))
     return 0
 
 
 def _cmd_member(args) -> int:
-    from . import grammar as gmod
     from .perm import PermError, parse_word
 
-    gr = _load_grammar(args.grammar)
     try:
         w = parse_word(args.word)
     except PermError as e:
         raise _UsageError(f"bad --word: {e}") from None
+    gr = _load_grammar(args.grammar)
+    from . import grammar as gmod
+
     print("true" if gmod.membership(gr, w) else "false")
     return 0
 
 
 def _cmd_lift(args) -> int:
+    gr = _load_grammar(args.grammar)
     from . import polytope
 
-    gr = _load_grammar(args.grammar)
     ef = polytope.build_extended_formulation(gr, style="matrix" if args.matrix else "value")
     _write(args.out, polytope.emit_lp(ef))
     return 0
@@ -230,11 +234,11 @@ def _cmd_lift(args) -> int:
 def _cmd_check(args) -> int:
     from . import polytope
 
-    parsed = _load_lp(args.model)
     try:
         values = [polytope.parse_number(tok) for tok in args.point.split()]
     except polytope.PolytopeError as e:
         raise _UsageError(f"bad --point {_quote(args.point)}: {e}") from None
+    parsed = _load_lp(args.model)
     names = {v for _, terms, _, _ in parsed.constraints for _, v in terms}
     xs = sorted(
         (v for v in names if v.startswith("x_") and v[2:].isdigit()), key=lambda v: int(v[2:])
@@ -248,10 +252,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    g = _load_graph(args.graph)
     from . import annotate, decomp, grammar as gmod, oracle
     from .perm import permute_word, to_string_word
 
-    g = _load_graph(args.graph)
     auts = oracle.brute_force_automorphisms(g)
     t0 = decomp.compute_tree_decomposition(g, args.strategy)
     t, _ = decomp.make_permutation_yielding(g, t0)

@@ -30,6 +30,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import PreconditionError, _quote
@@ -57,10 +58,16 @@ class Grammar:
     accepts_empty: bool = False
 
     def __post_init__(self):
+        # only what the JSON format holds: a string per variable, a plain
+        # int (not a bool, which is an int subclass) for every number
+        if type(self.sigma_max) is not int:
+            raise GrammarError(f"sigma_max {_quote(self.sigma_max)} is not an integer")
         if self.sigma_max < 0:
             raise GrammarError(f"sigma_max {_quote(self.sigma_max)} is negative")
         declared: set[str] = set()
         for v in self.variables:
+            if not isinstance(v, str):
+                raise GrammarError(f"variable {_quote(v)} is not a string")
             if v in declared:
                 raise GrammarError(f"variable {_quote(v)} declared twice")
             declared.add(v)
@@ -73,9 +80,9 @@ class Grammar:
                 if isinstance(x, str):
                     if x not in declared:
                         raise GrammarError(f"rhs variable {_quote(x)} not declared")
-                elif not 1 <= x <= self.sigma_max:
+                elif type(x) is not int or not 1 <= x <= self.sigma_max:
                     raise GrammarError(
-                        f"terminal {_quote(x)} outside 1..{_quote(self.sigma_max)}"
+                        f"terminal {_quote(x)} is not an integer in 1..{_quote(self.sigma_max)}"
                     )
 
 
@@ -275,22 +282,23 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
         raise GrammarError(f"invalid decomposition: {report.violations[0].message}")
     if not is_permutation_yielding(g, t):
         raise GrammarError("decomposition is not permutation yielding")
-    ann, links = join_annotations(g, t)
+    dom, ann, links = join_annotations(g, t)
     # one variable per surviving annotation, in position order: p:<pos>|b:<i>
-    # stands for ann[p][i]
+    # stands for the image tuple ann[p][i] over dom[p]
     name = {p: [f"p:{_pos_str(p)}|b:{i}" for i in range(len(ann[p]))] for p in t.positions}
     variables = ("B1", *(v for p in t.positions for v in name[p]))
     rules: list = [("B1", (v,)) for v in name[ROOT]]
     for p in t.positions:
         kids = t.children(p)
-        for i, partners in enumerate(links[p]):
-            if kids:
+        if kids:
+            for i, partners in enumerate(links[p]):
                 rules.extend(
                     (name[p][i], tuple(name[c][j] for c, j in zip(kids, combo)))
                     for combo in itertools.product(*partners)
                 )
-            else:
-                rules.append((name[p][i], (ann[p][i].maps(t.bag(p)[0]),)))
+        else:  # a leaf writes the image of its one vertex
+            k = dom[p].index(t.bag(p)[0])
+            rules.extend((v, (images[k],)) for v, images in zip(name[p], ann[p]))
     return yield_order_of(t), Grammar(g.vertex_count, "B1", variables, tuple(rules))
 
 
@@ -312,14 +320,14 @@ def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutat
     order = introduced_order(g, pd)
     n = g.vertex_count
     chain = pd.positions  # path shaped: the root, then one child per level
-    ann, links = join_annotations(g, pd)
+    dom, ann, links = join_annotations(g, pd)
     alpha = Permutation(tuple(order))
 
     def state(i: int, j: int) -> str:
         return f"q:{i}|b:{j}"
 
-    # one variable per surviving annotation: q:<i>|b:<j> stands for
-    # ann[chain[i - 2]][j]
+    # one variable per surviving annotation: q:<i>|b:<j> stands for the
+    # image tuple ann[chain[i - 2]][j] over dom[chain[i - 2]]
     variables = ["B1"]
     for i in range(2, n + 1):
         variables.extend(state(i, j) for j in range(len(ann[chain[i - 2]])))
@@ -330,9 +338,10 @@ def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutat
             steps = [("B1", range(len(ann[ROOT])))]
         else:
             steps = [(state(i, j), nxt) for j, (nxt,) in enumerate(links[chain[i - 2]])]
+        images, k = ann[chain[i - 1]], dom[chain[i - 1]].index(order[i - 1])
         for lhs, nxt in steps:
             for j2 in nxt:
-                emit = ann[chain[i - 1]][j2].maps(order[i - 1])
+                emit = images[j2][k]
                 rules.append((lhs, (emit, state(i + 1, j2)) if i < n else (emit,)))
     return alpha, Grammar(g.vertex_count, "B1", tuple(variables), tuple(rules))
 
@@ -544,18 +553,39 @@ def parse_tree_yield(gr: Grammar, t: ParseTree) -> Word:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization: deterministic key and array order.
+# JSON serialization.  The layout is fixed: the keys sigma_max, start,
+# variables and rules in that order, then "accepts_empty": true only when
+# that flag is set, laid out byte for byte as json.dumps(doc, indent=1)
+# lays out that document, plus a final newline.  grammar_to_json writes it
+# directly, since with an indent json.dumps runs its pure-Python encoder;
+# strings go through the C string quoter that json.dumps itself uses.
+
+def _json_array(items: list[str], indent: str) -> str:
+    """A JSON array of encoded items, laid out as by json.dumps(indent=1)
+    at the nesting depth len(indent)."""
+    if not items:
+        return "[]"
+    inner = "\n " + indent
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
 
 def grammar_to_json(gr: Grammar) -> str:
-    doc: dict = {
-        "sigma_max": gr.sigma_max,
-        "start": gr.start,
-        "variables": list(gr.variables),
-        "rules": [[lhs, list(rhs)] for lhs, rhs in gr.rules],
-    }
-    if gr.accepts_empty:
-        doc["accepts_empty"] = True
-    return json.dumps(doc, indent=1) + "\n"
+    quote = encode_basestring_ascii
+    rules = [
+        _json_array(
+            [quote(lhs), _json_array([quote(x) if isinstance(x, str) else str(x) for x in rhs], "   ")],
+            "  ",
+        )
+        for lhs, rhs in gr.rules
+    ]
+    return "".join((
+        '{\n "sigma_max": ', str(gr.sigma_max),
+        ',\n "start": ', quote(gr.start),
+        ',\n "variables": ', _json_array(list(map(quote, gr.variables)), " "),
+        ',\n "rules": ', _json_array(rules, " "),
+        ',\n "accepts_empty": true' if gr.accepts_empty else "",
+        "\n}\n",
+    ))
 
 
 def grammar_from_json(text: str) -> Grammar:

@@ -535,28 +535,27 @@ def _parse_row(line: str):
     rel = toks[rel_at]
     rhs = parse_number(toks[-1])
     terms: list[tuple[Fraction, str]] = []
-    sign = Fraction(1)
-    coef: Fraction | None = None
+    sign = 1
+    coef: Fraction | None = None  # the number read since the last sign or name
     constant = Fraction(0)
     for t in toks[:rel_at]:
-        if t == "+":
+        if t == "+" or t == "-":
             if coef is not None:
                 constant += sign * coef
-            sign, coef = Fraction(1), None
-        elif t == "-":
-            if coef is not None:
-                constant += sign * coef
-            sign, coef = Fraction(-1), None
+            sign, coef = (1 if t == "+" else -1), None
         elif _NUMBER_START.match(t):  # a malformed number is an error, not a name
             if coef is not None:
                 constant += sign * coef
             coef = parse_number(t)
         else:
-            terms.append((sign * (coef if coef is not None else 1), t))
-            sign, coef = Fraction(1), None
+            terms.append((_SIGNED_ONE[sign] if coef is None else coef if sign == 1 else -coef, t))
+            sign, coef = 1, None
     if coef is not None:
         constant += sign * coef
-    return (name.strip(), tuple(terms), rel, rhs - constant)
+    return (name.strip(), tuple(terms), rel, rhs - constant if constant else rhs)
+
+
+_SIGNED_ONE = {1: Fraction(1), -1: Fraction(-1)}  # a term's coefficient when no number precedes it
 
 
 _NUMBER_START = re.compile(r"[-+]?\.?\d")  # how every token Fraction reads starts
@@ -566,6 +565,8 @@ _EXPONENT = re.compile(r"[-+]?(?=\.?\d)[\d_.]*[eE][-+]?([\d_]+)")  # as Fraction
 def _fraction(tok: str) -> Fraction:
     """Fraction(tok) with a decimal exponent of at most four digits:
     Fraction expands it exactly, so 1e10000000 alone takes seconds."""
+    if tok.isdigit() and tok.isascii():  # the usual token, read without Fraction's regex
+        return Fraction(int(tok))
     exponent = _EXPONENT.fullmatch(tok)
     if exponent and len(exponent.group(1)) > 4:
         raise PolytopeError(f"exponent of {_quote(tok)} has more than 4 digits")

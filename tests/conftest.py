@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 
 import pytest
 
@@ -61,6 +62,20 @@ def random_connected_graph(rng, n: int) -> Graph:
         g = Graph(n, edges)
         if is_connected(g):
             return g
+
+
+def json_reference(gr) -> str:
+    """What grammar_to_json must write: the document json.dumps lays out
+    with indent=1, plus a final newline."""
+    doc = {
+        "sigma_max": gr.sigma_max,
+        "start": gr.start,
+        "variables": list(gr.variables),
+        "rules": [[lhs, list(rhs)] for lhs, rhs in gr.rules],
+    }
+    if gr.accepts_empty:
+        doc["accepts_empty"] = True
+    return json.dumps(doc, indent=1) + "\n"
 
 
 @functools.lru_cache(maxsize=None)

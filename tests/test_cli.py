@@ -153,6 +153,18 @@ def test_member(c4_file, tmp_path):
     assert r.stdout.strip() == "false"
 
 
+def test_bad_argument_wins_over_bad_file(tmp_path):
+    missing = str(tmp_path / "missing")
+    for args, reason in (
+        (("member", missing, "--word", "1 x"), "bad --word"),
+        (("check", missing, "--point", "1 x"), "bad --point"),
+        (("embed", "--graph", missing, "--keep", "2", "--beta", "1 x", "--out", "e.json"), "bad --beta"),
+    ):
+        r = run_cli(*args)
+        assert (r.returncode, r.stdout) == (2, ""), args
+        assert r.stderr.startswith(f"error: {reason}") and len(r.stderr.splitlines()) == 1, r.stderr
+
+
 def test_lift_and_check(c4_file, tmp_path):
     out = str(tmp_path / "g.json")
     model = str(tmp_path / "model.lp")

@@ -53,7 +53,7 @@ from autgrammar.perm import (
     to_string_word,
 )
 from autgrammar.polytope import build_extended_formulation, lift_parse_tree
-from conftest import cubic8, oracle_annotations, path_graph, random_connected_graph
+from conftest import cubic8, json_reference, oracle_annotations, path_graph, random_connected_graph
 
 
 def aut_grammar(g):
@@ -411,6 +411,44 @@ def test_json_round_trip(c4):
     assert grammar_from_json(json.dumps(doc)) == gr
 
 
+def test_json_writer_matches_json_dumps(corpus):
+    odd = 'q"\\\n\u00e9\u03bb'  # a quote, a backslash, a newline, non-ASCII letters
+    grammars = [
+        Grammar(2, "S", ("S",), ()),  # no rules
+        Grammar(2, "S", ("S", "A"), (("S", ()), ("S", ("A", 1)), ("A", (2, 1)))),  # an epsilon rule
+        Grammar(1, "S", ("S",), (("S", (1,)),), accepts_empty=True),
+        Grammar(0, "S", ("S", "T"), (("S", ("T",)), ("T", ()))),  # sigma_max 0
+        Grammar(1, odd, (odd, "B\t"), ((odd, ("B\t", 1)), ("B\t", ()))),
+    ]
+    for g in corpus.values():
+        grammars.append(aut_grammar(g)[1])
+        grammars.append(build_regular_aut_grammar(g, compute_path_decomposition(g))[1])
+    for gr in grammars:
+        assert grammar_to_json(gr) == json_reference(gr), gr
+        assert grammar_from_json(grammar_to_json(gr)) == gr
+
+
+def test_grammar_holds_only_json_types():
+    for bad in (
+        lambda: Grammar(True, "S", ("S",), ()),
+        lambda: Grammar(2.0, "S", ("S",), ()),
+        lambda: Grammar(2, "S", ("S",), (("S", (True,)),)),
+        lambda: Grammar(2, "S", ("S",), (("S", (1.0,)),)),
+        lambda: Grammar(2, "S", ("S", 5), (("S", (1,)), (5, (2,)))),
+    ):
+        with pytest.raises(GrammarError):
+            bad()
+
+
+def test_json_bytes_pinned():
+    gr = Grammar(2, "S", ("S", "A"), (("S", ("A", 2)), ("A", ())), accepts_empty=True)
+    assert grammar_to_json(gr) == (
+        '{\n "sigma_max": 2,\n "start": "S",\n "variables": [\n  "S",\n  "A"\n ],\n'
+        ' "rules": [\n  [\n   "S",\n   [\n    "A",\n    2\n   ]\n  ],\n  [\n   "A",\n   []\n  ]\n ],\n'
+        ' "accepts_empty": true\n}\n'
+    )
+
+
 def test_json_rejects_garbage():
     with pytest.raises(GrammarError):
         grammar_from_json("{not json")
@@ -550,9 +588,14 @@ def test_join_matches_all_pairs_reference(corpus):
     for name, g in graphs:
         t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, "min-fill"))
         pd = compute_path_decomposition(g)
-        # variable <head>|b:<i> stands for join_annotations(...)[0][p][i],
-        # with p the position that <head> names
-        ann, pann = join_annotations(g, t)[0], join_annotations(g, pd)[0]
+        # variable <head>|b:<i> stands for the i-th surviving image tuple
+        # over dom[p], with p the position that <head> names
+        def survivors(d):
+            dom, images, _ = join_annotations(g, d)
+            return {p: [AnnotatedBag(d.bag(p), tuple(zip(dom[p], im))) for im in images[p]]
+                    for p in d.positions}
+
+        ann, pann = survivors(t), survivors(pd)
         chain = pd.positions
         for gr, (ref, ref_bags), bags in (
             (build_aut_grammar(g, t)[1], reference_aut_grammar(g, t),

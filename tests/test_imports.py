@@ -81,6 +81,23 @@ def test_build_loads_no_oracle_or_polytope(files, path):
     assert not modules & {"oracle", "polytope"}
 
 
+@pytest.mark.parametrize(
+    "args, loaded",
+    [
+        (["stats", "missing.json"], {"cli"}),
+        (["member", "missing.json", "--word", "1 2"], {"cli", "perm"}),
+        (["lift", "missing.json", "--out", "x.lp"], {"cli"}),
+        (["check", "missing.lp", "--point", "1 2"], {"cli", "polytope"}),
+        (["build", "--graph", "missing.edges", "--out", "x.json"], {"cli"}),
+        (["validate", "--graph", "missing.edges"], {"cli"}),
+    ],
+    ids=["stats", "member", "lift", "check", "build", "validate"],
+)
+def test_unreadable_file_loads_no_parser(tmp_path, args, loaded):
+    args = [str(tmp_path / a) if a.startswith("missing") else a for a in args]
+    assert loaded_by(*args) == (2, loaded)
+
+
 def test_public_names_resolve():
     for name in autgrammar.__all__:
         assert getattr(autgrammar, name) is not None, name

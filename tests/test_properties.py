@@ -18,9 +18,11 @@ from autgrammar.grammar import (
     build_regular_aut_grammar,
     count_parse_trees,
     enumerate_language,
+    grammar_to_json,
 )
 from autgrammar.oracle import brute_force_automorphisms
 from autgrammar.perm import permute_word, to_string_word
+from conftest import json_reference
 
 
 MAX_GROUP = 1440
@@ -54,3 +56,4 @@ def test_builders_match_oracle(g):
         expected = sorted(permute_word(to_string_word(s), alpha) for s in auts)
         assert list(enumerate_language(gr).words) == expected
         assert count_parse_trees(gr) == len(auts)
+        assert grammar_to_json(gr) == json_reference(gr)
