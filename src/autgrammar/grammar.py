@@ -15,7 +15,7 @@ hence with automorphisms.  A word w produced for automorphism s satisfies
 w_i = s(alpha(i)) where alpha spells the leaf vertex order, so the language
 is exactly the string set of the group repositioned by alpha.
 
-Layering: the read side (JSON, the semiring pass `_evaluate` and what is
+Layering: the read side (JSON, the semiring pass `_evaluator` and what is
 built on it: counting, enumeration, membership, size, regularity and the
 transforms) imports no builder layer.  The three builders import `annotate`,
 `decomp`, `graph` and `oracle` inside their own bodies, so a process that
@@ -151,27 +151,39 @@ def _rules_by_lhs(gr: Grammar) -> dict[str, list]:
     return table
 
 
-def _evaluate(gr: Grammar, weight, leaf, times, plus) -> dict:
+def _evaluator(gr: Grammar):
     """One bottom-up pass over the variables in topological order, valued in
-    a semiring (Goodman, "Semiring parsing", 1999).
+    a semiring (Goodman, "Semiring parsing", 1999), as a function of the
+    semiring: the order and the rules by lhs are worked out once, so a
+    caller that runs many passes over one grammar pays for them once.
 
     A rule's value folds its rhs with times, starting from weight(rule
     index): a terminal a contributes leaf(a), a variable the value already
     computed for it.  A variable's value is plus over the values of its
     rules, which plus receives as an iterable (empty for no rules)."""
     table = _rules_by_lhs(gr)
-    value: dict = {}
+    order = topological_variables(gr)
 
-    def rule_values(v: str):
-        for r, rhs in table[v]:
-            acc = weight(r)
-            for x in rhs:
-                acc = times(acc, value[x] if isinstance(x, str) else leaf(x))
-            yield acc
+    def run(weight, leaf, times, plus) -> dict:
+        value: dict = {}
 
-    for v in topological_variables(gr):
-        value[v] = plus(rule_values(v))
-    return value
+        def rule_values(v: str):
+            for r, rhs in table[v]:
+                acc = weight(r)
+                for x in rhs:
+                    acc = times(acc, value[x] if isinstance(x, str) else leaf(x))
+                yield acc
+
+        for v in order:
+            value[v] = plus(rule_values(v))
+        return value
+
+    return run
+
+
+def _evaluate(gr: Grammar, weight, leaf, times, plus) -> dict:
+    """A single pass of `_evaluator`."""
+    return _evaluator(gr)(weight, leaf, times, plus)
 
 
 def _union(sets) -> set:

@@ -3,28 +3,41 @@ positional grammar, with exact rational feasibility checks.
 
 One flow variable per rule instance; one unit leaves the start variable,
 and flow is conserved at every other variable.  Because the grammars built
-by this package give every variable a single fixed span, integral flows are
-exactly parse trees and the projection x_i (the symbol value written at
-word position i) maps the flow polytope onto the convex hull of the word
+by this package give every variable a single fixed span, the flow polytope
+is integral (Martin, Rardin & Campbell, 1990), integral flows are exactly
+parse trees, and the projection x_i (the symbol value written at word
+position i) maps the flow polytope onto the convex hull of the word
 vectors.
 
 The extended formulation is an LP: `ExtendedFormulation` holds its rows in
-the form `parse_lp` returns them, so `parse_lp(emit_lp(ef)) == ef.lp`, and
-a point of the projection is decided by the one path that decides a point
-of an LP file, `check_lp_feasibility`.  That path works over Fractions: an
-exact doubleton presolve, which removes nearly every flow row, then a
-phase-1 simplex on what is left, with Bland's rule guarding against
-cycling; no floating point enters any verdict.  The emitted LP is always
-the full formulation.
+the form `parse_lp` returns them, so `parse_lp(emit_lp(ef)) == ef.lp`.  The
+emitted LP is always the full formulation.
+
+A point is decided on two independent paths, both over Fractions, so no
+floating point enters any verdict:
+
+- a projection point (`check_projection_feasibility`) by column generation
+  over words: x is a member exactly when it is a convex combination of
+  words, a master LP of n + 1 rows whose columns a max-plus pass over the
+  grammar prices, so the flow LP is never built;
+- a point of an LP file (`check_lp_feasibility`, the `check` command),
+  which has no grammar, by an exact doubleton presolve that removes nearly
+  every flow row, then a phase-1 simplex on what is left, with Bland's
+  rule guarding against cycling.
+
+The two agree exactly when the flow polytope projects onto conv(words),
+so their agreement tests that claim directly.
 
 Layering: the LP-file path (`parse_lp`, `check_lp_feasibility`, the
-presolve and the simplex) imports nothing from `grammar`.  Only
-`build_extended_formulation` and `lift_parse_tree` import it, inside their
-bodies, so deciding a point of an LP file never loads the grammar layer.
+presolve and the simplex) imports nothing from `grammar`.  Only the
+functions that take a formulation import it, inside their bodies, so
+deciding a point of an LP file never loads the grammar layer.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -193,14 +206,112 @@ def project_point(ef: ExtendedFormulation, point: dict) -> tuple[Fraction, ...]:
 
 
 def check_projection_feasibility(ef: ExtendedFormulation, x) -> bool:
-    """Exact membership of the point x in the projected polytope: the LP
-    of `emit_lp` with x_1..x_n fixed, decided as `check` decides it."""
-    point = {f"x_{i}": Fraction(v) for i, v in enumerate(x, start=1)}
-    if len(point) != ef.word_length:
-        raise PolytopeError(f"point has dimension {len(point)}, expected {ef.word_length}")
-    if any(defined not in point for _, ((_, defined), *_), _, _ in ef.projection):
-        raise PolytopeError("a matrix-style formulation has no x coordinates to fix")
-    return check_lp_feasibility(ef.lp, point)
+    """Exact membership of the point x in the projected polytope, which is
+    conv(words): decided by column generation over the grammar's words,
+    not by the LP-file path."""
+    return _projection_verdict(ef, x)[0]
+
+
+# ---------------------------------------------------------------------------
+# Column generation over words (Dantzig & Wolfe, 1960): x is in conv(words)
+# exactly when the master LP  sum_w lambda_w (w, 1) = (x, 1), lambda >= 0,
+# is feasible.  It has n + 1 rows and a column per word, and a max-plus
+# pass over the grammar finds the best column, so the flow LP is not built.
+
+def _projection_verdict(ef: ExtendedFormulation, x) -> tuple[bool, tuple]:
+    """The verdict on x with a certificate of it.
+
+    Feasible: (weight, word) pairs, at most n + 1, with positive weights
+    summing to 1 and sum of weight * word equal to x.  Infeasible: integer
+    multipliers pi of the rows (x, 1) with pi . (x, 1) > 0 >= pi . (w, 1)
+    for every word w, which no convex combination of words can meet.
+
+    Phase 1 minimises the sum of one artificial per row over Fractions,
+    with each row of negative rhs negated, a dense basis inverse and the
+    lexicographic ratio test (Dantzig, Orden & Wolfe, 1955), under which
+    no basis repeats whichever improving word enters.  Each round prices
+    every word at once: with pi scaled to integers, a rule weighs pi_i * a
+    summed over the positions i and symbols a it writes, and the max-plus
+    pass yields the word of largest pi . (w, 1).  When that is <= 0, pi is
+    the certificate; when no artificial is left positive, x is a member."""
+    from .grammar import _evaluator, _rules_by_lhs
+    from .perm import Word
+
+    target = [Fraction(v) for v in x]
+    n = ef.word_length
+    if len(target) != n:
+        raise PolytopeError(f"point has dimension {len(target)}, expected {n}")
+    rule_of = {y: r for r, y in enumerate(ef.flow_vars)}
+    writes: list[list] = [[] for _ in ef.flow_vars]  # per rule: (position, symbol)
+    for i, (_, ((_, defined), *terms), _, _) in enumerate(ef.projection):
+        if defined != f"x_{i + 1}":
+            raise PolytopeError("a matrix-style formulation has no x coordinates to fix")
+        for coef, y in terms:
+            writes[rule_of[y]].append((i, -coef))
+    gr = ef.grammar
+    if len({lhs for lhs, _ in gr.rules}) < len(gr.variables):
+        # a variable without rules: only the formulation of an empty
+        # language has one, as every variable of another derives a word
+        return False, (0,) * n + (1,)
+    evaluate = _evaluator(gr)
+    by_lhs = _rules_by_lhs(gr)
+    pattern = [(r, i, a) for r, pairs in enumerate(writes) for i, a in pairs]
+
+    m = n + 1
+    sign = [-1 if b < 0 else 1 for b in target] + [1]
+    beta = [abs(b) for b in target] + [Fraction(1)]  # the basic variables' values
+    inverse = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    basis: list = [None] * m  # the word basic in each row; None: its artificial
+    duals = [Fraction(1)] * m  # c_B B^-1 with every artificial basic
+    while True:
+        pi = [s * p for s, p in zip(sign, duals)]  # duals for the rows (x, 1)
+        scale = math.lcm(*(p.denominator for p in pi))
+        pi = [p.numerator * (scale // p.denominator) for p in pi]
+        weight = [0] * len(gr.rules)
+        for r, i, a in pattern:
+            weight[r] += pi[i] * a
+        # max-plus over integers; a rule's weight already counts what it
+        # writes, so a terminal adds 0 (0 * a)
+        score = evaluate(weight.__getitem__, (0).__mul__, operator.add, max)
+        gain = score[gr.start] + pi[n]  # scale * pi . (w, 1) of the best word w
+        if gain <= 0:
+            return False, tuple(pi)
+        word = [0] * n
+        stack = [gr.start]
+        while stack:  # read w top-down through rules that attain the max
+            v = stack.pop()
+            for r, rhs in by_lhs[v]:
+                kids = [x for x in rhs if isinstance(x, str)]
+                if weight[r] + sum(score[x] for x in kids) == score[v]:
+                    break
+            for i, a in writes[r]:
+                word[i] = a
+            stack.extend(kids)
+        column = [s * w for s, w in zip(sign, word + [1])]
+        d = [sum(row[j] * c for j, c in enumerate(column) if c) for row in inverse]
+
+        # the lexicographically smallest row of [beta | inverse] / d_i over d_i > 0
+        rows = [i for i in range(m) if d[i] > 0]
+        for k in range(-1, m):
+            if len(rows) == 1:
+                break
+            ratio = {i: (beta[i] if k < 0 else inverse[i][k]) / d[i] for i in rows}
+            low = min(ratio.values())
+            rows = [i for i in rows if ratio[i] == low]
+        r = rows[0]
+
+        pivot_row = inverse[r] = [v / d[r] for v in inverse[r]]
+        beta[r] /= d[r]
+        for i in range(m):
+            if i != r and d[i]:
+                f = d[i]
+                inverse[i] = [v - f * p for v, p in zip(inverse[i], pivot_row)]
+                beta[i] -= f * beta[r]
+        cost = Fraction(-gain, scale)  # the entering column's reduced cost
+        duals = [p + cost * v for p, v in zip(duals, pivot_row)]
+        basis[r] = Word(tuple(word))
+        if not any(beta[i] for i in range(m) if basis[i] is None):
+            return True, tuple((beta[i], w) for i, w in enumerate(basis) if w is not None and beta[i])
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +630,8 @@ def parse_lp(text: str) -> ParsedLP:
         if section == "rows":
             constraints.append(_parse_row(line))
         elif section == "bounds":
-            var, lo, hi = _parse_bound(line)
-            bounds[var] = (lo, hi)
+            var, span = _parse_bound(line)
+            bounds[var] = span
     return ParsedLP(tuple(constraints), bounds)
 
 
@@ -582,13 +693,16 @@ def parse_number(tok: str) -> Fraction:
 
 
 def _parse_bound(line: str):
+    """(variable, (lo, hi)) of a bound line, hi None for no upper end."""
     toks = line.split()
     if len(toks) == 2 and toks[1].lower() == "free":
-        return toks[0], None, None
+        return toks[0], (None, None)
     if len(toks) == 5 and toks[1] == "<=" and toks[3] == "<=":
-        return toks[2], parse_number(toks[0]), parse_number(toks[4])
+        if toks[0] == "0" and toks[4] == "1":  # what `lift` writes for every flow
+            return toks[2], _UNIT
+        return toks[2], (parse_number(toks[0]), parse_number(toks[4]))
     if len(toks) == 3 and toks[1] == "<=":
-        return toks[0], Fraction(0), parse_number(toks[2])
+        return toks[0], (Fraction(0), parse_number(toks[2]))
     raise PolytopeError(f"unsupported bound line: {_quote(line)}")
 
 

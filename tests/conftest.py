@@ -1,9 +1,11 @@
 import functools
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
+from autgrammar.grammar import enumerate_language, membership
 from autgrammar.graph import Graph, closed_neighborhood, is_connected
 
 
@@ -22,6 +24,18 @@ def complete_graph(n: int) -> Graph:
 def star_graph(leaves: int) -> Graph:
     center = leaves + 1
     return Graph(center, [(i, center) for i in range(1, center)])
+
+
+def grid_graph(rows: int, cols: int) -> Graph:
+    edges = [(cols * i + j, cols * i + j + 1) for i in range(rows) for j in range(1, cols)]
+    edges += [(k, k + cols) for k in range(1, cols * (rows - 1) + 1)]
+    return Graph(rows * cols, edges)
+
+
+def binary_tree(depth: int) -> Graph:
+    """The complete binary tree with 2^(depth+1) - 1 vertices; v's parent is v // 2."""
+    m = 2 ** (depth + 1) - 1
+    return Graph(m, [(v // 2, v) for v in range(2, m + 1)])
 
 
 def cube_graph() -> Graph:
@@ -76,6 +90,33 @@ def json_reference(gr) -> str:
     if gr.accepts_empty:
         doc["accepts_empty"] = True
     return json.dumps(doc, indent=1) + "\n"
+
+
+def check_certificate(gr, x, feasible: bool, certificate) -> None:
+    """Checks a projection verdict's certificate in Fractions, without the
+    pricing pass.  A member's certificate is (weight, word) pairs, at most
+    n + 1, with weights >= 0 summing to 1, whose combination is x, and
+    every word passes `membership`.  A non-member's is multipliers pi of
+    the rows (x, 1) with pi . (x, 1) > 0 >= pi . (w, 1) for every word w
+    that `enumerate_language` lists."""
+    x = [Fraction(v) for v in x]
+    if feasible:
+        assert 0 < len(certificate) <= len(x) + 1
+        weights = [Fraction(weight) for weight, _ in certificate]
+        assert all(weight >= 0 for weight in weights) and sum(weights) == 1
+        for i, xi in enumerate(x):
+            assert sum(weight * w.symbols[i] for weight, (_, w) in zip(weights, certificate)) == xi
+        assert all(membership(gr, w) for _, w in certificate)
+        return
+    pi = [Fraction(p) for p in certificate]
+    assert len(pi) == len(x) + 1
+
+    def value(point) -> Fraction:
+        return sum((p * v for p, v in zip(pi, [*point, 1])), Fraction(0))
+
+    assert value(x) > 0
+    for w in enumerate_language(gr).words:
+        assert len(w) == len(x) and value(w.symbols) <= 0, w
 
 
 @functools.lru_cache(maxsize=None)

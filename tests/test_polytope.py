@@ -27,6 +27,7 @@ from autgrammar.polytope import (
     _phase_one_feasible,
     _lp_system,
     _presolve,
+    _projection_verdict,
     _simplex_feasible,
     build_extended_formulation,
     check_lp_feasibility,
@@ -37,7 +38,17 @@ from autgrammar.polytope import (
     parse_lp,
     project_point,
 )
-from conftest import complete_graph, cube_graph, cycle_graph, path_graph, petersen_graph, star_graph
+from conftest import (
+    binary_tree,
+    check_certificate,
+    complete_graph,
+    cube_graph,
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    petersen_graph,
+    star_graph,
+)
 
 
 def aut_ef(g):
@@ -118,7 +129,8 @@ def test_feasibility_matches_group_membership(p3):
 def test_feasibility_exhaustive_small_corpus(p3, p4, c4, c5, k4, star5):
     # complete agreement with group membership over every permutation
     # vector, for all corpus graphs on at most five vertices, on both the
-    # projection path and the LP-text path of the `check` command
+    # projection path and the LP-text path of the `check` command; every
+    # projection verdict's certificate passes the independent checker
     for g in (p3, p4, c4, c5, k4, star5):
         alpha, gr, ef = aut_ef(g)
         parsed = parse_lp(emit_lp(ef))
@@ -126,9 +138,102 @@ def test_feasibility_exhaustive_small_corpus(p3, p4, c4, c5, k4, star5):
         for img in itertools.permutations(range(1, g.vertex_count + 1)):
             sigma = Permutation(img)
             x = permute_word(to_string_word(sigma), alpha).symbols
-            assert check_projection_feasibility(ef, x) == (sigma in auts), img
+            verdict, certificate = _projection_verdict(ef, x)
+            assert verdict == (sigma in auts), img
+            check_certificate(gr, x, verdict, certificate)
             point = {f"x_{i}": Fraction(v) for i, v in enumerate(x, start=1)}
             assert check_lp_feasibility(parsed, point) == (sigma in auts), img
+
+
+def test_projection_agrees_with_lp_file_on_random_points():
+    # seeded rational points: convex combinations of words (members), the
+    # same with one coordinate moved by 1/2 (non-members: every word has
+    # the coordinate sum 1 + ... + n), with two coordinates moved by 1/2
+    # in opposite directions (either), and permutation words outside the
+    # language (non-members: a vertex of the permutahedron is in conv(words)
+    # only if it is a word); both paths give each the same verdict
+    import random
+
+    rng = random.Random(1990)
+    for g in (cycle_graph(5), complete_graph(4), star_graph(4), grid_graph(3, 3)):
+        alpha, gr, ef = aut_ef(g)
+        parsed = parse_lp(emit_lp(ef))
+        language = [w.symbols for w in enumerate_language(gr).words]
+        n = g.vertex_count
+        points = []
+        for _ in range(10):
+            chosen = rng.sample(language, min(len(language), rng.randint(1, 4)))
+            weights = [Fraction(rng.randint(1, 9)) for _ in chosen]
+            x = [sum(c * w[i] for c, w in zip(weights, chosen)) / sum(weights) for i in range(n)]
+            points.append((x, True))
+            i, j = rng.sample(range(n), 2)
+            step = rng.choice((-1, 1)) * Fraction(1, 2)
+            points.append(([v + step * (k == i) for k, v in enumerate(x)], False))
+            points.append(([v + step * ((k == i) - (k == j)) for k, v in enumerate(x)], None))
+        for _ in range(10):
+            x = permute_word(to_string_word(Permutation(tuple(rng.sample(range(1, n + 1), n)))), alpha)
+            points.append((x.symbols, None if x.symbols in language else False))
+        verdicts = []
+        for x, known in points:
+            verdict, certificate = _projection_verdict(ef, x)
+            check_certificate(gr, x, verdict, certificate)
+            point = {f"x_{i}": Fraction(v) for i, v in enumerate(x, start=1)}
+            assert verdict == check_lp_feasibility(parsed, point), x
+            assert known is None or verdict == known, x
+            verdicts.append(verdict)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_projection_points_of_larger_groups():
+    # the Petersen graph (|Aut| = 120, 1860 rules) and btree4 (|Aut| = 2^15,
+    # 994 rules): answers from the closed forms, each decided in under 1 s
+    import time
+
+    def word(g, alpha, swap=None):
+        image = list(g.vertices)
+        if swap:
+            u, v = swap
+            image[u - 1], image[v - 1] = v, u
+        sigma = Permutation(tuple(image))
+        is_aut = all(g.has_edge(sigma(u), sigma(v)) for u, v in g.edges)
+        return permute_word(to_string_word(sigma), alpha).symbols, is_aut
+
+    petersen, btree4 = petersen_graph(), binary_tree(4)
+    cases = []
+    alpha, gr, ef = aut_ef(petersen)
+    cases.append((gr, ef, *word(petersen, alpha)))
+    cases.append((gr, ef, *word(petersen, alpha, (1, 2))))  # maps edge 2-3 to non-edge 1-3
+    alpha, gr, ef = aut_ef(btree4)
+    cases.append((gr, ef, *word(btree4, alpha)))
+    leaf_swap, member = word(btree4, alpha, (16, 17))  # two leaves of one parent
+    identity_word = word(btree4, alpha)[0]
+    cases.append((gr, ef, [Fraction(a + b, 2) for a, b in zip(identity_word, leaf_swap)], member))
+    assert [expected for *_, expected in cases] == [True, False, True, True]
+    for gr, ef, x, expected in cases:
+        start = time.perf_counter()
+        verdict, certificate = _projection_verdict(ef, x)
+        elapsed = time.perf_counter() - start
+        assert verdict == expected and elapsed < 1.0, (len(x), elapsed)
+        check_certificate(gr, x, verdict, certificate)
+
+
+def test_projection_edge_points(c4):
+    # zero, negative and non-integral coordinates, on both paths; C4's
+    # group is transitive, so its centroid (5/2, ..., 5/2) is a member
+    _, gr, ef = aut_ef(c4)
+    parsed = parse_lp(emit_lp(ef))
+    points = [
+        (0, 0, 0, 0), (-1, 2, 3, 4), (Fraction(5, 2),) * 4, (Fraction(5, 2),) * 3 + (3,),
+        (1, -2, 3, 8), (Fraction(1, 3), Fraction(11, 3), 2, 4), (Fraction(3, 2), 2, 3, Fraction(7, 2)),
+    ]
+    verdicts = []
+    for x in points:
+        verdict, certificate = _projection_verdict(ef, x)
+        check_certificate(gr, x, verdict, certificate)
+        point = {f"x_{i}": Fraction(v) for i, v in enumerate(x, start=1)}
+        assert verdict == check_lp_feasibility(parsed, point), x
+        verdicts.append(verdict)
+    assert verdicts[:4] == [False, False, True, False]
 
 
 def _random_system(rng):
@@ -218,17 +323,15 @@ def _lp_corpus():
     """The tree and path grammars of a range of graphs, an erased grammar
     and an empty language with an unreachable rule.  btree4's path grammar
     (210 k rules) is left out for time."""
-    grid = [(3 * i + j, 3 * i + j + 1) for i in range(3) for j in range(1, 3)]
-    grid += [(k, k + 3) for k in range(1, 7)]
     graphs = [cycle_graph(5), cycle_graph(6), complete_graph(4), complete_graph(5),
-              star_graph(4), path_graph(5), Graph(9, grid), cube_graph(), petersen_graph(),
-              Graph(15, [(v // 2, v) for v in range(2, 16)]),
+              star_graph(4), path_graph(5), grid_graph(3, 3), cube_graph(), petersen_graph(),
+              binary_tree(3),
               Graph(7, [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7)])]
     for g in graphs:
         t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, "min-fill"))
         yield build_aut_grammar(g, t)[1]
         yield build_regular_aut_grammar(g, compute_path_decomposition(g))[1]
-    btree4 = Graph(31, [(v // 2, v) for v in range(2, 32)])
+    btree4 = binary_tree(4)
     t, _ = make_permutation_yielding(btree4, compute_tree_decomposition(btree4, "min-fill"))
     yield build_aut_grammar(btree4, t)[1]
     yield build_embedded_group_grammar(star_graph(4), 4)[1]
@@ -345,6 +448,17 @@ def test_empty_language_lp_warns():
         lp = emit_lp(ef)
     parsed = parse_lp(lp)
     assert not check_lp_feasibility(parsed, {})
+    # no words, so no point is a member; the start may have rules or not
+    dead_end = Grammar(2, "B1", ("B1", "A", "C"), (("B1", ("A", "C")), ("A", (1,))))
+    for g in (gr, dead_end):
+        with pytest.warns(UserWarning):
+            ef = build_extended_formulation(g)
+        verdict, certificate = _projection_verdict(ef, ())
+        assert not verdict and not check_projection_feasibility(ef, [])
+        check_certificate(g, (), verdict, certificate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the LP of a grammar without start rules warns
+            assert not check_lp_feasibility(parse_lp(emit_lp(ef)), {})
 
 
 def test_non_positional_rejected():
