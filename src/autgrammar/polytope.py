@@ -13,8 +13,9 @@ The extended formulation is an LP: `ExtendedFormulation` holds its rows in
 the form `parse_lp` returns them, so `parse_lp(emit_lp(ef)) == ef.lp`.  The
 emitted LP is always the full formulation.
 
-A point is decided on two independent paths, both over Fractions, so no
-floating point enters any verdict:
+A point is decided on two independent paths, both exact (Fractions, and
+ints wherever a value is integral), so no floating point enters any
+verdict:
 
 - a projection point (`check_projection_feasibility`) by column generation
   over words: x is a member exactly when it is a convex combination of
@@ -22,8 +23,9 @@ floating point enters any verdict:
   grammar prices, so the flow LP is never built;
 - a point of an LP file (`check_lp_feasibility`, the `check` command),
   which has no grammar, by an exact doubleton presolve that removes nearly
-  every flow row, then a phase-1 simplex on what is left, with Bland's
-  rule guarding against cycling.
+  every flow row, then a phase-1 simplex on integer rows on what is left,
+  pricing by the largest reduced cost with Bland's rule as the fallback
+  that guards against cycling.
 
 The two agree exactly when the flow polytope projects onto conv(words),
 so their agreement tests that claim directly.
@@ -316,8 +318,24 @@ def _projection_verdict(ef: ExtendedFormulation, x) -> tuple[bool, tuple]:
 
 # ---------------------------------------------------------------------------
 # Exact presolve and phase-1 simplex over sparse rows: (coeffs dict
-# var->Fraction, rhs Fraction) equality rows over variables with bounds
-# var -> (finite lo, hi or None).
+# var->number, rhs number) equality rows over variables with bounds
+# var -> (finite lo, hi or None).  Numbers are ints or Fractions: the
+# presolve and the simplex hold an integral value as an int, and every
+# division goes through `_quotient`, so no float is ever made.
+
+def _whole(v):
+    """The int or Fraction v, as an int when it is integral."""
+    return v.numerator if v.denominator == 1 else v
+
+
+def _quotient(a, b):
+    """a / b exactly, as an int when it is integral, else a Fraction: `/`
+    on two ints would give a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _whole(a / b)
+
 
 def _phase_one_feasible(rows: list, bounds: dict) -> bool:
     """Feasibility of the system: the presolve, then the simplex on what
@@ -341,12 +359,12 @@ def _presolve(rows: list, bounds: dict):
     reduced system, but the simplex breaks ties by column name: on the
     Petersen graph, keeping each chain's first name rather than its last
     took under a sixth of the pivots."""
-    lo = {v: a for v, (a, _) in bounds.items()}
-    hi = {v: b for v, (_, b) in bounds.items()}
+    lo = {v: _whole(a) for v, (a, _) in bounds.items()}
+    hi = {v: None if b is None else _whole(b) for v, (_, b) in bounds.items()}
     if any(b is not None and lo[v] > b for v, b in hi.items()):
         return None
-    mat = [{v: c for v, c in coeffs.items() if c} for coeffs, _ in rows]
-    rhs = [r for _, r in rows]
+    mat = [{v: _whole(c) for v, c in coeffs.items() if c} for coeffs, _ in rows]
+    rhs = [_whole(r) for _, r in rows]
     holders: dict[str, set[int]] = {}
     for i, row in enumerate(mat):
         for v in row:
@@ -364,13 +382,13 @@ def _presolve(rows: list, bounds: dict):
                 return None
             continue
         *rest, u = sorted(row)
-        p = rhs[i] / row[u]  # u = p + q*w
+        p = _quotient(rhs[i], row[u])  # u = p + q*w
         if rest:
             w = rest[0]
-            q = -row[w] / row[u]
+            q = _quotient(-row[w], row[u])
             holders[w].discard(i)
             # p + q*w in [lo[u], hi[u]] bounds w on the side sign(q) says
-            ends = ((lo[u] - p) / q, None if hi[u] is None else (hi[u] - p) / q)
+            ends = (_quotient(lo[u] - p, q), None if hi[u] is None else _quotient(hi[u] - p, q))
             new_lo, new_hi = ends if q > 0 else ends[::-1]
             if new_lo is not None and new_lo > lo[w]:
                 lo[w] = new_lo
@@ -385,9 +403,9 @@ def _presolve(rows: list, bounds: dict):
             other = mat[j]
             d = other.pop(u)
             if p:
-                rhs[j] -= d * p
+                rhs[j] = _whole(rhs[j] - d * p)
             if rest:
-                c = d * q + other.get(w, 0)
+                c = _whole(d * q + other.get(w, 0))
                 if c:
                     other[w] = c
                     holders[w].add(j)
@@ -400,16 +418,43 @@ def _presolve(rows: list, bounds: dict):
     return kept, {v: (lo[v], hi[v]) for row, _ in kept for v in row}
 
 
+def _combine(row: dict, a: int, b: int, piv_row: dict) -> dict:
+    """a * row - b * piv_row over sparse int rows; in place when a is 1."""
+    if a != 1:
+        row = {j: a * c for j, c in row.items()}
+    get = row.get
+    changed = {j: get(j, 0) - b * c for j, c in piv_row.items()}
+    row.update(changed)
+    for j, c in changed.items():
+        if not c:
+            del row[j]
+    return row
+
+
+def _divide_out(row: dict, g: int) -> dict:
+    return {j: c // g for j, c in row.items()} if g > 1 else row
+
+
 def _simplex_feasible(rows: list, bounds: dict) -> bool:
     """Decides feasibility of the system, reduced or not, by minimizing
     the total artificial infeasibility with a bounded-variable simplex:
     upper bounds are handled as nonbasic-at-upper statuses instead
-    of slack rows.  Pricing starts out steepest (largest reduced cost) and
-    falls back to Bland's smallest-index rule after an iteration allowance,
-    which guarantees termination; artificials never re-enter the basis, so
-    a positive residue at optimality is a Farkas certificate."""
-    ZERO, ONE = Fraction(0), Fraction(1)
+    of slack rows.  Pricing is Dantzig's rule (the largest reduced cost,
+    ties to the smallest index) and falls back to Bland's smallest-index
+    rule after an iteration allowance, which guarantees termination;
+    artificials never re-enter the basis, so a positive residue at
+    optimality is a Farkas certificate.
 
+    The tableau stays over the integers (integer-preserving elimination:
+    Edmonds 1967, Bareiss 1968).  Each row is held as coprime ints whose
+    coefficient on the row's basic column, kept positive, is the row's
+    denominator.  A pivot on p forms row * p - f * pivot_row, where f is
+    the row's entry in the entering column, and divides out the gcd.  The
+    phase-1 objective row is coprime ints over one positive denominator,
+    so pricing compares ints.  The basic values are exact, an int when
+    integral and else a Fraction, and the ratio test uses exact
+    quotients, so every choice, and the verdict, is that of the same
+    simplex over Fractions."""
     cols: dict[str, int] = {}
     upper: list = []  # per column: finite span or None
 
@@ -422,59 +467,66 @@ def _simplex_feasible(rows: list, bounds: dict) -> bool:
     # shift every variable to start at zero; sort for deterministic ids
     for v in sorted(bounds):
         lo, hi = bounds[v]
-        span = None if hi is None else Fraction(hi) - Fraction(lo)
+        span = None if hi is None else _whole(hi - lo)
         if span is not None and span < 0:
             return False
         col(v, span)
 
-    mat: list[dict[int, Fraction]] = []
-    values: list[Fraction] = []  # current value of each row's basic variable
+    mat: list[dict[int, int]] = []  # row i is mat[i] / mat[i][basis[i]]
+    values: list = []  # current value of each row's basic variable
     basis: list[int] = []
     n_structural = len(cols)
 
     for coeffs, rhs in rows:
-        row: dict[int, Fraction] = {}
+        row: dict = {}
         shifted = rhs
         for v, c in coeffs.items():
             if c == 0:
                 continue
-            lo = Fraction(bounds[v][0])
+            lo = bounds[v][0]
             if lo:
                 shifted -= c * lo
-            row[cols[v]] = Fraction(c)
+            row[cols[v]] = c
         if not row:
             if shifted != 0:
                 return False
             continue
-        if shifted < 0:
-            row = {j: -c for j, c in row.items()}
-            shifted = -shifted
+        # over the lcm of the denominators the row is coprime ints, the
+        # artificial's 1 included
+        scale = math.lcm(*(c.denominator for c in row.values()))
+        sign = -1 if shifted < 0 else 1
+        row = {j: sign * c.numerator * (scale // c.denominator) for j, c in row.items()}
         a = col(f"_a:{len(mat)}", None)
-        row[a] = ONE
+        row[a] = scale
         mat.append(row)
-        values.append(shifted)
+        values.append(_whole(sign * shifted))
         basis.append(a)
 
     at_upper: set[int] = set()  # nonbasic structural columns sitting at their span
     in_basis = set(basis)
 
-    # reduced costs of min(sum of artificials) after eliminating the basis
-    obj: dict[int, Fraction] = {}
-    for i in range(len(mat)):
-        for j, c in mat[i].items():
-            if j != basis[i]:
-                nv = obj.get(j, ZERO) - c
+    # reduced costs of min(sum of artificials) after eliminating the basis,
+    # over one positive denominator; pricing compares them only with each
+    # other and with 0, so the denominator is not kept
+    scale = math.lcm(*(row[b] for row, b in zip(mat, basis)))
+    obj: dict[int, int] = {}
+    for row, b in zip(mat, basis):
+        m = scale // row[b]
+        for j, c in row.items():
+            if j != b:
+                nv = obj.get(j, 0) - c * m
                 if nv:
                     obj[j] = nv
                 else:
                     obj.pop(j, None)
+    obj = _divide_out(obj, math.gcd(*obj.values()))
 
     bland_after = 50 + 10 * len(mat)
     iteration = 0
     while True:
         iteration += 1
         bland = iteration > bland_after
-        entering, direction, best_score = None, 1, ZERO
+        entering, direction, best_score = None, 1, 0
         for j, c in obj.items():
             if j >= n_structural or j in in_basis:
                 continue
@@ -501,19 +553,18 @@ def _simplex_feasible(rows: list, bounds: dict) -> bool:
         # index (the entering column itself counts as a bound-flip event)
         limit = upper[entering]
         event = (entering, -1, "flip") if limit is not None else None
-        for i, row in enumerate(mat):
-            d = row.get(entering)
-            if not d:
-                continue
-            step = direction * d
+        # (row, its entry in the entering column, its denominator)
+        hits = [(i, row[entering], row[basis[i]]) for i, row in enumerate(mat) if entering in row]
+        for i, d, den in hits:
+            step = direction * d  # over the row's denominator
             if step > 0:
-                t = values[i] / step
+                t = _quotient(values[i] * den, step)
                 kind = "lower"
             else:
                 span = upper[basis[i]]
                 if span is None:
                     continue
-                t = (span - values[i]) / (-step)
+                t = _quotient((span - values[i]) * den, -step)
                 kind = "upper"
             if limit is None or t < limit or (t == limit and (event is None or basis[i] < event[0])):
                 limit, event = t, (basis[i], i, kind)
@@ -521,10 +572,8 @@ def _simplex_feasible(rows: list, bounds: dict) -> bool:
             raise PolytopeError("phase-1 objective unbounded; inconsistent system")
 
         if limit > 0:
-            for i, row in enumerate(mat):
-                d = row.get(entering)
-                if d:
-                    values[i] -= direction * d * limit
+            for i, d, den in hits:
+                values[i] = _whole(values[i] - _quotient(direction * d * limit, den))
 
         if event[2] == "flip":
             if direction == 1:
@@ -541,34 +590,23 @@ def _simplex_feasible(rows: list, bounds: dict) -> bool:
         in_basis.add(entering)
         piv_row = mat[r]
         piv = piv_row[entering]
-        if piv != 1:
-            mat[r] = piv_row = {j: c / piv for j, c in piv_row.items()}
-        for i, row in enumerate(mat):
-            if i == r:
-                continue
-            f = row.get(entering)
-            if f:
-                for j, c in piv_row.items():
-                    nv = row.get(j, ZERO) - f * c
-                    if nv:
-                        row[j] = nv
-                    else:
-                        row.pop(j, None)
+        if piv < 0:
+            mat[r] = piv_row = {j: -c for j, c in piv_row.items()}
+            piv = -piv
+        for i, f, _ in hits:
+            if i != r:
+                g = math.gcd(piv, f)
+                row = _combine(mat[i], piv // g, f // g, piv_row)
+                mat[i] = _divide_out(row, math.gcd(*row.values())) if row[basis[i]] > 1 else row
         f = obj.get(entering)
         if f:
-            for j, c in piv_row.items():
-                nv = obj.get(j, ZERO) - f * c
-                if nv:
-                    obj[j] = nv
-                else:
-                    obj.pop(j, None)
+            g = math.gcd(piv, f)
+            obj = _combine(obj, piv // g, f // g, piv_row)
+            obj = _divide_out(obj, math.gcd(*obj.values()))
         basis[r] = entering
-        values[r] = limit if direction == 1 else upper[entering] - limit
+        values[r] = limit if direction == 1 else _whole(upper[entering] - limit)
 
-    residue = sum(
-        (values[i] for i, b in enumerate(basis) if b >= n_structural), ZERO
-    )
-    return residue == 0
+    return sum(values[i] for i, b in enumerate(basis) if b >= n_structural) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +647,7 @@ def parse_lp(text: str) -> ParsedLP:
     section = None
     constraints: list = []
     bounds: dict = {}
+    numbers: dict = {}  # token -> (x, -x), filled by `_number`
     for raw in text.split("\n"):
         line = raw.strip()
         if not line or line.startswith("\\"):
@@ -628,45 +667,58 @@ def parse_lp(text: str) -> ParsedLP:
         if section == "objective":
             continue
         if section == "rows":
-            constraints.append(_parse_row(line))
+            constraints.append(_parse_row(line, numbers))
         elif section == "bounds":
-            var, span = _parse_bound(line)
+            var, span = _parse_bound(line, numbers)
             bounds[var] = span
     return ParsedLP(tuple(constraints), bounds)
 
 
-def _parse_row(line: str):
+def _number(tok: str, numbers: dict) -> tuple[Fraction, Fraction]:
+    """(x, -x) for the number x of tok, read once per distinct token of one
+    `parse_lp` call: Fractions are immutable, so every row can share them."""
+    pair = numbers.get(tok)
+    if pair is None:
+        x = parse_number(tok)
+        pair = numbers[tok] = (x, -x)
+    return pair
+
+
+_RELATIONS = frozenset(("=", "<=", ">="))
+_ONES = (Fraction(1), Fraction(-1))  # a term's coefficient when no number precedes it
+
+
+def _parse_row(line: str, numbers: dict):
     if ":" not in line:
         raise PolytopeError(f"row without name: {_quote(line)}")
     name, expr = line.split(":", 1)
     toks = expr.split()
-    rel_at = next((k for k, t in enumerate(toks) if t in ("=", "<=", ">=")), None)
-    if rel_at is None or rel_at != len(toks) - 2:
+    if len(toks) < 2 or toks[-2] not in _RELATIONS or not _RELATIONS.isdisjoint(toks[:-2]):
         raise PolytopeError(f"row must end with 'rel number': {_quote(line)}")
-    rel = toks[rel_at]
-    rhs = parse_number(toks[-1])
+    rhs = _number(toks[-1], numbers)[0]
     terms: list[tuple[Fraction, str]] = []
-    sign = 1
-    coef: Fraction | None = None  # the number read since the last sign or name
-    constant = Fraction(0)
-    for t in toks[:rel_at]:
+    neg = False  # the sign since the last name; indexes a (x, -x) pair
+    coef: tuple | None = None  # the number read since the last sign or name
+    constant = 0
+    for t in toks[:-2]:
         if t == "+" or t == "-":
             if coef is not None:
-                constant += sign * coef
-            sign, coef = (1 if t == "+" else -1), None
-        elif _NUMBER_START.match(t):  # a malformed number is an error, not a name
-            if coef is not None:
-                constant += sign * coef
-            coef = parse_number(t)
+                constant += coef[neg]
+            neg, coef = t == "-", None
+            continue
+        pair = numbers.get(t)
+        if pair is None and _NUMBER_START.match(t):  # a malformed number is an error, not a name
+            pair = _number(t, numbers)
+        if pair is None:
+            terms.append(((_ONES if coef is None else coef)[neg], t))
+            neg, coef = False, None
         else:
-            terms.append((_SIGNED_ONE[sign] if coef is None else coef if sign == 1 else -coef, t))
-            sign, coef = 1, None
+            if coef is not None:
+                constant += coef[neg]
+            coef = pair
     if coef is not None:
-        constant += sign * coef
-    return (name.strip(), tuple(terms), rel, rhs - constant if constant else rhs)
-
-
-_SIGNED_ONE = {1: Fraction(1), -1: Fraction(-1)}  # a term's coefficient when no number precedes it
+        constant += coef[neg]
+    return (name.strip(), tuple(terms), toks[-2], rhs - constant if constant else rhs)
 
 
 _NUMBER_START = re.compile(r"[-+]?\.?\d")  # how every token Fraction reads starts
@@ -692,7 +744,7 @@ def parse_number(tok: str) -> Fraction:
         raise PolytopeError(f"bad number {_quote(tok)}") from None
 
 
-def _parse_bound(line: str):
+def _parse_bound(line: str, numbers: dict):
     """(variable, (lo, hi)) of a bound line, hi None for no upper end."""
     toks = line.split()
     if len(toks) == 2 and toks[1].lower() == "free":
@@ -700,9 +752,9 @@ def _parse_bound(line: str):
     if len(toks) == 5 and toks[1] == "<=" and toks[3] == "<=":
         if toks[0] == "0" and toks[4] == "1":  # what `lift` writes for every flow
             return toks[2], _UNIT
-        return toks[2], (parse_number(toks[0]), parse_number(toks[4]))
+        return toks[2], (_number(toks[0], numbers)[0], _number(toks[4], numbers)[0])
     if len(toks) == 3 and toks[1] == "<=":
-        return toks[0], (Fraction(0), parse_number(toks[2]))
+        return toks[0], (Fraction(0), _number(toks[2], numbers)[0])
     raise PolytopeError(f"unsupported bound line: {_quote(line)}")
 
 
@@ -729,7 +781,8 @@ def _lp_system(parsed: ParsedLP, point: dict) -> tuple[list, dict]:
             if v in point:
                 adjusted -= coef * point[v]
                 continue
-            coeffs[v] = coeffs.get(v, Fraction(0)) + coef
+            c = coeffs.get(v)
+            coeffs[v] = Fraction(coef) if c is None else c + coef
         if rel in ("<=", ">="):
             sv = f"_r:{slack_id}"
             slack_id += 1

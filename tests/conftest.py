@@ -1,12 +1,38 @@
 import functools
 import itertools
 import json
+import os
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from autgrammar.grammar import enumerate_language, membership
+from autgrammar.decomp import (
+    compute_path_decomposition,
+    compute_tree_decomposition,
+    make_permutation_yielding,
+)
+from autgrammar.grammar import (
+    Grammar,
+    build_aut_grammar,
+    build_embedded_group_grammar,
+    build_regular_aut_grammar,
+    enumerate_language,
+    membership,
+)
 from autgrammar.graph import Graph, closed_neighborhood, is_connected
+from autgrammar.polytope import PolytopeError, build_extended_formulation, emit_lp, parse_lp
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # in CI every property test draws the same examples on every run, so a
+    # failure there reproduces locally with CI=1
+    settings.register_profile("ci", derandomize=True)
+    if os.environ.get("CI"):
+        settings.load_profile("ci")
 
 
 def path_graph(n: int) -> Graph:
@@ -117,6 +143,213 @@ def check_certificate(gr, x, feasible: bool, certificate) -> None:
     assert value(x) > 0
     for w in enumerate_language(gr).words:
         assert len(w) == len(x) and value(w.symbols) <= 0, w
+
+
+def _lp_corpus():
+    """The tree and path grammars of a range of graphs, an erased grammar
+    and an empty language with an unreachable rule.  btree4's path grammar
+    (210 k rules) is left out for time."""
+    graphs = [cycle_graph(5), cycle_graph(6), complete_graph(4), complete_graph(5),
+              star_graph(4), path_graph(5), grid_graph(3, 3), cube_graph(), petersen_graph(),
+              binary_tree(3),
+              Graph(7, [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7)])]
+    for g in graphs:
+        t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, "min-fill"))
+        yield build_aut_grammar(g, t)[1]
+        yield build_regular_aut_grammar(g, compute_path_decomposition(g))[1]
+    btree4 = binary_tree(4)
+    t, _ = make_permutation_yielding(btree4, compute_tree_decomposition(btree4, "min-fill"))
+    yield build_aut_grammar(btree4, t)[1]
+    yield build_embedded_group_grammar(star_graph(4), 4)[1]
+    yield Grammar(2, "B1", ("B1", "A", "C"), (("A", (1,)), ("C", ("A", 2)), ("C", (2, "A"))))
+
+
+def lp_corpus_points():
+    """(parsed LP, point) for three points of each `_lp_corpus` grammar's
+    LP file: its first word, the midpoint of its first and last words, and
+    the first word with the last coordinate raised by 1/2.  The empty
+    language has one point, of dimension 0."""
+    for gr in _lp_corpus():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the empty language warns
+            parsed = parse_lp(emit_lp(build_extended_formulation(gr)))
+        words = [w.symbols for w in enumerate_language(gr).words]
+        if not words:
+            yield parsed, {}
+            continue
+        a, b = words[0], words[-1]
+        for x in (a, [Fraction(u + v, 2) for u, v in zip(a, b)], [*a[:-1], a[-1] + Fraction(1, 2)]):
+            yield parsed, {f"x_{i}": v for i, v in enumerate(x, start=1)}
+
+
+def reference_simplex_feasible(rows: list, bounds: dict) -> bool:
+    """The phase-1 simplex of `polytope._simplex_feasible` over Fractions,
+    as it was before its tableau moved to integer rows: the reference its
+    verdicts are tested against.  Bounded variables, Dantzig's pricing (the
+    largest reduced cost, ties to the smallest index) with Bland's rule
+    after an iteration allowance, and the same ratio test, so the two take
+    the same pivots."""
+    ZERO, ONE = Fraction(0), Fraction(1)
+
+    cols: dict[str, int] = {}
+    upper: list = []  # per column: finite span or None
+
+    def col(v: str, hi) -> int:
+        if v not in cols:
+            cols[v] = len(cols)
+            upper.append(hi)
+        return cols[v]
+
+    # shift every variable to start at zero; sort for deterministic ids
+    for v in sorted(bounds):
+        lo, hi = bounds[v]
+        span = None if hi is None else Fraction(hi) - Fraction(lo)
+        if span is not None and span < 0:
+            return False
+        col(v, span)
+
+    mat: list[dict[int, Fraction]] = []
+    values: list[Fraction] = []  # current value of each row's basic variable
+    basis: list[int] = []
+    n_structural = len(cols)
+
+    for coeffs, rhs in rows:
+        row: dict[int, Fraction] = {}
+        shifted = rhs
+        for v, c in coeffs.items():
+            if c == 0:
+                continue
+            lo = Fraction(bounds[v][0])
+            if lo:
+                shifted -= c * lo
+            row[cols[v]] = Fraction(c)
+        if not row:
+            if shifted != 0:
+                return False
+            continue
+        if shifted < 0:
+            row = {j: -c for j, c in row.items()}
+            shifted = -shifted
+        a = col(f"_a:{len(mat)}", None)
+        row[a] = ONE
+        mat.append(row)
+        values.append(shifted)
+        basis.append(a)
+
+    at_upper: set[int] = set()  # nonbasic structural columns sitting at their span
+    in_basis = set(basis)
+
+    # reduced costs of min(sum of artificials) after eliminating the basis
+    obj: dict[int, Fraction] = {}
+    for i in range(len(mat)):
+        for j, c in mat[i].items():
+            if j != basis[i]:
+                nv = obj.get(j, ZERO) - c
+                if nv:
+                    obj[j] = nv
+                else:
+                    obj.pop(j, None)
+
+    bland_after = 50 + 10 * len(mat)
+    iteration = 0
+    while True:
+        iteration += 1
+        bland = iteration > bland_after
+        entering, direction, best_score = None, 1, ZERO
+        for j, c in obj.items():
+            if j >= n_structural or j in in_basis:
+                continue
+            if j in at_upper:
+                if c > 0:
+                    score = c
+                    d = -1
+                else:
+                    continue
+            elif c < 0:
+                score = -c
+                d = 1
+            else:
+                continue
+            if bland:
+                if entering is None or j < entering:
+                    entering, direction = j, d
+            elif score > best_score or (score == best_score and (entering is None or j < entering)):
+                entering, direction, best_score = j, d, score
+        if entering is None:
+            break
+
+        # ratio test: tightest event wins; ties go to the smallest variable
+        # index (the entering column itself counts as a bound-flip event)
+        limit = upper[entering]
+        event = (entering, -1, "flip") if limit is not None else None
+        for i, row in enumerate(mat):
+            d = row.get(entering)
+            if not d:
+                continue
+            step = direction * d
+            if step > 0:
+                t = values[i] / step
+                kind = "lower"
+            else:
+                span = upper[basis[i]]
+                if span is None:
+                    continue
+                t = (span - values[i]) / (-step)
+                kind = "upper"
+            if limit is None or t < limit or (t == limit and (event is None or basis[i] < event[0])):
+                limit, event = t, (basis[i], i, kind)
+        if limit is None:
+            raise PolytopeError("phase-1 objective unbounded; inconsistent system")
+
+        if limit > 0:
+            for i, row in enumerate(mat):
+                d = row.get(entering)
+                if d:
+                    values[i] -= direction * d * limit
+
+        if event[2] == "flip":
+            if direction == 1:
+                at_upper.add(entering)
+            else:
+                at_upper.discard(entering)
+            continue
+
+        leaving, r, kind = event
+        if kind == "upper":
+            at_upper.add(leaving)
+        at_upper.discard(entering)
+        in_basis.discard(leaving)
+        in_basis.add(entering)
+        piv_row = mat[r]
+        piv = piv_row[entering]
+        if piv != 1:
+            mat[r] = piv_row = {j: c / piv for j, c in piv_row.items()}
+        for i, row in enumerate(mat):
+            if i == r:
+                continue
+            f = row.get(entering)
+            if f:
+                for j, c in piv_row.items():
+                    nv = row.get(j, ZERO) - f * c
+                    if nv:
+                        row[j] = nv
+                    else:
+                        row.pop(j, None)
+        f = obj.get(entering)
+        if f:
+            for j, c in piv_row.items():
+                nv = obj.get(j, ZERO) - f * c
+                if nv:
+                    obj[j] = nv
+                else:
+                    obj.pop(j, None)
+        basis[r] = entering
+        values[r] = limit if direction == 1 else upper[entering] - limit
+
+    residue = sum(
+        (values[i] for i, b in enumerate(basis) if b >= n_structural), ZERO
+    )
+    return residue == 0
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,21 +5,17 @@ from fractions import Fraction
 import pytest
 
 from autgrammar.decomp import (
-    compute_path_decomposition,
     compute_tree_decomposition,
     make_permutation_yielding,
 )
 from autgrammar.grammar import (
     Grammar,
     build_aut_grammar,
-    build_embedded_group_grammar,
-    build_regular_aut_grammar,
     enumerate_language,
     enumerate_parse_trees,
     parse_tree_yield,
     union_grammar,
 )
-from autgrammar.graph import Graph
 from autgrammar.oracle import brute_force_automorphisms
 from autgrammar.perm import Permutation, permute_word, to_string_word
 from autgrammar.polytope import (
@@ -39,14 +35,15 @@ from autgrammar.polytope import (
     project_point,
 )
 from conftest import (
+    _lp_corpus,
     binary_tree,
     check_certificate,
     complete_graph,
-    cube_graph,
     cycle_graph,
     grid_graph,
-    path_graph,
+    lp_corpus_points,
     petersen_graph,
+    reference_simplex_feasible,
     star_graph,
 )
 
@@ -275,6 +272,75 @@ def test_presolve_keeps_verdicts():
     assert 100 < sum(verdicts) < 300  # both verdicts well represented
 
 
+def _whole_as_int(rows, bounds):
+    # the same system with every integral number a plain int
+    def whole(v):
+        return v if v is None or v.denominator != 1 else v.numerator
+
+    return (
+        [({v: whole(c) for v, c in coeffs.items()}, whole(rhs)) for coeffs, rhs in rows],
+        {v: (whole(lo), whole(hi)) for v, (lo, hi) in bounds.items()},
+    )
+
+
+def test_simplex_matches_reference_on_random_systems():
+    # the integer tableau against the Fraction one, raw and presolved, with
+    # the numbers as Fractions and with integral ones as plain ints (where
+    # a stray `/` on two ints would make a float)
+    import random
+
+    rng = random.Random(1968)
+    verdicts = []
+    for _ in range(2000):
+        rows, bounds = _random_system(rng)
+        expected = reference_simplex_feasible(rows, bounds)
+        as_ints = _whole_as_int(rows, bounds)
+        assert _simplex_feasible(rows, bounds) == expected, (rows, bounds)
+        assert _simplex_feasible(*as_ints) == expected, (rows, bounds)
+        for system in (rows, bounds), as_ints:
+            reduced = _presolve(*system)
+            assert (reduced is not None and reference_simplex_feasible(*reduced)) == expected
+            assert (reduced is not None and _simplex_feasible(*reduced)) == expected
+        verdicts.append(expected)
+    assert 500 < sum(verdicts) < 1500
+
+
+def test_simplex_matches_reference_on_lp_corpus():
+    # the LP-file points of every corpus grammar whose presolved system has
+    # at most 100 rows: every graph the lp-check benchmark decides.  Left
+    # out are Petersen's (671 rows), btree3's path grammar's (228) and
+    # btree4's (241), where the reference takes 1-45 s a point
+    decided = 0
+    for parsed, point in lp_corpus_points():
+        rows, bounds = _lp_system(parsed, point)
+        reduced = _presolve(rows, bounds)
+        if reduced is None:
+            assert not check_lp_feasibility(parsed, point)
+            continue
+        if len(reduced[0]) > 100:
+            continue
+        expected = reference_simplex_feasible(*reduced)
+        assert _simplex_feasible(*reduced) == expected == check_lp_feasibility(parsed, point), point
+        decided += 1
+    assert decided == 61
+
+
+def test_petersen_lp_file_point_time():
+    # Petersen's identity word on the LP-file path: 671 x 780 after the
+    # presolve and about 1000 pivots; 3-5 s on a 2-core VM with integer
+    # rows, 18-45 s with the Fraction tableau
+    import time
+
+    g = petersen_graph()
+    alpha, gr, ef = aut_ef(g)
+    x = permute_word(to_string_word(Permutation(tuple(g.vertices))), alpha).symbols
+    parsed = parse_lp(emit_lp(ef))
+    start = time.process_time()
+    verdict = check_lp_feasibility(parsed, {f"x_{i}": v for i, v in enumerate(x, start=1)})
+    elapsed = time.process_time() - start
+    assert verdict and elapsed < 10.0, elapsed
+
+
 def test_presolve_reduction_sizes(c5, q3):
     # every flow row but the source row is a doubleton on these grammars
     for g, size in ((c5, (6, 10)), (q3, (9, 48))):
@@ -317,25 +383,6 @@ def test_constraint_count_bound(c4, q3):
         _, gr, ef = aut_ef(g)
         bound = len(gr.variables) + 1 + 2 * len(gr.rules) + ef.word_length
         assert ef.num_constraints <= bound
-
-
-def _lp_corpus():
-    """The tree and path grammars of a range of graphs, an erased grammar
-    and an empty language with an unreachable rule.  btree4's path grammar
-    (210 k rules) is left out for time."""
-    graphs = [cycle_graph(5), cycle_graph(6), complete_graph(4), complete_graph(5),
-              star_graph(4), path_graph(5), grid_graph(3, 3), cube_graph(), petersen_graph(),
-              binary_tree(3),
-              Graph(7, [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7)])]
-    for g in graphs:
-        t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, "min-fill"))
-        yield build_aut_grammar(g, t)[1]
-        yield build_regular_aut_grammar(g, compute_path_decomposition(g))[1]
-    btree4 = binary_tree(4)
-    t, _ = make_permutation_yielding(btree4, compute_tree_decomposition(btree4, "min-fill"))
-    yield build_aut_grammar(btree4, t)[1]
-    yield build_embedded_group_grammar(star_graph(4), 4)[1]
-    yield Grammar(2, "B1", ("B1", "A", "C"), (("A", (1,)), ("C", ("A", 2)), ("C", (2, "A"))))
 
 
 def test_lp_round_trip():
@@ -407,6 +454,22 @@ def test_lp_number_exponents():
     for bad in ("1" * 5000, "2x", "-.5z"):  # over the int-string limit, malformed
         with pytest.raises(PolytopeError):
             parse_lp(row.format(bad))
+
+
+def test_lp_row_syntax():
+    # a number that no name follows is a constant, moved to the rhs with
+    # its sign; a number read twice in one file keeps each use's sign; a
+    # row with a relation anywhere but second to last is refused
+    def row(text):
+        return parse_lp(f"Subject To\n r1: {text}\nEnd\n").constraints[0][1:]
+
+    half = Fraction(1, 2)
+    assert row("1 + y_0 - 1/2 = 3") == (((1, "y_0"),), "=", Fraction(5, 2))
+    assert row("2 3 y_0 = 6") == (((3, "y_0"),), "=", 4)
+    assert row("1/2 y_0 - 1/2 y_1 - y_2 >= -1/2") == (((half, "y_0"), (-half, "y_1"), (-1, "y_2")), ">=", -half)
+    for bad in ("y_0 = 1 = 2", "y_0 <= 1 >= 0", "= y_0 1", "y_0 =", "y_0 1"):
+        with pytest.raises(PolytopeError):
+            row(bad)
 
 
 def test_lp_free_variable_requires_point():

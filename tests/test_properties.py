@@ -1,5 +1,8 @@
-"""Property tests: both grammar builders against the brute-force oracle on
-connected graphs drawn by hypothesis."""
+"""Property tests on connected graphs drawn by hypothesis: both grammar
+builders against the brute-force oracle, and the two exact LP paths and
+the Fraction reference simplex against each other."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -22,7 +25,17 @@ from autgrammar.grammar import (
 )
 from autgrammar.oracle import brute_force_automorphisms
 from autgrammar.perm import permute_word, to_string_word
-from conftest import json_reference
+from autgrammar.polytope import (
+    _lp_system,
+    _presolve,
+    _projection_verdict,
+    build_extended_formulation,
+    check_lp_feasibility,
+    check_projection_feasibility,
+    emit_lp,
+    parse_lp,
+)
+from conftest import check_certificate, json_reference, reference_simplex_feasible
 
 
 MAX_GROUP = 1440
@@ -57,3 +70,29 @@ def test_builders_match_oracle(g):
         assert list(enumerate_language(gr).words) == expected
         assert count_parse_trees(gr) == len(auts)
         assert grammar_to_json(gr) == json_reference(gr)
+
+
+@settings(max_examples=20, deadline=None)
+@given(connected_graphs(max_vertices=7), st.data())
+def test_lp_paths_agree(g, data):
+    # a member word, the midpoint of two words, and a word with one
+    # coordinate raised by 1/2, which no word's coordinate sum matches;
+    # column generation, the LP file's presolve and simplex, and the
+    # Fraction reference simplex on the presolved rows all agree, and the
+    # column generation's certificate passes its checker
+    # a group of at most 120 keeps the grammars to a few thousand rules
+    assume(len(brute_force_automorphisms(g)) <= 120)
+    for _, gr in builds(g):
+        ef = build_extended_formulation(gr)
+        parsed = parse_lp(emit_lp(ef))
+        words = enumerate_language(gr).words
+        a, b = (data.draw(st.sampled_from(words)).symbols for _ in range(2))
+        i = data.draw(st.integers(0, len(a) - 1))
+        raised = [v + Fraction(k == i, 2) for k, v in enumerate(a)]
+        for x, member in ((a, True), ([Fraction(u + v, 2) for u, v in zip(a, b)], True), (raised, False)):
+            point = {f"x_{k}": v for k, v in enumerate(x, start=1)}
+            reduced = _presolve(*_lp_system(parsed, point))
+            reference = reduced is not None and reference_simplex_feasible(*reduced)
+            assert check_lp_feasibility(parsed, point) == reference == member, x
+            assert check_projection_feasibility(ef, x) == member, x
+            check_certificate(gr, x, *_projection_verdict(ef, x))
