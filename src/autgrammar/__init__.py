@@ -72,6 +72,7 @@ _EXPORTS = {
         "grammar_to_json",
         "group_from_subgroup",
         "is_regular",
+        "iter_language",
         "membership",
         "permutation_from_aligned_word",
         "rename_terminals",

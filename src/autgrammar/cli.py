@@ -16,6 +16,7 @@ the package itself, so mapping errors to exit codes loads no layer either.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from . import PreconditionError, _quote
@@ -191,11 +192,11 @@ def _cmd_enum(args) -> int:
         raise _UsageError(f"--cap must be non-negative, got {args.cap}")
     gr = _load_grammar(args.grammar)
     from . import grammar as gmod
-    from .perm import format_word
 
-    result = gmod.enumerate_language(gr, cap=args.cap)
-    sys.stdout.writelines(format_word(w) + "\n" for w in result.words)
-    if result.truncated:
+    words = gmod.iter_language(gr)
+    names = [str(a) for a in range(gr.sigma_max + 1)]
+    sys.stdout.writelines(" ".join([names[a] for a in w]) + "\n" for w in itertools.islice(words, args.cap))
+    if next(words, None) is not None:
         print(f"truncated at {args.cap}", file=sys.stderr)
     return 0
 
@@ -260,15 +261,26 @@ def _cmd_validate(args) -> int:
     t0 = decomp.compute_tree_decomposition(g, args.strategy)
     t, _ = decomp.make_permutation_yielding(g, t0)
     alpha, gr = gmod.build_aut_grammar(g, t)
-    words = gmod.enumerate_language(gr).words
-    expected = sorted(permute_word(to_string_word(a), alpha) for a in auts)
-    lang_ok = list(words) == expected
-    print(f"language: {len(words)} == {len(expected)}" if lang_ok
-          else f"language: {len(words)} != {len(expected)}")
+    expected = sorted(permute_word(to_string_word(a), alpha).symbols for a in auts)
+    # both lists are sorted, so where they first part, the smaller word is
+    # in one list only
+    n_words, difference = 0, None
+    for w in gmod.iter_language(gr):
+        if difference is None:
+            if n_words == len(expected) or w < expected[n_words]:
+                difference = w, "grammar"
+            elif w > expected[n_words]:
+                difference = expected[n_words], "oracle"
+        n_words += 1
+    if difference is None and n_words < len(expected):
+        difference = expected[n_words], "oracle"
+    lang_ok = difference is None
+    print(f"language: {n_words} == {len(expected)}" if lang_ok
+          else f"language: {n_words} != {len(expected)}")
     trees = gmod.count_parse_trees(gr)
-    trees_ok = trees == len(words)
-    print(f"parse_trees: {trees} == {len(words)}" if trees_ok
-          else f"parse_trees: {trees} != {len(words)}")
+    trees_ok = trees == n_words
+    print(f"parse_trees: {trees} == {n_words}" if trees_ok
+          else f"parse_trees: {trees} != {n_words}")
     annotations = annotate.count_assignments(g, t)
     ann_ok = annotations == len(auts)
     print(f"annotations: {annotations} == {len(auts)}" if ann_ok
@@ -276,6 +288,9 @@ def _cmd_validate(args) -> int:
     if lang_ok and trees_ok and ann_ok:
         print("result: ok")
         return 0
+    if difference is not None:
+        word, side = difference
+        print(f"first_difference: {' '.join(map(str, word))} (only in the {side})")
     print("result: mismatch")
     return 1
 

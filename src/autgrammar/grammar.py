@@ -24,11 +24,14 @@ only reads a grammar file never loads them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import operator
 import warnings
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple
@@ -151,7 +154,7 @@ def _rules_by_lhs(gr: Grammar) -> dict[str, list]:
     return table
 
 
-def _evaluator(gr: Grammar):
+def _evaluator(gr: Grammar, table: dict | None = None):
     """One bottom-up pass over the variables in topological order, valued in
     a semiring (Goodman, "Semiring parsing", 1999), as a function of the
     semiring: the order and the rules by lhs are worked out once, so a
@@ -160,12 +163,20 @@ def _evaluator(gr: Grammar):
     A rule's value folds its rhs with times, starting from weight(rule
     index): a terminal a contributes leaf(a), a variable the value already
     computed for it.  A variable's value is plus over the values of its
-    rules, which plus receives as an iterable (empty for no rules)."""
-    table = _rules_by_lhs(gr)
+    rules, which plus receives as an iterable (empty for no rules).  Given
+    roots, a pass values only the variables that the roots derive from.
+    table is `_rules_by_lhs(gr)`, for a caller that needs it too."""
+    if table is None:
+        table = _rules_by_lhs(gr)
     order = topological_variables(gr)
 
-    def run(weight, leaf, times, plus) -> dict:
+    def run(weight, leaf, times, plus, roots=None) -> dict:
         value: dict = {}
+        needed = None if roots is None else set(roots)
+        if needed is not None:
+            for v in reversed(order):  # users before the variables they use
+                if v in needed:
+                    needed.update(x for _, rhs in table[v] for x in rhs if isinstance(x, str))
 
         def rule_values(v: str):
             for r, rhs in table[v]:
@@ -175,7 +186,8 @@ def _evaluator(gr: Grammar):
                 yield acc
 
         for v in order:
-            value[v] = plus(rule_values(v))
+            if needed is None or v in needed:
+                value[v] = plus(rule_values(v))
         return value
 
     return run
@@ -200,6 +212,60 @@ def _pairwise_sums(xs: set, ys: set) -> set:
     return {x + y for x in xs for y in ys}
 
 
+def iter_language(gr: Grammar) -> Iterator[tuple[int, ...]]:
+    """The distinct words as int tuples, in lexicographic order, produced
+    lazily (Mäkinen, "On lexicographic enumeration of regular and
+    context-free languages", Acta Cybernetica 1997).
+
+    The start is streamed, and so is every variable that occurs once in
+    all right-hand sides, in a rule of a streamed variable with only
+    terminals before it.  The streamed variables form a tree, and each
+    rule of one whose first variable is not streamed ends a path from the
+    start: the path's words are the terminals met on the way down followed
+    by the product of the factors left after them.  Every other variable
+    is held: its language is computed once by the set pass and sorted.  A
+    path walks its product in order while every factor but the last has
+    words of one length; from the first factor that does not, it
+    concatenates the rest up front.  A heap merges the paths, so words of
+    different lengths come out in order and repeats are dropped, and the
+    grammar's depth costs no recursion.
+
+    The held languages are computed before this returns; the words are
+    spelled as the iterator is advanced."""
+    import heapq  # here, not at the top: every command that reads a grammar would load it
+
+    table = _rules_by_lhs(gr)
+    run = _evaluator(gr, table)
+    uses = Counter(x for _, rhs in gr.rules for x in rhs if isinstance(x, str))
+    paths: list = []  # (terminal prefix, factors after it)
+    todo = [(gr.start, (), ())]  # streamed variable, prefix before it, factors after it
+    while todo:
+        v, before, after = todo.pop()
+        for _, rhs in table[v]:
+            i = 0
+            while i < len(rhs) and isinstance(rhs[i], int):
+                i += 1
+            if i < len(rhs) and uses[rhs[i]] == 1:
+                todo.append((rhs[i], before + rhs[:i], rhs[i + 1:] + after))
+            else:
+                paths.append((before + rhs[:i], rhs[i:] + after))
+    del uses  # the set pass is the peak: free what only the walk needed
+    factors = {x for _, fs in paths for x in fs if isinstance(x, str)}
+    held = run(lambda r: {()}, lambda a: {(a,)}, _pairwise_sums, _union, factors)
+    words = {x: tuple(sorted(held[x])) for x in factors}
+    del held  # the sets of every held variable, read by the paths or not
+    mixed = {x for x, ws in words.items() if len(set(map(len, ws))) > 1}
+    words.update({a: ((a,),) for _, fs in paths for a in fs if isinstance(a, int)})
+    streams = [[()]] if gr.accepts_empty else []
+    for head, fs in paths:
+        k = next((j for j, x in enumerate(fs[:-1]) if x in mixed), len(fs))
+        lists = [words[x] for x in fs[:k]]
+        if k < len(fs):
+            lists.append(tuple(sorted(functools.reduce(_pairwise_sums, map(words.get, fs[k:])))))
+        streams.append(map(functools.partial(sum, start=head), itertools.product(*lists)))
+    return map(operator.itemgetter(0), itertools.groupby(heapq.merge(*streams)))
+
+
 class LanguageResult(NamedTuple):
     words: tuple[Word, ...]
     truncated: bool
@@ -209,14 +275,9 @@ def enumerate_language(gr: Grammar, cap: int | None = None) -> LanguageResult:
     """All distinct words, lexicographically sorted, truncated at cap."""
     if cap is not None and cap < 0:
         raise GrammarError(f"cap must be non-negative, got {cap}")
-    raw = _evaluate(gr, lambda r: {()}, lambda a: {(a,)}, _pairwise_sums, _union)[gr.start]
-    if gr.accepts_empty:
-        raw = raw | {()}
-    ordered = sorted(raw)
-    truncated = cap is not None and len(ordered) > cap
-    if truncated:
-        ordered = ordered[:cap]
-    return LanguageResult(tuple(Word(w) for w in ordered), truncated)
+    words = tuple(map(Word, itertools.islice(iter_language(gr), None if cap is None else cap + 1)))
+    truncated = cap is not None and len(words) > cap
+    return LanguageResult(words[:cap] if truncated else words, truncated)
 
 
 def count_parse_trees(gr: Grammar) -> int:
@@ -451,7 +512,7 @@ def group_from_subgroup(grH: Grammar, transversal: list[Permutation]) -> Grammar
     if not transversal:
         raise GrammarError("transversal must be nonempty")
     parts = [rename_terminals(grH, beta) for beta in transversal]
-    langs = [frozenset(w.symbols for w in enumerate_language(p).words) for p in parts]
+    langs = [frozenset(iter_language(p)) for p in parts]
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             if langs[i] == langs[j]:

@@ -14,6 +14,9 @@ from autgrammar.decomp import (
 )
 from autgrammar.grammar import (
     Grammar,
+    _evaluate,
+    _pairwise_sums,
+    _union,
     build_aut_grammar,
     build_embedded_group_grammar,
     build_regular_aut_grammar,
@@ -116,6 +119,16 @@ def json_reference(gr) -> str:
     if gr.accepts_empty:
         doc["accepts_empty"] = True
     return json.dumps(doc, indent=1) + "\n"
+
+
+def reference_language(gr) -> list[tuple[int, ...]]:
+    """The language as `enumerate_language` computed it before words were
+    streamed, the reference `iter_language` is tested against: every
+    variable's word set, bottom-up in the set semiring, then sorted."""
+    raw = _evaluate(gr, lambda r: {()}, lambda a: {(a,)}, _pairwise_sums, _union)[gr.start]
+    if gr.accepts_empty:
+        raw = raw | {()}
+    return sorted(raw)
 
 
 def check_certificate(gr, x, feasible: bool, certificate) -> None:

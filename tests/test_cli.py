@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+from autgrammar import grammar as gmod
+from autgrammar.cli import main
 from autgrammar.grammar import (
     Grammar,
     enumerate_language,
@@ -10,7 +12,9 @@ from autgrammar.grammar import (
     grammar_from_json,
     grammar_to_json,
 )
-from autgrammar.perm import format_word
+from autgrammar.oracle import brute_force_automorphisms
+from autgrammar.perm import Word, format_word, permute_word, to_string_word
+from conftest import reference_language
 
 C4_TEXT = "4 4\n1 2\n2 3\n3 4\n1 4\n"
 STAR5_TEXT = "5 4\n1 5\n2 5\n3 5\n4 5\n"
@@ -116,6 +120,33 @@ def test_validate(c4_file):
     assert r.returncode == 0, r.stderr
     assert "language: 8 == 8" in r.stdout
     assert "result: ok" in r.stdout
+
+
+def test_validate_names_first_difference(c4_file, monkeypatch, capsys):
+    # a builder that drops one leaf rule loses words, and one that adds a
+    # leaf rule gains some: either way the smallest word in one list only
+    # is named, with the list it is in
+    build = gmod.build_aut_grammar
+    for change, side in ((lambda rules, leaf: rules[:leaf] + rules[leaf + 1:], "oracle"),
+                         (lambda rules, leaf: rules + ((rules[leaf][0], (4,)),), "grammar")):
+        made = []
+
+        def broken(g, t):
+            alpha, gr = build(g, t)
+            leaf = next(r for r, (_, rhs) in enumerate(gr.rules) if rhs == (1,))
+            rules = change(gr.rules, leaf)
+            made.append((g, alpha, Grammar(gr.sigma_max, gr.start, gr.variables, rules)))
+            return made[-1][1:]
+
+        monkeypatch.setattr(gmod, "build_aut_grammar", broken)
+        assert main(["validate", "--graph", c4_file]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        ((g, alpha, gr),) = made
+        expected = {permute_word(to_string_word(s), alpha).symbols for s in brute_force_automorphisms(g)}
+        first = min(set(reference_language(gr)) ^ expected)
+        assert (first in expected) == (side == "oracle")
+        assert lines[-2:] == [f"first_difference: {format_word(Word(first))} (only in the {side})",
+                              "result: mismatch"]
 
 
 def test_validate_star(star5_file):

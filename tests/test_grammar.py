@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 
@@ -35,6 +36,7 @@ from autgrammar.grammar import (
     grammar_to_json,
     group_from_subgroup,
     is_regular,
+    iter_language,
     membership,
     parse_tree_yield,
     permutation_from_aligned_word,
@@ -53,7 +55,15 @@ from autgrammar.perm import (
     to_string_word,
 )
 from autgrammar.polytope import build_extended_formulation, lift_parse_tree
-from conftest import cubic8, json_reference, oracle_annotations, path_graph, random_connected_graph
+from conftest import (
+    binary_tree,
+    cubic8,
+    json_reference,
+    oracle_annotations,
+    path_graph,
+    random_connected_graph,
+    reference_language,
+)
 
 
 def aut_grammar(g):
@@ -151,10 +161,29 @@ def test_enumerate_cap():
         enumerate_language(gr, cap=-1)
 
 
+def test_enumerate_cap_bounds_memory():
+    # btree4's 32 768 words: the first two must not cost the whole
+    # language, which took about 35 MB when every variable's words were
+    # built first
+    _, gr = aut_grammar(binary_tree(4))
+    tracemalloc.start()
+    try:
+        res = enumerate_language(gr, cap=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000, peak
+    reference = reference_language(gr)
+    assert len(reference) == 32768
+    assert res == (tuple(Word(w) for w in reference[:2]), True)
+    assert list(iter_language(gr)) == reference
+
+
 def test_enumerate_rejects_cyclic():
     cyc = Grammar(1, "B1", ("B1",), (("B1", (1, "B1")), ("B1", (1,))))
     analytics = (
         enumerate_language,
+        iter_language,
         count_parse_trees,
         enumerate_parse_trees,
         lambda gr: membership(gr, Word((1, 1))),

@@ -1,6 +1,7 @@
-"""Property tests on connected graphs drawn by hypothesis: both grammar
+"""Property tests drawn by hypothesis.  On connected graphs: both grammar
 builders against the brute-force oracle, and the two exact LP paths and
-the Fraction reference simplex against each other."""
+the Fraction reference simplex against each other.  On random acyclic
+grammars: the streamed language against the set-semiring reference."""
 
 from fractions import Fraction
 
@@ -17,14 +18,16 @@ from autgrammar.decomp import (
 )
 from autgrammar.graph import Graph
 from autgrammar.grammar import (
+    Grammar,
     build_aut_grammar,
     build_regular_aut_grammar,
     count_parse_trees,
     enumerate_language,
     grammar_to_json,
+    iter_language,
 )
 from autgrammar.oracle import brute_force_automorphisms
-from autgrammar.perm import permute_word, to_string_word
+from autgrammar.perm import Word, permute_word, to_string_word
 from autgrammar.polytope import (
     _lp_system,
     _presolve,
@@ -35,7 +38,12 @@ from autgrammar.polytope import (
     emit_lp,
     parse_lp,
 )
-from conftest import check_certificate, json_reference, reference_simplex_feasible
+from conftest import (
+    check_certificate,
+    json_reference,
+    reference_language,
+    reference_simplex_feasible,
+)
 
 
 MAX_GROUP = 1440
@@ -50,6 +58,44 @@ def connected_graphs(draw, max_vertices: int = 8) -> Graph:
     others = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1) if (u, v) not in tree]
     extra = draw(st.sets(st.sampled_from(others))) if others else set()
     return Graph(n, tree | extra)
+
+
+@st.composite
+def acyclic_grammars(draw) -> Grammar:
+    """Variables V0..V(n-1) with start V0, each with up to three rules of
+    up to three terminals in 1..3.  Each Vj with j > 0 is then put into a
+    rule of some Vi with i < j, which keeps the grammar acyclic and makes
+    variables used once, and up to two more times, which makes shared
+    ones.  Draws cover words of mixed lengths, empty right-hand sides,
+    duplicate rules, variables without rules and the empty word on the
+    accepts_empty flag."""
+    n = draw(st.integers(1, 6))
+    names = tuple(f"V{i}" for i in range(n))
+    bodies = [
+        [draw(st.lists(st.integers(1, 3), max_size=3)) for _ in range(draw(st.integers(0, 3)))]
+        for _ in range(n)
+    ]
+    uses = list(range(1, n)) + (draw(st.lists(st.integers(1, n - 1), max_size=2)) if n > 1 else [])
+    for j in uses:
+        body = bodies[draw(st.integers(0, j - 1))]
+        if body:
+            rhs = body[draw(st.integers(0, len(body) - 1))]
+            rhs.insert(draw(st.integers(0, len(rhs))), names[j])
+    rules = [(names[i], tuple(rhs)) for i in range(n) for rhs in bodies[i]]
+    rules += draw(st.lists(st.sampled_from(rules), max_size=2)) if rules else []
+    return Grammar(3, "V0", names, tuple(rules), draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(acyclic_grammars())
+def test_streamed_language_matches_reference(gr):
+    # a language of a few thousand words at most keeps each draw quick
+    assume(count_parse_trees(gr) <= 2000)
+    reference = reference_language(gr)
+    assert list(iter_language(gr)) == reference
+    for cap in range(4):
+        expected = tuple(Word(w) for w in reference[:cap]), len(reference) > cap
+        assert enumerate_language(gr, cap) == expected
 
 
 def builds(g):
