@@ -8,10 +8,11 @@ are finite dynamic programs and refuse cyclic inputs.
 
 The central constructor compiles the automorphism group of a connected
 graph out of a permutation-yielding tree decomposition: variables are
-(position, annotated bag) pairs, rules connect annotations that agree on
-their shared domain, and each leaf writes the image of its vertex.  Parse
-trees then correspond one-to-one with consistent whole-tree annotations,
-hence with automorphisms.  A word w produced for automorphism s satisfies
+positions paired with classes of annotated bags that derive the same
+words, rules connect annotations that agree on their shared domain, and
+each leaf writes the image of its vertex.  Parse trees then correspond
+one-to-one with consistent whole-tree annotations, hence with
+automorphisms.  A word w produced for automorphism s satisfies
 w_i = s(alpha(i)) where alpha spells the leaf vertex order, so the language
 is exactly the string set of the group repositioned by alpha.
 
@@ -217,13 +218,16 @@ def iter_language(gr: Grammar) -> Iterator[tuple[int, ...]]:
     lazily (Mäkinen, "On lexicographic enumeration of regular and
     context-free languages", Acta Cybernetica 1997).
 
-    The start is streamed, and so is every variable that occurs once in
-    all right-hand sides, in a rule of a streamed variable with only
-    terminals before it.  The streamed variables form a tree, and each
-    rule of one whose first variable is not streamed ends a path from the
-    start: the path's words are the terminals met on the way down followed
-    by the product of the factors left after them.  Every other variable
-    is held: its language is computed once by the set pass and sorted.  A
+    The start is streamed, and so is every variable met in a rule of a
+    streamed variable with only terminals before it, if it occurs once in
+    all right-hand sides or has more parse trees than the square root of
+    the start's.  A shared variable is streamed anew at each occurrence,
+    which multiplies the paths below it, so only one too large to hold
+    cheaply is.  The streamed occurrences form a tree, and each rule of
+    one whose first variable is not streamed ends a path from the start:
+    the path's words are the terminals met on the way down followed by
+    the product of the factors left after them.  Every other variable is
+    held: its language is computed once by the set pass and sorted.  A
     path walks its product in order while every factor but the last has
     words of one length; from the first factor that does not, it
     concatenates the rest up front.  A heap merges the paths, so words of
@@ -237,6 +241,8 @@ def iter_language(gr: Grammar) -> Iterator[tuple[int, ...]]:
     table = _rules_by_lhs(gr)
     run = _evaluator(gr, table)
     uses = Counter(x for _, rhs in gr.rules for x in rhs if isinstance(x, str))
+    trees = run(lambda r: 1, lambda a: 1, operator.mul, sum)
+    whole = trees[gr.start]
     paths: list = []  # (terminal prefix, factors after it)
     todo = [(gr.start, (), ())]  # streamed variable, prefix before it, factors after it
     while todo:
@@ -245,11 +251,11 @@ def iter_language(gr: Grammar) -> Iterator[tuple[int, ...]]:
             i = 0
             while i < len(rhs) and isinstance(rhs[i], int):
                 i += 1
-            if i < len(rhs) and uses[rhs[i]] == 1:
+            if i < len(rhs) and (uses[rhs[i]] == 1 or trees[rhs[i]] ** 2 > whole):
                 todo.append((rhs[i], before + rhs[:i], rhs[i + 1:] + after))
             else:
                 paths.append((before + rhs[:i], rhs[i:] + after))
-    del uses  # the set pass is the peak: free what only the walk needed
+    del uses, trees  # the set pass is the peak: free what only the walk needed
     factors = {x for _, fs in paths for x in fs if isinstance(x, str)}
     held = run(lambda r: {()}, lambda a: {(a,)}, _pairwise_sums, _union, factors)
     words = {x: tuple(sorted(held[x])) for x in factors}
@@ -339,6 +345,41 @@ def _pos_str(p: Pos) -> str:
     return ".".join(map(str, p)) or "e"  # the root is the empty position
 
 
+def _merge_classes(t: TreeDecomposition, links: dict, writes: dict) -> tuple[dict, dict]:
+    """Merge classes of `join_annotations`' survivors, bottom-up: signature
+    minimisation of acyclic automata (Revuz, "Minimisation of acyclic
+    deterministic automata in linear time", TCS 1992).  writes[p][i] is
+    the terminal that survivor i at p has written for it (by its own rule
+    or its parent's), or None.  A childless survivor's class is what it
+    writes; any other's is, per child, the set of its partners' (terminal,
+    class) pairs.  So two survivors at one position share a class exactly
+    when their rule sets become equal once every child is renamed to its
+    class: they derive the same words, and one variable serves both.
+
+    Returns (cls, first): cls[p][i] is the class of survivor i at p,
+    numbered in first-appearance order, and first[p][k] the first survivor
+    of class k, whose rules the class's variable is written from."""
+    cls: dict = {}
+    first: dict = {}
+    pairs: dict = {}  # p -> the (terminal, class) pair of each survivor at p
+    for p in reversed(t.positions):  # children before parents
+        kids = t.children(p)
+        if kids:
+            pair_of = [pairs[c].__getitem__ for c in kids]
+            sigs = [tuple(map(frozenset, map(map, pair_of, partners))) for partners in links[p]]
+        else:
+            sigs = writes[p]
+        ids: dict = {}
+        cls[p], first[p] = [], []
+        for i, sig in enumerate(sigs):
+            k = ids.setdefault(sig, len(ids))
+            if k == len(first[p]):
+                first[p].append(i)
+            cls[p].append(k)
+        pairs[p] = list(zip(writes[p], cls[p]))
+    return cls, first
+
+
 def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Grammar]:
     """Compile Aut(g) into a grammar over alphabet V(g).
 
@@ -356,22 +397,26 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
     if not is_permutation_yielding(g, t):
         raise GrammarError("decomposition is not permutation yielding")
     dom, ann, links = join_annotations(g, t)
-    # one variable per surviving annotation, in position order: p:<pos>|b:<i>
-    # stands for the image tuple ann[p][i] over dom[p]
-    name = {p: [f"p:{_pos_str(p)}|b:{i}" for i in range(len(ann[p]))] for p in t.positions}
+    # a leaf writes the image of its one vertex
+    writes = {p: [None] * len(ann[p]) for p in t.positions}
+    for p in t.positions:
+        if not t.children(p):
+            k = dom[p].index(t.bag(p)[0])
+            writes[p] = [images[k] for images in ann[p]]
+    cls, first = _merge_classes(t, links, writes)
+    # one variable per merge class, in position order: p:<pos>|b:<k>
+    # stands for the k-th class at p, in first-appearance order
+    name = {p: [f"p:{_pos_str(p)}|b:{k}" for k in range(len(first[p]))] for p in t.positions}
     variables = ("B1", *(v for p in t.positions for v in name[p]))
-    rules: list = [("B1", (v,)) for v in name[ROOT]]
+    rules: list = [("B1", (name[ROOT][k],)) for k in cls[ROOT]]
     for p in t.positions:
         kids = t.children(p)
-        if kids:
-            for i, partners in enumerate(links[p]):
-                rules.extend(
-                    (name[p][i], tuple(name[c][j] for c, j in zip(kids, combo)))
-                    for combo in itertools.product(*partners)
-                )
-        else:  # a leaf writes the image of its one vertex
-            k = dom[p].index(t.bag(p)[0])
-            rules.extend((v, (images[k],)) for v, images in zip(name[p], ann[p]))
+        for v, i in zip(name[p], first[p]):
+            if kids:
+                choices = [[name[c][cls[c][j]] for j in js] for c, js in zip(kids, links[p][i])]
+                rules.extend((v, rhs) for rhs in itertools.product(*choices))
+            else:
+                rules.append((v, (writes[p][i],)))
     return yield_order_of(t), Grammar(g.vertex_count, "B1", variables, tuple(rules))
 
 
@@ -383,7 +428,7 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
 
 def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutation, Grammar]:
     from .annotate import join_annotations
-    from .decomp import ROOT, introduced_order, validate_tree_decomposition
+    from .decomp import introduced_order, validate_tree_decomposition
     from .graph import require_connected
 
     require_connected(g)
@@ -395,27 +440,34 @@ def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutat
     chain = pd.positions  # path shaped: the root, then one child per level
     dom, ann, links = join_annotations(g, pd)
     alpha = Permutation(tuple(order))
+    # the annotations at chain[m] write the image of the m-th introduced vertex
+    writes = {}
+    for m, p in enumerate(chain):
+        k = dom[p].index(order[m])
+        writes[p] = [images[k] for images in ann[p]]
+    # the class of an annotation at chain[i - 2] is the set of (terminal,
+    # class) pairs of the annotations at chain[i - 1] it may continue with;
+    # state q:<i>|b:<k> stands for the k-th class at chain[i - 2]
+    cls, first = _merge_classes(pd, links, writes)
 
-    def state(i: int, j: int) -> str:
-        return f"q:{i}|b:{j}"
+    def state(i: int, k: int) -> str:
+        return f"q:{i}|b:{k}"
 
-    # one variable per surviving annotation: q:<i>|b:<j> stands for the
-    # image tuple ann[chain[i - 2]][j] over dom[chain[i - 2]]
     variables = ["B1"]
     for i in range(2, n + 1):
-        variables.extend(state(i, j) for j in range(len(ann[chain[i - 2]])))
+        variables.extend(state(i, k) for k in range(len(first[chain[i - 2]])))
     rules: list = []
     for i in range(1, n + 1):
         # each lhs with the annotations at chain[i - 1] it may continue with
+        p = chain[i - 1]
         if i == 1:
-            steps = [("B1", range(len(ann[ROOT])))]
+            steps = [("B1", range(len(ann[p])))]
         else:
-            steps = [(state(i, j), nxt) for j, (nxt,) in enumerate(links[chain[i - 2]])]
-        images, k = ann[chain[i - 1]], dom[chain[i - 1]].index(order[i - 1])
+            steps = [(state(i, k), links[chain[i - 2]][j][0]) for k, j in enumerate(first[chain[i - 2]])]
         for lhs, nxt in steps:
-            for j2 in nxt:
-                emit = images[j2][k]
-                rules.append((lhs, (emit, state(i + 1, j2)) if i < n else (emit,)))
+            for j in nxt:
+                emit = writes[p][j]
+                rules.append((lhs, (emit, state(i + 1, cls[p][j])) if i < n else (emit,)))
     return alpha, Grammar(g.vertex_count, "B1", tuple(variables), tuple(rules))
 
 

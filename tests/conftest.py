@@ -197,11 +197,12 @@ def lp_corpus_points():
 
 def reference_simplex_feasible(rows: list, bounds: dict) -> bool:
     """The phase-1 simplex of `polytope._simplex_feasible` over Fractions,
-    as it was before its tableau moved to integer rows: the reference its
-    verdicts are tested against.  Bounded variables, Dantzig's pricing (the
-    largest reduced cost, ties to the smallest index) with Bland's rule
-    after an iteration allowance, and the same ratio test, so the two take
-    the same pivots."""
+    as it was before its tableau moved to integer rows and before it
+    started from a crash basis: the reference its verdicts are tested
+    against.  Bounded variables, an all-artificial starting basis,
+    Dantzig's pricing (the largest reduced cost, ties to the smallest
+    index) with Bland's rule after an iteration allowance, and the same
+    ratio test; the two reach the same verdict by different pivots."""
     ZERO, ONE = Fraction(0), Fraction(1)
 
     cols: dict[str, int] = {}

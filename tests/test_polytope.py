@@ -307,9 +307,11 @@ def test_simplex_matches_reference_on_random_systems():
 
 def test_simplex_matches_reference_on_lp_corpus():
     # the LP-file points of every corpus grammar whose presolved system has
-    # at most 100 rows: every graph the lp-check benchmark decides.  Left
-    # out are Petersen's (671 rows), btree3's path grammar's (228) and
-    # btree4's (241), where the reference takes 1-45 s a point
+    # at most 150 rows: every graph the lp-check benchmark decides.  Left
+    # out are btree3's path grammar's (228 rows), Petersen's tree
+    # grammar's (231) and btree4's (252), where the reference takes up to
+    # 14 s a point.  The presolve alone rejects the raised point of
+    # star4's tree grammar
     decided = 0
     for parsed, point in lp_corpus_points():
         rows, bounds = _lp_system(parsed, point)
@@ -317,18 +319,19 @@ def test_simplex_matches_reference_on_lp_corpus():
         if reduced is None:
             assert not check_lp_feasibility(parsed, point)
             continue
-        if len(reduced[0]) > 100:
+        if len(reduced[0]) > 150:
             continue
         expected = reference_simplex_feasible(*reduced)
         assert _simplex_feasible(*reduced) == expected == check_lp_feasibility(parsed, point), point
         decided += 1
-    assert decided == 61
+    assert decided == 60
 
 
 def test_petersen_lp_file_point_time():
-    # Petersen's identity word on the LP-file path: 671 x 780 after the
-    # presolve and about 1000 pivots; 3-5 s on a 2-core VM with integer
-    # rows, 18-45 s with the Fraction tableau
+    # Petersen's identity word on the LP-file path: 231 rows after the
+    # presolve, most of them crashed before the first pivot; 0.03-0.1 s on
+    # a 2-core VM, 3-5 s before the grammar's variables were merged and
+    # the crash added
     import time
 
     g = petersen_graph()
@@ -338,12 +341,13 @@ def test_petersen_lp_file_point_time():
     start = time.process_time()
     verdict = check_lp_feasibility(parsed, {f"x_{i}": v for i, v in enumerate(x, start=1)})
     elapsed = time.process_time() - start
-    assert verdict and elapsed < 10.0, elapsed
+    assert verdict and elapsed < 1.0, elapsed
 
 
 def test_presolve_reduction_sizes(c5, q3):
-    # every flow row but the source row is a doubleton on these grammars
-    for g, size in ((c5, (6, 10)), (q3, (9, 48))):
+    # the rows left are the flow rows of shared variables, which have more
+    # than two terms, and what substitution made of them
+    for g, size in ((c5, (31, 35)), (q3, (73, 112))):
         alpha, gr, ef = aut_ef(g)
         x = permute_word(to_string_word(Permutation(tuple(g.vertices))), alpha).symbols
         point = {f"x_{i}": Fraction(v) for i, v in enumerate(x, start=1)}

@@ -1,6 +1,7 @@
 """Property tests drawn by hypothesis.  On connected graphs: both grammar
 builders against the brute-force oracle, and the two exact LP paths and
-the Fraction reference simplex against each other.  On random acyclic
+the Fraction reference simplex against each other, and that every
+variable a builder writes is one merge class.  On random acyclic
 grammars: the streamed language against the set-semiring reference."""
 
 from fractions import Fraction
@@ -142,3 +143,24 @@ def test_lp_paths_agree(g, data):
             assert check_lp_feasibility(parsed, point) == reference == member, x
             assert check_projection_feasibility(ef, x) == member, x
             check_certificate(gr, x, *_projection_verdict(ef, x))
+
+
+@settings(max_examples=20, deadline=None)
+@given(connected_graphs(max_vertices=7))
+def test_builders_write_one_variable_per_merge_class(g):
+    # merging keeps the oracle's language and |Aut| parse trees, and
+    # leaves no two variables of one position with equal rule sets: every
+    # child is already named by its class, so the sets need no renaming
+    auts = brute_force_automorphisms(g)
+    assume(len(auts) <= 120)
+    for alpha, gr in builds(g):
+        expected = sorted(permute_word(to_string_word(s), alpha) for s in auts)
+        assert list(enumerate_language(gr).words) == expected
+        assert count_parse_trees(gr) == len(auts)
+        rule_sets: dict = {v: set() for v in gr.variables}
+        for lhs, rhs in gr.rules:
+            rule_sets[lhs].add(rhs)
+        at_position: dict = {}
+        for v in gr.variables:
+            at_position.setdefault(v.rsplit("|b:", 1)[0], []).append(frozenset(rule_sets[v]))
+        assert all(len(set(sets)) == len(sets) for sets in at_position.values()), gr
