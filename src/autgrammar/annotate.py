@@ -27,7 +27,7 @@ enumerate_assignments wrap the tuples in it at their boundary.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import PreconditionError
 from .decomp import ROOT, TreeDecomposition, validate_tree_decomposition
@@ -39,8 +39,7 @@ class AnnotationError(PreconditionError):
     pass
 
 
-@dataclass(frozen=True)
-class AnnotatedBag:
+class AnnotatedBag(NamedTuple):
     """Bag s plus an injective map phi with domain N(s) union s, stored as
     (vertex, image) pairs sorted by vertex."""
 
@@ -193,8 +192,7 @@ def consistent_bags(parent: AnnotatedBag, child: AnnotatedBag) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class AnnotationAssignment:
+class AnnotationAssignment(NamedTuple):
     """One annotated bag per position of a fixed tree decomposition."""
 
     decomposition: TreeDecomposition

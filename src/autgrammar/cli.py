@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 
 from . import PreconditionError, _quote
@@ -195,7 +196,18 @@ def _cmd_enum(args) -> int:
 
     words = gmod.iter_language(gr)
     names = [str(a) for a in range(gr.sigma_max + 1)]
-    sys.stdout.writelines(" ".join([names[a] for a in w]) + "\n" for w in itertools.islice(words, args.cap))
+    lines = (" ".join([names[a] for a in w]) + "\n" for w in itertools.islice(words, args.cap))
+    try:
+        # one write per block of lines: unbuffered, each write is a system call
+        while block := "".join(itertools.islice(lines, 1024)):
+            sys.stdout.write(block)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has closed the pipe (`enum G.json | head -1`): stop
+        # quietly, and point stdout at the null device so that the flush
+        # at shutdown reports nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     if next(words, None) is not None:
         print(f"truncated at {args.cap}", file=sys.stderr)
     return 0

@@ -17,7 +17,7 @@ exactly one leaf bag, as a singleton).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import PreconditionError
 from .graph import DisconnectedGraphError, Graph, require_connected
@@ -109,14 +109,12 @@ class TreeDecomposition:
         return f"TreeDecomposition({self.bags})"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     axiom: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     width: int
     violations: tuple[Violation, ...]
 

@@ -33,7 +33,6 @@ import operator
 import warnings
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -53,64 +52,100 @@ class CyclicGrammarError(GrammarError):
     pass
 
 
-@dataclass(frozen=True)
 class Grammar:
-    sigma_max: int
-    start: str
-    variables: tuple[str, ...]
-    rules: tuple
-    accepts_empty: bool = False
+    """Immutable; equal, and hashed alike, when every field is equal."""
 
-    def __post_init__(self):
+    __slots__ = ("sigma_max", "start", "variables", "rules", "accepts_empty")
+
+    def __init__(
+        self,
+        sigma_max: int,
+        start: str,
+        variables: tuple[str, ...],
+        rules: tuple,
+        accepts_empty: bool = False,
+    ):
         # only what the JSON format holds: a string per variable, a plain
         # int (not a bool, which is an int subclass) for every number
-        if type(self.sigma_max) is not int:
-            raise GrammarError(f"sigma_max {_quote(self.sigma_max)} is not an integer")
-        if self.sigma_max < 0:
-            raise GrammarError(f"sigma_max {_quote(self.sigma_max)} is negative")
+        if type(sigma_max) is not int:
+            raise GrammarError(f"sigma_max {_quote(sigma_max)} is not an integer")
+        if sigma_max < 0:
+            raise GrammarError(f"sigma_max {_quote(sigma_max)} is negative")
         declared: set[str] = set()
-        for v in self.variables:
+        for v in variables:
             if not isinstance(v, str):
                 raise GrammarError(f"variable {_quote(v)} is not a string")
             if v in declared:
                 raise GrammarError(f"variable {_quote(v)} declared twice")
             declared.add(v)
-        if self.start not in declared:
-            raise GrammarError(f"start variable {_quote(self.start)} not declared")
-        for lhs, rhs in self.rules:
+        if start not in declared:
+            raise GrammarError(f"start variable {_quote(start)} not declared")
+        for lhs, rhs in rules:
             if lhs not in declared:
                 raise GrammarError(f"rule lhs {_quote(lhs)} not declared")
             for x in rhs:
                 if isinstance(x, str):
                     if x not in declared:
                         raise GrammarError(f"rhs variable {_quote(x)} not declared")
-                elif type(x) is not int or not 1 <= x <= self.sigma_max:
+                elif type(x) is not int or not 1 <= x <= sigma_max:
                     raise GrammarError(
-                        f"terminal {_quote(x)} is not an integer in 1..{_quote(self.sigma_max)}"
+                        f"terminal {_quote(x)} is not an integer in 1..{_quote(sigma_max)}"
                     )
+        object.__setattr__(self, "sigma_max", sigma_max)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "accepts_empty", accepts_empty)
+
+    def _values(self) -> tuple:
+        return (self.sigma_max, self.start, self.variables, self.rules, self.accepts_empty)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Grammar is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return Grammar, self._values()
+
+    def __repr__(self):
+        return (
+            f"Grammar(sigma_max={self.sigma_max!r}, start={self.start!r}, "
+            f"variables={self.variables!r}, rules={self.rules!r}, "
+            f"accepts_empty={self.accepts_empty!r})"
+        )
 
 
 def topological_variables(gr: Grammar) -> list[str]:
-    """Variables ordered dependencies-first; raises on recursion."""
-    deps: dict[str, set[str]] = {v: set() for v in gr.variables}
+    """Variables ordered dependencies-first; raises on recursion.  A
+    variable's dependencies are visited in order of first appearance in
+    its rules' right-hand sides (a repeat finds its variable ordered)."""
+    deps: dict[str, list[str]] = {v: [] for v in gr.variables}
     for lhs, rhs in gr.rules:
-        deps[lhs].update(x for x in rhs if isinstance(x, str))
+        deps[lhs] += [x for x in rhs if isinstance(x, str)]
     order: list[str] = []
     state: dict[str, int] = {}  # 1 while on the stack, 2 once ordered
     for root in gr.variables:
         if root in state:
             continue
         state[root] = 1
-        stack = [(root, iter(sorted(deps[root])))]
+        stack = [(root, iter(deps[root]))]
         while stack:
             v, pending = stack[-1]
             for u in pending:
-                if state.get(u) == 1:
-                    raise CyclicGrammarError(f"variable {u!r} depends on itself")
-                if u not in state:
+                seen = state.get(u)
+                if seen is None:
                     state[u] = 1
-                    stack.append((u, iter(sorted(deps[u]))))
+                    stack.append((u, iter(deps[u])))
                     break
+                if seen == 1:
+                    raise CyclicGrammarError(f"variable {u!r} depends on itself")
             else:
                 stack.pop()
                 state[v] = 2
@@ -633,10 +668,9 @@ def permutation_from_aligned_word(w: Word, alpha: Permutation) -> Permutation:
 # ---------------------------------------------------------------------------
 # Parse trees.
 
-@dataclass(frozen=True)
-class ParseTree:
+class ParseTree(NamedTuple):
     rule_index: int
-    children: tuple["ParseTree", ...]
+    children: tuple[ParseTree, ...]
 
 
 def enumerate_parse_trees(gr: Grammar) -> list[ParseTree]:

@@ -8,7 +8,7 @@ deterministically ordered values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import PreconditionError
 from .graph import Graph, stable_colouring
@@ -55,8 +55,7 @@ def brute_force_automorphisms(g: Graph, cap: int = ORACLE_CAP) -> tuple[Permutat
     return tuple(sorted(found))
 
 
-@dataclass(frozen=True)
-class RestrictionResult:
+class RestrictionResult(NamedTuple):
     """Either the restricted group on 1..n, or a witness that 1..n is not
     invariant under the automorphism group."""
 

@@ -8,21 +8,67 @@ validated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class PermError(Exception):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
-    image: tuple[int, ...]
+class _Record:
+    """An immutable value of one tuple field, hashed, compared and ordered
+    as the one-tuple of that field, the way a frozen, ordered dataclass is
+    (`hash(Permutation(p)) == hash((p,))`).  The field is read through
+    `_key`.  Written by hand: importing `dataclasses` loads `inspect`, and
+    each dataclass compiles its methods with `exec`, a fixed cost that
+    every CLI process would pay."""
 
-    def __post_init__(self):
-        n = len(self.image)
-        if sorted(self.image) != list(range(1, n + 1)):
-            raise PermError(f"not a bijection of 1..{n}: {self.image}")
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self):
+        return hash((self._key(),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() < other._key()
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() <= other._key()
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() > other._key()
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() >= other._key()
+        return NotImplemented
+
+    def __reduce__(self):
+        return type(self), (self._key(),)
+
+
+class Permutation(_Record):
+    __slots__ = ("image",)
+
+    def __init__(self, image: tuple[int, ...]):
+        n = len(image)
+        if sorted(image) != list(range(1, n + 1)):
+            raise PermError(f"not a bijection of 1..{n}: {image}")
+        object.__setattr__(self, "image", image)
+
+    def _key(self):
+        return self.image
 
     @property
     def size(self) -> int:
@@ -53,9 +99,14 @@ def inverse(a: Permutation) -> Permutation:
     return Permutation(tuple(img))
 
 
-@dataclass(frozen=True, order=True)
-class Word:
-    symbols: tuple[int, ...]
+class Word(_Record):
+    __slots__ = ("symbols",)
+
+    def __init__(self, symbols: tuple[int, ...]):
+        object.__setattr__(self, "symbols", symbols)
+
+    def _key(self):
+        return self.symbols
 
     def __len__(self):
         return len(self.symbols)

@@ -45,9 +45,8 @@ import math
 import operator
 import re
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import PreconditionError, _quote
 
@@ -59,8 +58,7 @@ class PolytopeError(PreconditionError):
     pass
 
 
-@dataclass(frozen=True)
-class ParsedLP:
+class ParsedLP(NamedTuple):
     constraints: tuple  # (name, ((Fraction coef, var), ...), rel, Fraction rhs)
     bounds: dict  # var -> (Fraction lo, Fraction hi or None)
 
@@ -68,16 +66,40 @@ class ParsedLP:
 _UNIT = (Fraction(0), Fraction(1))
 
 
-@dataclass(frozen=True, eq=False)
 class ExtendedFormulation:
     """Rows are (name, ((coef, var), ...), rel, rhs), as `parse_lp` returns
-    them, with integer numbers."""
+    them, with integer numbers.  Immutable; equal only to itself."""
 
-    grammar: Grammar
-    flow_vars: tuple[str, ...]
-    constraints: tuple  # src, then c_<k> conserving flow at every other variable
-    projection: tuple  # px<i> defining x_i, or pz<i>_<a> defining z_i_a
-    word_length: int
+    __slots__ = ("grammar", "flow_vars", "constraints", "projection", "word_length")
+
+    def __init__(
+        self,
+        grammar: Grammar,
+        flow_vars: tuple[str, ...],
+        constraints: tuple,  # src, then c_<k> conserving flow at every other variable
+        projection: tuple,  # px<i> defining x_i, or pz<i>_<a> defining z_i_a
+        word_length: int,
+    ):
+        object.__setattr__(self, "grammar", grammar)
+        object.__setattr__(self, "flow_vars", flow_vars)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "projection", projection)
+        object.__setattr__(self, "word_length", word_length)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExtendedFormulation is immutable")
+
+    def __reduce__(self):
+        return ExtendedFormulation, (
+            self.grammar, self.flow_vars, self.constraints, self.projection, self.word_length
+        )
+
+    def __repr__(self):
+        return (
+            f"ExtendedFormulation(grammar={self.grammar!r}, flow_vars={self.flow_vars!r}, "
+            f"constraints={self.constraints!r}, projection={self.projection!r}, "
+            f"word_length={self.word_length!r})"
+        )
 
     @property
     def lp(self) -> ParsedLP:

@@ -12,9 +12,10 @@ from autgrammar.grammar import (
     grammar_from_json,
     grammar_to_json,
 )
+from autgrammar.graph import format_graph
 from autgrammar.oracle import brute_force_automorphisms
 from autgrammar.perm import Word, format_word, permute_word, to_string_word
-from conftest import reference_language
+from conftest import binary_tree, reference_language
 
 C4_TEXT = "4 4\n1 2\n2 3\n3 4\n1 4\n"
 STAR5_TEXT = "5 4\n1 5\n2 5\n3 5\n4 5\n"
@@ -281,6 +282,28 @@ def test_enum_output_bytes(tmp_path):
         assert r.stdout == "".join(format_word(w) + "\n" for w in words[:cap]).encode()
         assert r.stderr == (f"truncated at {cap}\n".encode() if cap else b"")
     assert r.stdout == b"\n1 2\n2 1\n"  # the erased grammar's empty word comes first
+
+
+def test_enum_closed_pipe_exits_quietly(tmp_path):
+    """A reader that stops early (`enum G.json | head -1`) ends enum with
+    exit 0 and nothing on stderr; the words it does read are the first
+    ones, across the blocks enum writes in."""
+    graph, out = tmp_path / "btree4.edges", tmp_path / "btree4.json"
+    graph.write_text(format_graph(binary_tree(4)))
+    assert run_cli("build", "--graph", str(graph), "--out", str(out)).returncode == 0
+    words = enumerate_language(grammar_from_json(out.read_text()), cap=2500).words
+    r = subprocess.run([sys.executable, "-m", "autgrammar", "enum", str(out), "--cap", "2500"],
+                       capture_output=True)
+    assert r.stdout == "".join(format_word(w) + "\n" for w in words).encode()
+    # 32 768 lines of about 80 bytes: far more than a pipe holds
+    p = subprocess.Popen([sys.executable, "-m", "autgrammar", "enum", str(out)],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert p.stdout.readline() == (format_word(words[0]) + "\n").encode()
+    p.stdout.close()
+    err = p.stderr.read()
+    p.stderr.close()
+    assert p.wait() == 0
+    assert err == b""
 
 
 C4_TD_BAGS = "b 1 1 2 4\nb 2 2 3 4\n"

@@ -24,6 +24,7 @@ from autgrammar.grammar import (
     CyclicGrammarError,
     Grammar,
     GrammarError,
+    ParseTree,
     build_aut_grammar,
     build_embedded_group_grammar,
     build_regular_aut_grammar,
@@ -41,6 +42,7 @@ from autgrammar.grammar import (
     parse_tree_yield,
     permutation_from_aligned_word,
     rename_terminals,
+    topological_variables,
     trim,
     union_grammar,
 )
@@ -194,6 +196,31 @@ def test_enumerate_rejects_cyclic():
     for analytic in analytics:
         with pytest.raises(CyclicGrammarError):
             analytic(cyc)
+
+
+def test_topological_order_follows_first_appearance():
+    gr = Grammar(2, "B1", ("B1", "A", "C"), (("B1", ("C", "A", "C")), ("B1", ("A",)), ("C", (2,)), ("A", (1,))))
+    assert topological_variables(gr) == ["C", "A", "B1"]
+    gr = Grammar(1, "B1", ("B1", "A", "C"), (("B1", ("C", "C")), ("C", ("A",)), ("A", ("C",))))
+    with pytest.raises(CyclicGrammarError, match="'C' depends on itself"):
+        topological_variables(gr)
+
+
+def test_grammar_is_an_immutable_value():
+    rules = (("B1", (1, "A")), ("A", (2,)))
+    gr = Grammar(2, "B1", ("B1", "A"), rules)
+    for field in ("sigma_max", "start", "variables", "rules", "accepts_empty", "other"):
+        with pytest.raises(AttributeError):
+            setattr(gr, field, None)
+    assert gr == Grammar(2, "B1", ("B1", "A"), rules, False)
+    assert gr != Grammar(2, "B1", ("B1", "A"), rules, True)
+    assert hash(gr) == hash((2, "B1", ("B1", "A"), rules, False))
+    assert repr(gr) == (
+        "Grammar(sigma_max=2, start='B1', variables=('B1', 'A'), "
+        "rules=(('B1', (1, 'A')), ('A', (2,))), accepts_empty=False)"
+    )
+    assert enumerate_parse_trees(gr) == [ParseTree(0, (ParseTree(1, ()),))]
+    assert repr(ParseTree(1, ())) == "ParseTree(rule_index=1, children=())"
 
 
 def chain_grammar(depth):

@@ -10,10 +10,14 @@ from autgrammar import cli
 
 C4_TEXT = "4 4\n1 2\n2 3\n3 4\n1 4\n"
 BUILDERS = {"annotate", "decomp", "oracle"}
+# standard modules that no command may load: `dataclasses` loads `inspect`,
+# which loads `ast`, `dis` and `tokenize`
+SLOW_STDLIB = ("dataclasses", "inspect")
 
-# runs one CLI command in a fresh interpreter, then prints its exit code and
-# the package's submodules that were loaded, as the last line of stdout
-PROBE = """
+# runs one CLI command in a fresh interpreter, then prints its exit code,
+# the package's submodules that were loaded and the SLOW_STDLIB modules
+# that were, as the last line of stdout
+PROBE = f"""
 import sys
 from autgrammar import cli
 try:
@@ -21,14 +25,18 @@ try:
 except SystemExit as e:
     code = e.code
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("autgrammar."))
-print(code, *loaded)
+print(code, *loaded, *(m for m in {SLOW_STDLIB} if m in sys.modules))
 """
 
 
 def loaded_by(*args):
+    """The exit code and the package's submodules loaded by one command;
+    asserts that the command loaded no SLOW_STDLIB module."""
     r = subprocess.run([sys.executable, "-c", PROBE, *args], capture_output=True, text=True)
     code, *modules = r.stdout.splitlines()[-1].split()
-    return int(code), set(modules)
+    modules = set(modules)
+    assert not modules & set(SLOW_STDLIB), (args, modules)
+    return int(code), modules
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -98,3 +99,28 @@ def test_text_round_trip():
     p = parse_permutation("2 1 4 3")
     assert p == Permutation((2, 1, 4, 3))
     assert format_permutation(p) == "2 1 4 3"
+
+
+def test_records_are_immutable():
+    for record, field in ((Permutation((2, 1, 3)), "image"), (Word((3, 1)), "symbols")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, (1,))
+        with pytest.raises(AttributeError):
+            record.other = 1
+
+
+def test_records_hash_compare_and_sort_as_tuples():
+    rng = random.Random(5)
+    images = [tuple(rng.sample(range(1, 5), 4)) for _ in range(40)]
+    assert [p.image for p in sorted(map(Permutation, images))] == sorted(images)
+    symbols = [tuple(rng.choices(range(1, 4), k=rng.randrange(4))) for _ in range(40)]
+    assert [w.symbols for w in sorted(map(Word, symbols))] == sorted(symbols)
+    a, b = Permutation((1, 2, 3)), Permutation((1, 3, 2))
+    assert a < b and a <= b and b > a and b >= a and a <= a and a >= a and not a < a
+    assert hash(a) == hash(((1, 2, 3),)) and hash(Word((1, 3))) == hash(((1, 3),))
+    assert repr(a) == "Permutation((1, 2, 3))" and repr(Word((1, 3))) == "Word((1, 3))"
+    # a permutation is neither its word nor its tuple
+    assert a != Word((1, 2, 3)) and a != (1, 2, 3)
+    with pytest.raises(TypeError):
+        a < Word((1, 3, 2))
+    assert pickle.loads(pickle.dumps(b)) == b

@@ -68,6 +68,18 @@ def test_single_rule_grammar():
     assert project_point(ef, point) == (Fraction(1), Fraction(2))
 
 
+def test_extended_formulation_equals_only_itself():
+    gr = Grammar(2, "B1", ("B1",), (("B1", (1, 2)),))
+    a, b = build_extended_formulation(gr), build_extended_formulation(gr)
+    assert (a.flow_vars, a.constraints, a.projection, a.word_length) == (
+        b.flow_vars, b.constraints, b.projection, b.word_length
+    )
+    assert a != b and a == a and len({a, b}) == 2
+    with pytest.raises(AttributeError):
+        a.word_length = 3
+    assert repr(a).startswith("ExtendedFormulation(grammar=Grammar(sigma_max=2, ")
+
+
 def test_single_rule_lp_rows():
     gr = Grammar(2, "B1", ("B1",), (("B1", (1, 2)),))
     lp = emit_lp(build_extended_formulation(gr))
