@@ -14,14 +14,20 @@ Only annotations that can take part in such a family are searched for.
 Every vertex maps to one of its own stable colour (graph.stable_colouring),
 which automorphisms preserve, and join_annotations enumerates each child's
 annotations only as extensions of its parent's images on their shared
-domain.  Nothing is cached between calls: the colouring is computed once
-per call and dropped with the annotations.
+domain.  When the parent pins the child's whole domain, as it does for
+most children of a permutation-yielding decomposition, each such image
+is its own only extension and is checked without a search.  Nothing is
+cached between calls: the colouring is computed once per call and
+dropped with the annotations.
 
 The search and the join hold an annotation of bag S as its image tuple
 over the sorted domain N[S], and the grammar builders read images from
-those tuples.  AnnotatedBag, which pairs each domain vertex with its
-image, is the public type: enumerate_annotated_bags and
-enumerate_assignments wrap the tuples in it at their boundary.
+those tuples.  An annotation's partners in a child depend only on its
+images on the shared domain, its key, so the join stores them once per
+key and gives each annotation the group of its key.  AnnotatedBag, which
+pairs each domain vertex with its image, is the public type:
+enumerate_annotated_bags and enumerate_assignments wrap the tuples in it
+at their boundary.
 """
 
 from __future__ import annotations
@@ -125,23 +131,34 @@ class _Search:
 
     def annotations(self, bag: tuple[int, ...], pinned: tuple[int, ...], keys) -> list[tuple[int, ...]]:
         """The annotations of the sorted bag that map the vertices pinned,
-        a part of its domain, to one of the keys, as image tuples over the
-        sorted domain N[bag], in enumeration (lexicographic) order.  Each
-        key is the image of pinned under some colour-preserving partial
-        isomorphism (join_annotations passes a parent's images on the
-        shared domain), so the pinned vertices need no check among
-        themselves.
+        a sorted part of its domain, to one of the keys, as image tuples
+        over the sorted domain N[bag], in enumeration (lexicographic)
+        order.  Each key is the image of pinned under some
+        colour-preserving partial isomorphism (join_annotations passes a
+        parent's images on the shared domain), so the pinned vertices need
+        no check among themselves.
 
         The other bag vertices are placed first, then the other boundary
         vertices, whose images must fill the closed neighbourhood of the
         image bag.  Each placement checks colour, injectivity and adjacency
         to every placed vertex in both directions, so every complete map is
-        an annotation."""
+        an annotation.  When pinned is the whole domain there is nothing to
+        place: a key is kept, as it stands, when the closed neighbourhood
+        of its image bag has as many vertices as the domain."""
         colour, adjacent, classes, closed = self.colour, self.adjacent, self.classes, self.closed
         dom = closed_neighborhood(self.g, bag)
         order = [v for v in bag if v not in pinned]
         placed_bag = len(order)
         order += [v for v in dom if v not in pinned and v not in bag]
+        if not order:
+            # the whole domain is pinned, so each key, read over the sorted
+            # domain, is its own only extension: keep it when the search's
+            # one check at the placed bag holds
+            at_bag = [dom.index(v) for v in bag]
+            return sorted(
+                key for key in keys
+                if len(set().union(*[closed[key[k]] for k in at_bag])) == len(dom)
+            )
         found: list[tuple[int, ...]] = []
         phi: dict[int, int] = {}
         used: set[int] = set()
@@ -261,19 +278,22 @@ def join_annotations(g: Graph, t: TreeDecomposition) -> tuple[dict, dict, dict]:
     """(dom, ann, links): dom[p] is the sorted domain N[S_p] of the bag at
     p; ann[p] lists, in enumeration order, the image tuples over dom[p] of
     the annotations of that bag that take part in some consistent
-    annotation of the whole tree; links[p][i] holds, per child c of p, the
-    indices into ann[c] of those consistent with ann[p][i].
+    annotation of the whole tree; links[p] holds, per child c of p, a pair
+    (groups, partners): survivor i at p is consistent with the survivors
+    at c whose indices into ann[c] are partners[groups[i]].
 
     Annotations at p and c are consistent when their images agree on the
     shared domain N[S_p] & N[S_c], which is fixed, so an annotation's join
-    key is its image tuple read at the shared domain's indices.  The
-    search runs top down: the root's colour-preserving annotations, then
-    each child's only as extensions of the distinct keys its parent's
-    annotations give.  A bottom-up pass then keeps the annotations with a
-    partner in every child, one dict lookup per parent annotation, and a
-    top-down pass those a surviving parent reaches: Yannakakis' full
-    reducer (VLDB 1981).  An annotation's index is its rank among the
-    survivors, which no pruning of the search can shift."""
+    key is its image tuple read at the shared domain's indices, and its
+    partners at c depend on that key alone: a group is a key, numbered in
+    order of first use by the survivors at p.  The search runs top down:
+    the root's colour-preserving annotations, then each child's only as
+    extensions of the distinct keys its parent's annotations give.  A
+    bottom-up pass then buckets each child's live annotations by key and
+    keeps the parent annotations whose every child key has a bucket, and a
+    top-down pass keeps the buckets that a surviving parent's key uses:
+    Yannakakis' full reducer (VLDB 1981).  An annotation's index is its
+    rank among the survivors, which no pruning of the search can shift."""
     search = _Search(g)
     dom = {p: closed_neighborhood(g, t.bag(p)) for p in t.positions}
     ann = {ROOT: search.annotations(t.bag(ROOT), (), [()])}
@@ -287,31 +307,29 @@ def join_annotations(g: Graph, t: TreeDecomposition) -> tuple[dict, dict, dict]:
             parent_keys[c] = list(map(parent_key, ann[p]))
             pinned = tuple(v for v in dom[c] if v in shared)  # sorted, as in dom[p]
             ann[c] = search.annotations(t.bag(c), pinned, set(parent_keys[c]))
-    links: dict = {}
+    live: dict = {}  # p -> the indices into ann[p] still taking part
+    buckets: dict = {}  # c -> key -> the live indices at c with that key
     for p in reversed(t.positions):  # children before parents
-        columns = []
+        alive = range(len(ann[p]))
         for c in t.children(p):
-            key, images = child_key[c], ann[c]
-            buckets: dict = {}
-            for j in links[c]:
-                buckets.setdefault(key(images[j]), []).append(j)
-            columns.append([buckets.get(k, ()) for k in parent_keys.pop(c)])
-        partners = zip(*columns) if columns else ((),) * len(ann[p])
-        links[p] = {i: ps for i, ps in enumerate(partners) if all(ps)}
+            key, images, bucket = child_key[c], ann[c], {}
+            for j in live[c]:
+                bucket.setdefault(key(images[j]), []).append(j)
+            keys = parent_keys[c]
+            alive = [i for i in alive if keys[i] in bucket]
+            buckets[c] = bucket
+        live[p] = alive
+    links: dict = {}
     for p in t.positions:  # parents before children
-        for k, c in enumerate(t.children(p)):
-            reached = {j for ps in links[p].values() for j in ps[k]}
-            links[c] = {j: ps for j, ps in links[c].items() if j in reached}
-    rank = {p: {i: r for r, i in enumerate(links[p])} for p in t.positions}
-    survivors = {p: [ann[p][i] for i in links[p]] for p in t.positions}
-    ranked = {
-        p: [
-            tuple(tuple(rank[c][j] for j in js) for c, js in zip(t.children(p), ps))
-            for ps in links[p].values()
-        ]
-        for p in t.positions
-    }
-    return dom, survivors, ranked
+        links[p] = []
+        for c in t.children(p):
+            keys, bucket, group = parent_keys.pop(c), buckets.pop(c), {}
+            groups = [group.setdefault(keys[i], len(group)) for i in live[p]]
+            live[c] = sorted(j for k in group for j in bucket[k])
+            rank = {j: r for r, j in enumerate(live[c])}
+            links[p].append((groups, [tuple([rank[j] for j in bucket[k]]) for k in group]))
+    survivors = {p: [ann[p][i] for i in live[p]] for p in t.positions}
+    return dom, survivors, links
 
 
 def enumerate_assignments(g: Graph, t: TreeDecomposition):
@@ -337,7 +355,8 @@ def enumerate_assignments(g: Graph, t: TreeDecomposition):
             })
         else:
             par, k = slot[positions[len(stack)]]
-            stack.append(iter(links[par][chosen[par]][k]))
+            groups, partners = links[par][k]
+            stack.append(iter(partners[groups[chosen[par]]]))
 
 
 def count_assignments(g: Graph, t: TreeDecomposition) -> int:

@@ -197,17 +197,10 @@ def _cmd_enum(args) -> int:
     words = gmod.iter_language(gr)
     names = [str(a) for a in range(gr.sigma_max + 1)]
     lines = (" ".join([names[a] for a in w]) + "\n" for w in itertools.islice(words, args.cap))
-    try:
-        # one write per block of lines: unbuffered, each write is a system call
-        while block := "".join(itertools.islice(lines, 1024)):
-            sys.stdout.write(block)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader has closed the pipe (`enum G.json | head -1`): stop
-        # quietly, and point stdout at the null device so that the flush
-        # at shutdown reports nothing either
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+    # one write per block of lines: unbuffered, each write is a system call
+    while block := "".join(itertools.islice(lines, 1024)):
+        sys.stdout.write(block)
+    sys.stdout.flush()
     if next(words, None) is not None:
         print(f"truncated at {args.cap}", file=sys.stderr)
     return 0
@@ -324,7 +317,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader has closed the pipe (`enum G.json | head -1`, `build
+        # ... | head -c 1`): stop quietly, and point stdout at the null
+        # device so that the flush at shutdown reports nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

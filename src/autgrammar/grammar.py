@@ -122,27 +122,33 @@ class Grammar:
         )
 
 
-def topological_variables(gr: Grammar) -> list[str]:
+def topological_variables(gr: Grammar, table: dict | None = None) -> list[str]:
     """Variables ordered dependencies-first; raises on recursion.  A
     variable's dependencies are visited in order of first appearance in
-    its rules' right-hand sides (a repeat finds its variable ordered)."""
-    deps: dict[str, list[str]] = {v: [] for v in gr.variables}
-    for lhs, rhs in gr.rules:
-        deps[lhs] += [x for x in rhs if isinstance(x, str)]
+    its rules' right-hand sides (a repeat finds its variable ordered).
+    table is `_rules_by_lhs(gr)`, for a caller that has it: each
+    variable's dependencies are read from it when the variable is first
+    visited."""
+    if table is None:
+        table = _rules_by_lhs(gr)
+
+    def deps(v: str):
+        return iter([x for _, rhs in table[v] for x in rhs if isinstance(x, str)])
+
     order: list[str] = []
     state: dict[str, int] = {}  # 1 while on the stack, 2 once ordered
     for root in gr.variables:
         if root in state:
             continue
         state[root] = 1
-        stack = [(root, iter(deps[root]))]
+        stack = [(root, deps(root))]
         while stack:
             v, pending = stack[-1]
             for u in pending:
                 seen = state.get(u)
                 if seen is None:
                     state[u] = 1
-                    stack.append((u, iter(deps[u])))
+                    stack.append((u, deps(u)))
                     break
                 if seen == 1:
                     raise CyclicGrammarError(f"variable {u!r} depends on itself")
@@ -204,7 +210,7 @@ def _evaluator(gr: Grammar, table: dict | None = None):
     table is `_rules_by_lhs(gr)`, for a caller that needs it too."""
     if table is None:
         table = _rules_by_lhs(gr)
-    order = topological_variables(gr)
+    order = topological_variables(gr, table)
 
     def run(weight, leaf, times, plus, roots=None) -> dict:
         value: dict = {}
@@ -387,9 +393,10 @@ def _merge_classes(t: TreeDecomposition, links: dict, writes: dict) -> tuple[dic
     the terminal that survivor i at p has written for it (by its own rule
     or its parent's), or None.  A childless survivor's class is what it
     writes; any other's is, per child, the set of its partners' (terminal,
-    class) pairs.  So two survivors at one position share a class exactly
-    when their rule sets become equal once every child is renamed to its
-    class: they derive the same words, and one variable serves both.
+    class) pairs, built once per group of the child's links.  So two
+    survivors at one position share a class exactly when their rule sets
+    become equal once every child is renamed to its class: they derive
+    the same words, and one variable serves both.
 
     Returns (cls, first): cls[p][i] is the class of survivor i at p,
     numbered in first-appearance order, and first[p][k] the first survivor
@@ -400,8 +407,12 @@ def _merge_classes(t: TreeDecomposition, links: dict, writes: dict) -> tuple[dic
     for p in reversed(t.positions):  # children before parents
         kids = t.children(p)
         if kids:
-            pair_of = [pairs[c].__getitem__ for c in kids]
-            sigs = [tuple(map(frozenset, map(map, pair_of, partners))) for partners in links[p]]
+            columns = []
+            for c, (groups, partners) in zip(kids, links[p]):
+                pair_of = pairs[c].__getitem__
+                sig_of = [frozenset(map(pair_of, js)) for js in partners]
+                columns.append(map(sig_of.__getitem__, groups))
+            sigs = zip(*columns)
         else:
             sigs = writes[p]
         ids: dict = {}
@@ -448,7 +459,10 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
         kids = t.children(p)
         for v, i in zip(name[p], first[p]):
             if kids:
-                choices = [[name[c][cls[c][j]] for j in js] for c, js in zip(kids, links[p][i])]
+                choices = [
+                    [name[c][cls[c][j]] for j in partners[groups[i]]]
+                    for c, (groups, partners) in zip(kids, links[p])
+                ]
                 rules.extend((v, rhs) for rhs in itertools.product(*choices))
             else:
                 rules.append((v, (writes[p][i],)))
@@ -498,7 +512,8 @@ def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutat
         if i == 1:
             steps = [("B1", range(len(ann[p])))]
         else:
-            steps = [(state(i, k), links[chain[i - 2]][j][0]) for k, j in enumerate(first[chain[i - 2]])]
+            groups, partners = links[chain[i - 2]][0]
+            steps = [(state(i, k), partners[groups[j]]) for k, j in enumerate(first[chain[i - 2]])]
         for lhs, nxt in steps:
             for j in nxt:
                 emit = writes[p][j]
@@ -728,19 +743,28 @@ def _json_array(items: list[str], indent: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
+class _SymbolText(dict):
+    """The JSON text of each grammar symbol: filled with the quoted
+    variables, it spells each terminal the first time it is looked up."""
+
+    def __missing__(self, a: int) -> str:
+        text = self[a] = str(a)
+        return text
+
+
 def grammar_to_json(gr: Grammar) -> str:
-    quote = encode_basestring_ascii
+    text = _SymbolText(zip(gr.variables, map(encode_basestring_ascii, gr.variables)))
+    spell = text.__getitem__
+    # each rule as _json_array([lhs, _json_array(rhs, "   ")], "  ") lays it out
     rules = [
-        _json_array(
-            [quote(lhs), _json_array([quote(x) if isinstance(x, str) else str(x) for x in rhs], "   ")],
-            "  ",
-        )
+        "[\n   " + text[lhs] + ",\n   ["
+        + ("\n    " + ",\n    ".join(map(spell, rhs)) + "\n   ]" if rhs else "]") + "\n  ]"
         for lhs, rhs in gr.rules
     ]
     return "".join((
         '{\n "sigma_max": ', str(gr.sigma_max),
-        ',\n "start": ', quote(gr.start),
-        ',\n "variables": ', _json_array(list(map(quote, gr.variables)), " "),
+        ',\n "start": ', text[gr.start],
+        ',\n "variables": ', _json_array([text[v] for v in gr.variables], " "),
         ',\n "rules": ', _json_array(rules, " "),
         ',\n "accepts_empty": true' if gr.accepts_empty else "",
         "\n}\n",

@@ -280,8 +280,8 @@ def _projection_verdict(ef: ExtendedFormulation, x) -> tuple[bool, tuple]:
         # a variable without rules: only the formulation of an empty
         # language has one, as every variable of another derives a word
         return False, (0,) * n + (1,)
-    evaluate = _evaluator(gr)
     by_lhs = _rules_by_lhs(gr)
+    evaluate = _evaluator(gr, by_lhs)
     pattern = [(r, i, a) for r, pairs in enumerate(writes) for i, a in pairs]
 
     m = n + 1

@@ -4,12 +4,14 @@ import pytest
 
 from autgrammar.annotate import (
     AnnotationError,
+    _Search,
     annotation_morphism,
     check_annotated_bag,
     consistent_bags,
     count_assignments,
     enumerate_annotated_bags,
     enumerate_assignments,
+    join_annotations,
     make_annotated_bag,
     make_assignment,
 )
@@ -111,6 +113,44 @@ def test_enumeration_between_restrictions_and_oracle(corpus):
             got = [b.phi for b in enumerate_annotated_bags(g, s)]
             assert got == sorted(got), (g, s)
             assert restrictions <= set(got) <= set(oracle_annotations(g, s)), (g, s)
+
+
+def test_fully_pinned_search_keeps_the_neighbourhood_check(p4):
+    # P4 = 1-2-3-4, bag (1,), domain (1, 2).  Key (2, 3) is a partial
+    # isomorphism of the domain, but the image bag's neighbourhood {1, 2, 3}
+    # is larger than the domain, so it is no annotation.  A key from a
+    # parent in the join always passes (it preserves colours, so degrees,
+    # and the image bag's neighbourhood is the image of the domain); this
+    # key does not preserve colours, which the check never looks at.
+    search = _Search(p4)
+    keys = {(1, 2), (2, 3), (4, 3)}
+    assert search.annotations((1,), (1, 2), keys) == [(1, 2), (4, 3)]
+    # pinned on the bag alone, the recursive search rejects 1 -> 2 by the
+    # same check, made as soon as the bag is placed
+    assert search.annotations((1,), (1,), {(1,), (2,), (4,)}) == [(1, 2), (4, 3)]
+
+
+def test_grouped_links_match_all_pairs(corpus):
+    # survivor i at p and survivor j at child c are partners exactly when
+    # their images agree on the shared domain; groups are numbered by first
+    # use, every group is used, and every survivor at c has a partner
+    for g, _ in sandwich_cases(corpus):
+        for d in (yielding(g), compute_path_decomposition(g)):
+            dom, ann, links = join_annotations(g, d)
+            for p in d.positions:
+                kids = d.children(p)
+                assert len(links[p]) == len(kids)
+                for c, (groups, partners) in zip(kids, links[p]):
+                    assert len(groups) == len(ann[p])
+                    assert list(dict.fromkeys(groups)) == list(range(len(partners)))
+                    for i, images in enumerate(ann[p]):
+                        phi = dict(zip(dom[p], images))
+                        expected = tuple(
+                            j for j, other in enumerate(ann[c])
+                            if all(phi.get(v, w) == w for v, w in zip(dom[c], other))
+                        )
+                        assert expected and partners[groups[i]] == expected, (g, p, c, i)
+                    assert {j for js in partners for j in js} == set(range(len(ann[c])))
 
 
 def test_enumeration_rejects_empty(p3):

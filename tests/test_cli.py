@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -304,6 +305,28 @@ def test_enum_closed_pipe_exits_quietly(tmp_path):
     p.stderr.close()
     assert p.wait() == 0
     assert err == b""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_pipe_exits_quietly(c4_file, tmp_path, unbuffered):
+    """`build` and `stats` whose reader has already closed the pipe end
+    with exit 0 and nothing on stderr, and `build` still writes its file;
+    buffered, the output meets the closed pipe at the final flush."""
+    out = tmp_path / "c4.json"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    for command in (["build", "--graph", c4_file, "--out", str(out)], ["stats", str(out)]):
+        p = subprocess.Popen([sys.executable, "-m", "autgrammar", *command],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        p.stdout.close()  # before the command has started up
+        err = p.stderr.read()
+        p.stderr.close()
+        assert p.wait() == 0, (command[0], err)
+        assert err == b"", command[0]
+    again = tmp_path / "again.json"
+    assert run_cli("build", "--graph", c4_file, "--out", str(again)).returncode == 0
+    assert out.read_text() == again.read_text()
 
 
 C4_TD_BAGS = "b 1 1 2 4\nb 2 2 3 4\n"

@@ -1,8 +1,10 @@
 """Property tests drawn by hypothesis.  On connected graphs: both grammar
 builders against the brute-force oracle, and the two exact LP paths and
-the Fraction reference simplex against each other, and that every
-variable a builder writes is one merge class.  On random acyclic
-grammars: the streamed language against the set-semiring reference."""
+the Fraction reference simplex against each other, that every variable a
+builder writes is one merge class, and that the annotation search pinned
+to a parent's keys finds what the unpinned search finds for those keys.
+On random acyclic grammars: the streamed language against the
+set-semiring reference."""
 
 from fractions import Fraction
 
@@ -12,12 +14,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st
 
+from autgrammar.annotate import _Search
 from autgrammar.decomp import (
     compute_path_decomposition,
     compute_tree_decomposition,
     make_permutation_yielding,
 )
-from autgrammar.graph import Graph
+from autgrammar.graph import Graph, closed_neighborhood
 from autgrammar.grammar import (
     Grammar,
     build_aut_grammar,
@@ -164,3 +167,34 @@ def test_builders_write_one_variable_per_merge_class(g):
         for v in gr.variables:
             at_position.setdefault(v.rsplit("|b:", 1)[0], []).append(frozenset(rule_sets[v]))
         assert all(len(set(sets)) == len(sets) for sets in at_position.values()), gr
+
+
+@settings(max_examples=50, deadline=None)
+@given(connected_graphs(), st.permutations(range(1, 9)), st.sampled_from(["min-fill", "exact-small"]),
+       st.data())
+def test_pinned_search_filters_unpinned_search(g, label, strategy, data):
+    # on a relabelled graph, for each parent and child of a yielding tree
+    # decomposition and of a path decomposition: the child's search pinned
+    # to a subset of the parent's keys (its images on the shared domain)
+    # is the child's unpinned search restricted to those keys; yielding
+    # decompositions pin the whole domain of many children
+    label = [v for v in label if v <= g.vertex_count]
+    g = Graph(g.vertex_count, [(label[u - 1], label[v - 1]) for u, v in g.edges])
+    search = _Search(g)
+    t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, strategy))
+    for d in (t, compute_path_decomposition(g)):
+        for p in d.positions:
+            dom_p = closed_neighborhood(g, d.bag(p))
+            parent = search.annotations(d.bag(p), (), [()])
+            for c in d.children(p):
+                dom_c = closed_neighborhood(g, d.bag(c))
+                pinned = tuple(v for v in dom_c if v in dom_p)
+                at_p = [dom_p.index(v) for v in pinned]
+                at_c = [dom_c.index(v) for v in pinned]
+                offered = sorted({tuple(images[k] for k in at_p) for images in parent})
+                keys = data.draw(st.sets(st.sampled_from(offered))) if offered else set()
+                expected = [
+                    images for images in search.annotations(d.bag(c), (), [()])
+                    if tuple(images[k] for k in at_c) in keys
+                ]
+                assert search.annotations(d.bag(c), pinned, keys) == expected, (p, c)
