@@ -16,16 +16,17 @@ which automorphisms preserve, and join_annotations enumerates each child's
 annotations only as extensions of its parent's images on their shared
 domain.  When the parent pins the child's whole domain, as it does for
 most children of a permutation-yielding decomposition, each such image
-is its own only extension and is checked without a search.  Nothing is
-cached between calls: the colouring is computed once per call and
-dropped with the annotations.
+is an annotation already and no search runs.  Nothing is cached between
+calls: the colouring is computed once per call and dropped with the
+annotations.
 
 The search and the join hold an annotation of bag S as its image tuple
 over the sorted domain N[S], and the grammar builders read images from
 those tuples.  An annotation's partners in a child depend only on its
-images on the shared domain, its key, so the join stores them once per
-key and gives each annotation the group of its key.  AnnotatedBag, which
-pairs each domain vertex with its image, is the public type:
+images on the shared domain, its key, so the join indexes each child's
+annotations by key, and one bottom-up pass both prunes them and merges
+them into classes that derive the same words.  AnnotatedBag, which pairs
+each domain vertex with its image, is the public type:
 enumerate_annotated_bags and enumerate_assignments wrap the tuples in it
 at their boundary.
 """
@@ -142,23 +143,12 @@ class _Search:
         vertices, whose images must fill the closed neighbourhood of the
         image bag.  Each placement checks colour, injectivity and adjacency
         to every placed vertex in both directions, so every complete map is
-        an annotation.  When pinned is the whole domain there is nothing to
-        place: a key is kept, as it stands, when the closed neighbourhood
-        of its image bag has as many vertices as the domain."""
+        an annotation."""
         colour, adjacent, classes, closed = self.colour, self.adjacent, self.classes, self.closed
         dom = closed_neighborhood(self.g, bag)
         order = [v for v in bag if v not in pinned]
         placed_bag = len(order)
         order += [v for v in dom if v not in pinned and v not in bag]
-        if not order:
-            # the whole domain is pinned, so each key, read over the sorted
-            # domain, is its own only extension: keep it when the search's
-            # one check at the placed bag holds
-            at_bag = [dom.index(v) for v in bag]
-            return sorted(
-                key for key in keys
-                if len(set().union(*[closed[key[k]] for k in at_bag])) == len(dom)
-            )
         found: list[tuple[int, ...]] = []
         phi: dict[int, int] = {}
         used: set[int] = set()
@@ -274,75 +264,124 @@ def _images_on(ks: list[int]):
     return lambda images: tuple([images[k] for k in ks])
 
 
-def join_annotations(g: Graph, t: TreeDecomposition) -> tuple[dict, dict, dict]:
-    """(dom, ann, links): dom[p] is the sorted domain N[S_p] of the bag at
-    p; ann[p] lists, in enumeration order, the image tuples over dom[p] of
-    the annotations of that bag that take part in some consistent
-    annotation of the whole tree; links[p] holds, per child c of p, a pair
-    (groups, partners): survivor i at p is consistent with the survivors
-    at c whose indices into ann[c] are partners[groups[i]].
+class Join(NamedTuple):
+    """The consistency join of a decomposition's annotations; see
+    join_annotations."""
+
+    dom: dict  # p -> the sorted domain N[S_p]
+    ann: dict  # p -> the image tuples over dom[p], in enumeration order
+    cls: dict  # p -> the class of each annotation at p, None if not kept
+    first: dict  # p -> the first annotation of each class at p
+    keys: dict  # c -> the key of each annotation at c's parent
+    index: dict  # c -> key -> the kept annotations at c with that key
+
+
+def join_annotations(g: Graph, t: TreeDecomposition, written: dict | None = None) -> Join:
+    """The annotations of each bag of t that take part in some consistent
+    annotation of the whole tree, merged into classes that derive the same
+    words.  written maps a position to the vertex whose image its
+    annotations write, a terminal of the grammar built from the join.
 
     Annotations at p and c are consistent when their images agree on the
-    shared domain N[S_p] & N[S_c], which is fixed, so an annotation's join
-    key is its image tuple read at the shared domain's indices, and its
-    partners at c depend on that key alone: a group is a key, numbered in
-    order of first use by the survivors at p.  The search runs top down:
-    the root's colour-preserving annotations, then each child's only as
-    extensions of the distinct keys its parent's annotations give.  A
-    bottom-up pass then buckets each child's live annotations by key and
-    keeps the parent annotations whose every child key has a bucket, and a
-    top-down pass keeps the buckets that a surviving parent's key uses:
-    Yannakakis' full reducer (VLDB 1981).  An annotation's index is its
-    rank among the survivors, which no pruning of the search can shift."""
+    shared domain N[S_p] & N[S_c], which is fixed, so an annotation's key
+    is its image tuple read there, and the partners at c of annotation i
+    at p are index[c][keys[c][i]].  The search runs top down: the root's
+    colour-preserving annotations, then each child's only as extensions of
+    the distinct keys its parent's annotations give.  A child whose whole
+    domain the parent pins takes those keys as they are: a parent's
+    annotation preserves colours, so degrees, so it maps each N[v] onto
+    N[phi(v)] and its key is an annotation of the child.
+
+    One bottom-up pass then prunes and merges (Yannakakis' full reducer,
+    VLDB 1981, fused with the signature minimisation of acyclic automata,
+    Revuz, TCS 1992).  A childless annotation's class is the image it
+    writes.  Any other's is, per child, the set of (image written, class)
+    pairs of its partners, or None when some child has no partner; the
+    set is built once per key, and a child's pair is its class alone when
+    the child writes nothing or has no children (a fully pinned child's
+    set has one pair, which stands for it).  Two annotations at a
+    position share a class exactly when they derive the same words.  A
+    top-down pass keeps the root's annotations with a class and, at each
+    child, the annotations whose key some kept parent uses, and numbers
+    the classes by first appearance among the kept annotations."""
     search = _Search(g)
+    written = written or {}
     dom = {p: closed_neighborhood(g, t.bag(p)) for p in t.positions}
     ann = {ROOT: search.annotations(t.bag(ROOT), (), [()])}
-    parent_keys: dict = {}  # c -> the key of each annotation at c's parent
-    child_key: dict = {}  # c -> the key function of the annotations at c
+    keys: dict = {}
+    key_of: dict = {}  # c -> the key function at c, or None where each annotation is its key
     for p in t.positions:  # parents before children
         for c in t.children(p):
             shared = set(dom[p]) & set(dom[c])
-            parent_key = _images_on([k for k, v in enumerate(dom[p]) if v in shared])
-            child_key[c] = _images_on([k for k, v in enumerate(dom[c]) if v in shared])
-            parent_keys[c] = list(map(parent_key, ann[p]))
-            pinned = tuple(v for v in dom[c] if v in shared)  # sorted, as in dom[p]
-            ann[c] = search.annotations(t.bag(c), pinned, set(parent_keys[c]))
-    live: dict = {}  # p -> the indices into ann[p] still taking part
-    buckets: dict = {}  # c -> key -> the live indices at c with that key
+            keys[c] = list(map(_images_on([k for k, v in enumerate(dom[p]) if v in shared]), ann[p]))
+            if len(shared) == len(dom[c]):
+                key_of[c] = None
+                ann[c] = sorted(set(keys[c]))
+            else:
+                key_of[c] = _images_on([k for k, v in enumerate(dom[c]) if v in shared])
+                pinned = tuple(v for v in dom[c] if v in shared)  # sorted, as in dom[p]
+                ann[c] = search.annotations(t.bag(c), pinned, set(keys[c]))
+    cls: dict = {}
+    index: dict = {}
+    pairs: dict = {}  # c -> key -> the pairs of the live annotations at c with that key
     for p in reversed(t.positions):  # children before parents
-        alive = range(len(ann[p]))
-        for c in t.children(p):
-            key, images, bucket = child_key[c], ann[c], {}
-            for j in live[c]:
-                bucket.setdefault(key(images[j]), []).append(j)
-            keys = parent_keys[c]
-            alive = [i for i in alive if keys[i] in bucket]
-            buckets[c] = bucket
-        live[p] = alive
-    links: dict = {}
+        kids, images, wrote = t.children(p), ann[p], None
+        if p in written:
+            wrote = list(map(operator.itemgetter(dom[p].index(written[p])), images))
+        if not kids:
+            sigs = [0] * len(images) if wrote is None else wrote
+        elif len(kids) == 1:
+            sigs = list(map(pairs.pop(kids[0]).get, keys[kids[0]]))
+        else:
+            columns = [map(pairs.pop(c).get, keys[c]) for c in kids]
+            sigs = [None if None in sig else sig for sig in zip(*columns)]
+        ids: dict = {}
+        cls[p] = [None if sig is None else ids.setdefault(sig, len(ids)) for sig in sigs]
+        if p == ROOT:
+            continue
+        live = range(len(images))
+        if None in cls[p]:
+            live = [j for j, k in enumerate(cls[p]) if k is not None]
+        pair = cls[p] if wrote is None or not kids else list(zip(wrote, cls[p]))
+        if key_of[p] is None:  # one annotation per key: its pair stands for the set
+            index[p] = {images[j]: [j] for j in live}
+            pairs[p] = {images[j]: pair[j] for j in live}
+            continue
+        key, bucket = key_of[p], {}
+        for j in live:
+            bucket.setdefault(key(images[j]), []).append(j)
+        index[p] = bucket
+        pairs[p] = {k: frozenset(map(pair.__getitem__, js)) for k, js in bucket.items()}
+    first: dict = {}
     for p in t.positions:  # parents before children
-        links[p] = []
-        for c in t.children(p):
-            keys, bucket, group = parent_keys.pop(c), buckets.pop(c), {}
-            groups = [group.setdefault(keys[i], len(group)) for i in live[p]]
-            live[c] = sorted(j for k in group for j in bucket[k])
-            rank = {j: r for r, j in enumerate(live[c])}
-            links[p].append((groups, [tuple([rank[j] for j in bucket[k]]) for k in group]))
-    survivors = {p: [ann[p][i] for i in live[p]] for p in t.positions}
-    return dom, survivors, links
+        if p != ROOT:  # keep the keys some kept parent uses, and renumber if any is dropped
+            up, bucket, used = cls[p[:-1]], index[p], set(keys[p])
+            if None in up:
+                used = {k for k, i in zip(keys[p], up) if i is not None}
+            if len(used) < len(bucket):
+                index[p] = {k: bucket[k] for k in used}
+                kept = {j for k in used for j in bucket[k]}
+                ids, merged = {}, cls[p]
+                cls[p] = [ids.setdefault(k, len(ids)) if j in kept else None for j, k in enumerate(merged)]
+        # each class's first annotation: the last one met walking backwards
+        back = dict(zip(reversed(cls[p]), range(len(cls[p]) - 1, -1, -1)))
+        back.pop(None, None)
+        first[p] = sorted(back.values())
+    return Join(dom, ann, cls, first, keys, index)
 
 
 def enumerate_assignments(g: Graph, t: TreeDecomposition):
     """Yield every valid annotation assignment of t, in canonical order
-    (per-position bag choices explored in enumeration order)."""
+    (per-position bag choices explored in enumeration order), from the
+    kept annotations of join_annotations and their partners."""
     report = validate_tree_decomposition(g, t)
     if not report.ok:
         raise AnnotationError(f"decomposition invalid: {report.violations}")
-    dom, ann, links = join_annotations(g, t)
+    dom, ann, cls, _, keys, index = join_annotations(g, t)
     positions = t.positions  # preorder: parents precede children
-    slot = {c: (p, k) for p in positions for k, c in enumerate(t.children(p))}
     chosen: dict = {}
-    stack = [iter(range(len(ann[ROOT])))]  # choices left at each placed position
+    kept = [i for i, k in enumerate(cls[ROOT]) if k is not None]
+    stack = [iter(kept)]  # choices left at each placed position
     while stack:
         i = next(stack[-1], None)
         if i is None:
@@ -354,9 +393,8 @@ def enumerate_assignments(g: Graph, t: TreeDecomposition):
                 p: AnnotatedBag(t.bag(p), tuple(zip(dom[p], ann[p][chosen[p]]))) for p in positions
             })
         else:
-            par, k = slot[positions[len(stack)]]
-            groups, partners = links[par][k]
-            stack.append(iter(partners[groups[chosen[par]]]))
+            c = positions[len(stack)]
+            stack.append(iter(index[c][keys[c][chosen[c[:-1]]]]))
 
 
 def count_assignments(g: Graph, t: TreeDecomposition) -> int:

@@ -316,8 +316,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        status = _COMMANDS[args.command](args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as e:  # --help, written into stdout's buffer
+            status = e.code
+        else:
+            status = _COMMANDS[args.command](args)
         sys.stdout.flush()
         return status
     except BrokenPipeError:

@@ -14,7 +14,10 @@ each leaf writes the image of its vertex.  Parse trees then correspond
 one-to-one with consistent whole-tree annotations, hence with
 automorphisms.  A word w produced for automorphism s satisfies
 w_i = s(alpha(i)) where alpha spells the leaf vertex order, so the language
-is exactly the string set of the group repositioned by alpha.
+is exactly the string set of the group repositioned by alpha.  The
+consistency join (annotate.join_annotations) prunes the annotations and
+merges them into classes in one pass; both builders only name the classes
+and write one class's rules from its first annotation.
 
 Layering: the read side (JSON, the semiring pass `_evaluator` and what is
 built on it: counting, enumeration, membership, size, regularity and the
@@ -386,46 +389,6 @@ def _pos_str(p: Pos) -> str:
     return ".".join(map(str, p)) or "e"  # the root is the empty position
 
 
-def _merge_classes(t: TreeDecomposition, links: dict, writes: dict) -> tuple[dict, dict]:
-    """Merge classes of `join_annotations`' survivors, bottom-up: signature
-    minimisation of acyclic automata (Revuz, "Minimisation of acyclic
-    deterministic automata in linear time", TCS 1992).  writes[p][i] is
-    the terminal that survivor i at p has written for it (by its own rule
-    or its parent's), or None.  A childless survivor's class is what it
-    writes; any other's is, per child, the set of its partners' (terminal,
-    class) pairs, built once per group of the child's links.  So two
-    survivors at one position share a class exactly when their rule sets
-    become equal once every child is renamed to its class: they derive
-    the same words, and one variable serves both.
-
-    Returns (cls, first): cls[p][i] is the class of survivor i at p,
-    numbered in first-appearance order, and first[p][k] the first survivor
-    of class k, whose rules the class's variable is written from."""
-    cls: dict = {}
-    first: dict = {}
-    pairs: dict = {}  # p -> the (terminal, class) pair of each survivor at p
-    for p in reversed(t.positions):  # children before parents
-        kids = t.children(p)
-        if kids:
-            columns = []
-            for c, (groups, partners) in zip(kids, links[p]):
-                pair_of = pairs[c].__getitem__
-                sig_of = [frozenset(map(pair_of, js)) for js in partners]
-                columns.append(map(sig_of.__getitem__, groups))
-            sigs = zip(*columns)
-        else:
-            sigs = writes[p]
-        ids: dict = {}
-        cls[p], first[p] = [], []
-        for i, sig in enumerate(sigs):
-            k = ids.setdefault(sig, len(ids))
-            if k == len(first[p]):
-                first[p].append(i)
-            cls[p].append(k)
-        pairs[p] = list(zip(writes[p], cls[p]))
-    return cls, first
-
-
 def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Grammar]:
     """Compile Aut(g) into a grammar over alphabet V(g).
 
@@ -442,30 +405,26 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
         raise GrammarError(f"invalid decomposition: {report.violations[0].message}")
     if not is_permutation_yielding(g, t):
         raise GrammarError("decomposition is not permutation yielding")
-    dom, ann, links = join_annotations(g, t)
     # a leaf writes the image of its one vertex
-    writes = {p: [None] * len(ann[p]) for p in t.positions}
-    for p in t.positions:
-        if not t.children(p):
-            k = dom[p].index(t.bag(p)[0])
-            writes[p] = [images[k] for images in ann[p]]
-    cls, first = _merge_classes(t, links, writes)
+    written = {p: t.bag(p)[0] for p in t.positions if not t.children(p)}
+    dom, ann, cls, first, keys, index = join_annotations(g, t, written)
     # one variable per merge class, in position order: p:<pos>|b:<k>
     # stands for the k-th class at p, in first-appearance order
-    name = {p: [f"p:{_pos_str(p)}|b:{k}" for k in range(len(first[p]))] for p in t.positions}
+    name = {}
+    for p in t.positions:
+        head = f"p:{_pos_str(p)}|b:"
+        name[p] = [f"{head}{k}" for k in range(len(first[p]))]
     variables = ("B1", *(v for p in t.positions for v in name[p]))
-    rules: list = [("B1", (name[ROOT][k],)) for k in cls[ROOT]]
+    rules: list = [("B1", (name[ROOT][k],)) for k in cls[ROOT] if k is not None]
     for p in t.positions:
         kids = t.children(p)
+        if not kids:
+            at = dom[p].index(written[p])
+            rules.extend((v, (ann[p][i][at],)) for v, i in zip(name[p], first[p]))
+            continue
         for v, i in zip(name[p], first[p]):
-            if kids:
-                choices = [
-                    [name[c][cls[c][j]] for j in partners[groups[i]]]
-                    for c, (groups, partners) in zip(kids, links[p])
-                ]
-                rules.extend((v, rhs) for rhs in itertools.product(*choices))
-            else:
-                rules.append((v, (writes[p][i],)))
+            choices = [[name[c][cls[c][j]] for j in index[c][keys[c][i]]] for c in kids]
+            rules.extend((v, rhs) for rhs in itertools.product(*choices))
     return yield_order_of(t), Grammar(g.vertex_count, "B1", variables, tuple(rules))
 
 
@@ -487,37 +446,29 @@ def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutat
     order = introduced_order(g, pd)
     n = g.vertex_count
     chain = pd.positions  # path shaped: the root, then one child per level
-    dom, ann, links = join_annotations(g, pd)
     alpha = Permutation(tuple(order))
-    # the annotations at chain[m] write the image of the m-th introduced vertex
-    writes = {}
-    for m, p in enumerate(chain):
-        k = dom[p].index(order[m])
-        writes[p] = [images[k] for images in ann[p]]
-    # the class of an annotation at chain[i - 2] is the set of (terminal,
-    # class) pairs of the annotations at chain[i - 1] it may continue with;
-    # state q:<i>|b:<k> stands for the k-th class at chain[i - 2]
-    cls, first = _merge_classes(pd, links, writes)
-
-    def state(i: int, k: int) -> str:
-        return f"q:{i}|b:{k}"
-
-    variables = ["B1"]
-    for i in range(2, n + 1):
-        variables.extend(state(i, k) for k in range(len(first[chain[i - 2]])))
+    # the annotations at chain[m] write the image of the m-th introduced
+    # vertex, and the class of an annotation there is the set of (terminal,
+    # class) pairs of the annotations at chain[m + 1] it may continue with;
+    # state q:<m + 2>|b:<k> stands for the k-th class at chain[m]
+    dom, ann, cls, first, keys, index = join_annotations(g, pd, dict(zip(chain, order)))
+    name = []
+    for m, p in enumerate(chain[:-1]):
+        head = f"q:{m + 2}|b:"
+        name.append([f"{head}{k}" for k in range(len(first[p]))])
+    variables = ["B1", *(v for names in name for v in names)]
     rules: list = []
-    for i in range(1, n + 1):
-        # each lhs with the annotations at chain[i - 1] it may continue with
-        p = chain[i - 1]
-        if i == 1:
-            steps = [("B1", range(len(ann[p])))]
+    for m, p in enumerate(chain):
+        # each lhs with the annotations at p it may continue with
+        if m == 0:
+            steps = [("B1", [j for j, k in enumerate(cls[p]) if k is not None])]
         else:
-            groups, partners = links[chain[i - 2]][0]
-            steps = [(state(i, k), partners[groups[j]]) for k, j in enumerate(first[chain[i - 2]])]
+            steps = [(v, index[p][keys[p][i]]) for v, i in zip(name[m - 1], first[chain[m - 1]])]
+        at, images = dom[p].index(order[m]), ann[p]
         for lhs, nxt in steps:
             for j in nxt:
-                emit = writes[p][j]
-                rules.append((lhs, (emit, state(i + 1, cls[p][j])) if i < n else (emit,)))
+                emit = images[j][at]
+                rules.append((lhs, (emit, name[m][cls[p][j]]) if m < n - 1 else (emit,)))
     return alpha, Grammar(g.vertex_count, "B1", tuple(variables), tuple(rules))
 
 

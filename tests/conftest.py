@@ -67,6 +67,16 @@ def binary_tree(depth: int) -> Graph:
     return Graph(m, [(v // 2, v) for v in range(2, m + 1)])
 
 
+def spider(legs: int, length: int) -> Graph:
+    """A centre (vertex 1) with `legs` paths of `length` vertices hanging off it."""
+    edges = []
+    for leg in range(legs):
+        first = 2 + leg * length
+        edges.append((1, first))
+        edges.extend((v, v + 1) for v in range(first, first + length - 1))
+    return Graph(1 + legs * length, edges)
+
+
 def cube_graph() -> Graph:
     edges = []
     for a in range(8):

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from autgrammar.annotate import (
+    AnnotatedBag,
     AnnotationError,
     _Search,
     annotation_morphism,
@@ -23,7 +24,7 @@ from autgrammar.decomp import (
 from autgrammar.graph import Graph, closed_neighborhood
 from autgrammar.oracle import brute_force_automorphisms
 from autgrammar.perm import Permutation
-from conftest import cubic8, oracle_annotations, path_graph
+from conftest import cubic8, oracle_annotations, path_graph, spider
 
 
 def test_enumeration_matches_oracle_p3(p3):
@@ -57,16 +58,6 @@ def test_enumeration_matches_oracle_cube(q3):
     # a denser case where the closed neighborhood is a proper subset
     got = enumerate_annotated_bags(q3, (1,))
     assert tuple(b.phi for b in got) == oracle_annotations(q3, (1,))
-
-
-def spider(legs: int, length: int) -> Graph:
-    """A centre (vertex 1) with `legs` paths of `length` vertices hanging off it."""
-    edges = []
-    for leg in range(legs):
-        first = 2 + leg * length
-        edges.append((1, first))
-        edges.extend((v, v + 1) for v in range(first, first + length - 1))
-    return Graph(1 + legs * length, edges)
 
 
 def test_enumeration_drops_colour_changing_maps():
@@ -116,41 +107,45 @@ def test_enumeration_between_restrictions_and_oracle(corpus):
 
 
 def test_fully_pinned_search_keeps_the_neighbourhood_check(p4):
-    # P4 = 1-2-3-4, bag (1,), domain (1, 2).  Key (2, 3) is a partial
-    # isomorphism of the domain, but the image bag's neighbourhood {1, 2, 3}
-    # is larger than the domain, so it is no annotation.  A key from a
-    # parent in the join always passes (it preserves colours, so degrees,
-    # and the image bag's neighbourhood is the image of the domain); this
-    # key does not preserve colours, which the check never looks at.
+    # P4 = 1-2-3-4, bag (1,), domain (1, 2).  Pinned on the bag alone, the
+    # recursive search rejects 1 -> 2, whose image bag's neighbourhood
+    # {1, 2, 3} is larger than the domain, as soon as the bag is placed
     search = _Search(p4)
-    keys = {(1, 2), (2, 3), (4, 3)}
-    assert search.annotations((1,), (1, 2), keys) == [(1, 2), (4, 3)]
-    # pinned on the bag alone, the recursive search rejects 1 -> 2 by the
-    # same check, made as soon as the bag is placed
     assert search.annotations((1,), (1,), {(1,), (2,), (4,)}) == [(1, 2), (4, 3)]
+    # a child whose whole domain its parent pins takes the distinct keys
+    # of its parent's annotations as they stand, without a search or a
+    # check, and each is an annotation
+    t = yielding(p4)
+    dom, ann, *_ = join_annotations(p4, t)
+    pinned = [c for c in t.positions if c and set(dom[c]) <= set(dom[c[:-1]])]
+    assert pinned
+    for c in pinned:
+        up = dom[c[:-1]]
+        assert ann[c] == sorted({tuple(im[up.index(v)] for v in dom[c]) for im in ann[c[:-1]]}), c
+        assert all(check_annotated_bag(p4, AnnotatedBag(t.bag(c), tuple(zip(dom[c], im)))) for im in ann[c])
 
 
 def test_grouped_links_match_all_pairs(corpus):
-    # survivor i at p and survivor j at child c are partners exactly when
-    # their images agree on the shared domain; groups are numbered by first
-    # use, every group is used, and every survivor at c has a partner
+    # the partners at child c of kept annotation i at p, read as
+    # index[c][keys[c][i]], are exactly the kept annotations at c whose
+    # images agree with i's on the shared domain; the index holds only the
+    # keys of kept parents, and every kept annotation at c is reached
     for g, _ in sandwich_cases(corpus):
         for d in (yielding(g), compute_path_decomposition(g)):
-            dom, ann, links = join_annotations(g, d)
+            dom, ann, cls, _, keys, index = join_annotations(g, d)
+            kept = {p: [i for i, k in enumerate(cls[p]) if k is not None] for p in d.positions}
             for p in d.positions:
-                kids = d.children(p)
-                assert len(links[p]) == len(kids)
-                for c, (groups, partners) in zip(kids, links[p]):
-                    assert len(groups) == len(ann[p])
-                    assert list(dict.fromkeys(groups)) == list(range(len(partners)))
-                    for i, images in enumerate(ann[p]):
-                        phi = dict(zip(dom[p], images))
-                        expected = tuple(
-                            j for j, other in enumerate(ann[c])
-                            if all(phi.get(v, w) == w for v, w in zip(dom[c], other))
-                        )
-                        assert expected and partners[groups[i]] == expected, (g, p, c, i)
-                    assert {j for js in partners for j in js} == set(range(len(ann[c])))
+                for c in d.children(p):
+                    assert len(keys[c]) == len(ann[p])
+                    for i in kept[p]:
+                        phi = dict(zip(dom[p], ann[p][i]))
+                        expected = [
+                            j for j in kept[c]
+                            if all(phi.get(v, w) == w for v, w in zip(dom[c], ann[c][j]))
+                        ]
+                        assert expected and index[c][keys[c][i]] == expected, (g, p, c, i)
+                    assert set(index[c]) == {keys[c][i] for i in kept[p]}
+                    assert sorted(j for js in index[c].values() for j in js) == kept[c]
 
 
 def test_enumeration_rejects_empty(p3):

@@ -329,6 +329,29 @@ def test_closed_pipe_exits_quietly(c4_file, tmp_path, unbuffered):
     assert out.read_text() == again.read_text()
 
 
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv", [["--help"], ["build", "--help"]])
+def test_help_into_closed_pipe_exits_quietly(argv, unbuffered):
+    """Help whose reader has closed the pipe before the process started
+    ends like any command there: exit 0, nothing on stderr.  Buffered, the
+    help meets the closed pipe at the flush after parsing."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run([sys.executable, "-m", "autgrammar", *argv],
+                           stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (r.returncode, r.stderr) == (0, b"")
+    shown = run_cli(*argv)
+    assert (shown.returncode, shown.stderr) == (0, "")
+    assert shown.stdout.startswith("usage: autgrammar")
+
+
 C4_TD_BAGS = "b 1 1 2 4\nb 2 2 3 4\n"
 RULES_OK = '"start": "B1", "variables": ["B1"], "rules": [["B1", [1]]]'
 LP_HEAD = "Minimize\n obj: 0\nSubject To\n"

@@ -683,8 +683,9 @@ def test_join_matches_all_pairs_reference(corpus):
         # variable <head>|b:<i> stands for the i-th surviving image tuple
         # over dom[p], with p the position that <head> names
         def survivors(d):
-            dom, images, _ = join_annotations(g, d)
-            return {p: [AnnotatedBag(d.bag(p), tuple(zip(dom[p], im))) for im in images[p]]
+            dom, images, cls, *_ = join_annotations(g, d)
+            return {p: [AnnotatedBag(d.bag(p), tuple(zip(dom[p], im)))
+                        for im, k in zip(images[p], cls[p]) if k is not None]
                     for p in d.positions}
 
         ann, pann = survivors(t), survivors(pd)

@@ -1,8 +1,10 @@
 """Property tests drawn by hypothesis.  On connected graphs: both grammar
 builders against the brute-force oracle, and the two exact LP paths and
 the Fraction reference simplex against each other, that every variable a
-builder writes is one merge class, and that the annotation search pinned
-to a parent's keys finds what the unpinned search finds for those keys.
+builder writes is one merge class, that the annotation search pinned
+to a parent's keys finds what the unpinned search finds for those keys,
+and that the keys a fully pinned child takes without a search are
+annotations.
 On random acyclic grammars: the streamed language against the
 set-semiring reference."""
 
@@ -14,7 +16,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st
 
-from autgrammar.annotate import _Search
+from autgrammar.annotate import AnnotatedBag, _Search, check_annotated_bag, join_annotations
 from autgrammar.decomp import (
     compute_path_decomposition,
     compute_tree_decomposition,
@@ -198,3 +200,23 @@ def test_pinned_search_filters_unpinned_search(g, label, strategy, data):
                     if tuple(images[k] for k in at_c) in keys
                 ]
                 assert search.annotations(d.bag(c), pinned, keys) == expected, (p, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(), st.permutations(range(1, 9)), st.sampled_from(["min-fill", "exact-small", "path"]))
+def test_fully_pinned_children_hold_annotations(g, label, kind):
+    # on a relabelled graph and a yielding tree decomposition or a path
+    # decomposition: a child whose whole domain its parent pins takes its
+    # parent's keys as its annotations, with no search; every one of them,
+    # kept or not, is an annotation by the definition (check_annotated_bag)
+    label = [v for v in label if v <= g.vertex_count]
+    g = Graph(g.vertex_count, [(label[u - 1], label[v - 1]) for u, v in g.edges])
+    if kind == "path":
+        d = compute_path_decomposition(g)
+    else:
+        d, _ = make_permutation_yielding(g, compute_tree_decomposition(g, kind))
+    dom, ann, *_ = join_annotations(g, d)
+    for c in d.positions:
+        if c and set(dom[c]) <= set(dom[c[:-1]]):
+            for images in ann[c]:
+                assert check_annotated_bag(g, AnnotatedBag(d.bag(c), tuple(zip(dom[c], images)))), (c, images)
