@@ -195,7 +195,7 @@ def _cmd_enum(args) -> int:
     from . import grammar as gmod
 
     words = gmod.iter_language(gr)
-    names = [str(a) for a in range(gr.sigma_max + 1)]
+    names = gmod._SymbolText()  # spells each terminal the words use, once
     lines = (" ".join([names[a] for a in w]) + "\n" for w in itertools.islice(words, args.cap))
     # one write per block of lines: unbuffered, each write is a system call
     while block := "".join(itertools.islice(lines, 1024)):

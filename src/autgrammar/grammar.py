@@ -81,6 +81,8 @@ class Grammar:
             if v in declared:
                 raise GrammarError(f"variable {_quote(v)} declared twice")
             declared.add(v)
+        if not isinstance(start, str):
+            raise GrammarError(f"start variable {_quote(start)} is not a string")
         if start not in declared:
             raise GrammarError(f"start variable {_quote(start)} not declared")
         for lhs, rhs in rules:
@@ -589,7 +591,6 @@ def build_embedded_group_grammar(
     n: int,
     b: Permutation | None = None,
     *,
-    strategy: str = "min-fill",
     check_invariance: bool = True,
 ) -> tuple[Permutation, Grammar]:
     from .decomp import compute_tree_decomposition, make_permutation_yielding
@@ -611,8 +612,7 @@ def build_embedded_group_grammar(
                 f"prefix 1..{n} not invariant under the automorphism group "
                 f"(witness {result.witness.image})"
             )
-    t0 = compute_tree_decomposition(g, strategy)
-    t, _ = make_permutation_yielding(g, t0)
+    t, _ = make_permutation_yielding(g, compute_tree_decomposition(g))
     alpha_big, gr_full = build_aut_grammar(g, t)
     kept = [i for i in range(1, m + 1) if alpha_big(i) <= n]
     alpha = Permutation(tuple(alpha_big(i) for i in kept))
@@ -749,14 +749,5 @@ def grammar_from_json(text: str) -> Grammar:
     accepts_empty = doc.get("accepts_empty", False)
     if not isinstance(accepts_empty, bool):
         raise GrammarError(f"accepts_empty must be true or false, got {type(accepts_empty).__name__}")
-    rules = tuple(
-        (lhs, tuple(x if isinstance(x, int) else str(x) for x in rhs))
-        for lhs, rhs in doc["rules"]
-    )
-    return Grammar(
-        sigma_max,
-        str(doc["start"]),
-        tuple(str(v) for v in doc["variables"]),
-        rules,
-        accepts_empty,
-    )
+    rules = tuple((lhs, tuple(rhs)) for lhs, rhs in doc["rules"])
+    return Grammar(sigma_max, doc["start"], tuple(doc["variables"]), rules, accepts_empty)

@@ -21,11 +21,12 @@ class OracleError(PreconditionError):
     pass
 
 
-def brute_force_automorphisms(g: Graph, cap: int = ORACLE_CAP) -> tuple[Permutation, ...]:
-    """All adjacency-and-non-adjacency-preserving bijections of V(g)."""
+def brute_force_automorphisms(g: Graph) -> tuple[Permutation, ...]:
+    """All adjacency-and-non-adjacency-preserving bijections of V(g), for
+    at most ORACLE_CAP vertices."""
     m = g.vertex_count
-    if m > cap:
-        raise OracleError(f"graph has {m} vertices, oracle cap is {cap}")
+    if m > ORACLE_CAP:
+        raise OracleError(f"graph has {m} vertices, oracle cap is {ORACLE_CAP}")
     colour = stable_colouring(g)  # automorphisms preserve it
     candidates = {v: tuple(u for u in g.vertices if colour[u] == colour[v]) for v in g.vertices}
     found: list[Permutation] = []
@@ -64,12 +65,12 @@ class RestrictionResult(NamedTuple):
     witness: Permutation | None
 
 
-def restricted_action(g: Graph, n: int, cap: int = ORACLE_CAP) -> RestrictionResult:
+def restricted_action(g: Graph, n: int) -> RestrictionResult:
     """Restrict Aut(g) to 1..n if that set is invariant; else return the
     violating automorphism as a value."""
     if n < 1 or n > g.vertex_count:
         raise OracleError(f"prefix size {n} out of range 1..{g.vertex_count}")
-    auts = brute_force_automorphisms(g, cap=cap)
+    auts = brute_force_automorphisms(g)
     prefix = set(range(1, n + 1))
     for a in auts:
         if {a(i) for i in prefix} != prefix:

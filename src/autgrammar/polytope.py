@@ -13,9 +13,10 @@ The extended formulation is an LP: `ExtendedFormulation` holds its rows in
 the form `parse_lp` returns them, so `parse_lp(emit_lp(ef)) == ef.lp`.  The
 emitted LP is always the full formulation.
 
-A point is decided on two independent paths, both exact (Fractions, and
-ints wherever a value is integral), so no floating point enters any
-verdict:
+Every number is exact, so no floating point enters any verdict.  On the
+LP-file path, from `parse_lp` to the simplex, a number is an int when it
+is integral and a Fraction otherwise, so the formulation's integer rows
+are taken as they are.  A point is decided on two independent paths:
 
 - a projection point (`check_projection_feasibility`) by column generation
   over words: x is a member exactly when it is a convex combination of
@@ -59,11 +60,12 @@ class PolytopeError(PreconditionError):
 
 
 class ParsedLP(NamedTuple):
-    constraints: tuple  # (name, ((Fraction coef, var), ...), rel, Fraction rhs)
-    bounds: dict  # var -> (Fraction lo, Fraction hi or None)
+    # every number an int when integral, else a Fraction
+    constraints: tuple  # (name, ((coef, var), ...), rel, rhs)
+    bounds: dict  # var -> (lo, hi or None)
 
 
-_UNIT = (Fraction(0), Fraction(1))
+_UNIT = (0, 1)
 
 
 class ExtendedFormulation:
@@ -344,8 +346,8 @@ def _projection_verdict(ef: ExtendedFormulation, x) -> tuple[bool, tuple]:
 # ---------------------------------------------------------------------------
 # Exact presolve and phase-1 simplex over sparse rows: (coeffs dict
 # var->number, rhs number) equality rows over variables with bounds
-# var -> (finite lo, hi or None).  Numbers are ints or Fractions: the
-# presolve and the simplex hold an integral value as an int, and every
+# var -> (finite lo, hi or None).  Numbers are ints or Fractions: each
+# integral value that arithmetic makes is held as an int, and every
 # division goes through `_quotient`, so no float is ever made.
 
 def _whole(v):
@@ -386,12 +388,12 @@ def _presolve(rows: list, bounds: dict):
     each chain's first name rather than its last took under a sixth of
     the pivots.  With it, Petersen's identity word takes 9 pivots keeping
     the first name and 4 keeping the last."""
-    lo = {v: _whole(a) for v, (a, _) in bounds.items()}
-    hi = {v: None if b is None else _whole(b) for v, (_, b) in bounds.items()}
+    lo = {v: a for v, (a, _) in bounds.items()}
+    hi = {v: b for v, (_, b) in bounds.items()}
     if any(b is not None and lo[v] > b for v, b in hi.items()):
         return None
-    mat = [{v: _whole(c) for v, c in coeffs.items() if c} for coeffs, _ in rows]
-    rhs = [_whole(r) for _, r in rows]
+    mat = [{v: c for v, c in coeffs.items() if c} for coeffs, _ in rows]  # copies: mutated
+    rhs = [r for _, r in rows]
     holders: dict[str, set[int]] = {}
     for i, row in enumerate(mat):
         for v in row:
@@ -710,7 +712,7 @@ def parse_lp(text: str) -> ParsedLP:
     section = None
     constraints: list = []
     bounds: dict = {}
-    numbers: dict = {}  # token -> (x, -x), filled by `_number`
+    numbers = _Numbers()
     for raw in text.split("\n"):
         line = raw.strip()
         if not line or line.startswith("\\"):
@@ -737,18 +739,16 @@ def parse_lp(text: str) -> ParsedLP:
     return ParsedLP(tuple(constraints), bounds)
 
 
-def _number(tok: str, numbers: dict) -> tuple[Fraction, Fraction]:
-    """(x, -x) for the number x of tok, read once per distinct token of one
-    `parse_lp` call: Fractions are immutable, so every row can share them."""
-    pair = numbers.get(tok)
-    if pair is None:
-        x = parse_number(tok)
-        pair = numbers[tok] = (x, -x)
-    return pair
+class _Numbers(dict):
+    """The number of each token, read once per distinct token of one
+    `parse_lp` call: numbers are immutable, so every row can share them."""
+
+    def __missing__(self, tok: str):
+        x = self[tok] = parse_number(tok)
+        return x
 
 
 _RELATIONS = frozenset(("=", "<=", ">="))
-_ONES = (Fraction(1), Fraction(-1))  # a term's coefficient when no number precedes it
 
 
 def _parse_row(line: str, numbers: dict):
@@ -758,51 +758,48 @@ def _parse_row(line: str, numbers: dict):
     toks = expr.split()
     if len(toks) < 2 or toks[-2] not in _RELATIONS or not _RELATIONS.isdisjoint(toks[:-2]):
         raise PolytopeError(f"row must end with 'rel number': {_quote(line)}")
-    rhs = _number(toks[-1], numbers)[0]
-    terms: list[tuple[Fraction, str]] = []
-    neg = False  # the sign since the last name; indexes a (x, -x) pair
-    coef: tuple | None = None  # the number read since the last sign or name
+    rhs = numbers[toks[-1]]
+    terms: list[tuple] = []
+    sign = 1  # the sign since the last name
+    coef = None  # the number read since the last sign or name
     constant = 0
     for t in toks[:-2]:
         if t == "+" or t == "-":
             if coef is not None:
-                constant += coef[neg]
-            neg, coef = t == "-", None
+                constant += sign * coef
+            sign, coef = -1 if t == "-" else 1, None
             continue
-        pair = numbers.get(t)
-        if pair is None and _NUMBER_START.match(t):  # a malformed number is an error, not a name
-            pair = _number(t, numbers)
-        if pair is None:
-            terms.append(((_ONES if coef is None else coef)[neg], t))
-            neg, coef = False, None
+        x = numbers.get(t)
+        if x is None and _NUMBER_START.match(t):  # a malformed number is an error, not a name
+            x = numbers[t]
+        if x is None:
+            terms.append((sign if coef is None else sign * coef, t))
+            sign, coef = 1, None
         else:
             if coef is not None:
-                constant += coef[neg]
-            coef = pair
+                constant += sign * coef
+            coef = x
     if coef is not None:
-        constant += coef[neg]
-    return (name.strip(), tuple(terms), toks[-2], rhs - constant if constant else rhs)
+        constant += sign * coef
+    return (name.strip(), tuple(terms), toks[-2], _whole(rhs - constant) if constant else rhs)
 
 
 _NUMBER_START = re.compile(r"[-+]?\.?\d")  # how every token Fraction reads starts
 _EXPONENT = re.compile(r"[-+]?(?=\.?\d)[\d_.]*[eE][-+]?([\d_]+)")  # as Fraction reads it
 
 
-def _fraction(tok: str) -> Fraction:
-    """Fraction(tok) with a decimal exponent of at most four digits:
-    Fraction expands it exactly, so 1e10000000 alone takes seconds."""
-    if tok.isdigit() and tok.isascii():  # the usual token, read without Fraction's regex
-        return Fraction(int(tok))
-    exponent = _EXPONENT.fullmatch(tok)
-    if exponent and len(exponent.group(1)) > 4:
-        raise PolytopeError(f"exponent of {_quote(tok)} has more than 4 digits")
-    return Fraction(tok)
-
-
-def parse_number(tok: str) -> Fraction:
-    """An exact number of an LP file or a projection point."""
+def parse_number(tok: str) -> int | Fraction:
+    """An exact number of an LP file or a projection point: an int when
+    it is integral, else a Fraction.  A decimal exponent has at most four
+    digits: Fraction expands it exactly, so 1e10000000 alone takes
+    seconds."""
     try:
-        return _fraction(tok)
+        if tok.isdigit() and tok.isascii():  # the usual token, read without Fraction's regex
+            return int(tok)
+        exponent = _EXPONENT.fullmatch(tok)
+        if exponent and len(exponent.group(1)) > 4:
+            raise PolytopeError(f"exponent of {_quote(tok)} has more than 4 digits")
+        return _whole(Fraction(tok))
     except (ValueError, ZeroDivisionError):
         raise PolytopeError(f"bad number {_quote(tok)}") from None
 
@@ -813,11 +810,9 @@ def _parse_bound(line: str, numbers: dict):
     if len(toks) == 2 and toks[1].lower() == "free":
         return toks[0], (None, None)
     if len(toks) == 5 and toks[1] == "<=" and toks[3] == "<=":
-        if toks[0] == "0" and toks[4] == "1":  # what `lift` writes for every flow
-            return toks[2], _UNIT
-        return toks[2], (_number(toks[0], numbers)[0], _number(toks[4], numbers)[0])
+        return toks[2], (numbers[toks[0]], numbers[toks[4]])
     if len(toks) == 3 and toks[1] == "<=":
-        return toks[0], (Fraction(0), _number(toks[2], numbers)[0])
+        return toks[0], (0, numbers[toks[2]])
     raise PolytopeError(f"unsupported bound line: {_quote(line)}")
 
 
@@ -827,35 +822,36 @@ def check_lp_feasibility(parsed: ParsedLP, point: dict) -> bool:
 
 
 def _lp_system(parsed: ParsedLP, point: dict) -> tuple[list, dict]:
-    """The equality rows over Fractions that the presolve and the simplex
-    take, and the bounds of their variables.
+    """The equality rows that the presolve and the simplex take, and the
+    bounds of their variables, every number an int when integral and else
+    a Fraction.
 
     Fixed variables (typically the projection coordinates x_<i>) are
     substituted, each inequality gets a slack, and remaining variables
     take their Bounds entries, defaulting to [0, +inf) as in the LP
     format."""
-    rows: list[tuple[dict[str, Fraction], Fraction]] = []
+    rows: list = []
     slack_id = 0
-    bounds: dict[str, tuple[Fraction, Fraction | None]] = {}
+    bounds: dict = {}
     for name, terms, rel, rhs in parsed.constraints:
-        coeffs: dict[str, Fraction] = {}
-        adjusted = Fraction(rhs)
+        coeffs: dict = {}
         for coef, v in terms:
             if v in point:
-                adjusted -= coef * point[v]
-                continue
-            c = coeffs.get(v)
-            coeffs[v] = Fraction(coef) if c is None else c + coef
+                rhs -= coef * point[v]
+            elif v in coeffs:  # a repeated variable: its coefficients add up
+                coeffs[v] = _whole(coeffs[v] + coef)
+            else:
+                coeffs[v] = coef
         if rel in ("<=", ">="):
             sv = f"_r:{slack_id}"
             slack_id += 1
-            coeffs[sv] = Fraction(1) if rel == "<=" else Fraction(-1)
-            bounds[sv] = (Fraction(0), None)
-        rows.append((coeffs, adjusted))
+            coeffs[sv] = 1 if rel == "<=" else -1
+            bounds[sv] = (0, None)
+        rows.append((coeffs, _whole(rhs)))
     for coeffs, _ in rows:
         for v in coeffs:
             if v not in bounds:
-                lo, hi = parsed.bounds.get(v, (Fraction(0), None))
+                lo, hi = parsed.bounds.get(v, (0, None))
                 if lo is None:
                     raise PolytopeError(f"free variable {_quote(v)} must be fixed by the point")
                 bounds[v] = (lo, hi)

@@ -205,6 +205,12 @@ def lp_corpus_points():
             yield parsed, {f"x_{i}": v for i, v in enumerate(x, start=1)}
 
 
+def lp_number_types(lp) -> tuple[list, list]:
+    """The type of every number of a parsed LP, rows then bounds, in order."""
+    rows = [type(n) for _, terms, _, rhs in lp.constraints for n in (*(c for c, _ in terms), rhs)]
+    return rows, [type(b) for lo_hi in lp.bounds.values() for b in lo_hi]
+
+
 def reference_simplex_feasible(rows: list, bounds: dict) -> bool:
     """The phase-1 simplex of `polytope._simplex_feasible` over Fractions,
     as it was before its tableau moved to integer rows and before it

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -262,6 +263,21 @@ def test_enum_cap(c4_file, tmp_path):
     assert "truncated" in r.stderr
 
 
+def test_enum_memory_does_not_follow_sigma_max(tmp_path, capsys):
+    # one word over a declared alphabet of 10^6 symbols: enum spells only
+    # the terminals its words use (about 70 MB when it spelled them all)
+    path = tmp_path / "wide.json"
+    path.write_text(grammar_to_json(Grammar(10**6, "S", ("S",), (("S", (1, 10**6)),))))
+    tracemalloc.start()
+    try:
+        status = main(["enum", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (status, capsys.readouterr().out) == (0, f"1 {10**6}\n")
+    assert peak < 5_000_000, peak
+
+
 BTREE3_TEXT = "15 14\n" + "".join(f"{i} {2 * i + k}\n" for i in range(1, 8) for k in (0, 1))
 
 
@@ -376,6 +392,8 @@ LP_HEAD = "Minimize\n obj: 0\nSubject To\n"
         ("stats", '{"sigma_max": 1, ' + RULES_OK.replace('["B1"]', '["B1", "B1"]') + "}"),
         ("stats", '{"sigma_max": 1, ' + RULES_OK.replace('"start": "B1"', f'"start": "{"S" * 3000}"') + "}"),
         ("stats", '{"sigma_max": 1, ' + RULES_OK.replace("[1]", f"[{'9' * 4000}]") + "}"),
+        ("stats", '{"sigma_max": 1, "start": 7, "variables": [7, null], "rules": [["7", [1]], ["None", [1]]]}'),
+        ("stats", '{"sigma_max": 1, ' + RULES_OK.replace('["B1"]', '["B1", null]') + "}"),
         ("check", LP_HEAD + " px1: x_1 - y_0 = 1.2.3\nBounds\n 0 <= y_0 <= 1\nEnd\n"),
         ("check", LP_HEAD + " px1: x_1 - 1e10000000 y_0 = 1\nBounds\n 0 <= y_0 <= 1\nEnd\n"),
         ("check", LP_HEAD + f" px1: x_1 - {'1' * 5000} y_0 = 0\nBounds\n 0 <= y_0 <= 1\nEnd\n"),
@@ -400,6 +418,8 @@ LP_HEAD = "Minimize\n obj: 0\nSubject To\n"
         "grammar-variable-twice",
         "grammar-long-start",
         "grammar-long-terminal",
+        "grammar-non-string-names",
+        "grammar-null-variable",
         "lp-number",
         "lp-exponent",
         "lp-long-number",

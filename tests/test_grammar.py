@@ -491,6 +491,7 @@ def test_grammar_holds_only_json_types():
         lambda: Grammar(2, "S", ("S",), (("S", (True,)),)),
         lambda: Grammar(2, "S", ("S",), (("S", (1.0,)),)),
         lambda: Grammar(2, "S", ("S", 5), (("S", (1,)), (5, (2,)))),
+        lambda: Grammar(2, ["S"], ("S",), ()),  # unhashable: refused, not a TypeError
     ):
         with pytest.raises(GrammarError):
             bad()
@@ -510,6 +511,20 @@ def test_json_rejects_garbage():
         grammar_from_json("{not json")
     with pytest.raises(GrammarError):
         grammar_from_json("{}")
+    # a name that is not a string, or a terminal that is not an int, is
+    # refused, not read as its str(): 7 would become "7" and null "None"
+    ok = {"sigma_max": 1, "start": "S", "variables": ["S"], "rules": [["S", [1]]]}
+    assert grammar_from_json(json.dumps(ok)) == Grammar(1, "S", ("S",), (("S", (1,)),))
+    for change in (
+        {"start": 7, "variables": [7, None], "rules": [["7", [1]], ["None", [1]]]},
+        {"start": 7},
+        {"start": ["S"]},
+        {"variables": ["S", None]},
+        {"rules": [["S", [None]]]},
+        {"rules": [["S", [[1]]]]},
+    ):
+        with pytest.raises(GrammarError):
+            grammar_from_json(json.dumps({**ok, **change}))
 
 
 def test_random_graphs_cross_check():

@@ -42,6 +42,7 @@ from conftest import (
     cycle_graph,
     grid_graph,
     lp_corpus_points,
+    lp_number_types,
     petersen_graph,
     reference_simplex_feasible,
     star_graph,
@@ -368,16 +369,36 @@ def test_presolve_reduction_sizes(c5, q3):
         assert _simplex_feasible(rows, bounds)
 
 
+def _exact(v):
+    # the LP-file path's number rule: an int when integral, else a
+    # Fraction, never a float
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
 def test_lp_system_is_exact(c5):
-    # every number that reaches a verdict is a Fraction, whatever type the
-    # formulation's rows and the point hold
+    # every number that reaches the presolve follows the rule, on an
+    # integral point, a fractional one (whose integral coordinates are
+    # Fractions) and no point at all
     alpha, gr, ef = aut_ef(c5)
-    x = permute_word(to_string_word(Permutation(tuple(c5.vertices))), alpha).symbols
-    for point in ({f"x_{i}": v for i, v in enumerate(x, start=1)}, {}):
+    words = enumerate_language(gr).words
+    a, b = words[0].symbols, words[1].symbols
+    integral = {f"x_{i}": v for i, v in enumerate(a, start=1)}
+    fractional = {f"x_{i}": Fraction(u + v, 2) for i, (u, v) in enumerate(zip(a, b), start=1)}
+    assert any(v.denominator == 1 for v in fractional.values())
+    assert any(v.denominator != 1 for v in fractional.values())
+    for point in (integral, fractional, {}):
         rows, bounds = _lp_system(ef.lp, point)
-        assert all(type(rhs) is Fraction for _, rhs in rows)
-        assert all(type(c) is Fraction for coeffs, _ in rows for c in coeffs.values())
-        assert all(b is None or type(b) is Fraction for lo_hi in bounds.values() for b in lo_hi)
+        assert all(_exact(rhs) for _, rhs in rows)
+        assert all(_exact(c) for coeffs, _ in rows for c in coeffs.values())
+        assert all(b is None or _exact(b) for lo_hi in bounds.values() for b in lo_hi)
+    assert any(type(rhs) is Fraction for _, rhs in _lp_system(ef.lp, fractional)[0])
+    # a repeated variable's coefficients add up, and a substituted one
+    # moves to the rhs: both follow the rule too
+    lp = parse_lp("Subject To\n r1: 1/2 y_0 + 1/2 y_0 - x_1 <= 1/2\nEnd\n")
+    rows, bounds = _lp_system(lp, {"x_1": Fraction(1, 2)})
+    assert rows == [({"y_0": 1, "_r:0": 1}, 1)]
+    assert all(_exact(v) for v in (*rows[0][0].values(), rows[0][1]))
+    assert bounds == {"_r:0": (0, None), "y_0": (0, None)}
 
 
 def test_feasibility_midpoint(c4):
@@ -407,7 +428,9 @@ def test_lp_round_trip():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # the empty language warns
                 ef = build_extended_formulation(gr, style)
-                assert parse_lp(emit_lp(ef)) == ef.lp, (k, style)
+                parsed = parse_lp(emit_lp(ef))
+                assert parsed == ef.lp, (k, style)
+                assert lp_number_types(parsed) == lp_number_types(ef.lp), (k, style)
 
 
 # S -> A 3 | 3 B, A -> 1 2 | 2 1, B -> 1 2: words 123, 213, 312

@@ -6,8 +6,10 @@ to a parent's keys finds what the unpinned search finds for those keys,
 and that the keys a fully pinned child takes without a search are
 annotations.
 On random acyclic grammars: the streamed language against the
-set-semiring reference."""
+set-semiring reference, and the LP text round trip of every formulation
+built from one."""
 
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -35,6 +37,7 @@ from autgrammar.grammar import (
 from autgrammar.oracle import brute_force_automorphisms
 from autgrammar.perm import Word, permute_word, to_string_word
 from autgrammar.polytope import (
+    PolytopeError,
     _lp_system,
     _presolve,
     _projection_verdict,
@@ -47,6 +50,7 @@ from autgrammar.polytope import (
 from conftest import (
     check_certificate,
     json_reference,
+    lp_number_types,
     reference_language,
     reference_simplex_feasible,
 )
@@ -102,6 +106,23 @@ def test_streamed_language_matches_reference(gr):
     for cap in range(4):
         expected = tuple(Word(w) for w in reference[:cap]), len(reference) > cap
         assert enumerate_language(gr, cap) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(acyclic_grammars(), st.sampled_from(("value", "matrix")))
+def test_lp_round_trip_on_random_grammars(gr, style):
+    # a formulation reads back from its LP text as it is held, number types
+    # included; a grammar the builder refuses (not positional, or with an
+    # unreachable variable) raises PolytopeError and nothing else
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the empty language warns
+        try:
+            ef = build_extended_formulation(gr, style)
+        except PolytopeError:
+            return
+        parsed = parse_lp(emit_lp(ef))
+    assert parsed == ef.lp
+    assert lp_number_types(parsed) == lp_number_types(ef.lp)
 
 
 def builds(g):
