@@ -6,8 +6,10 @@ The rule-flow extended formulation puts one [0,1] variable on every rule,
 one unit of flow out of the start variable, and conservation everywhere
 else.  Parse trees are exactly the integral flows, and the projection
 x_i = sum(symbol * flow) maps the polytope onto the convex hull of the
-word vectors.  Membership of a fixed point is decided by a phase-1 simplex
-over exact rationals.
+word vectors.  Membership of a fixed point is decided exactly by column
+generation over words: a master LP asks whether the point is a convex
+combination of words, and each round a max-plus pass over the grammar
+prices every word at once.
 """
 
 import itertools

@@ -21,7 +21,9 @@ are taken as they are.  A point is decided on two independent paths:
 - a projection point (`check_projection_feasibility`) by column generation
   over words: x is a member exactly when it is a convex combination of
   words, a master LP of n + 1 rows whose columns a max-plus pass over the
-  grammar prices, so the flow LP is never built;
+  grammar prices, so the flow LP is never built.  The master LP holds its
+  basis as det B and the integer adjugate, so its rounds make no
+  Fraction; only a member's certificate weights are Fractions;
 - a point of an LP file (`check_lp_feasibility`, the `check` command),
   which has no grammar, by an exact doubleton presolve that removes most
   flow rows, then a phase-1 simplex on integer rows on what is left.  A
@@ -255,18 +257,31 @@ def _projection_verdict(ef: ExtendedFormulation, x) -> tuple[bool, tuple]:
     multipliers pi of the rows (x, 1) with pi . (x, 1) > 0 >= pi . (w, 1)
     for every word w, which no convex combination of words can meet.
 
-    Phase 1 minimises the sum of one artificial per row over Fractions,
-    with each row of negative rhs negated, a dense basis inverse and the
-    lexicographic ratio test (Dantzig, Orden & Wolfe, 1955), under which
-    no basis repeats whichever improving word enters.  Each round prices
-    every word at once: with pi scaled to integers, a rule weighs pi_i * a
-    summed over the positions i and symbols a it writes, and the max-plus
-    pass yields the word of largest pi . (w, 1).  When that is <= 0, pi is
-    the certificate; when no artificial is left positive, x is a member."""
+    Phase 1 minimises the sum of one artificial per row, with each row of
+    negative rhs negated and the lexicographic ratio test (Dantzig, Orden
+    & Wolfe, 1955), under which no basis repeats whichever improving word
+    enters.  Every number of a round is an int (integer-preserving
+    elimination: Edmonds 1967, Bareiss 1968).  The basis B is held as
+    den = det B > 0 and its adjugate den * B^-1; the basic values as
+    den * B^-1 applied to the rhs lift * (|x|, 1), with lift the lcm of
+    x's denominators.  A pivot on row r, whose entry in the entering
+    column is d_r > 0, forms (d_r * row - d_i * pivot_row) / den in every
+    other row, an exact division since the entries are minors of B, and
+    makes d_r the new den.  The ratio test cross-multiplies, so each
+    choice is that of the same simplex over Fractions.
+
+    Each round prices every word at once.  The duals are the column sums
+    y of the adjugate's rows whose artificial is still basic, over den, so
+    pi = sign * y / gcd(den, y) is the duals of the rows (x, 1) times the
+    lcm of their denominators, in ints.  A rule weighs pi_i * a summed
+    over the positions i and symbols a it writes, and the max-plus pass
+    yields the word of largest pi . (w, 1).  When that is <= 0, pi is the certificate; when no
+    artificial is left positive, x is a member, and each basic word's
+    weight is its basic value over den * lift."""
     from .grammar import _evaluator, _rules_by_lhs
     from .perm import Word
 
-    target = [Fraction(v) for v in x]
+    target = [_coordinate(f"x_{i}", v) for i, v in enumerate(x, start=1)]
     n = ef.word_length
     if len(target) != n:
         raise PolytopeError(f"point has dimension {len(target)}, expected {n}")
@@ -288,21 +303,22 @@ def _projection_verdict(ef: ExtendedFormulation, x) -> tuple[bool, tuple]:
 
     m = n + 1
     sign = [-1 if b < 0 else 1 for b in target] + [1]
-    beta = [abs(b) for b in target] + [Fraction(1)]  # the basic variables' values
-    inverse = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    lift = math.lcm(*(b.denominator for b in target))
+    beta = [abs(b.numerator) * (lift // b.denominator) for b in target] + [lift]  # den * B^-1 rhs
+    inverse = [[int(i == j) for j in range(m)] for i in range(m)]  # den * B^-1
+    den = 1  # det B
     basis: list = [None] * m  # the word basic in each row; None: its artificial
-    duals = [Fraction(1)] * m  # c_B B^-1 with every artificial basic
     while True:
-        pi = [s * p for s, p in zip(sign, duals)]  # duals for the rows (x, 1)
-        scale = math.lcm(*(p.denominator for p in pi))
-        pi = [p.numerator * (scale // p.denominator) for p in pi]
+        y = [sum(col) for col in zip(*(row for row, w in zip(inverse, basis) if w is None))]
+        g = math.gcd(den, *y)
+        pi = [s * v // g for s, v in zip(sign, y)]  # multipliers of the rows (x, 1)
         weight = [0] * len(gr.rules)
         for r, i, a in pattern:
             weight[r] += pi[i] * a
         # max-plus over integers; a rule's weight already counts what it
         # writes, so a terminal adds 0 (0 * a)
         score = evaluate(weight.__getitem__, (0).__mul__, operator.add, max)
-        gain = score[gr.start] + pi[n]  # scale * pi . (w, 1) of the best word w
+        gain = score[gr.start] + pi[n]  # pi . (w, 1) of the best word w
         if gain <= 0:
             return False, tuple(pi)
         word = [0] * n
@@ -319,28 +335,33 @@ def _projection_verdict(ef: ExtendedFormulation, x) -> tuple[bool, tuple]:
         column = [s * w for s, w in zip(sign, word + [1])]
         d = [sum(row[j] * c for j, c in enumerate(column) if c) for row in inverse]
 
-        # the lexicographically smallest row of [beta | inverse] / d_i over d_i > 0
+        # the lexicographically smallest row of [beta | inverse] / d_i over
+        # d_i > 0, compared by cross-multiplying
         rows = [i for i in range(m) if d[i] > 0]
         for k in range(-1, m):
             if len(rows) == 1:
                 break
-            ratio = {i: (beta[i] if k < 0 else inverse[i][k]) / d[i] for i in rows}
-            low = min(ratio.values())
-            rows = [i for i in rows if ratio[i] == low]
+            top = {i: beta[i] if k < 0 else inverse[i][k] for i in rows}
+            low = rows[0]
+            for i in rows:
+                if top[i] * d[low] < top[low] * d[i]:
+                    low = i
+            rows = [i for i in rows if top[i] * d[low] == top[low] * d[i]]
         r = rows[0]
 
-        pivot_row = inverse[r] = [v / d[r] for v in inverse[r]]
-        beta[r] /= d[r]
+        pivot, pivot_row, pivot_beta = d[r], inverse[r], beta[r]
         for i in range(m):
-            if i != r and d[i]:
+            # a row with d_i = 0 is only rescaled, to the new den
+            if i != r and (d[i] or pivot != den):
                 f = d[i]
-                inverse[i] = [v - f * p for v, p in zip(inverse[i], pivot_row)]
-                beta[i] -= f * beta[r]
-        cost = Fraction(-gain, scale)  # the entering column's reduced cost
-        duals = [p + cost * v for p, v in zip(duals, pivot_row)]
+                inverse[i] = [(pivot * v - f * p) // den for v, p in zip(inverse[i], pivot_row)]
+                beta[i] = (pivot * beta[i] - f * pivot_beta) // den
+        den = pivot
         basis[r] = Word(tuple(word))
         if not any(beta[i] for i in range(m) if basis[i] is None):
-            return True, tuple((beta[i], w) for i, w in enumerate(basis) if w is not None and beta[i])
+            return True, tuple(
+                (Fraction(beta[i], den * lift), w) for i, w in enumerate(basis) if w is not None and beta[i]
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -804,6 +825,17 @@ def parse_number(tok: str) -> int | Fraction:
         raise PolytopeError(f"bad number {_quote(tok)}") from None
 
 
+def _coordinate(name: str, v) -> int | Fraction:
+    """The exact value of one coordinate of a point, on either path: an
+    int when it is integral, else a Fraction.  A float means its exact
+    binary value, so 0.5 is 1/2; a NaN, an infinity or anything else that
+    Fraction refuses is an error that names the coordinate."""
+    try:
+        return _whole(Fraction(v))
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise PolytopeError(f"coordinate {_quote(name)} is not a number: {_quote(v)}") from None
+
+
 def _parse_bound(line: str, numbers: dict):
     """(variable, (lo, hi)) of a bound line, hi None for no upper end."""
     toks = line.split()
@@ -830,6 +862,7 @@ def _lp_system(parsed: ParsedLP, point: dict) -> tuple[list, dict]:
     substituted, each inequality gets a slack, and remaining variables
     take their Bounds entries, defaulting to [0, +inf) as in the LP
     format."""
+    point = {v: _coordinate(v, c) for v, c in point.items()}
     rows: list = []
     slack_id = 0
     bounds: dict = {}

@@ -1,6 +1,8 @@
 import functools
 import itertools
 import json
+import math
+import operator
 import os
 import warnings
 from fractions import Fraction
@@ -164,8 +166,11 @@ def check_certificate(gr, x, feasible: bool, certificate) -> None:
         return sum((p * v for p, v in zip(pi, [*point, 1])), Fraction(0))
 
     assert value(x) > 0
+    # over the words, pi times the lcm of its denominators, in ints
+    scale = math.lcm(*(p.denominator for p in pi))
+    *slope, offset = (p.numerator * (scale // p.denominator) for p in pi)
     for w in enumerate_language(gr).words:
-        assert len(w) == len(x) and value(w.symbols) <= 0, w
+        assert len(w) == len(x) and sum(map(operator.mul, slope, w.symbols)) + offset <= 0, w
 
 
 def _lp_corpus():
@@ -187,21 +192,33 @@ def _lp_corpus():
     yield Grammar(2, "B1", ("B1", "A", "C"), (("A", (1,)), ("C", ("A", 2)), ("C", (2, "A"))))
 
 
-def lp_corpus_points():
-    """(parsed LP, point) for three points of each `_lp_corpus` grammar's
-    LP file: its first word, the midpoint of its first and last words, and
-    the first word with the last coordinate raised by 1/2.  The empty
-    language has one point, of dimension 0."""
+def corpus_formulations():
+    """(grammar, formulation, words) for each `_lp_corpus` grammar."""
     for gr in _lp_corpus():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the empty language warns
-            parsed = parse_lp(emit_lp(build_extended_formulation(gr)))
-        words = [w.symbols for w in enumerate_language(gr).words]
-        if not words:
-            yield parsed, {}
-            continue
-        a, b = words[0], words[-1]
-        for x in (a, [Fraction(u + v, 2) for u, v in zip(a, b)], [*a[:-1], a[-1] + Fraction(1, 2)]):
+            ef = build_extended_formulation(gr)
+        yield gr, ef, [w.symbols for w in enumerate_language(gr).words]
+
+
+def corpus_points(words) -> list:
+    """Three points of a language: its first word, the midpoint of its
+    first and last words, and the first word with the last coordinate
+    raised by 1/2.  The empty language has one point, of dimension 0."""
+    if not words:
+        return [()]
+    a, b = words[0], words[-1]
+    return [a, [Fraction(u + v, 2) for u, v in zip(a, b)], [*a[:-1], a[-1] + Fraction(1, 2)]]
+
+
+def lp_corpus_points():
+    """(parsed LP, point) for the `corpus_points` of each `_lp_corpus`
+    grammar's LP file."""
+    for _, ef, words in corpus_formulations():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the empty language warns
+            parsed = parse_lp(emit_lp(ef))
+        for x in corpus_points(words):
             yield parsed, {f"x_{i}": v for i, v in enumerate(x, start=1)}
 
 
@@ -380,6 +397,100 @@ def reference_simplex_feasible(rows: list, bounds: dict) -> bool:
         (values[i] for i, b in enumerate(basis) if b >= n_structural), ZERO
     )
     return residue == 0
+
+
+def reference_projection_verdict(ef, x) -> tuple[bool, tuple]:
+    """The master LP of `polytope._projection_verdict` over Fractions, as
+    it was before its basis inverse moved to integers (the adjugate over
+    det B): the reference whose pivots, verdicts and certificates it is
+    tested against, element for element.
+
+    Phase 1 minimises the sum of one artificial per row over Fractions,
+    with each row of negative rhs negated, a dense basis inverse and the
+    lexicographic ratio test (Dantzig, Orden & Wolfe, 1955), under which
+    no basis repeats whichever improving word enters.  Each round prices
+    every word at once: with pi scaled to integers, a rule weighs pi_i * a
+    summed over the positions i and symbols a it writes, and the max-plus
+    pass yields the word of largest pi . (w, 1).  When that is <= 0, pi is
+    the certificate; when no artificial is left positive, x is a member."""
+    from autgrammar.grammar import _evaluator, _rules_by_lhs
+    from autgrammar.perm import Word
+
+    target = [Fraction(v) for v in x]
+    n = ef.word_length
+    if len(target) != n:
+        raise PolytopeError(f"point has dimension {len(target)}, expected {n}")
+    rule_of = {y: r for r, y in enumerate(ef.flow_vars)}
+    writes: list[list] = [[] for _ in ef.flow_vars]  # per rule: (position, symbol)
+    for i, (_, ((_, defined), *terms), _, _) in enumerate(ef.projection):
+        if defined != f"x_{i + 1}":
+            raise PolytopeError("a matrix-style formulation has no x coordinates to fix")
+        for coef, y in terms:
+            writes[rule_of[y]].append((i, -coef))
+    gr = ef.grammar
+    if len({lhs for lhs, _ in gr.rules}) < len(gr.variables):
+        # a variable without rules: only the formulation of an empty
+        # language has one, as every variable of another derives a word
+        return False, (0,) * n + (1,)
+    by_lhs = _rules_by_lhs(gr)
+    evaluate = _evaluator(gr, by_lhs)
+    pattern = [(r, i, a) for r, pairs in enumerate(writes) for i, a in pairs]
+
+    m = n + 1
+    sign = [-1 if b < 0 else 1 for b in target] + [1]
+    beta = [abs(b) for b in target] + [Fraction(1)]  # the basic variables' values
+    inverse = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    basis: list = [None] * m  # the word basic in each row; None: its artificial
+    duals = [Fraction(1)] * m  # c_B B^-1 with every artificial basic
+    while True:
+        pi = [s * p for s, p in zip(sign, duals)]  # duals for the rows (x, 1)
+        scale = math.lcm(*(p.denominator for p in pi))
+        pi = [p.numerator * (scale // p.denominator) for p in pi]
+        weight = [0] * len(gr.rules)
+        for r, i, a in pattern:
+            weight[r] += pi[i] * a
+        # max-plus over integers; a rule's weight already counts what it
+        # writes, so a terminal adds 0 (0 * a)
+        score = evaluate(weight.__getitem__, (0).__mul__, operator.add, max)
+        gain = score[gr.start] + pi[n]  # scale * pi . (w, 1) of the best word w
+        if gain <= 0:
+            return False, tuple(pi)
+        word = [0] * n
+        stack = [gr.start]
+        while stack:  # read w top-down through rules that attain the max
+            v = stack.pop()
+            for r, rhs in by_lhs[v]:
+                kids = [x for x in rhs if isinstance(x, str)]
+                if weight[r] + sum(score[x] for x in kids) == score[v]:
+                    break
+            for i, a in writes[r]:
+                word[i] = a
+            stack.extend(kids)
+        column = [s * w for s, w in zip(sign, word + [1])]
+        d = [sum(row[j] * c for j, c in enumerate(column) if c) for row in inverse]
+
+        # the lexicographically smallest row of [beta | inverse] / d_i over d_i > 0
+        rows = [i for i in range(m) if d[i] > 0]
+        for k in range(-1, m):
+            if len(rows) == 1:
+                break
+            ratio = {i: (beta[i] if k < 0 else inverse[i][k]) / d[i] for i in rows}
+            low = min(ratio.values())
+            rows = [i for i in rows if ratio[i] == low]
+        r = rows[0]
+
+        pivot_row = inverse[r] = [v / d[r] for v in inverse[r]]
+        beta[r] /= d[r]
+        for i in range(m):
+            if i != r and d[i]:
+                f = d[i]
+                inverse[i] = [v - f * p for v, p in zip(inverse[i], pivot_row)]
+                beta[i] -= f * beta[r]
+        cost = Fraction(-gain, scale)  # the entering column's reduced cost
+        duals = [p + cost * v for p, v in zip(duals, pivot_row)]
+        basis[r] = Word(tuple(word))
+        if not any(beta[i] for i in range(m) if basis[i] is None):
+            return True, tuple((beta[i], w) for i, w in enumerate(basis) if w is not None and beta[i])
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from autgrammar.grammar import (
 )
 from autgrammar.oracle import brute_force_automorphisms
 from autgrammar.perm import Permutation, permute_word, to_string_word
+from autgrammar import polytope
 from autgrammar.polytope import (
     PolytopeError,
     _phase_one_feasible,
@@ -39,11 +41,14 @@ from conftest import (
     binary_tree,
     check_certificate,
     complete_graph,
+    corpus_formulations,
+    corpus_points,
     cycle_graph,
     grid_graph,
     lp_corpus_points,
     lp_number_types,
     petersen_graph,
+    reference_projection_verdict,
     reference_simplex_feasible,
     star_graph,
 )
@@ -225,6 +230,68 @@ def test_projection_points_of_larger_groups():
         elapsed = time.perf_counter() - start
         assert verdict == expected and elapsed < 1.0, (len(x), elapsed)
         check_certificate(gr, x, verdict, certificate)
+
+
+def test_projection_matches_reference():
+    # the integer master LP takes the Fraction reference's pivots: the same
+    # verdict and the same certificate, element for element and type for
+    # type, on each corpus grammar's words, midpoint, raised point,
+    # centroid and reversed first word
+    decided = 0
+    for gr, ef, words in corpus_formulations():
+        points = corpus_points(words)
+        if words:
+            n = len(words[0])
+            points += [[Fraction(sum(w[i] for w in words), len(words)) for i in range(n)], words[0][::-1]]
+        for x in points:
+            verdict = _projection_verdict(ef, x)
+            expected = reference_projection_verdict(ef, x)
+            assert verdict == expected and repr(verdict) == repr(expected), x
+            check_certificate(gr, x, *verdict)
+            decided += 1
+    assert decided == 121
+
+
+def test_projection_makes_no_fraction_per_round(monkeypatch):
+    # btree4's identity word (feasible) makes one Fraction per coordinate
+    # and one per certificate weight, and the word with its last
+    # coordinate raised by 1/2 (infeasible) only the coordinates': no
+    # round of the master LP makes one
+    made = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    g = binary_tree(4)
+    alpha, gr, ef = aut_ef(g)
+    x = permute_word(to_string_word(Permutation(tuple(g.vertices))), alpha).symbols
+    raised = [*x[:-1], x[-1] + Fraction(1, 2)]
+    monkeypatch.setattr(polytope, "Fraction", Counting)
+    verdict, certificate = _projection_verdict(ef, x)
+    assert verdict and len(made) <= len(x) + len(certificate), len(made)
+    made.clear()
+    verdict, _ = _projection_verdict(ef, raised)
+    assert not verdict and len(made) <= len(x), len(made)
+
+
+def test_float_and_bad_coordinates(c4):
+    # on both paths a float coordinate means its exact binary value, and
+    # a NaN, an infinity or None is a PolytopeError naming the coordinate
+    lp = parse_lp("Subject To\n r1: x_1 - y_0 = 0\nBounds\n 0 <= y_0 <= 1\nEnd\n")
+    assert check_lp_feasibility(lp, {"x_1": 0.5}) == check_lp_feasibility(lp, {"x_1": Fraction(1, 2)}) is True
+    assert not check_lp_feasibility(lp, {"x_1": 1.5})
+    _, gr, ef = aut_ef(c4)
+    centroid = (2.5,) * 4
+    assert _projection_verdict(ef, centroid) == _projection_verdict(ef, (Fraction(5, 2),) * 4)
+    assert check_projection_feasibility(ef, centroid)
+    assert not check_projection_feasibility(ef, (2.5, 2.5, 2.5, 3.0))
+    for bad in (math.nan, math.inf, -math.inf, None):
+        with pytest.raises(PolytopeError, match="coordinate 'x_1'"):
+            check_lp_feasibility(lp, {"x_1": bad})
+        with pytest.raises(PolytopeError, match="coordinate 'x_2'"):
+            check_projection_feasibility(ef, (1, bad, 3, 4))
 
 
 def test_projection_edge_points(c4):

@@ -7,7 +7,9 @@ and that the keys a fully pinned child takes without a search are
 annotations.
 On random acyclic grammars: the streamed language against the
 set-semiring reference, and the LP text round trip of every formulation
-built from one."""
+built from one.  On random positional grammars: the same round trip, and
+the projection path's master LP against its Fraction reference and the
+LP file's verdict."""
 
 import warnings
 from fractions import Fraction
@@ -52,6 +54,7 @@ from conftest import (
     json_reference,
     lp_number_types,
     reference_language,
+    reference_projection_verdict,
     reference_simplex_feasible,
 )
 
@@ -96,6 +99,48 @@ def acyclic_grammars(draw) -> Grammar:
     return Grammar(3, "V0", names, tuple(rules), draw(st.booleans()))
 
 
+@st.composite
+def positional_grammars(draw) -> Grammar:
+    """Variables with a fixed span each, which `build_extended_formulation`
+    always accepts with a non-empty language.  The start V0 spans words of
+    length 1 to 5.  Each variable has one to three rules, and a rule fills
+    its span from left to right with terminals in 1..3 and child variables
+    of shorter spans, each placed exactly at its own span: a new variable,
+    or one made before for the same span, which is then shared.  Past
+    eight variables, a span without one takes terminals only."""
+    n = draw(st.integers(1, 5))
+    names: list[str] = []
+    at_span: dict[tuple[int, int], list[str]] = {}
+    rules: list = []
+
+    def variable(start: int, length: int) -> str:
+        known = at_span.get((start, length))
+        if known and (len(names) >= 8 or draw(st.booleans())):
+            return draw(st.sampled_from(known))
+        v = f"V{len(names)}"
+        names.append(v)
+        at_span.setdefault((start, length), []).append(v)
+        for _ in range(draw(st.integers(1, 3))):
+            rhs: list = []
+            at = start
+            while at < start + length:
+                spans = range(1, min(start + length - at, length - 1) + 1)
+                if len(names) >= 8:
+                    spans = [k for k in spans if (at, k) in at_span]
+                if spans and draw(st.booleans()):
+                    k = draw(st.sampled_from(spans))
+                    rhs.append(variable(at, k))
+                    at += k
+                else:
+                    rhs.append(draw(st.integers(1, 3)))
+                    at += 1
+            rules.append((v, tuple(rhs)))
+        return v
+
+    variable(1, n)
+    return Grammar(3, "V0", tuple(names), tuple(rules))
+
+
 @settings(max_examples=200, deadline=None)
 @given(acyclic_grammars())
 def test_streamed_language_matches_reference(gr):
@@ -109,18 +154,25 @@ def test_streamed_language_matches_reference(gr):
 
 
 @settings(max_examples=200, deadline=None)
-@given(acyclic_grammars(), st.sampled_from(("value", "matrix")))
-def test_lp_round_trip_on_random_grammars(gr, style):
+@given(
+    st.one_of(acyclic_grammars().map(lambda gr: (gr, False)), positional_grammars().map(lambda gr: (gr, True))),
+    st.sampled_from(("value", "matrix")),
+)
+def test_lp_round_trip_on_random_grammars(drawn, style):
     # a formulation reads back from its LP text as it is held, number types
     # included; a grammar the builder refuses (not positional, or with an
-    # unreachable variable) raises PolytopeError and nothing else
+    # unreachable variable) raises PolytopeError and nothing else, and a
+    # positional grammar is always accepted, with a non-empty language
+    gr, positional = drawn
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the empty language warns
         try:
             ef = build_extended_formulation(gr, style)
         except PolytopeError:
+            assert not positional, gr
             return
         parsed = parse_lp(emit_lp(ef))
+    assert not positional or ef.word_length, gr
     assert parsed == ef.lp
     assert lp_number_types(parsed) == lp_number_types(ef.lp)
 
@@ -169,6 +221,35 @@ def test_lp_paths_agree(g, data):
             assert check_lp_feasibility(parsed, point) == reference == member, x
             assert check_projection_feasibility(ef, x) == member, x
             check_certificate(gr, x, *_projection_verdict(ef, x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(positional_grammars(), st.data())
+def test_projection_matches_reference_on_positional_grammars(gr, data):
+    # a word, a weighted convex combination of up to three words, the same
+    # with one coordinate moved by 1/2 either way, and a point with a
+    # negative coordinate, whose row the master LP negates: the integer
+    # master LP gives the Fraction reference's verdict and certificate,
+    # element for element, the certificate passes its checker, and the LP
+    # file's presolve and simplex give the same verdict
+    ef = build_extended_formulation(gr)
+    parsed = parse_lp(emit_lp(ef))
+    words = [w.symbols for w in enumerate_language(gr).words]
+    assert words and len(words[0]) == ef.word_length
+    n = ef.word_length
+    chosen = data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=3))
+    weights = data.draw(st.lists(st.integers(1, 5), min_size=len(chosen), max_size=len(chosen)))
+    combo = [Fraction(sum(c * w[i] for c, w in zip(weights, chosen)), sum(weights)) for i in range(n)]
+    i = data.draw(st.integers(0, n - 1))
+    step = data.draw(st.sampled_from((-1, 1))) * Fraction(1, 2)
+    moved = [v + step * (k == i) for k, v in enumerate(combo)]
+    negative = [-Fraction(data.draw(st.integers(1, 4)), 2) if k == i else v for k, v in enumerate(combo)]
+    for x in (chosen[0], combo, moved, negative):
+        verdict = _projection_verdict(ef, x)
+        expected = reference_projection_verdict(ef, x)
+        assert verdict == expected and repr(verdict) == repr(expected), x
+        check_certificate(gr, x, *verdict)
+        assert check_lp_feasibility(parsed, {f"x_{k}": v for k, v in enumerate(x, start=1)}) == verdict[0], x
 
 
 @settings(max_examples=20, deadline=None)
