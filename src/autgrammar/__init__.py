@@ -32,13 +32,8 @@ def _quote(value) -> str:
 _EXPORTS = {
     "annotate": (
         "AnnotatedBag",
-        "AnnotationAssignment",
-        "annotation_morphism",
-        "check_annotated_bag",
-        "consistent_bags",
         "count_assignments",
         "enumerate_annotated_bags",
-        "enumerate_assignments",
     ),
     "decomp": (
         "TreeDecomposition",

@@ -27,19 +27,20 @@ images on the shared domain, its key, so the join indexes each child's
 annotations by key, and one bottom-up pass both prunes them and merges
 them into classes that derive the same words.  AnnotatedBag, which pairs
 each domain vertex with its image, is the public type:
-enumerate_annotated_bags and enumerate_assignments wrap the tuples in it
-at their boundary.
+enumerate_annotated_bags wraps the tuples in it at its boundary.
+count_assignments counts the consistent annotations of the whole tree, one
+per automorphism, in one product-sum pass over the join.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import NamedTuple
 
 from . import PreconditionError
 from .decomp import ROOT, TreeDecomposition, validate_tree_decomposition
-from .graph import Graph, closed_neighborhood, induced_subgraph, stable_colouring
-from .perm import Permutation
+from .graph import Graph, closed_neighborhood, stable_colouring
 
 
 class AnnotationError(PreconditionError):
@@ -52,48 +53,6 @@ class AnnotatedBag(NamedTuple):
 
     s: tuple[int, ...]
     phi: tuple[tuple[int, int], ...]
-
-    @property
-    def domain(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.phi)
-
-    def maps(self, v: int) -> int:
-        for u, img in self.phi:
-            if u == v:
-                return img
-        raise AnnotationError(f"vertex {v} not in annotation domain")
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.phi)
-
-
-def make_annotated_bag(s, mapping: dict[int, int]) -> AnnotatedBag:
-    return AnnotatedBag(tuple(sorted(set(s))), tuple(sorted(mapping.items())))
-
-
-def check_annotated_bag(g: Graph, b: AnnotatedBag) -> bool:
-    """Both annotation conditions: image set matches the closed neighborhood
-    of the image bag, and adjacency is preserved in both directions."""
-    dom = closed_neighborhood(g, b.s)
-    if b.domain != dom:
-        raise AnnotationError(
-            f"phi domain {b.domain} differs from closed neighborhood {dom}"
-        )
-    phi = b.as_dict()
-    image = set(phi.values())
-    if len(image) != len(phi):
-        return False
-    image_bag = [phi[v] for v in b.s]
-    if image != set(closed_neighborhood(g, image_bag)):
-        return False
-    dom_edges = induced_subgraph(g, dom)
-    img_edges = induced_subgraph(g, image)
-    mapped = set()
-    for u, v in dom_edges:
-        a, c = phi[u], phi[v]
-        e = (a, c) if a < c else (c, a)
-        mapped.add(e)
-    return mapped == img_edges
 
 
 def enumerate_annotated_bags(g: Graph, s) -> list[AnnotatedBag]:
@@ -190,71 +149,6 @@ class _Search:
         return found
 
 
-def consistent_bags(parent: AnnotatedBag, child: AnnotatedBag) -> bool:
-    """Agreement on every vertex both annotations cover."""
-    pphi, cphi = parent.as_dict(), child.as_dict()
-    for v in pphi.keys() & cphi.keys():
-        if pphi[v] != cphi[v]:
-            return False
-    return True
-
-
-class AnnotationAssignment(NamedTuple):
-    """One annotated bag per position of a fixed tree decomposition."""
-
-    decomposition: TreeDecomposition
-    bags: tuple[tuple[tuple[int, ...], AnnotatedBag], ...]  # (position, bag)
-
-
-def make_assignment(t: TreeDecomposition, mapping: dict) -> AnnotationAssignment:
-    return AnnotationAssignment(t, tuple(sorted(mapping.items())))
-
-
-def validate_assignment(g: Graph, a: AnnotationAssignment) -> None:
-    """Erasure must reproduce the underlying decomposition, every bag must
-    be a genuine annotation, and adjacent positions must be consistent."""
-    t = a.decomposition
-    positions = {p for p, _ in a.bags}
-    if positions != set(t.positions):
-        raise AnnotationError("assignment positions differ from the decomposition")
-    report = validate_tree_decomposition(g, t)
-    if not report.ok:
-        raise AnnotationError(f"underlying decomposition invalid: {report.violations}")
-    by_pos = dict(a.bags)
-    for p in t.positions:
-        b = by_pos[p]
-        if b.s != t.bag(p):
-            raise AnnotationError(f"annotation at {p} erases to {b.s}, bag is {t.bag(p)}")
-        if not check_annotated_bag(g, b):
-            raise AnnotationError(f"annotation at {p} is not a partial automorphism")
-    for p in t.positions:
-        for c in t.children(p):
-            if not consistent_bags(by_pos[p], by_pos[c]):
-                raise AnnotationError(f"annotations at {p} and {c} disagree")
-
-
-def annotation_morphism(g: Graph, a: AnnotationAssignment) -> Permutation:
-    """Unite all bag annotations into one vertex map and verify it is an
-    automorphism; fails loudly otherwise."""
-    validate_assignment(g, a)
-    union: dict[int, int] = {}
-    for _, b in a.bags:
-        for v, img in b.phi:
-            if v in union and union[v] != img:
-                raise AnnotationError(f"inconsistent images for vertex {v}")
-            union[v] = img
-    if set(union) != set(g.vertices):
-        raise AnnotationError("united annotation does not cover every vertex")
-    image = tuple(union[v] for v in g.vertices)
-    if sorted(image) != list(g.vertices):
-        raise AnnotationError("united annotation is not a bijection")
-    sigma = Permutation(image)
-    for u, v in g.edges:
-        if not g.has_edge(sigma(u), sigma(v)):
-            raise AnnotationError("united annotation does not preserve adjacency")
-    return sigma
-
-
 def _images_on(ks: list[int]):
     """The function taking an image tuple to its images at indices ks, as
     a tuple: itemgetter, which returns a bare item for one index and takes
@@ -280,7 +174,8 @@ def join_annotations(g: Graph, t: TreeDecomposition, written: dict | None = None
     """The annotations of each bag of t that take part in some consistent
     annotation of the whole tree, merged into classes that derive the same
     words.  written maps a position to the vertex whose image its
-    annotations write, a terminal of the grammar built from the join.
+    annotations write, a terminal of the grammar built from the join;
+    count_assignments passes none, as it counts annotations, not words.
 
     Annotations at p and c are consistent when their images agree on the
     shared domain N[S_p] & N[S_c], which is fixed, so an annotation's key
@@ -370,32 +265,24 @@ def join_annotations(g: Graph, t: TreeDecomposition, written: dict | None = None
     return Join(dom, ann, cls, first, keys, index)
 
 
-def enumerate_assignments(g: Graph, t: TreeDecomposition):
-    """Yield every valid annotation assignment of t, in canonical order
-    (per-position bag choices explored in enumeration order), from the
-    kept annotations of join_annotations and their partners."""
+def count_assignments(g: Graph, t: TreeDecomposition) -> int:
+    """The number of consistent annotations of the whole of t, one per
+    automorphism of g.  It counts annotations, not the classes they merge
+    into, so it checks the merge against the grammar's parse-tree count.
+    One bottom-up pass over join_annotations: a kept annotation i at p
+    counts the product, over the children c, of the summed counts of its
+    partners index[c][keys[c][i]], one that is not kept counts 0, and the
+    root's counts sum to the total."""
     report = validate_tree_decomposition(g, t)
     if not report.ok:
         raise AnnotationError(f"decomposition invalid: {report.violations}")
-    dom, ann, cls, _, keys, index = join_annotations(g, t)
-    positions = t.positions  # preorder: parents precede children
-    chosen: dict = {}
-    kept = [i for i, k in enumerate(cls[ROOT]) if k is not None]
-    stack = [iter(kept)]  # choices left at each placed position
-    while stack:
-        i = next(stack[-1], None)
-        if i is None:
-            stack.pop()
-            continue
-        chosen[positions[len(stack) - 1]] = i
-        if len(stack) == len(positions):
-            yield make_assignment(t, {
-                p: AnnotatedBag(t.bag(p), tuple(zip(dom[p], ann[p][chosen[p]]))) for p in positions
-            })
-        else:
-            c = positions[len(stack)]
-            stack.append(iter(index[c][keys[c][chosen[c[:-1]]]]))
-
-
-def count_assignments(g: Graph, t: TreeDecomposition) -> int:
-    return sum(1 for _ in enumerate_assignments(g, t))
+    _, _, cls, _, keys, index = join_annotations(g, t)
+    count: dict = {}
+    for p in reversed(t.positions):  # children before parents
+        kids = t.children(p)
+        sums = [{k: sum(count[c][j] for j in js) for k, js in index[c].items()} for c in kids]
+        count[p] = [
+            0 if k is None else math.prod(by_key[keys[c][i]] for c, by_key in zip(kids, sums))
+            for i, k in enumerate(cls[p])
+        ]
+    return sum(count[ROOT])

@@ -828,10 +828,14 @@ def parse_number(tok: str) -> int | Fraction:
 def _coordinate(name: str, v) -> int | Fraction:
     """The exact value of one coordinate of a point, on either path: an
     int when it is integral, else a Fraction.  A float means its exact
-    binary value, so 0.5 is 1/2; a NaN, an infinity or anything else that
-    Fraction refuses is an error that names the coordinate."""
+    binary value, so 0.5 is 1/2.  A string is read by parse_number, with
+    its cap on the exponent, so '1e-2000000' fails at once instead of
+    being expanded.  A NaN, an infinity or anything else that either
+    refuses is an error that names the coordinate."""
     try:
-        return _whole(Fraction(v))
+        return parse_number(v) if isinstance(v, str) else _whole(Fraction(v))
+    except PolytopeError as e:
+        raise PolytopeError(f"coordinate {_quote(name)}: {e}") from None
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise PolytopeError(f"coordinate {_quote(name)} is not a number: {_quote(v)}") from None
 

@@ -6,13 +6,17 @@ import operator
 import os
 import warnings
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
+from autgrammar.annotate import AnnotatedBag, AnnotationError
 from autgrammar.decomp import (
+    TreeDecomposition,
     compute_path_decomposition,
     compute_tree_decomposition,
     make_permutation_yielding,
+    validate_tree_decomposition,
 )
 from autgrammar.grammar import (
     Grammar,
@@ -25,7 +29,8 @@ from autgrammar.grammar import (
     enumerate_language,
     membership,
 )
-from autgrammar.graph import Graph, closed_neighborhood, is_connected
+from autgrammar.graph import Graph, closed_neighborhood, induced_subgraph, is_connected
+from autgrammar.perm import Permutation
 from autgrammar.polytope import PolytopeError, build_extended_formulation, emit_lp, parse_lp
 
 try:
@@ -519,6 +524,106 @@ def oracle_annotations(g, s):
             ):
                 out.append(tuple(sorted(phi.items())))
     return tuple(sorted(out, key=lambda pairs: tuple(img for _, img in pairs)))
+
+
+# The paper's definitions of an annotated bag, of consistency and of the
+# vertex map a whole-tree assignment unites into, checked one assignment
+# at a time.  The tests use them as references independent of the search
+# and the join in autgrammar.annotate.
+
+def make_annotated_bag(s, mapping: dict[int, int]) -> AnnotatedBag:
+    return AnnotatedBag(tuple(sorted(set(s))), tuple(sorted(mapping.items())))
+
+
+def check_annotated_bag(g: Graph, b: AnnotatedBag) -> bool:
+    """Both annotation conditions: image set matches the closed neighborhood
+    of the image bag, and adjacency is preserved in both directions."""
+    dom = closed_neighborhood(g, b.s)
+    domain = tuple(v for v, _ in b.phi)
+    if domain != dom:
+        raise AnnotationError(
+            f"phi domain {domain} differs from closed neighborhood {dom}"
+        )
+    phi = dict(b.phi)
+    image = set(phi.values())
+    if len(image) != len(phi):
+        return False
+    image_bag = [phi[v] for v in b.s]
+    if image != set(closed_neighborhood(g, image_bag)):
+        return False
+    dom_edges = induced_subgraph(g, dom)
+    img_edges = induced_subgraph(g, image)
+    mapped = set()
+    for u, v in dom_edges:
+        a, c = phi[u], phi[v]
+        e = (a, c) if a < c else (c, a)
+        mapped.add(e)
+    return mapped == img_edges
+
+
+def consistent_bags(parent: AnnotatedBag, child: AnnotatedBag) -> bool:
+    """Agreement on every vertex both annotations cover."""
+    pphi, cphi = dict(parent.phi), dict(child.phi)
+    for v in pphi.keys() & cphi.keys():
+        if pphi[v] != cphi[v]:
+            return False
+    return True
+
+
+class AnnotationAssignment(NamedTuple):
+    """One annotated bag per position of a fixed tree decomposition."""
+
+    decomposition: TreeDecomposition
+    bags: tuple[tuple[tuple[int, ...], AnnotatedBag], ...]  # (position, bag)
+
+
+def make_assignment(t: TreeDecomposition, mapping: dict) -> AnnotationAssignment:
+    return AnnotationAssignment(t, tuple(sorted(mapping.items())))
+
+
+def validate_assignment(g: Graph, a: AnnotationAssignment) -> None:
+    """Erasure must reproduce the underlying decomposition, every bag must
+    be a genuine annotation, and adjacent positions must be consistent."""
+    t = a.decomposition
+    positions = {p for p, _ in a.bags}
+    if positions != set(t.positions):
+        raise AnnotationError("assignment positions differ from the decomposition")
+    report = validate_tree_decomposition(g, t)
+    if not report.ok:
+        raise AnnotationError(f"underlying decomposition invalid: {report.violations}")
+    by_pos = dict(a.bags)
+    for p in t.positions:
+        b = by_pos[p]
+        if b.s != t.bag(p):
+            raise AnnotationError(f"annotation at {p} erases to {b.s}, bag is {t.bag(p)}")
+        if not check_annotated_bag(g, b):
+            raise AnnotationError(f"annotation at {p} is not a partial automorphism")
+    for p in t.positions:
+        for c in t.children(p):
+            if not consistent_bags(by_pos[p], by_pos[c]):
+                raise AnnotationError(f"annotations at {p} and {c} disagree")
+
+
+def annotation_morphism(g: Graph, a: AnnotationAssignment) -> Permutation:
+    """Unite all bag annotations into one vertex map and verify it is an
+    automorphism; fails loudly otherwise."""
+    validate_assignment(g, a)
+    union: dict[int, int] = {}
+    for _, b in a.bags:
+        for v, img in b.phi:
+            if v in union and union[v] != img:
+                raise AnnotationError(f"inconsistent images for vertex {v}")
+            union[v] = img
+    if set(union) != set(g.vertices):
+        raise AnnotationError("united annotation does not cover every vertex")
+    image = tuple(union[v] for v in g.vertices)
+    if sorted(image) != list(g.vertices):
+        raise AnnotationError("united annotation is not a bijection")
+    sigma = Permutation(image)
+    for u, v in g.edges:
+        if not g.has_edge(sigma(u), sigma(v)):
+            raise AnnotationError("united annotation does not preserve adjacency")
+    return sigma
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,6 @@ import pytest
 
 from autgrammar.annotate import (
     AnnotatedBag,
-    consistent_bags,
     count_assignments,
     join_annotations,
 )
@@ -59,6 +58,7 @@ from autgrammar.perm import (
 from autgrammar.polytope import build_extended_formulation, lift_parse_tree
 from conftest import (
     binary_tree,
+    consistent_bags,
     cubic8,
     json_reference,
     oracle_annotations,
@@ -657,7 +657,7 @@ def reference_aut_grammar(g, t):
                              for c in kids]
                 rules.extend((name[p][i], combo) for combo in itertools.product(*per_child))
             else:
-                rules.append((name[p][i], (b.maps(t.bag(p)[0]),)))
+                rules.append((name[p][i], (dict(b.phi)[t.bag(p)[0]],)))
     return _ranked(trim(Grammar(g.vertex_count, "B1", ("B1", *bag_of), tuple(rules))), bag_of)
 
 
@@ -672,7 +672,7 @@ def reference_regular_grammar(g, pd):
         for var, prev in lhs:
             for j, b in enumerate(ann[i - 1]):
                 if prev is None or consistent_bags(prev, b):
-                    emit = b.maps(order[i - 1])
+                    emit = dict(b.phi)[order[i - 1]]
                     rules.append((var, (emit, f"q:{i + 1}|b:{j}") if i < n else (emit,)))
     return _ranked(trim(Grammar(g.vertex_count, "B1", ("B1", *bag_of), tuple(rules))), bag_of)
 

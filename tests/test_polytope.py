@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -278,20 +279,29 @@ def test_projection_makes_no_fraction_per_round(monkeypatch):
 
 def test_float_and_bad_coordinates(c4):
     # on both paths a float coordinate means its exact binary value, and
-    # a NaN, an infinity or None is a PolytopeError naming the coordinate
+    # a NaN, an infinity or None is a PolytopeError naming the coordinate.
+    # A string is read by parse_number, so '1/2' is 1/2 and an exponent of
+    # more than four digits is refused at once, not expanded: Fraction
+    # alone took about 1 s on '1e-2000000'
     lp = parse_lp("Subject To\n r1: x_1 - y_0 = 0\nBounds\n 0 <= y_0 <= 1\nEnd\n")
     assert check_lp_feasibility(lp, {"x_1": 0.5}) == check_lp_feasibility(lp, {"x_1": Fraction(1, 2)}) is True
+    assert check_lp_feasibility(lp, {"x_1": "1/2"}) is True
     assert not check_lp_feasibility(lp, {"x_1": 1.5})
     _, gr, ef = aut_ef(c4)
     centroid = (2.5,) * 4
     assert _projection_verdict(ef, centroid) == _projection_verdict(ef, (Fraction(5, 2),) * 4)
+    assert _projection_verdict(ef, ("5/2", "2.5", "25e-1", 2.5)) == _projection_verdict(ef, centroid)
+    half = (1, 2, 3, Fraction(1, 2))
+    assert _projection_verdict(ef, (1, 2, 3, "1/2")) == _projection_verdict(ef, (1, 2, 3, 0.5)) == _projection_verdict(ef, half)
     assert check_projection_feasibility(ef, centroid)
     assert not check_projection_feasibility(ef, (2.5, 2.5, 2.5, 3.0))
-    for bad in (math.nan, math.inf, -math.inf, None):
+    for bad in (math.nan, math.inf, -math.inf, None, "1e-2000000", "1e" + "9" * 40, "1/0", "x"):
+        start = time.process_time()
         with pytest.raises(PolytopeError, match="coordinate 'x_1'"):
             check_lp_feasibility(lp, {"x_1": bad})
         with pytest.raises(PolytopeError, match="coordinate 'x_2'"):
             check_projection_feasibility(ef, (1, bad, 3, 4))
+        assert time.process_time() - start < 0.1, bad
 
 
 def test_projection_edge_points(c4):

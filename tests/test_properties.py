@@ -1,10 +1,11 @@
 """Property tests drawn by hypothesis.  On connected graphs: both grammar
 builders against the brute-force oracle, and the two exact LP paths and
-the Fraction reference simplex against each other, that every variable a
-builder writes is one merge class, that the annotation search pinned
-to a parent's keys finds what the unpinned search finds for those keys,
-and that the keys a fully pinned child takes without a search are
-annotations.
+the Fraction reference simplex against each other, that the count of
+whole-tree annotations is |Aut| and the parse-tree count on every kind of
+decomposition, that every variable a builder writes is one merge class,
+that the annotation search pinned to a parent's keys finds what the
+unpinned search finds for those keys, and that the keys a fully pinned
+child takes without a search are annotations.
 On random acyclic grammars: the streamed language against the
 set-semiring reference, and the LP text round trip of every formulation
 built from one.  On random positional grammars: the same round trip, and
@@ -20,8 +21,9 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st
 
-from autgrammar.annotate import AnnotatedBag, _Search, check_annotated_bag, join_annotations
+from autgrammar.annotate import AnnotatedBag, AnnotationError, _Search, count_assignments, join_annotations
 from autgrammar.decomp import (
+    TreeDecomposition,
     compute_path_decomposition,
     compute_tree_decomposition,
     make_permutation_yielding,
@@ -50,6 +52,7 @@ from autgrammar.polytope import (
     parse_lp,
 )
 from conftest import (
+    check_annotated_bag,
     check_certificate,
     json_reference,
     lp_number_types,
@@ -195,6 +198,32 @@ def test_builders_match_oracle(g):
         assert list(enumerate_language(gr).words) == expected
         assert count_parse_trees(gr) == len(auts)
         assert grammar_to_json(gr) == json_reference(gr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(), st.permutations(range(1, 9)),
+       st.sampled_from(["min-fill", "exact-small", "path"]), st.data())
+def test_count_assignments_matches_oracle_and_parse_trees(g, label, kind, data):
+    # on a relabelled graph: the count of whole-tree annotations equals
+    # |Aut| from the oracle and the parse trees of the grammar that the
+    # matching builder makes from the same decomposition
+    label = [v for v in label if v <= g.vertex_count]
+    g = Graph(g.vertex_count, [(label[u - 1], label[v - 1]) for u, v in g.edges])
+    auts = brute_force_automorphisms(g)
+    assume(len(auts) <= MAX_GROUP)
+    if kind == "path":
+        d = compute_path_decomposition(g)
+        _, gr = build_regular_aut_grammar(g, d)
+    else:
+        d, _ = make_permutation_yielding(g, compute_tree_decomposition(g, kind))
+        _, gr = build_aut_grammar(g, d)
+    assert count_assignments(g, d) == len(auts) == count_parse_trees(gr)
+    # a decomposition that leaves one vertex out of every bag is invalid
+    if g.vertex_count > 1:
+        v = data.draw(st.sampled_from(g.vertices))
+        broken = TreeDecomposition({p: tuple(u for u in d.bag(p) if u != v) for p in d.positions})
+        with pytest.raises(AnnotationError):
+            count_assignments(g, broken)
 
 
 @settings(max_examples=20, deadline=None)
