@@ -95,7 +95,6 @@ _EXPORTS = {
         "build_extended_formulation",
         "check_projection_feasibility",
         "emit_lp",
-        "evaluate_point",
         "lift_parse_tree",
         "parse_lp",
         "project_point",

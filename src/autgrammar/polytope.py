@@ -26,9 +26,12 @@ are taken as they are.  A point is decided on two independent paths:
   Fraction; only a member's certificate weights are Fractions;
 - a point of an LP file (`check_lp_feasibility`, the `check` command),
   which has no grammar, by an exact doubleton presolve that removes most
-  flow rows, then a phase-1 simplex on integer rows on what is left.  A
-  crash basis starts the simplex: each row whose rhs is 0, which are the
-  flow rows that the presolve leaves, puts a structural column in its
+  flow rows, then a phase-1 simplex on integer rows on what is left.
+  Each row carries its rhs as one more int entry, and a column that
+  reaches its upper bound is complemented, so every nonbasic column sits
+  at 0 and the simplex makes no Fraction after its set-up.  A crash
+  basis starts the simplex: each row whose rhs is 0, which are the flow
+  rows that the presolve leaves, puts a structural column in its
   artificial's place by a degenerate pivot.  Pricing is by the largest
   reduced cost, with Bland's rule as the fallback that guards against
   cycling.
@@ -221,13 +224,6 @@ def lift_parse_tree(ef: ExtendedFormulation, t: ParseTree) -> dict:
     return {y: Fraction(counts.get(r, 0)) for r, y in enumerate(ef.flow_vars)}
 
 
-def evaluate_point(ef: ExtendedFormulation, point: dict) -> bool:
-    """Exact check of every flow row and bound at the given point."""
-    return all(
-        sum(coef * point[v] for coef, v in terms) == rhs for _, terms, _, rhs in ef.constraints
-    ) and all(lo <= point[y] <= hi for y, (lo, hi) in ef.lp.bounds.items())
-
-
 def project_point(ef: ExtendedFormulation, point: dict) -> tuple[Fraction, ...]:
     """The values that the projection rows give their x (or z) variables."""
     return tuple(
@@ -367,9 +363,10 @@ def _projection_verdict(ef: ExtendedFormulation, x) -> tuple[bool, tuple]:
 # ---------------------------------------------------------------------------
 # Exact presolve and phase-1 simplex over sparse rows: (coeffs dict
 # var->number, rhs number) equality rows over variables with bounds
-# var -> (finite lo, hi or None).  Numbers are ints or Fractions: each
-# integral value that arithmetic makes is held as an int, and every
-# division goes through `_quotient`, so no float is ever made.
+# var -> (finite lo, hi or None).  Numbers are ints or Fractions: in the
+# presolve each integral value that arithmetic makes is held as an int,
+# and every division goes through `_quotient`, so no float is ever made;
+# the simplex scales each row to ints and divides only exactly.
 
 def _whole(v):
     """The int or Fraction v, as an int when it is integral."""
@@ -488,12 +485,12 @@ def _divide_out(row: dict, g: int) -> dict:
 def _simplex_feasible(rows: list, bounds: dict) -> bool:
     """Decides feasibility of the system, reduced or not, by minimizing
     the total artificial infeasibility with a bounded-variable simplex:
-    upper bounds are handled as nonbasic-at-upper statuses instead
-    of slack rows.  Pricing is Dantzig's rule (the largest reduced cost,
-    ties to the smallest index) and falls back to Bland's smallest-index
-    rule after an iteration allowance, which guarantees termination;
-    artificials never re-enter the basis, so a positive residue at
-    optimality is a Farkas certificate.
+    upper bounds are handled by complementing instead of slack rows.
+    Pricing is Dantzig's rule (the largest reduced cost, ties to the
+    smallest index) and falls back to Bland's smallest-index rule after
+    an iteration allowance, which guarantees termination; artificials
+    never re-enter the basis, so a positive residue at optimality is a
+    Farkas certificate.
 
     Before the first pivot, a crash (Bixby, "Implementing the simplex
     method: the initial basis", 1992) swaps each artificial whose row's
@@ -505,34 +502,41 @@ def _simplex_feasible(rows: list, bounds: dict) -> bool:
     start takes.
 
     The tableau stays over the integers (integer-preserving elimination:
-    Edmonds 1967, Bareiss 1968).  Each row is held as coprime ints whose
-    coefficient on the row's basic column, kept positive, is the row's
-    denominator.  A pivot on p forms row * p - f * pivot_row, where f is
-    the row's entry in the entering column, and divides out the gcd.  The
-    phase-1 objective row is coprime ints over one positive denominator,
-    so pricing compares ints.  The basic values are exact, an int when
-    integral and else a Fraction, and the ratio test uses exact
-    quotients, so every choice, and the verdict, is that of the same
-    simplex over Fractions."""
+    Edmonds 1967, Bareiss 1968).  Each row is held as coprime ints, its
+    rhs one more entry under the key R, and its coefficient on its basic
+    column, kept positive, is the row's denominator: the basic value is
+    row[R] / row[basis].  A pivot on p forms row * p - f * pivot_row,
+    where f is the row's entry in the entering column, and divides out
+    the gcd, so the rhs moves with the rest of the row.  Every nonbasic
+    column sits at 0: a column that reaches its span s, by a bound flip
+    or by leaving the basis at its upper end, is complemented, x = s - x',
+    which takes s times the column from every row's rhs and negates the
+    column and its reduced cost (a row is first scaled by the denominator
+    of a fractional s).  The phase-1 objective row is coprime ints over
+    one positive denominator, so pricing compares ints, and the ratio
+    test compares its candidate steps, quotients of ints, by
+    cross-multiplying.  After the set-up no Fraction is made, and every
+    choice, and the verdict, is that of the same simplex over Fractions:
+    the system is feasible when no basic artificial's row has an rhs."""
+    R = -1  # the key of each row's rhs
     cols: dict[str, int] = {}
-    upper: list = []  # per column: finite span or None
+    upper: list = []  # per column: finite span as (numerator, denominator), or None
 
-    def col(v: str, hi) -> int:
+    def col(v: str, span) -> int:
         if v not in cols:
             cols[v] = len(cols)
-            upper.append(hi)
+            upper.append(None if span is None else (span.numerator, span.denominator))
         return cols[v]
 
     # shift every variable to start at zero; sort for deterministic ids
     for v in sorted(bounds):
         lo, hi = bounds[v]
-        span = None if hi is None else _whole(hi - lo)
+        span = None if hi is None else hi - lo
         if span is not None and span < 0:
             return False
         col(v, span)
 
     mat: list[dict[int, int]] = []  # row i is mat[i] / mat[i][basis[i]]
-    values: list = []  # current value of each row's basic variable
     basis: list[int] = []
     n_structural = len(cols)
 
@@ -550,18 +554,18 @@ def _simplex_feasible(rows: list, bounds: dict) -> bool:
             if shifted != 0:
                 return False
             continue
-        # over the lcm of the denominators the row is coprime ints, the
-        # artificial's 1 included
+        # over the lcm of the denominators, the rhs's among them, the row
+        # is coprime ints, the artificial's 1 included; the sign makes the
+        # rhs, the artificial's value, at least 0
+        row[R] = shifted
         scale = math.lcm(*(c.denominator for c in row.values()))
         sign = -1 if shifted < 0 else 1
-        row = {j: sign * c.numerator * (scale // c.denominator) for j, c in row.items()}
+        row = {j: sign * c.numerator * (scale // c.denominator) for j, c in row.items() if c}
         a = col(f"_a:{len(mat)}", None)
         row[a] = scale
         mat.append(row)
-        values.append(_whole(sign * shifted))
         basis.append(a)
 
-    at_upper: set[int] = set()  # nonbasic structural columns sitting at their span
     in_basis = set(basis)
 
     def pivot(r: int, entering: int, hits) -> dict:
@@ -583,6 +587,25 @@ def _simplex_feasible(rows: list, bounds: dict) -> bool:
         basis[r] = entering
         return piv_row
 
+    def complement(j: int, at: list) -> None:
+        """Substitutes x_j = span - x_j' in the rows at, which hold every
+        entry of column j, so that the column sits at 0 again."""
+        p, q = upper[j]
+        for i in at:
+            row = mat[i]
+            c = row[j]
+            if q > 1:
+                row = {k: q * v for k, v in row.items()}
+            rhs = row.get(R, 0) - p * c
+            row[j] = -row[j]
+            if rhs:
+                row[R] = rhs
+            else:
+                row.pop(R, None)
+            mat[i] = _divide_out(row, math.gcd(*row.values())) if q > 1 else row
+        if j in obj:
+            obj[j] = -obj[j]
+
     # crash (Bixby, "Implementing the simplex method: the initial basis",
     # 1992): a row whose rhs is 0 hands its artificial's place to its
     # structural column that occurs in the fewest rows, ties to the
@@ -593,9 +616,9 @@ def _simplex_feasible(rows: list, bounds: dict) -> bool:
     for row in mat:
         for j in row:
             occurs[j] = occurs.get(j, 0) + 1
-    for r, value in enumerate(values):
-        if value == 0:
-            free = [j for j in mat[r] if j < n_structural and j not in in_basis]
+    for r, row in enumerate(mat):
+        if R not in row:
+            free = [j for j in row if j < n_structural and j not in in_basis]
             if free:
                 entering = min(free, key=lambda j: (occurs[j], j))
                 pivot(r, entering, [(i, row[entering]) for i, row in enumerate(mat) if entering in row])
@@ -610,7 +633,7 @@ def _simplex_feasible(rows: list, bounds: dict) -> bool:
     for row, b in artificial:
         m = scale // row[b]
         for j, c in row.items():
-            if j != b:
+            if j != b and j != R:
                 nv = obj.get(j, 0) - c * m
                 if nv:
                     obj[j] = nv
@@ -623,76 +646,55 @@ def _simplex_feasible(rows: list, bounds: dict) -> bool:
     while True:
         iteration += 1
         bland = iteration > bland_after
-        entering, direction, best_score = None, 1, 0
+        entering, best_score = None, 0
         for j, c in obj.items():
-            if j >= n_structural or j in in_basis:
-                continue
-            if j in at_upper:
-                if c > 0:
-                    score = c
-                    d = -1
-                else:
-                    continue
-            elif c < 0:
-                score = -c
-                d = 1
-            else:
+            if c >= 0 or j >= n_structural:  # a basic column has no reduced cost
                 continue
             if bland:
                 if entering is None or j < entering:
-                    entering, direction = j, d
-            elif score > best_score or (score == best_score and (entering is None or j < entering)):
-                entering, direction, best_score = j, d, score
+                    entering = j
+            elif -c > best_score or (-c == best_score and j < entering):
+                entering, best_score = j, -c
         if entering is None:
             break
 
-        # ratio test: tightest event wins; ties go to the smallest variable
-        # index (the entering column itself counts as a bound-flip event)
-        limit = upper[entering]
-        event = (entering, -1, "flip") if limit is not None else None
-        # (row, its entry in the entering column, its denominator)
-        hits = [(i, row[entering], row[basis[i]]) for i, row in enumerate(mat) if entering in row]
-        for i, d, den in hits:
-            step = direction * d  # over the row's denominator
-            if step > 0:
-                t = _quotient(values[i] * den, step)
-                kind = "lower"
-            else:
-                span = upper[basis[i]]
-                if span is None:
-                    continue
-                t = _quotient((span - values[i]) * den, -step)
-                kind = "upper"
-            if limit is None or t < limit or (t == limit and (event is None or basis[i] < event[0])):
-                limit, event = t, (basis[i], i, kind)
-        if limit is None:
+        # ratio test: the tightest event, a step num / den compared by
+        # cross-multiplying, wins; ties go to the smallest variable index.
+        # The entering column's own bound flip is an event in row -1
+        event = None if upper[entering] is None else (*upper[entering], entering, -1)
+        hits = [(i, row[entering]) for i, row in enumerate(mat) if entering in row]
+        for i, d in hits:
+            row, b = mat[i], basis[i]
+            if d > 0:  # the basic column falls to 0
+                num, den = row.get(R, 0), d
+            elif upper[b] is None:
+                continue
+            else:  # the basic column rises to its span
+                p, q = upper[b]
+                num, den = p * row[b] - q * row.get(R, 0), -d * q
+            if event is None or num * event[1] < event[0] * den or (
+                num * event[1] == event[0] * den and b < event[2]
+            ):
+                event = (num, den, b, i)
+        if event is None:
             raise PolytopeError("phase-1 objective unbounded; inconsistent system")
 
-        if limit > 0:
-            for i, d, den in hits:
-                values[i] = _whole(values[i] - _quotient(direction * d * limit, den))
-
-        if event[2] == "flip":
-            if direction == 1:
-                at_upper.add(entering)
-            else:
-                at_upper.discard(entering)
+        *_, leaving, r = event
+        if r < 0:
+            complement(entering, [i for i, _ in hits])
             continue
-
-        leaving, r, kind = event
-        if kind == "upper":
-            at_upper.add(leaving)
-        at_upper.discard(entering)
-        piv_row = pivot(r, entering, [(i, f) for i, f, _ in hits])
+        if mat[r][entering] < 0:  # leaving at its span: complemented, it leaves at 0
+            complement(leaving, [r])
+        piv_row = pivot(r, entering, hits)
         f = obj.get(entering)
         if f:
             piv = piv_row[entering]
             g = math.gcd(piv, f)
             obj = _combine(obj, piv // g, f // g, piv_row)
+            obj.pop(R, None)
             obj = _divide_out(obj, math.gcd(*obj.values()))
-        values[r] = limit if direction == 1 else _whole(upper[entering] - limit)
 
-    return sum(values[i] for i, b in enumerate(basis) if b >= n_structural) == 0
+    return not any(R in row for row, b in zip(mat, basis) if b >= n_structural)
 
 
 # ---------------------------------------------------------------------------

@@ -233,14 +233,24 @@ def lp_number_types(lp) -> tuple[list, list]:
     return rows, [type(b) for lo_hi in lp.bounds.values() for b in lo_hi]
 
 
+def evaluate_point(ef, point: dict) -> bool:
+    """Exact check of every flow row and bound of the formulation at a
+    point of its flow variables: the reference that lifted parse trees and
+    their convex combinations are tested against."""
+    return all(
+        sum(coef * point[v] for coef, v in terms) == rhs for _, terms, _, rhs in ef.constraints
+    ) and all(lo <= point[y] <= hi for y, (lo, hi) in ef.lp.bounds.items())
+
+
 def reference_simplex_feasible(rows: list, bounds: dict) -> bool:
     """The phase-1 simplex of `polytope._simplex_feasible` over Fractions,
-    as it was before its tableau moved to integer rows and before it
-    started from a crash basis: the reference its verdicts are tested
-    against.  Bounded variables, an all-artificial starting basis,
-    Dantzig's pricing (the largest reduced cost, ties to the smallest
-    index) with Bland's rule after an iteration allowance, and the same
-    ratio test; the two reach the same verdict by different pivots."""
+    as it was before its tableau moved to integer rows, before it started
+    from a crash basis and before it complemented the columns at their
+    upper bounds: the reference its verdicts are tested against.  Bounded
+    variables, an all-artificial starting basis, Dantzig's pricing (the
+    largest reduced cost, ties to the smallest index) with Bland's rule
+    after an iteration allowance, and the same ratio test; the two reach
+    the same verdict by different pivots."""
     ZERO, ONE = Fraction(0), Fraction(1)
 
     cols: dict[str, int] = {}

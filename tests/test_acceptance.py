@@ -39,10 +39,10 @@ from autgrammar.perm import Permutation, permute_word, to_string_word
 from autgrammar.polytope import (
     build_extended_formulation,
     check_projection_feasibility,
-    evaluate_point,
     lift_parse_tree,
     project_point,
 )
+from conftest import evaluate_point
 
 EXPECTED_LANGUAGE_SIZES = {
     "P3": 2,

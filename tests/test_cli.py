@@ -218,6 +218,75 @@ def test_lift_and_check(c4_file, tmp_path):
     assert r.returncode == 2
 
 
+LP_NUMBERS = ("1/2", "3/2", "-1", "2/3", "2", "0", "1")
+
+
+def _mutate_lp(lines: list, rng) -> list:
+    """One to three line-aware edits of an LP file: a bound's numbers
+    (sometimes lo > hi, sometimes `free`), a row's coefficient, relation
+    or rhs, or a deleted line."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        rows = [k for k, ln in enumerate(lines) if ":" in ln and not ln.lstrip().startswith("obj:")]
+        bounds = [k for k, ln in enumerate(lines) if ln.count("<=") == 2]
+        kind = rng.choice(("bound", "bound", "coef", "coef", "rel", "rhs", "delete"))
+        if kind == "delete" or not rows or (kind == "bound" and not bounds):
+            del lines[rng.randrange(len(lines))]
+        elif kind == "bound":
+            k, odds = rng.choice(bounds), rng.random()
+            name = lines[k].split()[2]
+            lo, hi = rng.sample(LP_NUMBERS, 2) if odds < 0.8 else ("3/2", "1/2")
+            lines[k] = f" {lo} <= {name} <= {hi}" if odds < 0.9 else f" {name} free"
+        else:
+            k = rng.choice(rows)
+            toks = lines[k].split()
+            if kind == "rel":
+                toks[-2] = rng.choice(("<=", ">=", "="))
+            elif kind == "rhs":
+                toks[-1] = rng.choice(LP_NUMBERS)
+            else:
+                names = [i for i, t in enumerate(toks[:-2]) if i and t[0].isalpha()]
+                if not names:
+                    continue
+                i = rng.choice(names)
+                if toks[i - 1][0].isdigit():
+                    toks[i - 1] = rng.choice(LP_NUMBERS).lstrip("-")
+                else:
+                    toks.insert(i, rng.choice(LP_NUMBERS).lstrip("-"))
+            lines[k] = " " + " ".join(toks)
+    return lines
+
+
+def test_check_contract_on_mutated_lp_files(tmp_path, capsys):
+    # seeded mutants of C5's `lift` output through `check`: every exit is
+    # 0 with exactly one verdict line and nothing on stderr, or 2 or 3
+    # with one `error:` line and nothing on stdout
+    import random
+
+    graph, grammar, model = (str(tmp_path / f) for f in ("c5.edges", "c5.json", "c5.lp"))
+    (tmp_path / "c5.edges").write_text("5 5\n1 2\n2 3\n3 4\n4 5\n1 5\n")
+    assert main(["build", "--graph", graph, "--out", grammar]) == 0
+    assert main(["lift", grammar, "--out", model]) == 0
+    capsys.readouterr()
+    lines = open(model).read().splitlines()
+    points = ("1 2 3 4 5", "2 1 3 4 5", "3 3 3 3 3", "1 2 3 4 11/2", "3/2 3/2 7/2 7/2 7/2")
+    rng = random.Random(2009)
+    seen = set()
+    for k in range(500):
+        mutant = tmp_path / "mutant.lp"
+        mutant.write_text("\n".join(_mutate_lp(lines, rng)) + "\n")
+        status = main(["check", str(mutant), "--point", rng.choice(points)])
+        out, err = capsys.readouterr()
+        if status == 0:
+            assert out in ("feasible\n", "infeasible\n") and err == "", (k, out, err)
+            seen.add(out)
+        else:
+            assert status in (2, 3) and out == "", (k, status, out)
+            assert err.startswith("error: ") and err.count("\n") == 1, (k, err)
+            seen.add(status)
+    assert seen == {"feasible\n", "infeasible\n", 2, 3}
+
+
 def test_build_from_invalid_td_exit_3(c4_file, tmp_path):
     td = tmp_path / "bad.td"
     td.write_text("s td 2 2 4\nb 1 1 2\nb 2 3 4\n1 2\n")  # misses edge {2,3}

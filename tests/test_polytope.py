@@ -1,5 +1,7 @@
+import fractions
 import itertools
 import math
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -32,7 +34,6 @@ from autgrammar.polytope import (
     check_lp_feasibility,
     check_projection_feasibility,
     emit_lp,
-    evaluate_point,
     lift_parse_tree,
     parse_lp,
     project_point,
@@ -45,6 +46,7 @@ from conftest import (
     corpus_formulations,
     corpus_points,
     cycle_graph,
+    evaluate_point,
     grid_graph,
     lp_corpus_points,
     lp_number_types,
@@ -323,15 +325,16 @@ def test_projection_edge_points(c4):
     assert verdicts[:4] == [False, False, True, False]
 
 
-def _random_system(rng):
+def _random_system(rng, span_denominator=1):
     # rows through a planted point, some with a shifted rhs; bounds around
-    # the point, some without an upper end and a few empty
+    # the point, some without an upper end and a few empty.  Each upper
+    # end lies 0, 1 or 2 over span_denominator above the point
     names = [f"v{k}" for k in range(rng.randint(1, 6))]
     point = {v: Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for v in names}
     bounds = {}
     for v in names:
         lo = point[v] - rng.randint(0, 2)
-        hi = None if rng.random() < 0.3 else point[v] + rng.randint(0, 2)
+        hi = None if rng.random() < 0.3 else point[v] + Fraction(rng.randint(0, 2), span_denominator)
         if rng.random() < 0.05:
             lo, hi = point[v] + 1, point[v]
         bounds[v] = (lo, hi)
@@ -376,23 +379,28 @@ def _whole_as_int(rows, bounds):
 def test_simplex_matches_reference_on_random_systems():
     # the integer tableau against the Fraction one, raw and presolved, with
     # the numbers as Fractions and with integral ones as plain ints (where
-    # a stray `/` on two ints would make a float)
+    # a stray `/` on two ints would make a float).  The second round puts
+    # upper ends a third of a unit off the point, so columns reach spans
+    # such as 7/3 by bound flips and by leaving the basis at their upper
+    # end, where each complemented row is first scaled by the span's
+    # denominator
     import random
 
-    rng = random.Random(1968)
-    verdicts = []
-    for _ in range(2000):
-        rows, bounds = _random_system(rng)
-        expected = reference_simplex_feasible(rows, bounds)
-        as_ints = _whole_as_int(rows, bounds)
-        assert _simplex_feasible(rows, bounds) == expected, (rows, bounds)
-        assert _simplex_feasible(*as_ints) == expected, (rows, bounds)
-        for system in (rows, bounds), as_ints:
-            reduced = _presolve(*system)
-            assert (reduced is not None and reference_simplex_feasible(*reduced)) == expected
-            assert (reduced is not None and _simplex_feasible(*reduced)) == expected
-        verdicts.append(expected)
-    assert 500 < sum(verdicts) < 1500
+    for span_denominator in (1, 3):
+        rng = random.Random(1968)
+        verdicts = []
+        for _ in range(2000):
+            rows, bounds = _random_system(rng, span_denominator)
+            expected = reference_simplex_feasible(rows, bounds)
+            as_ints = _whole_as_int(rows, bounds)
+            assert _simplex_feasible(rows, bounds) == expected, (rows, bounds)
+            assert _simplex_feasible(*as_ints) == expected, (rows, bounds)
+            for system in (rows, bounds), as_ints:
+                reduced = _presolve(*system)
+                assert (reduced is not None and reference_simplex_feasible(*reduced)) == expected
+                assert (reduced is not None and _simplex_feasible(*reduced)) == expected
+            verdicts.append(expected)
+        assert 500 < sum(verdicts) < 1500
 
 
 def test_simplex_matches_reference_on_lp_corpus():
@@ -417,9 +425,67 @@ def test_simplex_matches_reference_on_lp_corpus():
     assert decided == 60
 
 
+def _integral(system) -> bool:
+    rows, bounds = system
+    numbers = [n for coeffs, rhs in rows for n in (*coeffs.values(), rhs)]
+    numbers += [b for lo_hi in bounds.values() for b in lo_hi if b is not None]
+    return all(type(n) is int for n in numbers)
+
+
+def test_simplex_makes_no_fraction_on_integral_systems():
+    # each basic value is the rhs entry of its integer row over the row's
+    # basic coefficient, and the ratio test cross-multiplies, so on a
+    # system whose numbers are all ints after the presolve the simplex
+    # calls nothing in fractions.py: every such system of the LP corpus,
+    # and Petersen's and btree4's identity words.  btree4's presolve
+    # leaves two rows with a coefficient -2/3 (from a projection row that
+    # the point makes -2 y_a - 3 y_b = -2), so its rows are taken times
+    # their lcm of denominators, as the simplex's set-up takes them
+    systems = [_presolve(*_lp_system(parsed, point)) for parsed, point in lp_corpus_points()]
+    systems = [s for s in systems if s is not None and _integral(s)]
+    assert len(systems) == 32
+    for g in (petersen_graph(), binary_tree(4)):
+        alpha, gr, ef = aut_ef(g)
+        x = permute_word(to_string_word(Permutation(tuple(g.vertices))), alpha).symbols
+        rows, bounds = _presolve(*_lp_system(ef.lp, {f"x_{i}": v for i, v in enumerate(x, start=1)}))
+        scales = [math.lcm(*(n.denominator for n in (*coeffs.values(), rhs))) for coeffs, rhs in rows]
+        rows = [({v: int(c * k) for v, c in coeffs.items()}, int(rhs * k)) for (coeffs, rhs), k in zip(rows, scales)]
+        systems.append((rows, bounds))
+        assert _integral(systems[-1])
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    for rows, bounds in systems:
+        sys.setprofile(hook)
+        try:
+            _simplex_feasible(rows, bounds)
+        finally:
+            sys.setprofile(None)
+        assert not calls, (len(rows), calls[:5])
+
+
+def test_bound_flip_at_fractional_span():
+    # one row of three terms, which the presolve keeps, over columns of
+    # span 1/2: x_1 = 3/2 puts all three at their span (bound flips that
+    # complement a column at a Fraction span), 7/5 stops inside it, and 2
+    # and -1 are out of reach
+    lp = parse_lp(
+        "Subject To\n r1: x_1 - y_0 - y_1 - y_2 = 0\nBounds\n"
+        + "".join(f" 0 <= y_{k} <= 1/2\n" for k in range(3)) + "End\n"
+    )
+    for x, expected in ((Fraction(3, 2), True), (Fraction(7, 5), True), (0, True), (2, False), (-1, False)):
+        rows, bounds = _presolve(*_lp_system(lp, {"x_1": x}))
+        assert len(rows) == 1 and bounds == dict.fromkeys(("y_0", "y_1", "y_2"), (0, Fraction(1, 2)))
+        assert _simplex_feasible(rows, bounds) == reference_simplex_feasible(rows, bounds) == expected, x
+        assert check_lp_feasibility(lp, {"x_1": x}) == expected, x
+
+
 def test_petersen_lp_file_point_time():
     # Petersen's identity word on the LP-file path: 231 rows after the
-    # presolve, most of them crashed before the first pivot; 0.03-0.1 s on
+    # presolve, most of them crashed before the first pivot; 55-65 ms on
     # a 2-core VM, 3-5 s before the grammar's variables were merged and
     # the crash added
     import time
