@@ -2,7 +2,9 @@
 files, and cross-check everything against the brute-force oracle.
 
 Exit codes: 0 success, 1 validation mismatch, 2 usage error, 3 precondition
-violation.  Every failure prints a single machine-parsable line on stderr.
+violation.  Every failure prints a single machine-parsable line on stderr,
+`error: <reason>`, and every warning the library raises one line before
+it, `warning: <message>`, whatever the warnings filter says.
 
 Layering: each command handler imports the layers it runs, so a process
 loads only those, and `--help` or a usage error loads none.  A handler
@@ -19,6 +21,7 @@ import argparse
 import itertools
 import os
 import sys
+import warnings  # loaded at interpreter start-up anyway
 
 from . import PreconditionError, _quote
 
@@ -314,6 +317,20 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # each library warning is one `warning:` line on stderr, also under a
+    # filter that ignores warnings or turns them into errors
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status, error = _run(argv)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return status
+
+
+def _run(argv) -> tuple[int, Exception | None]:
+    """The exit status, and the reason to print for a failure or None."""
     parser = _build_parser()
     try:
         try:
@@ -323,19 +340,17 @@ def main(argv=None) -> int:
         else:
             status = _COMMANDS[args.command](args)
         sys.stdout.flush()
-        return status
+        return status, None
     except BrokenPipeError:
         # the reader has closed the pipe (`enum G.json | head -1`, `build
         # ... | head -c 1`): stop quietly, and point stdout at the null
         # device so that the flush at shutdown reports nothing either
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+        return 0, None
     except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 2, e
     except PreconditionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return 3, e
 
 
 if __name__ == "__main__":

@@ -19,11 +19,18 @@ consistency join (annotate.join_annotations) prunes the annotations and
 merges them into classes in one pass; both builders only name the classes
 and write one class's rules from its first annotation.
 
-Layering: the read side (JSON, the semiring pass `_evaluator` and what is
-built on it: counting, enumeration, membership, size, regularity and the
-transforms) imports no builder layer.  The three builders import `annotate`,
-`decomp`, `graph` and `oracle` inside their own bodies, so a process that
-only reads a grammar file never loads them.
+Layering: the read side (JSON, the compiled table, the semiring pass
+`_evaluator` and what is built on it: counting, enumeration, membership,
+size, regularity and the transforms) imports no builder layer.  The three
+builders import `annotate`, `decomp`, `graph` and `oracle` inside their own
+bodies, so a process that only reads a grammar file never loads them.
+
+The read side runs on one table per grammar (`_compiled`), built on first
+use and cached on the grammar: the variables as ints in dependencies-first
+order, and each variable's rules with their rhs variables as int indexes.
+Parse-tree counting, the polytope's word lengths, offsets and max-plus
+pricing loop over it directly; the semiring pass walks its order and rule
+lists for the semirings of sets, spans and trees.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ import json
 import math
 import operator
 import warnings
-from collections import Counter
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple
@@ -58,7 +64,9 @@ class CyclicGrammarError(GrammarError):
 class Grammar:
     """Immutable; equal, and hashed alike, when every field is equal."""
 
-    __slots__ = ("sigma_max", "start", "variables", "rules", "accepts_empty")
+    # _table caches `_compiled(self)`, set on first use; it is derived
+    # from the other fields, so no comparison, hash, repr or pickle reads it
+    __slots__ = ("sigma_max", "start", "variables", "rules", "accepts_empty", "_table")
 
     def __init__(
         self,
@@ -127,41 +135,81 @@ class Grammar:
         )
 
 
-def topological_variables(gr: Grammar, table: dict | None = None) -> list[str]:
-    """Variables ordered dependencies-first; raises on recursion.  A
-    variable's dependencies are visited in order of first appearance in
-    its rules' right-hand sides (a repeat finds its variable ordered).
-    table is `_rules_by_lhs(gr)`, for a caller that has it: each
-    variable's dependencies are read from it when the variable is first
-    visited."""
-    if table is None:
-        table = _rules_by_lhs(gr)
+class _Table(NamedTuple):
+    """A grammar's read side on ints.  Variable v is gr.variables[v].  The
+    rules are listed grouped by lhs, in rule order within each group: the
+    j-th listed rule is gr.rules[ids[j]], and variable v's rules are those
+    listed from ends[v] to ends[v + 1]."""
 
-    def deps(v: str):
-        return iter([x for _, rhs in table[v] for x in rhs if isinstance(x, str)])
+    start: int
+    order: list  # the variables, dependencies first
+    ends: list  # len(gr.variables) + 1 bounds into the listed rules
+    ids: range | list  # each listed rule's index: range(len(gr.rules)) when already grouped
+    kids: list  # per listed rule: the variables of its rhs, in order
 
-    order: list[str] = []
-    state: dict[str, int] = {}  # 1 while on the stack, 2 once ordered
-    for root in gr.variables:
-        if root in state:
+
+def _compiled(gr: Grammar) -> _Table:
+    """The grammar's `_Table`, built on first use and kept in the
+    grammar's `_table` slot, which no comparison, hash, repr or pickle
+    reads.  Raises on recursion.
+
+    The order is a depth-first search from each variable in declaration
+    order, visiting a variable's dependencies in order of first appearance
+    in its rules' right-hand sides (a repeat finds its variable ordered)."""
+    try:
+        return gr._table
+    except AttributeError:
+        pass
+    names = gr.variables
+    index = dict(zip(names, range(len(names))))  # one int object per variable
+    lhs = [index[v] for v, _ in gr.rules]
+    kids = [tuple([index[x] for x in rhs if x.__class__ is not int]) for _, rhs in gr.rules]
+    count = [0] * len(names)
+    for v in lhs:
+        count[v] += 1
+    ends = list(itertools.accumulate(count, initial=0))
+    ids = range(len(lhs))  # the builders write each variable's rules together, in order
+    if not all(map(operator.le, lhs, itertools.islice(lhs, 1, None))):
+        ids = sorted(ids, key=lhs.__getitem__)
+        kids = [kids[r] for r in ids]
+    del lhs, count  # freed before the search
+
+    order: list = []
+    state = [0] * len(names)  # 1 while on the stack, 2 once ordered
+    chain = itertools.chain.from_iterable
+    for root in range(len(names)):
+        if state[root]:
             continue
         state[root] = 1
-        stack = [(root, deps(root))]
+        stack = [(root, chain(kids[ends[root]:ends[root + 1]]))]
         while stack:
             v, pending = stack[-1]
             for u in pending:
-                seen = state.get(u)
-                if seen is None:
-                    state[u] = 1
-                    stack.append((u, deps(u)))
-                    break
+                seen = state[u]
                 if seen == 1:
-                    raise CyclicGrammarError(f"variable {u!r} depends on itself")
+                    raise CyclicGrammarError(f"variable {names[u]!r} depends on itself")
+                if not seen:
+                    deps = kids[ends[u]:ends[u + 1]]
+                    if any(deps):
+                        state[u] = 1
+                        stack.append((u, chain(deps)))
+                        break
+                    state[u] = 2  # no dependencies: ordered at once
+                    order.append(u)
             else:
                 stack.pop()
                 state[v] = 2
                 order.append(v)
-    return order
+    table = _Table(index[gr.start], order, ends, ids, kids)
+    object.__setattr__(gr, "_table", table)
+    return table
+
+
+def topological_variables(gr: Grammar) -> list[str]:
+    """Variables ordered dependencies-first; raises on recursion (see
+    `_compiled`)."""
+    names = gr.variables
+    return [names[v] for v in _compiled(gr).order]
 
 
 class GrammarSize(NamedTuple):
@@ -193,48 +241,45 @@ def is_regular(gr: Grammar) -> bool:
     return True
 
 
-def _rules_by_lhs(gr: Grammar) -> dict[str, list]:
-    """(rule index, rhs) pairs per variable, in rule order."""
-    table: dict[str, list] = {v: [] for v in gr.variables}
-    for r, (lhs, rhs) in enumerate(gr.rules):
-        table[lhs].append((r, rhs))
-    return table
-
-
-def _evaluator(gr: Grammar, table: dict | None = None):
+def _evaluator(gr: Grammar):
     """One bottom-up pass over the variables in topological order, valued in
     a semiring (Goodman, "Semiring parsing", 1999), as a function of the
-    semiring: the order and the rules by lhs are worked out once, so a
-    caller that runs many passes over one grammar pays for them once.
+    semiring.  It walks the grammar's `_compiled` table, so the order and
+    the rules of each variable are worked out once per grammar.
 
     A rule's value folds its rhs with times, starting from weight(rule
     index): a terminal a contributes leaf(a), a variable the value already
     computed for it.  A variable's value is plus over the values of its
-    rules, which plus receives as an iterable (empty for no rules).  Given
-    roots, a pass values only the variables that the roots derive from.
-    table is `_rules_by_lhs(gr)`, for a caller that needs it too."""
-    if table is None:
-        table = _rules_by_lhs(gr)
-    order = topological_variables(gr, table)
+    rules, which plus receives as an iterable (empty for no rules).  The
+    values come back keyed by variable name.  Given roots, a pass values
+    only the variables that the roots derive from."""
+    _, order, ends, ids, kids = _compiled(gr)
+    names, rules = gr.variables, gr.rules
 
     def run(weight, leaf, times, plus, roots=None) -> dict:
-        value: dict = {}
-        needed = None if roots is None else set(roots)
-        if needed is not None:
+        todo = order
+        if roots is not None:
+            index = dict(zip(names, range(len(names))))
+            needed = [False] * len(names)
+            for x in roots:
+                needed[index[x]] = True
             for v in reversed(order):  # users before the variables they use
-                if v in needed:
-                    needed.update(x for _, rhs in table[v] for x in rhs if isinstance(x, str))
+                if needed[v]:
+                    for ks in kids[ends[v]:ends[v + 1]]:
+                        for k in ks:
+                            needed[k] = True
+            todo = [v for v in order if needed[v]]
+        value: dict = {}
 
-        def rule_values(v: str):
-            for r, rhs in table[v]:
+        def rule_values(v: int):
+            for r in ids[ends[v]:ends[v + 1]]:
                 acc = weight(r)
-                for x in rhs:
-                    acc = times(acc, value[x] if isinstance(x, str) else leaf(x))
+                for x in rules[r][1]:
+                    acc = times(acc, leaf(x) if x.__class__ is int else value[x])
                 yield acc
 
-        for v in order:
-            if needed is None or v in needed:
-                value[v] = plus(rule_values(v))
+        for v in todo:
+            value[names[v]] = plus(rule_values(v))
         return value
 
     return run
@@ -284,26 +329,31 @@ def iter_language(gr: Grammar) -> Iterator[tuple[int, ...]]:
     spelled as the iterator is advanced."""
     import heapq  # here, not at the top: every command that reads a grammar would load it
 
-    table = _rules_by_lhs(gr)
-    run = _evaluator(gr, table)
-    uses = Counter(x for _, rhs in gr.rules for x in rhs if isinstance(x, str))
-    trees = run(lambda r: 1, lambda a: 1, operator.mul, sum)
-    whole = trees[gr.start]
+    table = _compiled(gr)
+    _, _, ends, ids, kids = table
+    uses = [0] * len(gr.variables)
+    for ks in kids:
+        for k in ks:
+            uses[k] += 1
+    trees = _tree_counts(table)
+    whole = trees[table.start]
     paths: list = []  # (terminal prefix, factors after it)
-    todo = [(gr.start, (), ())]  # streamed variable, prefix before it, factors after it
+    todo = [(table.start, (), ())]  # streamed variable, prefix before it, factors after it
     while todo:
         v, before, after = todo.pop()
-        for _, rhs in table[v]:
+        for j in range(ends[v], ends[v + 1]):
+            rhs = gr.rules[ids[j]][1]
             i = 0
             while i < len(rhs) and isinstance(rhs[i], int):
                 i += 1
-            if i < len(rhs) and (uses[rhs[i]] == 1 or trees[rhs[i]] ** 2 > whole):
-                todo.append((rhs[i], before + rhs[:i], rhs[i + 1:] + after))
+            # rhs[i], the rhs's first variable if any, is kids[j][0]
+            if i < len(rhs) and (uses[k := kids[j][0]] == 1 or trees[k] ** 2 > whole):
+                todo.append((k, before + rhs[:i], rhs[i + 1:] + after))
             else:
                 paths.append((before + rhs[:i], rhs[i:] + after))
     del uses, trees  # the set pass is the peak: free what only the walk needed
     factors = {x for _, fs in paths for x in fs if isinstance(x, str)}
-    held = run(lambda r: {()}, lambda a: {(a,)}, _pairwise_sums, _union, factors)
+    held = _evaluator(gr)(lambda r: {()}, lambda a: {(a,)}, _pairwise_sums, _union, factors)
     words = {x: tuple(sorted(held[x])) for x in factors}
     del held  # the sets of every held variable, read by the paths or not
     mixed = {x for x, ws in words.items() if len(set(map(len, ws))) > 1}
@@ -332,9 +382,25 @@ def enumerate_language(gr: Grammar, cap: int | None = None) -> LanguageResult:
     return LanguageResult(words[:cap] if truncated else words, truncated)
 
 
+def _tree_counts(table: _Table) -> list[int]:
+    """Each variable's number of parse trees, by index."""
+    _, order, ends, _, kids = table
+    count = [0] * len(order)
+    for v in order:
+        total = 0
+        for ks in kids[ends[v]:ends[v + 1]]:
+            c = 1
+            for k in ks:
+                c *= count[k]
+            total += c
+        count[v] = total
+    return count
+
+
 def count_parse_trees(gr: Grammar) -> int:
     """Number of accepting parse trees (duplicate rules count separately)."""
-    return _evaluate(gr, lambda r: 1, lambda a: 1, operator.mul, sum)[gr.start]
+    table = _compiled(gr)
+    return _tree_counts(table)[table.start]
 
 
 def _variable_lengths(gr: Grammar) -> dict[str, set[int]]:
@@ -363,24 +429,32 @@ def membership(gr: Grammar, w: Word) -> bool:
 def trim(gr: Grammar) -> Grammar:
     """Drop variables deriving no terminal string or unreachable from the
     start; declaration and rule order are preserved."""
-    lengths = _variable_lengths(gr)
-    productive = {v for v, ls in lengths.items() if ls}
+    start, order, ends, ids, kids = _compiled(gr)
+    productive = [False] * len(order)
 
-    def usable(rhs) -> bool:
-        return all(x in productive for x in rhs if isinstance(x, str))
+    def usable(ks: tuple) -> bool:
+        return all(productive[k] for k in ks)
 
-    table = _rules_by_lhs(gr)
-    reach = {gr.start}
-    todo = [gr.start]  # reached variables whose rules are not yet walked
+    for v in order:
+        productive[v] = any(map(usable, kids[ends[v]:ends[v + 1]]))
+    reach = [False] * len(order)
+    reach[start] = True
+    todo = [start]  # reached variables whose rules are not yet walked
     while todo:
-        for _, rhs in table[todo.pop()]:
-            if usable(rhs):
-                fresh = {x for x in rhs if isinstance(x, str)} - reach
-                reach |= fresh
-                todo.extend(fresh)
-    keep = (reach & productive) | {gr.start}
+        v = todo.pop()
+        for ks in kids[ends[v]:ends[v + 1]]:
+            if usable(ks):
+                for k in ks:
+                    if not reach[k]:
+                        reach[k] = True
+                        todo.append(k)
+    keep = {v for v, live, seen in zip(gr.variables, productive, reach) if live and seen}
+    keep.add(gr.start)
+    good = [False] * len(gr.rules)
+    for r, ks in zip(ids, kids):
+        good[r] = usable(ks)
     variables = tuple(v for v in gr.variables if v in keep)
-    rules = tuple((lhs, rhs) for lhs, rhs in gr.rules if lhs in keep and usable(rhs))
+    rules = tuple(rule for rule, ok in zip(gr.rules, good) if ok and rule[0] in keep)
     return Grammar(gr.sigma_max, gr.start, variables, rules, gr.accepts_empty)
 
 

@@ -21,7 +21,10 @@ are taken as they are.  A point is decided on two independent paths:
 - a projection point (`check_projection_feasibility`) by column generation
   over words: x is a member exactly when it is a convex combination of
   words, a master LP of n + 1 rows whose columns a max-plus pass over the
-  grammar prices, so the flow LP is never built.  The master LP holds its
+  grammar prices, so the flow LP is never built.  The pass is an int loop
+  over the grammar's compiled table (`grammar._compiled`), built once per
+  grammar, and it keeps each variable's first best rule, so the best word
+  is read back top-down without a second pass.  The master LP holds its
   basis as det B and the integer adjugate, so its rounds make no
   Fraction; only a member's certificate weights are Fractions;
 - a point of an LP file (`check_lp_feasibility`, the `check` command),
@@ -38,6 +41,11 @@ are taken as they are.  A point is decided on two independent paths:
 
 The two agree exactly when the flow polytope projects onto conv(words),
 so their agreement tests that claim directly.
+
+`build_extended_formulation` reads the same table: one int pass gives
+each variable's word length, and a breadth-first walk by index gives its
+offset.  The set semiring runs only to word the error on a variable with
+several lengths.
 
 Layering: the LP-file path (`parse_lp`, `check_lp_feasibility`, the
 presolve and the simplex) imports nothing from `grammar`.  Only the
@@ -125,68 +133,91 @@ def build_extended_formulation(gr: Grammar, style: str = "value") -> ExtendedFor
     the matrix style, z_i_a = sum of the flows of the rules writing a at i.
 
     Raises unless the grammar is positional: every variable derives words
-    of one length, from one start offset, and is reachable."""
-    from .grammar import _rules_by_lhs, _variable_lengths
+    of one length, from one start offset, and is reachable.  A grammar
+    with no words gives the formulation with an infeasible source row,
+    with one warning."""
+    from .grammar import _compiled, _variable_lengths
 
     if style not in ("value", "matrix"):
         raise PolytopeError(f"unknown projection style {style!r}")
-    length_sets = _variable_lengths(gr)
-    empty_language = not length_sets[gr.start] and not gr.accepts_empty
-    lengths: dict[str, int] = {}
+    start, order, ends, ids, kids = _compiled(gr)
+    rules = gr.rules
+    # each variable's one word length; NONE when it derives no word, MANY
+    # when it derives words of several lengths
+    NONE, MANY = -1, -2
+    length = [NONE] * len(order)
+    for v in order:
+        for j in range(ends[v], ends[v + 1]):
+            lr = len(rules[ids[j]][1]) - len(kids[j])  # the rule's terminals
+            for k in kids[j]:
+                lk = length[k]
+                if lk == NONE:
+                    break
+                lr = MANY if lk == MANY or lr == MANY else lr + lk
+            else:
+                lv = length[v]
+                length[v] = lr if lv == NONE or lv == lr else MANY
+    empty_language = length[start] == NONE and not gr.accepts_empty
     if empty_language:
-        # no words to project; the flow system itself is infeasible.  The
-        # walk starts at every variable, so every rule keeps its flow terms
+        # no words to project; the flow system itself is infeasible, and
+        # every rule keeps its flow terms
         warnings.warn("grammar generates no words; source row is infeasible", stacklevel=2)
-        offset = dict.fromkeys(gr.variables, 0)
     else:
         if gr.accepts_empty:
             raise PolytopeError("grammar accepts the empty word; not positional")
-        for v, ls in length_sets.items():
-            if len(ls) != 1:
-                raise PolytopeError(
-                    f"variable {_quote(v)} derives strings of lengths {sorted(ls)}; not positional"
-                )
-            lengths[v] = next(iter(ls))
-        offset = {gr.start: 1}
+        bad = next((v for v in order if length[v] < 0), None)
+        if bad is not None:
+            name = gr.variables[bad]
+            ls = _variable_lengths(gr)[name]  # the set semiring, only to word the error
+            raise PolytopeError(
+                f"variable {_quote(name)} derives strings of lengths {sorted(ls)}; not positional"
+            )
 
-    by_lhs = _rules_by_lhs(gr)
-    flow = [f"y_{r}" for r in range(len(gr.rules))]
-    uses: dict[str, dict[int, int]] = {v: {} for v in gr.variables}  # rule -> occurrences
+    flow = [f"y_{r}" for r in range(len(rules))]
     writes: dict[int, list[tuple[int, int]]] = {}  # position -> (symbol, rule)
-    order = list(offset)
-    for v in order:  # breadth first; grows as the walk reaches new variables
-        for r, rhs in by_lhs[v]:
-            at = offset[v]
-            for x in rhs:
-                if isinstance(x, int):
-                    writes.setdefault(at, []).append((x, r))
-                    at += 1
-                    continue
-                uses[x][r] = uses[x].get(r, 0) + 1
-                if x not in offset:
-                    offset[x] = at
-                    order.append(x)
-                elif offset[x] != at and not empty_language:
-                    raise PolytopeError(
-                        f"variable {_quote(x)} occurs at spans starting {offset[x]} "
-                        f"and {at}; not positional"
-                    )
-                at += lengths.get(x, 0)
-    if len(order) < len(gr.variables):
-        v = next(v for v in gr.variables if v not in offset)
-        raise PolytopeError(f"variable {_quote(v)} unreachable; trim the grammar first")
+    if not empty_language:
+        offset = [0] * len(order)  # 0: not reached yet
+        offset[start] = 1
+        reached = [start]
+        for v in reached:  # breadth first; grows as the walk reaches new variables
+            for j in range(ends[v], ends[v + 1]):
+                r = ids[j]
+                at, ks = offset[v], iter(kids[j])
+                for x in rules[r][1]:
+                    if x.__class__ is int:
+                        writes.setdefault(at, []).append((x, r))
+                        at += 1
+                        continue
+                    k = next(ks)
+                    if not offset[k]:
+                        offset[k] = at
+                        reached.append(k)
+                    elif offset[k] != at:
+                        raise PolytopeError(
+                            f"variable {_quote(x)} occurs at spans starting {offset[k]} "
+                            f"and {at}; not positional"
+                        )
+                    at += length[k]
+        if len(reached) < len(order):
+            v = gr.variables[offset.index(0)]
+            raise PolytopeError(f"variable {_quote(v)} unreachable; trim the grammar first")
 
-    src = tuple((1, flow[r]) for r, _ in by_lhs[gr.start])
-    if not src:
-        warnings.warn("grammar has no start rule; source row is infeasible", stacklevel=2)
-    constraints = [("src", src, "=", 1)]
-    for k, v in enumerate(gr.variables):
-        if v != gr.start:
-            terms = [(1, flow[r]) for r, _ in by_lhs[v]]
-            terms += [(-c, flow[r]) for r, c in sorted(uses[v].items())]
-            constraints.append((f"c_{k}", tuple(terms), "=", 0))
+    into = [(1, flow[r]) for r in ids]  # per listed rule: the flow into its lhs
+    out: list = [[] for _ in order]  # per variable: the flows of the rules using it
+    for r, ks in zip(ids, kids) if isinstance(ids, range) else sorted(zip(ids, kids)):
+        y = flow[r]  # in rule order, so a rule's uses of one variable are adjacent
+        for k in ks:
+            terms = out[k]
+            if terms and terms[-1][1] == y:
+                terms[-1] = (terms[-1][0] - 1, y)
+            else:
+                terms.append((-1, y))
+    constraints = [("src", tuple(into[ends[start]:ends[start + 1]]), "=", 1)]
+    for k in range(len(order)):
+        if k != start:
+            constraints.append((f"c_{k}", tuple(into[ends[k]:ends[k + 1]] + out[k]), "=", 0))
 
-    n = 0 if empty_language else lengths[gr.start]
+    n = 0 if empty_language else length[start]
     projection: list = []
     for i in range(1, n + 1):
         written = sorted(writes.get(i, ()))
@@ -271,10 +302,12 @@ def _projection_verdict(ef: ExtendedFormulation, x) -> tuple[bool, tuple]:
     pi = sign * y / gcd(den, y) is the duals of the rows (x, 1) times the
     lcm of their denominators, in ints.  A rule weighs pi_i * a summed
     over the positions i and symbols a it writes, and the max-plus pass
-    yields the word of largest pi . (w, 1).  When that is <= 0, pi is the certificate; when no
-    artificial is left positive, x is a member, and each basic word's
+    over the grammar's int table yields the word of largest pi . (w, 1),
+    read back top-down through each variable's first rule in rule order
+    that attains its max.  When that is <= 0, pi is the certificate; when
+    no artificial is left positive, x is a member, and each basic word's
     weight is its basic value over den * lift."""
-    from .grammar import _evaluator, _rules_by_lhs
+    from .grammar import _compiled
     from .perm import Word
 
     target = [_coordinate(f"x_{i}", v) for i, v in enumerate(x, start=1)]
@@ -288,14 +321,13 @@ def _projection_verdict(ef: ExtendedFormulation, x) -> tuple[bool, tuple]:
             raise PolytopeError("a matrix-style formulation has no x coordinates to fix")
         for coef, y in terms:
             writes[rule_of[y]].append((i, -coef))
-    gr = ef.grammar
-    if len({lhs for lhs, _ in gr.rules}) < len(gr.variables):
+    start, order, ends, ids, kids = _compiled(ef.grammar)
+    if any(map(operator.eq, ends, ends[1:])):
         # a variable without rules: only the formulation of an empty
         # language has one, as every variable of another derives a word
         return False, (0,) * n + (1,)
-    by_lhs = _rules_by_lhs(gr)
-    evaluate = _evaluator(gr, by_lhs)
-    pattern = [(r, i, a) for r, pairs in enumerate(writes) for i, a in pairs]
+    # per listed rule of the table (j), the positions and symbols it writes
+    pattern = [(j, i, a) for j, r in enumerate(ids) for i, a in writes[r]]
 
     m = n + 1
     sign = [-1 if b < 0 else 1 for b in target] + [1]
@@ -308,28 +340,38 @@ def _projection_verdict(ef: ExtendedFormulation, x) -> tuple[bool, tuple]:
         y = [sum(col) for col in zip(*(row for row, w in zip(inverse, basis) if w is None))]
         g = math.gcd(den, *y)
         pi = [s * v // g for s, v in zip(sign, y)]  # multipliers of the rows (x, 1)
-        weight = [0] * len(gr.rules)
-        for r, i, a in pattern:
-            weight[r] += pi[i] * a
-        # max-plus over integers; a rule's weight already counts what it
-        # writes, so a terminal adds 0 (0 * a)
-        score = evaluate(weight.__getitem__, (0).__mul__, operator.add, max)
-        gain = score[gr.start] + pi[n]  # pi . (w, 1) of the best word w
+        weight = [0] * len(kids)
+        for j, i, a in pattern:
+            weight[j] += pi[i] * a
+        # max-plus over integers, bottom-up: a rule's weight already counts
+        # what it writes, and each variable keeps its first rule in rule
+        # order that attains its max
+        score = [0] * len(order)
+        best = [0] * len(order)
+        for v in order:
+            arg, last = ends[v], ends[v + 1]
+            top = weight[arg]
+            for k in kids[arg]:
+                top += score[k]
+            for j in range(arg + 1, last):
+                s = weight[j]
+                for k in kids[j]:
+                    s += score[k]
+                if s > top:
+                    top, arg = s, j
+            score[v], best[v] = top, arg
+        gain = score[start] + pi[n]  # pi . (w, 1) of the best word w
         if gain <= 0:
             return False, tuple(pi)
         word = [0] * n
-        stack = [gr.start]
-        while stack:  # read w top-down through rules that attain the max
-            v = stack.pop()
-            for r, rhs in by_lhs[v]:
-                kids = [x for x in rhs if isinstance(x, str)]
-                if weight[r] + sum(score[x] for x in kids) == score[v]:
-                    break
-            for i, a in writes[r]:
+        stack = [start]
+        while stack:  # read w top-down through the rules that attain the max
+            j = best[stack.pop()]
+            for i, a in writes[ids[j]]:
                 word[i] = a
-            stack.extend(kids)
+            stack.extend(kids[j])
         column = [s * w for s, w in zip(sign, word + [1])]
-        d = [sum(row[j] * c for j, c in enumerate(column) if c) for row in inverse]
+        d = [sum(map(operator.mul, row, column)) for row in inverse]
 
         # the lexicographically smallest row of [beta | inverse] / d_i over
         # d_i > 0, compared by cross-multiplying
@@ -719,8 +761,6 @@ def emit_lp(ef: ExtendedFormulation) -> str:
     the x (or z) variables, and [0,1] bounds on every flow variable."""
     lines = ["Minimize", " obj: 0", "Subject To"]
     for name, terms, rel, rhs in ef.constraints:
-        if name == "src" and not terms:
-            warnings.warn("emitting infeasible source row for empty grammar", stacklevel=2)
         lines.append(f" {name}: {_render_flow_terms(terms)} {rel} {rhs}")
     for name, ((_, defined), *terms), rel, rhs in ef.projection:
         body = "".join(f" - {-coef} {v}" for coef, v in terms)

@@ -20,9 +20,6 @@ from autgrammar.decomp import (
 )
 from autgrammar.grammar import (
     Grammar,
-    _evaluate,
-    _pairwise_sums,
-    _union,
     build_aut_grammar,
     build_embedded_group_grammar,
     build_regular_aut_grammar,
@@ -138,11 +135,49 @@ def json_reference(gr) -> str:
     return json.dumps(doc, indent=1) + "\n"
 
 
+def reference_values(gr, weight, leaf, times, plus) -> dict:
+    """Each variable's value in a semiring, by name, computed apart from
+    the library's own pass and its table: a variable is valued once every
+    variable its rules use is (Kahn's order), a rule's value folds its rhs
+    with times from weight(rule index), a terminal a counting leaf(a), and
+    a variable's value is plus over the list of its rules' values.  A
+    variable on a cycle is never valued."""
+    rules: dict = {v: [] for v in gr.variables}
+    for r, (lhs, rhs) in enumerate(gr.rules):
+        rules[lhs].append((r, rhs))
+    uses = {v: {x for _, rhs in rs for x in rhs if isinstance(x, str)} for v, rs in rules.items()}
+    users: dict = {v: [] for v in gr.variables}
+    for v, xs in uses.items():
+        for x in xs:
+            users[x].append(v)
+    waiting = {v: len(xs) for v, xs in uses.items()}
+    ready = [v for v, c in waiting.items() if not c]
+    value: dict = {}
+    while ready:
+        v = ready.pop()
+        values = []
+        for r, rhs in rules[v]:
+            acc = weight(r)
+            for x in rhs:
+                acc = times(acc, value[x] if isinstance(x, str) else leaf(x))
+            values.append(acc)
+        value[v] = plus(values)
+        for u in users[v]:
+            waiting[u] -= 1
+            if not waiting[u]:
+                ready.append(u)
+    return value
+
+
 def reference_language(gr) -> list[tuple[int, ...]]:
     """The language as `enumerate_language` computed it before words were
     streamed, the reference `iter_language` is tested against: every
     variable's word set, bottom-up in the set semiring, then sorted."""
-    raw = _evaluate(gr, lambda r: {()}, lambda a: {(a,)}, _pairwise_sums, _union)[gr.start]
+    def concat(xs: set, ys: set) -> set:
+        return {x + y for x in xs for y in ys}
+
+    union = lambda sets: set().union(*sets)  # noqa: E731
+    raw = reference_values(gr, lambda r: {()}, lambda a: {(a,)}, concat, union)[gr.start]
     if gr.accepts_empty:
         raw = raw | {()}
     return sorted(raw)
@@ -428,7 +463,6 @@ def reference_projection_verdict(ef, x) -> tuple[bool, tuple]:
     summed over the positions i and symbols a it writes, and the max-plus
     pass yields the word of largest pi . (w, 1).  When that is <= 0, pi is
     the certificate; when no artificial is left positive, x is a member."""
-    from autgrammar.grammar import _evaluator, _rules_by_lhs
     from autgrammar.perm import Word
 
     target = [Fraction(v) for v in x]
@@ -447,8 +481,9 @@ def reference_projection_verdict(ef, x) -> tuple[bool, tuple]:
         # a variable without rules: only the formulation of an empty
         # language has one, as every variable of another derives a word
         return False, (0,) * n + (1,)
-    by_lhs = _rules_by_lhs(gr)
-    evaluate = _evaluator(gr, by_lhs)
+    by_lhs: dict = {v: [] for v in gr.variables}
+    for r, (lhs, rhs) in enumerate(gr.rules):
+        by_lhs[lhs].append((r, rhs))
     pattern = [(r, i, a) for r, pairs in enumerate(writes) for i, a in pairs]
 
     m = n + 1
@@ -466,7 +501,7 @@ def reference_projection_verdict(ef, x) -> tuple[bool, tuple]:
             weight[r] += pi[i] * a
         # max-plus over integers; a rule's weight already counts what it
         # writes, so a terminal adds 0 (0 * a)
-        score = evaluate(weight.__getitem__, (0).__mul__, operator.add, max)
+        score = reference_values(gr, weight.__getitem__, (0).__mul__, operator.add, max)
         gain = score[gr.start] + pi[n]  # scale * pi . (w, 1) of the best word w
         if gain <= 0:
             return False, tuple(pi)

@@ -287,6 +287,54 @@ def test_check_contract_on_mutated_lp_files(tmp_path, capsys):
     assert seen == {"feasible\n", "infeasible\n", 2, 3}
 
 
+EMPTY_LANGUAGE = '{"sigma_max": 1, "start": "S", "variables": ["S"], "rules": []}\n'
+CYCLIC = '{"sigma_max": 1, "start": "S", "variables": ["S"], "rules": [["S", ["S", 1]]]}\n'
+
+
+@pytest.mark.parametrize("action", ["default", "error", "ignore"])
+def test_lift_of_empty_language_warns_once(tmp_path, capsys, action):
+    # one `warning:` line per cause, whatever the warnings filter says;
+    # the LP is written, and its source row 0 = 1 is infeasible
+    import warnings
+
+    grammar, model = tmp_path / "empty.json", tmp_path / "empty.lp"
+    grammar.write_text(EMPTY_LANGUAGE)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        assert main(["lift", str(grammar), "--out", str(model)]) == 0
+    assert capsys.readouterr() == ("", "warning: grammar generates no words; source row is infeasible\n")
+    assert " src: 0 = 1\n" in model.read_text()
+
+
+def test_lift_of_empty_language_under_warnings_as_errors(tmp_path):
+    grammar, model = tmp_path / "empty.json", tmp_path / "empty.lp"
+    grammar.write_text(EMPTY_LANGUAGE)
+    r = subprocess.run(
+        [sys.executable, "-m", "autgrammar.cli", "lift", str(grammar), "--out", str(model)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONWARNINGS": "error"},
+    )
+    assert (r.returncode, r.stdout) == (0, "")
+    assert r.stderr == "warning: grammar generates no words; source row is infeasible\n"
+    assert model.is_file()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("count",), ("enum",), ("member", "--word", "1"), ("lift", "--out", "cyclic.lp")],
+    ids=["count", "enum", "member", "lift"],
+)
+def test_cyclic_grammar_exit_3(tmp_path, command):
+    grammar = tmp_path / "cyclic.json"
+    grammar.write_text(CYCLIC)
+    name, *extra = command
+    extra = [str(tmp_path / a) if a.endswith(".lp") else a for a in extra]
+    r = run_cli(name, str(grammar), *extra)
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr == "error: variable 'S' depends on itself\n"
+
+
 def test_build_from_invalid_td_exit_3(c4_file, tmp_path):
     td = tmp_path / "bad.td"
     td.write_text("s td 2 2 4\nb 1 1 2\nb 2 3 4\n1 2\n")  # misses edge {2,3}

@@ -223,6 +223,44 @@ def test_grammar_is_an_immutable_value():
     assert repr(ParseTree(1, ())) == "ParseTree(rule_index=1, children=())"
 
 
+def test_compiled_table_is_invisible():
+    # the read side's table, once built and cached, changes nothing a
+    # caller sees of the grammar: equality, hash, repr, pickle, immutability
+    import copy
+    import pickle
+
+    rules = (("B1", (1, "A")), ("B1", ("A", 2)), ("A", (2,)), ("A", (1,)))
+    gr, twin = (Grammar(2, "B1", ("B1", "A"), rules) for _ in range(2))
+    before = (repr(gr), hash(gr), pickle.dumps(gr))
+    assert count_parse_trees(gr) == 4
+    assert hasattr(gr, "_table") and not hasattr(twin, "_table")
+    assert gr == twin and twin == gr
+    assert (repr(gr), hash(gr), pickle.dumps(gr)) == before
+    for back in (pickle.loads(pickle.dumps(gr)), copy.copy(gr), copy.deepcopy(gr)):
+        assert back == gr and not hasattr(back, "_table")
+        assert count_parse_trees(back) == 4
+    for field in ("rules", "_table", "other"):
+        with pytest.raises(AttributeError, match="Grammar is immutable"):
+            setattr(gr, field, None)
+    assert count_parse_trees(gr) == 4
+
+
+def test_rules_out_of_lhs_order():
+    # the table lists each variable's rules together; a grammar whose rules
+    # interleave their left-hand sides reads the same as its grouped twin
+    rules = (("A", (2, "C")), ("B1", ("A", 1)), ("C", (3,)), ("B1", (1, "A")), ("A", ("C", 2)))
+    gr = Grammar(3, "B1", ("B1", "A", "C"), rules)
+    order = sorted(range(len(rules)), key=lambda r: gr.variables.index(rules[r][0]))
+    grouped = Grammar(3, "B1", gr.variables, tuple(rules[r] for r in order))
+    assert count_parse_trees(gr) == count_parse_trees(grouped) == 4
+    assert list(iter_language(gr)) == list(iter_language(grouped)) == reference_language(gr)
+    assert topological_variables(gr) == ["C", "A", "B1"]
+    assert trim(gr) == gr
+    trees = enumerate_parse_trees(gr)
+    assert [t.rule_index for t in trees] == [1, 1, 3, 3]
+    assert sorted(parse_tree_yield(gr, t).symbols for t in trees) == reference_language(gr)
+
+
 def chain_grammar(depth):
     """A_i -> (i+1) A_{i+1}, ending in A_{depth-1} -> depth: one word, 1..depth."""
     names = tuple(f"A{i}" for i in range(depth))

@@ -677,9 +677,12 @@ def test_lp_inequality_rows():
 
 
 def test_empty_language_lp_warns():
+    # one warning per cause: the formulation warns once, also when the
+    # start has no rule, and writing its LP adds none
     gr = Grammar(2, "B1", ("B1", "A"), (("A", (1,)),))
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as caught:
         ef = build_extended_formulation(gr)
+    assert [str(w.message) for w in caught] == ["grammar generates no words; source row is infeasible"]
     # unreachable rules keep their flow terms, also where they use a variable
     unreachable = Grammar(2, "B1", ("B1", "A", "C"), (("A", (1,)), ("C", ("A", 2))))
     with pytest.warns(UserWarning):
@@ -689,7 +692,8 @@ def test_empty_language_lp_warns():
         ("c_1", ((1, "y_0"), (-1, "y_1")), "=", 0),
         ("c_2", ((1, "y_1"),), "=", 0),
     )
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         lp = emit_lp(ef)
     parsed = parse_lp(lp)
     assert not check_lp_feasibility(parsed, {})
@@ -701,9 +705,43 @@ def test_empty_language_lp_warns():
         verdict, certificate = _projection_verdict(ef, ())
         assert not verdict and not check_projection_feasibility(ef, [])
         check_certificate(g, (), verdict, certificate)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the LP of a grammar without start rules warns
-            assert not check_lp_feasibility(parse_lp(emit_lp(ef)), {})
+        assert not check_lp_feasibility(parse_lp(emit_lp(ef)), {})
+
+
+@pytest.mark.parametrize(
+    "gr, message",
+    [
+        (
+            Grammar(1, "B1", ("B1",), (("B1", (1,)),), True),
+            "grammar accepts the empty word; not positional",
+        ),
+        (
+            Grammar(3, "B1", ("B1", "A"), (("B1", ("A",)), ("A", (1, 2, 3)), ("A", (1,)), ("A", (1, 2)))),
+            "variable 'A' derives strings of lengths [1, 2, 3]; not positional",
+        ),
+        (
+            Grammar(2, "B1", ("B1", "A", "C"), (("B1", (1,)), ("B1", ("A", 2)), ("A", ("C",)))),
+            "variable 'C' derives strings of lengths []; not positional",
+        ),
+        (
+            Grammar(2, "B1", ("B1", "A"), (("B1", ("A", 1)), ("B1", (1, "A")), ("A", (2,)))),
+            "variable 'A' occurs at spans starting 1 and 2; not positional",
+        ),
+        (
+            Grammar(2, "B1", ("B1", "A", "C"), (("C", (2,)), ("B1", ("A", "C")), ("A", (1,)), ("B1", ("C", "A")))),
+            "variable 'C' occurs at spans starting 2 and 1; not positional",
+        ),
+        (
+            Grammar(2, "B1", ("B1", "A", "C"), (("B1", ("A",)), ("A", (1,)), ("C", (2,)))),
+            "variable 'C' unreachable; trim the grammar first",
+        ),
+    ],
+    ids=["empty-word", "lengths", "no-lengths", "spans", "spans-rules-interleaved", "unreachable"],
+)
+def test_formulation_error_messages(gr, message):
+    with pytest.raises(PolytopeError) as caught:
+        build_extended_formulation(gr)
+    assert str(caught.value) == message
 
 
 def test_non_positional_rejected():
