@@ -13,6 +13,7 @@ import itertools
 
 from autgrammar.decomp import compute_tree_decomposition, make_permutation_yielding
 from autgrammar.grammar import (
+    GrammarError,
     build_aut_grammar,
     build_embedded_group_grammar,
     count_parse_trees,
@@ -29,6 +30,19 @@ from autgrammar.perm import Permutation, format_permutation
 star = parse_graph("5 4\n1 5\n2 5\n3 5\n4 5")
 alpha, gr = build_embedded_group_grammar(star, 4)
 print("star embedding: language size", len(enumerate_language(gr).words), "= 4! = 24")
+
+# past the brute-force oracle's 10 vertices: Aut(btree3) sits on the 15
+# internal vertices of the depth-4 binary tree (31 vertices).  The builder
+# reads invariance off the host's grammar, so no oracle runs; the words
+# are the restricted group, the parse trees one per host automorphism
+btree4 = parse_graph("31 30\n" + "\n".join(f"{v // 2} {v}" for v in range(2, 32)))
+_, internal = build_embedded_group_grammar(btree4, 15)
+print("btree4 on its internal vertices: language size", len(enumerate_language(internal).words),
+      "= |Aut(btree3)| = 2^7; parse trees", count_parse_trees(internal), "= |Aut(btree4)| = 2^15")
+try:  # 1..16 takes in a leaf, which the swap at the root moves to 24
+    build_embedded_group_grammar(btree4, 16)
+except GrammarError as e:
+    print("refused:", e)
 
 # a coset: compose every group element with a fixed representative
 beta = Permutation((2, 1, 3, 4))

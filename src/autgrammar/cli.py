@@ -95,7 +95,6 @@ def _build_parser() -> _Parser:
     e.add_argument("--graph", required=True)
     e.add_argument("--keep", type=int, required=True)
     e.add_argument("--beta", help="coset representative, one-line image form")
-    e.add_argument("--unchecked", action="store_true", help="skip the invariance oracle check")
     e.add_argument("--out", required=True)
 
     s = sub.add_parser("stats", help="rule/variable counts, size, regularity")
@@ -171,9 +170,7 @@ def _cmd_embed(args) -> int:
         raise _UsageError(f"--keep must be in 1..{g.vertex_count}, got {args.keep}")
     from . import grammar as gmod
 
-    alpha, gr = gmod.build_embedded_group_grammar(
-        g, args.keep, beta, check_invariance=not args.unchecked
-    )
+    alpha, gr = gmod.build_embedded_group_grammar(g, args.keep, beta)
     _write(args.out, gmod.grammar_to_json(gr))
     print(format_permutation(alpha))
     return 0

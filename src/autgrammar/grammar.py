@@ -22,15 +22,19 @@ and write one class's rules from its first annotation.
 Layering: the read side (JSON, the compiled table, the semiring pass
 `_evaluator` and what is built on it: counting, enumeration, membership,
 size, regularity and the transforms) imports no builder layer.  The three
-builders import `annotate`, `decomp`, `graph` and `oracle` inside their own
-bodies, so a process that only reads a grammar file never loads them.
+builders import `annotate`, `decomp` and `graph` inside their own bodies,
+so a process that only reads a grammar file never loads them.  The embed
+builder decides whether the prefix is invariant from the host's grammar
+itself, so no builder loads `oracle` or `polytope`.
 
 The read side runs on one table per grammar (`_compiled`), built on first
 use and cached on the grammar: the variables as ints in dependencies-first
 order, and each variable's rules with their rhs variables as int indexes.
-Parse-tree counting, the polytope's word lengths, offsets and max-plus
-pricing loop over it directly; the semiring pass walks its order and rule
-lists for the semirings of sets, spans and trees.
+Parse-tree counting, the word lengths and the positions each rule writes
+(`_word_lengths`, `_writes`: read by the extended formulation and the
+embed check) and the polytope's max-plus pricing loop over it directly;
+the semiring pass walks its order and rule lists for the semirings of
+sets, spans and trees.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import PreconditionError, _quote
-from .perm import Permutation, Word, identity, inverse
+from .perm import Permutation, Word, format_permutation, identity, inverse
 
 if TYPE_CHECKING:
     from .decomp import Pos, TreeDecomposition
@@ -203,6 +207,66 @@ def _compiled(gr: Grammar) -> _Table:
     table = _Table(index[gr.start], order, ends, ids, kids)
     object.__setattr__(gr, "_table", table)
     return table
+
+
+_NO_WORD, _MIXED = -1, -2  # the word length of a variable with no words, or several lengths
+
+
+def _word_lengths(gr: Grammar) -> list[int]:
+    """Each variable's one word length, by index: _NO_WORD when it derives
+    no word, _MIXED when it derives words of several lengths."""
+    _, order, ends, ids, kids = _compiled(gr)
+    rules = gr.rules
+    length = [_NO_WORD] * len(order)
+    for v in order:
+        for j in range(ends[v], ends[v + 1]):
+            lr = len(rules[ids[j]][1]) - len(kids[j])  # the rule's terminals
+            for k in kids[j]:
+                lk = length[k]
+                if lk == _NO_WORD:
+                    break
+                lr = _MIXED if lk == _MIXED or lr == _MIXED else lr + lk
+            else:
+                lv = length[v]
+                length[v] = lr if lv == _NO_WORD or lv == lr else _MIXED
+    return length
+
+
+def _writes(gr: Grammar, length: list[int]) -> dict[int, list[tuple[int, int]]]:
+    """Word position -> the (symbol, rule index) pairs of the terminals
+    written there, for a grammar whose variables each derive words of one
+    length (`_word_lengths`).  A breadth-first walk by index from the start
+    places each variable at its one start offset; raises GrammarError when
+    a variable is met at two offsets or is never reached."""
+    start, order, ends, ids, kids = _compiled(gr)
+    rules = gr.rules
+    writes: dict[int, list[tuple[int, int]]] = {}
+    offset = [0] * len(order)  # 0: not reached yet
+    offset[start] = 1
+    reached = [start]
+    for v in reached:  # breadth first; grows as the walk reaches new variables
+        for j in range(ends[v], ends[v + 1]):
+            r = ids[j]
+            at, ks = offset[v], iter(kids[j])
+            for x in rules[r][1]:
+                if x.__class__ is int:
+                    writes.setdefault(at, []).append((x, r))
+                    at += 1
+                    continue
+                k = next(ks)
+                if not offset[k]:
+                    offset[k] = at
+                    reached.append(k)
+                elif offset[k] != at:
+                    raise GrammarError(
+                        f"variable {_quote(x)} occurs at spans starting {offset[k]} "
+                        f"and {at}; not positional"
+                    )
+                at += length[k]
+    if len(reached) < len(order):
+        v = gr.variables[offset.index(0)]
+        raise GrammarError(f"variable {_quote(v)} unreachable; trim the grammar first")
+    return writes
 
 
 def topological_variables(gr: Grammar) -> list[str]:
@@ -660,16 +724,44 @@ def group_from_subgroup(grH: Grammar, transversal: list[Permutation]) -> Grammar
 # automorphism grammar of the host graph, then rename by the coset
 # representative.
 
+def _word_through(gr: Grammar, rule: int) -> Word:
+    """A word of some parse tree that uses the given rule, which must lie on
+    one (as every rule of a trim grammar does).  One semiring pass values
+    each variable by a word it derives and one it derives through the rule,
+    or None when it derives none."""
+
+    def times(x: tuple, y: tuple) -> tuple:
+        (a, via_a), (b, via_b) = x, y
+        return a + b, (via_a + b if via_a is not None else None if via_b is None else a + via_b)
+
+    def plus(values) -> tuple:
+        word = via = None
+        for w, v in values:
+            word = w if word is None else word
+            via = v if via is None else via
+        return word, via
+
+    values = _evaluate(gr, lambda r: ((), () if r == rule else None), lambda a: ((a,), None), times, plus)
+    return Word(values[gr.start][1])
+
+
 def build_embedded_group_grammar(
-    g: Graph,
-    n: int,
-    b: Permutation | None = None,
-    *,
-    check_invariance: bool = True,
+    g: Graph, n: int, b: Permutation | None = None
 ) -> tuple[Permutation, Grammar]:
+    """Compile the group that Aut(g) induces on the vertices 1..n, renamed
+    by the coset representative b (the identity by default).
+
+    Returns (alpha, grammar) as `build_aut_grammar` does, over alphabet
+    1..n: the language is the set of one-line strings of the restricted
+    automorphisms, composed with b and repositioned by alpha.  The parse
+    trees stay those of the host's grammar, one per automorphism of g, so
+    `count_parse_trees` gives |Aut(g)|, not the restricted group's order.
+    Raises GrammarError unless
+    g is connected, 1 <= n <= |V(g)|, b permutes 1..n, and 1..n is
+    invariant under Aut(g); the last error names a witness, an
+    automorphism that sends some vertex of 1..n outside it."""
     from .decomp import compute_tree_decomposition, make_permutation_yielding
     from .graph import require_connected
-    from .oracle import restricted_action
 
     require_connected(g)
     m = g.vertex_count
@@ -679,15 +771,20 @@ def build_embedded_group_grammar(
         b = identity(n)
     if b.size != n:
         raise GrammarError(f"coset representative must permute 1..{n}")
-    if check_invariance:
-        result = restricted_action(g, n)
-        if not result.invariant:
-            raise GrammarError(
-                f"prefix 1..{n} not invariant under the automorphism group "
-                f"(witness {result.witness.image})"
-            )
     t, _ = make_permutation_yielding(g, compute_tree_decomposition(g))
     alpha_big, gr_full = build_aut_grammar(g, t)
+    # word position i holds s(alpha(i)), so 1..n is invariant unless a rule
+    # writes a terminal above n at a position i with alpha(i) <= n; the
+    # grammar is trim, so a parse tree through that rule is an automorphism
+    writes = _writes(gr_full, _word_lengths(gr_full))
+    moved = (r for i in range(1, m + 1) if alpha_big(i) <= n for a, r in writes[i] if a > n)
+    bad = next(moved, None)
+    if bad is not None:
+        witness = permutation_from_aligned_word(_word_through(gr_full, bad), alpha_big)
+        raise GrammarError(
+            f"prefix 1..{n} not invariant under the automorphism group "
+            f"(witness {format_permutation(witness)})"
+        )
     kept = [i for i in range(1, m + 1) if alpha_big(i) <= n]
     alpha = Permutation(tuple(alpha_big(i) for i in kept))
     erased = erase_terminals(gr_full, n)

@@ -42,10 +42,11 @@ are taken as they are.  A point is decided on two independent paths:
 The two agree exactly when the flow polytope projects onto conv(words),
 so their agreement tests that claim directly.
 
-`build_extended_formulation` reads the same table: one int pass gives
-each variable's word length, and a breadth-first walk by index gives its
-offset.  The set semiring runs only to word the error on a variable with
-several lengths.
+`build_extended_formulation` reads the same table through the grammar
+layer's `_word_lengths`, one int pass giving each variable's word length,
+and `_writes`, a breadth-first walk by index that places each variable at
+its offset and each terminal at its position.  The set semiring runs only
+to word the error on a variable with several lengths.
 
 Layering: the LP-file path (`parse_lp`, `check_lp_feasibility`, the
 presolve and the simplex) imports nothing from `grammar`.  Only the
@@ -136,28 +137,13 @@ def build_extended_formulation(gr: Grammar, style: str = "value") -> ExtendedFor
     of one length, from one start offset, and is reachable.  A grammar
     with no words gives the formulation with an infeasible source row,
     with one warning."""
-    from .grammar import _compiled, _variable_lengths
+    from .grammar import _NO_WORD, GrammarError, _compiled, _variable_lengths, _word_lengths, _writes
 
     if style not in ("value", "matrix"):
         raise PolytopeError(f"unknown projection style {style!r}")
     start, order, ends, ids, kids = _compiled(gr)
-    rules = gr.rules
-    # each variable's one word length; NONE when it derives no word, MANY
-    # when it derives words of several lengths
-    NONE, MANY = -1, -2
-    length = [NONE] * len(order)
-    for v in order:
-        for j in range(ends[v], ends[v + 1]):
-            lr = len(rules[ids[j]][1]) - len(kids[j])  # the rule's terminals
-            for k in kids[j]:
-                lk = length[k]
-                if lk == NONE:
-                    break
-                lr = MANY if lk == MANY or lr == MANY else lr + lk
-            else:
-                lv = length[v]
-                length[v] = lr if lv == NONE or lv == lr else MANY
-    empty_language = length[start] == NONE and not gr.accepts_empty
+    length = _word_lengths(gr)
+    empty_language = length[start] == _NO_WORD and not gr.accepts_empty
     if empty_language:
         # no words to project; the flow system itself is infeasible, and
         # every rule keeps its flow terms
@@ -173,34 +159,13 @@ def build_extended_formulation(gr: Grammar, style: str = "value") -> ExtendedFor
                 f"variable {_quote(name)} derives strings of lengths {sorted(ls)}; not positional"
             )
 
-    flow = [f"y_{r}" for r in range(len(rules))]
+    flow = [f"y_{r}" for r in range(len(gr.rules))]
     writes: dict[int, list[tuple[int, int]]] = {}  # position -> (symbol, rule)
     if not empty_language:
-        offset = [0] * len(order)  # 0: not reached yet
-        offset[start] = 1
-        reached = [start]
-        for v in reached:  # breadth first; grows as the walk reaches new variables
-            for j in range(ends[v], ends[v + 1]):
-                r = ids[j]
-                at, ks = offset[v], iter(kids[j])
-                for x in rules[r][1]:
-                    if x.__class__ is int:
-                        writes.setdefault(at, []).append((x, r))
-                        at += 1
-                        continue
-                    k = next(ks)
-                    if not offset[k]:
-                        offset[k] = at
-                        reached.append(k)
-                    elif offset[k] != at:
-                        raise PolytopeError(
-                            f"variable {_quote(x)} occurs at spans starting {offset[k]} "
-                            f"and {at}; not positional"
-                        )
-                    at += length[k]
-        if len(reached) < len(order):
-            v = gr.variables[offset.index(0)]
-            raise PolytopeError(f"variable {_quote(v)} unreachable; trim the grammar first")
+        try:
+            writes = _writes(gr, length)
+        except GrammarError as e:  # a variable at two offsets, or never reached
+            raise PolytopeError(str(e)) from None
 
     into = [(1, flow[r]) for r in ids]  # per listed rule: the flow into its lhs
     out: list = [[] for _ in order]  # per variable: the flows of the rules using it

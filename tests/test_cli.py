@@ -176,6 +176,25 @@ def test_embed_non_invariant_exit_3(tmp_path):
     assert "not invariant" in r.stderr
 
 
+def test_embed_above_oracle_cap(tmp_path):
+    # the depth-4 binary tree has 31 vertices, past the oracle's cap: its
+    # 15 internal vertices are invariant, and the grammar keeps one parse
+    # tree per automorphism of the host (2^15) for the 2^7 restricted words
+    p = tmp_path / "btree4.edges"
+    p.write_text(format_graph(binary_tree(4)))
+    out = tmp_path / "g.json"
+    r = run_cli("embed", "--graph", str(p), "--keep", "15", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert len(run_cli("enum", str(out)).stdout.splitlines()) == 128
+    assert run_cli("count", str(out)).stdout == "32768\n"
+    # 1..16 takes in one leaf, which the root's swap sends to 24
+    out.unlink()
+    r = run_cli("embed", "--graph", str(p), "--keep", "16", "--out", str(out))
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr.startswith("error: prefix 1..16 not invariant") and len(r.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_member(c4_file, tmp_path):
     out = str(tmp_path / "g.json")
     run_cli("build", "--graph", c4_file, "--out", out)

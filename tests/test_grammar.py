@@ -443,8 +443,10 @@ def test_embedded_star_coset(star5):
 
 
 def test_embedded_rejects_non_invariant(p3):
-    with pytest.raises(GrammarError):
+    # the witness is P3's reversal, in the one-line form `--beta` takes
+    with pytest.raises(GrammarError) as caught:
         build_embedded_group_grammar(p3, 2)
+    assert str(caught.value) == "prefix 1..2 not invariant under the automorphism group (witness 3 2 1)"
 
 
 def test_regular_grammar(p4, c4):

@@ -81,11 +81,16 @@ def test_check_on_lp_file_loads_no_grammar(files):
     assert not modules & (BUILDERS | {"grammar"})
 
 
-@pytest.mark.parametrize("path", [False, True], ids=["tree", "path"])
-def test_build_loads_no_oracle_or_polytope(files, path):
-    args = ["build", "--graph", files["graph"], "--out", files["out"]]
-    code, modules = loaded_by(*args, *(["--path"] if path else []))
-    assert code == 0
+@pytest.mark.parametrize(
+    "command, expected",
+    [(["build"], 0), (["build", "--path"], 0), (["embed", "--keep", "4"], 0), (["embed", "--keep", "2"], 3)],
+    ids=["tree", "path", "embed", "embed-rejected"],
+)
+def test_build_loads_no_oracle_or_polytope(files, command, expected):
+    # embed decides invariance from the grammar it builds, on an invariant
+    # prefix and on one that is not (C4's 1..2)
+    code, modules = loaded_by(*command, "--graph", files["graph"], "--out", files["out"])
+    assert code == expected
     assert not modules & {"oracle", "polytope"}
 
 

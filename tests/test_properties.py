@@ -10,8 +10,10 @@ On random acyclic grammars: the streamed language against the
 set-semiring reference, and the LP text round trip of every formulation
 built from one.  On random positional grammars: the same round trip, and
 the projection path's master LP against its Fraction reference and the
-LP file's verdict."""
+LP file's verdict.  On connected graphs and every prefix size: the embed
+builder's invariance check against the oracle's."""
 
+import re
 import warnings
 from fractions import Fraction
 
@@ -31,15 +33,17 @@ from autgrammar.decomp import (
 from autgrammar.graph import Graph, closed_neighborhood
 from autgrammar.grammar import (
     Grammar,
+    GrammarError,
     build_aut_grammar,
+    build_embedded_group_grammar,
     build_regular_aut_grammar,
     count_parse_trees,
     enumerate_language,
     grammar_to_json,
     iter_language,
 )
-from autgrammar.oracle import brute_force_automorphisms
-from autgrammar.perm import Word, permute_word, to_string_word
+from autgrammar.oracle import brute_force_automorphisms, restricted_action
+from autgrammar.perm import Word, parse_permutation, permute_word, to_string_word
 from autgrammar.polytope import (
     PolytopeError,
     _lp_system,
@@ -198,6 +202,35 @@ def test_builders_match_oracle(g):
         assert list(enumerate_language(gr).words) == expected
         assert count_parse_trees(gr) == len(auts)
         assert grammar_to_json(gr) == json_reference(gr)
+
+
+NOT_INVARIANT = re.compile(
+    r"prefix 1\.\.(\d+) not invariant under the automorphism group \(witness ([\d ]+)\)"
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(connected_graphs())
+def test_embed_rejects_exactly_the_non_invariant_prefixes(g):
+    # the embed builder reads invariance off the host's grammar: it raises
+    # exactly when the oracle finds 1..n not invariant, and names as its
+    # witness, in the one-line form `--beta` takes, an automorphism that
+    # sends some vertex of 1..n outside it
+    auts = brute_force_automorphisms(g)
+    assume(len(auts) <= MAX_GROUP)
+    for n in range(1, g.vertex_count + 1):
+        invariant = restricted_action(g, n).invariant
+        try:
+            build_embedded_group_grammar(g, n)
+        except GrammarError as e:
+            assert not invariant, (n, e)
+            match = NOT_INVARIANT.fullmatch(str(e))
+            assert match and int(match[1]) == n, e
+            witness = parse_permutation(match[2])
+            assert witness in auts
+            assert any(witness(v) > n for v in range(1, n + 1))
+        else:
+            assert invariant, n
 
 
 @settings(max_examples=60, deadline=None)
