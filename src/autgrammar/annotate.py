@@ -16,9 +16,12 @@ which automorphisms preserve, and join_annotations enumerates each child's
 annotations only as extensions of its parent's images on their shared
 domain.  When the parent pins the child's whole domain, as it does for
 most children of a permutation-yielding decomposition, each such image
-is an annotation already and no search runs.  Nothing is cached between
-calls: the colouring is computed once per call and dropped with the
-annotations.
+is an annotation already and no search runs.  The search places one
+domain vertex at a time and checks a candidate image's adjacency to all
+placed vertices with one set comparison, against the images of the
+vertex's placed neighbours, collected once per vertex.  Nothing is
+cached between calls: the colouring is computed once per call and
+dropped with the annotations.
 
 The search and the join hold an annotation of bag S as its image tuple
 over the sorted domain N[S], and the grammar builders read images from
@@ -102,7 +105,10 @@ class _Search:
         vertices, whose images must fill the closed neighbourhood of the
         image bag.  Each placement checks colour, injectivity and adjacency
         to every placed vertex in both directions, so every complete map is
-        an annotation."""
+        an annotation.  The adjacency rule is one set comparison per
+        candidate: the images of the vertex's placed neighbours are
+        collected once per vertex, and a candidate c passes when the used
+        images adjacent to c are exactly those."""
         colour, adjacent, classes, closed = self.colour, self.adjacent, self.classes, self.closed
         dom = closed_neighborhood(self.g, bag)
         order = [v for v in bag if v not in pinned]
@@ -123,21 +129,25 @@ class _Search:
                 if len(target) != len(dom):
                     return
             if k == len(order):
-                found.append(tuple([phi[v] for v in dom]))
+                found.append(tuple(map(phi.__getitem__, dom)))
                 return
             v = order[k]
-            adj_v = adjacent[v]
+            # phi is injective and used holds its images, so c keeps
+            # adjacency both ways to every placed vertex exactly when the
+            # placed images adjacent to c are the images of v's neighbours
+            images = {phi[u] for u in adjacent[v] if u in phi}
+            last = k + 1 == len(order) and target is not None  # each c completes a map
             for c in classes[colour[v]] if k < placed_bag else target:
-                if c in used or colour[c] != colour[v]:
-                    continue
-                adj_c = adjacent[c]
-                if any((u in adj_v) != (img in adj_c) for u, img in phi.items()):
+                if c in used or colour[c] != colour[v] or adjacent[c] & used != images:
                     continue
                 phi[v] = c
-                used.add(c)
-                extend(k + 1, target)
+                if last:
+                    found.append(tuple(map(phi.__getitem__, dom)))
+                else:
+                    used.add(c)
+                    extend(k + 1, target)
+                    used.discard(c)
                 del phi[v]
-                used.discard(c)
 
         for key in keys:
             phi.clear()

@@ -46,8 +46,11 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise _UsageError(f"cannot write {path}: {e.strerror}") from None
 
 
 def _load_graph(path: str):

@@ -187,25 +187,33 @@ def _decomposition_from_elimination(g: Graph, order: list[int]) -> TreeDecomposi
 
 
 def _min_fill_order(g: Graph) -> list[int]:
+    """Eliminate, at each step, the vertex whose neighbours lack the fewest
+    edges among themselves, the smallest such vertex on a tie.  The fill
+    counts are kept between steps (Amestoy, Davis & Duff, "An approximate
+    minimum degree ordering algorithm", 1996, keep degrees the same way):
+    eliminating x changes the neighbourhood of x's neighbours and the
+    edges among the neighbours of theirs, so only those are recounted."""
     adj: dict[int, set[int]] = {v: set(g.neighbors[v]) for v in g.vertices}
+
+    def fill(v: int) -> int:
+        ns = adj[v]
+        return sum(1 for a in ns for b in ns if a < b and b not in adj[a])
+
+    # in increasing vertex order, which deleting keys keeps, so min, which
+    # returns the first of equal keys, breaks a tie by the smallest vertex
+    fills = {v: fill(v) for v in adj}
     order: list[int] = []
-    while adj:
-        best_v, best_fill = None, None
-        for v in sorted(adj):
-            ns = adj[v]
-            fill = sum(
-                1 for a in ns for b in ns if a < b and b not in adj[a]
-            )
-            if best_fill is None or fill < best_fill:
-                best_v, best_fill = v, fill
-        ns = adj[best_v]
+    while fills:
+        x = min(fills, key=fills.__getitem__)
+        del fills[x]
+        ns = adj.pop(x)
         for a in ns:
-            for b in ns:
-                if a != b:
-                    adj[a].add(b)
-            adj[a].discard(best_v)
-        del adj[best_v]
-        order.append(best_v)
+            adj[a] |= ns
+            adj[a].discard(a)
+            adj[a].discard(x)
+        for v in ns.union(*(adj[a] for a in ns)):
+            fills[v] = fill(v)
+        order.append(x)
     return order
 
 

@@ -30,6 +30,8 @@ itself, so no builder loads `oracle` or `polytope`.
 The read side runs on one table per grammar (`_compiled`), built on first
 use and cached on the grammar: the variables as ints in dependencies-first
 order, and each variable's rules with their rhs variables as int indexes.
+The tree builder writes its rules from that table's ints and hands the
+table over with the grammar, so reading a built grammar hashes no name.
 Parse-tree counting, the word lengths and the positions each rule writes
 (`_word_lengths`, `_writes`: read by the extended formulation and the
 embed check) and the polytope's max-plus pricing loop over it directly;
@@ -68,8 +70,9 @@ class CyclicGrammarError(GrammarError):
 class Grammar:
     """Immutable; equal, and hashed alike, when every field is equal."""
 
-    # _table caches `_compiled(self)`, set on first use; it is derived
-    # from the other fields, so no comparison, hash, repr or pickle reads it
+    # _table caches `_compiled(self)`, set on first use or by the tree
+    # builder; it is derived from the other fields, so no comparison,
+    # hash, repr or pickle reads it
     __slots__ = ("sigma_max", "start", "variables", "rules", "accepts_empty", "_table")
 
     def __init__(
@@ -143,7 +146,10 @@ class _Table(NamedTuple):
     """A grammar's read side on ints.  Variable v is gr.variables[v].  The
     rules are listed grouped by lhs, in rule order within each group: the
     j-th listed rule is gr.rules[ids[j]], and variable v's rules are those
-    listed from ends[v] to ends[v + 1]."""
+    listed from ends[v] to ends[v + 1].  order is a dependencies-first
+    order: `_compiled` finds one by depth-first search, which names the
+    variable of a cycle, and the tree builder, whose grammars have none,
+    hands over the reverse of its numbering."""
 
     start: int
     order: list  # the variables, dependencies first
@@ -153,9 +159,9 @@ class _Table(NamedTuple):
 
 
 def _compiled(gr: Grammar) -> _Table:
-    """The grammar's `_Table`, built on first use and kept in the
-    grammar's `_table` slot, which no comparison, hash, repr or pickle
-    reads.  Raises on recursion.
+    """The grammar's `_Table`, built on first use (unless the tree builder
+    handed it over) and kept in the grammar's `_table` slot, which no
+    comparison, hash, repr or pickle reads.  Raises on recursion.
 
     The order is a depth-first search from each variable in declaration
     order, visiting a variable's dependencies in order of first appearance
@@ -548,24 +554,52 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
     # a leaf writes the image of its one vertex
     written = {p: t.bag(p)[0] for p in t.positions if not t.children(p)}
     dom, ann, cls, first, keys, index = join_annotations(g, t, written)
-    # one variable per merge class, in position order: p:<pos>|b:<k>
-    # stands for the k-th class at p, in first-appearance order
-    name = {}
+    # one variable per merge class, in position order after B1 (variable
+    # 0): p:<pos>|b:<k>, variable base[p] + k, stands for the k-th class
+    # at p, in first-appearance order
+    base, names = {}, ["B1"]
     for p in t.positions:
         head = f"p:{_pos_str(p)}|b:"
-        name[p] = [f"{head}{k}" for k in range(len(first[p]))]
-    variables = ("B1", *(v for p in t.positions for v in name[p]))
-    rules: list = [("B1", (name[ROOT][k],)) for k in cls[ROOT] if k is not None]
+        base[p] = len(names)
+        names.extend([f"{head}{k}" for k in range(len(first[p]))])
+    variables = tuple(names)
+    # the read table as the rules are written, each variable's together:
+    # their rhs variables as ints, and each variable's number of rules
+    kids: list = [(base[ROOT] + k,) for k in cls[ROOT] if k is not None]
+    count = [len(kids)]
+    rules: list = [("B1", (variables[k],)) for (k,) in kids]
+    repeat, spell = itertools.repeat, itertools.repeat(variables.__getitem__)
     for p in t.positions:
-        kids = t.children(p)
-        if not kids:
+        children, lhs = t.children(p), variables[base[p]:base[p] + len(first[p])]
+        if not children:
             at = dom[p].index(written[p])
-            rules.extend((v, (ann[p][i][at],)) for v, i in zip(name[p], first[p]))
+            rules.extend(zip(lhs, [(ann[p][i][at],) for i in first[p]]))
+            kids.extend([()] * len(lhs))
+            count.extend([1] * len(lhs))
             continue
-        for v, i in zip(name[p], first[p]):
-            choices = [[name[c][cls[c][j]] for j in index[c][keys[c][i]]] for c in kids]
-            rules.extend((v, rhs) for rhs in itertools.product(*choices))
-    return yield_order_of(t), Grammar(g.vertex_count, "B1", variables, tuple(rules))
+        # a class's rules are the product, over the children, of the
+        # variables of its first annotation's partners there.  Nearly every
+        # class has one rule, so the work is batched per position and
+        # child, and the rhs names are spelled from the ints
+        partners = []
+        for c in children:
+            var = [None if k is None else base[c] + k for k in cls[c]]
+            at_c = map(index[c].__getitem__, map(keys[c].__getitem__, first[p]))
+            partners.append(map(map, repeat(var.__getitem__), at_c))
+        products = list(map(list, itertools.starmap(itertools.product, zip(*partners))))
+        sizes = list(map(len, products))
+        done = len(kids)
+        kids.extend(itertools.chain.from_iterable(products))
+        count.extend(sizes)
+        each_lhs = itertools.chain.from_iterable(map(repeat, lhs, sizes))
+        rules.extend(zip(each_lhs, map(tuple, map(map, spell, kids[done:]))))
+    gr = Grammar(g.vertex_count, "B1", variables, tuple(rules))
+    # positions sort parents first, so the variables backwards list each
+    # class before the classes whose rules use it
+    order = list(range(len(variables) - 1, -1, -1))
+    ends = list(itertools.accumulate(count, initial=0))
+    object.__setattr__(gr, "_table", _Table(0, order, ends, range(len(rules)), kids))
+    return yield_order_of(t), gr
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from autgrammar.decomp import (
 )
 from autgrammar.grammar import (
     Grammar,
+    _compiled,
     build_aut_grammar,
     build_embedded_group_grammar,
     build_regular_aut_grammar,
@@ -119,6 +120,52 @@ def random_connected_graph(rng, n: int) -> Graph:
         g = Graph(n, edges)
         if is_connected(g):
             return g
+
+
+def relabel(g: Graph, rng) -> Graph:
+    """g with its vertices renamed by a permutation that rng draws."""
+    label = list(g.vertices)
+    rng.shuffle(label)
+    return Graph(g.vertex_count, [(label[u - 1], label[v - 1]) for u, v in g.edges])
+
+
+def reference_min_fill_order(g: Graph) -> list[int]:
+    """The min-fill elimination order computed from scratch: at each step,
+    every remaining vertex's fill is counted anew and the smallest vertex
+    of least fill is eliminated."""
+    adj: dict[int, set[int]] = {v: set(g.neighbors[v]) for v in g.vertices}
+    order: list[int] = []
+    while adj:
+        best_v, best_fill = None, None
+        for v in sorted(adj):
+            ns = adj[v]
+            fill = sum(1 for a in ns for b in ns if a < b and b not in adj[a])
+            if best_fill is None or fill < best_fill:
+                best_v, best_fill = v, fill
+        ns = adj[best_v]
+        for a in ns:
+            for b in ns:
+                if a != b:
+                    adj[a].add(b)
+            adj[a].discard(best_v)
+        del adj[best_v]
+        order.append(best_v)
+    return order
+
+
+def check_handed_over_table(gr: Grammar) -> None:
+    """The table the tree builder hands over with gr is the one `_compiled`
+    builds from gr's fields, except that its order may be any order that
+    lists each variable once, after every variable its rules use."""
+    table = gr._table
+    fresh = _compiled(Grammar(gr.sigma_max, gr.start, gr.variables, gr.rules))
+    assert (table.start, table.ends, list(table.ids), table.kids) == (
+        fresh.start, fresh.ends, list(fresh.ids), fresh.kids)
+    assert sorted(table.order) == list(range(len(gr.variables)))
+    ordered = [False] * len(gr.variables)
+    for v in table.order:
+        assert all(ordered[k] for ks in table.kids[table.ends[v]:table.ends[v + 1]] for k in ks)
+        ordered[v] = True
 
 
 def json_reference(gr) -> str:

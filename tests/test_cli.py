@@ -118,6 +118,27 @@ def test_usage_errors(c4_file, tmp_path):
         assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize("command", ["build", "embed", "lift"])
+def test_unwritable_out_exit_2(c4_file, star5_file, tmp_path, capsys, command, where):
+    grammar = tmp_path / "c4.json"
+    assert main(["build", "--graph", c4_file, "--out", str(grammar)]) == 0
+    args = {
+        "build": ["build", "--graph", c4_file],
+        "embed": ["embed", "--graph", star5_file, "--keep", "4"],
+        "lift": ["lift", str(grammar)],
+    }[command]
+    out, reason = {
+        "missing directory": (tmp_path / "missing" / "x.out", "No such file or directory"),
+        "directory": (tmp_path, "Is a directory"),
+    }[where]
+    capsys.readouterr()
+    assert main([*args, "--out", str(out)]) == 2
+    # one error line; build and embed print alpha only after the write
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}\n")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_validate(c4_file):
     r = run_cli("validate", "--graph", c4_file)
     assert r.returncode == 0, r.stderr

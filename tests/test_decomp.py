@@ -9,6 +9,7 @@ from autgrammar.decomp import (
     TreeDecomposition,
     _exact_order,
     _layout_bags,
+    _min_fill_order,
     compute_path_decomposition,
     compute_tree_decomposition,
     introduced_order,
@@ -21,7 +22,15 @@ from autgrammar.decomp import (
 )
 from autgrammar.graph import DisconnectedGraphError, Graph, is_connected
 from autgrammar.perm import Permutation
-from conftest import cycle_graph, path_graph, random_connected_graph
+from conftest import (
+    binary_tree,
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    random_connected_graph,
+    reference_min_fill_order,
+    relabel,
+)
 
 
 def connected_graphs(max_vertices):
@@ -96,6 +105,16 @@ def test_min_fill_valid_on_corpus(corpus):
     for name, g in corpus.items():
         t = compute_tree_decomposition(g, "min-fill")
         assert validate_tree_decomposition(g, t).ok, name
+
+
+def test_min_fill_matches_reference_on_relabelled_corpus(corpus):
+    # relabelling moves the ties that min-fill breaks by the smallest vertex
+    rng = random.Random(11)
+    graphs = [*corpus.values(), *map(path_graph, (2, 9, 30)), *map(cycle_graph, (3, 10, 20)),
+              grid_graph(3, 4), grid_graph(4, 4), binary_tree(3), binary_tree(4)]
+    for g in graphs:
+        for h in (g, *(relabel(g, rng) for _ in range(3))):
+            assert _min_fill_order(h) == reference_min_fill_order(h), sorted(h.edges)
 
 
 def test_path_has_width_one():

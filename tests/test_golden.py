@@ -1,10 +1,15 @@
-"""Golden bytes: sha256 digests of builder output on fixed, naturally
-labelled graphs.  Any change to the construction that moves a rule, a
-variable name or an LP row shows here; the digests were recorded before
-the consistency join and the class merging became one pass, and that
-rework keeps them."""
+"""Golden bytes: sha256 digests of builder output on fixed graphs.  Any
+change to the construction that moves a rule, a variable name or an LP row
+shows here.  The digests of the naturally labelled graphs were recorded
+before the consistency join and the class merging became one pass, and
+that rework keeps them.  The digests of the relabelled graphs, where
+min-fill's tie-breaks and the annotation search's candidate order act,
+were recorded before min-fill kept its fill counts, the search tested
+adjacency once per placed vertex and the tree builder handed over its
+table, and those changes keep them."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -15,6 +20,7 @@ from autgrammar.decomp import (
 )
 from autgrammar.graph import Graph
 from autgrammar.grammar import build_aut_grammar, build_regular_aut_grammar, grammar_to_json
+from autgrammar.perm import format_permutation
 from autgrammar.polytope import build_extended_formulation, emit_lp
 from conftest import (
     binary_tree,
@@ -24,6 +30,7 @@ from conftest import (
     grid_graph,
     path_graph,
     petersen_graph,
+    relabel,
     spider,
     star_graph,
 )
@@ -71,6 +78,35 @@ LP_DIGESTS = {
     "btree3": "93ae4c62360ef6fdaaaf5af5bbfa9a211f9cb210d10d0264bac535792cf648d8",
 }
 
+# name -> (graph, seed of the relabelling)
+RELABELLED = {
+    "C20": (lambda: cycle_graph(20), 1),
+    "P30": (lambda: path_graph(30), 2),
+    "btree4": (lambda: binary_tree(4), 3),
+    "grid4x4": (lambda: grid_graph(4, 4), 4),
+    "Q3": (cube_graph, 5),
+    "Petersen": (petersen_graph, 6),
+}
+
+# name -> (`build` output, `build --path` output or None above 10 vertices,
+# `lift` output): a build's output is its grammar JSON and its alpha line
+RELABELLED_DIGESTS = {
+    "C20": ("afb26a5d58eb49c1a7b1d84ec5c82b8e7527296dbf11bdc87f7f270db7179ef9", None,
+            "bf36d4499c8bf34c6bbf868b5c7875d3570472cf15ab9bf101919d37b0755dc5"),
+    "P30": ("787c3e026faf303b834baaee3c6d109aed289b693de7298ec2cfdbf8259152a8", None,
+            "866f78ea6f38ac42e3103e232d5452131fadc2445aec57bc346d46cace33926f"),
+    "btree4": ("2da8727c15bc8be469f45f3a145f1348dca4874d3eb1c00176e6f1da524c289e", None,
+               "c865e0d25046db04ec7b2409a0ee77bb922d4a64aa8cacf9e42b4708f6f8521d"),
+    "grid4x4": ("9c0dbb07b3301eed81b47baf38f34ccb85cc9762d98fabdc3d58fd00b85f0b30", None,
+                "08a84a2a254be5c59a2dfc8d8189f034628b43716aac63faed44146bda27244a"),
+    "Q3": ("8cf853d464079df2297b02a0902b5698fce6eb514993e9c1046f95c089162b35",
+           "2adf15dddadd394fd32afde44e76a1ae38709715281964d929e17e0e58cb4cb1",
+           "66a91f332b4312579d2e9364a57fa2d715f67823d51a6408cb7117648bc39baa"),
+    "Petersen": ("78c2238b86a72f60487398905cb72e6763ce958663da6d2f67f7ab24641dab0d",
+                 "0d351cfbfae5e87f20ba6f8270b991c6919720c636a33da454fc0a6bf2d7ce75",
+                 "a62dd08c2c5885820ad945e8734c8a9088933f0fa5265d34155550ce9c65fe80"),
+}
+
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
@@ -93,3 +129,20 @@ def test_builder_bytes(name):
 def test_lp_bytes(name):
     lp = emit_lp(build_extended_formulation(_tree_grammar(GRAPHS[name]())))
     assert _digest(lp) == LP_DIGESTS[name]
+
+
+def _build_output(alpha, gr) -> str:
+    return grammar_to_json(gr) + format_permutation(alpha) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(RELABELLED))
+def test_relabelled_bytes(name):
+    make, seed = RELABELLED[name]
+    g = relabel(make(), random.Random(seed))
+    t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, "min-fill"))
+    alpha, gr = build_aut_grammar(g, t)
+    regular = None
+    if g.vertex_count <= 10:
+        regular = _digest(_build_output(*build_regular_aut_grammar(g, compute_path_decomposition(g))))
+    lift = _digest(emit_lp(build_extended_formulation(gr)))
+    assert (_digest(_build_output(alpha, gr)), regular, lift) == RELABELLED_DIGESTS[name]

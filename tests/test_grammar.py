@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import time
 import tracemalloc
 
@@ -58,13 +59,18 @@ from autgrammar.perm import (
 from autgrammar.polytope import build_extended_formulation, lift_parse_tree
 from conftest import (
     binary_tree,
+    check_handed_over_table,
     consistent_bags,
     cubic8,
+    cycle_graph,
+    grid_graph,
     json_reference,
     oracle_annotations,
     path_graph,
     random_connected_graph,
     reference_language,
+    relabel,
+    spider,
 )
 
 
@@ -243,6 +249,24 @@ def test_compiled_table_is_invisible():
         with pytest.raises(AttributeError, match="Grammar is immutable"):
             setattr(gr, field, None)
     assert count_parse_trees(gr) == 4
+    # so is the table the tree builder hands over with its grammar
+    built = aut_grammar(binary_tree(2))[1]
+    plain = Grammar(built.sigma_max, built.start, built.variables, built.rules)
+    assert hasattr(built, "_table") and not hasattr(plain, "_table")
+    assert built == plain and hash(built) == hash(plain) and repr(built) == repr(plain)
+    assert pickle.dumps(built) == pickle.dumps(plain)
+    back = pickle.loads(pickle.dumps(built))
+    assert back == built and not hasattr(back, "_table")
+    assert count_parse_trees(built) == count_parse_trees(back) == 8
+
+
+def test_tree_builder_hands_over_its_table(corpus):
+    rng = random.Random(17)
+    graphs = [*corpus.values(), path_graph(12), cycle_graph(12), grid_graph(3, 3),
+              binary_tree(3), spider(3, 2)]
+    for g in graphs:
+        for h in (g, relabel(g, rng)):
+            check_handed_over_table(aut_grammar(h)[1])
 
 
 def test_rules_out_of_lhs_order():

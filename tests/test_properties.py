@@ -11,7 +11,9 @@ set-semiring reference, and the LP text round trip of every formulation
 built from one.  On random positional grammars: the same round trip, and
 the projection path's master LP against its Fraction reference and the
 LP file's verdict.  On connected graphs and every prefix size: the embed
-builder's invariance check against the oracle's."""
+builder's invariance check against the oracle's, and the table the
+tree builder hands over against the one compiled from its grammar.  On
+any graph: min-fill's kept fill counts against counting them anew."""
 
 import re
 import warnings
@@ -26,6 +28,7 @@ from hypothesis import assume, given, settings, strategies as st
 from autgrammar.annotate import AnnotatedBag, AnnotationError, _Search, count_assignments, join_annotations
 from autgrammar.decomp import (
     TreeDecomposition,
+    _min_fill_order,
     compute_path_decomposition,
     compute_tree_decomposition,
     make_permutation_yielding,
@@ -58,9 +61,11 @@ from autgrammar.polytope import (
 from conftest import (
     check_annotated_bag,
     check_certificate,
+    check_handed_over_table,
     json_reference,
     lp_number_types,
     reference_language,
+    reference_min_fill_order,
     reference_projection_verdict,
     reference_simplex_feasible,
 )
@@ -78,6 +83,16 @@ def connected_graphs(draw, max_vertices: int = 8) -> Graph:
     others = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1) if (u, v) not in tree]
     extra = draw(st.sets(st.sampled_from(others))) if others else set()
     return Graph(n, tree | extra)
+
+
+@st.composite
+def graphs(draw, max_vertices: int = 14) -> Graph:
+    """Any graph, connected or not: each pair is an edge with a drawn
+    probability, so dense graphs are drawn as often as sparse ones."""
+    n = draw(st.integers(1, max_vertices))
+    p = draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]))
+    rng = draw(st.randoms(use_true_random=False))
+    return Graph(n, [(u, v) for u in range(1, n) for v in range(u + 1, n + 1) if rng.random() < p])
 
 
 @st.composite
@@ -202,6 +217,21 @@ def test_builders_match_oracle(g):
         assert list(enumerate_language(gr).words) == expected
         assert count_parse_trees(gr) == len(auts)
         assert grammar_to_json(gr) == json_reference(gr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_min_fill_matches_reference(g):
+    # the kept fill counts pick what counting every fill anew picks
+    assert _min_fill_order(g) == reference_min_fill_order(g)
+
+
+@settings(max_examples=50, deadline=None)
+@given(connected_graphs())
+def test_tree_builder_hands_over_its_table(g):
+    assume(len(brute_force_automorphisms(g)) <= MAX_GROUP)
+    t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, "min-fill"))
+    check_handed_over_table(build_aut_grammar(g, t)[1])
 
 
 NOT_INVARIANT = re.compile(
