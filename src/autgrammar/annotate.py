@@ -285,7 +285,7 @@ def count_assignments(g: Graph, t: TreeDecomposition) -> int:
     root's counts sum to the total."""
     report = validate_tree_decomposition(g, t)
     if not report.ok:
-        raise AnnotationError(f"decomposition invalid: {report.violations}")
+        raise AnnotationError(f"decomposition invalid: {report.violations[0].message}")
     _, _, cls, _, keys, index = join_annotations(g, t)
     count: dict = {}
     for p in reversed(t.positions):  # children before parents

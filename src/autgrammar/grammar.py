@@ -20,7 +20,7 @@ merges them into classes in one pass; both builders only name the classes
 and write one class's rules from its first annotation.
 
 Layering: the read side (JSON, the compiled table, the semiring pass
-`_evaluator` and what is built on it: counting, enumeration, membership,
+`_evaluate` and what is built on it: counting, enumeration, membership,
 size, regularity and the transforms) imports no builder layer.  The three
 builders import `annotate`, `decomp` and `graph` inside their own bodies,
 so a process that only reads a grammar file never loads them.  The embed
@@ -33,10 +33,10 @@ order, and each variable's rules with their rhs variables as int indexes.
 The tree builder writes its rules from that table's ints and hands the
 table over with the grammar, so reading a built grammar hashes no name.
 Parse-tree counting, the word lengths and the positions each rule writes
-(`_word_lengths`, `_writes`: read by the extended formulation and the
-embed check) and the polytope's max-plus pricing loop over it directly;
-the semiring pass walks its order and rule lists for the semirings of
-sets, spans and trees.
+(`_length_bounds`, `_writes`: read by the extended formulation, the embed
+check, `trim` and `erase_terminals`) and the polytope's max-plus pricing
+loop over it directly; the semiring pass walks its order and rule lists
+for the semirings of sets, spans and trees, valuing variables by index.
 """
 
 from __future__ import annotations
@@ -83,8 +83,11 @@ class Grammar:
         rules: tuple,
         accepts_empty: bool = False,
     ):
-        # only what the JSON format holds: a string per variable, a plain
-        # int (not a bool, which is an int subclass) for every number
+        # only what the JSON format holds: true or false for the flag, a
+        # string per variable, and a plain int (not a bool, which is an int
+        # subclass) for every number
+        if type(accepts_empty) is not bool:
+            raise GrammarError(f"accepts_empty must be true or false, got {type(accepts_empty).__name__}")
         if type(sigma_max) is not int:
             raise GrammarError(f"sigma_max {_quote(sigma_max)} is not an integer")
         if sigma_max < 0:
@@ -215,35 +218,39 @@ def _compiled(gr: Grammar) -> _Table:
     return table
 
 
-_NO_WORD, _MIXED = -1, -2  # the word length of a variable with no words, or several lengths
-
-
-def _word_lengths(gr: Grammar) -> list[int]:
-    """Each variable's one word length, by index: _NO_WORD when it derives
-    no word, _MIXED when it derives words of several lengths."""
+def _length_bounds(gr: Grammar, keep: int | None = None) -> tuple[list[int], list[int]]:
+    """Each variable's shortest and longest word length, by index, both -1
+    when it derives no word; given keep, the terminals above it count as
+    erased.  A variable derives words of one length when low == high >= 0."""
     _, order, ends, ids, kids = _compiled(gr)
     rules = gr.rules
-    length = [_NO_WORD] * len(order)
+    low, high = [-1] * len(order), [-1] * len(order)
     for v in order:
+        lo = hi = -1
         for j in range(ends[v], ends[v + 1]):
-            lr = len(rules[ids[j]][1]) - len(kids[j])  # the rule's terminals
-            for k in kids[j]:
-                lk = length[k]
-                if lk == _NO_WORD:
+            ks, rhs = kids[j], rules[ids[j]][1]
+            a = len(rhs) - len(ks) if keep is None else sum([x.__class__ is int and x <= keep for x in rhs])
+            b = a
+            for k in ks:
+                if low[k] < 0:
                     break
-                lr = _MIXED if lk == _MIXED or lr == _MIXED else lr + lk
+                a += low[k]
+                b += high[k]
             else:
-                lv = length[v]
-                length[v] = lr if lv == _NO_WORD or lv == lr else _MIXED
-    return length
+                if lo < 0 or a < lo:
+                    lo = a
+                if b > hi:
+                    hi = b
+        low[v], high[v] = lo, hi
+    return low, high
 
 
 def _writes(gr: Grammar, length: list[int]) -> dict[int, list[tuple[int, int]]]:
     """Word position -> the (symbol, rule index) pairs of the terminals
     written there, for a grammar whose variables each derive words of one
-    length (`_word_lengths`).  A breadth-first walk by index from the start
-    places each variable at its one start offset; raises GrammarError when
-    a variable is met at two offsets or is never reached."""
+    length, given by index (`_length_bounds`).  A breadth-first walk by index
+    from the start places each variable at its one start offset; raises
+    GrammarError when a variable is met at two offsets or is never reached."""
     start, order, ends, ids, kids = _compiled(gr)
     rules = gr.rules
     writes: dict[int, list[tuple[int, int]]] = {}
@@ -311,53 +318,41 @@ def is_regular(gr: Grammar) -> bool:
     return True
 
 
-def _evaluator(gr: Grammar):
-    """One bottom-up pass over the variables in topological order, valued in
-    a semiring (Goodman, "Semiring parsing", 1999), as a function of the
-    semiring.  It walks the grammar's `_compiled` table, so the order and
-    the rules of each variable are worked out once per grammar.
+def _evaluate(gr: Grammar, weight, leaf, times, plus, roots=None) -> list:
+    """Each variable's value, by index, from one bottom-up pass over the
+    `_compiled` table's order, valued in a semiring (Goodman, "Semiring
+    parsing", 1999).
 
     A rule's value folds its rhs with times, starting from weight(rule
     index): a terminal a contributes leaf(a), a variable the value already
     computed for it.  A variable's value is plus over the values of its
-    rules, which plus receives as an iterable (empty for no rules).  The
-    values come back keyed by variable name.  Given roots, a pass values
-    only the variables that the roots derive from."""
+    rules, which plus receives as an iterable (empty for no rules).  Given
+    root indexes, only the variables that the roots derive from are valued;
+    the others stay None."""
     _, order, ends, ids, kids = _compiled(gr)
-    names, rules = gr.variables, gr.rules
+    rules = gr.rules
+    todo = order
+    if roots is not None:
+        needed = [False] * len(order)
+        for v in roots:
+            needed[v] = True
+        for v in reversed(order):  # users before the variables they use
+            if needed[v]:
+                for k in itertools.chain.from_iterable(kids[ends[v]:ends[v + 1]]):
+                    needed[k] = True
+        todo = [v for v in order if needed[v]]
+    value: list = [None] * len(order)
 
-    def run(weight, leaf, times, plus, roots=None) -> dict:
-        todo = order
-        if roots is not None:
-            index = dict(zip(names, range(len(names))))
-            needed = [False] * len(names)
-            for x in roots:
-                needed[index[x]] = True
-            for v in reversed(order):  # users before the variables they use
-                if needed[v]:
-                    for ks in kids[ends[v]:ends[v + 1]]:
-                        for k in ks:
-                            needed[k] = True
-            todo = [v for v in order if needed[v]]
-        value: dict = {}
+    def rule_values(v: int):
+        for j in range(ends[v], ends[v + 1]):
+            acc, kid = weight(ids[j]), iter(kids[j]).__next__
+            for x in rules[ids[j]][1]:
+                acc = times(acc, leaf(x) if x.__class__ is int else value[kid()])
+            yield acc
 
-        def rule_values(v: int):
-            for r in ids[ends[v]:ends[v + 1]]:
-                acc = weight(r)
-                for x in rules[r][1]:
-                    acc = times(acc, leaf(x) if x.__class__ is int else value[x])
-                yield acc
-
-        for v in todo:
-            value[names[v]] = plus(rule_values(v))
-        return value
-
-    return run
-
-
-def _evaluate(gr: Grammar, weight, leaf, times, plus) -> dict:
-    """A single pass of `_evaluator`."""
-    return _evaluator(gr)(weight, leaf, times, plus)
+    for v in todo:
+        value[v] = plus(rule_values(v))
+    return value
 
 
 def _union(sets) -> set:
@@ -412,22 +407,24 @@ def iter_language(gr: Grammar) -> Iterator[tuple[int, ...]]:
     while todo:
         v, before, after = todo.pop()
         for j in range(ends[v], ends[v + 1]):
-            rhs = gr.rules[ids[j]][1]
+            # the rhs with each variable k spelled ~k, which is negative
+            kid = iter(kids[j]).__next__
+            rhs = tuple([x if x.__class__ is int else ~kid() for x in gr.rules[ids[j]][1]])
             i = 0
-            while i < len(rhs) and isinstance(rhs[i], int):
+            while i < len(rhs) and rhs[i] > 0:
                 i += 1
-            # rhs[i], the rhs's first variable if any, is kids[j][0]
-            if i < len(rhs) and (uses[k := kids[j][0]] == 1 or trees[k] ** 2 > whole):
+            if i < len(rhs) and (uses[k := ~rhs[i]] == 1 or trees[k] ** 2 > whole):
                 todo.append((k, before + rhs[:i], rhs[i + 1:] + after))
             else:
                 paths.append((before + rhs[:i], rhs[i:] + after))
     del uses, trees  # the set pass is the peak: free what only the walk needed
-    factors = {x for _, fs in paths for x in fs if isinstance(x, str)}
-    held = _evaluator(gr)(lambda r: {()}, lambda a: {(a,)}, _pairwise_sums, _union, factors)
-    words = {x: tuple(sorted(held[x])) for x in factors}
+    factors = {~x for _, fs in paths for x in fs if x < 0}
+    held = _evaluate(gr, lambda r: {()}, lambda a: {(a,)}, _pairwise_sums, _union, factors)
+    words = {~k: tuple(sorted(held[k])) for k in factors}
     del held  # the sets of every held variable, read by the paths or not
-    mixed = {x for x, ws in words.items() if len(set(map(len, ws))) > 1}
-    words.update({a: ((a,),) for _, fs in paths for a in fs if isinstance(a, int)})
+    low, high = _length_bounds(gr)
+    mixed = {~k for k in factors if low[k] != high[k]}
+    words.update({a: ((a,),) for _, fs in paths for a in fs if a > 0})
     streams = [[()]] if gr.accepts_empty else []
     for head, fs in paths:
         k = next((j for j, x in enumerate(fs[:-1]) if x in mixed), len(fs))
@@ -473,10 +470,6 @@ def count_parse_trees(gr: Grammar) -> int:
     return _tree_counts(table)[table.start]
 
 
-def _variable_lengths(gr: Grammar) -> dict[str, set[int]]:
-    return _evaluate(gr, lambda r: {0}, lambda a: {1}, _pairwise_sums, _union)
-
-
 def membership(gr: Grammar, w: Word) -> bool:
     """Whether w is in the language: each variable is valued by the spans
     (i, j) of w it derives, and w is a member iff the start derives (0, |w|)."""
@@ -493,20 +486,18 @@ def membership(gr: Grammar, w: Word) -> bool:
         return {(i, k) for i, j in left for k in ends.get(j, ())}
 
     spans = _evaluate(gr, lambda r: empty_spans, lambda a: at.get(a, set()), join, _union)
-    return (0, len(symbols)) in spans[gr.start] or (not symbols and gr.accepts_empty)
+    return (0, len(symbols)) in spans[_compiled(gr).start] or (not symbols and gr.accepts_empty)
 
 
 def trim(gr: Grammar) -> Grammar:
     """Drop variables deriving no terminal string or unreachable from the
     start; declaration and rule order are preserved."""
     start, order, ends, ids, kids = _compiled(gr)
-    productive = [False] * len(order)
+    low = _length_bounds(gr)[0]  # -1: derives no word
 
     def usable(ks: tuple) -> bool:
-        return all(productive[k] for k in ks)
+        return all(low[k] >= 0 for k in ks)
 
-    for v in order:
-        productive[v] = any(map(usable, kids[ends[v]:ends[v + 1]]))
     reach = [False] * len(order)
     reach[start] = True
     todo = [start]  # reached variables whose rules are not yet walked
@@ -518,7 +509,7 @@ def trim(gr: Grammar) -> Grammar:
                     if not reach[k]:
                         reach[k] = True
                         todo.append(k)
-    keep = {v for v, live, seen in zip(gr.variables, productive, reach) if live and seen}
+    keep = {v for v, lo, seen in zip(gr.variables, low, reach) if lo >= 0 and seen}
     keep.add(gr.start)
     good = [False] * len(gr.rules)
     for r, ks in zip(ids, kids):
@@ -674,39 +665,31 @@ def erase_terminals(gr: Grammar, keep: int) -> Grammar:
     alphabet shrinks to 1..keep."""
     if keep < 0:
         raise GrammarError("keep must be non-negative")
-    dropped = tuple(
-        (lhs, tuple(x for x in rhs if isinstance(x, str) or x <= keep))
-        for lhs, rhs in gr.rules
-    )
-    inter = Grammar(gr.sigma_max, gr.start, gr.variables, dropped, gr.accepts_empty)
-    lengths = _variable_lengths(inter)
-    nullable = {v for v, ls in lengths.items() if 0 in ls}
-    only_empty = {v for v, ls in lengths.items() if ls == {0}}
-    dead = {v for v, ls in lengths.items() if not ls}
-
+    # after erasure a variable with no word is dead, one whose shortest word
+    # is empty is nullable, and one whose longest is empty derives only it
+    low, high = _length_bounds(gr, keep)
+    start, _, _, ids, kids = _compiled(gr)
     rules: list = []
-    for lhs, rhs in dropped:
-        if any(isinstance(x, str) and x in dead for x in rhs):
+    for r, ks in zip(ids, kids) if isinstance(ids, range) else sorted(zip(ids, kids)):
+        if any(low[k] < 0 for k in ks):
             continue
-        slots: list[list] = []
+        lhs, rhs = gr.rules[r]
+        kid = iter(ks).__next__
+        slots: list[tuple] = []
         for x in rhs:
-            if isinstance(x, int):
-                slots.append([x])
-            elif x in only_empty:
-                slots.append([None])
-            elif x in nullable:
-                slots.append([x, None])
-            else:
-                slots.append([x])
+            if x.__class__ is not int:
+                k = kid()
+                slots.append((x,) if low[k] else (None,) if not high[k] else (x, None))
+            elif x <= keep:
+                slots.append((x,))
         seen: set[tuple] = set()
         for combo in itertools.product(*slots):
             new_rhs = tuple(x for x in combo if x is not None)
             if new_rhs and new_rhs not in seen:
                 seen.add(new_rhs)
                 rules.append((lhs, new_rhs))
-    accepts_empty = gr.accepts_empty or gr.start in nullable
-    out = Grammar(keep, gr.start, gr.variables, tuple(rules), accepts_empty)
-    return trim(out)
+    accepts_empty = gr.accepts_empty or low[start] == 0
+    return trim(Grammar(keep, gr.start, gr.variables, tuple(rules), accepts_empty))
 
 
 def union_grammar(g1: Grammar, g2: Grammar) -> Grammar:
@@ -776,7 +759,7 @@ def _word_through(gr: Grammar, rule: int) -> Word:
         return word, via
 
     values = _evaluate(gr, lambda r: ((), () if r == rule else None), lambda a: ((a,), None), times, plus)
-    return Word(values[gr.start][1])
+    return Word(values[_compiled(gr).start][1])
 
 
 def build_embedded_group_grammar(
@@ -810,7 +793,7 @@ def build_embedded_group_grammar(
     # word position i holds s(alpha(i)), so 1..n is invariant unless a rule
     # writes a terminal above n at a position i with alpha(i) <= n; the
     # grammar is trim, so a parse tree through that rule is an automorphism
-    writes = _writes(gr_full, _word_lengths(gr_full))
+    writes = _writes(gr_full, _length_bounds(gr_full)[0])
     moved = (r for i in range(1, m + 1) if alpha_big(i) <= n for a, r in writes[i] if a > n)
     bad = next(moved, None)
     if bad is not None:
@@ -856,7 +839,7 @@ def enumerate_parse_trees(gr: Grammar) -> list[ParseTree]:
     def finish(partials) -> list[ParseTree]:
         return [ParseTree(r, kids) for partial in partials for r, kids in partial]
 
-    return _evaluate(gr, lambda r: [(r, ())], lambda a: None, graft, finish)[gr.start]
+    return _evaluate(gr, lambda r: [(r, ())], lambda a: None, graft, finish)[_compiled(gr).start]
 
 
 def parse_tree_yield(gr: Grammar, t: ParseTree) -> Word:
@@ -951,8 +934,5 @@ def grammar_from_json(text: str) -> Grammar:
     sigma_max = doc["sigma_max"]
     if not isinstance(sigma_max, int) or isinstance(sigma_max, bool):
         raise GrammarError(f"sigma_max must be an integer, got {type(sigma_max).__name__}")
-    accepts_empty = doc.get("accepts_empty", False)
-    if not isinstance(accepts_empty, bool):
-        raise GrammarError(f"accepts_empty must be true or false, got {type(accepts_empty).__name__}")
     rules = tuple((lhs, tuple(rhs)) for lhs, rhs in doc["rules"])
-    return Grammar(sigma_max, doc["start"], tuple(doc["variables"]), rules, accepts_empty)
+    return Grammar(sigma_max, doc["start"], tuple(doc["variables"]), rules, doc.get("accepts_empty", False))

@@ -43,10 +43,11 @@ The two agree exactly when the flow polytope projects onto conv(words),
 so their agreement tests that claim directly.
 
 `build_extended_formulation` reads the same table through the grammar
-layer's `_word_lengths`, one int pass giving each variable's word length,
-and `_writes`, a breadth-first walk by index that places each variable at
-its offset and each terminal at its position.  The set semiring runs only
-to word the error on a variable with several lengths.
+layer's `_length_bounds`, one int pass giving each variable's shortest
+and longest word length, and `_writes`, a breadth-first walk by index
+that places each variable at its offset and each terminal at its
+position.  The set semiring runs only to word the error on a variable
+with several lengths, and only on the variables that one derives from.
 
 Layering: the LP-file path (`parse_lp`, `check_lp_feasibility`, the
 presolve and the simplex) imports nothing from `grammar`.  Only the
@@ -137,13 +138,13 @@ def build_extended_formulation(gr: Grammar, style: str = "value") -> ExtendedFor
     of one length, from one start offset, and is reachable.  A grammar
     with no words gives the formulation with an infeasible source row,
     with one warning."""
-    from .grammar import _NO_WORD, GrammarError, _compiled, _variable_lengths, _word_lengths, _writes
+    from .grammar import GrammarError, _compiled, _evaluate, _length_bounds, _pairwise_sums, _union, _writes
 
     if style not in ("value", "matrix"):
         raise PolytopeError(f"unknown projection style {style!r}")
     start, order, ends, ids, kids = _compiled(gr)
-    length = _word_lengths(gr)
-    empty_language = length[start] == _NO_WORD and not gr.accepts_empty
+    low, high = _length_bounds(gr)
+    empty_language = low[start] < 0 and not gr.accepts_empty
     if empty_language:
         # no words to project; the flow system itself is infeasible, and
         # every rule keeps its flow terms
@@ -151,10 +152,11 @@ def build_extended_formulation(gr: Grammar, style: str = "value") -> ExtendedFor
     else:
         if gr.accepts_empty:
             raise PolytopeError("grammar accepts the empty word; not positional")
-        bad = next((v for v in order if length[v] < 0), None)
+        bad = next((v for v in order if not 0 <= low[v] == high[v]), None)
         if bad is not None:
             name = gr.variables[bad]
-            ls = _variable_lengths(gr)[name]  # the set semiring, only to word the error
+            # the set semiring, only to word the error
+            ls = _evaluate(gr, lambda r: {0}, lambda a: {1}, _pairwise_sums, _union, [bad])[bad]
             raise PolytopeError(
                 f"variable {_quote(name)} derives strings of lengths {sorted(ls)}; not positional"
             )
@@ -163,7 +165,7 @@ def build_extended_formulation(gr: Grammar, style: str = "value") -> ExtendedFor
     writes: dict[int, list[tuple[int, int]]] = {}  # position -> (symbol, rule)
     if not empty_language:
         try:
-            writes = _writes(gr, length)
+            writes = _writes(gr, low)
         except GrammarError as e:  # a variable at two offsets, or never reached
             raise PolytopeError(str(e)) from None
 
@@ -182,7 +184,7 @@ def build_extended_formulation(gr: Grammar, style: str = "value") -> ExtendedFor
         if k != start:
             constraints.append((f"c_{k}", tuple(into[ends[k]:ends[k + 1]] + out[k]), "=", 0))
 
-    n = 0 if empty_language else length[start]
+    n = 0 if empty_language else low[start]
     projection: list = []
     for i in range(1, n + 1):
         written = sorted(writes.get(i, ()))

@@ -230,6 +230,59 @@ def reference_language(gr) -> list[tuple[int, ...]]:
     return sorted(raw)
 
 
+def reference_lengths(gr, keep=None) -> dict:
+    """Each variable's set of word lengths, by name, from `reference_values`
+    in the set semiring; given keep, the terminals above it count 0."""
+    union = lambda sets: set().union(*sets)  # noqa: E731
+    leaf = lambda a: {1} if keep is None or a <= keep else {0}  # noqa: E731
+    return reference_values(gr, lambda r: {0}, leaf, lambda xs, ys: {x + y for x in xs for y in ys}, union)
+
+
+def reference_erase_terminals(gr, keep: int):
+    """`erase_terminals` as it was computed before it ran on the input's
+    table: drop the terminals above keep into an intermediate grammar,
+    take every variable's set of word lengths there, expand each rule over
+    the ways its nullable variables may vanish, then trim by name."""
+    dropped = tuple((lhs, tuple(x for x in rhs if isinstance(x, str) or x <= keep)) for lhs, rhs in gr.rules)
+    lengths = reference_lengths(Grammar(gr.sigma_max, gr.start, gr.variables, dropped, gr.accepts_empty))
+    rules: list = []
+    for lhs, rhs in dropped:
+        if any(isinstance(x, str) and not lengths[x] for x in rhs):
+            continue
+        slots = [
+            [x] if isinstance(x, int) or 0 not in lengths[x] else [None] if lengths[x] == {0} else [x, None]
+            for x in rhs
+        ]
+        seen: set = set()  # each rule's expansions once; duplicate rules stay
+        for combo in itertools.product(*slots):
+            new_rhs = tuple(x for x in combo if x is not None)
+            if new_rhs and new_rhs not in seen:
+                seen.add(new_rhs)
+                rules.append((lhs, new_rhs))
+    accepts_empty = gr.accepts_empty or 0 in lengths[gr.start]
+    # trim: keep what derives a word and is reached from the start through
+    # rules whose variables all derive one
+    live = reference_lengths(Grammar(keep, gr.start, gr.variables, tuple(rules), accepts_empty))
+    usable = [(lhs, rhs) for lhs, rhs in rules if all(live[x] for x in rhs if isinstance(x, str))]
+    reached, todo = {gr.start}, [gr.start]
+    while todo:
+        v = todo.pop()
+        for lhs, rhs in usable:
+            if lhs == v:
+                for x in rhs:
+                    if isinstance(x, str) and x not in reached:
+                        reached.add(x)
+                        todo.append(x)
+    kept = {v for v in reached if live[v]} | {gr.start}
+    return Grammar(
+        keep,
+        gr.start,
+        tuple(v for v in gr.variables if v in kept),
+        tuple(rule for rule in usable if rule[0] in kept),
+        accepts_empty,
+    )
+
+
 def check_certificate(gr, x, feasible: bool, certificate) -> None:
     """Checks a projection verdict's certificate in Fractions, without the
     pricing pass.  A member's certificate is (weight, word) pairs, at most

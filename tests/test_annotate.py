@@ -12,6 +12,7 @@ from autgrammar.annotate import (
 )
 from autgrammar.decomp import (
     ROOT,
+    TreeDecomposition,
     compute_path_decomposition,
     compute_tree_decomposition,
     make_permutation_yielding,
@@ -303,3 +304,11 @@ def test_count_assignments(c4):
     g, pd = cubic8(), compute_path_decomposition(cubic8())
     assert None in join_annotations(g, pd).cls[()]
     assert count_assignments(g, pd) == len(brute_force_automorphisms(g)) == 4
+
+
+def test_count_assignments_names_the_first_violation():
+    # one bag {1, 2} for P40 leaves 38 vertices uncovered and 38 edges
+    # outside every bag; the error names the first, as the builders do
+    with pytest.raises(AnnotationError) as caught:
+        count_assignments(path_graph(40), TreeDecomposition({(): (1, 2)}))
+    assert str(caught.value) == "decomposition invalid: vertex 3 not covered by any bag"

@@ -6,7 +6,11 @@ that rework keeps them.  The digests of the relabelled graphs, where
 min-fill's tie-breaks and the annotation search's candidate order act,
 were recorded before min-fill kept its fill counts, the search tested
 adjacency once per placed vertex and the tree builder handed over its
-table, and those changes keep them."""
+table, and those changes keep them.  The digests of `embed`'s output and of
+`lift` on it were recorded before `erase_terminals` took its lengths from
+the int length pass on the host's own table instead of an intermediate
+grammar, and before the semiring pass valued variables by index; those
+changes keep them."""
 
 import hashlib
 import random
@@ -19,8 +23,13 @@ from autgrammar.decomp import (
     make_permutation_yielding,
 )
 from autgrammar.graph import Graph
-from autgrammar.grammar import build_aut_grammar, build_regular_aut_grammar, grammar_to_json
-from autgrammar.perm import format_permutation
+from autgrammar.grammar import (
+    build_aut_grammar,
+    build_embedded_group_grammar,
+    build_regular_aut_grammar,
+    grammar_to_json,
+)
+from autgrammar.perm import Permutation, format_permutation
 from autgrammar.polytope import build_extended_formulation, emit_lp
 from conftest import (
     binary_tree,
@@ -146,3 +155,37 @@ def test_relabelled_bytes(name):
         regular = _digest(_build_output(*build_regular_aut_grammar(g, compute_path_decomposition(g))))
     lift = _digest(emit_lp(build_extended_formulation(gr)))
     assert (_digest(_build_output(alpha, gr)), regular, lift) == RELABELLED_DIGESTS[name]
+
+
+# name -> (host graph, kept prefix, coset representative or None)
+EMBEDDED = {
+    "btree4 keep 15": (lambda: binary_tree(4), 15, None),
+    "btree4 keep 7": (lambda: binary_tree(4), 7, None),
+    "btree5 keep 31": (lambda: binary_tree(5), 31, None),
+    "spider5x4 keep 1": (lambda: spider(5, 4), 1, None),
+    "btree4 keep 15, b reversed": (lambda: binary_tree(4), 15, Permutation(tuple(range(15, 0, -1)))),
+}
+
+# name -> (`embed` output: grammar JSON and alpha line, `lift` output)
+EMBEDDED_DIGESTS = {
+    "btree4 keep 15": ("508f136b0e722bab547bd1cadd4bd1a22c84696a04a8acd32296039f1b3c523b",
+                       "3b516f4b43bab2696f18fa5ad3198cd1a83aa852a85683c3d33ff4dc0219a6ba"),
+    "btree4 keep 7": ("50a32f99f187288777934bfd0688e78605ce399ce82f3587334642c049013f3b",
+                      "7a01563f9fc6d3dedbec2ae47c519c489e35db89e5f5a9630bdd25dbec2b78be"),
+    "btree5 keep 31": ("8b49ba294994cad9e46daafb148c9d48d1dce44e64db4fcf50a9c0c5f8f51668",
+                       "65d5ab4e79c78229079b9913a8e327d0671edb68b8f0b7a90971c2faa2cc361d"),
+    "spider5x4 keep 1": ("cf3614c2b1f68a234b4412a2a63302f15787307d2c96bdc88245d5c087ff3001",
+                         "cfed910ade8416efb969e14002715c59caf189dfde79b7a9412ed86e470680cd"),
+    "btree4 keep 15, b reversed": (
+        "53527221aa7cb0a90437bd04273fe15ad1cc3af6fe4a6176b2bbdddcf7c86944",
+        "0b50d2bd9107a1995ee0f1ebb8796a7864d1b87470e5bcc53f5b8d9e5f50113b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMBEDDED))
+def test_embedded_bytes(name):
+    make, n, b = EMBEDDED[name]
+    alpha, gr = build_embedded_group_grammar(make(), n, b)
+    lift = _digest(emit_lp(build_extended_formulation(gr)))
+    assert (_digest(_build_output(alpha, gr)), lift) == EMBEDDED_DIGESTS[name]

@@ -559,6 +559,14 @@ def test_grammar_holds_only_json_types():
     ):
         with pytest.raises(GrammarError):
             bad()
+    # the flag is true or false: "yes" would not read back, and [] would
+    # write as false but compare unequal to it
+    for flag in ("yes", [], 1, None):
+        with pytest.raises(GrammarError, match="accepts_empty must be true or false"):
+            Grammar(1, "B1", ("B1",), (("B1", (1,)),), accepts_empty=flag)
+    text = '{"sigma_max": 1, "start": "B1", "variables": ["B1"], "rules": [], "accepts_empty": 0}'
+    with pytest.raises(GrammarError, match="^accepts_empty must be true or false, got int$"):
+        grammar_from_json(text)
 
 
 def test_json_bytes_pinned():

@@ -7,8 +7,10 @@ that the annotation search pinned to a parent's keys finds what the
 unpinned search finds for those keys, and that the keys a fully pinned
 child takes without a search are annotations.
 On random acyclic grammars: the streamed language against the
-set-semiring reference, and the LP text round trip of every formulation
-built from one.  On random positional grammars: the same round trip, and
+set-semiring reference, the int length pass against the set semiring's
+lengths, with and without erased terminals, `erase_terminals` against a
+reference that erases through an intermediate grammar, and the LP text
+round trip of every formulation built from one.  On random positional grammars: the same round trip, and
 the projection path's master LP against its Fraction reference and the
 LP file's verdict.  On connected graphs and every prefix size: the embed
 builder's invariance check against the oracle's, and the table the
@@ -37,11 +39,13 @@ from autgrammar.graph import Graph, closed_neighborhood
 from autgrammar.grammar import (
     Grammar,
     GrammarError,
+    _length_bounds,
     build_aut_grammar,
     build_embedded_group_grammar,
     build_regular_aut_grammar,
     count_parse_trees,
     enumerate_language,
+    erase_terminals,
     grammar_to_json,
     iter_language,
 )
@@ -64,7 +68,9 @@ from conftest import (
     check_handed_over_table,
     json_reference,
     lp_number_types,
+    reference_erase_terminals,
     reference_language,
+    reference_lengths,
     reference_min_fill_order,
     reference_projection_verdict,
     reference_simplex_feasible,
@@ -173,6 +179,24 @@ def test_streamed_language_matches_reference(gr):
     for cap in range(4):
         expected = tuple(Word(w) for w in reference[:cap]), len(reference) > cap
         assert enumerate_language(gr, cap) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(acyclic_grammars(), st.integers(0, 3))
+def test_length_bounds_match_reference(gr, keep):
+    # the shortest and longest word length of each variable, -1 for none,
+    # with the terminals above keep erased, and without erasing any
+    for k in (keep, None):
+        lengths = reference_lengths(gr, k)
+        expected = ([min(lengths[v], default=-1) for v in gr.variables],
+                    [max(lengths[v], default=-1) for v in gr.variables])
+        assert _length_bounds(gr, k) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(acyclic_grammars(), st.integers(0, 3))
+def test_erase_terminals_matches_reference(gr, keep):
+    assert erase_terminals(gr, keep) == reference_erase_terminals(gr, keep)
 
 
 @settings(max_examples=200, deadline=None)
