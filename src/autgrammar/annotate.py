@@ -26,13 +26,13 @@ dropped with the annotations.
 The search and the join hold an annotation of bag S as its image tuple
 over the sorted domain N[S], and the grammar builders read images from
 those tuples.  An annotation's partners in a child depend only on its
-images on the shared domain, its key, so the join indexes each child's
-annotations by key, and one bottom-up pass both prunes them and merges
-them into classes that derive the same words.  AnnotatedBag, which pairs
-each domain vertex with its image, is the public type:
-enumerate_annotated_bags wraps the tuples in it at its boundary.
-count_assignments counts the consistent annotations of the whole tree, one
-per automorphism, in one product-sum pass over the join.
+images on the shared domain, its key.  The join numbers each child's
+keys once, indexes its annotations by key id, and in one bottom-up pass
+both prunes them and merges them into classes that derive the same
+words.  AnnotatedBag, which pairs each domain vertex with its image, is
+the public type: enumerate_annotated_bags wraps the tuples in it at its
+boundary.  count_assignments counts the consistent annotations of the
+whole tree, one per automorphism, in one product-sum pass over the join.
 """
 
 from __future__ import annotations
@@ -176,8 +176,8 @@ class Join(NamedTuple):
     ann: dict  # p -> the image tuples over dom[p], in enumeration order
     cls: dict  # p -> the class of each annotation at p, None if not kept
     first: dict  # p -> the first annotation of each class at p
-    keys: dict  # c -> the key of each annotation at c's parent
-    index: dict  # c -> key -> the kept annotations at c with that key
+    up: dict  # c -> the key id of each annotation at c's parent
+    members: dict  # c -> per key id, the kept annotations at c; None where key id k is annotation k
 
 
 def join_annotations(g: Graph, t: TreeDecomposition, written: dict | None = None) -> Join:
@@ -189,11 +189,13 @@ def join_annotations(g: Graph, t: TreeDecomposition, written: dict | None = None
 
     Annotations at p and c are consistent when their images agree on the
     shared domain N[S_p] & N[S_c], which is fixed, so an annotation's key
-    is its image tuple read there, and the partners at c of annotation i
-    at p are index[c][keys[c][i]].  The search runs top down: the root's
-    colour-preserving annotations, then each child's only as extensions of
-    the distinct keys its parent's annotations give.  A child whose whole
-    domain the parent pins takes those keys as they are: a parent's
+    is its image tuple read there.  Each child numbers its parent's keys
+    once: annotation i at p has key id up[c][i], and its partners at c
+    are members[c][up[c][i]].  The search runs top down: the root's
+    colour-preserving annotations, then each child's only as extensions
+    of those keys.  A child whose whole domain the parent pins takes them,
+    sorted, as its annotations, key id k being annotation k (members[c] is
+    None; with the parent's very domain, ann[c] is ann[p]): a parent's
     annotation preserves colours, so degrees, so it maps each N[v] onto
     N[phi(v)] and its key is an annotation of the child.
 
@@ -202,97 +204,93 @@ def join_annotations(g: Graph, t: TreeDecomposition, written: dict | None = None
     Revuz, TCS 1992).  A childless annotation's class is the image it
     writes.  Any other's is, per child, the set of (image written, class)
     pairs of its partners, or None when some child has no partner; the
-    set is built once per key, and a child's pair is its class alone when
-    the child writes nothing or has no children (a fully pinned child's
-    set has one pair, which stands for it).  Two annotations at a
-    position share a class exactly when they derive the same words.  A
-    top-down pass keeps the root's annotations with a class and, at each
-    child, the annotations whose key some kept parent uses, and numbers
-    the classes by first appearance among the kept annotations."""
+    set is built once per key id, and a child's pair is its class alone
+    when the child writes nothing or has no children (a pinned child's
+    one pair stands for its set).  Two annotations at a position share a
+    class exactly when they derive the same words.  A top-down pass keeps
+    the root's annotations with a class and each child's whose key id a
+    kept parent uses, numbering classes by first appearance among them."""
     search = _Search(g)
     written = written or {}
     dom = {p: closed_neighborhood(g, t.bag(p)) for p in t.positions}
     ann = {ROOT: search.annotations(t.bag(ROOT), (), [()])}
-    keys: dict = {}
-    key_of: dict = {}  # c -> the key function at c, or None where each annotation is its key
+    up, members = {}, {}
     for p in t.positions:  # parents before children
         for c in t.children(p):
+            if dom[c] == dom[p]:  # each annotation is its own key
+                ann[c], up[c], members[c] = ann[p], range(len(ann[p])), None
+                continue
             shared = set(dom[p]) & set(dom[c])
-            keys[c] = list(map(_images_on([k for k, v in enumerate(dom[p]) if v in shared]), ann[p]))
-            if len(shared) == len(dom[c]):
-                key_of[c] = None
-                ann[c] = sorted(set(keys[c]))
-            else:
-                key_of[c] = _images_on([k for k, v in enumerate(dom[c]) if v in shared])
-                pinned = tuple(v for v in dom[c] if v in shared)  # sorted, as in dom[p]
-                ann[c] = search.annotations(t.bag(c), pinned, set(keys[c]))
-    cls: dict = {}
-    index: dict = {}
-    pairs: dict = {}  # c -> key -> the pairs of the live annotations at c with that key
+            keys = list(map(_images_on([k for k, v in enumerate(dom[p]) if v in shared]), ann[p]))
+            pinned = tuple(v for v in dom[c] if v in shared)  # sorted, as in dom[p]
+            distinct = sorted(set(keys)) if pinned == dom[c] else dict.fromkeys(keys)
+            ids = dict(zip(distinct, range(len(distinct))))
+            up[c] = list(map(ids.__getitem__, keys))
+            if pinned == dom[c]:
+                ann[c], members[c] = distinct, None
+                continue
+            ann[c] = search.annotations(t.bag(c), pinned, ids)
+            members[c] = bucket = [[] for _ in ids]
+            key = _images_on([k for k, v in enumerate(dom[c]) if v in shared])
+            for j, k in enumerate(map(ids.__getitem__, map(key, ann[c]))):
+                bucket[k].append(j)
+    cls, first = {}, {}
+    sig: dict = {}  # c -> per key id, the pair, or the pair set, of its live annotations at c; else None
     for p in reversed(t.positions):  # children before parents
-        kids, images, wrote = t.children(p), ann[p], None
-        if p in written:
-            wrote = list(map(operator.itemgetter(dom[p].index(written[p])), images))
+        kids, images = t.children(p), ann[p]
+        wrote = list(map(operator.itemgetter(dom[p].index(written[p])), images)) if p in written else None
         if not kids:
             sigs = [0] * len(images) if wrote is None else wrote
         elif len(kids) == 1:
-            sigs = list(map(pairs.pop(kids[0]).get, keys[kids[0]]))
+            sigs = list(map(sig.pop(kids[0]).__getitem__, up[kids[0]]))
         else:
-            columns = [map(pairs.pop(c).get, keys[c]) for c in kids]
-            sigs = [None if None in sig else sig for sig in zip(*columns)]
+            columns = [map(sig.pop(c).__getitem__, up[c]) for c in kids]
+            sigs = [None if None in s else s for s in zip(*columns)]
         ids: dict = {}
-        cls[p] = [None if sig is None else ids.setdefault(sig, len(ids)) for sig in sigs]
+        cls[p] = [None if s is None else ids.setdefault(s, len(ids)) for s in sigs]
         if p == ROOT:
             continue
-        live = range(len(images))
-        if None in cls[p]:
-            live = [j for j, k in enumerate(cls[p]) if k is not None]
-        pair = cls[p] if wrote is None or not kids else list(zip(wrote, cls[p]))
-        if key_of[p] is None:  # one annotation per key: its pair stands for the set
-            index[p] = {images[j]: [j] for j in live}
-            pairs[p] = {images[j]: pair[j] for j in live}
+        pair = cls[p]
+        if wrote is not None and kids:
+            pair = [None if k is None else (w, k) for w, k in zip(wrote, pair)]
+        if members[p] is None:  # one annotation per key id: its pair stands for the set
+            sig[p] = pair
             continue
-        key, bucket = key_of[p], {}
-        for j in live:
-            bucket.setdefault(key(images[j]), []).append(j)
-        index[p] = bucket
-        pairs[p] = {k: frozenset(map(pair.__getitem__, js)) for k, js in bucket.items()}
-    first: dict = {}
+        if None in cls[p]:
+            members[p] = [[j for j in js if cls[p][j] is not None] for js in members[p]]
+        sig[p] = [frozenset(map(pair.__getitem__, js)) if js else None for js in members[p]]
     for p in t.positions:  # parents before children
-        if p != ROOT:  # keep the keys some kept parent uses, and renumber if any is dropped
-            up, bucket, used = cls[p[:-1]], index[p], set(keys[p])
-            if None in up:
-                used = {k for k, i in zip(keys[p], up) if i is not None}
-            if len(used) < len(bucket):
-                index[p] = {k: bucket[k] for k in used}
-                kept = {j for k in used for j in bucket[k]}
-                ids, merged = {}, cls[p]
-                cls[p] = [ids.setdefault(k, len(ids)) if j in kept else None for j, k in enumerate(merged)]
+        if p != ROOT and None in cls[p[:-1]]:  # keep what a kept parent reaches, renumbered
+            used = {k for k, i in zip(up[p], cls[p[:-1]]) if i is not None}
+            if members[p] is not None:  # from key ids to annotations
+                members[p] = [js if k in used else [] for k, js in enumerate(members[p])]
+                used = {j for js in members[p] for j in js}
+            ids, merged = {}, cls[p]
+            cls[p] = [ids.setdefault(k, len(ids)) if j in used else None for j, k in enumerate(merged)]
         # each class's first annotation: the last one met walking backwards
         back = dict(zip(reversed(cls[p]), range(len(cls[p]) - 1, -1, -1)))
         back.pop(None, None)
         first[p] = sorted(back.values())
-    return Join(dom, ann, cls, first, keys, index)
+    return Join(dom, ann, cls, first, up, members)
 
 
 def count_assignments(g: Graph, t: TreeDecomposition) -> int:
     """The number of consistent annotations of the whole of t, one per
     automorphism of g.  It counts annotations, not the classes they merge
     into, so it checks the merge against the grammar's parse-tree count.
-    One bottom-up pass over join_annotations: a kept annotation i at p
-    counts the product, over the children c, of the summed counts of its
-    partners index[c][keys[c][i]], one that is not kept counts 0, and the
-    root's counts sum to the total."""
+    One bottom-up pass over join_annotations, summing each child's counts
+    per key id: a kept annotation i at p counts the product, over the
+    children c, of the sums at key id up[c][i], one that is not kept
+    counts 0, and the root's counts sum to the total."""
     report = validate_tree_decomposition(g, t)
     if not report.ok:
         raise AnnotationError(f"decomposition invalid: {report.violations[0].message}")
-    _, _, cls, _, keys, index = join_annotations(g, t)
+    _, _, cls, _, up, members = join_annotations(g, t)
     count: dict = {}
     for p in reversed(t.positions):  # children before parents
         kids = t.children(p)
-        sums = [{k: sum(count[c][j] for j in js) for k, js in index[c].items()} for c in kids]
-        count[p] = [
-            0 if k is None else math.prod(by_key[keys[c][i]] for c, by_key in zip(kids, sums))
-            for i, k in enumerate(cls[p])
-        ]
+        count[p] = [0 if k is None else math.prod(count[c][up[c][i]] for c in kids)
+                    for i, k in enumerate(cls[p])]
+        if p != ROOT and members[p] is not None:
+            count[p] = [sum(map(count[p].__getitem__, js)) for js in members[p]]
     return sum(count[ROOT])

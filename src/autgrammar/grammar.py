@@ -16,8 +16,8 @@ automorphisms.  A word w produced for automorphism s satisfies
 w_i = s(alpha(i)) where alpha spells the leaf vertex order, so the language
 is exactly the string set of the group repositioned by alpha.  The
 consistency join (annotate.join_annotations) prunes the annotations and
-merges them into classes in one pass; both builders only name the classes
-and write one class's rules from its first annotation.
+merges them into classes in one pass on int key ids; both builders name
+the classes and write each class's rules from its first annotation.
 
 Layering: the read side (JSON, the compiled table, the semiring pass
 `_evaluate` and what is built on it: counting, enumeration, membership,
@@ -544,7 +544,7 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
         raise GrammarError("decomposition is not permutation yielding")
     # a leaf writes the image of its one vertex
     written = {p: t.bag(p)[0] for p in t.positions if not t.children(p)}
-    dom, ann, cls, first, keys, index = join_annotations(g, t, written)
+    dom, ann, cls, first, up, members = join_annotations(g, t, written)
     # one variable per merge class, in position order after B1 (variable
     # 0): p:<pos>|b:<k>, variable base[p] + k, stands for the k-th class
     # at p, in first-appearance order
@@ -574,9 +574,12 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
         # child, and the rhs names are spelled from the ints
         partners = []
         for c in children:
+            ids = map(up[c].__getitem__, first[p])
+            if members[c] is None:  # the one partner is annotation up[c][i]
+                partners.append(zip(map(base[c].__add__, map(cls[c].__getitem__, ids))))
+                continue
             var = [None if k is None else base[c] + k for k in cls[c]]
-            at_c = map(index[c].__getitem__, map(keys[c].__getitem__, first[p]))
-            partners.append(map(map, repeat(var.__getitem__), at_c))
+            partners.append(map(map, repeat(var.__getitem__), map(members[c].__getitem__, ids)))
         products = list(map(list, itertools.starmap(itertools.product, zip(*partners))))
         sizes = list(map(len, products))
         done = len(kids)
@@ -616,7 +619,7 @@ def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutat
     # vertex, and the class of an annotation there is the set of (terminal,
     # class) pairs of the annotations at chain[m + 1] it may continue with;
     # state q:<m + 2>|b:<k> stands for the k-th class at chain[m]
-    dom, ann, cls, first, keys, index = join_annotations(g, pd, dict(zip(chain, order)))
+    dom, ann, cls, first, up, members = join_annotations(g, pd, dict(zip(chain, order)))
     name = []
     for m, p in enumerate(chain[:-1]):
         head = f"q:{m + 2}|b:"
@@ -628,7 +631,8 @@ def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutat
         if m == 0:
             steps = [("B1", [j for j, k in enumerate(cls[p]) if k is not None])]
         else:
-            steps = [(v, index[p][keys[p][i]]) for v, i in zip(name[m - 1], first[chain[m - 1]])]
+            ids = map(up[p].__getitem__, first[chain[m - 1]])
+            steps = zip(name[m - 1], zip(ids) if members[p] is None else map(members[p].__getitem__, ids))
         at, images = dom[p].index(order[m]), ann[p]
         for lhs, nxt in steps:
             for j in nxt:
@@ -931,8 +935,6 @@ def grammar_from_json(text: str) -> Grammar:
     # Python's bool is an int, so true would otherwise read as terminal 1
     if any(isinstance(x, bool) for _, rhs in doc["rules"] for x in rhs):
         raise GrammarError("grammar JSON has true or false where an integer belongs")
-    sigma_max = doc["sigma_max"]
-    if not isinstance(sigma_max, int) or isinstance(sigma_max, bool):
-        raise GrammarError(f"sigma_max must be an integer, got {type(sigma_max).__name__}")
     rules = tuple((lhs, tuple(rhs)) for lhs, rhs in doc["rules"])
-    return Grammar(sigma_max, doc["start"], tuple(doc["variables"]), rules, doc.get("accepts_empty", False))
+    variables, flag = tuple(doc["variables"]), doc.get("accepts_empty", False)
+    return Grammar(doc["sigma_max"], doc["start"], variables, rules, flag)

@@ -23,12 +23,14 @@ from autgrammar.perm import Permutation
 from conftest import (
     annotation_morphism,
     check_annotated_bag,
+    complete_graph,
     consistent_bags,
     cubic8,
     make_annotated_bag,
     make_assignment,
     oracle_annotations,
     path_graph,
+    petersen_graph,
     spider,
 )
 
@@ -131,27 +133,56 @@ def test_fully_pinned_search_keeps_the_neighbourhood_check(p4):
         assert all(check_annotated_bag(p4, AnnotatedBag(t.bag(c), tuple(zip(dom[c], im)))) for im in ann[c])
 
 
+def partners_by_key_id(join, c):
+    """Per key id of child c, the kept annotations at c with that key: a
+    pinned child's key id k is its annotation k alone."""
+    if join.members[c] is not None:
+        return join.members[c]
+    return [[k] if kept is not None else [] for k, kept in enumerate(join.cls[c])]
+
+
 def test_grouped_links_match_all_pairs(corpus):
     # the partners at child c of kept annotation i at p, read as
-    # index[c][keys[c][i]], are exactly the kept annotations at c whose
-    # images agree with i's on the shared domain; the index holds only the
-    # keys of kept parents, and every kept annotation at c is reached
+    # members[c][up[c][i]] (annotation up[c][i] alone where the parent
+    # pins c's whole domain), are exactly the kept annotations at c whose
+    # images agree with i's on the shared domain; the key ids in use are
+    # exactly those of kept parents, and every kept annotation at c is
+    # reached exactly once
     for g, _ in sandwich_cases(corpus):
         for d in (yielding(g), compute_path_decomposition(g)):
-            dom, ann, cls, _, keys, index = join_annotations(g, d)
+            join = join_annotations(g, d)
+            dom, ann, cls, _, up, members = join
             kept = {p: [i for i, k in enumerate(cls[p]) if k is not None] for p in d.positions}
             for p in d.positions:
                 for c in d.children(p):
-                    assert len(keys[c]) == len(ann[p])
+                    assert len(up[c]) == len(ann[p])
+                    assert (members[c] is None) == (set(dom[c]) <= set(dom[p])), (g, p, c)
+                    by_key = partners_by_key_id(join, c)
                     for i in kept[p]:
                         phi = dict(zip(dom[p], ann[p][i]))
                         expected = [
                             j for j in kept[c]
                             if all(phi.get(v, w) == w for v, w in zip(dom[c], ann[c][j]))
                         ]
-                        assert expected and index[c][keys[c][i]] == expected, (g, p, c, i)
-                    assert set(index[c]) == {keys[c][i] for i in kept[p]}
-                    assert sorted(j for js in index[c].values() for j in js) == kept[c]
+                        assert expected and by_key[up[c][i]] == expected, (g, p, c, i)
+                    assert {k for k, js in enumerate(by_key) if js} == {up[c][i] for i in kept[p]}
+                    assert sorted(j for js in by_key for j in js) == kept[c]
+
+
+@pytest.mark.parametrize("make", [lambda: complete_graph(5), petersen_graph], ids=["K5", "Petersen"])
+def test_same_domain_children_share_their_parents_annotations(make):
+    # a child whose domain equals its parent's holds the parent's very
+    # annotation list, with identity key ids, and no member lists; the
+    # count over the join still equals |Aut| from the oracle
+    g = make()
+    t = yielding(g)
+    dom, ann, cls, _, up, members = join_annotations(g, t)
+    same = [c for c in t.positions if c and dom[c] == dom[c[:-1]]]
+    assert same
+    for c in same:
+        assert ann[c] is ann[c[:-1]]
+        assert up[c] == range(len(ann[c])) and members[c] is None
+    assert count_assignments(g, t) == len(brute_force_automorphisms(g))
 
 
 def test_enumeration_rejects_empty(p3):

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -5,10 +6,12 @@ import tracemalloc
 
 import pytest
 
+from autgrammar import _quote
 from autgrammar import grammar as gmod
 from autgrammar.cli import main
 from autgrammar.grammar import (
     Grammar,
+    GrammarError,
     enumerate_language,
     erase_terminals,
     grammar_from_json,
@@ -373,6 +376,23 @@ def test_cyclic_grammar_exit_3(tmp_path, command):
     r = run_cli(name, str(grammar), *extra)
     assert (r.returncode, r.stdout) == (3, "")
     assert r.stderr == "error: variable 'S' depends on itself\n"
+
+
+@pytest.mark.parametrize("value", ["1", 1.5, True], ids=["string", "float", "bool"])
+def test_sigma_max_type_error_is_the_constructors(tmp_path, capsys, value):
+    # a sigma_max that is no integer reads with the constructor's words
+    # from a file as from Python, and count exits 2 on one error line
+    with pytest.raises(GrammarError) as built:
+        Grammar(value, "B1", ("B1",), (("B1", (1,)),))
+    doc = {"sigma_max": value, "start": "B1", "variables": ["B1"], "rules": [["B1", [1]]]}
+    with pytest.raises(GrammarError) as read:
+        grammar_from_json(json.dumps(doc))
+    assert str(read.value) == str(built.value) == f"sigma_max {_quote(value)} is not an integer"
+    grammar = tmp_path / "g.json"
+    grammar.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["count", str(grammar)]) == 2
+    assert capsys.readouterr() == ("", f"error: bad grammar file {grammar}: {built.value}\n")
 
 
 def test_build_from_invalid_td_exit_3(c4_file, tmp_path):
