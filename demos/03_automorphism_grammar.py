@@ -2,10 +2,11 @@
 Compiling an automorphism group into a context-free grammar
 ===========================================================
 
-Variables of the grammar are (position, annotated bag) pairs over a
-permutation-yielding tree decomposition; an annotated bag carries a partial
-automorphism on the bag's closed neighborhood, and rules connect
-annotations that agree wherever their domains overlap.  Accepting parse
+Variables of the grammar are (position, annotated bag) pairs over the
+inner positions of a permutation-yielding tree decomposition; an annotated
+bag carries a partial automorphism on the bag's closed neighborhood, rules
+connect annotations that agree wherever their domains overlap, and each
+leaf's vertex image is a terminal in its parent's rules.  Accepting parse
 trees correspond one-to-one with automorphisms, and word position i holds
 the image of vertex alpha(i).
 """

@@ -15,17 +15,19 @@ Every vertex maps to one of its own stable colour (graph.stable_colouring),
 which automorphisms preserve, and join_annotations enumerates each child's
 annotations only as extensions of its parent's images on their shared
 domain.  When the parent pins the child's whole domain, as it does for
-most children of a permutation-yielding decomposition, each such image
-is an annotation already and no search runs.  The search places one
-domain vertex at a time and checks a candidate image's adjacency to all
-placed vertices with one set comparison, against the images of the
-vertex's placed neighbours, collected once per vertex.  Nothing is
-cached between calls: the colouring is computed once per call and
-dropped with the annotations.
+every leaf of a permutation-yielding decomposition and for many of its
+inner positions, each such image is an annotation already and no search
+runs.  The search places one domain vertex at a time and checks a
+candidate image's adjacency to all placed vertices with one set
+comparison, against the images of the vertex's placed neighbours,
+collected once per vertex.  Nothing is cached between calls: the
+colouring is computed once per call and dropped with the annotations.
 
 The search and the join hold an annotation of bag S as its image tuple
 over the sorted domain N[S], and the grammar builders read images from
-those tuples.  An annotation's partners in a child depend only on its
+those tuples.  A leaf that writes a terminal has no annotations of its
+own: its domain lies in its parent's, so its parent's annotations give
+its image.  An annotation's partners in a child depend only on its
 images on the shared domain, its key.  The join numbers each child's
 keys once, indexes its annotations by key id, and in one bottom-up pass
 both prunes them and merges them into classes that derive the same
@@ -170,7 +172,9 @@ def _images_on(ks: list[int]):
 
 class Join(NamedTuple):
     """The consistency join of a decomposition's annotations; see
-    join_annotations."""
+    join_annotations.  A leaf that the join reads from its parent (a
+    childless position other than the root, in written) is a key of no
+    field."""
 
     dom: dict  # p -> the sorted domain N[S_p]
     ann: dict  # p -> the image tuples over dom[p], in enumeration order
@@ -187,6 +191,14 @@ def join_annotations(g: Graph, t: TreeDecomposition, written: dict | None = None
     annotations write, a terminal of the grammar built from the join;
     count_assignments passes none, as it counts annotations, not words.
 
+    A childless position c other than the root that is in written, a
+    leaf, gets no annotations, key ids or classes of its own.  Its domain
+    must lie in its parent p's, as it does for a permutation-yielding
+    decomposition's leaves, whose one vertex is in the parent's bag, and
+    for the last bag of a path that introduces one vertex per bag: then
+    every annotation at p extends to exactly one at c, and the image c
+    writes is read off p's as ann[p][i][dom[p].index(written[c])].
+
     Annotations at p and c are consistent when their images agree on the
     shared domain N[S_p] & N[S_c], which is fixed, so an annotation's key
     is its image tuple read there.  Each child numbers its parent's keys
@@ -202,21 +214,27 @@ def join_annotations(g: Graph, t: TreeDecomposition, written: dict | None = None
     One bottom-up pass then prunes and merges (Yannakakis' full reducer,
     VLDB 1981, fused with the signature minimisation of acyclic automata,
     Revuz, TCS 1992).  A childless annotation's class is the image it
-    writes.  Any other's is, per child, the set of (image written, class)
-    pairs of its partners, or None when some child has no partner; the
-    set is built once per key id, and a child's pair is its class alone
-    when the child writes nothing or has no children (a pinned child's
-    one pair stands for its set).  Two annotations at a position share a
-    class exactly when they derive the same words.  A top-down pass keeps
-    the root's annotations with a class and each child's whose key id a
-    kept parent uses, numbering classes by first appearance among them."""
+    writes, or 0 when it writes none.  Any other's is, per child, the
+    image the child writes when it is a leaf, else the set of (image
+    written, class) pairs of its partners, or None when some child has
+    no partner; the set is built once per key id, and a child's pair is
+    its class alone when the child writes nothing or has no children (a
+    pinned child's one pair stands for its set).  Two annotations at a
+    position share a class exactly when they derive the same words.  A
+    top-down pass keeps the root's annotations with a class and each
+    child's whose key id a kept parent uses, numbering classes by first
+    appearance among them."""
     search = _Search(g)
     written = written or {}
-    dom = {p: closed_neighborhood(g, t.bag(p)) for p in t.positions}
+    leaf = {p for p in written if p != ROOT and not t.children(p)}  # read from their parents
+    inner = [p for p in t.positions if p not in leaf]
+    dom = {p: closed_neighborhood(g, t.bag(p)) for p in inner}
     ann = {ROOT: search.annotations(t.bag(ROOT), (), [()])}
     up, members = {}, {}
-    for p in t.positions:  # parents before children
+    for p in inner:  # parents before children
         for c in t.children(p):
+            if c in leaf:
+                continue
             if dom[c] == dom[p]:  # each annotation is its own key
                 ann[c], up[c], members[c] = ann[p], range(len(ann[p])), None
                 continue
@@ -236,15 +254,18 @@ def join_annotations(g: Graph, t: TreeDecomposition, written: dict | None = None
                 bucket[k].append(j)
     cls, first = {}, {}
     sig: dict = {}  # c -> per key id, the pair, or the pair set, of its live annotations at c; else None
-    for p in reversed(t.positions):  # children before parents
+    for p in reversed(inner):  # children before parents
         kids, images = t.children(p), ann[p]
         wrote = list(map(operator.itemgetter(dom[p].index(written[p])), images)) if p in written else None
+        # a leaf child's column is the image it writes, read off p's
+        # annotation; any other child's is its pair, or pair set, by key id
+        columns = [map(operator.itemgetter(dom[p].index(written[c])), images) if c in leaf
+                   else map(sig.pop(c).__getitem__, up[c]) for c in kids]
         if not kids:
             sigs = [0] * len(images) if wrote is None else wrote
         elif len(kids) == 1:
-            sigs = list(map(sig.pop(kids[0]).__getitem__, up[kids[0]]))
+            sigs = list(columns[0])
         else:
-            columns = [map(sig.pop(c).__getitem__, up[c]) for c in kids]
             sigs = [None if None in s else s for s in zip(*columns)]
         ids: dict = {}
         cls[p] = [None if s is None else ids.setdefault(s, len(ids)) for s in sigs]
@@ -259,7 +280,7 @@ def join_annotations(g: Graph, t: TreeDecomposition, written: dict | None = None
         if None in cls[p]:
             members[p] = [[j for j in js if cls[p][j] is not None] for js in members[p]]
         sig[p] = [frozenset(map(pair.__getitem__, js)) if js else None for js in members[p]]
-    for p in t.positions:  # parents before children
+    for p in inner:  # parents before children
         if p != ROOT and None in cls[p[:-1]]:  # keep what a kept parent reaches, renumbered
             used = {k for k, i in zip(up[p], cls[p[:-1]]) if i is not None}
             if members[p] is not None:  # from key ids to annotations

@@ -8,16 +8,18 @@ are finite dynamic programs and refuse cyclic inputs.
 
 The central constructor compiles the automorphism group of a connected
 graph out of a permutation-yielding tree decomposition: variables are
-positions paired with classes of annotated bags that derive the same
-words, rules connect annotations that agree on their shared domain, and
-each leaf writes the image of its vertex.  Parse trees then correspond
-one-to-one with consistent whole-tree annotations, hence with
-automorphisms.  A word w produced for automorphism s satisfies
-w_i = s(alpha(i)) where alpha spells the leaf vertex order, so the language
-is exactly the string set of the group repositioned by alpha.  The
-consistency join (annotate.join_annotations) prunes the annotations and
-merges them into classes in one pass on int key ids; both builders name
-the classes and write each class's rules from its first annotation.
+inner positions paired with classes of annotated bags that derive the
+same words, rules connect annotations that agree on their shared domain,
+and each leaf's terminal, the image of its vertex, stands in its
+parent's rules where a leaf variable with one rule would.  Parse trees
+then correspond one-to-one with consistent whole-tree annotations, hence
+with automorphisms.  A word w produced for automorphism s satisfies
+w_i = s(alpha(i)) where alpha spells the leaf vertex order, so the
+language is exactly the string set of the group repositioned by alpha.
+The consistency join (annotate.join_annotations) prunes the annotations
+and merges them into classes in one pass on int key ids; both builders
+name the classes and write each class's rules from its first
+annotation.
 
 Layering: the read side (JSON, the compiled table, the semiring pass
 `_evaluate` and what is built on it: counting, enumeration, membership,
@@ -531,7 +533,10 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
 
     Returns (alpha, grammar) where the language equals the set of one-line
     automorphism strings repositioned by alpha (word position i holds the
-    image of vertex alpha(i))."""
+    image of vertex alpha(i)).  Each leaf position writes that image as a
+    terminal into its parent's rules and has no variable of its own; only
+    the root of a one-vertex graph, nobody's child, keeps one, whose one
+    rule writes its image."""
     from .annotate import join_annotations
     from .decomp import ROOT, is_permutation_yielding, validate_tree_decomposition, yield_order_of
     from .graph import require_connected
@@ -542,14 +547,15 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
         raise GrammarError(f"invalid decomposition: {report.violations[0].message}")
     if not is_permutation_yielding(g, t):
         raise GrammarError("decomposition is not permutation yielding")
-    # a leaf writes the image of its one vertex
+    # a leaf writes the image of its one vertex, into its parent's rules
     written = {p: t.bag(p)[0] for p in t.positions if not t.children(p)}
     dom, ann, cls, first, up, members = join_annotations(g, t, written)
-    # one variable per merge class, in position order after B1 (variable
-    # 0): p:<pos>|b:<k>, variable base[p] + k, stands for the k-th class
-    # at p, in first-appearance order
+    # one variable per merge class at each position that is not a leaf (the
+    # root always), in position order after B1 (variable 0):
+    # p:<pos>|b:<k>, variable base[p] + k, stands for the k-th class at p,
+    # in first-appearance order
     base, names = {}, ["B1"]
-    for p in t.positions:
+    for p in first:
         head = f"p:{_pos_str(p)}|b:"
         base[p] = len(names)
         names.extend([f"{head}{k}" for k in range(len(first[p]))])
@@ -559,34 +565,44 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
     kids: list = [(base[ROOT] + k,) for k in cls[ROOT] if k is not None]
     count = [len(kids)]
     rules: list = [("B1", (variables[k],)) for (k,) in kids]
-    repeat, spell = itertools.repeat, itertools.repeat(variables.__getitem__)
-    for p in t.positions:
+    for p in first:
         children, lhs = t.children(p), variables[base[p]:base[p] + len(first[p])]
-        if not children:
-            at = dom[p].index(written[p])
-            rules.extend(zip(lhs, [(ann[p][i][at],) for i in first[p]]))
+        images = list(map(ann[p].__getitem__, first[p]))  # each class's first annotation
+        if not children:  # the root of a one-vertex graph
+            rules.extend(zip(lhs, zip(map(operator.itemgetter(dom[p].index(written[p])), images))))
             kids.extend([()] * len(lhs))
             count.extend([1] * len(lhs))
             continue
-        # a class's rules are the product, over the children, of the
-        # variables of its first annotation's partners there.  Nearly every
-        # class has one rule, so the work is batched per position and
-        # child, and the rhs names are spelled from the ints
-        partners = []
+        # a class's rules are the product, over the children, of what its
+        # first annotation i writes there: a leaf child's terminal, the
+        # image of its vertex under i, and for any other child the
+        # variables of i's partners.  Nearly every class has one rule, so
+        # the work is batched per position and child: the products of the
+        # rhs variables as ints and of the rhs symbols run in step, a
+        # leaf's one terminal leaving the order alone
+        partners, symbols = [], []
         for c in children:
+            if c not in first:
+                symbols.append(list(zip(map(operator.itemgetter(dom[p].index(written[c])), images))))
+                continue
             ids = map(up[c].__getitem__, first[p])
             if members[c] is None:  # the one partner is annotation up[c][i]
-                partners.append(zip(map(base[c].__add__, map(cls[c].__getitem__, ids))))
-                continue
-            var = [None if k is None else base[c] + k for k in cls[c]]
-            partners.append(map(map, repeat(var.__getitem__), map(members[c].__getitem__, ids)))
-        products = list(map(list, itertools.starmap(itertools.product, zip(*partners))))
+                var = list(zip(map(base[c].__add__, map(cls[c].__getitem__, ids))))
+            else:
+                var_of = [None if k is None else base[c] + k for k in cls[c]]
+                var = [tuple(map(var_of.__getitem__, members[c][k])) for k in ids]
+            partners.append(var)
+            symbols.append([tuple(map(variables.__getitem__, vs)) for vs in var])
+        if partners:
+            products = list(map(list, itertools.starmap(itertools.product, zip(*partners))))
+        else:  # every child a leaf: one rule per class
+            products = [[()]] * len(lhs)
         sizes = list(map(len, products))
-        done = len(kids)
         kids.extend(itertools.chain.from_iterable(products))
         count.extend(sizes)
-        each_lhs = itertools.chain.from_iterable(map(repeat, lhs, sizes))
-        rules.extend(zip(each_lhs, map(tuple, map(map, spell, kids[done:]))))
+        each_lhs = itertools.chain.from_iterable(map(itertools.repeat, lhs, sizes))
+        rhs = itertools.chain.from_iterable(itertools.starmap(itertools.product, zip(*symbols)))
+        rules.extend(zip(each_lhs, rhs))
     gr = Grammar(g.vertex_count, "B1", variables, tuple(rules))
     # positions sort parents first, so the variables backwards list each
     # class before the classes whose rules use it
@@ -618,7 +634,9 @@ def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutat
     # the annotations at chain[m] write the image of the m-th introduced
     # vertex, and the class of an annotation there is the set of (terminal,
     # class) pairs of the annotations at chain[m + 1] it may continue with;
-    # state q:<m + 2>|b:<k> stands for the k-th class at chain[m]
+    # state q:<m + 2>|b:<k> stands for the k-th class at chain[m].  The last
+    # bag, a leaf, has no annotations of its own: its terminal is read off
+    # the first annotation of each class at chain[n - 2]
     dom, ann, cls, first, up, members = join_annotations(g, pd, dict(zip(chain, order)))
     name = []
     for m, p in enumerate(chain[:-1]):
@@ -627,6 +645,11 @@ def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutat
     variables = ["B1", *(v for names in name for v in names)]
     rules: list = []
     for m, p in enumerate(chain):
+        if 0 < m == n - 1:  # the last bag, read off its parent's classes
+            before = chain[m - 1]
+            at, images = dom[before].index(order[m]), ann[before]
+            rules.extend((lhs, (images[i][at],)) for lhs, i in zip(name[m - 1], first[before]))
+            break
         # each lhs with the annotations at p it may continue with
         if m == 0:
             steps = [("B1", [j for j, k in enumerate(cls[p]) if k is not None])]

@@ -209,8 +209,15 @@ def test_embed_above_oracle_cap(tmp_path):
     out = tmp_path / "g.json"
     r = run_cli("embed", "--graph", str(p), "--keep", "15", "--out", str(out))
     assert r.returncode == 0, r.stderr
-    assert len(run_cli("enum", str(out)).stdout.splitlines()) == 128
+    words = run_cli("enum", str(out)).stdout.splitlines()
+    assert len(words) == 128
     assert run_cli("count", str(out)).stdout == "32768\n"
+    # its formulation holds a word, and not the all-ones point, whose
+    # coordinates sum to 15 where every word's sum to 120
+    model = str(tmp_path / "model.lp")
+    assert run_cli("lift", str(out), "--out", model).returncode == 0
+    assert run_cli("check", model, "--point", words[0]).stdout == "feasible\n"
+    assert run_cli("check", model, "--point", " ".join(["1"] * 15)).stdout == "infeasible\n"
     # 1..16 takes in one leaf, which the root's swap sends to 24
     out.unlink()
     r = run_cli("embed", "--graph", str(p), "--keep", "16", "--out", str(out))

@@ -1,16 +1,18 @@
 """Golden bytes: sha256 digests of builder output on fixed graphs.  Any
 change to the construction that moves a rule, a variable name or an LP row
-shows here.  The digests of the naturally labelled graphs were recorded
-before the consistency join and the class merging became one pass, and
-that rework keeps them.  The digests of the relabelled graphs, where
-min-fill's tie-breaks and the annotation search's candidate order act,
-were recorded before min-fill kept its fill counts, the search tested
-adjacency once per placed vertex and the tree builder handed over its
-table, and those changes keep them.  The digests of `embed`'s output and of
-`lift` on it were recorded before `erase_terminals` took its lengths from
-the int length pass on the host's own table instead of an intermediate
-grammar, and before the semiring pass valued variables by index; those
-changes keep them."""
+shows here.
+
+The regular-grammar digests (the relabelled graphs' `build --path`
+output among them) were recorded before the consistency join and the
+class merging became one pass, and every change since keeps them.  The
+tree grammar, relabelled `build`, LP, `lift` and `embed` digests were
+re-recorded when each leaf's terminal was first written into its
+parent's rules instead of into a leaf variable with one rule: that
+format change moved every one of them, and moved no regular-grammar
+digest.  test_tree_grammar_matches_regular_grammar ties the new tree
+digests to output that did not move: each golden graph's tree grammar
+spells the same group as its regular grammar, with one parse tree per
+automorphism."""
 
 import hashlib
 import random
@@ -27,9 +29,12 @@ from autgrammar.grammar import (
     build_aut_grammar,
     build_embedded_group_grammar,
     build_regular_aut_grammar,
+    count_parse_trees,
     grammar_to_json,
+    iter_language,
+    permutation_from_aligned_word,
 )
-from autgrammar.perm import Permutation, format_permutation
+from autgrammar.perm import Permutation, Word, format_permutation
 from autgrammar.polytope import build_extended_formulation, emit_lp
 from conftest import (
     binary_tree,
@@ -60,31 +65,31 @@ GRAPHS = {
 
 # name -> (tree grammar JSON, regular grammar JSON)
 GRAMMAR_DIGESTS = {
-    "C6": ("5371b2c547d8eee1619ea5e3f9c038e6c256d76f8f149c2704b1ec7a8632db0f",
+    "C6": ("8d34c73d74874522e7f80a56ab9aec394607b4208133e4322ab7497588715717",
            "5900e2b80d63c50bb740605270f975678ed3ac46473993f19c1d6293b9650002"),
-    "K4": ("8e37cfe947dc1ce18b51c43564a1e4edb2f6aab9acfe190df86709fcb42323e4",
+    "K4": ("27504cafef6bfbfe39f80d02c4fda02f1104d4a28785ed42021e99f7d6521a4a",
            "541c0e40507fbd75e3b3c0b3c8adcb41cdd76a370492d28aced264105adb893f"),
-    "K5": ("958661a169215654b3cf218578fb90efcefeefa2c4b5221d9af0a8a3f7c7c01f",
+    "K5": ("803e3974e79f0c07afcddc3ca7b741d49de2992a30b71fe58387305f64625536",
            "5f9a4261d2c85507c55e412ebbd50ef713944bab05bfb735b3bb4357f7ddc967"),
-    "P8": ("6ec039c8c4509d0c31ba61726164b0161373d7fca79fa3ce3fa48f7556e0ae04",
+    "P8": ("ee314d0d80970633e45fc0c0c93c79252690202e2a0aca12ac1156afd94b3e8c",
            "2313e30e3a44224f25d3c4678974dbf0696b67f5ae25c99ae2ce82cd6a80fe57"),
-    "Petersen": ("7eee2efd9d99be1a480a91c1c8cc67ce97bc2703c6e0d74b615e89f1ed47c1b1",
+    "Petersen": ("68a44e6f30da333352f968ef193ca55ae70effeae6f376ef86affc888234e128",
                  "a627e1ce6eac130d053fc8285e426f602d2c555f097481a14489abdc1647cef2"),
-    "Q3": ("c6d03bb016f71ca66c5891e960326b5123a7541fe67e8bd9de1c90e4f979c3c3",
+    "Q3": ("1619228e4ae9a861d3c119e57ace7f63792e7d7e409186e33102a86519527410",
            "f98c9793d15481ecb8e0127462d0f991bad1cbc741d76d0552227890f1cd4a47"),
-    "btree3": ("fd6f3b0f24e8b680888fe0ecf2a1cb5b6bac383c2daf744bca81f19f2479dd6d",
+    "btree3": ("e38cd02b134eb41b779c655fc63541b903fac092dcc28a668e9ab2504c552891",
                "c58d466c30169cf76125de36f27011517f8617b124991727d61e33edc77fb67b"),
-    "grid3x3": ("f8918eeec81ed0ed82678b7f69d929bc54e5814c30279a9630ecf1aa222f46c9",
+    "grid3x3": ("06b54d77165d9c556e81bb260056d1f3fb7c2e763923467355fce8f761213203",
                 "f2d0f765fa9e074d54c8810617ce0734449be928d351a54aad56c879763e117b"),
-    "spider3x2": ("299505db241b780196e4a9b8af66c3e4fa7029fc898b24ec5478d53c6fffc579",
+    "spider3x2": ("8718f9896792d0ba1f26a49fb79c7e5c869aac8e42f474a069c6a3ba2b8af2dd",
                   "13f4a70edf97a717ef319553e7a25595679c7496439954537327f60fe263047c"),
-    "star5": ("c9244c750c4f02006345e74c4a478778be96248547a4c851e82cfbffa203cd08",
+    "star5": ("eb6bb714a947892adce3f705b0173178e44781d98283d7d9432e3de702c84c23",
               "bbb10cdfe74843d8944836fe981b805574b98d582e0a9b1cb401e9fb8e88a5ce"),
 }
 
 LP_DIGESTS = {
-    "C6": "00c91527eedea47d27f88b5735baa2a7373b713d973c19b70923cc35adf710ea",
-    "btree3": "93ae4c62360ef6fdaaaf5af5bbfa9a211f9cb210d10d0264bac535792cf648d8",
+    "C6": "5257adbd3997e44e33fbf810bf30151d0ae77a75add5e20c1450a088fbad41a3",
+    "btree3": "dfc87e93a2d2fa47a9401def2acb366284127171f712e54d022183de08f1e023",
 }
 
 # name -> (graph, seed of the relabelling)
@@ -100,20 +105,20 @@ RELABELLED = {
 # name -> (`build` output, `build --path` output or None above 10 vertices,
 # `lift` output): a build's output is its grammar JSON and its alpha line
 RELABELLED_DIGESTS = {
-    "C20": ("afb26a5d58eb49c1a7b1d84ec5c82b8e7527296dbf11bdc87f7f270db7179ef9", None,
-            "bf36d4499c8bf34c6bbf868b5c7875d3570472cf15ab9bf101919d37b0755dc5"),
-    "P30": ("787c3e026faf303b834baaee3c6d109aed289b693de7298ec2cfdbf8259152a8", None,
-            "866f78ea6f38ac42e3103e232d5452131fadc2445aec57bc346d46cace33926f"),
-    "btree4": ("2da8727c15bc8be469f45f3a145f1348dca4874d3eb1c00176e6f1da524c289e", None,
-               "c865e0d25046db04ec7b2409a0ee77bb922d4a64aa8cacf9e42b4708f6f8521d"),
-    "grid4x4": ("9c0dbb07b3301eed81b47baf38f34ccb85cc9762d98fabdc3d58fd00b85f0b30", None,
-                "08a84a2a254be5c59a2dfc8d8189f034628b43716aac63faed44146bda27244a"),
-    "Q3": ("8cf853d464079df2297b02a0902b5698fce6eb514993e9c1046f95c089162b35",
+    "C20": ("9650d7093964dad3457bac51a36ac12ade8739aee1cfdaf358752caa08769256", None,
+            "76f722aeb2288216fbe5ca64ee0c6be1b132c813624dbf4459cc8e87d3f943ec"),
+    "P30": ("e7a619797e50aa6b7e6b100223dcaec25b3952b5c67cbf694cd89bf14a499045", None,
+            "75de9a75a58afb7bdf26ec62139168a65f2516f96b389f09b74dfdb67f1bc98b"),
+    "btree4": ("427d56f59fd52842dddae62f6905311c737de31f580d528a5bb8ef1735de40e8", None,
+               "b6cbb8b71029876f5572894e43f5508bae9618735b2b1f5c0f42d8f0fb275bf6"),
+    "grid4x4": ("f871e2be61f7a826313c15805db30bf16cee873e2b90d25b568fb7bd9394ee0c", None,
+                "251f3c4532cf6e1bc9ced15dc776a2e69fc3b8ab2aa8f3d0ed72fbd83b42c1f4"),
+    "Q3": ("2c1ea4ffe90c93cb67d7b6db456bc76f37d6d72064a6dc867a0ddaa81df2d9b4",
            "2adf15dddadd394fd32afde44e76a1ae38709715281964d929e17e0e58cb4cb1",
-           "66a91f332b4312579d2e9364a57fa2d715f67823d51a6408cb7117648bc39baa"),
-    "Petersen": ("78c2238b86a72f60487398905cb72e6763ce958663da6d2f67f7ab24641dab0d",
+           "d0f1a7bde117fa50052f3f76be976725afab3b5ea70460fea86bf09ac15c6de0"),
+    "Petersen": ("887e244bd068224505456624743008fd506f3071b6fab19d530842f26e17f09b",
                  "0d351cfbfae5e87f20ba6f8270b991c6919720c636a33da454fc0a6bf2d7ce75",
-                 "a62dd08c2c5885820ad945e8734c8a9088933f0fa5265d34155550ce9c65fe80"),
+                 "2b7f5421dac3b7f3b4335958c80f67a4580265db047453890a21af8122809563"),
 }
 
 
@@ -124,6 +129,23 @@ def _digest(text: str) -> str:
 def _tree_grammar(g: Graph):
     t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, "min-fill"))
     return build_aut_grammar(g, t)[1]
+
+
+def _group(alpha, gr) -> set:
+    return {permutation_from_aligned_word(Word(w), alpha) for w in iter_language(gr)}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_tree_grammar_matches_regular_grammar(name):
+    # independent of the tree grammar's format: it spells the same group
+    # as the regular grammar, whose bytes the format does not touch, with
+    # one parse tree per automorphism
+    g = GRAPHS[name]()
+    t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, "min-fill"))
+    alpha, gr = build_aut_grammar(g, t)
+    group = _group(alpha, gr)
+    assert group == _group(*build_regular_aut_grammar(g, compute_path_decomposition(g)))
+    assert count_parse_trees(gr) == len(group)
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -168,17 +190,17 @@ EMBEDDED = {
 
 # name -> (`embed` output: grammar JSON and alpha line, `lift` output)
 EMBEDDED_DIGESTS = {
-    "btree4 keep 15": ("508f136b0e722bab547bd1cadd4bd1a22c84696a04a8acd32296039f1b3c523b",
-                       "3b516f4b43bab2696f18fa5ad3198cd1a83aa852a85683c3d33ff4dc0219a6ba"),
-    "btree4 keep 7": ("50a32f99f187288777934bfd0688e78605ce399ce82f3587334642c049013f3b",
-                      "7a01563f9fc6d3dedbec2ae47c519c489e35db89e5f5a9630bdd25dbec2b78be"),
-    "btree5 keep 31": ("8b49ba294994cad9e46daafb148c9d48d1dce44e64db4fcf50a9c0c5f8f51668",
-                       "65d5ab4e79c78229079b9913a8e327d0671edb68b8f0b7a90971c2faa2cc361d"),
-    "spider5x4 keep 1": ("cf3614c2b1f68a234b4412a2a63302f15787307d2c96bdc88245d5c087ff3001",
-                         "cfed910ade8416efb969e14002715c59caf189dfde79b7a9412ed86e470680cd"),
+    "btree4 keep 15": ("6e95846e7747e041958c41fd71dca8529aab5800701138879fb236f827aa2bc7",
+                       "d81e121275e435f9f171e34831e32da807336b3cdf65f3682c4a98d9c0e998b3"),
+    "btree4 keep 7": ("7d76b5edc86e4841d4b0c046e668375fb5e418d8e2a024bbb0d6d370fe958e19",
+                      "0028313ef1713a39feb317074ba7eb9d76eb4605921b62731ddca032f8d3765d"),
+    "btree5 keep 31": ("1b95569d1f29c4a469a4ec8afe7b19e408a02a158b0169e28103a1acf98e8048",
+                       "455af497fb54438db010b8ae1dd6efdbe9c108645e56f5d7440feafea3d46346"),
+    "spider5x4 keep 1": ("5e52df1580ede3d4d63684d8aa14fda9263de952d834023690fbf7b36ed92f8f",
+                         "967831603213e0030579e36cfb609b9849c9466779c7547d2f58a0f9762867ff"),
     "btree4 keep 15, b reversed": (
-        "53527221aa7cb0a90437bd04273fe15ad1cc3af6fe4a6176b2bbdddcf7c86944",
-        "0b50d2bd9107a1995ee0f1ebb8796a7864d1b87470e5bcc53f5b8d9e5f50113b",
+        "7f381612edf0c2f642c6f1208a4e6739ed528b6d75b2be7d8a4f32f4e93d9abc",
+        "e2dead8d59c3a8827ab3b70edb59bbdd5a5248d1ceb57950f88402afd5289a8d",
     ),
 }
 

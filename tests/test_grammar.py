@@ -493,6 +493,50 @@ def test_regular_single_vertex():
     assert [w.symbols for w in enumerate_language(gr).words] == [(1,)]
 
 
+def _tree_and_grammar(g):
+    t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, "min-fill"))
+    return {p: t.bag(p) for p in t.positions}, build_aut_grammar(g, t)[1]
+
+
+def test_single_vertex_root_keeps_its_variable():
+    # the root of a one-vertex graph is a leaf, but nobody's child, so it
+    # keeps its variable, whose one rule writes the image
+    bags, gr = _tree_and_grammar(Graph(1, []))
+    assert bags == {(): (1,)}
+    assert gr.variables == ("B1", "p:e|b:0")
+    assert gr.rules == (("B1", ("p:e|b:0",)), ("p:e|b:0", (1,)))
+
+
+def test_leaves_write_into_their_parents_rules():
+    # P2: leaf 2 sits directly under the root, and leaf 1.1 under position
+    # 1, whose one child it is, so p:1's variables keep one rule with one
+    # terminal each.  P3: leaf 1.1.1 hangs under a chain of single-child
+    # positions, and 1.2 and 2 beside inner siblings.  No leaf position
+    # has a variable, and each rule writes its leaf children's terminals
+    # where their variables stood
+    bags, gr = _tree_and_grammar(path_graph(2))
+    assert bags == {(): (2,), (1,): (1, 2), (1, 1): (1,), (2,): (2,)}
+    assert gr.variables == ("B1", "p:e|b:0", "p:e|b:1", "p:1|b:0", "p:1|b:1")
+    assert gr.rules == (
+        ("B1", ("p:e|b:0",)), ("B1", ("p:e|b:1",)),
+        ("p:e|b:0", ("p:1|b:0", 2)), ("p:e|b:1", ("p:1|b:1", 1)),
+        ("p:1|b:0", (1,)), ("p:1|b:1", (2,)),
+    )
+    bags, gr = _tree_and_grammar(path_graph(3))
+    assert bags == {(): (3,), (1,): (2, 3), (1, 1): (1, 2), (1, 1, 1): (1,), (1, 2): (2,), (2,): (3,)}
+    assert gr.variables == ("B1", "p:e|b:0", "p:e|b:1", "p:1|b:0", "p:1|b:1", "p:1.1|b:0", "p:1.1|b:1")
+    assert gr.rules == (
+        ("B1", ("p:e|b:0",)), ("B1", ("p:e|b:1",)),
+        ("p:e|b:0", ("p:1|b:1", 1)), ("p:e|b:1", ("p:1|b:0", 3)),
+        ("p:1|b:0", ("p:1.1|b:0", 2)), ("p:1|b:1", ("p:1.1|b:1", 2)),
+        ("p:1.1|b:0", (1,)), ("p:1.1|b:1", (3,)),
+    )
+    for g in (path_graph(2), path_graph(3)):
+        alpha, gr = aut_grammar(g)
+        assert list(enumerate_language(gr).words) == oracle_language(g, alpha)
+        assert count_parse_trees(gr) == 2
+
+
 def test_tree_grammar_not_regular(c4):
     _, gr = aut_grammar(c4)
     assert not is_regular(gr)
@@ -651,11 +695,12 @@ def test_regular_star(star5):
 # Reference constructions: every local partial automorphism of every bag,
 # from the brute-force oracle, every parent/child pair tested with
 # consistent_bags, then trim, then each variable renamed to its rank among
-# the variables left at its position.  Each reference also returns, per
-# variable head, the annotations of its variables in rank order.
-# build_aut_grammar and build_regular_aut_grammar must give exactly these
-# grammars, minimised by `_minimised`, however their search prunes and
-# however they merge.
+# the variables left at its position.  The tree reference then writes each
+# leaf's terminal into its parent's rules (`_substituted`).  Each reference
+# also returns, per variable head, the annotations of its variables in
+# rank order.  build_aut_grammar and build_regular_aut_grammar must give
+# exactly these grammars, minimised by `_minimised`, however their search
+# prunes and however they merge.
 
 def _oracle_bags(g, s):
     return [AnnotatedBag(tuple(sorted(s)), phi) for phi in oracle_annotations(g, s)]
@@ -716,6 +761,22 @@ def _minimised(gr):
     return Grammar(gr.sigma_max, gr.start, tuple(rank[v] for v in kept), rules)
 
 
+def _substituted(gr, heads):
+    """gr with each variable whose head is in heads replaced, wherever a
+    rule uses it, by its one rule's one terminal, and then dropped."""
+    term = {}
+    for lhs, rhs in gr.rules:
+        if lhs.rsplit("|b:", 1)[0] in heads:
+            assert lhs not in term and len(rhs) == 1 and isinstance(rhs[0], int), (lhs, rhs)
+            term[lhs] = rhs[0]
+    rules = tuple(
+        (lhs, tuple(term.get(x, x) if isinstance(x, str) else x for x in rhs))
+        for lhs, rhs in gr.rules
+        if lhs not in term
+    )
+    return Grammar(gr.sigma_max, gr.start, tuple(v for v in gr.variables if v not in term), rules)
+
+
 def reference_aut_grammar(g, t):
     ann = {p: _oracle_bags(g, t.bag(p)) for p in t.positions}
     name = {p: [f"{_head(p)}|b:{i}" for i in range(len(bs))] for p, bs in ann.items()}
@@ -730,7 +791,11 @@ def reference_aut_grammar(g, t):
                 rules.extend((name[p][i], combo) for combo in itertools.product(*per_child))
             else:
                 rules.append((name[p][i], (dict(b.phi)[t.bag(p)[0]],)))
-    return _ranked(trim(Grammar(g.vertex_count, "B1", ("B1", *bag_of), tuple(rules))), bag_of)
+    gr, ranked = _ranked(trim(Grammar(g.vertex_count, "B1", ("B1", *bag_of), tuple(rules))), bag_of)
+    # every position but the root that has no children is a leaf, and
+    # writes its terminal into its parent's rules
+    leaves = {_head(p) for p in t.positions if p and not t.children(p)}
+    return _substituted(gr, leaves), {h: bs for h, bs in ranked.items() if h not in leaves}
 
 
 def reference_regular_grammar(g, pd):
@@ -779,7 +844,7 @@ def test_join_matches_all_pairs_reference(corpus):
         chain = pd.positions
         for gr, (ref, ref_bags), bags in (
             (build_aut_grammar(g, t)[1], reference_aut_grammar(g, t),
-             {_head(p): ann[p] for p in t.positions}),
+             {_head(p): ann[p] for p in t.positions if not p or t.children(p)}),
             (build_regular_aut_grammar(g, pd)[1], reference_regular_grammar(g, pd),
              {f"q:{i}": pann[chain[i - 2]] for i in range(2, len(chain) + 1)}),
         ):

@@ -203,8 +203,8 @@ def test_projection_agrees_with_lp_file_on_random_points():
 
 
 def test_projection_points_of_larger_groups():
-    # the Petersen graph (|Aut| = 120, 1860 rules) and btree4 (|Aut| = 2^15,
-    # 994 rules): answers from the closed forms, each decided in under 1 s
+    # the Petersen graph (|Aut| = 120, 750 rules) and btree4 (|Aut| = 2^15,
+    # 540 rules): answers from the closed forms, each decided in under 1 s
     import time
 
     def word(g, alpha, swap=None):
@@ -407,9 +407,10 @@ def test_simplex_matches_reference_on_lp_corpus():
     # the LP-file points of every corpus grammar whose presolved system has
     # at most 150 rows: every graph the lp-check benchmark decides.  Left
     # out are btree3's path grammar's (228 rows), Petersen's tree
-    # grammar's (231) and btree4's (252), where the reference takes up to
-    # 14 s a point.  The presolve alone rejects the raised point of
-    # star4's tree grammar
+    # grammar's (161) and btree4's (170), where the reference takes up to
+    # 14 s a point.  The presolve alone rejects the raised points of P5's
+    # two grammars; that of star4's tree grammar, which it rejected while
+    # each leaf had a variable of its own, reaches the simplex (22 rows)
     decided = 0
     for parsed, point in lp_corpus_points():
         rows, bounds = _lp_system(parsed, point)
@@ -422,7 +423,7 @@ def test_simplex_matches_reference_on_lp_corpus():
         expected = reference_simplex_feasible(*reduced)
         assert _simplex_feasible(*reduced) == expected == check_lp_feasibility(parsed, point), point
         decided += 1
-    assert decided == 60
+    assert decided == 61
 
 
 def _integral(system) -> bool:
@@ -437,13 +438,14 @@ def test_simplex_makes_no_fraction_on_integral_systems():
     # basic coefficient, and the ratio test cross-multiplies, so on a
     # system whose numbers are all ints after the presolve the simplex
     # calls nothing in fractions.py: every such system of the LP corpus,
-    # and Petersen's and btree4's identity words.  btree4's presolve
-    # leaves two rows with a coefficient -2/3 (from a projection row that
-    # the point makes -2 y_a - 3 y_b = -2), so its rows are taken times
-    # their lcm of denominators, as the simplex's set-up takes them
+    # and Petersen's and btree4's identity words.  Their rows are taken
+    # times their lcm of denominators, as the simplex's set-up takes them:
+    # while each leaf had a variable of its own, btree4's presolve left two
+    # rows with a coefficient -2/3 (from a projection row that the point
+    # made -2 y_a - 3 y_b = -2); now every lcm is 1
     systems = [_presolve(*_lp_system(parsed, point)) for parsed, point in lp_corpus_points()]
     systems = [s for s in systems if s is not None and _integral(s)]
-    assert len(systems) == 32
+    assert len(systems) == 34
     for g in (petersen_graph(), binary_tree(4)):
         alpha, gr, ef = aut_ef(g)
         x = permute_word(to_string_word(Permutation(tuple(g.vertices))), alpha).symbols
@@ -484,10 +486,11 @@ def test_bound_flip_at_fractional_span():
 
 
 def test_petersen_lp_file_point_time():
-    # Petersen's identity word on the LP-file path: 231 rows after the
-    # presolve, most of them crashed before the first pivot; 55-65 ms on
-    # a 2-core VM, 3-5 s before the grammar's variables were merged and
-    # the crash added
+    # Petersen's identity word on the LP-file path: 161 rows after the
+    # presolve, most of them crashed before the first pivot; 26 ms on a
+    # 2-core VM (231 rows and 43 ms while each leaf had a variable of its
+    # own), 3-5 s before the grammar's variables were merged and the crash
+    # added
     import time
 
     g = petersen_graph()
@@ -503,7 +506,7 @@ def test_petersen_lp_file_point_time():
 def test_presolve_reduction_sizes(c5, q3):
     # the rows left are the flow rows of shared variables, which have more
     # than two terms, and what substitution made of them
-    for g, size in ((c5, (31, 35)), (q3, (73, 112))):
+    for g, size in ((c5, (11, 15)), (q3, (33, 72))):
         alpha, gr, ef = aut_ef(g)
         x = permute_word(to_string_word(Permutation(tuple(g.vertices))), alpha).symbols
         point = {f"x_{i}": Fraction(v) for i, v in enumerate(x, start=1)}

@@ -3,9 +3,10 @@ builders against the brute-force oracle, and the two exact LP paths and
 the Fraction reference simplex against each other, that the count of
 whole-tree annotations is |Aut| and the parse-tree count on every kind of
 decomposition, that every variable a builder writes is one merge class,
-that the annotation search pinned to a parent's keys finds what the
-unpinned search finds for those keys, and that the keys a fully pinned
-child takes without a search are annotations.
+that the tree grammar names no leaf position, that the annotation
+search pinned to a parent's keys finds what the unpinned search finds
+for those keys, and that the keys a fully pinned child takes without a
+search are annotations.
 On random acyclic grammars: the streamed language against the
 set-semiring reference, the int length pass against the set semiring's
 lengths, with and without erased terminals, `erase_terminals` against a
@@ -366,6 +367,22 @@ def test_projection_matches_reference_on_positional_grammars(gr, data):
         assert verdict == expected and repr(verdict) == repr(expected), x
         check_certificate(gr, x, *verdict)
         assert check_lp_feasibility(parsed, {f"x_{k}": v for k, v in enumerate(x, start=1)}) == verdict[0], x
+
+
+@settings(max_examples=50, deadline=None)
+@given(connected_graphs(), st.sampled_from(["min-fill", "exact-small"]))
+def test_tree_grammar_has_no_leaf_variables(g, strategy):
+    # every leaf writes its terminal into its parent's rules: the variables
+    # name exactly the positions with children, and the root, which is
+    # nobody's child; the language and the parse trees stay the oracle's
+    auts = brute_force_automorphisms(g)
+    assume(len(auts) <= MAX_GROUP)
+    t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, strategy))
+    alpha, gr = build_aut_grammar(g, t)
+    heads = {v.rsplit("|b:", 1)[0] for v in gr.variables[1:]}
+    assert heads == {"p:" + (".".join(map(str, p)) or "e") for p in t.positions if not p or t.children(p)}
+    assert list(enumerate_language(gr).words) == sorted(permute_word(to_string_word(s), alpha) for s in auts)
+    assert count_parse_trees(gr) == len(auts)
 
 
 @settings(max_examples=20, deadline=None)
