@@ -16,14 +16,17 @@ then correspond one-to-one with consistent whole-tree annotations, hence
 with automorphisms.  A word w produced for automorphism s satisfies
 w_i = s(alpha(i)) where alpha spells the leaf vertex order, so the
 language is exactly the string set of the group repositioned by alpha.
-The consistency join (annotate.join_annotations) prunes the annotations
-and merges them into classes in one pass on int key ids; both builders
-name the classes and write each class's rules from its first
-annotation.
+The regular grammar is the same construction on a path decomposition
+that introduces one vertex per bag, each bag writing the image of the
+vertex it introduces: one builder (`_build`) serves both.  The
+consistency join (annotate.join_annotations) prunes the annotations and
+merges them into classes in one pass on int key ids; the builder names
+each class p:<j>|b:<k> by its position's index j in preorder and writes
+its rules from its first annotation.
 
 Layering: the read side (JSON, the compiled table, the semiring pass
 `_evaluate` and what is built on it: counting, enumeration, membership,
-size, regularity and the transforms) imports no builder layer.  The three
+size, regularity and the transforms) imports no builder layer.  The
 builders import `annotate`, `decomp` and `graph` inside their own bodies,
 so a process that only reads a grammar file never loads them.  The embed
 builder decides whether the prefix is invariant from the host's grammar
@@ -32,8 +35,8 @@ itself, so no builder loads `oracle` or `polytope`.
 The read side runs on one table per grammar (`_compiled`), built on first
 use and cached on the grammar: the variables as ints in dependencies-first
 order, and each variable's rules with their rhs variables as int indexes.
-The tree builder writes its rules from that table's ints and hands the
-table over with the grammar, so reading a built grammar hashes no name.
+The builder writes its rules from that table's ints and hands the table
+over with the grammar, so reading a built grammar hashes no name.
 Parse-tree counting, the word lengths and the positions each rule writes
 (`_length_bounds`, `_writes`: read by the extended formulation, the embed
 check, `trim` and `erase_terminals`) and the polytope's max-plus pricing
@@ -57,7 +60,7 @@ from . import PreconditionError, _quote
 from .perm import Permutation, Word, format_permutation, identity, inverse
 
 if TYPE_CHECKING:
-    from .decomp import Pos, TreeDecomposition
+    from .decomp import TreeDecomposition
     from .graph import Graph
 
 
@@ -72,7 +75,7 @@ class CyclicGrammarError(GrammarError):
 class Grammar:
     """Immutable; equal, and hashed alike, when every field is equal."""
 
-    # _table caches `_compiled(self)`, set on first use or by the tree
+    # _table caches `_compiled(self)`, set on first use or by the
     # builder; it is derived from the other fields, so no comparison,
     # hash, repr or pickle reads it
     __slots__ = ("sigma_max", "start", "variables", "rules", "accepts_empty", "_table")
@@ -153,8 +156,8 @@ class _Table(NamedTuple):
     j-th listed rule is gr.rules[ids[j]], and variable v's rules are those
     listed from ends[v] to ends[v + 1].  order is a dependencies-first
     order: `_compiled` finds one by depth-first search, which names the
-    variable of a cycle, and the tree builder, whose grammars have none,
-    hands over the reverse of its numbering."""
+    variable of a cycle, and the builder of tree and regular grammars,
+    which have none, hands over the reverse of its numbering."""
 
     start: int
     order: list  # the variables, dependencies first
@@ -164,7 +167,7 @@ class _Table(NamedTuple):
 
 
 def _compiled(gr: Grammar) -> _Table:
-    """The grammar's `_Table`, built on first use (unless the tree builder
+    """The grammar's `_Table`, built on first use (unless the builder
     handed it over) and kept in the grammar's `_table` slot, which no
     comparison, hash, repr or pickle reads.  Raises on recursion.
 
@@ -282,13 +285,6 @@ def _writes(gr: Grammar, length: list[int]) -> dict[int, list[tuple[int, int]]]:
         v = gr.variables[offset.index(0)]
         raise GrammarError(f"variable {_quote(v)} unreachable; trim the grammar first")
     return writes
-
-
-def topological_variables(gr: Grammar) -> list[str]:
-    """Variables ordered dependencies-first; raises on recursion (see
-    `_compiled`)."""
-    names = gr.variables
-    return [names[v] for v in _compiled(gr).order]
 
 
 class GrammarSize(NamedTuple):
@@ -522,86 +518,110 @@ def trim(gr: Grammar) -> Grammar:
 
 
 # ---------------------------------------------------------------------------
-# Construction from a permutation-yielding tree decomposition.
+# Construction from a decomposition.  The tree grammar is built from a
+# permutation-yielding tree decomposition, whose leaves write the terminals,
+# and the regular grammar from a path decomposition that introduces one
+# vertex per bag, every bag writing the image of the vertex it introduces:
+# one construction, `_build`, on the positions each builder says write.
 
-def _pos_str(p: Pos) -> str:
-    return ".".join(map(str, p)) or "e"  # the root is the empty position
-
-
-def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Grammar]:
-    """Compile Aut(g) into a grammar over alphabet V(g).
-
-    Returns (alpha, grammar) where the language equals the set of one-line
-    automorphism strings repositioned by alpha (word position i holds the
-    image of vertex alpha(i)).  Each leaf position writes that image as a
-    terminal into its parent's rules and has no variable of its own; only
-    the root of a one-vertex graph, nobody's child, keeps one, whose one
-    rule writes its image."""
-    from .annotate import join_annotations
-    from .decomp import ROOT, is_permutation_yielding, validate_tree_decomposition, yield_order_of
+def _check_decomposition(g: Graph, t: TreeDecomposition) -> None:
+    from .decomp import validate_tree_decomposition
     from .graph import require_connected
 
     require_connected(g)
     report = validate_tree_decomposition(g, t)
     if not report.ok:
         raise GrammarError(f"invalid decomposition: {report.violations[0].message}")
-    if not is_permutation_yielding(g, t):
-        raise GrammarError("decomposition is not permutation yielding")
-    # a leaf writes the image of its one vertex, into its parent's rules
-    written = {p: t.bag(p)[0] for p in t.positions if not t.children(p)}
+
+
+def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[Permutation, Grammar]:
+    """Compile Aut(g) out of t, a checked decomposition, into a grammar
+    over alphabet V(g).  written maps each position that writes a terminal,
+    every childless position among them, to the vertex whose image it
+    writes; alpha is the written vertices in position order.
+
+    Each position with children has one variable per merge class of its
+    annotations.  A written position writes its terminal into its parent's
+    rules, just before its own variable when it has children, and B1
+    stands as the root's parent.  A childless position writes only its
+    terminal and has no variable, the root of a one-vertex graph too.  The
+    grammar's table is handed over with it."""
+    from .annotate import join_annotations
+    from .decomp import ROOT
+
     dom, ann, cls, first, up, members = join_annotations(g, t, written)
-    # one variable per merge class at each position that is not a leaf (the
-    # root always), in position order after B1 (variable 0):
-    # p:<pos>|b:<k>, variable base[p] + k, stands for the k-th class at p,
-    # in first-appearance order
+    # one variable per merge class at each position with children, in
+    # position order after B1 (variable 0): p:<j>|b:<k>, variable base[p] + k,
+    # stands for the k-th class at t.positions[j], in first-appearance order
     base, names = {}, ["B1"]
-    for p in first:
-        head = f"p:{_pos_str(p)}|b:"
-        base[p] = len(names)
-        names.extend([f"{head}{k}" for k in range(len(first[p]))])
+    for j, p in enumerate(t.positions):
+        if t.children(p):
+            head = f"p:{j}|b:"
+            base[p] = len(names)
+            names.extend([f"{head}{k}" for k in range(len(first[p]))])
     variables = tuple(names)
+
+    def image(p, v):  # the image of vertex v, read off an annotation at p
+        return operator.itemgetter(dom[p].index(v))
+
     # the read table as the rules are written, each variable's together:
-    # their rhs variables as ints, and each variable's number of rules
-    kids: list = [(base[ROOT] + k,) for k in cls[ROOT] if k is not None]
+    # their rhs variables as ints, and each variable's number of rules.
+    # B1 has one rule per kept annotation at the root: the image the root
+    # writes, if written, then the annotation's variable, if it has one
+    kept = [j for j, k in enumerate(cls[ROOT]) if k is not None]
+    kids: list = [()] * len(kept)
+    symbols: list = []
+    if ROOT in written:
+        symbols.append(map(image(ROOT, written[ROOT]), map(ann[ROOT].__getitem__, kept)))
+    if ROOT in base:
+        kids = [(base[ROOT] + cls[ROOT][j],) for j in kept]
+        symbols.append([variables[k] for (k,) in kids])
+    rules: list = [("B1", rhs) for rhs in zip(*symbols)]
     count = [len(kids)]
-    rules: list = [("B1", (variables[k],)) for (k,) in kids]
-    for p in first:
-        children, lhs = t.children(p), variables[base[p]:base[p] + len(first[p])]
-        images = list(map(ann[p].__getitem__, first[p]))  # each class's first annotation
-        if not children:  # the root of a one-vertex graph
-            rules.extend(zip(lhs, zip(map(operator.itemgetter(dom[p].index(written[p])), images))))
-            kids.extend([()] * len(lhs))
-            count.extend([1] * len(lhs))
-            continue
+    for p, at in base.items():  # positions are deep tuples on a path: each is hashed few times
+        heads = first[p]
+        lhs = variables[at:at + len(heads)]
+        images = list(map(ann[p].__getitem__, heads))  # each class's first annotation
         # a class's rules are the product, over the children, of what its
-        # first annotation i writes there: a leaf child's terminal, the
-        # image of its vertex under i, and for any other child the
+        # first annotation i writes there: a childless child's terminal,
+        # the image of its vertex under i, and for any other child the
         # variables of i's partners.  Nearly every class has one rule, so
         # the work is batched per position and child: the products of the
         # rhs variables as ints and of the rhs symbols run in step, a
-        # leaf's one terminal leaving the order alone
-        partners, symbols = [], []
+        # childless child's one terminal leaving the order alone.  A
+        # written child with children is an only child, as on a path: each
+        # partner's rule writes its image, then its variable
+        children, partners, symbols, rhs = t.children(p), [], [], None
         for c in children:
-            if c not in first:
-                symbols.append(list(zip(map(operator.itemgetter(dom[p].index(written[c])), images))))
+            var_at = base.get(c)
+            if var_at is None:
+                symbols.append(list(zip(map(image(p, written[c]), images))))
                 continue
-            ids = map(up[c].__getitem__, first[p])
-            if members[c] is None:  # the one partner is annotation up[c][i]
-                var = list(zip(map(base[c].__add__, map(cls[c].__getitem__, ids))))
+            ids, by_key, of = list(map(up[c].__getitem__, heads)), members[c], cls[c]
+            if by_key is None:  # the one partner is annotation up[c][i]
+                var = list(zip(map(var_at.__add__, map(of.__getitem__, ids))))
             else:
-                var_of = [None if k is None else base[c] + k for k in cls[c]]
-                var = [tuple(map(var_of.__getitem__, members[c][k])) for k in ids]
+                var_of = [None if k is None else var_at + k for k in of]
+                rows = list(map(by_key.__getitem__, ids))
+                var = [tuple(map(var_of.__getitem__, js)) for js in rows]
             partners.append(var)
-            symbols.append([tuple(map(variables.__getitem__, vs)) for vs in var])
+            v = written.get(c)
+            if v is None:
+                symbols.append([tuple(map(variables.__getitem__, vs)) for vs in var])
+            else:
+                assert children == (c,), "a written position with children has no siblings"
+                partner = map(ann[c].__getitem__, ids if by_key is None else itertools.chain.from_iterable(rows))
+                rhs = zip(map(image(c, v), partner), map(variables.__getitem__, itertools.chain.from_iterable(var)))
         if partners:
             products = list(map(list, itertools.starmap(itertools.product, zip(*partners))))
-        else:  # every child a leaf: one rule per class
+        else:  # every child childless: one rule per class
             products = [[()]] * len(lhs)
         sizes = list(map(len, products))
         kids.extend(itertools.chain.from_iterable(products))
         count.extend(sizes)
         each_lhs = itertools.chain.from_iterable(map(itertools.repeat, lhs, sizes))
-        rhs = itertools.chain.from_iterable(itertools.starmap(itertools.product, zip(*symbols)))
+        if rhs is None:
+            rhs = itertools.chain.from_iterable(itertools.starmap(itertools.product, zip(*symbols)))
         rules.extend(zip(each_lhs, rhs))
     gr = Grammar(g.vertex_count, "B1", variables, tuple(rules))
     # positions sort parents first, so the variables backwards list each
@@ -609,59 +629,36 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
     order = list(range(len(variables) - 1, -1, -1))
     ends = list(itertools.accumulate(count, initial=0))
     object.__setattr__(gr, "_table", _Table(0, order, ends, range(len(rules)), kids))
-    return yield_order_of(t), gr
+    return Permutation(tuple(written[p] for p in t.positions if p in written)), gr
 
 
-# ---------------------------------------------------------------------------
-# Regular construction from a path decomposition that introduces each vertex
-# exactly once.  The grammar walks the path, emitting the image of each
-# introduced vertex and remembering the previous bag annotation in the
-# variable, so every rule has shape (B, a) or (B, a B').
+def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Grammar]:
+    """Compile Aut(g) into a grammar over alphabet V(g).
+
+    Returns (alpha, grammar) where the language equals the set of one-line
+    automorphism strings repositioned by alpha (word position i holds the
+    image of vertex alpha(i)), alpha being the leaf vertices in position
+    order (`decomp.yield_order_of`).  Each leaf writes that image as a
+    terminal into its parent's rules and has no variable of its own."""
+    from .decomp import is_permutation_yielding
+
+    _check_decomposition(g, t)
+    if not is_permutation_yielding(g, t):
+        raise GrammarError("decomposition is not permutation yielding")
+    return _build(g, t, {p: t.bag(p)[0] for p in t.leaves()})
+
 
 def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutation, Grammar]:
-    from .annotate import join_annotations
-    from .decomp import introduced_order, validate_tree_decomposition
-    from .graph import require_connected
+    """Compile Aut(g) into a regular grammar, every rule (B, a) or
+    (B, a B'), from a path decomposition that introduces one vertex per
+    bag (`decomp.introduced_order`).  Returns (alpha, grammar) as
+    `build_aut_grammar` does, alpha being the introduced vertices in order:
+    each bag writes the image of the vertex it introduces into its
+    parent's rules, before the variable of its annotation's class."""
+    from .decomp import introduced_order
 
-    require_connected(g)
-    report = validate_tree_decomposition(g, pd)
-    if not report.ok:
-        raise GrammarError(f"invalid decomposition: {report.violations[0].message}")
-    order = introduced_order(g, pd)
-    n = g.vertex_count
-    chain = pd.positions  # path shaped: the root, then one child per level
-    alpha = Permutation(tuple(order))
-    # the annotations at chain[m] write the image of the m-th introduced
-    # vertex, and the class of an annotation there is the set of (terminal,
-    # class) pairs of the annotations at chain[m + 1] it may continue with;
-    # state q:<m + 2>|b:<k> stands for the k-th class at chain[m].  The last
-    # bag, a leaf, has no annotations of its own: its terminal is read off
-    # the first annotation of each class at chain[n - 2]
-    dom, ann, cls, first, up, members = join_annotations(g, pd, dict(zip(chain, order)))
-    name = []
-    for m, p in enumerate(chain[:-1]):
-        head = f"q:{m + 2}|b:"
-        name.append([f"{head}{k}" for k in range(len(first[p]))])
-    variables = ["B1", *(v for names in name for v in names)]
-    rules: list = []
-    for m, p in enumerate(chain):
-        if 0 < m == n - 1:  # the last bag, read off its parent's classes
-            before = chain[m - 1]
-            at, images = dom[before].index(order[m]), ann[before]
-            rules.extend((lhs, (images[i][at],)) for lhs, i in zip(name[m - 1], first[before]))
-            break
-        # each lhs with the annotations at p it may continue with
-        if m == 0:
-            steps = [("B1", [j for j, k in enumerate(cls[p]) if k is not None])]
-        else:
-            ids = map(up[p].__getitem__, first[chain[m - 1]])
-            steps = zip(name[m - 1], zip(ids) if members[p] is None else map(members[p].__getitem__, ids))
-        at, images = dom[p].index(order[m]), ann[p]
-        for lhs, nxt in steps:
-            for j in nxt:
-                emit = images[j][at]
-                rules.append((lhs, (emit, name[m][cls[p][j]]) if m < n - 1 else (emit,)))
-    return alpha, Grammar(g.vertex_count, "B1", tuple(variables), tuple(rules))
+    _check_decomposition(g, pd)
+    return _build(g, pd, dict(zip(pd.positions, introduced_order(g, pd))))
 
 
 # ---------------------------------------------------------------------------

@@ -410,11 +410,11 @@ def _presolve(rows: list, bounds: dict):
     the variables in them: a system feasible exactly when the input is.
 
     Which name survives a chain of doubletons only renames a column of the
-    reduced system, but the simplex breaks ties by column name.  Without
-    the crash basis that choice mattered: on the Petersen graph, keeping
-    each chain's first name rather than its last took under a sixth of
-    the pivots.  With it, Petersen's identity word takes 9 pivots keeping
-    the first name and 4 keeping the last."""
+    reduced system, but the simplex breaks ties by column name.  On the
+    LP of the Petersen graph's min-fill tree grammar at its identity word,
+    keeping each chain's first name takes 9 pivots after the crash and
+    330 from an all-artificial start, and keeping its last takes 4 and
+    441."""
     lo = {v: a for v, (a, _) in bounds.items()}
     hi = {v: b for v, (_, b) in bounds.items()}
     if any(b is not None and lo[v] > b for v, b in hi.items()):
@@ -507,8 +507,9 @@ def _simplex_feasible(rows: list, bounds: dict) -> bool:
     fewest rows, ties to the smallest index.  The column enters at 0, so
     the swap is a degenerate pivot with no ratio test, and the phase-1
     objective sums only the artificials still basic.  On Petersen's
-    identity word this leaves 9 pivots of the 535 that an all-artificial
-    start takes.
+    identity word (the LP of its min-fill tree grammar) the crash makes
+    150 swaps and leaves 9 pivots of the 330 that an all-artificial start
+    takes.
 
     The tableau stays over the integers (integer-preserving elimination:
     Edmonds 1967, Bareiss 1968).  Each row is held as coprime ints, its

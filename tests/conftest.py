@@ -154,9 +154,10 @@ def reference_min_fill_order(g: Graph) -> list[int]:
 
 
 def check_handed_over_table(gr: Grammar) -> None:
-    """The table the tree builder hands over with gr is the one `_compiled`
-    builds from gr's fields, except that its order may be any order that
-    lists each variable once, after every variable its rules use."""
+    """The table the builder hands over with gr, a tree or a regular
+    grammar, is the one `_compiled` builds from gr's fields, except that
+    its order may be any order that lists each variable once, after every
+    variable its rules use."""
     table = gr._table
     fresh = _compiled(Grammar(gr.sigma_max, gr.start, gr.variables, gr.rules))
     assert (table.start, table.ends, list(table.ids), table.kids) == (

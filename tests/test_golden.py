@@ -12,10 +12,19 @@ format change moved every one of them, and moved no regular-grammar
 digest.  test_tree_grammar_matches_regular_grammar ties the new tree
 digests to output that did not move: each golden graph's tree grammar
 spells the same group as its regular grammar, with one parse tree per
-automorphism."""
+automorphism.
+
+Since the two grammars come from one builder, every variable is named
+p:<j>|b:<k> by the index j of its position.  That renaming moved every
+grammar digest and no rule, so the digests recorded before it, under the
+names p:<position>|b:<k> (tree) and q:<j + 2>|b:<k> (regular), are still
+asserted on the output renamed back by `_position_named`, beside the
+digests of today's bytes.  The LP names flows and rows by index, so no
+LP or `lift` digest moved."""
 
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -63,7 +72,7 @@ GRAPHS = {
     "Petersen": petersen_graph,
 }
 
-# name -> (tree grammar JSON, regular grammar JSON)
+# name -> (tree grammar JSON, regular grammar JSON), position named
 GRAMMAR_DIGESTS = {
     "C6": ("8d34c73d74874522e7f80a56ab9aec394607b4208133e4322ab7497588715717",
            "5900e2b80d63c50bb740605270f975678ed3ac46473993f19c1d6293b9650002"),
@@ -87,6 +96,30 @@ GRAMMAR_DIGESTS = {
               "bbb10cdfe74843d8944836fe981b805574b98d582e0a9b1cb401e9fb8e88a5ce"),
 }
 
+# name -> (tree grammar JSON, regular grammar JSON), as written
+INDEXED_GRAMMAR_DIGESTS = {
+    "C6": ("184356eea95d51854f842d37880cfd10a1a3df967201655b6eeaf6255f40ff47",
+           "fcb35cea54a11d9a9333bfa2dab3a093789571fd5863e0b9824fcc7d2ce200f6"),
+    "K4": ("a91c28792faf12ac251e9e1d5b4a1e04cfdff16c0a34c7a0185fd48d33e0ae83",
+           "822b261fffaed415ae99135c8d86496b5b5ab3441ba4dc9edd1aa4caadeb04a9"),
+    "K5": ("e71970689ae890dfed17b8e6d7401e01374e3e3ebb06590805a9a22288176b31",
+           "1ae76796f3d9d2b48263586f9083df3d20e21c9f215606e1ec77a454b121fb69"),
+    "P8": ("b90139042d4309847ab25d1b4b5863c59d2f5204c8ea09dac71e3cf8b84b7173",
+           "51b26ae06e453f16867d08b13a8f6e2976bf42e948b943251ab20f8643d74e44"),
+    "Petersen": ("063adab151ecd469a66d931557110fd00564bf8bba68264cd51ee10e9eab7133",
+                 "eedf76d1df0eae4bd48312db6df4418ee209bdeb807f2ec4203ffc6ad1f3c791"),
+    "Q3": ("0552c884f53cefa10d0d50c9af5e8c9421261e07e50a14103404cc8c22fcd12c",
+           "0304179ec1fe0bfba476a3fb8a056be1c48e738532b2c130e68d1b77ce6f1c0f"),
+    "btree3": ("e4ff3c34abf6cad4d0e78c76d63baae68227e228b15a1788a7ed597d94e9528b",
+               "dd97ccfae11883b83864a1d64909a5f24f690a576173af217745e34ca5686dfc"),
+    "grid3x3": ("46c796801c0c39c17e2019c22e909fa9e5e4d3505231d69e30464658481b960b",
+                "a9bfec1c0239c86b199472b9f847ed317a4070b854fe262fee37ac8a758b6015"),
+    "spider3x2": ("34425bbcd7ab0a624e668c09d49958a8562e79ec74a0d34f0fcaa0e079875066",
+                  "e20a352b0e77b64585bceb49ac5af774ee665bea60bcbf6b63ac31e97e16d3a2"),
+    "star5": ("69e7b4122379c6094d8b461e5bef61d0d4b4e979e94a62d9156e43621fc15ae1",
+              "9847b5d96f03fdeb43fcdaaba32e03adb5e075d5db3e371bd75e32845a9038fd"),
+}
+
 LP_DIGESTS = {
     "C6": "5257adbd3997e44e33fbf810bf30151d0ae77a75add5e20c1450a088fbad41a3",
     "btree3": "dfc87e93a2d2fa47a9401def2acb366284127171f712e54d022183de08f1e023",
@@ -103,7 +136,8 @@ RELABELLED = {
 }
 
 # name -> (`build` output, `build --path` output or None above 10 vertices,
-# `lift` output): a build's output is its grammar JSON and its alpha line
+# `lift` output): a build's output is its grammar JSON and its alpha line,
+# position named
 RELABELLED_DIGESTS = {
     "C20": ("9650d7093964dad3457bac51a36ac12ade8739aee1cfdaf358752caa08769256", None,
             "76f722aeb2288216fbe5ca64ee0c6be1b132c813624dbf4459cc8e87d3f943ec"),
@@ -122,13 +156,42 @@ RELABELLED_DIGESTS = {
 }
 
 
+# name -> (`build` output, `build --path` output or None), as written
+INDEXED_RELABELLED_DIGESTS = {
+    "C20": ("eb9e05548c8c3c3e2590d527ebbfb50d78e6809416bac21fbdb3e0c1ebd72279", None),
+    "P30": ("93eaca857ffca699ba4a171c37983b48e73f7c9d2434b007ecbe62131a980b65", None),
+    "btree4": ("7f1505533d8a2b90ad5b813f6bc468cd4d7e830ad6b9ed042abc44f54d05d9e1", None),
+    "grid4x4": ("7ee74e84307f1bce54160b32d993bf518ee6c33ff8e63d82d1560da9c16014cc", None),
+    "Q3": ("6c55af4863e2cb1f3d61ee44bfc9dc6fc5f297af4be4ab9c41b17ca4c4338346",
+           "56232918388ec27c33b77b9b7c63eee74e85d02d745aa672af569c7ff5aeed98"),
+    "Petersen": ("19f46b25499077f0d6a8f659fadaa7926057ca6bc3027d7a9e07285b7f4e59bb",
+                 "b08140f670a808e681ef91e2c4c5376fd0811120050deb8123423367c10aff5c"),
+}
+
+
+def _position_named(text: str, t=None) -> str:
+    """Grammar JSON text with each variable p:<j>|b:<k> named as it was
+    before variables were named by position index: p:<the child indices
+    of t.positions[j], joined by dots, e for the root>|b:<k> for a tree
+    grammar built from t, q:<j + 2>|b:<k> for a regular grammar (no t)."""
+
+    def name(m) -> str:
+        j = int(m[1])
+        return f'"q:{j + 2}|b:' if t is None else f'"p:{".".join(map(str, t.positions[j])) or "e"}|b:'
+
+    return re.sub(r'"p:(\d+)\|b:', name, text)
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
+def _tree(g: Graph):
+    return make_permutation_yielding(g, compute_tree_decomposition(g, "min-fill"))[0]
+
+
 def _tree_grammar(g: Graph):
-    t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, "min-fill"))
-    return build_aut_grammar(g, t)[1]
+    return build_aut_grammar(g, _tree(g))[1]
 
 
 def _group(alpha, gr) -> set:
@@ -151,9 +214,11 @@ def test_tree_grammar_matches_regular_grammar(name):
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_builder_bytes(name):
     g = GRAPHS[name]()
-    tree = grammar_to_json(_tree_grammar(g))
+    t = _tree(g)
+    tree = grammar_to_json(build_aut_grammar(g, t)[1])
     regular = grammar_to_json(build_regular_aut_grammar(g, compute_path_decomposition(g))[1])
-    assert (_digest(tree), _digest(regular)) == GRAMMAR_DIGESTS[name]
+    assert (_digest(tree), _digest(regular)) == INDEXED_GRAMMAR_DIGESTS[name]
+    assert (_digest(_position_named(tree, t)), _digest(_position_named(regular))) == GRAMMAR_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(LP_DIGESTS))
@@ -170,13 +235,16 @@ def _build_output(alpha, gr) -> str:
 def test_relabelled_bytes(name):
     make, seed = RELABELLED[name]
     g = relabel(make(), random.Random(seed))
-    t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, "min-fill"))
+    t = _tree(g)
     alpha, gr = build_aut_grammar(g, t)
-    regular = None
+    tree = _build_output(alpha, gr)
+    regular = regular_named = None
     if g.vertex_count <= 10:
-        regular = _digest(_build_output(*build_regular_aut_grammar(g, compute_path_decomposition(g))))
+        text = _build_output(*build_regular_aut_grammar(g, compute_path_decomposition(g)))
+        regular, regular_named = _digest(text), _digest(_position_named(text))
     lift = _digest(emit_lp(build_extended_formulation(gr)))
-    assert (_digest(_build_output(alpha, gr)), regular, lift) == RELABELLED_DIGESTS[name]
+    assert (_digest(tree), regular) == INDEXED_RELABELLED_DIGESTS[name]
+    assert (_digest(_position_named(tree, t)), regular_named, lift) == RELABELLED_DIGESTS[name]
 
 
 # name -> (host graph, kept prefix, coset representative or None)
@@ -188,7 +256,8 @@ EMBEDDED = {
     "btree4 keep 15, b reversed": (lambda: binary_tree(4), 15, Permutation(tuple(range(15, 0, -1)))),
 }
 
-# name -> (`embed` output: grammar JSON and alpha line, `lift` output)
+# name -> (`embed` output: grammar JSON and alpha line, position named,
+# `lift` output)
 EMBEDDED_DIGESTS = {
     "btree4 keep 15": ("6e95846e7747e041958c41fd71dca8529aab5800701138879fb236f827aa2bc7",
                        "d81e121275e435f9f171e34831e32da807336b3cdf65f3682c4a98d9c0e998b3"),
@@ -205,9 +274,22 @@ EMBEDDED_DIGESTS = {
 }
 
 
+# name -> `embed` output, as written
+INDEXED_EMBEDDED_DIGESTS = {
+    "btree4 keep 15": "ce27af3bb1c16772931e1a69c988c8ca4c2378dd7532d7d48f3758af559d0814",
+    "btree4 keep 7": "a5cbb59a7561b743787bce09bd14d76ac2984773a2b3aa31ff90cc259d400954",
+    "btree5 keep 31": "c26f411ead6f09a05a965b2e43ef3a33906bac9e3afe1c3baf594a4ab027e642",
+    "spider5x4 keep 1": "779dc867f9ddc839e6cff36b436729637d835388cfb226110fb8c400b292502c",
+    "btree4 keep 15, b reversed": "3c77020946d37b24b34fb359c9bc0453110f73f742811908c67bf2ad5fc11162",
+}
+
+
 @pytest.mark.parametrize("name", sorted(EMBEDDED))
 def test_embedded_bytes(name):
     make, n, b = EMBEDDED[name]
     alpha, gr = build_embedded_group_grammar(make(), n, b)
+    text = _build_output(alpha, gr)
     lift = _digest(emit_lp(build_extended_formulation(gr)))
-    assert (_digest(_build_output(alpha, gr)), lift) == EMBEDDED_DIGESTS[name]
+    assert _digest(text) == INDEXED_EMBEDDED_DIGESTS[name]
+    # the embed builder erases the grammar built from the host's min-fill tree
+    assert (_digest(_position_named(text, _tree(make()))), lift) == EMBEDDED_DIGESTS[name]

@@ -42,10 +42,10 @@ from autgrammar.grammar import (
     parse_tree_yield,
     permutation_from_aligned_word,
     rename_terminals,
-    topological_variables,
     trim,
     union_grammar,
 )
+from autgrammar.grammar import _compiled
 from autgrammar.oracle import brute_force_automorphisms, left_transversal
 from autgrammar.perm import (
     Permutation,
@@ -206,10 +206,10 @@ def test_enumerate_rejects_cyclic():
 
 def test_topological_order_follows_first_appearance():
     gr = Grammar(2, "B1", ("B1", "A", "C"), (("B1", ("C", "A", "C")), ("B1", ("A",)), ("C", (2,)), ("A", (1,))))
-    assert topological_variables(gr) == ["C", "A", "B1"]
+    assert [gr.variables[v] for v in _compiled(gr).order] == ["C", "A", "B1"]
     gr = Grammar(1, "B1", ("B1", "A", "C"), (("B1", ("C", "C")), ("C", ("A",)), ("A", ("C",))))
     with pytest.raises(CyclicGrammarError, match="'C' depends on itself"):
-        topological_variables(gr)
+        _compiled(gr)
 
 
 def test_grammar_is_an_immutable_value():
@@ -267,6 +267,7 @@ def test_tree_builder_hands_over_its_table(corpus):
     for g in graphs:
         for h in (g, relabel(g, rng)):
             check_handed_over_table(aut_grammar(h)[1])
+            check_handed_over_table(build_regular_aut_grammar(h, compute_path_decomposition(h))[1])
 
 
 def test_rules_out_of_lhs_order():
@@ -278,7 +279,7 @@ def test_rules_out_of_lhs_order():
     grouped = Grammar(3, "B1", gr.variables, tuple(rules[r] for r in order))
     assert count_parse_trees(gr) == count_parse_trees(grouped) == 4
     assert list(iter_language(gr)) == list(iter_language(grouped)) == reference_language(gr)
-    assert topological_variables(gr) == ["C", "A", "B1"]
+    assert [gr.variables[v] for v in _compiled(gr).order] == ["C", "A", "B1"]
     assert trim(gr) == gr
     trees = enumerate_parse_trees(gr)
     assert [t.rule_index for t in trees] == [1, 1, 3, 3]
@@ -498,13 +499,18 @@ def _tree_and_grammar(g):
     return {p: t.bag(p) for p in t.positions}, build_aut_grammar(g, t)[1]
 
 
-def test_single_vertex_root_keeps_its_variable():
-    # the root of a one-vertex graph is a leaf, but nobody's child, so it
-    # keeps its variable, whose one rule writes the image
-    bags, gr = _tree_and_grammar(Graph(1, []))
+def test_single_vertex_root_writes_into_b1():
+    # the root of a one-vertex graph has no children, so it has no
+    # variable: it writes its image into B1's rule, its parent's, in the
+    # tree grammar as in the regular grammar
+    g = Graph(1, [])
+    bags, gr = _tree_and_grammar(g)
     assert bags == {(): (1,)}
-    assert gr.variables == ("B1", "p:e|b:0")
-    assert gr.rules == (("B1", ("p:e|b:0",)), ("p:e|b:0", (1,)))
+    regular = build_regular_aut_grammar(g, compute_path_decomposition(g))[1]
+    for built in (gr, regular):
+        assert built.variables == ("B1",)
+        assert built.rules == (("B1", (1,)),)
+        check_handed_over_table(built)
 
 
 def test_leaves_write_into_their_parents_rules():
@@ -513,23 +519,24 @@ def test_leaves_write_into_their_parents_rules():
     # terminal each.  P3: leaf 1.1.1 hangs under a chain of single-child
     # positions, and 1.2 and 2 beside inner siblings.  No leaf position
     # has a variable, and each rule writes its leaf children's terminals
-    # where their variables stood
+    # where their variables stood.  A variable p:<j>|b:<k> belongs to the
+    # j-th position in preorder: the root is p:0, and P3's 1.1 is p:2
     bags, gr = _tree_and_grammar(path_graph(2))
     assert bags == {(): (2,), (1,): (1, 2), (1, 1): (1,), (2,): (2,)}
-    assert gr.variables == ("B1", "p:e|b:0", "p:e|b:1", "p:1|b:0", "p:1|b:1")
+    assert gr.variables == ("B1", "p:0|b:0", "p:0|b:1", "p:1|b:0", "p:1|b:1")
     assert gr.rules == (
-        ("B1", ("p:e|b:0",)), ("B1", ("p:e|b:1",)),
-        ("p:e|b:0", ("p:1|b:0", 2)), ("p:e|b:1", ("p:1|b:1", 1)),
+        ("B1", ("p:0|b:0",)), ("B1", ("p:0|b:1",)),
+        ("p:0|b:0", ("p:1|b:0", 2)), ("p:0|b:1", ("p:1|b:1", 1)),
         ("p:1|b:0", (1,)), ("p:1|b:1", (2,)),
     )
     bags, gr = _tree_and_grammar(path_graph(3))
     assert bags == {(): (3,), (1,): (2, 3), (1, 1): (1, 2), (1, 1, 1): (1,), (1, 2): (2,), (2,): (3,)}
-    assert gr.variables == ("B1", "p:e|b:0", "p:e|b:1", "p:1|b:0", "p:1|b:1", "p:1.1|b:0", "p:1.1|b:1")
+    assert gr.variables == ("B1", "p:0|b:0", "p:0|b:1", "p:1|b:0", "p:1|b:1", "p:2|b:0", "p:2|b:1")
     assert gr.rules == (
-        ("B1", ("p:e|b:0",)), ("B1", ("p:e|b:1",)),
-        ("p:e|b:0", ("p:1|b:1", 1)), ("p:e|b:1", ("p:1|b:0", 3)),
-        ("p:1|b:0", ("p:1.1|b:0", 2)), ("p:1|b:1", ("p:1.1|b:1", 2)),
-        ("p:1.1|b:0", (1,)), ("p:1.1|b:1", (3,)),
+        ("B1", ("p:0|b:0",)), ("B1", ("p:0|b:1",)),
+        ("p:0|b:0", ("p:1|b:1", 1)), ("p:0|b:1", ("p:1|b:0", 3)),
+        ("p:1|b:0", ("p:2|b:0", 2)), ("p:1|b:1", ("p:2|b:1", 2)),
+        ("p:2|b:0", (1,)), ("p:2|b:1", (3,)),
     )
     for g in (path_graph(2), path_graph(3)):
         alpha, gr = aut_grammar(g)
@@ -722,8 +729,9 @@ def _ranked(gr, bag_of):
     return Grammar(gr.sigma_max, gr.start, tuple(rename[v] for v in gr.variables), rules), ranked
 
 
-def _head(p):
-    return "p:" + (".".join(map(str, p)) or "e")
+def _head(t, p):
+    """The head of the variables of position p of t: p:<its preorder index>."""
+    return f"p:{t.positions.index(p)}"
 
 
 def _minimised(gr):
@@ -779,7 +787,7 @@ def _substituted(gr, heads):
 
 def reference_aut_grammar(g, t):
     ann = {p: _oracle_bags(g, t.bag(p)) for p in t.positions}
-    name = {p: [f"{_head(p)}|b:{i}" for i in range(len(bs))] for p, bs in ann.items()}
+    name = {p: [f"{_head(t, p)}|b:{i}" for i in range(len(bs))] for p, bs in ann.items()}
     bag_of = {name[p][i]: b for p in ann for i, b in enumerate(ann[p])}
     rules = [("B1", (v,)) for v in name[()]]
     for p in t.positions:
@@ -792,9 +800,9 @@ def reference_aut_grammar(g, t):
             else:
                 rules.append((name[p][i], (dict(b.phi)[t.bag(p)[0]],)))
     gr, ranked = _ranked(trim(Grammar(g.vertex_count, "B1", ("B1", *bag_of), tuple(rules))), bag_of)
-    # every position but the root that has no children is a leaf, and
-    # writes its terminal into its parent's rules
-    leaves = {_head(p) for p in t.positions if p and not t.children(p)}
+    # every position that has no children writes its terminal into its
+    # parent's rules, the root of a one-vertex graph into B1's
+    leaves = {_head(t, p) for p in t.positions if not t.children(p)}
     return _substituted(gr, leaves), {h: bs for h, bs in ranked.items() if h not in leaves}
 
 
@@ -802,15 +810,15 @@ def reference_regular_grammar(g, pd):
     order, chain = introduced_order(g, pd), pd.positions
     ann = [_oracle_bags(g, pd.bag(p)) for p in chain]
     n = len(chain)
-    bag_of = {f"q:{i}|b:{j}": b for i in range(2, n + 1) for j, b in enumerate(ann[i - 2])}
+    bag_of = {f"p:{i - 2}|b:{j}": b for i in range(2, n + 1) for j, b in enumerate(ann[i - 2])}
     rules = []
     for i in range(1, n + 1):
-        lhs = [("B1", None)] if i == 1 else [(f"q:{i}|b:{j}", b) for j, b in enumerate(ann[i - 2])]
+        lhs = [("B1", None)] if i == 1 else [(f"p:{i - 2}|b:{j}", b) for j, b in enumerate(ann[i - 2])]
         for var, prev in lhs:
             for j, b in enumerate(ann[i - 1]):
                 if prev is None or consistent_bags(prev, b):
                     emit = dict(b.phi)[order[i - 1]]
-                    rules.append((var, (emit, f"q:{i + 1}|b:{j}") if i < n else (emit,)))
+                    rules.append((var, (emit, f"p:{i - 1}|b:{j}") if i < n else (emit,)))
     return _ranked(trim(Grammar(g.vertex_count, "B1", ("B1", *bag_of), tuple(rules))), bag_of)
 
 
@@ -844,9 +852,9 @@ def test_join_matches_all_pairs_reference(corpus):
         chain = pd.positions
         for gr, (ref, ref_bags), bags in (
             (build_aut_grammar(g, t)[1], reference_aut_grammar(g, t),
-             {_head(p): ann[p] for p in t.positions if not p or t.children(p)}),
+             {_head(t, p): ann[p] for p in t.positions if t.children(p)}),
             (build_regular_aut_grammar(g, pd)[1], reference_regular_grammar(g, pd),
-             {f"q:{i}": pann[chain[i - 2]] for i in range(2, len(chain) + 1)}),
+             {f"p:{i - 2}": pann[chain[i - 2]] for i in range(2, len(chain) + 1)}),
         ):
             minimal = _minimised(ref)
             assert grammar_to_json(gr) == grammar_to_json(minimal), name
