@@ -17,11 +17,11 @@ annotations only as extensions of its parent's images on their shared
 domain.  When the parent pins the child's whole domain, as it does for
 every leaf of a permutation-yielding decomposition and for many of its
 inner positions, each such image is an annotation already and no search
-runs.  The search places one domain vertex at a time and checks a
-candidate image's adjacency to all placed vertices with one set
-comparison, against the images of the vertex's placed neighbours,
-collected once per vertex.  Nothing is cached between calls: the
-colouring is computed once per call and dropped with the annotations.
+runs.  The search follows a plan over the domain's indexes, made once
+per call: each step fills one index of an image list, and takes its
+candidates from the neighbours of an already placed neighbour's image.
+Nothing is cached between calls: the colouring is computed once per call
+and dropped with the annotations.
 
 The search and the join hold an annotation of bag S as its image tuple
 over the sorted domain N[S], and the grammar builders read images from
@@ -103,60 +103,64 @@ class _Search:
         parent's images on the shared domain), so the pinned vertices need
         no check among themselves.
 
-        The other bag vertices are placed first, then the other boundary
-        vertices, whose images must fill the closed neighbourhood of the
-        image bag.  Each placement checks colour, injectivity and adjacency
-        to every placed vertex in both directions, so every complete map is
-        an annotation.  The adjacency rule is one set comparison per
-        candidate: the images of the vertex's placed neighbours are
-        collected once per vertex, and a candidate c passes when the used
-        images adjacent to c are exactly those."""
-        colour, adjacent, classes, closed = self.colour, self.adjacent, self.classes, self.closed
+        The search follows a plan over the indexes (slots) of N[bag], made
+        once per call, a static matching order as in VF2 (Cordella et al.,
+        IEEE TPAMI 2004): the other bag vertices first, then the other
+        boundary vertices, each step with its slot, its colour and the
+        slots of its neighbours pinned or placed before it.  Each key fills
+        the pinned slots of one image list.  A step's candidates are the
+        neighbours of its first placed neighbour's image, else its colour
+        class; c passes when it has the colour, is unused and the used
+        images adjacent to c are exactly the placed neighbours' images, so
+        each complete list is an annotation.  A boundary vertex's image is
+        adjacent to a bag image, so the boundary fills the image bag's
+        closed neighbourhood when that is as large as the domain."""
+        colour, adjacent, closed = self.colour, self.adjacent, self.closed
         dom = closed_neighborhood(self.g, bag)
+        slot = dict(zip(dom, range(len(dom))))
         order = [v for v in bag if v not in pinned]
         placed_bag = len(order)
         order += [v for v in dom if v not in pinned and v not in bag]
+        placed = set(pinned)
+        plan = []  # per step: its slot, its colour, its colour class, its placed neighbours' slots
+        for v in order:
+            plan.append((slot[v], colour[v], self.classes[colour[v]], [slot[u] for u in adjacent[v] if u in placed]))
+            placed.add(v)
+        at_bag, at_pinned = [slot[v] for v in bag], [slot[v] for v in pinned]
+        last = len(plan) - 1 if len(plan) > placed_bag else -1  # each candidate there completes a map
         found: list[tuple[int, ...]] = []
-        phi: dict[int, int] = {}
+        img = [0] * len(dom)  # the image of each slot, read only where pinned or placed
         used: set[int] = set()
 
-        def extend(k: int, target: set[int] | None) -> None:
-            if k == placed_bag and target is None:
-                # bag placed: the boundary's images must fill the closed
-                # neighbourhood of the image bag.  A pinned boundary vertex's
-                # image already lies in it, being adjacent to the image of a
-                # bag neighbour: by the key when that neighbour is pinned too,
-                # by the placement check when it is not.
-                target = set().union(*(closed[phi[u]] for u in bag))
-                if len(target) != len(dom):
-                    return
-            if k == len(order):
-                found.append(tuple(map(phi.__getitem__, dom)))
+        def extend(k: int) -> None:
+            # bag placed: the image of its closed neighbourhood is as large as the domain
+            if k == placed_bag and len(set().union(*(closed[img[s]] for s in at_bag))) != len(dom):
                 return
-            v = order[k]
-            # phi is injective and used holds its images, so c keeps
+            if k == len(plan):
+                found.append(tuple(img))
+                return
+            at, col, pool, nbrs = plan[k]
+            # img is injective and used holds its images, so c keeps
             # adjacency both ways to every placed vertex exactly when the
-            # placed images adjacent to c are the images of v's neighbours
-            images = {phi[u] for u in adjacent[v] if u in phi}
-            last = k + 1 == len(order) and target is not None  # each c completes a map
-            for c in classes[colour[v]] if k < placed_bag else target:
-                if c in used or colour[c] != colour[v] or adjacent[c] & used != images:
+            # used images adjacent to c are the images of v's neighbours
+            images = {img[s] for s in nbrs}
+            for c in adjacent[img[nbrs[0]]] if nbrs else pool:
+                if c in used or colour[c] != col or adjacent[c] & used != images:
                     continue
-                phi[v] = c
-                if last:
-                    found.append(tuple(map(phi.__getitem__, dom)))
+                img[at] = c
+                if k == last:
+                    found.append(tuple(img))
                 else:
                     used.add(c)
-                    extend(k + 1, target)
+                    extend(k + 1)
                     used.discard(c)
-                del phi[v]
 
         for key in keys:
-            phi.clear()
-            phi.update(zip(pinned, key))
+            for s, x in zip(at_pinned, key):
+                img[s] = x
             used.clear()
             used.update(key)
-            extend(0, None)
+            extend(0)
         found.sort()
         return found
 

@@ -22,7 +22,8 @@ vertex it introduces: one builder (`_build`) serves both.  The
 consistency join (annotate.join_annotations) prunes the annotations and
 merges them into classes in one pass on int key ids; the builder names
 each class p:<j>|b:<k> by its position's index j in preorder and writes
-its rules from its first annotation.
+the rules of a position's classes column by column, one column per
+child, from each class's first annotation.
 
 Layering: the read side (JSON, the compiled table, the semiring pass
 `_evaluate` and what is built on it: counting, enumeration, membership,
@@ -545,7 +546,16 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[Permutation, 
     rules, just before its own variable when it has children, and B1
     stands as the root's parent.  A childless position writes only its
     terminal and has no variable, the root of a one-vertex graph too.  The
-    grammar's table is handed over with it."""
+    grammar's table is handed over with it.
+
+    Each child of a position gives a column over its classes, read off
+    each class's first annotation i: a childless child the image of its
+    vertex, any other the variable of i's partner there, as a name and an
+    int (a written one, an only child as on a path, the partner's image
+    first).  The rules are the name columns zipped, and their table
+    entries the int columns, unless some class has several partners at a
+    child: that child gives tuples, and each class's rules are then its
+    product over the children."""
     from .annotate import join_annotations
     from .decomp import ROOT
 
@@ -578,51 +588,52 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[Permutation, 
         symbols.append([variables[k] for (k,) in kids])
     rules: list = [("B1", rhs) for rhs in zip(*symbols)]
     count = [len(kids)]
+    chain, product = itertools.chain.from_iterable, itertools.product
+
+    def per_class(columns):  # each class's options at each child: its tuple of partners, or its one entry
+        return zip(*[column if column[0].__class__ is tuple else zip(column) for column in columns])
+
     for p, at in base.items():  # positions are deep tuples on a path: each is hashed few times
         heads = first[p]
         lhs = variables[at:at + len(heads)]
-        images = list(map(ann[p].__getitem__, heads))  # each class's first annotation
-        # a class's rules are the product, over the children, of what its
-        # first annotation i writes there: a childless child's terminal,
-        # the image of its vertex under i, and for any other child the
-        # variables of i's partners.  Nearly every class has one rule, so
-        # the work is batched per position and child: the products of the
-        # rhs variables as ints and of the rhs symbols run in step, a
-        # childless child's one terminal leaving the order alone.  A
-        # written child with children is an only child, as on a path: each
-        # partner's rule writes its image, then its variable
-        children, partners, symbols, rhs = t.children(p), [], [], None
-        for c in children:
+        names, ints, rhs = [], [], None  # the columns over the classes, as names and as ints
+        for c in t.children(p):
             var_at = base.get(c)
             if var_at is None:
-                symbols.append(list(zip(map(image(p, written[c]), images))))
+                names.append(list(map(image(p, written[c]), map(ann[p].__getitem__, heads))))
                 continue
-            ids, by_key, of = list(map(up[c].__getitem__, heads)), members[c], cls[c]
-            if by_key is None:  # the one partner is annotation up[c][i]
-                var = list(zip(map(var_at.__add__, map(of.__getitem__, ids))))
+            partners, of, fan = list(map(up[c].__getitem__, heads)), cls[c], False
+            if members[c] is not None:  # from key ids to partner lists; else key id k is annotation k
+                partners = list(map(members[c].__getitem__, partners))
+                fan = max(map(len, partners)) > 1
+                if not fan:
+                    partners = list(chain(partners))
+            if fan:
+                ints.append([tuple([var_at + of[j] for j in js]) for js in partners])
+                names.append([tuple(map(variables.__getitem__, vs)) for vs in ints[-1]])
             else:
-                var_of = [None if k is None else var_at + k for k in of]
-                rows = list(map(by_key.__getitem__, ids))
-                var = [tuple(map(var_of.__getitem__, js)) for js in rows]
-            partners.append(var)
+                ints.append(list(map(var_at.__add__, map(of.__getitem__, partners))))
+                names.append(list(map(variables.__getitem__, ints[-1])))
             v = written.get(c)
-            if v is None:
-                symbols.append([tuple(map(variables.__getitem__, vs)) for vs in var])
-            else:
-                assert children == (c,), "a written position with children has no siblings"
-                partner = map(ann[c].__getitem__, ids if by_key is None else itertools.chain.from_iterable(rows))
-                rhs = zip(map(image(c, v), partner), map(variables.__getitem__, itertools.chain.from_iterable(var)))
-        if partners:
-            products = list(map(list, itertools.starmap(itertools.product, zip(*partners))))
-        else:  # every child childless: one rule per class
-            products = [[()]] * len(lhs)
+            if v is not None:  # each partner's image, then its variable
+                assert t.children(p) == (c,), "a written position with children has no siblings"
+                wrote = map(image(c, v), map(ann[c].__getitem__, chain(partners) if fan else partners))
+                if fan:
+                    rhs = zip(wrote, chain(names[-1]))
+                else:
+                    names.insert(-1, list(wrote))
+        if not any(column[0].__class__ is tuple for column in ints):  # one rule per class
+            rules.extend(zip(lhs, zip(*names)))
+            kids.extend(zip(*ints) if ints else itertools.repeat((), len(lhs)))
+            count.extend(itertools.repeat(1, len(lhs)))
+            continue
+        products = list(map(list, itertools.starmap(product, per_class(ints))))
         sizes = list(map(len, products))
-        kids.extend(itertools.chain.from_iterable(products))
+        kids.extend(chain(products))
         count.extend(sizes)
-        each_lhs = itertools.chain.from_iterable(map(itertools.repeat, lhs, sizes))
         if rhs is None:
-            rhs = itertools.chain.from_iterable(itertools.starmap(itertools.product, zip(*symbols)))
-        rules.extend(zip(each_lhs, rhs))
+            rhs = chain(itertools.starmap(product, per_class(names)))
+        rules.extend(zip(chain(map(itertools.repeat, lhs, sizes)), rhs))
     gr = Grammar(g.vertex_count, "B1", variables, tuple(rules))
     # positions sort parents first, so the variables backwards list each
     # class before the classes whose rules use it

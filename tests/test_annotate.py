@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -17,7 +18,7 @@ from autgrammar.decomp import (
     compute_tree_decomposition,
     make_permutation_yielding,
 )
-from autgrammar.graph import Graph, closed_neighborhood
+from autgrammar.graph import Graph, closed_neighborhood, stable_colouring
 from autgrammar.oracle import brute_force_automorphisms
 from autgrammar.perm import Permutation
 from conftest import (
@@ -26,11 +27,13 @@ from conftest import (
     complete_graph,
     consistent_bags,
     cubic8,
+    cycle_graph,
     make_annotated_bag,
     make_assignment,
     oracle_annotations,
     path_graph,
     petersen_graph,
+    relabel,
     spider,
 )
 
@@ -131,6 +134,51 @@ def test_fully_pinned_search_keeps_the_neighbourhood_check(p4):
         up = dom[c[:-1]]
         assert ann[c] == sorted({tuple(im[up.index(v)] for v in dom[c]) for im in ann[c[:-1]]}), c
         assert all(check_annotated_bag(p4, AnnotatedBag(t.bag(c), tuple(zip(dom[c], im)))) for im in ann[c])
+
+
+def colour_preserving_oracle(g, s) -> list:
+    """The image tuples, over the sorted domain, of oracle_annotations(g, s)
+    that send every vertex to one of its own stable colour."""
+    colour = stable_colouring(g)
+    return [tuple(w for _, w in phi) for phi in oracle_annotations(g, s)
+            if all(colour[v] == colour[w] for v, w in phi)]
+
+
+def test_search_matches_colour_preserving_oracle():
+    # the search's contract, checked against the brute-force oracle and not
+    # against itself: unpinned, a bag's colour-preserving local partial
+    # automorphisms; pinned, those whose images on the pinned vertices are
+    # among the keys.  The bags are those of a yielding tree decomposition
+    # and of a path decomposition, pinned as the join pins them, then
+    # every vertex and two non-adjacent vertices, pinned at one vertex of
+    # the domain: there the search places vertices with no placed neighbour
+    rng = random.Random(3)
+    for g in [path_graph(5), cycle_graph(6), cubic8(), spider(3, 2)]:
+        for h in (g, relabel(g, rng)):
+            search = _Search(h)
+            cases = []  # (bag, pinned, keys)
+            for d in (yielding(h), compute_path_decomposition(h)):
+                cases.append((d.bag(ROOT), (), [()]))
+                for p in d.positions:
+                    dom_p = closed_neighborhood(h, d.bag(p))
+                    for c in d.children(p):
+                        pinned = tuple(v for v in closed_neighborhood(h, d.bag(c)) if v in dom_p)
+                        at = [dom_p.index(v) for v in pinned]
+                        keys = sorted({tuple(im[k] for k in at) for im in colour_preserving_oracle(h, d.bag(p))})
+                        cases += [(d.bag(c), pinned, keys), (d.bag(c), pinned, keys[::2])]
+            pair = next((u, v) for u, v in itertools.combinations(h.vertices, 2) if not h.has_edge(u, v))
+            colour = stable_colouring(h)
+            for s in [(v,) for v in h.vertices] + [pair]:
+                dom = closed_neighborhood(h, s)
+                for u in (dom[0], dom[-1]):
+                    cases.append((s, (u,), [(w,) for w in h.vertices if colour[w] == colour[u]][::2]))
+            for s, pinned, keys in cases:
+                expected = colour_preserving_oracle(h, s)
+                assert search.annotations(s, (), [()]) == expected, (h, s)
+                at = [closed_neighborhood(h, s).index(v) for v in pinned]
+                wanted = set(keys)
+                filtered = [im for im in expected if tuple(im[k] for k in at) in wanted]
+                assert search.annotations(s, pinned, keys) == filtered, (h, s, pinned)
 
 
 def partners_by_key_id(join, c):

@@ -20,7 +20,11 @@ grammar digest and no rule, so the digests recorded before it, under the
 names p:<position>|b:<k> (tree) and q:<j + 2>|b:<k> (regular), are still
 asserted on the output renamed back by `_position_named`, beside the
 digests of today's bytes.  The LP names flows and rows by index, so no
-LP or `lift` digest moved."""
+LP or `lift` digest moved.
+
+The partner-shape digests (K6, btree5 and spider 5x4, natural and
+relabelled) were recorded before the builder wrote its rules column by
+column, and that change keeps them."""
 
 import hashlib
 import random
@@ -245,6 +249,36 @@ def test_relabelled_bytes(name):
     lift = _digest(emit_lp(build_extended_formulation(gr)))
     assert (_digest(tree), regular) == INDEXED_RELABELLED_DIGESTS[name]
     assert (_digest(_position_named(tree, t)), regular_named, lift) == RELABELLED_DIGESTS[name]
+
+
+# name -> (graph, seed of the relabelling).  Their tree grammars cover
+# every shape of partners in the benchmark's compile corpus: K6's children
+# are all pinned by their parents, btree5 has classes with two partners at
+# a child and spider 5x4 classes with 24
+PARTNER_SHAPES = {
+    "K6": (lambda: complete_graph(6), 7),
+    "btree5": (lambda: binary_tree(5), 8),
+    "spider5x4": (lambda: spider(5, 4), 9),
+}
+
+# name -> (`build` output with natural labels, relabelled), as written; a
+# relabelled complete graph is the same graph, so K6's two are equal
+PARTNER_SHAPE_DIGESTS = {
+    "K6": ("393114c9ff19462daefa3dbec2d8519be5606b9c78e08047aaea898a910a83a9",
+           "393114c9ff19462daefa3dbec2d8519be5606b9c78e08047aaea898a910a83a9"),
+    "btree5": ("5a91a19989a9c03bc38c1f77729ed40527cc58a5091d517560b6b771eac0616e",
+               "c8a3b3e7f50ff560de68e612c3cc0f23fe021eabac76db528ed4a50ebbb94850"),
+    "spider5x4": ("01e4daf82b7ddaf423067eb60ca7a59abb4911a07a6aa1f0a45ae6f93adc59a1",
+                  "ad4b79c2e4064ca5d1ac96053fc52fe29ed8cfd4e708b549acd6561c725d7f4a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTNER_SHAPES))
+def test_partner_shape_bytes(name):
+    make, seed = PARTNER_SHAPES[name]
+    digests = tuple(_digest(_build_output(*build_aut_grammar(g, _tree(g))))
+                    for g in (make(), relabel(make(), random.Random(seed))))
+    assert digests == PARTNER_SHAPE_DIGESTS[name]
 
 
 # name -> (host graph, kept prefix, coset representative or None)

@@ -60,6 +60,7 @@ from autgrammar.polytope import build_extended_formulation, lift_parse_tree
 from conftest import (
     binary_tree,
     check_handed_over_table,
+    complete_graph,
     consistent_bags,
     cubic8,
     cycle_graph,
@@ -267,6 +268,14 @@ def test_tree_builder_hands_over_its_table(corpus):
     for g in graphs:
         for h in (g, relabel(g, rng)):
             check_handed_over_table(aut_grammar(h)[1])
+            check_handed_over_table(build_regular_aut_grammar(h, compute_path_decomposition(h))[1])
+    # where a class has several partners at a child, the writer takes each
+    # class's product: spider 5x4 and a relabelled btree4.  Every child of
+    # K6 is pinned.  The regular builder runs up to 10 vertices: above, the
+    # path layout is the identity and its grammar slow to build
+    for h in (complete_graph(6), spider(5, 4), relabel(binary_tree(4), rng)):
+        check_handed_over_table(aut_grammar(h)[1])
+        if h.vertex_count <= 10:
             check_handed_over_table(build_regular_aut_grammar(h, compute_path_decomposition(h))[1])
 
 
