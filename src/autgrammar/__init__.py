@@ -47,8 +47,6 @@ _EXPORTS = {
     "graph": (
         "Graph",
         "closed_neighborhood",
-        "format_graph",
-        "induced_subgraph",
         "is_connected",
         "max_degree",
         "parse_graph",
@@ -86,7 +84,6 @@ _EXPORTS = {
         "compose",
         "identity",
         "inverse",
-        "permutation_from_word",
         "permute_word",
         "to_string_word",
     ),

@@ -34,7 +34,11 @@ both prunes them and merges them into classes that derive the same
 words.  AnnotatedBag, which pairs each domain vertex with its image, is
 the public type: enumerate_annotated_bags wraps the tuples in it at its
 boundary.  count_assignments counts the consistent annotations of the
-whole tree, one per automorphism, in one product-sum pass over the join.
+whole tree in one product-sum pass over the join.  That is one per
+automorphism only on a connected graph (two disjoint edges have 16
+consistent annotations and 8 automorphisms), so, as the grammar builders
+do, it requires a connected graph and a valid decomposition, both checked
+by their owners (graph.require_connected, decomp.require_valid).
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ import operator
 from typing import NamedTuple
 
 from . import PreconditionError
-from .decomp import ROOT, TreeDecomposition, validate_tree_decomposition
-from .graph import Graph, closed_neighborhood, stable_colouring
+from .decomp import ROOT, TreeDecomposition, require_valid
+from .graph import Graph, closed_neighborhood, require_connected, stable_colouring
 
 
 class AnnotationError(PreconditionError):
@@ -73,8 +77,6 @@ def enumerate_annotated_bags(g: Graph, s) -> list[AnnotatedBag]:
     bag = tuple(sorted(set(s)))
     if not bag:
         raise AnnotationError("empty bag has no annotations")
-    for v in bag:
-        g._check_vertex(v)
     dom = closed_neighborhood(g, bag)
     found = _Search(g).annotations(bag, (), [()])
     return [AnnotatedBag(bag, tuple(zip(dom, images))) for images in found]
@@ -301,15 +303,17 @@ def join_annotations(g: Graph, t: TreeDecomposition, written: dict | None = None
 
 def count_assignments(g: Graph, t: TreeDecomposition) -> int:
     """The number of consistent annotations of the whole of t, one per
-    automorphism of g.  It counts annotations, not the classes they merge
-    into, so it checks the merge against the grammar's parse-tree count.
+    automorphism of g when g is connected; so it raises
+    DisconnectedGraphError unless g is, and DecompositionError unless t
+    is a valid decomposition of g.  It counts annotations, not the classes
+    they merge into, so it checks the merge against the grammar's
+    parse-tree count.
     One bottom-up pass over join_annotations, summing each child's counts
     per key id: a kept annotation i at p counts the product, over the
     children c, of the sums at key id up[c][i], one that is not kept
     counts 0, and the root's counts sum to the total."""
-    report = validate_tree_decomposition(g, t)
-    if not report.ok:
-        raise AnnotationError(f"decomposition invalid: {report.violations[0].message}")
+    require_connected(g)
+    require_valid(g, t)
     _, _, cls, _, up, members = join_annotations(g, t)
     count: dict = {}
     for p in reversed(t.positions):  # children before parents

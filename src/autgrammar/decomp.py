@@ -13,6 +13,14 @@ file import/export, path decompositions from vertex layouts (exact for
 small graphs, by the same subset search), and the transform that turns any
 valid decomposition into a permutation-yielding one (every vertex in
 exactly one leaf bag, as a singleton).
+
+It is also the one owner of what a decomposition is and what it yields.
+Every entry that takes a decomposition from its caller (the yielding
+transform, both grammar builders and annotate.count_assignments) checks it
+with require_valid, and the builders and the count first require a
+connected graph, on which alone consistent whole-tree annotations
+correspond to automorphisms.  yield_order_of is the one test that a
+decomposition is permutation yielding.  Each raises DecompositionError.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import PreconditionError
-from .graph import DisconnectedGraphError, Graph, require_connected
+from .graph import Graph, require_connected
 from .perm import Permutation
 
 Pos = tuple[int, ...]
@@ -155,34 +163,36 @@ def validate_tree_decomposition(g: Graph, t: TreeDecomposition) -> ValidationRep
     return ValidationReport(t.width, tuple(violations))
 
 
+def require_valid(g: Graph, t: TreeDecomposition) -> None:
+    """Raise DecompositionError, naming the first violation, unless t is a
+    valid decomposition of g: the one check of every entry that takes a
+    decomposition from its caller."""
+    report = validate_tree_decomposition(g, t)
+    if not report.ok:
+        raise DecompositionError(f"invalid decomposition: {report.violations[0].message}")
+
+
 def _decomposition_from_elimination(g: Graph, order: list[int]) -> TreeDecomposition:
-    """Build a decomposition from an elimination ordering: the bag of v is v
-    plus its not-yet-eliminated neighbors in the fill graph; v's node hangs
-    under the node of the earliest-eliminated vertex of its bag rest."""
+    """Build a decomposition of a connected graph from an elimination
+    ordering: the bag of v is v plus its not-yet-eliminated neighbors in
+    the fill graph; v's node hangs under the node of the earliest-eliminated
+    vertex of its bag rest, so the last vertex eliminated is the root."""
     rank = {v: i for i, v in enumerate(order)}
     adj: dict[int, set[int]] = {v: set(g.neighbors[v]) for v in g.vertices}
     bag_of: dict[int, tuple[int, ...]] = {}
-    parent_of: dict[int, int | None] = {}
+    kids: dict[int, list[int]] = {v: [] for v in order}  # each in elimination order
     for v in order:
         rest = sorted(adj[v], key=lambda u: rank[u])
         bag_of[v] = tuple(sorted([v] + rest))
-        parent_of[v] = rest[0] if rest else None
+        if rest:
+            kids[rest[0]].append(v)
         for a in rest:
             for b in rest:
                 if a != b:
                     adj[a].add(b)
             adj[a].discard(v)
         del adj[v]
-    roots = [v for v in order if parent_of[v] is None]
-    if len(roots) != 1:
-        raise DisconnectedGraphError("graph not connected")
-    kids: dict[int, list[int]] = {v: [] for v in order}
-    for v in order:
-        if parent_of[v] is not None:
-            kids[parent_of[v]].append(v)
-    for v in kids:
-        kids[v].sort(key=lambda u: rank[u])
-    pos = _preorder_positions(roots[0], kids)
+    pos = _preorder_positions(order[-1], kids)
     return TreeDecomposition({p: bag_of[v] for v, p in pos.items()})
 
 
@@ -354,33 +364,21 @@ def write_pace_td(t: TreeDecomposition, vertex_count: int) -> str:
 # Permutation-yielding transform.
 
 def yield_order_of(t: TreeDecomposition) -> Permutation:
-    """Read the yield off an already permutation-yielding decomposition: the
+    """Read the yield off a permutation-yielding decomposition: the
     permutation alpha whose one-line string is the leaf vertices v_1 ... v_n
-    in traversal order.  It is also the alignment permutation used by the
-    grammar pipeline: a grammar word w produced for an automorphism s
-    satisfies w_i = s(alpha(i)), i.e. w is the string of s repositioned by
-    alpha (see the compose order of permute_word)."""
+    in traversal order, raising DecompositionError unless the leaves are
+    singletons holding 1..n once each.  It is also the alignment permutation
+    used by the grammar pipeline: a grammar word w produced for an
+    automorphism s satisfies w_i = s(alpha(i)), i.e. w is the string of s
+    repositioned by alpha (see the compose order of permute_word)."""
     seq = []
     for p in t.leaves():
         if len(t.bag(p)) != 1:
             raise DecompositionError(f"leaf {p} bag {t.bag(p)} is not a singleton")
         seq.append(t.bag(p)[0])
-    if len(seq) != len(set(seq)):
-        raise DecompositionError("leaf vertices are not pairwise distinct")
+    if sorted(seq) != list(range(1, len(seq) + 1)):
+        raise DecompositionError(f"leaf vertices are not 1..{len(seq)}, each once")
     return Permutation(tuple(seq))
-
-
-def is_permutation_yielding(g: Graph, t: TreeDecomposition) -> bool:
-    leaves = t.leaves()
-    if len(leaves) != g.vertex_count:
-        return False
-    seen = set()
-    for p in leaves:
-        b = t.bag(p)
-        if len(b) != 1 or b[0] in seen:
-            return False
-        seen.add(b[0])
-    return seen == set(g.vertices)
 
 
 def make_permutation_yielding(
@@ -389,41 +387,33 @@ def make_permutation_yielding(
     """Rebuild t so that every vertex occurs in exactly one leaf bag, as a
     singleton, without increasing the width.
 
-    Any vertex lacking a singleton leaf gets a fresh leaf attached under the
-    preorder-smallest position whose bag contains it.  One singleton leaf
-    per vertex is then selected (again preorder-smallest), and the
-    decomposition is cut down to all positions on root-to-selected-leaf
-    paths, renumbering children to restore well numbering while preserving
-    their relative order.  Returns the new decomposition and its yield
-    alpha (yield_order_of).
+    One preorder pass picks each vertex's leaf: its preorder-smallest
+    singleton leaf, else a fresh leaf attached as the last child of the
+    preorder-smallest position whose bag contains it (fresh leaves in
+    vertex order).  The decomposition is then cut down to all positions on
+    root-to-picked-leaf paths, renumbering children to restore well
+    numbering while preserving their relative order.  Returns the new
+    decomposition and its yield alpha (yield_order_of).
     """
-    report = validate_tree_decomposition(g, t)
-    if not report.ok:
-        raise DecompositionError(
-            f"input decomposition invalid: {report.violations[0].message}"
-        )
+    require_valid(g, t)
     bags = dict(t.bags)
     children: dict[Pos, list[Pos]] = {p: list(t.children(p)) for p in t.positions}
-    singleton_leaves: dict[int, list[Pos]] = {v: [] for v in g.vertices}
-    for p in t.leaves():
+    pick: dict[int, tuple[bool, Pos]] = {}  # v -> (needs a fresh leaf, its leaf or the fresh leaf's host)
+    for p in t.positions:  # preorder
         b = bags[p]
-        if len(b) == 1:
-            singleton_leaves[b[0]].append(p)
-    first_holder: dict[int, Pos] = {}  # preorder-smallest position holding v
-    for p, b in t.bags.items():
+        if len(b) == 1 and not children[p] and pick.get(b[0], (True,))[0]:
+            pick[b[0]] = (False, p)
         for v in b:
-            first_holder.setdefault(v, p)
-    for v in g.vertices:
-        if singleton_leaves[v]:
-            continue
-        host = first_holder[v]
-        leaf = host + (len(children[host]) + 1,)
-        bags[leaf] = (v,)
-        children[host].append(leaf)
-        children[leaf] = []
-        singleton_leaves[v].append(leaf)
-    chosen = {v: min(ps) for v, ps in singleton_leaves.items()}
-    selected = sorted(chosen.values())
+            pick.setdefault(v, (True, p))
+    selected = []
+    for v, (fresh, p) in sorted(pick.items()):
+        if fresh:
+            host, p = p, p + (len(children[p]) + 1,)
+            bags[p] = (v,)
+            children[host].append(p)
+            children[p] = []
+        selected.append(p)
+    selected.sort()
     # closest ancestral closure: everything between the longest common
     # prefix of the selected leaves (that of the first and the last, as they
     # are sorted) and the leaves themselves

@@ -525,16 +525,6 @@ def trim(gr: Grammar) -> Grammar:
 # vertex per bag, every bag writing the image of the vertex it introduces:
 # one construction, `_build`, on the positions each builder says write.
 
-def _check_decomposition(g: Graph, t: TreeDecomposition) -> None:
-    from .decomp import validate_tree_decomposition
-    from .graph import require_connected
-
-    require_connected(g)
-    report = validate_tree_decomposition(g, t)
-    if not report.ok:
-        raise GrammarError(f"invalid decomposition: {report.violations[0].message}")
-
-
 def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[Permutation, Grammar]:
     """Compile Aut(g) out of t, a checked decomposition, into a grammar
     over alphabet V(g).  written maps each position that writes a terminal,
@@ -650,13 +640,18 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
     automorphism strings repositioned by alpha (word position i holds the
     image of vertex alpha(i)), alpha being the leaf vertices in position
     order (`decomp.yield_order_of`).  Each leaf writes that image as a
-    terminal into its parent's rules and has no variable of its own."""
-    from .decomp import is_permutation_yielding
+    terminal into its parent's rules and has no variable of its own.
+    Raises DecompositionError unless t is a valid permutation-yielding
+    decomposition of g, and DisconnectedGraphError unless g is connected."""
+    from .decomp import DecompositionError, require_valid, yield_order_of
+    from .graph import require_connected
 
-    _check_decomposition(g, t)
-    if not is_permutation_yielding(g, t):
-        raise GrammarError("decomposition is not permutation yielding")
-    return _build(g, t, {p: t.bag(p)[0] for p in t.leaves()})
+    require_connected(g)
+    require_valid(g, t)
+    alpha = yield_order_of(t)
+    if alpha.size != g.vertex_count:
+        raise DecompositionError("decomposition is not permutation yielding")
+    return _build(g, t, dict(zip(t.leaves(), alpha.image)))
 
 
 def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutation, Grammar]:
@@ -666,9 +661,11 @@ def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutat
     `build_aut_grammar` does, alpha being the introduced vertices in order:
     each bag writes the image of the vertex it introduces into its
     parent's rules, before the variable of its annotation's class."""
-    from .decomp import introduced_order
+    from .decomp import introduced_order, require_valid
+    from .graph import require_connected
 
-    _check_decomposition(g, pd)
+    require_connected(g)
+    require_valid(g, pd)
     return _build(g, pd, dict(zip(pd.positions, introduced_order(g, pd))))
 
 

@@ -138,13 +138,6 @@ def parse_graph(text: str) -> Graph:
     return Graph(m, edges)
 
 
-def format_graph(g: Graph) -> str:
-    """Serialize to normalized edge-list text (round-trips with parse_graph)."""
-    lines = [f"{g.vertex_count} {len(g.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
-    return "\n".join(lines) + "\n"
-
-
 def closed_neighborhood(g: Graph, s: Iterable[int]) -> tuple[int, ...]:
     """N(s) together with s itself, as a sorted tuple."""
     result: set[int] = set()
@@ -153,15 +146,6 @@ def closed_neighborhood(g: Graph, s: Iterable[int]) -> tuple[int, ...]:
         result.add(v)
         result.update(g.neighbors[v])
     return tuple(sorted(result))
-
-
-def induced_subgraph(g: Graph, s: Iterable[int]) -> frozenset[tuple[int, int]]:
-    """Edges of g with both endpoints in s, keeping the original labels."""
-    sset = set()
-    for v in s:
-        g._check_vertex(v)
-        sset.add(v)
-    return frozenset(e for e in g.edges if e[0] in sset and e[1] in sset)
 
 
 def stable_colouring(g: Graph) -> dict[int, int]:

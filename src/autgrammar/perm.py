@@ -127,14 +127,6 @@ def permute_word(w: Word, a: Permutation) -> Word:
     return Word(tuple(w.symbols[a.image[i] - 1] for i in range(a.size)))
 
 
-def permutation_from_word(w: Word) -> Permutation:
-    """Read a word as a permutation; raises if it is not one."""
-    try:
-        return Permutation(w.symbols)
-    except PermError:
-        raise PermError(f"word {w.symbols} does not encode a permutation") from None
-
-
 def restrict(a: Permutation, n: int) -> Permutation:
     """Restriction of a to 1..n; requires a to map that set onto itself."""
     img = a.image[:n]

@@ -27,7 +27,7 @@ from autgrammar.grammar import (
     enumerate_language,
     membership,
 )
-from autgrammar.graph import Graph, closed_neighborhood, induced_subgraph, is_connected
+from autgrammar.graph import Graph, closed_neighborhood, is_connected
 from autgrammar.perm import Permutation
 from autgrammar.polytope import PolytopeError, build_extended_formulation, emit_lp, parse_lp
 
@@ -41,6 +41,22 @@ else:
     settings.register_profile("ci", derandomize=True)
     if os.environ.get("CI"):
         settings.load_profile("ci")
+
+
+def format_graph(g: Graph) -> str:
+    """Serialize to normalized edge-list text (round-trips with parse_graph)."""
+    lines = [f"{g.vertex_count} {len(g.edges)}"]
+    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    return "\n".join(lines) + "\n"
+
+
+def induced_subgraph(g: Graph, s) -> frozenset[tuple[int, int]]:
+    """Edges of g with both endpoints in s, keeping the original labels."""
+    sset = set()
+    for v in s:
+        g._check_vertex(v)
+        sset.add(v)
+    return frozenset(e for e in g.edges if e[0] in sset and e[1] in sset)
 
 
 def path_graph(n: int) -> Graph:

@@ -13,14 +13,23 @@ from autgrammar.annotate import (
 )
 from autgrammar.decomp import (
     ROOT,
+    DecompositionError,
     TreeDecomposition,
     compute_path_decomposition,
     compute_tree_decomposition,
     make_permutation_yielding,
 )
-from autgrammar.graph import Graph, closed_neighborhood, stable_colouring
+from autgrammar.grammar import build_aut_grammar, count_parse_trees, enumerate_language, trim
+from autgrammar.graph import (
+    DisconnectedGraphError,
+    Graph,
+    VertexRangeError,
+    closed_neighborhood,
+    stable_colouring,
+)
 from autgrammar.oracle import brute_force_automorphisms
-from autgrammar.perm import Permutation
+from autgrammar.perm import Permutation, identity, permute_word, to_string_word
+from autgrammar.polytope import build_extended_formulation
 from conftest import (
     annotation_morphism,
     check_annotated_bag,
@@ -388,6 +397,78 @@ def test_count_assignments(c4):
 def test_count_assignments_names_the_first_violation():
     # one bag {1, 2} for P40 leaves 38 vertices uncovered and 38 edges
     # outside every bag; the error names the first, as the builders do
-    with pytest.raises(AnnotationError) as caught:
+    with pytest.raises(DecompositionError) as caught:
         count_assignments(path_graph(40), TreeDecomposition({(): (1, 2)}))
-    assert str(caught.value) == "decomposition invalid: vertex 3 not covered by any bag"
+    assert str(caught.value) == "invalid decomposition: vertex 3 not covered by any bag"
+
+
+@pytest.mark.parametrize("g, t", [
+    (Graph(4, [(1, 2), (3, 4)]), TreeDecomposition({(): (1, 2), (1,): (3, 4)})),
+    (Graph(2, []), TreeDecomposition({(): (1,), (1,): (2,)})),
+], ids=["2K2", "2K1"])
+def test_count_assignments_requires_a_connected_graph(g, t):
+    # valid decompositions of disconnected graphs: the two components'
+    # consistent annotations combine freely (16 on 2K2, 4 on 2K1), more
+    # than the 8 and 2 automorphisms, so the count refuses them
+    with pytest.raises(DisconnectedGraphError):
+        count_assignments(g, t)
+
+
+def test_enumeration_rejects_out_of_range_vertex(p3):
+    # closed_neighborhood, the owner of the vertex check, names the vertex
+    with pytest.raises(VertexRangeError, match="7"):
+        enumerate_annotated_bags(p3, (1, 7))
+
+
+# a cubic graph on 28 vertices with no automorphism but the identity
+RIGID_CUBIC28 = (
+    "1-14 1-20 1-28 2-8 2-11 2-14 3-17 3-21 3-24 4-7 4-19 4-26 5-6 5-13 5-16 6-17 6-24 "
+    "7-21 7-22 8-10 8-15 9-11 9-18 9-28 10-20 10-23 11-23 12-21 12-24 12-25 13-18 13-28 "
+    "14-19 15-25 15-27 16-17 16-22 18-20 19-23 22-27 25-26 26-27"
+)
+
+
+def bfs_automorphism_count(g: Graph) -> int:
+    """|Aut(g)| of a connected graph by a backtracking of its own: the
+    vertices in BFS order from vertex 1, each mapped to an unused vertex of
+    its degree that is adjacent exactly to the images of its mapped
+    neighbours."""
+    order, seen = [1], {1}
+    for v in order:
+        for u in sorted(g.neighbors[v]):
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+    img: dict[int, int] = {}
+
+    def extend(k: int) -> int:
+        if k == len(order):
+            return 1
+        v, total = order[k], 0
+        for c in g.vertices:
+            if c in img.values() or len(g.neighbors[c]) != len(g.neighbors[v]):
+                continue
+            if all((w in g.neighbors[v]) == (x in g.neighbors[c]) for w, x in img.items()):
+                img[v] = c
+                total += extend(k + 1)
+                del img[v]
+        return total
+
+    return extend(0)
+
+
+def test_top_down_pass_prunes_below_a_kept_parent():
+    # on this graph's min-fill yielding decomposition the join's top-down
+    # pass drops, below a kept parent, the annotations whose key id no
+    # kept parent annotation uses; without that step the grammar holds
+    # unreachable variables (32 rules, not 29, and no formulation), and
+    # without the whole pass it holds 34 rules
+    g = Graph(28, [tuple(map(int, e.split("-"))) for e in RIGID_CUBIC28.split()])
+    t, alpha = make_permutation_yielding(g, compute_tree_decomposition(g, "min-fill"))
+    assert t.width == 5
+    _, gr = build_aut_grammar(g, t)
+    assert len(gr.rules) == 29
+    assert trim(gr) == gr
+    assert count_parse_trees(gr) == count_assignments(g, t) == bfs_automorphism_count(g) == 1
+    assert enumerate_language(gr).words == (permute_word(to_string_word(identity(28)), alpha),)
+    build_extended_formulation(gr)

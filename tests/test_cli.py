@@ -17,10 +17,9 @@ from autgrammar.grammar import (
     grammar_from_json,
     grammar_to_json,
 )
-from autgrammar.graph import format_graph
 from autgrammar.oracle import brute_force_automorphisms
 from autgrammar.perm import Word, format_word, permute_word, to_string_word
-from conftest import binary_tree, reference_language
+from conftest import binary_tree, format_graph, reference_language
 
 C4_TEXT = "4 4\n1 2\n2 3\n3 4\n1 4\n"
 STAR5_TEXT = "5 4\n1 5\n2 5\n3 5\n4 5\n"

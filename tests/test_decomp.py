@@ -13,13 +13,14 @@ from autgrammar.decomp import (
     compute_path_decomposition,
     compute_tree_decomposition,
     introduced_order,
-    is_permutation_yielding,
     make_permutation_yielding,
     read_pace_td,
     validate_tree_decomposition,
     write_pace_td,
     yield_order_of,
 )
+from autgrammar.annotate import count_assignments
+from autgrammar.grammar import build_aut_grammar, build_regular_aut_grammar
 from autgrammar.graph import DisconnectedGraphError, Graph, is_connected
 from autgrammar.perm import Permutation
 from conftest import (
@@ -190,8 +191,8 @@ def test_disconnected_rejected():
 
 def test_yielding_transform_p3(p3):
     t = TreeDecomposition({(): (1, 2), (1,): (2, 3)})
-    out, _ = make_permutation_yielding(p3, t)
-    assert is_permutation_yielding(p3, out)
+    out, alpha = make_permutation_yielding(p3, t)
+    assert yield_order_of(out) == alpha and alpha.size == 3
     assert out.width == 1
     assert sorted(out.bag(p)[0] for p in out.leaves()) == [1, 2, 3]
 
@@ -208,7 +209,7 @@ def test_yielding_fixed_point(p3):
     t = TreeDecomposition(
         {(): (1, 2), (1,): (2, 3), (1, 1): (3,), (2,): (1,), (3,): (2,)}
     )
-    assert is_permutation_yielding(p3, t)
+    assert yield_order_of(t) == Permutation((3, 1, 2))
     out, alpha = make_permutation_yielding(p3, t)
     assert alpha == Permutation((3, 1, 2))
     assert [out.bag(p) for p in out.leaves()] == [(3,), (1,), (2,)]
@@ -230,6 +231,26 @@ def test_yielding_rejects_invalid(p3):
     bad = TreeDecomposition({(): (1, 2)})
     with pytest.raises(DecompositionError):
         make_permutation_yielding(p3, bad)
+
+
+def test_yield_order_rejects_every_non_yielding_leaf_set():
+    # leaves must be singletons holding 1..n once each: {1}, {3} skip 2
+    for bags in ({(): (1, 3), (1,): (1,), (2,): (3,)},
+                 {(): (1, 2), (1,): (1,), (2,): (1,)},
+                 {(): (1, 2), (1,): (1, 2)}):
+        with pytest.raises(DecompositionError):
+            yield_order_of(TreeDecomposition(bags))
+
+
+@pytest.mark.parametrize("entry", [
+    make_permutation_yielding, build_aut_grammar, build_regular_aut_grammar, count_assignments,
+])
+def test_every_entry_runs_the_one_validity_check(p3, entry):
+    # a path-shaped decomposition whose one bag leaves vertex 3 out: each
+    # entry that takes a decomposition raises the same error, worded once
+    with pytest.raises(DecompositionError) as caught:
+        entry(p3, TreeDecomposition({(): (1, 2)}))
+    assert str(caught.value) == "invalid decomposition: vertex 3 not covered by any bag"
 
 
 def test_leaf_order_permutation_examples():

@@ -13,13 +13,14 @@ from autgrammar.annotate import (
     join_annotations,
 )
 from autgrammar.decomp import (
+    DecompositionError,
     TreeDecomposition,
     compute_path_decomposition,
     compute_tree_decomposition,
     introduced_order,
     make_permutation_yielding,
 )
-from autgrammar.graph import Graph
+from autgrammar.graph import DisconnectedGraphError, Graph
 from autgrammar.grammar import (
     CyclicGrammarError,
     Grammar,
@@ -112,13 +113,18 @@ def test_nontrivial_alignment(p3):
 def test_rejects_disconnected():
     g = Graph(2, [])
     t = TreeDecomposition({(): (1,), (1,): (2,)})
-    with pytest.raises(Exception):
+    with pytest.raises(DisconnectedGraphError):
         build_aut_grammar(g, t)
 
 
 def test_rejects_non_yielding(p3):
+    # a valid decomposition whose leaf holds two vertices, and one whose
+    # one leaf is a singleton but yields 1..1 of 1..3
     t = TreeDecomposition({(): (1, 2), (1,): (2, 3)})
-    with pytest.raises(GrammarError):
+    with pytest.raises(DecompositionError, match="is not a singleton"):
+        build_aut_grammar(p3, t)
+    t = TreeDecomposition({(): (1, 2, 3), (1,): (1,)})
+    with pytest.raises(DecompositionError, match="^decomposition is not permutation yielding$"):
         build_aut_grammar(p3, t)
 
 

@@ -7,14 +7,12 @@ from autgrammar.graph import (
     SelfLoopError,
     VertexRangeError,
     closed_neighborhood,
-    format_graph,
-    induced_subgraph,
     is_connected,
     max_degree,
     parse_graph,
     stable_colouring,
 )
-from conftest import path_graph, petersen_graph, random_connected_graph
+from conftest import format_graph, induced_subgraph, path_graph, petersen_graph, random_connected_graph
 
 
 def test_parse_path():

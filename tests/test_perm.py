@@ -12,7 +12,6 @@ from autgrammar.perm import (
     identity,
     inverse,
     parse_permutation,
-    permutation_from_word,
     permute_word,
     to_string_word,
 )
@@ -90,9 +89,11 @@ def test_to_string_injective():
 
 
 def test_word_permutation_conversion():
-    assert permutation_from_word(Word((2, 1, 3))) == Permutation((2, 1, 3))
+    # a word reads as a permutation through its symbols, and one that is
+    # not a permutation raises
+    assert Permutation(Word((2, 1, 3)).symbols) == Permutation((2, 1, 3))
     with pytest.raises(PermError):
-        permutation_from_word(Word((1, 1)))
+        Permutation(Word((1, 1)).symbols)
 
 
 def test_text_round_trip():

@@ -28,8 +28,9 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st
 
-from autgrammar.annotate import AnnotatedBag, AnnotationError, _Search, count_assignments, join_annotations
+from autgrammar.annotate import AnnotatedBag, _Search, count_assignments, join_annotations
 from autgrammar.decomp import (
+    DecompositionError,
     TreeDecomposition,
     _min_fill_order,
     compute_path_decomposition,
@@ -310,7 +311,7 @@ def test_count_assignments_matches_oracle_and_parse_trees(g, label, kind, data):
     if g.vertex_count > 1:
         v = data.draw(st.sampled_from(g.vertices))
         broken = TreeDecomposition({p: tuple(u for u in d.bag(p) if u != v) for p in d.positions})
-        with pytest.raises(AnnotationError):
+        with pytest.raises(DecompositionError):
             count_assignments(g, broken)
 
 
