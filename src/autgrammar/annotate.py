@@ -17,11 +17,17 @@ annotations only as extensions of its parent's images on their shared
 domain.  When the parent pins the child's whole domain, as it does for
 every leaf of a permutation-yielding decomposition and for many of its
 inner positions, each such image is an annotation already and no search
-runs.  The search follows a plan over the domain's indexes, made once
-per call: each step fills one index of an image list, and takes its
-candidates from the neighbours of an already placed neighbour's image.
-Nothing is cached between calls: the colouring is computed once per call
-and dropped with the annotations.
+runs.  The search follows a plan over the indexes of the domain, which
+its caller computes and passes in, made once per call: each step fills
+one index of an image list.  Vertex sets are int bitmasks in
+graph.neighbor_bits' convention, so a step's candidates are its colour's
+mask, less the used images, ANDed with the neighbour mask of each placed
+neighbour's image, and each candidate is checked with one mask test.
+The search is one loop over levels, not a recursion, so a domain of any
+size is searched (a fan's hub has every vertex in its domain).  Nothing
+is cached between calls: the colouring and the masks are computed once
+per call of join_annotations or enumerate_annotated_bags and dropped
+with the annotations.
 
 The search and the join hold an annotation of bag S as its image tuple
 over the sorted domain N[S], and the grammar builders read images from
@@ -49,7 +55,7 @@ from typing import NamedTuple
 
 from . import PreconditionError
 from .decomp import ROOT, TreeDecomposition, require_valid
-from .graph import Graph, closed_neighborhood, require_connected, stable_colouring
+from .graph import Graph, closed_neighborhood, neighbor_bits, require_connected, stable_colouring
 
 
 class AnnotationError(PreconditionError):
@@ -78,91 +84,127 @@ def enumerate_annotated_bags(g: Graph, s) -> list[AnnotatedBag]:
     if not bag:
         raise AnnotationError("empty bag has no annotations")
     dom = closed_neighborhood(g, bag)
-    found = _Search(g).annotations(bag, (), [()])
+    found = _Search(g).annotations(bag, dom, (), [()])
     return [AnnotatedBag(bag, tuple(zip(dom, images))) for images in found]
 
 
 class _Search:
-    """The backtracking search for colour-preserving annotations of one
-    graph, holding its stable colouring, neighbour sets and closed
-    neighbourhoods."""
+    """The search for colour-preserving annotations of one graph, holding
+    its vertex sets as ints in graph.neighbor_bits' convention (the bit of
+    v is 1 << (v - 1)): per vertex its bit, its neighbours and its closed
+    neighbourhood, and per stable colour its vertices.  Lists indexed by
+    vertex have an unused entry 0."""
 
     def __init__(self, g: Graph):
-        self.g = g
+        self.neighbors = g.neighbors
         self.colour = stable_colouring(g)
-        self.classes: dict[int, list[int]] = {}
+        self.bit = [0] + [1 << i for i in range(g.vertex_count)]
+        self.nbits = [0, *neighbor_bits(g)]
+        self.closed = [b | ns for b, ns in zip(self.bit, self.nbits)]
+        self.cmask: dict[int, int] = {}
         for v in g.vertices:
-            self.classes.setdefault(self.colour[v], []).append(v)
-        self.adjacent = {v: frozenset(ns) for v, ns in g.neighbors.items()}
-        self.closed = {v: ns | {v} for v, ns in self.adjacent.items()}
+            self.cmask[self.colour[v]] = self.cmask.get(self.colour[v], 0) | self.bit[v]
 
-    def annotations(self, bag: tuple[int, ...], pinned: tuple[int, ...], keys) -> list[tuple[int, ...]]:
+    def annotations(self, bag: tuple[int, ...], dom: tuple[int, ...], pinned: tuple[int, ...],
+                    keys) -> list[tuple[int, ...]]:
         """The annotations of the sorted bag that map the vertices pinned,
-        a sorted part of its domain, to one of the keys, as image tuples
-        over the sorted domain N[bag], in enumeration (lexicographic)
-        order.  Each key is the image of pinned under some
-        colour-preserving partial isomorphism (join_annotations passes a
-        parent's images on the shared domain), so the pinned vertices need
-        no check among themselves.
+        a sorted part of its domain dom = N[bag], to one of the keys, as
+        image tuples over dom, in enumeration (lexicographic) order.  Each
+        key is the image of pinned under some colour-preserving partial
+        isomorphism (join_annotations passes a parent's images on the
+        shared domain), so the pinned vertices need no check among
+        themselves.
 
-        The search follows a plan over the indexes (slots) of N[bag], made
+        The search follows a plan over the indexes (slots) of dom, made
         once per call, a static matching order as in VF2 (Cordella et al.,
         IEEE TPAMI 2004): the other bag vertices first, then the other
-        boundary vertices, each step with its slot, its colour and the
-        slots of its neighbours pinned or placed before it.  Each key fills
-        the pinned slots of one image list.  A step's candidates are the
-        neighbours of its first placed neighbour's image, else its colour
-        class; c passes when it has the colour, is unused and the used
-        images adjacent to c are exactly the placed neighbours' images, so
-        each complete list is an annotation.  A boundary vertex's image is
-        adjacent to a bag image, so the boundary fills the image bag's
-        closed neighbourhood when that is as large as the domain."""
-        colour, adjacent, closed = self.colour, self.adjacent, self.closed
-        dom = closed_neighborhood(self.g, bag)
+        boundary vertices, each step with its slot, its colour's mask and
+        the slots of its neighbours pinned or placed before it.  Each key
+        fills the pinned slots of one image list.  A step's candidates are
+        its colour's vertices, not used, adjacent to every placed
+        neighbour's image; c passes when the used images adjacent to c are
+        exactly the placed neighbours' images, so each complete list is an
+        annotation.  A boundary vertex's image is adjacent to a bag image,
+        so the boundary fills the image bag's closed neighbourhood when
+        that is as large as the domain, which is checked once the bag is
+        placed.
+
+        One loop over levels, one per step, replaces recursion, so the
+        domain's size is not bounded by the interpreter's recursion limit:
+        each level keeps the mask of its passing candidates not yet tried
+        and the used mask it was entered with."""
+        bit, nbits, closed = self.bit, self.nbits, self.closed
         slot = dict(zip(dom, range(len(dom))))
         order = [v for v in bag if v not in pinned]
         placed_bag = len(order)
         order += [v for v in dom if v not in pinned and v not in bag]
         placed = set(pinned)
-        plan = []  # per step: its slot, its colour, its colour class, its placed neighbours' slots
+        plan = []  # per step: its slot, its colour's mask, its placed neighbours' slots
         for v in order:
-            plan.append((slot[v], colour[v], self.classes[colour[v]], [slot[u] for u in adjacent[v] if u in placed]))
+            plan.append((slot[v], self.cmask[self.colour[v]], [slot[u] for u in self.neighbors[v] if u in placed]))
             placed.add(v)
         at_bag, at_pinned = [slot[v] for v in bag], [slot[v] for v in pinned]
-        last = len(plan) - 1 if len(plan) > placed_bag else -1  # each candidate there completes a map
+        size, steps = len(dom), len(plan)
+        last = steps - 1 if steps > placed_bag else -1  # each candidate there completes a map
         found: list[tuple[int, ...]] = []
-        img = [0] * len(dom)  # the image of each slot, read only where pinned or placed
-        used: set[int] = set()
-
-        def extend(k: int) -> None:
-            # bag placed: the image of its closed neighbourhood is as large as the domain
-            if k == placed_bag and len(set().union(*(closed[img[s]] for s in at_bag))) != len(dom):
-                return
-            if k == len(plan):
-                found.append(tuple(img))
-                return
-            at, col, pool, nbrs = plan[k]
-            # img is injective and used holds its images, so c keeps
-            # adjacency both ways to every placed vertex exactly when the
-            # used images adjacent to c are the images of v's neighbours
-            images = {img[s] for s in nbrs}
-            for c in adjacent[img[nbrs[0]]] if nbrs else pool:
-                if c in used or colour[c] != col or adjacent[c] & used != images:
-                    continue
-                img[at] = c
-                if k == last:
-                    found.append(tuple(img))
-                else:
-                    used.add(c)
-                    extend(k + 1)
-                    used.discard(c)
-
+        img = [0] * size  # the image of each slot, read only where pinned or placed
+        untried = [0] * (steps + 1)  # per level: its passing candidates not yet tried
+        entered = [0] * (steps + 1)  # per level: the used mask it was entered with
         for key in keys:
+            used = 0
             for s, x in zip(at_pinned, key):
                 img[s] = x
-            used.clear()
-            used.update(key)
-            extend(0)
+                used |= bit[x]
+            k = 0
+            while True:
+                # enter level k, with used the mask of the images so far
+                reach = size
+                if k == placed_bag:  # the bag's images' closed neighbourhood fills the domain
+                    reach = 0
+                    for s in at_bag:
+                        reach |= closed[img[s]]
+                    reach = reach.bit_count()
+                if reach != size:
+                    passing = 0
+                elif k == steps:
+                    found.append(tuple(img))
+                    passing = 0
+                else:
+                    at, cand, nbrs = plan[k]
+                    cand &= ~used
+                    images = 0
+                    for s in nbrs:
+                        x = img[s]
+                        images |= bit[x]
+                        cand &= nbits[x]
+                    # img is injective and used holds its images, so c keeps
+                    # adjacency both ways to every placed vertex exactly when
+                    # the used images adjacent to c are the images of the
+                    # step's placed neighbours
+                    passing = 0
+                    while cand:
+                        low = cand & -cand
+                        cand ^= low
+                        if nbits[low.bit_length()] & used == images:
+                            passing |= low
+                    if k == last:
+                        while passing:
+                            low = passing & -passing
+                            passing ^= low
+                            img[at] = low.bit_length()
+                            found.append(tuple(img))
+                untried[k], entered[k] = passing, used
+                # back to the deepest level with a candidate left: place it
+                # and enter the next level
+                while k >= 0 and not untried[k]:
+                    k -= 1
+                if k < 0:
+                    break
+                low = untried[k] & -untried[k]
+                untried[k] ^= low
+                img[plan[k][0]] = low.bit_length()
+                used = entered[k] | low
+                k += 1
         found.sort()
         return found
 
@@ -235,7 +277,7 @@ def join_annotations(g: Graph, t: TreeDecomposition, written: dict | None = None
     leaf = {p for p in written if p != ROOT and not t.children(p)}  # read from their parents
     inner = [p for p in t.positions if p not in leaf]
     dom = {p: closed_neighborhood(g, t.bag(p)) for p in inner}
-    ann = {ROOT: search.annotations(t.bag(ROOT), (), [()])}
+    ann = {ROOT: search.annotations(t.bag(ROOT), dom[ROOT], (), [()])}
     up, members = {}, {}
     for p in inner:  # parents before children
         for c in t.children(p):
@@ -253,7 +295,7 @@ def join_annotations(g: Graph, t: TreeDecomposition, written: dict | None = None
             if pinned == dom[c]:
                 ann[c], members[c] = distinct, None
                 continue
-            ann[c] = search.annotations(t.bag(c), pinned, ids)
+            ann[c] = search.annotations(t.bag(c), dom[c], pinned, ids)
             members[c] = bucket = [[] for _ in ids]
             key = _images_on([k for k, v in enumerate(dom[c]) if v in shared])
             for j, k in enumerate(map(ids.__getitem__, map(key, ann[c]))):

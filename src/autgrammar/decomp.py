@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import PreconditionError
-from .graph import Graph, require_connected
+from .graph import Graph, neighbor_bits, require_connected
 from .perm import Permutation
 
 Pos = tuple[int, ...]
@@ -202,28 +202,33 @@ def _min_fill_order(g: Graph) -> list[int]:
     counts are kept between steps (Amestoy, Davis & Duff, "An approximate
     minimum degree ordering algorithm", 1996, keep degrees the same way):
     eliminating x changes the neighbourhood of x's neighbours and the
-    edges among the neighbours of theirs, so only those are recounted."""
-    adj: dict[int, set[int]] = {v: set(g.neighbors[v]) for v in g.vertices}
+    edges among the neighbours of theirs, so only those are recounted.
 
-    def fill(v: int) -> int:
-        ns = adj[v]
-        return sum(1 for a in ns for b in ns if a < b and b not in adj[a])
+    Neighbourhoods are bitmasks (graph.neighbor_bits), so a count takes
+    O(deg v) mask operations: each neighbour a of v misses the vertices
+    of N(v) & ~N(a), which are a itself and one end of each missing edge
+    at a, so the sum over a counts every missing edge twice, plus deg v."""
+    nb = dict(enumerate(neighbor_bits(g)))  # vertex index i = v - 1 -> its neighbours' bits
+
+    def fill(i: int) -> int:
+        ns = nb[i]
+        return (sum((ns & ~nb[a]).bit_count() for a in _bits(ns)) - ns.bit_count()) // 2
 
     # in increasing vertex order, which deleting keys keeps, so min, which
     # returns the first of equal keys, breaks a tie by the smallest vertex
-    fills = {v: fill(v) for v in adj}
+    fills = {i: fill(i) for i in nb}
     order: list[int] = []
     while fills:
         x = min(fills, key=fills.__getitem__)
         del fills[x]
-        ns = adj.pop(x)
-        for a in ns:
-            adj[a] |= ns
-            adj[a].discard(a)
-            adj[a].discard(x)
-        for v in ns.union(*(adj[a] for a in ns)):
-            fills[v] = fill(v)
-        order.append(x)
+        ns = nb.pop(x)
+        touched = ns
+        for a in _bits(ns):
+            nb[a] = (nb[a] | ns) & ~(1 << a | 1 << x)
+            touched |= nb[a]
+        for i in _bits(touched):
+            fills[i] = fill(i)
+        order.append(x + 1)
     return order
 
 
@@ -246,11 +251,6 @@ def _subset_widths(m: int, cost) -> list[int]:
     return width
 
 
-def _neighbor_bits(g: Graph) -> list[int]:
-    """Vertex index i = v - 1 -> the bitmask of its neighbors' indices."""
-    return [sum(1 << (u - 1) for u in g.neighbors[v]) for v in g.vertices]
-
-
 def _exact_order(g: Graph) -> list[int]:
     """Optimal elimination ordering; the table is indexed by the set of
     already-eliminated vertices.  The cost of eliminating v after S is the
@@ -258,7 +258,7 @@ def _exact_order(g: Graph) -> list[int]:
     m = g.vertex_count
     if m > EXACT_SMALL_CAP:
         raise DecompositionError(f"exact-small refused above {EXACT_SMALL_CAP} vertices (got {m})")
-    nbr_bits = _neighbor_bits(g)
+    nbr_bits = neighbor_bits(g)
 
     def cost(eliminated: int, vi: int) -> int:
         # vertices outside `eliminated` adjacent to vi or linked via eliminated
@@ -460,7 +460,7 @@ def _best_layout(g: Graph) -> list[int]:
     m = g.vertex_count
     if m > EXACT_SMALL_CAP:
         return list(g.vertices)
-    nbr_bits = _neighbor_bits(g)
+    nbr_bits = neighbor_bits(g)
     full = (1 << m) - 1
 
     def active(rest: int) -> int:

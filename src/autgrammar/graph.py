@@ -148,6 +148,13 @@ def closed_neighborhood(g: Graph, s: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(result))
 
 
+def neighbor_bits(g: Graph) -> list[int]:
+    """Vertex index i = v - 1 -> the bitmask of its neighbors' indices: the
+    one bit convention of the layers that hold vertex sets as ints, in
+    which the bit of v is 1 << (v - 1), so v is its bit's bit_length()."""
+    return [sum(1 << (u - 1) for u in g.neighbors[v]) for v in g.vertices]
+
+
 def stable_colouring(g: Graph) -> dict[int, int]:
     """Colour refinement (1-WL): each vertex's colour is its class in the
     coarsest partition, finer than the degree partition, in which vertices

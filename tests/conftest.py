@@ -88,6 +88,13 @@ def binary_tree(depth: int) -> Graph:
     return Graph(m, [(v // 2, v) for v in range(2, m + 1)])
 
 
+def fan_graph(n: int) -> Graph:
+    """The fan F_n: a hub, vertex n + 1, joined to every vertex of the path
+    1..n.  Its treewidth is 2, and its only automorphisms are the identity
+    and the path's reversal."""
+    return Graph(n + 1, [(i, n + 1) for i in range(1, n + 1)] + [(i, i + 1) for i in range(1, n)])
+
+
 def spider(legs: int, length: int) -> Graph:
     """A centre (vertex 1) with `legs` paths of `length` vertices hanging off it."""
     edges = []

@@ -37,6 +37,7 @@ from conftest import (
     consistent_bags,
     cubic8,
     cycle_graph,
+    fan_graph,
     make_annotated_bag,
     make_assignment,
     oracle_annotations,
@@ -128,10 +129,10 @@ def test_enumeration_between_restrictions_and_oracle(corpus):
 
 def test_fully_pinned_search_keeps_the_neighbourhood_check(p4):
     # P4 = 1-2-3-4, bag (1,), domain (1, 2).  Pinned on the bag alone, the
-    # recursive search rejects 1 -> 2, whose image bag's neighbourhood
+    # search rejects 1 -> 2, whose image bag's neighbourhood
     # {1, 2, 3} is larger than the domain, as soon as the bag is placed
     search = _Search(p4)
-    assert search.annotations((1,), (1,), {(1,), (2,), (4,)}) == [(1, 2), (4, 3)]
+    assert search.annotations((1,), (1, 2), (1,), {(1,), (2,), (4,)}) == [(1, 2), (4, 3)]
     # a child whose whole domain its parent pins takes the distinct keys
     # of its parent's annotations as they stand, without a search or a
     # check, and each is an annotation
@@ -182,12 +183,25 @@ def test_search_matches_colour_preserving_oracle():
                 for u in (dom[0], dom[-1]):
                     cases.append((s, (u,), [(w,) for w in h.vertices if colour[w] == colour[u]][::2]))
             for s, pinned, keys in cases:
+                dom = closed_neighborhood(h, s)
                 expected = colour_preserving_oracle(h, s)
-                assert search.annotations(s, (), [()]) == expected, (h, s)
-                at = [closed_neighborhood(h, s).index(v) for v in pinned]
+                assert search.annotations(s, dom, (), [()]) == expected, (h, s)
+                at = [dom.index(v) for v in pinned]
                 wanted = set(keys)
                 filtered = [im for im in expected if tuple(im[k] for k in at) in wanted]
-                assert search.annotations(s, pinned, keys) == filtered, (h, s, pinned)
+                assert search.annotations(s, dom, pinned, keys) == filtered, (h, s, pinned)
+
+
+def test_search_of_a_fan_hub_is_not_bounded_by_the_recursion_limit():
+    # the hub's bag of the fan F_1100 has every vertex in its domain, so
+    # the search has 1101 levels, past Python's default recursion limit;
+    # its annotations are the restrictions of the two automorphisms
+    n = 1100
+    g = fan_graph(n)
+    dom = closed_neighborhood(g, (n + 1,))
+    assert dom == tuple(g.vertices)
+    reversal = (*range(n, 0, -1), n + 1)
+    assert _Search(g).annotations((n + 1,), dom, (), [()]) == [tuple(g.vertices), reversal]
 
 
 def partners_by_key_id(join, c):

@@ -19,7 +19,7 @@ from autgrammar.grammar import (
 )
 from autgrammar.oracle import brute_force_automorphisms
 from autgrammar.perm import Word, format_word, permute_word, to_string_word
-from conftest import binary_tree, format_graph, reference_language
+from conftest import binary_tree, fan_graph, format_graph, reference_language
 
 C4_TEXT = "4 4\n1 2\n2 3\n3 4\n1 4\n"
 STAR5_TEXT = "5 4\n1 5\n2 5\n3 5\n4 5\n"
@@ -87,6 +87,21 @@ def test_build_from_td(c4_file, tmp_path):
     assert r.returncode == 0, r.stderr
     c = run_cli("count", out)
     assert c.stdout.strip() == "8"
+
+
+def test_build_fan_from_td(tmp_path):
+    # the fan F_1100 on the path decomposition with bags {i, i + 1, hub}:
+    # the hub's annotations are searched over all 1101 vertices, past
+    # Python's recursion limit, and the build exits 0, quietly
+    n, hub = 1100, 1101
+    graph, td, out = tmp_path / "fan.edges", tmp_path / "fan.td", str(tmp_path / "fan.json")
+    graph.write_text(format_graph(fan_graph(n)))
+    bags = [f"b {i} {i} {i + 1} {hub}" for i in range(1, n)]
+    links = [f"{i} {i + 1}" for i in range(1, n - 1)]
+    td.write_text("\n".join([f"s td {n - 1} 3 {hub}", *bags, *links]) + "\n")
+    r = run_cli("build", "--graph", str(graph), "--td", str(td), "--out", out)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert run_cli("count", out).stdout == "2\n"
 
 
 def test_build_disconnected_exit_3(tmp_path):

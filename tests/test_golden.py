@@ -24,7 +24,10 @@ LP or `lift` digest moved.
 
 The partner-shape digests (K6, btree5 and spider 5x4, natural and
 relabelled) were recorded before the builder wrote its rules column by
-column, and that change keeps them."""
+column, and that change keeps them.  The digests of btree6 and P80, the
+first golden graphs above 64 vertices, were recorded before the
+annotation search held vertex sets as int bitmasks, and that change
+keeps them."""
 
 import hashlib
 import random
@@ -279,6 +282,31 @@ def test_partner_shape_bytes(name):
     digests = tuple(_digest(_build_output(*build_aut_grammar(g, _tree(g))))
                     for g in (make(), relabel(make(), random.Random(seed))))
     assert digests == PARTNER_SHAPE_DIGESTS[name]
+
+
+# name -> (graph, seed of the relabelling).  Above 64 vertices a vertex
+# set takes more than one machine word as an int, as the annotation
+# search holds it; the digests were recorded on the set-based search
+MULTIWORD = {
+    "btree6": (lambda: binary_tree(6), 12),
+    "P80": (lambda: path_graph(80), 10),
+}
+
+# name -> (`build` output with natural labels, relabelled), as written
+MULTIWORD_DIGESTS = {
+    "btree6": ("3c39b711ab9bd01d85e41dbb698e8a8113cf04332a943099a399f028545265be",
+               "98522533b4a3c5bb59bf73cbf964e5594e12631d7d2a49515639f65c9e6e301d"),
+    "P80": ("10728e745a6aa841f6e2a90081e8e83b32cafb7dd20a9d40000db9313047ebed",
+            "3dd9dba5c3456bcfe8e901c6ce9fc34534270e83af4cd5f620d096387bd528da"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTIWORD))
+def test_multiword_bytes(name):
+    make, seed = MULTIWORD[name]
+    digests = tuple(_digest(_build_output(*build_aut_grammar(g, _tree(g))))
+                    for g in (make(), relabel(make(), random.Random(seed))))
+    assert digests == MULTIWORD_DIGESTS[name]
 
 
 # name -> (host graph, kept prefix, coset representative or None)

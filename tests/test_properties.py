@@ -252,6 +252,27 @@ def test_min_fill_matches_reference(g):
     assert _min_fill_order(g) == reference_min_fill_order(g)
 
 
+@st.composite
+def hub_graphs(draw, max_vertices: int = 40) -> Graph:
+    """A sparse graph on the other vertices plus a hub, the last vertex,
+    joined to a drawn share of them: the hub's fill is recounted after
+    most eliminations, over a neighbourhood of many vertices."""
+    n = draw(st.integers(2, max_vertices))
+    p = draw(st.sampled_from([0.05, 0.1, 0.2]))
+    share = draw(st.sampled_from([0.3, 0.6, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = [(u, v) for u in range(1, n - 1) for v in range(u + 1, n) if rng.random() < p]
+    return Graph(n, edges + [(u, n) for u in range(1, n) if rng.random() < share])
+
+
+@settings(max_examples=100, deadline=None)
+@given(hub_graphs())
+def test_min_fill_matches_reference_with_a_hub(g):
+    # fill counted on neighbour bitmasks, O(deg) per vertex, picks what
+    # counting the missing pairs among neighbour sets picks
+    assert _min_fill_order(g) == reference_min_fill_order(g)
+
+
 @settings(max_examples=50, deadline=None)
 @given(connected_graphs())
 def test_tree_builder_hands_over_its_table(g):
@@ -423,7 +444,7 @@ def test_pinned_search_filters_unpinned_search(g, label, strategy, data):
     for d in (t, compute_path_decomposition(g)):
         for p in d.positions:
             dom_p = closed_neighborhood(g, d.bag(p))
-            parent = search.annotations(d.bag(p), (), [()])
+            parent = search.annotations(d.bag(p), dom_p, (), [()])
             for c in d.children(p):
                 dom_c = closed_neighborhood(g, d.bag(c))
                 pinned = tuple(v for v in dom_c if v in dom_p)
@@ -432,10 +453,10 @@ def test_pinned_search_filters_unpinned_search(g, label, strategy, data):
                 offered = sorted({tuple(images[k] for k in at_p) for images in parent})
                 keys = data.draw(st.sets(st.sampled_from(offered))) if offered else set()
                 expected = [
-                    images for images in search.annotations(d.bag(c), (), [()])
+                    images for images in search.annotations(d.bag(c), dom_c, (), [()])
                     if tuple(images[k] for k in at_c) in keys
                 ]
-                assert search.annotations(d.bag(c), pinned, keys) == expected, (p, c)
+                assert search.annotations(d.bag(c), dom_c, pinned, keys) == expected, (p, c)
 
 
 @settings(max_examples=60, deadline=None)
