@@ -54,7 +54,7 @@ import operator
 from typing import NamedTuple
 
 from . import PreconditionError
-from .decomp import ROOT, TreeDecomposition, require_valid
+from .decomp import TreeDecomposition, require_valid
 from .graph import Graph, closed_neighborhood, neighbor_bits, require_connected, stable_colouring
 
 
@@ -220,24 +220,26 @@ def _images_on(ks: list[int]):
 
 class Join(NamedTuple):
     """The consistency join of a decomposition's annotations; see
-    join_annotations.  A leaf that the join reads from its parent (a
-    childless position other than the root, in written) is a key of no
-    field."""
+    join_annotations.  Each field is a list indexed by position (preorder
+    int), None where it has no entry: at a leaf that the join reads from
+    its parent (a childless position other than the root, in written), and
+    at the root for up and members."""
 
-    dom: dict  # p -> the sorted domain N[S_p]
-    ann: dict  # p -> the image tuples over dom[p], in enumeration order
-    cls: dict  # p -> the class of each annotation at p, None if not kept
-    first: dict  # p -> the first annotation of each class at p
-    up: dict  # c -> the key id of each annotation at c's parent
-    members: dict  # c -> per key id, the kept annotations at c; None where key id k is annotation k
+    dom: list  # p -> the sorted domain N[S_p]
+    ann: list  # p -> the image tuples over dom[p], in enumeration order
+    cls: list  # p -> the class of each annotation at p, None if not kept
+    first: list  # p -> the first annotation of each class at p
+    up: list  # c -> the key id of each annotation at c's parent
+    members: list  # c -> per key id, the kept annotations at c; None where key id k is annotation k
 
 
 def join_annotations(g: Graph, t: TreeDecomposition, written: dict | None = None) -> Join:
     """The annotations of each bag of t that take part in some consistent
     annotation of the whole tree, merged into classes that derive the same
-    words.  written maps a position to the vertex whose image its
-    annotations write, a terminal of the grammar built from the join;
-    count_assignments passes none, as it counts annotations, not words.
+    words.  written maps a position (a preorder int, as in every field of
+    the Join) to the vertex whose image its annotations write, a terminal
+    of the grammar built from the join; count_assignments passes none, as
+    it counts annotations, not words.
 
     A childless position c other than the root that is in written, a
     leaf, gets no annotations, key ids or classes of its own.  Its domain
@@ -274,17 +276,22 @@ def join_annotations(g: Graph, t: TreeDecomposition, written: dict | None = None
     appearance among them."""
     search = _Search(g)
     written = written or {}
-    leaf = {p for p in written if p != ROOT and not t.children(p)}  # read from their parents
-    inner = [p for p in t.positions if p not in leaf]
-    dom = {p: closed_neighborhood(g, t.bag(p)) for p in inner}
-    ann = {ROOT: search.annotations(t.bag(ROOT), dom[ROOT], (), [()])}
-    up, members = {}, {}
+    n, parent, bags, children = len(t.parent), t.parent, t.bag_list, t.kids
+    leaf = {p for p in written if p and not children[p]}  # read from their parents
+    inner = [p for p in range(n) if p not in leaf]
+    dom: list = [None] * n
+    for p in inner:
+        dom[p] = closed_neighborhood(g, bags[p])
+    ann: list = [None] * n
+    ann[0] = search.annotations(bags[0], dom[0], (), [()])
+    up: list = [None] * n
+    members: list = [None] * n
     for p in inner:  # parents before children
-        for c in t.children(p):
+        for c in children[p]:
             if c in leaf:
                 continue
             if dom[c] == dom[p]:  # each annotation is its own key
-                ann[c], up[c], members[c] = ann[p], range(len(ann[p])), None
+                ann[c], up[c] = ann[p], range(len(ann[p]))
                 continue
             shared = set(dom[p]) & set(dom[c])
             keys = list(map(_images_on([k for k, v in enumerate(dom[p]) if v in shared]), ann[p]))
@@ -293,31 +300,34 @@ def join_annotations(g: Graph, t: TreeDecomposition, written: dict | None = None
             ids = dict(zip(distinct, range(len(distinct))))
             up[c] = list(map(ids.__getitem__, keys))
             if pinned == dom[c]:
-                ann[c], members[c] = distinct, None
+                ann[c] = distinct
                 continue
-            ann[c] = search.annotations(t.bag(c), dom[c], pinned, ids)
+            ann[c] = search.annotations(bags[c], dom[c], pinned, ids)
             members[c] = bucket = [[] for _ in ids]
             key = _images_on([k for k, v in enumerate(dom[c]) if v in shared])
             for j, k in enumerate(map(ids.__getitem__, map(key, ann[c]))):
                 bucket[k].append(j)
-    cls, first = {}, {}
-    sig: dict = {}  # c -> per key id, the pair, or the pair set, of its live annotations at c; else None
+    cls: list = [None] * n
+    first: list = [None] * n
+    sig: list = [None] * n  # c -> per key id, the pair, or the pair set, of its live annotations at c; else None
     for p in reversed(inner):  # children before parents
-        kids, images = t.children(p), ann[p]
+        kids, images = children[p], ann[p]
         wrote = list(map(operator.itemgetter(dom[p].index(written[p])), images)) if p in written else None
         # a leaf child's column is the image it writes, read off p's
         # annotation; any other child's is its pair, or pair set, by key id
         columns = [map(operator.itemgetter(dom[p].index(written[c])), images) if c in leaf
-                   else map(sig.pop(c).__getitem__, up[c]) for c in kids]
+                   else map(sig[c].__getitem__, up[c]) for c in kids]
         if not kids:
             sigs = [0] * len(images) if wrote is None else wrote
         elif len(kids) == 1:
             sigs = list(columns[0])
         else:
             sigs = [None if None in s else s for s in zip(*columns)]
+        for c in kids:
+            sig[c] = None
         ids: dict = {}
         cls[p] = [None if s is None else ids.setdefault(s, len(ids)) for s in sigs]
-        if p == ROOT:
+        if not p:
             continue
         pair = cls[p]
         if wrote is not None and kids:
@@ -329,8 +339,8 @@ def join_annotations(g: Graph, t: TreeDecomposition, written: dict | None = None
             members[p] = [[j for j in js if cls[p][j] is not None] for js in members[p]]
         sig[p] = [frozenset(map(pair.__getitem__, js)) if js else None for js in members[p]]
     for p in inner:  # parents before children
-        if p != ROOT and None in cls[p[:-1]]:  # keep what a kept parent reaches, renumbered
-            used = {k for k, i in zip(up[p], cls[p[:-1]]) if i is not None}
+        if p and None in cls[parent[p]]:  # keep what a kept parent reaches, renumbered
+            used = {k for k, i in zip(up[p], cls[parent[p]]) if i is not None}
             if members[p] is not None:  # from key ids to annotations
                 members[p] = [js if k in used else [] for k, js in enumerate(members[p])]
                 used = {j for js in members[p] for j in js}
@@ -357,11 +367,11 @@ def count_assignments(g: Graph, t: TreeDecomposition) -> int:
     require_connected(g)
     require_valid(g, t)
     _, _, cls, _, up, members = join_annotations(g, t)
-    count: dict = {}
-    for p in reversed(t.positions):  # children before parents
-        kids = t.children(p)
+    count: list = [None] * len(t.parent)
+    for p in reversed(range(len(t.parent))):  # children before parents
+        kids = t.kids[p]
         count[p] = [0 if k is None else math.prod(count[c][up[c][i]] for c in kids)
                     for i, k in enumerate(cls[p])]
-        if p != ROOT and members[p] is not None:
+        if p and members[p] is not None:
             count[p] = [sum(map(count[p].__getitem__, js)) for js in members[p]]
-    return sum(count[ROOT])
+    return sum(count[0])

@@ -1,10 +1,21 @@
 """Tree decompositions as terms over tree-like position sets.
 
-Positions are tuples of child indices; the root is the empty tuple.  A
-position set must be prefix closed (every parent present) and well numbered
-(child j present implies children 1..j-1 present).  Sorting positions as
-tuples gives exactly the preorder / left-to-right traversal, which is the
-canonical order used throughout.
+A decomposition holds its positions as preorder ints: position 0 is the
+root, position i > 0 has parent[i] < i, and the positions of every
+subtree are consecutive, its own first.  It keeps one parent list, one
+bag list (each bag a sorted tuple of vertices) and each position's
+children, in order, derived once from the parents.  Every stage of the
+library indexes these lists by position, so no stage pays for depth.
+
+The public view names each position by its root path, a tuple of child
+indices (the root is the empty tuple; child j of p is p + (j,)): the set
+is prefix closed and well numbered, and sorting it as tuples gives
+exactly the preorder, so the i-th position in `positions` is int
+position i.  The view (`positions`, `bags`, `bag(p)`, `children(p)`,
+`leaves()`, `repr`) is derived from the arrays on first use and cached;
+on a path it has quadratic total length, which is why no library stage
+reads it.  TreeDecomposition({path: bag}) checks the shape of a path
+set and builds the arrays from it.
 
 The module covers: axiom validation (T1 vertex cover, T2 edge cover, T3
 connected per-vertex subterm), construction from elimination orderings
@@ -25,6 +36,7 @@ decomposition is permutation yielding.  Each raises DecompositionError.
 
 from __future__ import annotations
 
+import heapq
 from typing import NamedTuple
 
 from . import PreconditionError
@@ -46,35 +58,42 @@ class TdParseError(DecompositionError):
     pass
 
 
-def is_prefix(p: Pos, q: Pos) -> bool:
-    return len(p) <= len(q) and q[: len(p)] == p
-
-
-def _preorder_positions(root, adj: dict) -> dict:
-    """Number a tree from its root: the root gets ROOT, and the i-th not yet
-    numbered entry of adj[v] gets pos(v) + (i,).  With children lists, adj
-    numbers every child; with neighbor lists of an undirected tree, the
-    parent is the one entry skipped.  Nodes not reached are left out."""
-    pos = {root: ROOT}
+def _preorder(root, adj: dict) -> tuple[list, list[int]]:
+    """Number a tree from its root in preorder: the nodes in that order,
+    and each one's parent's number (-1 for the root).  The children of v
+    are the entries of adj[v] not yet numbered, in order; with children
+    lists that is every entry, and with neighbor lists of an undirected
+    tree the parent is the one entry skipped.  Nodes not reached are left
+    out."""
+    nodes: list = []
+    parent: list[int] = []
+    up = {root: -1}  # each node numbered or stacked -> its parent's number
     stack = [root]
     while stack:
         v = stack.pop()
-        kids = [c for c in adj.get(v, ()) if c not in pos]
-        for i, c in enumerate(kids, start=1):
-            pos[c] = pos[v] + (i,)
-        stack.extend(kids)
-    return pos
+        parent.append(up[v])
+        i = len(nodes)
+        nodes.append(v)
+        kids = [c for c in adj.get(v, ()) if c not in up]
+        if kids:
+            up.update(dict.fromkeys(kids, i))
+            stack.extend(reversed(kids))
+    return nodes, parent
 
 
 class TreeDecomposition:
-    """A map position -> bag (sorted vertex tuple) over a tree-like set.
+    """A tree of bags (sorted vertex tuples) over preorder int positions.
 
-    Immutable after construction by convention; the constructor checks the
-    position set shape but not the decomposition axioms (use
-    validate_tree_decomposition for those).
+    parent[i] is the parent of position i (-1 for the root, 0), bag_list[i]
+    its bag and kids[i] its children in order.  Immutable after
+    construction by convention; the constructors check the shape of the
+    position set but not the decomposition axioms (use
+    validate_tree_decomposition for those).  The root-path view is built
+    on first use and cached in _view: (positions, bags, index of each
+    path).
     """
 
-    __slots__ = ("bags", "positions", "_children")
+    __slots__ = ("parent", "bag_list", "kids", "_view")
 
     def __init__(self, bags: dict[Pos, tuple[int, ...]]):
         if ROOT not in bags:
@@ -86,32 +105,92 @@ class TreeDecomposition:
                 raise DecompositionError(f"position set not well numbered at {p}")
             if p != ROOT and p[-1] < 1:
                 raise DecompositionError(f"child index must be >= 1 at {p}")
-        self.bags = {p: tuple(sorted(set(bags[p]))) for p in sorted(bags)}
-        self.positions = tuple(sorted(bags))
-        children: dict[Pos, list[Pos]] = {p: [] for p in self.positions}
-        for p in self.positions:
-            if p != ROOT:
-                children[p[:-1]].append(p)
-        self._children = {p: tuple(sorted(cs)) for p, cs in children.items()}
+        positions = tuple(sorted(bags))
+        index = dict(zip(positions, range(len(positions))))
+        parent = [-1, *(index[p[:-1]] for p in positions[1:])]
+        self._set(parent, [tuple(sorted(set(bags[p]))) for p in positions])
+
+    @classmethod
+    def _of(cls, parent: list[int], bag_list: list[tuple[int, ...]]) -> TreeDecomposition:
+        """The decomposition with these parents and bags, each bag a
+        sorted tuple of distinct vertices: the constructor of every
+        builder here.  Raises DecompositionError unless parent numbers a
+        tree in preorder."""
+        t = cls.__new__(cls)
+        t._set(parent, bag_list)
+        return t
+
+    def _set(self, parent: list[int], bag_list: list[tuple[int, ...]]) -> None:
+        # in preorder, the parent of i is i - 1 or one of its ancestors:
+        # the stack holds the path from the root to i - 1
+        n = len(parent)
+        if not n or parent[0] != -1 or len(bag_list) != n:
+            raise DecompositionError("position 0 must be the one root, with one bag per position")
+        kids: list[list[int]] = [[] for _ in range(n)]
+        stack = [0]
+        for i in range(1, n):
+            up = parent[i]
+            while stack and stack[-1] != up:
+                stack.pop()
+            if not stack:
+                raise DecompositionError(f"parent {up} of position {i} breaks the preorder")
+            kids[up].append(i)
+            stack.append(i)
+        self.parent = list(parent)
+        self.bag_list = list(bag_list)
+        self.kids = list(map(tuple, kids))
+        self._view = None
+
+    def _path(self, i: int) -> Pos:
+        """The root path of position i, walked up from i: for messages,
+        which name a position without building the view."""
+        p = []
+        while i:
+            up = self.parent[i]
+            p.append(self.kids[up].index(i) + 1)
+            i = up
+        return tuple(reversed(p))
+
+    def _root_paths(self) -> tuple:
+        if self._view is None:
+            paths: list[Pos] = [ROOT] * len(self.parent)
+            for p, ks in enumerate(self.kids):  # parents before children
+                for j, c in enumerate(ks, start=1):
+                    paths[c] = paths[p] + (j,)
+            positions = tuple(paths)
+            index = dict(zip(positions, range(len(positions))))
+            self._view = (positions, dict(zip(positions, self.bag_list)), index)
+        return self._view
+
+    @property
+    def positions(self) -> tuple[Pos, ...]:
+        return self._root_paths()[0]
+
+    @property
+    def bags(self) -> dict[Pos, tuple[int, ...]]:
+        return self._root_paths()[1]
 
     def bag(self, p: Pos) -> tuple[int, ...]:
         return self.bags[p]
 
     def children(self, p: Pos) -> tuple[Pos, ...]:
-        return self._children[p]
+        positions, _, index = self._root_paths()
+        return tuple(positions[c] for c in self.kids[index[p]])
 
     def leaves(self) -> tuple[Pos, ...]:
-        return tuple(p for p in self.positions if not self._children[p])
+        positions = self.positions
+        return tuple(positions[i] for i, ks in enumerate(self.kids) if not ks)
 
     @property
     def width(self) -> int:
-        return max(len(b) for b in self.bags.values()) - 1
+        return max(map(len, self.bag_list)) - 1
 
     def is_path_shaped(self) -> bool:
-        return all(len(self._children[p]) <= 1 for p in self.positions)
+        return all(len(ks) <= 1 for ks in self.kids)
 
     def __eq__(self, other):
-        return isinstance(other, TreeDecomposition) and self.bags == other.bags
+        return (isinstance(other, TreeDecomposition) and self.parent == other.parent
+                and self.bag_list == other.bag_list)
 
     def __repr__(self):
         return f"TreeDecomposition({self.bags})"
@@ -133,33 +212,60 @@ class ValidationReport(NamedTuple):
 
 def validate_tree_decomposition(g: Graph, t: TreeDecomposition) -> ValidationReport:
     """Check T1 (vertices covered), T2 (edges covered), T3 (per-vertex
-    positions form a connected subterm).  Violations are data, not errors."""
+    positions form a connected subterm).  Violations are data, not errors,
+    reported per axiom in the order of positions, vertices and sorted
+    edges, and a position is named by its root path.
+
+    Each check is one pass over the bags.  T2: per vertex u, the union of
+    the bags holding u as a bitmask (graph.neighbor_bits' convention);
+    every edge is covered exactly when each u's neighbours lie in its
+    union.  T3: a vertex's positions are connected exactly when one of
+    them, a top, has a parent that does not hold it.  With more tops the
+    first in preorder other than the highest (the first of least depth)
+    is reported, as disconnected when the highest is its ancestor and as
+    having no common root otherwise."""
+    m, parent, bags = g.vertex_count, t.parent, t.bag_list
     violations: list[Violation] = []
-    holding: dict[int, list[Pos]] = {}  # vertex -> positions holding it, in order
-    for p, bag in t.bags.items():
+    union = [0] * (m + 1)  # vertex -> the bits of the bags holding it
+    tops = [0] * (m + 1)  # vertex -> its positions whose parent does not hold it
+    for i, bag in enumerate(bags):
+        if bag and (bag[0] < 1 or bag[-1] > m):  # bags are sorted
+            violations.extend(Violation("T1", f"bag at {t._path(i)} references out-of-range vertex {v}")
+                              for v in bag if not 1 <= v <= m)
+            bag = [v for v in bag if 1 <= v <= m]
+        mask = 0
         for v in bag:
-            if not (1 <= v <= g.vertex_count):
-                violations.append(
-                    Violation("T1", f"bag at {p} references out-of-range vertex {v}")
-                )
-            holding.setdefault(v, []).append(p)
-    for v in g.vertices:
-        if v not in holding:
-            violations.append(Violation("T1", f"vertex {v} not covered by any bag"))
-    for u, v in sorted(g.edges):
-        if not any(v in t.bags[p] for p in holding.get(u, ())):
-            violations.append(Violation("T2", f"edge {{{u},{v}}} not inside any bag"))
-    for v in g.vertices:
-        held = holding.get(v, [])
-        top = min(held, key=len, default=None)
-        holdset = set(held)
-        # report the first position whose parent lacks v: a position outside
-        # top's subtree has such an ancestor, which comes earlier in preorder
-        for p in held:
-            if p != top and p[:-1] not in holdset:
-                where = f"are not connected at {p}" if is_prefix(top, p) else "have no common root"
-                violations.append(Violation("T3", f"positions holding vertex {v} {where}"))
-                break
+            mask |= 1 << (v - 1)
+        above = bags[parent[i]] if i else ()
+        for v in bag:
+            union[v] |= mask
+            if v not in above:
+                tops[v] += 1
+    violations.extend(Violation("T1", f"vertex {v} not covered by any bag")
+                      for v in g.vertices if not tops[v])
+    nbits = neighbor_bits(g)
+    if any(nbits[u - 1] & ~union[u] for u in g.vertices):
+        violations.extend(Violation("T2", f"edge {{{u},{v}}} not inside any bag")
+                          for u, v in sorted(g.edges) if not union[u] >> (v - 1) & 1)
+    scattered = {v: [] for v in g.vertices if tops[v] > 1}  # vertex -> its tops, in preorder
+    if scattered:
+        depth = [0] * len(parent)
+        size = [1] * len(parent)  # the positions of i's subtree are i .. i + size[i] - 1
+        for i in range(1, len(parent)):
+            depth[i] = depth[parent[i]] + 1
+        for i in range(len(parent) - 1, 0, -1):
+            size[parent[i]] += size[i]
+        for i, bag in enumerate(bags):
+            above = bags[parent[i]] if i else ()
+            for v in bag:
+                if v in scattered and v not in above:
+                    scattered[v].append(i)
+        for v, held in scattered.items():
+            top = min(held, key=depth.__getitem__)
+            i = next(i for i in held if i != top)
+            where = (f"are not connected at {t._path(i)}" if top < i < top + size[top]
+                     else "have no common root")
+            violations.append(Violation("T3", f"positions holding vertex {v} {where}"))
     return ValidationReport(t.width, tuple(violations))
 
 
@@ -172,63 +278,77 @@ def require_valid(g: Graph, t: TreeDecomposition) -> None:
         raise DecompositionError(f"invalid decomposition: {report.violations[0].message}")
 
 
+def _eliminate(nb: list[int], x: int) -> int:
+    """Eliminate vertex index x from the fill graph held as neighbour
+    masks nb (graph.neighbor_bits): its neighbours become a clique and
+    lose x.  Returns x's neighbours."""
+    ns = nb[x]
+    for a in _bits(ns):
+        nb[a] = (nb[a] | ns) & ~(1 << a | 1 << x)
+    return ns
+
+
 def _decomposition_from_elimination(g: Graph, order: list[int]) -> TreeDecomposition:
     """Build a decomposition of a connected graph from an elimination
     ordering: the bag of v is v plus its not-yet-eliminated neighbors in
     the fill graph; v's node hangs under the node of the earliest-eliminated
     vertex of its bag rest, so the last vertex eliminated is the root."""
-    rank = {v: i for i, v in enumerate(order)}
-    adj: dict[int, set[int]] = {v: set(g.neighbors[v]) for v in g.vertices}
+    rank = [0] * g.vertex_count
+    for r, v in enumerate(order):
+        rank[v - 1] = r
+    nb = neighbor_bits(g)
     bag_of: dict[int, tuple[int, ...]] = {}
     kids: dict[int, list[int]] = {v: [] for v in order}  # each in elimination order
     for v in order:
-        rest = sorted(adj[v], key=lambda u: rank[u])
-        bag_of[v] = tuple(sorted([v] + rest))
-        if rest:
-            kids[rest[0]].append(v)
-        for a in rest:
-            for b in rest:
-                if a != b:
-                    adj[a].add(b)
-            adj[a].discard(v)
-        del adj[v]
-    pos = _preorder_positions(order[-1], kids)
-    return TreeDecomposition({p: bag_of[v] for v, p in pos.items()})
+        ns = _eliminate(nb, v - 1)
+        bag_of[v] = tuple(i + 1 for i in _bits(ns | 1 << (v - 1)))
+        if ns:
+            kids[min(_bits(ns), key=rank.__getitem__) + 1].append(v)
+    nodes, parent = _preorder(order[-1], kids)
+    return TreeDecomposition._of(parent, [bag_of[v] for v in nodes])
 
 
 def _min_fill_order(g: Graph) -> list[int]:
     """Eliminate, at each step, the vertex whose neighbours lack the fewest
     edges among themselves, the smallest such vertex on a tie.  The fill
-    counts are kept between steps (Amestoy, Davis & Duff, "An approximate
-    minimum degree ordering algorithm", 1996, keep degrees the same way):
-    eliminating x changes the neighbourhood of x's neighbours and the
-    edges among the neighbours of theirs, so only those are recounted.
+    counts are kept between steps in a heap of (fill, vertex index) with
+    lazy deletion: an entry whose fill is no longer the vertex's is
+    skipped.  Eliminating x changes the neighbourhood of x's neighbours,
+    and the edges among the neighbours of a vertex adjacent to two of
+    them, so only those are recounted (Amestoy, Davis & Duff, "An
+    approximate minimum degree ordering algorithm", 1996, keep degrees
+    the same way).
 
     Neighbourhoods are bitmasks (graph.neighbor_bits), so a count takes
     O(deg v) mask operations: each neighbour a of v misses the vertices
     of N(v) & ~N(a), which are a itself and one end of each missing edge
     at a, so the sum over a counts every missing edge twice, plus deg v."""
-    nb = dict(enumerate(neighbor_bits(g)))  # vertex index i = v - 1 -> its neighbours' bits
+    nb = neighbor_bits(g)  # vertex index i = v - 1 -> its neighbours' bits
 
     def fill(i: int) -> int:
         ns = nb[i]
         return (sum((ns & ~nb[a]).bit_count() for a in _bits(ns)) - ns.bit_count()) // 2
 
-    # in increasing vertex order, which deleting keys keeps, so min, which
-    # returns the first of equal keys, breaks a tie by the smallest vertex
-    fills = {i: fill(i) for i in nb}
+    fills = list(map(fill, range(len(nb))))  # -1 once eliminated
+    heap = list(zip(fills, range(len(nb))))
+    heapq.heapify(heap)
     order: list[int] = []
-    while fills:
-        x = min(fills, key=fills.__getitem__)
-        del fills[x]
-        ns = nb.pop(x)
-        touched = ns
-        for a in _bits(ns):
-            nb[a] = (nb[a] | ns) & ~(1 << a | 1 << x)
-            touched |= nb[a]
-        for i in _bits(touched):
-            fills[i] = fill(i)
+    while heap:
+        f, x = heapq.heappop(heap)
+        if fills[x] != f:
+            continue
+        fills[x] = -1
         order.append(x + 1)
+        ns = _eliminate(nb, x)
+        once = twice = 0  # the vertices adjacent to one, and to two, of N(x)
+        for a in _bits(ns):
+            twice |= once & nb[a]
+            once |= nb[a]
+        for i in _bits(ns | twice & ~(ns | 1 << x)):
+            f = fill(i)
+            if f != fills[i]:
+                fills[i] = f
+                heapq.heappush(heap, (f, i))
     return order
 
 
@@ -323,7 +443,7 @@ def read_pace_td(text: str) -> TreeDecomposition:
                 bid = int(toks[1])
                 if bid in bag_by_id:
                     raise TdParseError(f"duplicate bag id {bid}")
-                bag_by_id[bid] = tuple(sorted(int(v) for v in toks[2:]))
+                bag_by_id[bid] = tuple(sorted({int(v) for v in toks[2:]}))
             else:
                 a, b = map(int, toks)  # exactly two bag ids
                 edges.append((a, b))
@@ -342,21 +462,19 @@ def read_pace_td(text: str) -> TreeDecomposition:
             raise TdParseError(f"tree edge {a} {b} names an unknown bag")
         links.setdefault(a, set()).add(b)
         links.setdefault(b, set()).add(a)
-    pos = _preorder_positions(1, {b: sorted(ns) for b, ns in links.items()})
-    if len(pos) != n_bags:
+    nodes, parent = _preorder(1, {b: sorted(ns) for b, ns in links.items()})
+    if len(nodes) != n_bags:
         raise TdParseError("tree edges do not connect all bags")
-    return TreeDecomposition({p: bag_by_id[b] for b, p in pos.items()})
+    return TreeDecomposition._of(parent, [bag_by_id[b] for b in nodes])
 
 
 def write_pace_td(t: TreeDecomposition, vertex_count: int) -> str:
-    ids = {p: i for i, p in enumerate(t.positions, start=1)}
-    lines = [f"s td {len(t.positions)} {t.width + 1} {vertex_count}"]
-    for p in t.positions:
-        bag = " ".join(str(v) for v in t.bag(p))
-        lines.append(f"b {ids[p]} {bag}".rstrip())
-    for p in t.positions:
-        if p != ROOT:
-            lines.append(f"{ids[p[:-1]]} {ids[p]}")
+    """The .td text of t: bag i + 1 is position i, so bag 1 is the root."""
+    lines = [f"s td {len(t.bag_list)} {t.width + 1} {vertex_count}"]
+    for i, bag in enumerate(t.bag_list, start=1):
+        lines.append(f"b {i} {' '.join(map(str, bag))}".rstrip())
+    for i, up in enumerate(t.parent[1:], start=2):
+        lines.append(f"{up + 1} {i}")
     return "\n".join(lines) + "\n"
 
 
@@ -372,10 +490,11 @@ def yield_order_of(t: TreeDecomposition) -> Permutation:
     automorphism s satisfies w_i = s(alpha(i)), i.e. w is the string of s
     repositioned by alpha (see the compose order of permute_word)."""
     seq = []
-    for p in t.leaves():
-        if len(t.bag(p)) != 1:
-            raise DecompositionError(f"leaf {p} bag {t.bag(p)} is not a singleton")
-        seq.append(t.bag(p)[0])
+    for i, bag in enumerate(t.bag_list):
+        if not t.kids[i]:
+            if len(bag) != 1:
+                raise DecompositionError(f"leaf {t._path(i)} bag {bag} is not a singleton")
+            seq.append(bag[0])
     if sorted(seq) != list(range(1, len(seq) + 1)):
         raise DecompositionError(f"leaf vertices are not 1..{len(seq)}, each once")
     return Permutation(tuple(seq))
@@ -391,46 +510,42 @@ def make_permutation_yielding(
     singleton leaf, else a fresh leaf attached as the last child of the
     preorder-smallest position whose bag contains it (fresh leaves in
     vertex order).  The decomposition is then cut down to all positions on
-    root-to-picked-leaf paths, renumbering children to restore well
-    numbering while preserving their relative order.  Returns the new
-    decomposition and its yield alpha (yield_order_of).
+    root-to-picked-leaf paths below the deepest position above every
+    picked leaf, and numbered in preorder again, children in their
+    relative order.  Returns the new decomposition and its yield alpha
+    (yield_order_of).
     """
     require_valid(g, t)
-    bags = dict(t.bags)
-    children: dict[Pos, list[Pos]] = {p: list(t.children(p)) for p in t.positions}
-    pick: dict[int, tuple[bool, Pos]] = {}  # v -> (needs a fresh leaf, its leaf or the fresh leaf's host)
-    for p in t.positions:  # preorder
-        b = bags[p]
-        if len(b) == 1 and not children[p] and pick.get(b[0], (True,))[0]:
-            pick[b[0]] = (False, p)
+    parent, bags = list(t.parent), list(t.bag_list)
+    kids = list(map(list, t.kids))
+    pick: dict[int, tuple[bool, int]] = {}  # v -> (needs a fresh leaf, its leaf or the fresh leaf's host)
+    for i, b in enumerate(t.bag_list):  # preorder
+        if len(b) == 1 and not kids[i] and pick.get(b[0], (True,))[0]:
+            pick[b[0]] = (False, i)
         for v in b:
-            pick.setdefault(v, (True, p))
-    selected = []
-    for v, (fresh, p) in sorted(pick.items()):
-        if fresh:
-            host, p = p, p + (len(children[p]) + 1,)
-            bags[p] = (v,)
-            children[host].append(p)
-            children[p] = []
-        selected.append(p)
-    selected.sort()
-    # closest ancestral closure: everything between the longest common
-    # prefix of the selected leaves (that of the first and the last, as they
-    # are sorted) and the leaves themselves
-    first, last = selected[0], selected[-1]
-    k = 0
-    while k < min(len(first), len(last)) and first[k] == last[k]:
-        k += 1
-    top = first[:k]
-    keep = {top}
-    for p in selected:
-        while p not in keep:  # walk up until the path meets a kept position
-            keep.add(p)
-            p = p[:-1]
-
-    kept_kids = {p: [c for c in children[p] if c in keep] for p in keep}
-    pos = _preorder_positions(top, kept_kids)
-    out = TreeDecomposition({new: bags[old] for old, new in pos.items()})
+            pick.setdefault(v, (True, i))
+    below = [0] * len(parent)  # per position, the picked leaves in its subtree
+    for v, (fresh, i) in sorted(pick.items()):
+        if fresh:  # a fresh leaf is a picked leaf, numbered after t's positions
+            kids[i].append(len(bags))
+            parent.append(i)
+            bags.append((v,))
+            below.append(1)
+            below[i] += 1
+        else:
+            below[i] = 1
+    for i in range(len(t.parent) - 1, 0, -1):  # children before parents
+        below[parent[i]] += below[i]
+    # the deepest position above every picked leaf, then its subtree's
+    # positions above a picked leaf
+    top = 0
+    while True:
+        under = [c for c in kids[top] if below[c] == len(pick)]
+        if not under:
+            break
+        top = under[0]
+    nodes, out_parent = _preorder(top, {i: [c for c in ks if below[c]] for i, ks in enumerate(kids)})
+    out = TreeDecomposition._of(out_parent, [bags[i] for i in nodes])
     out_report = validate_tree_decomposition(g, out)
     assert out_report.ok, "yielding transform produced an invalid decomposition"
     assert out.width == t.width, "yielding transform changed the width"
@@ -445,10 +560,11 @@ def make_permutation_yielding(
 def _layout_bags(g: Graph, order: list[int]) -> list[tuple[int, ...]]:
     rank = {v: i for i, v in enumerate(order)}
     reach = {v: max((rank[u] for u in g.neighbors[v]), default=rank[v]) for v in g.vertices}
-    bags = []
+    bags, active = [], []
     for i, v in enumerate(order):
-        active = [u for u in order[:i] if reach[u] >= i]
+        active = [u for u in active if reach[u] >= i]
         bags.append(tuple(sorted(active + [v])))
+        active.append(v)
     return bags
 
 
@@ -484,12 +600,7 @@ def compute_path_decomposition(g: Graph) -> TreeDecomposition:
     require_connected(g)
     order = _best_layout(g)
     bags = _layout_bags(g, order)
-    positions: dict[Pos, tuple[int, ...]] = {}
-    pos: Pos = ROOT
-    for i, b in enumerate(bags):
-        positions[pos] = b
-        pos = pos + (1,)
-    return TreeDecomposition(positions)
+    return TreeDecomposition._of(list(range(-1, len(bags) - 1)), bags)
 
 
 def introduced_order(g: Graph, pd: TreeDecomposition) -> list[int]:
@@ -499,19 +610,14 @@ def introduced_order(g: Graph, pd: TreeDecomposition) -> list[int]:
         raise DecompositionError("decomposition is not path shaped")
     seen: set[int] = set()
     order: list[int] = []
-    p: Pos = ROOT
-    while True:
-        fresh = [v for v in pd.bag(p) if v not in seen]
+    for i, bag in enumerate(pd.bag_list):  # a path's preorder is its order
+        fresh = [v for v in bag if v not in seen]
         if len(fresh) != 1:
             raise DecompositionError(
-                f"bag at {p} introduces {len(fresh)} vertices, expected exactly 1"
+                f"bag at {pd._path(i)} introduces {len(fresh)} vertices, expected exactly 1"
             )
         order.append(fresh[0])
-        seen.update(pd.bag(p))
-        kids = pd.children(p)
-        if not kids:
-            break
-        p = kids[0]
+        seen.update(bag)
     if len(order) != g.vertex_count:
         raise DecompositionError("path decomposition does not introduce every vertex")
     return order

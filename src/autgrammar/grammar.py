@@ -527,9 +527,9 @@ def trim(gr: Grammar) -> Grammar:
 
 def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[Permutation, Grammar]:
     """Compile Aut(g) out of t, a checked decomposition, into a grammar
-    over alphabet V(g).  written maps each position that writes a terminal,
-    every childless position among them, to the vertex whose image it
-    writes; alpha is the written vertices in position order.
+    over alphabet V(g).  written maps each position (a preorder int) that
+    writes a terminal, every childless position among them, to the vertex
+    whose image it writes; alpha is the written vertices in position order.
 
     Each position with children has one variable per merge class of its
     annotations.  A written position writes its terminal into its parent's
@@ -547,18 +547,17 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[Permutation, 
     child: that child gives tuples, and each class's rules are then its
     product over the children."""
     from .annotate import join_annotations
-    from .decomp import ROOT
 
     dom, ann, cls, first, up, members = join_annotations(g, t, written)
     # one variable per merge class at each position with children, in
-    # position order after B1 (variable 0): p:<j>|b:<k>, variable base[p] + k,
-    # stands for the k-th class at t.positions[j], in first-appearance order
+    # position order after B1 (variable 0): p:<j>|b:<k>, variable base[j] + k,
+    # stands for the k-th class at position j, in first-appearance order
     base, names = {}, ["B1"]
-    for j, p in enumerate(t.positions):
-        if t.children(p):
+    for j, ks in enumerate(t.kids):
+        if ks:
             head = f"p:{j}|b:"
-            base[p] = len(names)
-            names.extend([f"{head}{k}" for k in range(len(first[p]))])
+            base[j] = len(names)
+            names.extend([f"{head}{k}" for k in range(len(first[j]))])
     variables = tuple(names)
 
     def image(p, v):  # the image of vertex v, read off an annotation at p
@@ -568,13 +567,13 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[Permutation, 
     # their rhs variables as ints, and each variable's number of rules.
     # B1 has one rule per kept annotation at the root: the image the root
     # writes, if written, then the annotation's variable, if it has one
-    kept = [j for j, k in enumerate(cls[ROOT]) if k is not None]
+    kept = [j for j, k in enumerate(cls[0]) if k is not None]
     kids: list = [()] * len(kept)
     symbols: list = []
-    if ROOT in written:
-        symbols.append(map(image(ROOT, written[ROOT]), map(ann[ROOT].__getitem__, kept)))
-    if ROOT in base:
-        kids = [(base[ROOT] + cls[ROOT][j],) for j in kept]
+    if 0 in written:
+        symbols.append(map(image(0, written[0]), map(ann[0].__getitem__, kept)))
+    if 0 in base:
+        kids = [(base[0] + cls[0][j],) for j in kept]
         symbols.append([variables[k] for (k,) in kids])
     rules: list = [("B1", rhs) for rhs in zip(*symbols)]
     count = [len(kids)]
@@ -583,11 +582,11 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[Permutation, 
     def per_class(columns):  # each class's options at each child: its tuple of partners, or its one entry
         return zip(*[column if column[0].__class__ is tuple else zip(column) for column in columns])
 
-    for p, at in base.items():  # positions are deep tuples on a path: each is hashed few times
+    for p, at in base.items():
         heads = first[p]
         lhs = variables[at:at + len(heads)]
         names, ints, rhs = [], [], None  # the columns over the classes, as names and as ints
-        for c in t.children(p):
+        for c in t.kids[p]:
             var_at = base.get(c)
             if var_at is None:
                 names.append(list(map(image(p, written[c]), map(ann[p].__getitem__, heads))))
@@ -606,7 +605,7 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[Permutation, 
                 names.append(list(map(variables.__getitem__, ints[-1])))
             v = written.get(c)
             if v is not None:  # each partner's image, then its variable
-                assert t.children(p) == (c,), "a written position with children has no siblings"
+                assert t.kids[p] == (c,), "a written position with children has no siblings"
                 wrote = map(image(c, v), map(ann[c].__getitem__, chain(partners) if fan else partners))
                 if fan:
                     rhs = zip(wrote, chain(names[-1]))
@@ -625,12 +624,12 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[Permutation, 
             rhs = chain(itertools.starmap(product, per_class(names)))
         rules.extend(zip(chain(map(itertools.repeat, lhs, sizes)), rhs))
     gr = Grammar(g.vertex_count, "B1", variables, tuple(rules))
-    # positions sort parents first, so the variables backwards list each
+    # positions number parents first, so the variables backwards list each
     # class before the classes whose rules use it
     order = list(range(len(variables) - 1, -1, -1))
     ends = list(itertools.accumulate(count, initial=0))
     object.__setattr__(gr, "_table", _Table(0, order, ends, range(len(rules)), kids))
-    return Permutation(tuple(written[p] for p in t.positions if p in written)), gr
+    return Permutation(tuple(written[p] for p in sorted(written))), gr
 
 
 def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Grammar]:
@@ -651,7 +650,7 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
     alpha = yield_order_of(t)
     if alpha.size != g.vertex_count:
         raise DecompositionError("decomposition is not permutation yielding")
-    return _build(g, t, dict(zip(t.leaves(), alpha.image)))
+    return _build(g, t, dict(zip([p for p, ks in enumerate(t.kids) if not ks], alpha.image)))
 
 
 def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutation, Grammar]:
@@ -666,7 +665,7 @@ def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutat
 
     require_connected(g)
     require_valid(g, pd)
-    return _build(g, pd, dict(zip(pd.positions, introduced_order(g, pd))))
+    return _build(g, pd, dict(enumerate(introduced_order(g, pd))))
 
 
 # ---------------------------------------------------------------------------

@@ -166,10 +166,15 @@ def stable_colouring(g: Graph) -> dict[int, int]:
     class splits, all its parts become splitters if it was waiting, else
     all parts but the largest (Hopcroft's trick: a count over the largest
     part is the count over the old class minus those over the others).
-    Colours number the classes in order of creation, so they depend only
-    on g."""
+    A split touches only the vertices that the splitter's neighbour counts
+    reach (Paige & Tarjan, 1987): those of a class are grouped by count,
+    and the rest of the class, with count 0, is one more part, of known
+    size, listed only when it does not stay, and then it is no larger
+    than the largest group.  So each pass costs the splitter's degree
+    sum, and a long path is refined in O(m log m), not O(m^2).  Colours
+    number the classes in order of creation, so they depend only on g."""
     cell_of = {v: 0 for v in g.vertices}
-    cells = [list(g.vertices)]
+    cells = [set(g.vertices)]
     pending = [0]
     waiting = {0}
     while pending:
@@ -179,22 +184,31 @@ def stable_colouring(g: Graph) -> dict[int, int]:
         for x in cells[w]:
             for u in g.neighbors[x]:
                 count[u] = count.get(u, 0) + 1
-        for c in sorted({cell_of[u] for u in count}):
-            parts: dict[int, list[int]] = {}
-            for v in cells[c]:
-                parts.setdefault(count.get(v, 0), []).append(v)
-            if len(parts) == 1:
+        touched: dict[int, dict[int, list[int]]] = {}  # class -> count -> its vertices there
+        for u, k in count.items():
+            touched.setdefault(cell_of[u], {}).setdefault(k, []).append(u)
+        for c in sorted(touched):
+            groups = list(touched[c].values())
+            rest = len(cells[c]) - sum(map(len, groups))  # the untouched part's size
+            if not rest and len(groups) == 1:
                 continue
             # the largest part keeps the class's number (and its place on
             # the worklist); the other parts become new splitters
-            first, *rest = sorted(parts.values(), key=len, reverse=True)
-            cells[c] = first
-            for part in rest:
+            largest = max(groups, key=len)
+            if rest >= len(largest):
+                for part in groups:
+                    cells[c].difference_update(part)
+            else:
+                groups.remove(largest)
+                if rest:
+                    groups.append(cells[c].difference(*groups, largest))
+                cells[c] = set(largest)
+            for part in groups:
                 for v in part:
                     cell_of[v] = len(cells)
                 waiting.add(len(cells))
                 pending.append(len(cells))
-                cells.append(part)
+                cells.append(set(part))
     return cell_of
 
 

@@ -13,6 +13,8 @@ import pytest
 from autgrammar.annotate import AnnotatedBag, AnnotationError
 from autgrammar.decomp import (
     TreeDecomposition,
+    ValidationReport,
+    Violation,
     compute_path_decomposition,
     compute_tree_decomposition,
     make_permutation_yielding,
@@ -174,6 +176,39 @@ def reference_min_fill_order(g: Graph) -> list[int]:
         del adj[best_v]
         order.append(best_v)
     return order
+
+
+def reference_validate_tree_decomposition(g: Graph, t: TreeDecomposition) -> ValidationReport:
+    """validate_tree_decomposition on the root-path view, every position a
+    tuple and every vertex's positions a list: the library's check before
+    positions became preorder ints, which pins the report's text and
+    order."""
+    violations: list[Violation] = []
+    holding: dict[int, list] = {}  # vertex -> positions holding it, in order
+    for p, bag in t.bags.items():
+        for v in bag:
+            if not (1 <= v <= g.vertex_count):
+                violations.append(Violation("T1", f"bag at {p} references out-of-range vertex {v}"))
+            holding.setdefault(v, []).append(p)
+    for v in g.vertices:
+        if v not in holding:
+            violations.append(Violation("T1", f"vertex {v} not covered by any bag"))
+    for u, v in sorted(g.edges):
+        if not any(v in t.bags[p] for p in holding.get(u, ())):
+            violations.append(Violation("T2", f"edge {{{u},{v}}} not inside any bag"))
+    for v in g.vertices:
+        held = holding.get(v, [])
+        top = min(held, key=len, default=None)
+        holdset = set(held)
+        # report the first position whose parent lacks v: a position outside
+        # top's subtree has such an ancestor, which comes earlier in preorder
+        for p in held:
+            if p != top and p[:-1] not in holdset:
+                below = p[:len(top)] == top
+                where = f"are not connected at {p}" if below else "have no common root"
+                violations.append(Violation("T3", f"positions holding vertex {v} {where}"))
+                break
+    return ValidationReport(max(len(b) for b in t.bags.values()) - 1, tuple(violations))
 
 
 def check_handed_over_table(gr: Grammar) -> None:

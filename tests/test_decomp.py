@@ -20,16 +20,19 @@ from autgrammar.decomp import (
     yield_order_of,
 )
 from autgrammar.annotate import count_assignments
-from autgrammar.grammar import build_aut_grammar, build_regular_aut_grammar
+from autgrammar.grammar import build_aut_grammar, build_regular_aut_grammar, count_parse_trees, grammar_to_json
 from autgrammar.graph import DisconnectedGraphError, Graph, is_connected
 from autgrammar.perm import Permutation
 from conftest import (
     binary_tree,
+    petersen_graph,
+    spider,
     cycle_graph,
     grid_graph,
     path_graph,
     random_connected_graph,
     reference_min_fill_order,
+    reference_validate_tree_decomposition,
     relabel,
 )
 
@@ -354,6 +357,21 @@ def test_validate_t3_disjoint_subtrees():
     assert any(v.axiom == "T3" for v in report2.violations)
 
 
+def test_validate_t3_reports_from_the_highest_position():
+    # vertex 3's positions (1, 1), (1, 1, 1, 1) and (2,) each have a parent
+    # without it.  The highest, (2,), is no ancestor of the first, (1, 1),
+    # though (1, 1) is an ancestor of (1, 1, 1, 1)
+    g = Graph(3, [(1, 2), (1, 3)])
+    t = TreeDecomposition({(): (1, 2), (1,): (1,), (1, 1): (1, 3), (1, 1, 1): (1,),
+                           (1, 1, 1, 1): (1, 3), (2,): (1, 3)})
+    report = validate_tree_decomposition(g, t)
+    assert report.violations == (("T3", "positions holding vertex 3 have no common root"),)
+    assert report == reference_validate_tree_decomposition(g, t)
+    below = TreeDecomposition({p: b for p, b in t.bags.items() if p != (2,)})
+    assert validate_tree_decomposition(g, below).violations == (
+        ("T3", "positions holding vertex 3 are not connected at (1, 1, 1, 1)"),)
+
+
 def test_yielding_reroots_below_top():
     # a chain whose upper bags never lead to chosen leaves gets cut away
     g = path_graph(2)
@@ -378,3 +396,63 @@ def test_introduced_order_rejects_tree(c4):
     ty, _ = make_permutation_yielding(c4, t)
     with pytest.raises(DecompositionError):
         introduced_order(c4, ty)
+
+
+def decompositions_of(g):
+    """A min-fill decomposition of g, its yielding form and its path
+    decomposition."""
+    t = compute_tree_decomposition(g, "min-fill")
+    return t, make_permutation_yielding(g, t)[0], compute_path_decomposition(g)
+
+
+@pytest.mark.parametrize("make", [lambda: path_graph(300), lambda: binary_tree(5)], ids=["P300", "btree5"])
+def test_library_stages_leave_the_root_path_view_unbuilt(make):
+    # every stage indexes the preorder arrays, so none of them spells a
+    # root path: on a path those have quadratic total length
+    g = make()
+    t = compute_tree_decomposition(g, "min-fill")
+    y, _ = make_permutation_yielding(g, t)
+    _, gr = build_aut_grammar(g, y)
+    assert count_parse_trees(gr) == count_assignments(g, y) == (2 if g.vertex_count == 300 else 2 ** 31)
+    grammar_to_json(gr)
+    write_pace_td(y, g.vertex_count)
+    back = read_pace_td(write_pace_td(t, g.vertex_count))
+    assert validate_tree_decomposition(g, back).ok
+    if g.vertex_count == 300:
+        pd = compute_path_decomposition(g)
+        _, regular = build_regular_aut_grammar(g, pd)
+        assert count_parse_trees(regular) == 2
+        assert pd._view is None
+    assert t._view is None and y._view is None and back._view is None
+
+
+def test_root_path_view_round_trips(corpus):
+    for name, g in [*corpus.items(), ("petersen", petersen_graph()), ("spider", spider(3, 2))]:
+        for t in decompositions_of(g):
+            assert TreeDecomposition(t.bags) == t, name
+            assert read_pace_td(write_pace_td(t, g.vertex_count)) == t, name
+
+
+def test_positions_view_is_the_sorted_preorder(corpus):
+    # the i-th root path is int position i: the paths sort as tuples, each
+    # one's parent path is its prefix, and bags, children and leaves agree
+    for name, g in [*corpus.items(), ("btree3", binary_tree(3)), ("spider", spider(3, 2))]:
+        for t in decompositions_of(g):
+            ps = t.positions
+            assert list(ps) == sorted(ps) and ps[0] == (), name
+            for i, p in enumerate(ps):
+                assert t.bag(p) == t.bag_list[i] == t.bags[p]
+                assert i == 0 or ps[t.parent[i]] == p[:-1]
+                assert t.children(p) == tuple(p + (j,) for j in range(1, len(t.kids[i]) + 1))
+                assert t.children(p) == tuple(ps[c] for c in t.kids[i])
+            assert t.leaves() == tuple(p for p in ps if not t.children(p))
+
+
+def test_int_builder_checks_the_preorder():
+    assert TreeDecomposition._of([-1, 0, 1, 0], [(1,)] * 4) == TreeDecomposition(
+        {(): (1,), (1,): (1,), (1, 1): (1,), (2,): (1,)})
+    # position 4's parent 2 is not on the path from the root to position
+    # 3, so no preorder numbers this tree that way
+    for parent in ([-1, 0, 1, 0, 2], [0], [-1, 1], [-1, -1], []):
+        with pytest.raises(DecompositionError):
+            TreeDecomposition._of(parent, [(1,)] * len(parent))

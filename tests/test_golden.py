@@ -27,7 +27,9 @@ relabelled) were recorded before the builder wrote its rules column by
 column, and that change keeps them.  The digests of btree6 and P80, the
 first golden graphs above 64 vertices, were recorded before the
 annotation search held vertex sets as int bitmasks, and that change
-keeps them."""
+keeps them.  The digest of P2000, a decomposition 2000 positions deep,
+was recorded while positions were still named by their root paths, and
+holding them as preorder ints keeps it."""
 
 import hashlib
 import random
@@ -355,3 +357,12 @@ def test_embedded_bytes(name):
     assert _digest(text) == INDEXED_EMBEDDED_DIGESTS[name]
     # the embed builder erases the grammar built from the host's min-fill tree
     assert (_digest(_position_named(text, _tree(make()))), lift) == EMBEDDED_DIGESTS[name]
+
+
+# natural-label P2000's `build` output (grammar JSON and alpha line)
+DEEP_PATH_DIGEST = "cbb6b310388690737d5fa1a89099b283b1135611b184e7a71aba3ffe6b897001"
+
+
+def test_deep_path_bytes():
+    g = path_graph(2000)
+    assert _digest(_build_output(*build_aut_grammar(g, _tree(g)))) == DEEP_PATH_DIGEST

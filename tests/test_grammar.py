@@ -859,9 +859,9 @@ def test_join_matches_all_pairs_reference(corpus):
         # over dom[p], with p the position that <head> names
         def survivors(d):
             dom, images, cls, *_ = join_annotations(g, d)
-            return {p: [AnnotatedBag(d.bag(p), tuple(zip(dom[p], im)))
-                        for im, k in zip(images[p], cls[p]) if k is not None]
-                    for p in d.positions}
+            return {p: [AnnotatedBag(d.bag(p), tuple(zip(dom[j], im)))
+                        for im, k in zip(images[j], cls[j]) if k is not None]
+                    for j, p in enumerate(d.positions)}
 
         ann, pann = survivors(t), survivors(pd)
         chain = pd.positions

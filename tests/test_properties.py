@@ -16,7 +16,9 @@ the projection path's master LP against its Fraction reference and the
 LP file's verdict.  On connected graphs and every prefix size: the embed
 builder's invariance check against the oracle's, and the table the
 tree builder hands over against the one compiled from its grammar.  On
-any graph: min-fill's kept fill counts against counting them anew."""
+any graph: min-fill's kept fill counts against counting them anew.  On
+valid and broken decompositions: the validation report against the
+reference that checks on root paths."""
 
 import re
 import warnings
@@ -36,6 +38,9 @@ from autgrammar.decomp import (
     compute_path_decomposition,
     compute_tree_decomposition,
     make_permutation_yielding,
+    read_pace_td,
+    validate_tree_decomposition,
+    write_pace_td,
 )
 from autgrammar.graph import Graph, closed_neighborhood
 from autgrammar.grammar import (
@@ -76,6 +81,7 @@ from conftest import (
     reference_min_fill_order,
     reference_projection_verdict,
     reference_simplex_feasible,
+    reference_validate_tree_decomposition,
 )
 
 
@@ -473,7 +479,55 @@ def test_fully_pinned_children_hold_annotations(g, label, kind):
     else:
         d, _ = make_permutation_yielding(g, compute_tree_decomposition(g, kind))
     dom, ann, *_ = join_annotations(g, d)
-    for c in d.positions:
-        if c and set(dom[c]) <= set(dom[c[:-1]]):
+    for c in range(1, len(d.parent)):
+        if set(dom[c]) <= set(dom[d.parent[c]]):
             for images in ann[c]:
-                assert check_annotated_bag(g, AnnotatedBag(d.bag(c), tuple(zip(dom[c], images)))), (c, images)
+                assert check_annotated_bag(g, AnnotatedBag(d.bag_list[c], tuple(zip(dom[c], images)))), (c, images)
+
+
+@st.composite
+def decompositions(draw):
+    """A connected graph and one of its decompositions, then zero to three
+    breakages of it as a map from root path to bag: a bag loses a vertex,
+    an edge is left uncovered (its second vertex leaves every bag that
+    holds both), a vertex is added to a position whose parent lacks it
+    (its positions fall apart, inside or outside the subtree of its
+    highest), or a bag gets an out-of-range vertex."""
+    g = draw(connected_graphs())
+    kind = draw(st.sampled_from(["min-fill", "exact-small", "path", "yielding"]))
+    if kind == "path":
+        t = compute_path_decomposition(g)
+    elif kind == "yielding":
+        t = make_permutation_yielding(g, compute_tree_decomposition(g))[0]
+    else:
+        t = compute_tree_decomposition(g, kind)
+    bags = {p: set(b) for p, b in t.bags.items()}
+    paths = sorted(bags)
+    for _ in range(draw(st.integers(0, 3))):
+        how = draw(st.sampled_from(["lose", "uncover", "scatter", "out of range"]))
+        p = draw(st.sampled_from(paths))
+        if how == "lose" and bags[p]:
+            bags[p].discard(draw(st.sampled_from(sorted(bags[p]))))
+        elif how == "uncover" and g.edges:
+            u, v = draw(st.sampled_from(sorted(g.edges)))
+            for b in bags.values():
+                if u in b:
+                    b.discard(v)
+        elif how == "scatter":
+            v = draw(st.integers(1, g.vertex_count))
+            if p and v not in bags[p[:-1]]:
+                bags[p].add(v)
+        elif how == "out of range":
+            bags[p].add(draw(st.sampled_from([0, -1, g.vertex_count + 1, g.vertex_count + 7])))
+    return g, TreeDecomposition({p: tuple(b) for p, b in bags.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(decompositions())
+def test_validation_matches_root_path_reference(drawn):
+    # the width and every violation, text and order, on the dict-built
+    # decomposition and on one rebuilt from its .td text by the int builder
+    g, t = drawn
+    expected = reference_validate_tree_decomposition(g, t)
+    assert validate_tree_decomposition(g, t) == expected
+    assert validate_tree_decomposition(g, read_pace_td(write_pace_td(t, g.vertex_count))) == expected
