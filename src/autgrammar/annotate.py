@@ -20,14 +20,14 @@ inner positions, each such image is an annotation already and no search
 runs.  The search follows a plan over the indexes of the domain, which
 its caller computes and passes in, made once per call: each step fills
 one index of an image list.  Vertex sets are int bitmasks in
-graph.neighbor_bits' convention, so a step's candidates are its colour's
+Graph.neighbor_masks' convention, so a step's candidates are its colour's
 mask, less the used images, ANDed with the neighbour mask of each placed
 neighbour's image, and each candidate is checked with one mask test.
 The search is one loop over levels, not a recursion, so a domain of any
 size is searched (a fan's hub has every vertex in its domain).  Nothing
-is cached between calls: the colouring and the masks are computed once
-per call of join_annotations or enumerate_annotated_bags and dropped
-with the annotations.
+else is cached between calls: the colouring and the colour masks are
+computed once per call of join_annotations or enumerate_annotated_bags
+and dropped with the annotations; the neighbour masks are the graph's.
 
 The search and the join hold an annotation of bag S as its image tuple
 over the sorted domain N[S], and the grammar builders read images from
@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 from . import PreconditionError
 from .decomp import TreeDecomposition, require_valid
-from .graph import Graph, closed_neighborhood, neighbor_bits, require_connected, stable_colouring
+from .graph import Graph, closed_neighborhood, require_connected, stable_colouring
 
 
 class AnnotationError(PreconditionError):
@@ -90,7 +90,7 @@ def enumerate_annotated_bags(g: Graph, s) -> list[AnnotatedBag]:
 
 class _Search:
     """The search for colour-preserving annotations of one graph, holding
-    its vertex sets as ints in graph.neighbor_bits' convention (the bit of
+    its vertex sets as ints in Graph.neighbor_masks' convention (the bit of
     v is 1 << (v - 1)): per vertex its bit, its neighbours and its closed
     neighbourhood, and per stable colour its vertices.  Lists indexed by
     vertex have an unused entry 0."""
@@ -99,7 +99,7 @@ class _Search:
         self.neighbors = g.neighbors
         self.colour = stable_colouring(g)
         self.bit = [0] + [1 << i for i in range(g.vertex_count)]
-        self.nbits = [0, *neighbor_bits(g)]
+        self.nbits = [0, *g.neighbor_masks]
         self.closed = [b | ns for b, ns in zip(self.bit, self.nbits)]
         self.cmask: dict[int, int] = {}
         for v in g.vertices:

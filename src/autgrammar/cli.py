@@ -90,7 +90,7 @@ def _build_parser() -> _Parser:
     b = sub.add_parser("build", help="compile the automorphism grammar of a graph")
     b.add_argument("--graph", required=True)
     b.add_argument("--td", help="PACE .td file to use instead of constructing one")
-    b.add_argument("--strategy", choices=["min-fill", "exact-small"], default="min-fill")
+    b.add_argument("--strategy", choices=["min-fill", "exact-small"], help="default min-fill")
     b.add_argument("--path", action="store_true", help="regular grammar via a path decomposition")
     b.add_argument("--out", required=True)
 
@@ -130,6 +130,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_build(args) -> int:
+    if args.strategy is not None and (args.td or args.path):
+        raise _UsageError("--strategy cannot be combined with --td or --path")
     g = _load_graph(args.graph)
     td = _load_td(args.td) if args.td else None
     from . import decomp, grammar as gmod
@@ -139,7 +141,7 @@ def _cmd_build(args) -> int:
         pd = td if td is not None else decomp.compute_path_decomposition(g)
         alpha, gr = gmod.build_regular_aut_grammar(g, pd)
     else:
-        t0 = td if td is not None else decomp.compute_tree_decomposition(g, args.strategy)
+        t0 = td if td is not None else decomp.compute_tree_decomposition(g, args.strategy or "min-fill")
         t, _ = decomp.make_permutation_yielding(g, t0)  # validates a .td input
         alpha, gr = gmod.build_aut_grammar(g, t)
     _write(args.out, gmod.grammar_to_json(gr))

@@ -19,11 +19,12 @@ set and builds the arrays from it.
 
 The module covers: axiom validation (T1 vertex cover, T2 edge cover, T3
 connected per-vertex subterm), construction from elimination orderings
-(min-fill heuristic and an exact search for small graphs), PACE-style .td
-file import/export, path decompositions from vertex layouts (exact for
-small graphs, by the same subset search), and the transform that turns any
-valid decomposition into a permutation-yielding one (every vertex in
-exactly one leaf bag, as a singleton).
+(min-fill heuristic and an exact search for small graphs, each bag read
+from the record of the one elimination that picks the order), PACE-style
+.td file import/export, path decompositions from vertex layouts (exact
+for small graphs, by the same subset search), and the transform that
+turns any valid decomposition into a permutation-yielding one (every
+vertex in exactly one leaf bag, as a singleton).
 
 It is also the one owner of what a decomposition is and what it yields.
 Every entry that takes a decomposition from its caller (the yielding
@@ -40,7 +41,7 @@ import heapq
 from typing import NamedTuple
 
 from . import PreconditionError
-from .graph import Graph, neighbor_bits, require_connected
+from .graph import Graph, require_connected
 from .perm import Permutation
 
 Pos = tuple[int, ...]
@@ -217,7 +218,7 @@ def validate_tree_decomposition(g: Graph, t: TreeDecomposition) -> ValidationRep
     edges, and a position is named by its root path.
 
     Each check is one pass over the bags.  T2: per vertex u, the union of
-    the bags holding u as a bitmask (graph.neighbor_bits' convention);
+    the bags holding u as a bitmask (Graph.neighbor_masks' convention);
     every edge is covered exactly when each u's neighbours lie in its
     union.  T3: a vertex's positions are connected exactly when one of
     them, a top, has a parent that does not hold it.  With more tops the
@@ -243,8 +244,7 @@ def validate_tree_decomposition(g: Graph, t: TreeDecomposition) -> ValidationRep
                 tops[v] += 1
     violations.extend(Violation("T1", f"vertex {v} not covered by any bag")
                       for v in g.vertices if not tops[v])
-    nbits = neighbor_bits(g)
-    if any(nbits[u - 1] & ~union[u] for u in g.vertices):
+    if any(g.neighbor_masks[u - 1] & ~union[u] for u in g.vertices):
         violations.extend(Violation("T2", f"edge {{{u},{v}}} not inside any bag")
                           for u, v in sorted(g.edges) if not union[u] >> (v - 1) & 1)
     scattered = {v: [] for v in g.vertices if tops[v] > 1}  # vertex -> its tops, in preorder
@@ -278,52 +278,40 @@ def require_valid(g: Graph, t: TreeDecomposition) -> None:
         raise DecompositionError(f"invalid decomposition: {report.violations[0].message}")
 
 
-def _eliminate(nb: list[int], x: int) -> int:
-    """Eliminate vertex index x from the fill graph held as neighbour
-    masks nb (graph.neighbor_bits): its neighbours become a clique and
-    lose x.  Returns x's neighbours."""
-    ns = nb[x]
-    for a in _bits(ns):
-        nb[a] = (nb[a] | ns) & ~(1 << a | 1 << x)
-    return ns
-
-
-def _decomposition_from_elimination(g: Graph, order: list[int]) -> TreeDecomposition:
-    """Build a decomposition of a connected graph from an elimination
-    ordering: the bag of v is v plus its not-yet-eliminated neighbors in
-    the fill graph; v's node hangs under the node of the earliest-eliminated
-    vertex of its bag rest, so the last vertex eliminated is the root."""
-    rank = [0] * g.vertex_count
-    for r, v in enumerate(order):
-        rank[v - 1] = r
-    nb = neighbor_bits(g)
+def _decomposition_from_elimination(record: list[tuple[int, int]]) -> TreeDecomposition:
+    """Link the decomposition of a connected graph that an elimination
+    record defines (see _min_fill_order): the bag of v is v plus its
+    fill-graph neighbours at its elimination, and v's node hangs under the
+    node of the earliest-eliminated of them, so the last vertex eliminated
+    is the root."""
+    rank = {v - 1: r for r, (v, _) in enumerate(record)}
     bag_of: dict[int, tuple[int, ...]] = {}
-    kids: dict[int, list[int]] = {v: [] for v in order}  # each in elimination order
-    for v in order:
-        ns = _eliminate(nb, v - 1)
+    kids: dict[int, list[int]] = {v: [] for v, _ in record}  # each in elimination order
+    for v, ns in record:
         bag_of[v] = tuple(i + 1 for i in _bits(ns | 1 << (v - 1)))
         if ns:
             kids[min(_bits(ns), key=rank.__getitem__) + 1].append(v)
-    nodes, parent = _preorder(order[-1], kids)
+    nodes, parent = _preorder(record[-1][0], kids)
     return TreeDecomposition._of(parent, [bag_of[v] for v in nodes])
 
 
-def _min_fill_order(g: Graph) -> list[int]:
+def _min_fill_order(g: Graph) -> list[tuple[int, int]]:
     """Eliminate, at each step, the vertex whose neighbours lack the fewest
-    edges among themselves, the smallest such vertex on a tie.  The fill
-    counts are kept between steps in a heap of (fill, vertex index) with
-    lazy deletion: an entry whose fill is no longer the vertex's is
-    skipped.  Eliminating x changes the neighbourhood of x's neighbours,
-    and the edges among the neighbours of a vertex adjacent to two of
-    them, so only those are recounted (Amestoy, Davis & Duff, "An
-    approximate minimum degree ordering algorithm", 1996, keep degrees
-    the same way).
+    edges among themselves, the smallest such vertex on a tie.  Returns the
+    elimination record: each vertex in order, with the mask of its
+    fill-graph neighbours when it was eliminated.  The fill counts are kept
+    between steps in a heap of (fill, vertex index) with lazy deletion: an
+    entry whose fill is no longer the vertex's is skipped.  Eliminating x
+    joins its neighbours pairwise, which changes their neighbourhoods and
+    the edges among the neighbours of a vertex adjacent to two of them, so
+    only those are recounted (Amestoy, Davis & Duff, "An approximate
+    minimum degree ordering algorithm", 1996, keep degrees the same way).
 
-    Neighbourhoods are bitmasks (graph.neighbor_bits), so a count takes
+    The fill graph is a copy of g.neighbor_masks, so a count takes
     O(deg v) mask operations: each neighbour a of v misses the vertices
     of N(v) & ~N(a), which are a itself and one end of each missing edge
     at a, so the sum over a counts every missing edge twice, plus deg v."""
-    nb = neighbor_bits(g)  # vertex index i = v - 1 -> its neighbours' bits
+    nb = list(g.neighbor_masks)  # vertex index i = v - 1 -> its neighbours' bits
 
     def fill(i: int) -> int:
         ns = nb[i]
@@ -332,24 +320,25 @@ def _min_fill_order(g: Graph) -> list[int]:
     fills = list(map(fill, range(len(nb))))  # -1 once eliminated
     heap = list(zip(fills, range(len(nb))))
     heapq.heapify(heap)
-    order: list[int] = []
+    record: list[tuple[int, int]] = []
     while heap:
         f, x = heapq.heappop(heap)
         if fills[x] != f:
             continue
         fills[x] = -1
-        order.append(x + 1)
-        ns = _eliminate(nb, x)
+        ns = nb[x]
+        record.append((x + 1, ns))
         once = twice = 0  # the vertices adjacent to one, and to two, of N(x)
         for a in _bits(ns):
-            twice |= once & nb[a]
-            once |= nb[a]
+            nb[a] = na = (nb[a] | ns) & ~(1 << a | 1 << x)
+            twice |= once & na
+            once |= na
         for i in _bits(ns | twice & ~(ns | 1 << x)):
             f = fill(i)
             if f != fills[i]:
                 fills[i] = f
                 heapq.heappush(heap, (f, i))
-    return order
+    return record
 
 
 def _bits(s: int):
@@ -371,37 +360,37 @@ def _subset_widths(m: int, cost) -> list[int]:
     return width
 
 
-def _exact_order(g: Graph) -> list[int]:
-    """Optimal elimination ordering; the table is indexed by the set of
-    already-eliminated vertices.  The cost of eliminating v after S is the
-    number of vertices outside S reachable from v through S."""
+def _exact_order(g: Graph) -> list[tuple[int, int]]:
+    """Optimal elimination ordering, as an elimination record (see
+    _min_fill_order); the table is indexed by the set of already-eliminated
+    vertices.  Eliminating v after S has as fill-graph neighbours the
+    vertices outside S that v reaches through S, and costs their number."""
     m = g.vertex_count
     if m > EXACT_SMALL_CAP:
         raise DecompositionError(f"exact-small refused above {EXACT_SMALL_CAP} vertices (got {m})")
-    nbr_bits = neighbor_bits(g)
+    nbr_bits = g.neighbor_masks
 
-    def cost(eliminated: int, vi: int) -> int:
-        # vertices outside `eliminated` adjacent to vi or linked via eliminated
+    def reach(eliminated: int, vi: int) -> int:
+        # the vertices outside `eliminated` that vi reaches through it
         seen = 1 << vi
         stack = [vi]
-        out = 0
         while stack:
             frontier = nbr_bits[stack.pop()] & ~seen
             seen |= frontier
             stack.extend(_bits(frontier & eliminated))
-            out += (frontier & ~eliminated).bit_count()
-        return out
+        return seen & ~(eliminated | 1 << vi)
 
-    width = _subset_widths(m, cost)
-    order_rev = []
+    width = _subset_widths(m, lambda eliminated, vi: reach(eliminated, vi).bit_count())
+    record = []
     s = (1 << m) - 1
     while s:  # backwards: the smallest last vertex that reaches width[s]
-        vi = next(
-            i for i in _bits(s) if max(width[s ^ (1 << i)], cost(s ^ (1 << i), i)) == width[s]
-        )
-        order_rev.append(vi + 1)
+        for vi in _bits(s):
+            ns = reach(s ^ (1 << vi), vi)
+            if max(width[s ^ (1 << vi)], ns.bit_count()) == width[s]:
+                break
+        record.append((vi + 1, ns))
         s ^= 1 << vi
-    return order_rev[::-1]
+    return record[::-1]
 
 
 def compute_tree_decomposition(g: Graph, strategy: str = "min-fill") -> TreeDecomposition:
@@ -413,9 +402,9 @@ def compute_tree_decomposition(g: Graph, strategy: str = "min-fill") -> TreeDeco
     """
     require_connected(g)
     if strategy == "min-fill":
-        return _decomposition_from_elimination(g, _min_fill_order(g))
+        return _decomposition_from_elimination(_min_fill_order(g))
     if strategy == "exact-small":
-        return _decomposition_from_elimination(g, _exact_order(g))
+        return _decomposition_from_elimination(_exact_order(g))
     raise DecompositionError(f"unknown strategy {strategy!r}")
 
 
@@ -576,7 +565,7 @@ def _best_layout(g: Graph) -> list[int]:
     m = g.vertex_count
     if m > EXACT_SMALL_CAP:
         return list(g.vertices)
-    nbr_bits = neighbor_bits(g)
+    nbr_bits = g.neighbor_masks
     full = (1 << m) - 1
 
     def active(rest: int) -> int:

@@ -701,7 +701,7 @@ def erase_terminals(gr: Grammar, keep: int) -> Grammar:
     low, high = _length_bounds(gr, keep)
     start, _, _, ids, kids = _compiled(gr)
     rules: list = []
-    for r, ks in zip(ids, kids) if isinstance(ids, range) else sorted(zip(ids, kids)):
+    for r, ks in sorted(zip(ids, kids)):
         if any(low[k] < 0 for k in ks):
             continue
         lhs, rhs = gr.rules[r]

@@ -43,12 +43,15 @@ class DisconnectedGraphError(GraphError, PreconditionError):
 class Graph:
     """Immutable simple graph on vertices 1..m.
 
-    Adjacency is kept both as a set of normalized pairs and as per-vertex
-    sorted neighbor tuples; the neighbor tuples are the canonical iteration
-    order for everything built on top.
+    Adjacency is kept as a set of normalized pairs, as per-vertex sorted
+    neighbor tuples and as per-vertex neighbor bitmasks.  The neighbor
+    tuples are the canonical iteration order for everything built on top.
+    neighbor_masks[i] is the bitmask of the neighbors of vertex i + 1: the
+    one bit convention of the layers that hold vertex sets as ints, in
+    which the bit of v is 1 << (v - 1), so v is its bit's bit_length().
     """
 
-    __slots__ = ("vertex_count", "edges", "neighbors")
+    __slots__ = ("vertex_count", "edges", "neighbors", "neighbor_masks")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         if vertex_count < 1:
@@ -72,6 +75,8 @@ class Graph:
         object.__setattr__(
             self, "neighbors", {v: tuple(sorted(ns)) for v, ns in adj.items()}
         )
+        object.__setattr__(self, "neighbor_masks", tuple(
+            sum(1 << (u - 1) for u in self.neighbors[v]) for v in self.vertices))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -146,13 +151,6 @@ def closed_neighborhood(g: Graph, s: Iterable[int]) -> tuple[int, ...]:
         result.add(v)
         result.update(g.neighbors[v])
     return tuple(sorted(result))
-
-
-def neighbor_bits(g: Graph) -> list[int]:
-    """Vertex index i = v - 1 -> the bitmask of its neighbors' indices: the
-    one bit convention of the layers that hold vertex sets as ints, in
-    which the bit of v is 1 << (v - 1), so v is its bit's bit_length()."""
-    return [sum(1 << (u - 1) for u in g.neighbors[v]) for v in g.vertices]
 
 
 def stable_colouring(g: Graph) -> dict[int, int]:

@@ -171,7 +171,7 @@ def build_extended_formulation(gr: Grammar, style: str = "value") -> ExtendedFor
 
     into = [(1, flow[r]) for r in ids]  # per listed rule: the flow into its lhs
     out: list = [[] for _ in order]  # per variable: the flows of the rules using it
-    for r, ks in zip(ids, kids) if isinstance(ids, range) else sorted(zip(ids, kids)):
+    for r, ks in sorted(zip(ids, kids)):
         y = flow[r]  # in rule order, so a rule's uses of one variable are adjacent
         for k in ks:
             terms = out[k]

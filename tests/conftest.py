@@ -178,6 +178,34 @@ def reference_min_fill_order(g: Graph) -> list[int]:
     return order
 
 
+def reference_elimination_decomposition(g: Graph, order: list[int]) -> TreeDecomposition:
+    """The decomposition of a connected graph that an elimination ordering
+    defines, eliminating on neighbour sets: the bag of v is v plus its
+    neighbours in the fill graph when it is eliminated, and it hangs under
+    the bag of the earliest-eliminated of them, after the bags hung there
+    before it; the last vertex's bag is the root.  Built from root paths."""
+    adj: dict[int, set[int]] = {v: set(g.neighbors[v]) for v in g.vertices}
+    rank = {v: r for r, v in enumerate(order)}
+    bags: dict[int, tuple[int, ...]] = {}
+    kids: dict[int, list[int]] = {v: [] for v in order}
+    for v in order:
+        ns = adj.pop(v)
+        for a in ns:
+            adj[a] |= ns - {a}
+            adj[a].discard(v)
+        bags[v] = tuple(sorted(ns | {v}))
+        if ns:
+            kids[min(ns, key=rank.__getitem__)].append(v)
+    paths = {order[-1]: ()}
+    stack = [order[-1]]
+    while stack:
+        v = stack.pop()
+        for j, c in enumerate(kids[v], start=1):
+            paths[c] = paths[v] + (j,)
+            stack.append(c)
+    return TreeDecomposition({paths[v]: bags[v] for v in order})
+
+
 def reference_validate_tree_decomposition(g: Graph, t: TreeDecomposition) -> ValidationReport:
     """validate_tree_decomposition on the root-path view, every position a
     tuple and every vertex's positions a list: the library's check before

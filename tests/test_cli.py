@@ -156,6 +156,29 @@ def test_unwritable_out_exit_2(c4_file, star5_file, tmp_path, capsys, command, w
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("strategy", ["min-fill", "exact-small"])
+@pytest.mark.parametrize("other", ["--td", "--path"])
+def test_build_strategy_with_td_or_path_exit_2(c4_file, tmp_path, capsys, strategy, other):
+    # --strategy picks the tree decomposition that build constructs, so it
+    # cannot go with a given .td file or with the path construction
+    td = tmp_path / "c4.td"
+    td.write_text("s td 3 3 4\nb 1 1 2 4\nb 2 2 3 4\nb 3 4\n1 2\n1 3\n")
+    out = tmp_path / "g.json"
+    extra = [other, str(td)] if other == "--td" else [other]
+    assert main(["build", "--graph", c4_file, *extra, "--strategy", strategy, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: --strategy cannot be combined with --td or --path\n")
+    assert not out.exists()
+
+
+def test_build_strategy_defaults_to_min_fill(c4_file, tmp_path, capsys):
+    outs = [tmp_path / "default.json", tmp_path / "min-fill.json"]
+    assert main(["build", "--graph", c4_file, "--out", str(outs[0])]) == 0
+    assert main(["build", "--graph", c4_file, "--strategy", "min-fill", "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    alpha = capsys.readouterr().out.splitlines()
+    assert alpha[0] == alpha[1]
+
+
 def test_validate(c4_file):
     r = run_cli("validate", "--graph", c4_file)
     assert r.returncode == 0, r.stderr

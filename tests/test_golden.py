@@ -29,7 +29,12 @@ first golden graphs above 64 vertices, were recorded before the
 annotation search held vertex sets as int bitmasks, and that change
 keeps them.  The digest of P2000, a decomposition 2000 positions deep,
 was recorded while positions were still named by their root paths, and
-holding them as preorder ints keeps it."""
+holding them as preorder ints keeps it.
+
+The exact-small digests (the `.td` text and the `build` output of seven
+small graphs, natural and relabelled) were recorded while the bags were
+still read from a second run of the elimination, and reading them from
+the one elimination that picks the order keeps them."""
 
 import hashlib
 import random
@@ -41,6 +46,7 @@ from autgrammar.decomp import (
     compute_path_decomposition,
     compute_tree_decomposition,
     make_permutation_yielding,
+    write_pace_td,
 )
 from autgrammar.graph import Graph
 from autgrammar.grammar import (
@@ -366,3 +372,59 @@ DEEP_PATH_DIGEST = "cbb6b310388690737d5fa1a89099b283b1135611b184e7a71aba3ffe6b89
 def test_deep_path_bytes():
     g = path_graph(2000)
     assert _digest(_build_output(*build_aut_grammar(g, _tree(g)))) == DEEP_PATH_DIGEST
+
+
+# name -> (graph, seed of the relabelling): exact-small decompositions
+EXACT_SMALL = {
+    "C5": (lambda: cycle_graph(5), 13),
+    "C6": (lambda: cycle_graph(6), 14),
+    "K4": (lambda: complete_graph(4), 15),
+    "star5": (lambda: star_graph(5), 16),
+    "grid3x3": (lambda: grid_graph(3, 3), 17),
+    "Q3": (cube_graph, 18),
+    "Petersen": (petersen_graph, 19),
+}
+
+# name -> ((.td text, `build --strategy exact-small` output) with natural
+# labels, the same relabelled); a relabelled complete graph is the same graph
+EXACT_SMALL_DIGESTS = {
+    "C5": (("1d9a3acae1404401569f25d41c9214fccd98da7a32a470d3eb374f3f831031bf",
+            "24e09cba8c3d4905cd661789fdedc2fecc352e5389c3d81ece87fe8e5b68e769"),
+           ("7ba595e72d90a92fe20bf340d22e5d2d61ea5b1e686821189106186b3bd830e0",
+            "57119384244a68a789b7ea1e12bec9bba6299f5628dd99e9dadd07b4065c13d7")),
+    "C6": (("8da0df1bd838dbc21941c8fe62add39e2ee5079aba9fbe5b7e5a18bd150cd4c0",
+            "2494d955d96c98ae3245bf27f02c9559ce26f598c14e3464622e03ebda3dbad0"),
+           ("8e299cb79b8f7aa3ae7154badc9cc343fa0cb65706382f64798d1c7c3317159d",
+            "34ba38382948c13eae1974ec1b2bf2ad27718eff2fa326d464c715b01ed33f7b")),
+    "K4": (("eea56d514e85e72e56446ffbbf6b3a9f0215585895b786b64e2d8f3b35ca2fe7",
+            "265faef70dbfd635629404bc315eb87455e6f0e80a8227416031345c6ad46b36"),
+           ("eea56d514e85e72e56446ffbbf6b3a9f0215585895b786b64e2d8f3b35ca2fe7",
+            "265faef70dbfd635629404bc315eb87455e6f0e80a8227416031345c6ad46b36")),
+    "star5": (("1f8da8ceb3272122c7bcbc9b669698da16a28d3037f5757d1ba2ed60f5cffc3d",
+               "1942683c3c58ce0894de227fcb7d9e38f194cb436687602f862f0bf779234782"),
+              ("b36e0ae60182df9daf9f7ba757499a313e05864eef9cb173adb2fc193d6cb997",
+               "a46c01e165b54e41686997e624e47c41f74e9a1b307abadbeefa35112a2350f8")),
+    "grid3x3": (("4b57004ff2b42b5d6a6c58889300c0b71a05a3f942686b793638f06a1f3c61f0",
+                 "1acfda2c0f45407614a7f23ce4dd2ea8807606af52f41021544a3ef870738fc6"),
+                ("87237d1eac852a95d8a19044d74ca775d94c7f5ed9a40ca4eb61709af5678477",
+                 "d0c28ff6f2575f697203123c24fb9e21db9297006ddb3536135990ce34ebd8bd")),
+    "Q3": (("80c7b83c8d7f5419b7fb327db27d13d06889693db2b50ffb5aaeddff53ff0a75",
+            "71f2597bd7f9cd0e4efa8915a89a86aac97a1f058fa5e9881d9b207fe035e040"),
+           ("c534e46f708856a3fd190950c209acc4c9328dd133022751e870083a53e68a8a",
+            "4ba099f86f898e33731ffa88e8b2ded1734fb3f72372b7dd894aa5fac910d1d5")),
+    "Petersen": (("496be403f46f6007c82ce9e41e61b082751c69fd6a12fc591117af3c84377585",
+                  "547aff70735958952b983b7d50549456c2a98c741e517d4d614e38779a728d01"),
+                 ("d92a26a30507f2baa358cac614249120b44085a844b9caf5bb39d2fbe432c97a",
+                  "e7ac01494a5e11eae4042327f550539a75c8afc57c77ae0144fee80d202dc045")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_SMALL))
+def test_exact_small_bytes(name):
+    make, seed = EXACT_SMALL[name]
+    digests = []
+    for g in (make(), relabel(make(), random.Random(seed))):
+        t = compute_tree_decomposition(g, "exact-small")
+        alpha, gr = build_aut_grammar(g, make_permutation_yielding(g, t)[0])
+        digests.append((_digest(write_pace_td(t, g.vertex_count)), _digest(_build_output(alpha, gr))))
+    assert tuple(digests) == EXACT_SMALL_DIGESTS[name]

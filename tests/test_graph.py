@@ -98,6 +98,19 @@ def test_max_degree(c4, star5):
 def test_graph_immutable(c4):
     with pytest.raises(AttributeError):
         c4.vertex_count = 9
+    with pytest.raises(AttributeError):
+        c4.neighbor_masks = ()
+
+
+def test_neighbor_masks_spell_the_neighbors():
+    import random
+
+    rng = random.Random(3)
+    for g in (Graph(1, []), path_graph(70), petersen_graph(), random_connected_graph(rng, 9)):
+        assert isinstance(g.neighbor_masks, tuple) and len(g.neighbor_masks) == g.vertex_count
+        for v in g.vertices:
+            mask = g.neighbor_masks[v - 1]
+            assert [u for u in g.vertices if mask >> (u - 1) & 1] == list(g.neighbors[v])
 
 
 def naive_refinement(g):

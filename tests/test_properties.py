@@ -15,8 +15,10 @@ round trip of every formulation built from one.  On random positional grammars: 
 the projection path's master LP against its Fraction reference and the
 LP file's verdict.  On connected graphs and every prefix size: the embed
 builder's invariance check against the oracle's, and the table the
-tree builder hands over against the one compiled from its grammar.  On
-any graph: min-fill's kept fill counts against counting them anew.  On
+tree builder hands over against the one compiled from its grammar, and
+both strategies' decompositions against a second elimination on neighbour
+sets.  On any graph: min-fill's kept fill counts against counting them
+anew.  On
 valid and broken decompositions: the validation report against the
 reference that checks on root paths."""
 
@@ -34,6 +36,7 @@ from autgrammar.annotate import AnnotatedBag, _Search, count_assignments, join_a
 from autgrammar.decomp import (
     DecompositionError,
     TreeDecomposition,
+    _exact_order,
     _min_fill_order,
     compute_path_decomposition,
     compute_tree_decomposition,
@@ -78,6 +81,7 @@ from conftest import (
     reference_erase_terminals,
     reference_language,
     reference_lengths,
+    reference_elimination_decomposition,
     reference_min_fill_order,
     reference_projection_verdict,
     reference_simplex_feasible,
@@ -255,7 +259,18 @@ def test_builders_match_oracle(g):
 @given(graphs())
 def test_min_fill_matches_reference(g):
     # the kept fill counts pick what counting every fill anew picks
-    assert _min_fill_order(g) == reference_min_fill_order(g)
+    assert [v for v, _ in _min_fill_order(g)] == reference_min_fill_order(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs(max_vertices=10))
+def test_decomposition_matches_reference_elimination(g):
+    # the bags read off the elimination that picks the order are the ones
+    # a fresh elimination of that order on neighbour sets gives
+    assert compute_tree_decomposition(g, "min-fill") == reference_elimination_decomposition(
+        g, reference_min_fill_order(g))
+    exact = [v for v, _ in _exact_order(g)]
+    assert compute_tree_decomposition(g, "exact-small") == reference_elimination_decomposition(g, exact)
 
 
 @st.composite
@@ -276,7 +291,7 @@ def hub_graphs(draw, max_vertices: int = 40) -> Graph:
 def test_min_fill_matches_reference_with_a_hub(g):
     # fill counted on neighbour bitmasks, O(deg) per vertex, picks what
     # counting the missing pairs among neighbour sets picks
-    assert _min_fill_order(g) == reference_min_fill_order(g)
+    assert [v for v, _ in _min_fill_order(g)] == reference_min_fill_order(g)
 
 
 @settings(max_examples=50, deadline=None)
