@@ -9,8 +9,11 @@ it, `warning: <message>`, whatever the warnings filter says.
 Layering: each command handler imports the layers it runs, so a process
 loads only those, and `--help` or a usage error loads none.  A handler
 checks each argument it can check without a file before it reads one (so
-a bad argument is reported even when a file is bad too), and reads each
-file before it imports the layer that parses it.  Every
+a bad argument is reported even when a file is bad too), reads each
+file before it imports the layer that parses it, and refuses a graph it
+cannot take (a disconnected one, or one past the oracle's cap) before it
+imports the layers that would build from it.  The parser lists every
+command but gives arguments only to the one that runs.  Every
 precondition error derives from `autgrammar.PreconditionError`, defined in
 the package itself, so mapping errors to exit codes loads no layer either.
 """
@@ -83,49 +86,61 @@ def _load_lp(path: str):
         raise _UsageError(f"bad LP file {path}: {e}") from None
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None) -> _Parser:
+    """The parser with every command listed, and the arguments of the
+    named command only: no other subparser reads argv, so no other needs
+    them, and each command's --help text is the same."""
     p = _Parser(prog="autgrammar")
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="compile the automorphism grammar of a graph")
-    b.add_argument("--graph", required=True)
-    b.add_argument("--td", help="PACE .td file to use instead of constructing one")
-    b.add_argument("--strategy", choices=["min-fill", "exact-small"], help="default min-fill")
-    b.add_argument("--path", action="store_true", help="regular grammar via a path decomposition")
-    b.add_argument("--out", required=True)
+    if command == "build":
+        b.add_argument("--graph", required=True)
+        b.add_argument("--td", help="PACE .td file to use instead of constructing one")
+        b.add_argument("--strategy", choices=["min-fill", "exact-small"], help="default min-fill")
+        b.add_argument("--path", action="store_true", help="regular grammar via a path decomposition")
+        b.add_argument("--out", required=True)
 
     e = sub.add_parser("embed", help="grammar for the group embedded on the first vertices")
-    e.add_argument("--graph", required=True)
-    e.add_argument("--keep", type=int, required=True)
-    e.add_argument("--beta", help="coset representative, one-line image form")
-    e.add_argument("--out", required=True)
+    if command == "embed":
+        e.add_argument("--graph", required=True)
+        e.add_argument("--keep", type=int, required=True)
+        e.add_argument("--beta", help="coset representative, one-line image form")
+        e.add_argument("--out", required=True)
 
     s = sub.add_parser("stats", help="rule/variable counts, size, regularity")
-    s.add_argument("grammar")
+    if command == "stats":
+        s.add_argument("grammar")
 
     en = sub.add_parser("enum", help="enumerate the language")
-    en.add_argument("grammar")
-    en.add_argument("--cap", type=int, default=1000000)
+    if command == "enum":
+        en.add_argument("grammar")
+        en.add_argument("--cap", type=int, default=1000000)
 
     c = sub.add_parser("count", help="number of accepting parse trees")
-    c.add_argument("grammar")
+    if command == "count":
+        c.add_argument("grammar")
 
     m = sub.add_parser("member", help="decide membership of a word")
-    m.add_argument("grammar")
-    m.add_argument("--word", required=True)
+    if command == "member":
+        m.add_argument("grammar")
+        m.add_argument("--word", required=True)
 
     lf = sub.add_parser("lift", help="emit the extended formulation as a CPLEX LP file")
-    lf.add_argument("grammar")
-    lf.add_argument("--out", required=True)
-    lf.add_argument("--matrix", action="store_true", help="0/1 assignment-matrix projection")
+    if command == "lift":
+        lf.add_argument("grammar")
+        lf.add_argument("--out", required=True)
+        lf.add_argument("--matrix", action="store_true", help="0/1 assignment-matrix projection")
 
     ck = sub.add_parser("check", help="feasibility of a fixed projection point")
-    ck.add_argument("model")
-    ck.add_argument("--point", required=True)
+    if command == "check":
+        ck.add_argument("model")
+        ck.add_argument("--point", required=True)
 
     v = sub.add_parser("validate", help="full oracle cross-check for a graph")
-    v.add_argument("--graph", required=True)
-    v.add_argument("--strategy", choices=["min-fill", "exact-small"], default="min-fill")
+    if command == "validate":
+        v.add_argument("--graph", required=True)
+        v.add_argument("--strategy", choices=["min-fill", "exact-small"], default="min-fill")
     return p
 
 
@@ -134,6 +149,9 @@ def _cmd_build(args) -> int:
         raise _UsageError("--strategy cannot be combined with --td or --path")
     g = _load_graph(args.graph)
     td = _load_td(args.td) if args.td else None
+    from .graph import require_connected
+
+    require_connected(g)  # before the builder layers load
     from . import decomp, grammar as gmod
     from .perm import format_permutation
 
@@ -264,10 +282,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_validate(args) -> int:
     g = _load_graph(args.graph)
-    from . import annotate, decomp, grammar as gmod, oracle
+    from . import oracle
+
+    auts = oracle.brute_force_automorphisms(g)  # refuses past its cap before the builders load
+    from . import annotate, decomp, grammar as gmod
     from .perm import permute_word, to_string_word
 
-    auts = oracle.brute_force_automorphisms(g)
     t0 = decomp.compute_tree_decomposition(g, args.strategy)
     t, _ = decomp.make_permutation_yielding(g, t0)
     alpha, gr = gmod.build_aut_grammar(g, t)
@@ -333,7 +353,10 @@ def main(argv=None) -> int:
 
 def _run(argv) -> tuple[int, Exception | None]:
     """The exit status, and the reason to print for a failure or None."""
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the command is the first word that is no option: the top-level parser
+    # has none that takes a value
+    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         try:
             args = parser.parse_args(argv)

@@ -8,17 +8,20 @@ are finite dynamic programs and refuse cyclic inputs.
 
 The central constructor compiles the automorphism group of a connected
 graph out of a permutation-yielding tree decomposition: variables are
-inner positions paired with classes of annotated bags that derive the
-same words, rules connect annotations that agree on their shared domain,
-and each leaf's terminal, the image of its vertex, stands in its
-parent's rules where a leaf variable with one rule would.  Parse trees
-then correspond one-to-one with consistent whole-tree annotations, hence
-with automorphisms.  A word w produced for automorphism s satisfies
+inner positions other than the root paired with classes of annotated
+bags that derive the same words, and rules connect annotations that
+agree on their shared domain.  Each leaf's terminal, the image of its
+vertex, stands in its parent's rules where a leaf variable with one rule
+would, and the root's classes' rules are the start's own, where the
+start's unit rule to each would be.  Parse trees then correspond
+one-to-one with consistent whole-tree annotations, hence with
+automorphisms.  A word w produced for automorphism s satisfies
 w_i = s(alpha(i)) where alpha spells the leaf vertex order, so the
 language is exactly the string set of the group repositioned by alpha.
 The regular grammar is the same construction on a path decomposition
 that introduces one vertex per bag, each bag writing the image of the
-vertex it introduces: one builder (`_build`) serves both.  The
+vertex it introduces: one builder (`_build`) serves both, and since its
+root writes a terminal, the start keeps its rules B1 -> a X there.  The
 consistency join (annotate.join_annotations) prunes the annotations and
 merges them into classes in one pass on int key ids; the builder names
 each class p:<j>|b:<k> by its position's index j in preorder and writes
@@ -532,9 +535,11 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[Permutation, 
     whose image it writes; alpha is the written vertices in position order.
 
     Each position with children has one variable per merge class of its
-    annotations.  A written position writes its terminal into its parent's
-    rules, just before its own variable when it has children, and B1
-    stands as the root's parent.  A childless position writes only its
+    annotations, but for a root that writes no terminal (every tree
+    grammar's but a one-vertex graph's): its classes' rules, in class
+    order, are B1's.  A written position writes its terminal into its
+    parent's rules, just before its own variable when it has children, a
+    written root into B1's.  A childless position writes only its
     terminal and has no variable, the root of a one-vertex graph too.  The
     grammar's table is handed over with it.
 
@@ -551,13 +556,15 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[Permutation, 
     dom, ann, cls, first, up, members = join_annotations(g, t, written)
     # one variable per merge class at each position with children, in
     # position order after B1 (variable 0): p:<j>|b:<k>, variable base[j] + k,
-    # stands for the k-th class at position j, in first-appearance order
+    # stands for the k-th class at position j, in first-appearance order.
+    # An unwritten root's classes are B1's rules instead: base[0] is 0
     base, names = {}, ["B1"]
     for j, ks in enumerate(t.kids):
         if ks:
-            head = f"p:{j}|b:"
-            base[j] = len(names)
-            names.extend([f"{head}{k}" for k in range(len(first[j]))])
+            base[j] = len(names) if j or 0 in written else 0
+            if base[j]:
+                head = f"p:{j}|b:"
+                names.extend([f"{head}{k}" for k in range(len(first[j]))])
     variables = tuple(names)
 
     def image(p, v):  # the image of vertex v, read off an annotation at p
@@ -565,18 +572,20 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[Permutation, 
 
     # the read table as the rules are written, each variable's together:
     # their rhs variables as ints, and each variable's number of rules.
-    # B1 has one rule per kept annotation at the root: the image the root
-    # writes, if written, then the annotation's variable, if it has one
-    kept = [j for j, k in enumerate(cls[0]) if k is not None]
-    kids: list = [()] * len(kept)
-    symbols: list = []
+    # A written root gives B1 one rule per kept annotation: the image it
+    # writes, then the annotation's variable, if it has one
+    kids: list = []
+    rules: list = []
+    count: list = []
     if 0 in written:
-        symbols.append(map(image(0, written[0]), map(ann[0].__getitem__, kept)))
-    if 0 in base:
-        kids = [(base[0] + cls[0][j],) for j in kept]
-        symbols.append([variables[k] for (k,) in kids])
-    rules: list = [("B1", rhs) for rhs in zip(*symbols)]
-    count = [len(kids)]
+        kept = [j for j, k in enumerate(cls[0]) if k is not None]
+        symbols: list = [map(image(0, written[0]), map(ann[0].__getitem__, kept))]
+        kids = [()] * len(kept)
+        if 0 in base:
+            kids = [(base[0] + cls[0][j],) for j in kept]
+            symbols.append([variables[k] for (k,) in kids])
+        rules = [("B1", rhs) for rhs in zip(*symbols)]
+        count = [len(kids)]
     chain, product = itertools.chain.from_iterable, itertools.product
 
     def per_class(columns):  # each class's options at each child: its tuple of partners, or its one entry
@@ -584,7 +593,7 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[Permutation, 
 
     for p, at in base.items():
         heads = first[p]
-        lhs = variables[at:at + len(heads)]
+        lhs = variables[at:at + len(heads)] if at else ("B1",) * len(heads)
         names, ints, rhs = [], [], None  # the columns over the classes, as names and as ints
         for c in t.kids[p]:
             var_at = base.get(c)
@@ -623,6 +632,8 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[Permutation, 
         if rhs is None:
             rhs = chain(itertools.starmap(product, per_class(names)))
         rules.extend(zip(chain(map(itertools.repeat, lhs, sizes)), rhs))
+    if 0 not in written:  # B1's count: the sum of the root classes' counts
+        count[:len(first[0])] = [sum(count[:len(first[0])])]
     gr = Grammar(g.vertex_count, "B1", variables, tuple(rules))
     # positions number parents first, so the variables backwards list each
     # class before the classes whose rules use it

@@ -91,6 +91,10 @@ class Graph:
     def __hash__(self):
         return hash((self.vertex_count, self.edges))
 
+    def __reduce__(self):
+        # the derived fields are rebuilt, since __setattr__ refuses to restore them
+        return Graph, (self.vertex_count, sorted(self.edges))
+
     def __repr__(self):
         return f"Graph(vertex_count={self.vertex_count}, edges={sorted(self.edges)})"
 
@@ -100,10 +104,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.edges or (v, u) in self.edges
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self.neighbors[v])
 
     def _check_vertex(self, v: int) -> None:
         if not (1 <= v <= self.vertex_count):

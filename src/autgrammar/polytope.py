@@ -412,9 +412,9 @@ def _presolve(rows: list, bounds: dict):
     Which name survives a chain of doubletons only renames a column of the
     reduced system, but the simplex breaks ties by column name.  On the
     LP of the Petersen graph's min-fill tree grammar at its identity word,
-    keeping each chain's first name takes 9 pivots after the crash and
-    330 from an all-artificial start, and keeping its last takes 4 and
-    441."""
+    keeping each chain's first name takes 4 pivots after the crash and
+    136 from an all-artificial start, and keeping its last takes 4 and
+    336."""
     lo = {v: a for v, (a, _) in bounds.items()}
     hi = {v: b for v, (_, b) in bounds.items()}
     if any(b is not None and lo[v] > b for v, b in hi.items()):
@@ -491,6 +491,11 @@ def _divide_out(row: dict, g: int) -> dict:
     return {j: c // g for j, c in row.items()} if g > 1 else row
 
 
+# Dantzig's pricing runs for this many pivots per row of the tableau, plus
+# five rows' worth, before `_simplex_feasible` falls back to Bland's rule
+_DANTZIG_PIVOTS_PER_ROW = 10
+
+
 def _simplex_feasible(rows: list, bounds: dict) -> bool:
     """Decides feasibility of the system, reduced or not, by minimizing
     the total artificial infeasibility with a bounded-variable simplex:
@@ -507,9 +512,9 @@ def _simplex_feasible(rows: list, bounds: dict) -> bool:
     fewest rows, ties to the smallest index.  The column enters at 0, so
     the swap is a degenerate pivot with no ratio test, and the phase-1
     objective sums only the artificials still basic.  On Petersen's
-    identity word (the LP of its min-fill tree grammar) the crash makes
-    150 swaps and leaves 9 pivots of the 330 that an all-artificial start
-    takes.
+    identity word (the LP of its min-fill tree grammar, 101 rows after the
+    presolve) the crash makes 90 swaps and leaves 4 pivots of the 136 that
+    an all-artificial start takes.
 
     The tableau stays over the integers (integer-preserving elimination:
     Edmonds 1967, Bareiss 1968).  Each row is held as coprime ints, its
@@ -651,7 +656,7 @@ def _simplex_feasible(rows: list, bounds: dict) -> bool:
                     obj.pop(j, None)
     obj = _divide_out(obj, math.gcd(*obj.values()))
 
-    bland_after = 50 + 10 * len(mat)
+    bland_after = _DANTZIG_PIVOTS_PER_ROW * (5 + len(mat))
     iteration = 0
     while True:
         iteration += 1

@@ -99,10 +99,15 @@ def test_validate_t3_violation(p4):
 
 
 def test_shape_errors():
-    with pytest.raises(DecompositionError):
-        TreeDecomposition({(1,): (1,)})  # no root
-    with pytest.raises(DecompositionError):
-        TreeDecomposition({(): (1,), (2,): (1,)})  # not well numbered
+    with pytest.raises(DecompositionError, match="must contain the root"):
+        TreeDecomposition({(1,): (1,)})
+    with pytest.raises(DecompositionError, match="not well numbered at"):
+        TreeDecomposition({(): (1,), (2,): (1,)})
+    with pytest.raises(DecompositionError, match="not prefix closed at"):
+        TreeDecomposition({(): (1,), (1, 1): (1,)})
+    for p in ((0,), (-1,)):
+        with pytest.raises(DecompositionError, match="child index must be >= 1 at"):
+            TreeDecomposition({(): (1,), p: (1,)})
 
 
 def test_min_fill_valid_on_corpus(corpus):

@@ -89,55 +89,55 @@ GRAPHS = {
 
 # name -> (tree grammar JSON, regular grammar JSON), position named
 GRAMMAR_DIGESTS = {
-    "C6": ("8d34c73d74874522e7f80a56ab9aec394607b4208133e4322ab7497588715717",
+    "C6": ("0725e7a9a70700d14ff9880d1d0cd4d61aa9cee756da6c5017fa35d17c73c2ef",
            "5900e2b80d63c50bb740605270f975678ed3ac46473993f19c1d6293b9650002"),
-    "K4": ("27504cafef6bfbfe39f80d02c4fda02f1104d4a28785ed42021e99f7d6521a4a",
+    "K4": ("bf84cbf5aad3ebb86463bda5ddd0dfb2eecfd571616f1114676dd0b58dee6148",
            "541c0e40507fbd75e3b3c0b3c8adcb41cdd76a370492d28aced264105adb893f"),
-    "K5": ("803e3974e79f0c07afcddc3ca7b741d49de2992a30b71fe58387305f64625536",
+    "K5": ("ee8a2c3cb8f604d19e2b41f760bedef00c90fe5c50c6f47a8773f4e432f4c6ea",
            "5f9a4261d2c85507c55e412ebbd50ef713944bab05bfb735b3bb4357f7ddc967"),
-    "P8": ("ee314d0d80970633e45fc0c0c93c79252690202e2a0aca12ac1156afd94b3e8c",
+    "P8": ("de8842b28f394907189e322f7b66ee5f768198807a90f97eef1d18516d899d8c",
            "2313e30e3a44224f25d3c4678974dbf0696b67f5ae25c99ae2ce82cd6a80fe57"),
-    "Petersen": ("68a44e6f30da333352f968ef193ca55ae70effeae6f376ef86affc888234e128",
+    "Petersen": ("36b127a49e8f4e34b1340321d3b5583a7fa43412fc4ef3933d5fa6b013710a6f",
                  "a627e1ce6eac130d053fc8285e426f602d2c555f097481a14489abdc1647cef2"),
-    "Q3": ("1619228e4ae9a861d3c119e57ace7f63792e7d7e409186e33102a86519527410",
+    "Q3": ("9cf4ab336518f49f67867644944989d5d54d8f8a9ab9346e04bad8a2ad9ab7ea",
            "f98c9793d15481ecb8e0127462d0f991bad1cbc741d76d0552227890f1cd4a47"),
-    "btree3": ("e38cd02b134eb41b779c655fc63541b903fac092dcc28a668e9ab2504c552891",
+    "btree3": ("d5d701bb682e41260b373ed77f7b192a40e9f14e7a2f8730e1fbd7e0e5c10a0d",
                "c58d466c30169cf76125de36f27011517f8617b124991727d61e33edc77fb67b"),
-    "grid3x3": ("06b54d77165d9c556e81bb260056d1f3fb7c2e763923467355fce8f761213203",
+    "grid3x3": ("a8e299b7ae1c96e3c69a09e43221da948fb7c548f4a315aacd92cfffd21eae34",
                 "f2d0f765fa9e074d54c8810617ce0734449be928d351a54aad56c879763e117b"),
-    "spider3x2": ("8718f9896792d0ba1f26a49fb79c7e5c869aac8e42f474a069c6a3ba2b8af2dd",
+    "spider3x2": ("a51b40395c170174e5389b474ee536eb55493943545a580d33c5c03469891276",
                   "13f4a70edf97a717ef319553e7a25595679c7496439954537327f60fe263047c"),
-    "star5": ("eb6bb714a947892adce3f705b0173178e44781d98283d7d9432e3de702c84c23",
+    "star5": ("8d736dea1f44453a67efff2ad0457627d291f0869e4b50cec77a3c7355887781",
               "bbb10cdfe74843d8944836fe981b805574b98d582e0a9b1cb401e9fb8e88a5ce"),
 }
 
 # name -> (tree grammar JSON, regular grammar JSON), as written
 INDEXED_GRAMMAR_DIGESTS = {
-    "C6": ("184356eea95d51854f842d37880cfd10a1a3df967201655b6eeaf6255f40ff47",
+    "C6": ("9f56a9447cff767a95c7615152597becc0addf63740af6fb3514d0f127c4cbf3",
            "fcb35cea54a11d9a9333bfa2dab3a093789571fd5863e0b9824fcc7d2ce200f6"),
-    "K4": ("a91c28792faf12ac251e9e1d5b4a1e04cfdff16c0a34c7a0185fd48d33e0ae83",
+    "K4": ("c822c983dee697d8268046d437312b66c338b2a2ddddcecbfb490ac0be52368b",
            "822b261fffaed415ae99135c8d86496b5b5ab3441ba4dc9edd1aa4caadeb04a9"),
-    "K5": ("e71970689ae890dfed17b8e6d7401e01374e3e3ebb06590805a9a22288176b31",
+    "K5": ("01622417c73a376ac1ca3efcde6b6e2e1f59da4278fc666632f5541838bb1f21",
            "1ae76796f3d9d2b48263586f9083df3d20e21c9f215606e1ec77a454b121fb69"),
-    "P8": ("b90139042d4309847ab25d1b4b5863c59d2f5204c8ea09dac71e3cf8b84b7173",
+    "P8": ("0d3cf5af72d014090e5fe43c75cc82c4e97ff6fa57c7402a819db741a27ffa71",
            "51b26ae06e453f16867d08b13a8f6e2976bf42e948b943251ab20f8643d74e44"),
-    "Petersen": ("063adab151ecd469a66d931557110fd00564bf8bba68264cd51ee10e9eab7133",
+    "Petersen": ("62e08f4eee313b3aa9af2c4f33c96ab20f53b6addad4b837ce7f47591eabb821",
                  "eedf76d1df0eae4bd48312db6df4418ee209bdeb807f2ec4203ffc6ad1f3c791"),
-    "Q3": ("0552c884f53cefa10d0d50c9af5e8c9421261e07e50a14103404cc8c22fcd12c",
+    "Q3": ("d49710b21522a50155ccc8a6c3c577c9720fcada8737428eea8158db9f74bc98",
            "0304179ec1fe0bfba476a3fb8a056be1c48e738532b2c130e68d1b77ce6f1c0f"),
-    "btree3": ("e4ff3c34abf6cad4d0e78c76d63baae68227e228b15a1788a7ed597d94e9528b",
+    "btree3": ("9e389159545b8bbf5d03244fdbf6ac5c196e3a52ea8fd300ebfe662d97900544",
                "dd97ccfae11883b83864a1d64909a5f24f690a576173af217745e34ca5686dfc"),
-    "grid3x3": ("46c796801c0c39c17e2019c22e909fa9e5e4d3505231d69e30464658481b960b",
+    "grid3x3": ("3470e01ca95e7b712634927d1f8c8c0aeeacc4cfc2f226066c65d71c47989444",
                 "a9bfec1c0239c86b199472b9f847ed317a4070b854fe262fee37ac8a758b6015"),
-    "spider3x2": ("34425bbcd7ab0a624e668c09d49958a8562e79ec74a0d34f0fcaa0e079875066",
+    "spider3x2": ("f55228f2106a29e26e9a5d5f61a33a552694495c1ef7403f2fbb361145120f93",
                   "e20a352b0e77b64585bceb49ac5af774ee665bea60bcbf6b63ac31e97e16d3a2"),
-    "star5": ("69e7b4122379c6094d8b461e5bef61d0d4b4e979e94a62d9156e43621fc15ae1",
+    "star5": ("63c097855695f56ed103a9358b7f1112c153033e706783f50267ce0ceb7de62e",
               "9847b5d96f03fdeb43fcdaaba32e03adb5e075d5db3e371bd75e32845a9038fd"),
 }
 
 LP_DIGESTS = {
-    "C6": "5257adbd3997e44e33fbf810bf30151d0ae77a75add5e20c1450a088fbad41a3",
-    "btree3": "dfc87e93a2d2fa47a9401def2acb366284127171f712e54d022183de08f1e023",
+    "C6": "88dd4a312300cec0a9049dabc4e7e4efb25e9fcc97848d0014ec41e3524d2ecb",
+    "btree3": "704a38410312b09391868dfa2a460e5a6babeb79895710b1b18cd27268a3d55a",
 }
 
 # name -> (graph, seed of the relabelling)
@@ -154,32 +154,32 @@ RELABELLED = {
 # `lift` output): a build's output is its grammar JSON and its alpha line,
 # position named
 RELABELLED_DIGESTS = {
-    "C20": ("9650d7093964dad3457bac51a36ac12ade8739aee1cfdaf358752caa08769256", None,
-            "76f722aeb2288216fbe5ca64ee0c6be1b132c813624dbf4459cc8e87d3f943ec"),
-    "P30": ("e7a619797e50aa6b7e6b100223dcaec25b3952b5c67cbf694cd89bf14a499045", None,
-            "75de9a75a58afb7bdf26ec62139168a65f2516f96b389f09b74dfdb67f1bc98b"),
-    "btree4": ("427d56f59fd52842dddae62f6905311c737de31f580d528a5bb8ef1735de40e8", None,
-               "b6cbb8b71029876f5572894e43f5508bae9618735b2b1f5c0f42d8f0fb275bf6"),
-    "grid4x4": ("f871e2be61f7a826313c15805db30bf16cee873e2b90d25b568fb7bd9394ee0c", None,
-                "251f3c4532cf6e1bc9ced15dc776a2e69fc3b8ab2aa8f3d0ed72fbd83b42c1f4"),
-    "Q3": ("2c1ea4ffe90c93cb67d7b6db456bc76f37d6d72064a6dc867a0ddaa81df2d9b4",
+    "C20": ("28f56eb0d410300a715c567eb507a3efe1465ee317ee915158266be2139547c0", None,
+            "e2c168af26c12d92fa76825ff10ef2fbedf1458f96bce782b44820b72e50d1c0"),
+    "P30": ("b8905abbca6286f2f6cc3338566c0b237c90d3ab592bd743fe177703251e8dd7", None,
+            "c26f2da636cf88c626104d40307ef7216c6b173021d8589dd357887429c1b2f9"),
+    "btree4": ("3722455b3f924ef63ccb24792849412ed2325a5e9cd7937888fa2f147f964b9a", None,
+               "d2821feee2ad07c8230cac6d792d380f1ac833b911b36b7071dc2cc77a26e4c2"),
+    "grid4x4": ("11c6afc79d1eebc457639c76f8df39c5c3c6cc57af4aac475a8c32017b3846bd", None,
+                "2135c023603549835133e368a02cc8d90e57342f95270671eea52ca379e6c464"),
+    "Q3": ("debc49399c1da6159c92dbe89414d89c73ee0226392caedd250ec4a02d39e930",
            "2adf15dddadd394fd32afde44e76a1ae38709715281964d929e17e0e58cb4cb1",
-           "d0f1a7bde117fa50052f3f76be976725afab3b5ea70460fea86bf09ac15c6de0"),
-    "Petersen": ("887e244bd068224505456624743008fd506f3071b6fab19d530842f26e17f09b",
+           "f67908173f3f1f2a3349688bd579a1558d3d8094e1afdd7e36c710dd33ff5604"),
+    "Petersen": ("e9409485e6c44f6a20418e573f8c5f55416504fcaf2e23ea3823e7e11fa00bbf",
                  "0d351cfbfae5e87f20ba6f8270b991c6919720c636a33da454fc0a6bf2d7ce75",
-                 "2b7f5421dac3b7f3b4335958c80f67a4580265db047453890a21af8122809563"),
+                 "5b6d0c752cbcdd285f9572cf1a4c66eb11fc84a1e072ca16507a431f4c3064b8"),
 }
 
 
 # name -> (`build` output, `build --path` output or None), as written
 INDEXED_RELABELLED_DIGESTS = {
-    "C20": ("eb9e05548c8c3c3e2590d527ebbfb50d78e6809416bac21fbdb3e0c1ebd72279", None),
-    "P30": ("93eaca857ffca699ba4a171c37983b48e73f7c9d2434b007ecbe62131a980b65", None),
-    "btree4": ("7f1505533d8a2b90ad5b813f6bc468cd4d7e830ad6b9ed042abc44f54d05d9e1", None),
-    "grid4x4": ("7ee74e84307f1bce54160b32d993bf518ee6c33ff8e63d82d1560da9c16014cc", None),
-    "Q3": ("6c55af4863e2cb1f3d61ee44bfc9dc6fc5f297af4be4ab9c41b17ca4c4338346",
+    "C20": ("75ab703fad58c8e865594126f47640d7e0b645df5e9df1361e25657ec725cbf0", None),
+    "P30": ("63fc5daacd5d29abf112e0c8e7a2779a9776594834453fdbf1042bf3cbbdcb3f", None),
+    "btree4": ("7597ddc304218de2cfe2cef1504972b13019ddf4be7074f328cc840c6fc8013a", None),
+    "grid4x4": ("ddea7e576ed3c414bf3e4ed139aa687d8613413fb7f18217094e7a427e1d974f", None),
+    "Q3": ("56fe94054caa464ad84315b556af1ebc1c1b76937c59f758e32af1442c457a11",
            "56232918388ec27c33b77b9b7c63eee74e85d02d745aa672af569c7ff5aeed98"),
-    "Petersen": ("19f46b25499077f0d6a8f659fadaa7926057ca6bc3027d7a9e07285b7f4e59bb",
+    "Petersen": ("644cc49d478d0feceb7d20d0189ab640f2316d0bb5e76e20a9cbbad5138c8437",
                  "b08140f670a808e681ef91e2c4c5376fd0811120050deb8123423367c10aff5c"),
 }
 
@@ -275,12 +275,12 @@ PARTNER_SHAPES = {
 # name -> (`build` output with natural labels, relabelled), as written; a
 # relabelled complete graph is the same graph, so K6's two are equal
 PARTNER_SHAPE_DIGESTS = {
-    "K6": ("393114c9ff19462daefa3dbec2d8519be5606b9c78e08047aaea898a910a83a9",
-           "393114c9ff19462daefa3dbec2d8519be5606b9c78e08047aaea898a910a83a9"),
-    "btree5": ("5a91a19989a9c03bc38c1f77729ed40527cc58a5091d517560b6b771eac0616e",
-               "c8a3b3e7f50ff560de68e612c3cc0f23fe021eabac76db528ed4a50ebbb94850"),
-    "spider5x4": ("01e4daf82b7ddaf423067eb60ca7a59abb4911a07a6aa1f0a45ae6f93adc59a1",
-                  "ad4b79c2e4064ca5d1ac96053fc52fe29ed8cfd4e708b549acd6561c725d7f4a"),
+    "K6": ("f4359e3b2ccff77d9212d9b087e69c456b790e33f5c74e9c7556dc324dfe0c5e",
+           "f4359e3b2ccff77d9212d9b087e69c456b790e33f5c74e9c7556dc324dfe0c5e"),
+    "btree5": ("eee1d9c57095f54a503692e47dad225bf59a63978aff7feab17c4a96f00f67a4",
+               "47f0054be08149bc3eadb348377bb80f7d085543c8ff4df50f11319b5b51cecf"),
+    "spider5x4": ("d05351e3ae9a0cc8ce4d5b6956f120dec32f12c48482fe6cd5a5e9717a1612ea",
+                  "6f9b57a8b0de16a482c36f6bf13818f636264a741811460dfb6235cd2d5a39d6"),
 }
 
 
@@ -302,10 +302,10 @@ MULTIWORD = {
 
 # name -> (`build` output with natural labels, relabelled), as written
 MULTIWORD_DIGESTS = {
-    "btree6": ("3c39b711ab9bd01d85e41dbb698e8a8113cf04332a943099a399f028545265be",
-               "98522533b4a3c5bb59bf73cbf964e5594e12631d7d2a49515639f65c9e6e301d"),
-    "P80": ("10728e745a6aa841f6e2a90081e8e83b32cafb7dd20a9d40000db9313047ebed",
-            "3dd9dba5c3456bcfe8e901c6ce9fc34534270e83af4cd5f620d096387bd528da"),
+    "btree6": ("84176eb3ecb79e0a85da6f550f7ef1cb5d3b3871dfc470f304c8dea3c7e8136d",
+               "36b1931f2478fa0a265db2bdc52a2892af4107b2fe74b97bd3ac60811873c39d"),
+    "P80": ("2ecca985ba1b49668acc5a04d21ea94354ab7b9d2309f93f72c877f3ca5d13f9",
+            "3124ec010225dec7c2af14b577d89520f5c995c8f82e8f6a463687d04dbae048"),
 }
 
 
@@ -329,28 +329,28 @@ EMBEDDED = {
 # name -> (`embed` output: grammar JSON and alpha line, position named,
 # `lift` output)
 EMBEDDED_DIGESTS = {
-    "btree4 keep 15": ("6e95846e7747e041958c41fd71dca8529aab5800701138879fb236f827aa2bc7",
-                       "d81e121275e435f9f171e34831e32da807336b3cdf65f3682c4a98d9c0e998b3"),
-    "btree4 keep 7": ("7d76b5edc86e4841d4b0c046e668375fb5e418d8e2a024bbb0d6d370fe958e19",
-                      "0028313ef1713a39feb317074ba7eb9d76eb4605921b62731ddca032f8d3765d"),
-    "btree5 keep 31": ("1b95569d1f29c4a469a4ec8afe7b19e408a02a158b0169e28103a1acf98e8048",
-                       "455af497fb54438db010b8ae1dd6efdbe9c108645e56f5d7440feafea3d46346"),
-    "spider5x4 keep 1": ("5e52df1580ede3d4d63684d8aa14fda9263de952d834023690fbf7b36ed92f8f",
-                         "967831603213e0030579e36cfb609b9849c9466779c7547d2f58a0f9762867ff"),
+    "btree4 keep 15": ("f30f295a1a2a44b6ec7e24405e08c50a5a4520512145404ec6e139c41be72ffa",
+                       "9935881dbafc0e5d2c571fc3f031a103c74f57292e5047466e1d816d758b2cbf"),
+    "btree4 keep 7": ("fbff256afdd2709b717d255993c9eeca1f9b6c91b028a675abe8de36d8f690ec",
+                      "b3fa4c7938e9c911454807113a01f933c0c1fe89897d7d75f5b0aa9efb6b90b5"),
+    "btree5 keep 31": ("cb79dc16a0d55899547b90087405ee94a96468ce4492d2707cc24cc22815c2fe",
+                       "99fa375aec883df258bcab01239da667b5f2cc40ddd753bfe904f441dd48769d"),
+    "spider5x4 keep 1": ("6c2a09ded9cf1888239259ebd39c723113d659f8a13e5a3a600775b7d40c3044",
+                         "97595e1b7715dd9c32474509d649e8bfaa99d6004613fecf538adc2a5f82c9cd"),
     "btree4 keep 15, b reversed": (
-        "7f381612edf0c2f642c6f1208a4e6739ed528b6d75b2be7d8a4f32f4e93d9abc",
-        "e2dead8d59c3a8827ab3b70edb59bbdd5a5248d1ceb57950f88402afd5289a8d",
+        "f1d5e64b166f71c0d5cc036aae64a6887540b03b2e70c182ed5a952025d9f571",
+        "99e5ab71c34dd26a8ac36546ad1c70de73cd5b8e7dde24f5b3a5e7ba1e4a0e88",
     ),
 }
 
 
 # name -> `embed` output, as written
 INDEXED_EMBEDDED_DIGESTS = {
-    "btree4 keep 15": "ce27af3bb1c16772931e1a69c988c8ca4c2378dd7532d7d48f3758af559d0814",
-    "btree4 keep 7": "a5cbb59a7561b743787bce09bd14d76ac2984773a2b3aa31ff90cc259d400954",
-    "btree5 keep 31": "c26f411ead6f09a05a965b2e43ef3a33906bac9e3afe1c3baf594a4ab027e642",
-    "spider5x4 keep 1": "779dc867f9ddc839e6cff36b436729637d835388cfb226110fb8c400b292502c",
-    "btree4 keep 15, b reversed": "3c77020946d37b24b34fb359c9bc0453110f73f742811908c67bf2ad5fc11162",
+    "btree4 keep 15": "bdb07eb3077d6d98af7a9fbc9f9832f008b7b9cf90d47d72c2c3514c3edf16cd",
+    "btree4 keep 7": "9e48d955492cbf3f4d658975503fd2cec179089004024a2e8b09643796bd6086",
+    "btree5 keep 31": "bef046889efbbf18c40e8e896eeb020544d200f45a19ae967b1b64ff660626df",
+    "spider5x4 keep 1": "77cc16c6494a3ad3f5be5e87c49b6d7b0e30c936c5e533776af8c4318e389b13",
+    "btree4 keep 15, b reversed": "77fc78ec3c9a0e06ffbfa0b8ad6e49b3626e688157863db33c64c3ba507c5752",
 }
 
 
@@ -366,7 +366,7 @@ def test_embedded_bytes(name):
 
 
 # natural-label P2000's `build` output (grammar JSON and alpha line)
-DEEP_PATH_DIGEST = "cbb6b310388690737d5fa1a89099b283b1135611b184e7a71aba3ffe6b897001"
+DEEP_PATH_DIGEST = "4d13215202729e3fe082cb2308a70729999de4dd7e965245a34fcf00c1075b53"
 
 
 def test_deep_path_bytes():
@@ -389,33 +389,33 @@ EXACT_SMALL = {
 # labels, the same relabelled); a relabelled complete graph is the same graph
 EXACT_SMALL_DIGESTS = {
     "C5": (("1d9a3acae1404401569f25d41c9214fccd98da7a32a470d3eb374f3f831031bf",
-            "24e09cba8c3d4905cd661789fdedc2fecc352e5389c3d81ece87fe8e5b68e769"),
+            "14d31cc6e1c0c72ca1c16636c880a8a4a81d31d5c74918446490be63c98031d7"),
            ("7ba595e72d90a92fe20bf340d22e5d2d61ea5b1e686821189106186b3bd830e0",
-            "57119384244a68a789b7ea1e12bec9bba6299f5628dd99e9dadd07b4065c13d7")),
+            "a269debc8e6764c88b220db615113bf003d688702c030e7c5d3cef83f2c01ab8")),
     "C6": (("8da0df1bd838dbc21941c8fe62add39e2ee5079aba9fbe5b7e5a18bd150cd4c0",
-            "2494d955d96c98ae3245bf27f02c9559ce26f598c14e3464622e03ebda3dbad0"),
+            "8edcb69b61d940c35f37c36a4558bbeed13be20179dab2819d818c3f7e906c5a"),
            ("8e299cb79b8f7aa3ae7154badc9cc343fa0cb65706382f64798d1c7c3317159d",
-            "34ba38382948c13eae1974ec1b2bf2ad27718eff2fa326d464c715b01ed33f7b")),
+            "8d8075cb739d3ea5d81a56ce05b58cfdc7ecb64b0b9d57815660aadfb2aa7bce")),
     "K4": (("eea56d514e85e72e56446ffbbf6b3a9f0215585895b786b64e2d8f3b35ca2fe7",
-            "265faef70dbfd635629404bc315eb87455e6f0e80a8227416031345c6ad46b36"),
+            "2fc0437230a4b06ed1f1bb97d199d488b01189660f5c3a1697b7c55d8e8e2d0a"),
            ("eea56d514e85e72e56446ffbbf6b3a9f0215585895b786b64e2d8f3b35ca2fe7",
-            "265faef70dbfd635629404bc315eb87455e6f0e80a8227416031345c6ad46b36")),
+            "2fc0437230a4b06ed1f1bb97d199d488b01189660f5c3a1697b7c55d8e8e2d0a")),
     "star5": (("1f8da8ceb3272122c7bcbc9b669698da16a28d3037f5757d1ba2ed60f5cffc3d",
-               "1942683c3c58ce0894de227fcb7d9e38f194cb436687602f862f0bf779234782"),
+               "8ea3ed575915ace75451fb413d6ffc6f13494508978d7b691a568d30edd632ca"),
               ("b36e0ae60182df9daf9f7ba757499a313e05864eef9cb173adb2fc193d6cb997",
-               "a46c01e165b54e41686997e624e47c41f74e9a1b307abadbeefa35112a2350f8")),
+               "a2b23cd49d5ce864e57741d74cfc9327728c78407dbef8f337efe9835ecf5fbd")),
     "grid3x3": (("4b57004ff2b42b5d6a6c58889300c0b71a05a3f942686b793638f06a1f3c61f0",
-                 "1acfda2c0f45407614a7f23ce4dd2ea8807606af52f41021544a3ef870738fc6"),
+                 "abef6faad5114ccf117adbd2b53284ae7e4dcb574324e31dd101500225972e0b"),
                 ("87237d1eac852a95d8a19044d74ca775d94c7f5ed9a40ca4eb61709af5678477",
-                 "d0c28ff6f2575f697203123c24fb9e21db9297006ddb3536135990ce34ebd8bd")),
+                 "d55e924f8ac852d145e18b5dcc352c1ffa805c111e2fbe05723bda161c77d481")),
     "Q3": (("80c7b83c8d7f5419b7fb327db27d13d06889693db2b50ffb5aaeddff53ff0a75",
-            "71f2597bd7f9cd0e4efa8915a89a86aac97a1f058fa5e9881d9b207fe035e040"),
+            "ac389955928dea6fe5d05896f83e78dfcb050b9820ede5c243ee3ff9959d7635"),
            ("c534e46f708856a3fd190950c209acc4c9328dd133022751e870083a53e68a8a",
-            "4ba099f86f898e33731ffa88e8b2ded1734fb3f72372b7dd894aa5fac910d1d5")),
+            "d6ea0ad4fa404a41a30385b7ff347b69bb5d3001c492c5ae926f1a186989e1ae")),
     "Petersen": (("496be403f46f6007c82ce9e41e61b082751c69fd6a12fc591117af3c84377585",
-                  "547aff70735958952b983b7d50549456c2a98c741e517d4d614e38779a728d01"),
+                  "4e71f06c6e0ca283f08ec3327052def4090aec86297d6bff72a839010cfb271c"),
                  ("d92a26a30507f2baa358cac614249120b44085a844b9caf5bb39d2fbe432c97a",
-                  "e7ac01494a5e11eae4042327f550539a75c8afc57c77ae0144fee80d202dc045")),
+                  "c139cc65e37f8a5e6333035eeed03fcd4fed3bdd42bcc19bf3e6364b8ae81b4a")),
 }
 
 

@@ -535,21 +535,21 @@ def test_leaves_write_into_their_parents_rules():
     # positions, and 1.2 and 2 beside inner siblings.  No leaf position
     # has a variable, and each rule writes its leaf children's terminals
     # where their variables stood.  A variable p:<j>|b:<k> belongs to the
-    # j-th position in preorder: the root is p:0, and P3's 1.1 is p:2
+    # j-th position in preorder, and P3's 1.1 is p:2.  The root's classes
+    # are B1's rules, so the root, p:0, has no variable either: the
+    # variables are those of the positions with children below the root
     bags, gr = _tree_and_grammar(path_graph(2))
     assert bags == {(): (2,), (1,): (1, 2), (1, 1): (1,), (2,): (2,)}
-    assert gr.variables == ("B1", "p:0|b:0", "p:0|b:1", "p:1|b:0", "p:1|b:1")
+    assert gr.variables == ("B1", "p:1|b:0", "p:1|b:1")
     assert gr.rules == (
-        ("B1", ("p:0|b:0",)), ("B1", ("p:0|b:1",)),
-        ("p:0|b:0", ("p:1|b:0", 2)), ("p:0|b:1", ("p:1|b:1", 1)),
+        ("B1", ("p:1|b:0", 2)), ("B1", ("p:1|b:1", 1)),
         ("p:1|b:0", (1,)), ("p:1|b:1", (2,)),
     )
     bags, gr = _tree_and_grammar(path_graph(3))
     assert bags == {(): (3,), (1,): (2, 3), (1, 1): (1, 2), (1, 1, 1): (1,), (1, 2): (2,), (2,): (3,)}
-    assert gr.variables == ("B1", "p:0|b:0", "p:0|b:1", "p:1|b:0", "p:1|b:1", "p:2|b:0", "p:2|b:1")
+    assert gr.variables == ("B1", "p:1|b:0", "p:1|b:1", "p:2|b:0", "p:2|b:1")
     assert gr.rules == (
-        ("B1", ("p:0|b:0",)), ("B1", ("p:0|b:1",)),
-        ("p:0|b:0", ("p:1|b:1", 1)), ("p:0|b:1", ("p:1|b:0", 3)),
+        ("B1", ("p:1|b:1", 1)), ("B1", ("p:1|b:0", 3)),
         ("p:1|b:0", ("p:2|b:0", 2)), ("p:1|b:1", ("p:2|b:1", 2)),
         ("p:2|b:0", (1,)), ("p:2|b:1", (3,)),
     )
@@ -800,6 +800,24 @@ def _substituted(gr, heads):
     return Grammar(gr.sigma_max, gr.start, tuple(v for v in gr.variables if v not in term), rules)
 
 
+def _start_inlined(gr, head):
+    """gr with each unit rule of the start to a variable whose head is
+    head replaced by that variable's rules, in order, as the start's, and
+    those variables dropped."""
+    of = {}
+    for lhs, rhs in gr.rules:
+        if lhs.rsplit("|b:", 1)[0] == head:
+            of.setdefault(lhs, []).append(rhs)
+    rules = []
+    for lhs, rhs in gr.rules:
+        if lhs == gr.start:
+            (v,) = rhs
+            rules.extend((lhs, r) for r in of[v])
+        elif lhs not in of:
+            rules.append((lhs, rhs))
+    return Grammar(gr.sigma_max, gr.start, tuple(v for v in gr.variables if v not in of), tuple(rules))
+
+
 def reference_aut_grammar(g, t):
     ann = {p: _oracle_bags(g, t.bag(p)) for p in t.positions}
     name = {p: [f"{_head(t, p)}|b:{i}" for i in range(len(bs))] for p, bs in ann.items()}
@@ -816,9 +834,13 @@ def reference_aut_grammar(g, t):
                 rules.append((name[p][i], (dict(b.phi)[t.bag(p)[0]],)))
     gr, ranked = _ranked(trim(Grammar(g.vertex_count, "B1", ("B1", *bag_of), tuple(rules))), bag_of)
     # every position that has no children writes its terminal into its
-    # parent's rules, the root of a one-vertex graph into B1's
+    # parent's rules, the root of a one-vertex graph into B1's; a root
+    # with children writes its classes' rules as B1's
     leaves = {_head(t, p) for p in t.positions if not t.children(p)}
-    return _substituted(gr, leaves), {h: bs for h, bs in ranked.items() if h not in leaves}
+    gr = _substituted(gr, leaves)
+    if t.children(()):
+        gr = _start_inlined(gr, _head(t, ()))
+    return gr, {h: bs for h, bs in ranked.items() if h not in leaves and h != _head(t, ())}
 
 
 def reference_regular_grammar(g, pd):
@@ -867,7 +889,7 @@ def test_join_matches_all_pairs_reference(corpus):
         chain = pd.positions
         for gr, (ref, ref_bags), bags in (
             (build_aut_grammar(g, t)[1], reference_aut_grammar(g, t),
-             {_head(t, p): ann[p] for p in t.positions if t.children(p)}),
+             {_head(t, p): ann[p] for p in t.positions if p and t.children(p)}),
             (build_regular_aut_grammar(g, pd)[1], reference_regular_grammar(g, pd),
              {f"p:{i - 2}": pann[chain[i - 2]] for i in range(2, len(chain) + 1)}),
         ):

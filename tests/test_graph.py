@@ -102,6 +102,19 @@ def test_graph_immutable(c4):
         c4.neighbor_masks = ()
 
 
+def test_graph_survives_pickle_and_copy():
+    # the immutable fields cannot be restored one by one, so a graph is
+    # rebuilt from its vertex count and edges
+    import copy
+    import pickle
+
+    for g in (Graph(2, [(1, 2)]), Graph(1, []), petersen_graph(), path_graph(70)):
+        for back in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+            assert back == g and back is not g
+            assert back.neighbor_masks == g.neighbor_masks
+            assert back.neighbors == g.neighbors
+
+
 def test_neighbor_masks_spell_the_neighbors():
     import random
 

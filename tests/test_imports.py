@@ -111,6 +111,28 @@ def test_unreadable_file_loads_no_parser(tmp_path, args, loaded):
     assert loaded_by(*args) == (2, loaded)
 
 
+DISCONNECTED_TEXT = "4 2\n1 2\n3 4\n"
+P11_TEXT = "11 10\n" + "".join(f"{i - 1} {i}\n" for i in range(2, 12))  # past the oracle's cap
+
+
+@pytest.mark.parametrize(
+    "text, args, loaded",
+    [
+        (DISCONNECTED_TEXT, ["build", "--out"], {"cli", "graph"}),
+        (DISCONNECTED_TEXT, ["build", "--path", "--out"], {"cli", "graph"}),
+        (P11_TEXT, ["validate"], {"cli", "graph", "oracle", "perm"}),
+    ],
+    ids=["build-disconnected", "build-path-disconnected", "validate-past-oracle-cap"],
+)
+def test_refusal_loads_no_builder(tmp_path, text, args, loaded):
+    # a disconnected graph is refused before any builder layer loads, and
+    # a graph past the oracle's cap before any but the oracle's own
+    (tmp_path / "g.edges").write_text(text)
+    if args[-1] == "--out":
+        args = [*args, str(tmp_path / "out.json")]
+    assert loaded_by(*args, "--graph", str(tmp_path / "g.edges")) == (3, loaded)
+
+
 def test_public_names_resolve():
     for name in autgrammar.__all__:
         assert getattr(autgrammar, name) is not None, name

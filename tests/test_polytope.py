@@ -1,4 +1,5 @@
 import fractions
+import functools
 import itertools
 import math
 import sys
@@ -203,8 +204,8 @@ def test_projection_agrees_with_lp_file_on_random_points():
 
 
 def test_projection_points_of_larger_groups():
-    # the Petersen graph (|Aut| = 120, 750 rules) and btree4 (|Aut| = 2^15,
-    # 540 rules): answers from the closed forms, each decided in under 1 s
+    # the Petersen graph (|Aut| = 120, 690 rules) and btree4 (|Aut| = 2^15,
+    # 524 rules): answers from the closed forms, each decided in under 1 s
     import time
 
     def word(g, alpha, swap=None):
@@ -403,27 +404,50 @@ def test_simplex_matches_reference_on_random_systems():
         assert 500 < sum(verdicts) < 1500
 
 
-def test_simplex_matches_reference_on_lp_corpus():
-    # the LP-file points of every corpus grammar whose presolved system has
-    # at most 150 rows: every graph the lp-check benchmark decides.  Left
-    # out are btree3's path grammar's (228 rows), Petersen's tree
-    # grammar's (161) and btree4's (170), where the reference takes up to
-    # 14 s a point.  The presolve alone rejects the raised points of P5's
-    # two grammars; that of star4's tree grammar, which it rejected while
-    # each leaf had a variable of its own, reaches the simplex (22 rows)
-    decided = 0
+@functools.cache
+def _decided_lp_corpus() -> list:
+    """(parsed LP, point, presolved system, the reference's verdict) for
+    the LP-file points of every corpus grammar whose presolved system has
+    at most 150 rows, and (parsed LP, point, None, False) for those the
+    presolve alone rejects.  Left out are btree3's path grammar's (228
+    rows) and btree4's tree grammar's (170), where the reference takes up
+    to 14 s a point."""
+    out = []
     for parsed, point in lp_corpus_points():
-        rows, bounds = _lp_system(parsed, point)
-        reduced = _presolve(rows, bounds)
+        reduced = _presolve(*_lp_system(parsed, point))
+        if reduced is None:
+            out.append((parsed, point, None, False))
+        elif len(reduced[0]) <= 150:
+            out.append((parsed, point, reduced, reference_simplex_feasible(*reduced)))
+    return out
+
+
+def test_simplex_matches_reference_on_lp_corpus():
+    # every graph the lp-check benchmark decides.  Petersen's tree
+    # grammar's system, 161 rows while B1 had a unit rule to each root
+    # class, is 101 since the root's classes are B1's rules, so its three
+    # points are decided here too (61 before, 64 now).  The presolve alone
+    # rejects the raised points of P5's two grammars; that of star4's tree
+    # grammar, which it rejected while each leaf had a variable of its
+    # own, reaches the simplex (22 rows)
+    decided = 0
+    for parsed, point, reduced, expected in _decided_lp_corpus():
         if reduced is None:
             assert not check_lp_feasibility(parsed, point)
             continue
-        if len(reduced[0]) > 150:
-            continue
-        expected = reference_simplex_feasible(*reduced)
         assert _simplex_feasible(*reduced) == expected == check_lp_feasibility(parsed, point), point
         decided += 1
-    assert decided == 61
+    assert decided == 64
+
+
+def test_blands_rule_matches_reference_on_lp_corpus(monkeypatch):
+    # with no allowance for Dantzig's rule every pivot is priced by
+    # Bland's smallest-index rule, the anti-cycling fallback: its verdicts
+    # are the reference's on the same systems
+    monkeypatch.setattr(polytope, "_DANTZIG_PIVOTS_PER_ROW", 0)
+    decided = [_simplex_feasible(*reduced) == expected
+               for _, _, reduced, expected in _decided_lp_corpus() if reduced is not None]
+    assert decided == [True] * 64
 
 
 def _integral(system) -> bool:
@@ -486,11 +510,11 @@ def test_bound_flip_at_fractional_span():
 
 
 def test_petersen_lp_file_point_time():
-    # Petersen's identity word on the LP-file path: 161 rows after the
-    # presolve, most of them crashed before the first pivot; 26 ms on a
-    # 2-core VM (231 rows and 43 ms while each leaf had a variable of its
-    # own), 3-5 s before the grammar's variables were merged and the crash
-    # added
+    # Petersen's identity word on the LP-file path: 101 rows after the
+    # presolve, most of them crashed before the first pivot; 9 ms on a
+    # 2-core VM (161 rows and 20 ms while B1 had a unit rule to each root
+    # class, 231 rows and 43 ms while each leaf had a variable of its own),
+    # 3-5 s before the grammar's variables were merged and the crash added
     import time
 
     g = petersen_graph()
@@ -667,6 +691,19 @@ def test_lp_free_variable_requires_point():
         check_lp_feasibility(parsed, {})
     assert check_lp_feasibility(parsed, {"x_1": Fraction(1, 2)})
     assert not check_lp_feasibility(parsed, {"x_1": Fraction(2)})
+
+
+def test_lp_bound_lines():
+    # "y <= hi" is "0 <= y <= hi", as in the LP format; a bound line of any
+    # other shape is refused
+    lp = "Subject To\n r1: y_0 = 1/2\nBounds\n y_0 <= {}\nEnd\n"
+    parsed = parse_lp(lp.format("1"))
+    assert parsed.bounds == {"y_0": (0, 1)}
+    assert check_lp_feasibility(parsed, {})
+    assert not check_lp_feasibility(parse_lp(lp.format("1/4")), {})
+    for bad in ("y_0 >= 1", "y_0 bounded", "1 >= y_0 >= 0", "0 <= y_0 <= 1 <= 2"):
+        with pytest.raises(PolytopeError, match="unsupported bound line"):
+            parse_lp(f"Subject To\n r1: y_0 = 1\nBounds\n {bad}\nEnd\n")
 
 
 def test_lp_inequality_rows():

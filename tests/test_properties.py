@@ -3,10 +3,10 @@ builders against the brute-force oracle, and the two exact LP paths and
 the Fraction reference simplex against each other, that the count of
 whole-tree annotations is |Aut| and the parse-tree count on every kind of
 decomposition, that every variable a builder writes is one merge class,
-that the tree grammar names no leaf position, that the annotation
-search pinned to a parent's keys finds what the unpinned search finds
-for those keys, and that the keys a fully pinned child takes without a
-search are annotations.
+that the tree grammar names no leaf position and no root position and
+has no unit rule, that the annotation search pinned to a parent's keys
+finds what the unpinned search finds for those keys, and that the keys
+a fully pinned child takes without a search are annotations.
 On random acyclic grammars: the streamed language against the
 set-semiring reference, the int length pass against the set semiring's
 lengths, with and without erased terminals, `erase_terminals` against a
@@ -73,11 +73,13 @@ from autgrammar.polytope import (
     parse_lp,
 )
 from conftest import (
+    binary_tree,
     check_annotated_bag,
     check_certificate,
     check_handed_over_table,
     json_reference,
     lp_number_types,
+    petersen_graph,
     reference_erase_terminals,
     reference_language,
     reference_lengths,
@@ -86,6 +88,7 @@ from conftest import (
     reference_projection_verdict,
     reference_simplex_feasible,
     reference_validate_tree_decomposition,
+    spider,
 )
 
 
@@ -415,17 +418,45 @@ def test_projection_matches_reference_on_positional_grammars(gr, data):
 @settings(max_examples=50, deadline=None)
 @given(connected_graphs(), st.sampled_from(["min-fill", "exact-small"]))
 def test_tree_grammar_has_no_leaf_variables(g, strategy):
-    # every leaf writes its terminal into its parent's rules: the variables
-    # name exactly the positions with children, each p:<its index in
+    # every leaf writes its terminal into its parent's rules, and the
+    # root's classes are B1's rules: the variables name exactly the
+    # positions with children other than the root, each p:<its index in
     # preorder>; the language and the parse trees stay the oracle's
     auts = brute_force_automorphisms(g)
     assume(len(auts) <= MAX_GROUP)
     t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, strategy))
     alpha, gr = build_aut_grammar(g, t)
     heads = {v.rsplit("|b:", 1)[0] for v in gr.variables[1:]}
-    assert heads == {f"p:{j}" for j, p in enumerate(t.positions) if t.children(p)}
+    assert heads == {f"p:{j}" for j, p in enumerate(t.positions) if j and t.children(p)}
     assert list(enumerate_language(gr).words) == sorted(permute_word(to_string_word(s), alpha) for s in auts)
     assert count_parse_trees(gr) == len(auts)
+
+
+def _check_no_unit_layer(g, strategy):
+    # no rule of either grammar is a unit rule X -> Y.  The tree grammar's
+    # root writes no terminal (a one-vertex graph's has no children), so no
+    # variable p:0|b:* exists; the regular grammar's root writes one, so
+    # B1 -> a p:0|b:k stays, for every graph with a second vertex
+    t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, strategy))
+    tree = build_aut_grammar(g, t)[1]
+    regular = build_regular_aut_grammar(g, compute_path_decomposition(g))[1]
+    for gr in (tree, regular):
+        assert not any(len(rhs) == 1 and isinstance(rhs[0], str) for _, rhs in gr.rules)
+    assert not any(v.startswith("p:0|") for v in tree.variables)
+    assert any(v.startswith("p:0|") for v in regular.variables) == (g.vertex_count > 1)
+
+
+def test_no_unit_layer_on_corpus(corpus):
+    for g in (*corpus.values(), Graph(1, []), petersen_graph(), binary_tree(2), spider(3, 2)):
+        for strategy in ("min-fill", "exact-small"):
+            _check_no_unit_layer(g, strategy)
+
+
+@settings(max_examples=50, deadline=None)
+@given(connected_graphs(), st.sampled_from(["min-fill", "exact-small"]))
+def test_no_unit_layer(g, strategy):
+    assume(len(brute_force_automorphisms(g)) <= MAX_GROUP)
+    _check_no_unit_layer(g, strategy)
 
 
 @settings(max_examples=20, deadline=None)
