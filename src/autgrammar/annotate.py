@@ -150,62 +150,68 @@ class _Search:
         img = [0] * size  # the image of each slot, read only where pinned or placed
         untried = [0] * (steps + 1)  # per level: its passing candidates not yet tried
         entered = [0] * (steps + 1)  # per level: the used mask it was entered with
-        for key in keys:
-            used = 0
-            for s, x in zip(at_pinned, key):
-                img[s] = x
-                used |= bit[x]
-            k = 0
-            while True:
-                # enter level k, with used the mask of the images so far
-                reach = size
-                if k == placed_bag:  # the bag's images' closed neighbourhood fills the domain
-                    reach = 0
-                    for s in at_bag:
-                        reach |= closed[img[s]]
-                    reach = reach.bit_count()
-                if reach != size:
-                    passing = 0
-                elif k == steps:
-                    found.append(tuple(img))
-                    passing = 0
-                else:
-                    at, cand, nbrs = plan[k]
-                    cand &= ~used
-                    images = 0
-                    for s in nbrs:
-                        x = img[s]
-                        images |= bit[x]
-                        cand &= nbits[x]
-                    # img is injective and used holds its images, so c keeps
-                    # adjacency both ways to every placed vertex exactly when
-                    # the used images adjacent to c are the images of the
-                    # step's placed neighbours
-                    passing = 0
-                    while cand:
-                        low = cand & -cand
-                        cand ^= low
-                        if nbits[low.bit_length()] & used == images:
-                            passing |= low
-                    if k == last:
-                        while passing:
-                            low = passing & -passing
-                            passing ^= low
-                            img[at] = low.bit_length()
-                            found.append(tuple(img))
-                untried[k], entered[k] = passing, used
-                # back to the deepest level with a candidate left: place it
-                # and enter the next level
-                while k >= 0 and not untried[k]:
-                    k -= 1
-                if k < 0:
-                    break
-                low = untried[k] & -untried[k]
-                untried[k] ^= low
-                img[plan[k][0]] = low.bit_length()
-                used = entered[k] | low
-                k += 1
-        found.sort()
+        try:
+            for key in keys:
+                used = 0
+                for s, x in zip(at_pinned, key):
+                    img[s] = x
+                    used |= bit[x]
+                k = 0
+                while True:
+                    # enter level k, with used the mask of the images so far
+                    reach = size
+                    if k == placed_bag:  # the bag's images' closed neighbourhood fills the domain
+                        reach = 0
+                        for s in at_bag:
+                            reach |= closed[img[s]]
+                        reach = reach.bit_count()
+                    if reach != size:
+                        passing = 0
+                    elif k == steps:
+                        found.append(tuple(img))
+                        passing = 0
+                    else:
+                        at, cand, nbrs = plan[k]
+                        cand &= ~used
+                        images = 0
+                        for s in nbrs:
+                            x = img[s]
+                            images |= bit[x]
+                            cand &= nbits[x]
+                        # img is injective and used holds its images, so c keeps
+                        # adjacency both ways to every placed vertex exactly when
+                        # the used images adjacent to c are the images of the
+                        # step's placed neighbours
+                        passing = 0
+                        while cand:
+                            low = cand & -cand
+                            cand ^= low
+                            if nbits[low.bit_length()] & used == images:
+                                passing |= low
+                        if k == last:
+                            while passing:
+                                low = passing & -passing
+                                passing ^= low
+                                img[at] = low.bit_length()
+                                found.append(tuple(img))
+                    untried[k], entered[k] = passing, used
+                    # back to the deepest level with a candidate left: place it
+                    # and enter the next level
+                    while k >= 0 and not untried[k]:
+                        k -= 1
+                    if k < 0:
+                        break
+                    low = untried[k] & -untried[k]
+                    untried[k] ^= low
+                    img[plan[k][0]] = low.bit_length()
+                    used = entered[k] | low
+                    k += 1
+            found.sort()
+        except MemoryError:
+            # freed here, as the traceback keeps this frame's locals: with no
+            # memory left, CPython 3.11 loses the error on its way up
+            found = None
+            raise
         return found
 
 

@@ -2,9 +2,9 @@
 files, and cross-check everything against the brute-force oracle.
 
 Exit codes: 0 success, 1 validation mismatch, 2 usage error, 3 precondition
-violation.  Every failure prints a single machine-parsable line on stderr,
-`error: <reason>`, and every warning the library raises one line before
-it, `warning: <message>`, whatever the warnings filter says.
+violation or out of memory.  Every failure prints a single machine-parsable
+line on stderr, `error: <reason>`, and every warning the library raises one
+line before it, `warning: <message>`, whatever the warnings filter says.
 
 Layering: each command handler imports the layers it runs, so a process
 loads only those, and `--help` or a usage error loads none.  A handler
@@ -204,7 +204,7 @@ def _cmd_stats(args) -> int:
     from . import grammar as gmod
 
     size = gmod.grammar_size(gr)
-    print(f"rules: {len(gr.rules)}")
+    print(f"rules: {len(gr._lhs)}")
     print(f"variables: {len(gr.variables)}")
     print(f"size: {size.value!r}")
     print(f"regular: {'true' if gmod.is_regular(gr) else 'false'}")
@@ -351,12 +351,13 @@ def main(argv=None) -> int:
     return status
 
 
-def _run(argv) -> tuple[int, Exception | None]:
+def _run(argv) -> tuple[int, Exception | str | None]:
     """The exit status, and the reason to print for a failure or None."""
     argv = sys.argv[1:] if argv is None else argv
     # the command is the first word that is no option: the top-level parser
     # has none that takes a value
-    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
+    command = next((a for a in argv if not a.startswith("-")), None)
+    parser = _build_parser(command)
     try:
         try:
             args = parser.parse_args(argv)
@@ -376,6 +377,9 @@ def _run(argv) -> tuple[int, Exception | None]:
         return 2, e
     except PreconditionError as e:
         return 3, e
+    except MemoryError:
+        pass  # leaving the handler frees the traceback's frames, and what they hold
+    return 3, f"out of memory in {command}"
 
 
 if __name__ == "__main__":

@@ -1,7 +1,12 @@
 """Context-free grammars for finite permutation languages.
 
-Terminals are integers 1..sigma_max, variables are interned strings, and a
-rule is (lhs, rhs) with the rhs mixing both.  Every grammar this package
+Terminals are integers 1..sigma_max and variables are named by strings.
+A grammar holds its rules once, as ints: rule r is (lhs[r], rhs[r]), with
+lhs a variable's index and rhs a tuple in which terminal a is a and
+variable k is ~k.  Names live only at the boundary: the public constructor
+and `grammar_from_json` check the names as they intern them,
+`grammar_to_json` spells them from the ints, and `Grammar.rules` is the
+view by name, spelled on first read.  Every grammar this package
 constructs is non-recursive (the variable dependency relation is acyclic),
 so the language analytics (enumeration, parse-tree counting, membership)
 are finite dynamic programs and refuse cyclic inputs.
@@ -25,7 +30,7 @@ root writes a terminal, the start keeps its rules B1 -> a X there.  The
 consistency join (annotate.join_annotations) prunes the annotations and
 merges them into classes in one pass on int key ids; the builder names
 each class p:<j>|b:<k> by its position's index j in preorder and writes
-the rules of a position's classes column by column, one column per
+the rules of a position's classes column by column, one int column per
 child, from each class's first annotation.
 
 Layering: the read side (JSON, the compiled table, the semiring pass
@@ -36,17 +41,17 @@ so a process that only reads a grammar file never loads them.  The embed
 builder decides whether the prefix is invariant from the host's grammar
 itself, so no builder loads `oracle` or `polytope`.
 
-The read side runs on one table per grammar (`_compiled`), built on first
-use and cached on the grammar: the variables as ints in dependencies-first
-order, and each variable's rules with their rhs variables as int indexes.
-The builder writes its rules from that table's ints and hands the table
-over with the grammar, so reading a built grammar hashes no name.
+The read side runs on one table per grammar (`_compiled`), derived from
+the int rules on first use and cached on the grammar: the variables in
+dependencies-first order, and each variable's rules listed together.  The
+builders and transforms make their grammars from ints, unchecked
+(`_grammar`), the builder with its own order, so no search for one runs.
 Parse-tree counting, the word lengths and the positions each rule writes
 (`_length_bounds`, `_writes`: read by the extended formulation, the embed
 check, `trim` and `erase_terminals`) and the polytope's max-plus pricing
-loop over it directly; the semiring pass walks its order and rule lists
-for the semirings of sets, spans and trees, valuing variables by index.
-"""
+loop over the table directly; the semiring pass walks its order and rule
+lists for the semirings of sets, spans and trees, valuing variables by
+index."""
 
 from __future__ import annotations
 
@@ -76,22 +81,26 @@ class CyclicGrammarError(GrammarError):
     pass
 
 
+def _fill(gr: Grammar, **fields) -> None:
+    # sets slots past Grammar's immutability guard
+    for name, value in fields.items():
+        object.__setattr__(gr, name, value)
+
+
 class Grammar:
-    """Immutable; equal, and hashed alike, when every field is equal."""
+    """Immutable; equal, and hashed alike, when every field is equal.
 
-    # _table caches `_compiled(self)`, set on first use or by the
-    # builder; it is derived from the other fields, so no comparison,
-    # hash, repr or pickle reads it
-    __slots__ = ("sigma_max", "start", "variables", "rules", "accepts_empty", "_table")
+    The fields are sigma_max, start, variables, rules and accepts_empty.
+    Construction checks every name and symbol and interns the rules as
+    ints (see the module docstring); lists are read as tuples."""
 
-    def __init__(
-        self,
-        sigma_max: int,
-        start: str,
-        variables: tuple[str, ...],
-        rules: tuple,
-        accepts_empty: bool = False,
-    ):
+    # _start, _lhs and _rhs are the int store; _rules caches the `rules`
+    # view and _table `_compiled(self)`, each set on first use and derived
+    # from the store, so whether they are set changes no comparison or pickle
+    __slots__ = ("sigma_max", "variables", "accepts_empty", "_start", "_lhs", "_rhs", "_rules", "_table")
+
+    def __init__(self, sigma_max: int, start: str, variables: tuple[str, ...], rules: tuple,
+                 accepts_empty: bool = False):
         # only what the JSON format holds: true or false for the flag, a
         # string per variable, and a plain int (not a bool, which is an int
         # subclass) for every number
@@ -101,33 +110,55 @@ class Grammar:
             raise GrammarError(f"sigma_max {_quote(sigma_max)} is not an integer")
         if sigma_max < 0:
             raise GrammarError(f"sigma_max {_quote(sigma_max)} is negative")
-        declared: set[str] = set()
+        variables = tuple(variables)
+        code: dict = {}  # each declared name -> ~its index, as rhs symbols write it
         for v in variables:
             if not isinstance(v, str):
                 raise GrammarError(f"variable {_quote(v)} is not a string")
-            if v in declared:
+            if v in code:
                 raise GrammarError(f"variable {_quote(v)} declared twice")
-            declared.add(v)
+            code[v] = ~len(code)
         if not isinstance(start, str):
             raise GrammarError(f"start variable {_quote(start)} is not a string")
-        if start not in declared:
+        if start not in code:
             raise GrammarError(f"start variable {_quote(start)} not declared")
-        for lhs, rhs in rules:
-            if lhs not in declared:
-                raise GrammarError(f"rule lhs {_quote(lhs)} not declared")
-            for x in rhs:
-                if isinstance(x, str):
-                    if x not in declared:
-                        raise GrammarError(f"rhs variable {_quote(x)} not declared")
-                elif type(x) is not int or not 1 <= x <= sigma_max:
-                    raise GrammarError(
-                        f"terminal {_quote(x)} is not an integer in 1..{_quote(sigma_max)}"
-                    )
-        object.__setattr__(self, "sigma_max", sigma_max)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "accepts_empty", accepts_empty)
+        lhs, rhs = [], []
+        for name, symbols in rules:
+            k = code.get(name)
+            if k is None:
+                raise GrammarError(f"rule lhs {_quote(name)} not declared")
+            try:  # a name not declared, or anything else, fails the lookup
+                rhs.append(tuple([x if x.__class__ is int and 0 < x <= sigma_max else code[x]
+                                  for x in symbols]))
+            except (KeyError, TypeError):
+                for x in symbols:  # the first symbol that fails, to name it
+                    if isinstance(x, str):
+                        if x not in code:
+                            raise GrammarError(f"rhs variable {_quote(x)} not declared") from None
+                    elif type(x) is not int or not 1 <= x <= sigma_max:
+                        raise GrammarError(
+                            f"terminal {_quote(x)} is not an integer in 1..{_quote(sigma_max)}") from None
+                raise
+            lhs.append(~k)
+        _fill(self, sigma_max=sigma_max, variables=variables, accepts_empty=accepts_empty,
+              _start=~code[start], _lhs=lhs, _rhs=rhs)
+
+    @property
+    def start(self) -> str:
+        return self.variables[self._start]
+
+    @property
+    def rules(self) -> tuple:
+        """The rules as (lhs, rhs) pairs by name, each terminal an int."""
+        try:
+            return self._rules
+        except AttributeError:
+            pass
+        names = self.variables
+        spell = {~k: name for k, name in enumerate(names)}.get  # terminals are no key
+        rules = tuple([(names[v], tuple(map(spell, rhs, rhs))) for v, rhs in zip(self._lhs, self._rhs)])
+        _fill(self, _rules=rules)
+        return rules
 
     def _values(self) -> tuple:
         return (self.sigma_max, self.start, self.variables, self.rules, self.accepts_empty)
@@ -147,83 +178,91 @@ class Grammar:
         return Grammar, self._values()
 
     def __repr__(self):
-        return (
-            f"Grammar(sigma_max={self.sigma_max!r}, start={self.start!r}, "
-            f"variables={self.variables!r}, rules={self.rules!r}, "
-            f"accepts_empty={self.accepts_empty!r})"
-        )
+        fields = ("sigma_max", "start", "variables", "rules", "accepts_empty")
+        return f"Grammar({', '.join(f'{k}={v!r}' for k, v in zip(fields, self._values()))})"
+
+
+def _grammar(sigma_max: int, variables: tuple, lhs, rhs, accepts_empty: bool = False,
+             start: int = 0, order=None) -> Grammar:
+    """The grammar with these int rules (see the module docstring), built
+    without a check: the builders and transforms write valid ones.  Given
+    a dependencies-first order of the variables, its table is compiled at
+    once on that order."""
+    gr = Grammar.__new__(Grammar)
+    _fill(gr, sigma_max=sigma_max, variables=variables, accepts_empty=accepts_empty,
+          _start=start, _lhs=lhs, _rhs=rhs)
+    if order is not None:
+        _compiled(gr, order)
+    return gr
 
 
 class _Table(NamedTuple):
-    """A grammar's read side on ints.  Variable v is gr.variables[v].  The
-    rules are listed grouped by lhs, in rule order within each group: the
-    j-th listed rule is gr.rules[ids[j]], and variable v's rules are those
-    listed from ends[v] to ends[v + 1].  order is a dependencies-first
-    order: `_compiled` finds one by depth-first search, which names the
-    variable of a cycle, and the builder of tree and regular grammars,
-    which have none, hands over the reverse of its numbering."""
+    """A grammar's read side.  Variable v is gr.variables[v].  The rules
+    are listed grouped by lhs, in rule order within each group: the j-th
+    listed rule is rule ids[j], and variable v's rules are those listed
+    from ends[v] to ends[v + 1].  order is a dependencies-first order:
+    `_compiled` finds one by depth-first search, which names the variable
+    of a cycle, unless the grammar's maker gives one."""
 
     start: int
-    order: list  # the variables, dependencies first
+    order: list | range  # the variables, dependencies first
     ends: list  # len(gr.variables) + 1 bounds into the listed rules
-    ids: range | list  # each listed rule's index: range(len(gr.rules)) when already grouped
+    ids: range | list  # each listed rule's index: range(len(rules)) when already grouped
     kids: list  # per listed rule: the variables of its rhs, in order
 
 
-def _compiled(gr: Grammar) -> _Table:
-    """The grammar's `_Table`, built on first use (unless the builder
-    handed it over) and kept in the grammar's `_table` slot, which no
-    comparison, hash, repr or pickle reads.  Raises on recursion.
+def _compiled(gr: Grammar, order=None) -> _Table:
+    """The grammar's `_Table`, derived from its int rules on first use and
+    kept in the grammar's `_table` slot.  Raises on recursion.
 
-    The order is a depth-first search from each variable in declaration
-    order, visiting a variable's dependencies in order of first appearance
-    in its rules' right-hand sides (a repeat finds its variable ordered)."""
+    Without a given order, the order is a depth-first search from each
+    variable in declaration order, visiting a variable's dependencies in
+    order of first appearance in its rules' right-hand sides (a repeat
+    finds its variable ordered)."""
     try:
         return gr._table
     except AttributeError:
         pass
-    names = gr.variables
-    index = dict(zip(names, range(len(names))))  # one int object per variable
-    lhs = [index[v] for v, _ in gr.rules]
-    kids = [tuple([index[x] for x in rhs if x.__class__ is not int]) for _, rhs in gr.rules]
-    count = [0] * len(names)
+    lhs, rhs = gr._lhs, gr._rhs
+    count = [0] * len(gr.variables)
     for v in lhs:
         count[v] += 1
     ends = list(itertools.accumulate(count, initial=0))
     ids = range(len(lhs))  # the builders write each variable's rules together, in order
     if not all(map(operator.le, lhs, itertools.islice(lhs, 1, None))):
         ids = sorted(ids, key=lhs.__getitem__)
-        kids = [kids[r] for r in ids]
-    del lhs, count  # freed before the search
-
-    order: list = []
-    state = [0] * len(names)  # 1 while on the stack, 2 once ordered
-    chain = itertools.chain.from_iterable
-    for root in range(len(names)):
-        if state[root]:
-            continue
-        state[root] = 1
-        stack = [(root, chain(kids[ends[root]:ends[root + 1]]))]
-        while stack:
-            v, pending = stack[-1]
-            for u in pending:
-                seen = state[u]
-                if seen == 1:
-                    raise CyclicGrammarError(f"variable {names[u]!r} depends on itself")
-                if not seen:
-                    deps = kids[ends[u]:ends[u + 1]]
-                    if any(deps):
-                        state[u] = 1
-                        stack.append((u, chain(deps)))
-                        break
-                    state[u] = 2  # no dependencies: ordered at once
-                    order.append(u)
-            else:
-                stack.pop()
-                state[v] = 2
-                order.append(v)
-    table = _Table(index[gr.start], order, ends, ids, kids)
-    object.__setattr__(gr, "_table", table)
+    kids = [tuple([~x for x in rhs[r] if x < 0]) for r in ids]
+    del count  # freed before the search
+    if order is None:
+        order = []
+        names = gr.variables
+        state = [0] * len(names)  # 1 while on the stack, 2 once ordered
+        chain = itertools.chain.from_iterable
+        for root in range(len(names)):
+            if state[root]:
+                continue
+            state[root] = 1
+            stack = [(root, chain(kids[ends[root]:ends[root + 1]]))]
+            while stack:
+                v, pending = stack[-1]
+                for u in pending:
+                    seen = state[u]
+                    if seen == 1:
+                        raise CyclicGrammarError(f"variable {names[u]!r} depends on itself")
+                    if not seen:
+                        deps = kids[ends[u]:ends[u + 1]]
+                        if any(deps):
+                            state[u] = 1
+                            stack.append((u, chain(deps)))
+                            break
+                        state[u] = 2  # no dependencies: ordered at once
+                        order.append(u)
+                else:
+                    stack.pop()
+                    state[v] = 2
+                    order.append(v)
+    table = _Table(gr._start, order, ends, ids, kids)
+    _fill(gr, _table=table)
     return table
 
 
@@ -232,13 +271,13 @@ def _length_bounds(gr: Grammar, keep: int | None = None) -> tuple[list[int], lis
     when it derives no word; given keep, the terminals above it count as
     erased.  A variable derives words of one length when low == high >= 0."""
     _, order, ends, ids, kids = _compiled(gr)
-    rules = gr.rules
+    rules = gr._rhs
     low, high = [-1] * len(order), [-1] * len(order)
     for v in order:
         lo = hi = -1
         for j in range(ends[v], ends[v + 1]):
-            ks, rhs = kids[j], rules[ids[j]][1]
-            a = len(rhs) - len(ks) if keep is None else sum([x.__class__ is int and x <= keep for x in rhs])
+            ks, rhs = kids[j], rules[ids[j]]
+            a = len(rhs) - len(ks) if keep is None else sum([0 < x <= keep for x in rhs])
             b = a
             for k in ks:
                 if low[k] < 0:
@@ -260,8 +299,8 @@ def _writes(gr: Grammar, length: list[int]) -> dict[int, list[tuple[int, int]]]:
     length, given by index (`_length_bounds`).  A breadth-first walk by index
     from the start places each variable at its one start offset; raises
     GrammarError when a variable is met at two offsets or is never reached."""
-    start, order, ends, ids, kids = _compiled(gr)
-    rules = gr.rules
+    start, order, ends, ids, _ = _compiled(gr)
+    rules = gr._rhs
     writes: dict[int, list[tuple[int, int]]] = {}
     offset = [0] * len(order)  # 0: not reached yet
     offset[start] = 1
@@ -269,21 +308,19 @@ def _writes(gr: Grammar, length: list[int]) -> dict[int, list[tuple[int, int]]]:
     for v in reached:  # breadth first; grows as the walk reaches new variables
         for j in range(ends[v], ends[v + 1]):
             r = ids[j]
-            at, ks = offset[v], iter(kids[j])
-            for x in rules[r][1]:
-                if x.__class__ is int:
+            at = offset[v]
+            for x in rules[r]:
+                if x > 0:
                     writes.setdefault(at, []).append((x, r))
                     at += 1
                     continue
-                k = next(ks)
+                k = ~x
                 if not offset[k]:
                     offset[k] = at
                     reached.append(k)
                 elif offset[k] != at:
-                    raise GrammarError(
-                        f"variable {_quote(x)} occurs at spans starting {offset[k]} "
-                        f"and {at}; not positional"
-                    )
+                    raise GrammarError(f"variable {_quote(gr.variables[k])} occurs at spans starting "
+                                       f"{offset[k]} and {at}; not positional")
                 at += length[k]
     if len(reached) < len(order):
         v = gr.variables[offset.index(0)]
@@ -299,7 +336,7 @@ class GrammarSize(NamedTuple):
 
 def grammar_size(gr: Grammar) -> GrammarSize:
     """Sum over rules of (1 + |rhs|) * log2(|alphabet| + |variables|)."""
-    rule_symbols = sum(1 + len(rhs) for _, rhs in gr.rules)
+    rule_symbols = len(gr._rhs) + sum(map(len, gr._rhs))
     symbol_space = gr.sigma_max + len(gr.variables)
     value = rule_symbols * math.log2(symbol_space) if rule_symbols else 0.0
     return GrammarSize(value, rule_symbols, symbol_space)
@@ -307,17 +344,8 @@ def grammar_size(gr: Grammar) -> GrammarSize:
 
 def is_regular(gr: Grammar) -> bool:
     """Every rule is (B, a) or (B, a B') with a a terminal."""
-    for _, rhs in gr.rules:
-        if len(rhs) == 1 and isinstance(rhs[0], int):
-            continue
-        if (
-            len(rhs) == 2
-            and isinstance(rhs[0], int)
-            and isinstance(rhs[1], str)
-        ):
-            continue
-        return False
-    return True
+    return all(rhs[0] > 0 if len(rhs) == 1 else len(rhs) == 2 and rhs[0] > 0 > rhs[1]
+               for rhs in gr._rhs)
 
 
 def _evaluate(gr: Grammar, weight, leaf, times, plus, roots=None) -> list:
@@ -332,7 +360,7 @@ def _evaluate(gr: Grammar, weight, leaf, times, plus, roots=None) -> list:
     root indexes, only the variables that the roots derive from are valued;
     the others stay None."""
     _, order, ends, ids, kids = _compiled(gr)
-    rules = gr.rules
+    rules = gr._rhs
     todo = order
     if roots is not None:
         needed = [False] * len(order)
@@ -347,9 +375,9 @@ def _evaluate(gr: Grammar, weight, leaf, times, plus, roots=None) -> list:
 
     def rule_values(v: int):
         for j in range(ends[v], ends[v + 1]):
-            acc, kid = weight(ids[j]), iter(kids[j]).__next__
-            for x in rules[ids[j]][1]:
-                acc = times(acc, leaf(x) if x.__class__ is int else value[kid()])
+            acc = weight(ids[j])
+            for x in rules[ids[j]]:
+                acc = times(acc, leaf(x) if x > 0 else value[~x])
             yield acc
 
     for v in todo:
@@ -409,9 +437,7 @@ def iter_language(gr: Grammar) -> Iterator[tuple[int, ...]]:
     while todo:
         v, before, after = todo.pop()
         for j in range(ends[v], ends[v + 1]):
-            # the rhs with each variable k spelled ~k, which is negative
-            kid = iter(kids[j]).__next__
-            rhs = tuple([x if x.__class__ is int else ~kid() for x in gr.rules[ids[j]][1]])
+            rhs = gr._rhs[ids[j]]  # each variable k is ~k, which is negative
             i = 0
             while i < len(rhs) and rhs[i] > 0:
                 i += 1
@@ -496,29 +522,29 @@ def trim(gr: Grammar) -> Grammar:
     start; declaration and rule order are preserved."""
     start, order, ends, ids, kids = _compiled(gr)
     low = _length_bounds(gr)[0]  # -1: derives no word
-
-    def usable(ks: tuple) -> bool:
-        return all(low[k] >= 0 for k in ks)
-
     reach = [False] * len(order)
     reach[start] = True
     todo = [start]  # reached variables whose rules are not yet walked
     while todo:
         v = todo.pop()
         for ks in kids[ends[v]:ends[v + 1]]:
-            if usable(ks):
+            if all(low[k] >= 0 for k in ks):
                 for k in ks:
                     if not reach[k]:
                         reach[k] = True
                         todo.append(k)
-    keep = {v for v, lo, seen in zip(gr.variables, low, reach) if lo >= 0 and seen}
-    keep.add(gr.start)
-    good = [False] * len(gr.rules)
-    for r, ks in zip(ids, kids):
-        good[r] = usable(ks)
-    variables = tuple(v for v in gr.variables if v in keep)
-    rules = tuple(rule for rule, ok in zip(gr.rules, good) if ok and rule[0] in keep)
-    return Grammar(gr.sigma_max, gr.start, variables, rules, gr.accepts_empty)
+    keep = [lo >= 0 and seen for lo, seen in zip(low, reach)]
+    keep[start] = True
+    new = list(itertools.accumulate(keep, initial=0))  # a kept variable's index after the trim
+    code = {~v: ~new[v] for v in range(len(order)) if keep[v]}  # terminals are no key
+    lhs, rhs = [], []
+    for v, symbols in zip(gr._lhs, gr._rhs):
+        if keep[v] and all(x > 0 or low[~x] >= 0 for x in symbols):
+            lhs.append(new[v])
+            rhs.append(tuple(map(code.get, symbols, symbols)))
+    order = [new[v] for v in order if keep[v]]
+    variables = tuple(itertools.compress(gr.variables, keep))
+    return _grammar(gr.sigma_max, variables, lhs, rhs, gr.accepts_empty, new[start], order)
 
 
 # ---------------------------------------------------------------------------
@@ -540,17 +566,15 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[Permutation, 
     order, are B1's.  A written position writes its terminal into its
     parent's rules, just before its own variable when it has children, a
     written root into B1's.  A childless position writes only its
-    terminal and has no variable, the root of a one-vertex graph too.  The
-    grammar's table is handed over with it.
+    terminal and has no variable, the root of a one-vertex graph too.
 
-    Each child of a position gives a column over its classes, read off
-    each class's first annotation i: a childless child the image of its
-    vertex, any other the variable of i's partner there, as a name and an
-    int (a written one, an only child as on a path, the partner's image
-    first).  The rules are the name columns zipped, and their table
-    entries the int columns, unless some class has several partners at a
-    child: that child gives tuples, and each class's rules are then its
-    product over the children."""
+    Each child of a position gives a column of ints over its classes,
+    read off each class's first annotation i: a childless child the image
+    of its vertex, any other the variable of i's partner there (a written
+    one, an only child as on a path, the partner's image first).  The
+    rules are the columns zipped, unless some class has several partners
+    at a child: that child gives tuples, and each class's rules are then
+    its product over the children."""
     from .annotate import join_annotations
 
     dom, ann, cls, first, up, members = join_annotations(g, t, written)
@@ -565,27 +589,22 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[Permutation, 
             if base[j]:
                 head = f"p:{j}|b:"
                 names.extend([f"{head}{k}" for k in range(len(first[j]))])
-    variables = tuple(names)
 
     def image(p, v):  # the image of vertex v, read off an annotation at p
         return operator.itemgetter(dom[p].index(v))
 
-    # the read table as the rules are written, each variable's together:
-    # their rhs variables as ints, and each variable's number of rules.
-    # A written root gives B1 one rule per kept annotation: the image it
-    # writes, then the annotation's variable, if it has one
-    kids: list = []
-    rules: list = []
-    count: list = []
+    # the rules as they are written, each variable's together, variable k
+    # as ~k.  A written root gives B1 one rule per kept annotation: the
+    # image it writes, then the annotation's variable, if it has one
+    lhs: list = []
+    rhs: list = []
     if 0 in written:
         kept = [j for j, k in enumerate(cls[0]) if k is not None]
-        symbols: list = [map(image(0, written[0]), map(ann[0].__getitem__, kept))]
-        kids = [()] * len(kept)
+        columns = [list(map(image(0, written[0]), map(ann[0].__getitem__, kept)))]
         if 0 in base:
-            kids = [(base[0] + cls[0][j],) for j in kept]
-            symbols.append([variables[k] for (k,) in kids])
-        rules = [("B1", rhs) for rhs in zip(*symbols)]
-        count = [len(kids)]
+            columns.append([~(base[0] + cls[0][j]) for j in kept])
+        lhs = [0] * len(kept)
+        rhs = list(zip(*columns))
     chain, product = itertools.chain.from_iterable, itertools.product
 
     def per_class(columns):  # each class's options at each child: its tuple of partners, or its one entry
@@ -593,12 +612,12 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[Permutation, 
 
     for p, at in base.items():
         heads = first[p]
-        lhs = variables[at:at + len(heads)] if at else ("B1",) * len(heads)
-        names, ints, rhs = [], [], None  # the columns over the classes, as names and as ints
+        owners = range(at, at + len(heads)) if at else itertools.repeat(0, len(heads))
+        columns, groups = [], None  # groups: each class's rules, when written apart from the columns
         for c in t.kids[p]:
             var_at = base.get(c)
             if var_at is None:
-                names.append(list(map(image(p, written[c]), map(ann[p].__getitem__, heads))))
+                columns.append(list(map(image(p, written[c]), map(ann[p].__getitem__, heads))))
                 continue
             partners, of, fan = list(map(up[c].__getitem__, heads)), cls[c], False
             if members[c] is not None:  # from key ids to partner lists; else key id k is annotation k
@@ -606,40 +625,30 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[Permutation, 
                 fan = max(map(len, partners)) > 1
                 if not fan:
                     partners = list(chain(partners))
+            code = ~var_at  # class k at c is variable var_at + k, written code - k
             if fan:
-                ints.append([tuple([var_at + of[j] for j in js]) for js in partners])
-                names.append([tuple(map(variables.__getitem__, vs)) for vs in ints[-1]])
+                columns.append([tuple([code - of[j] for j in js]) for js in partners])
             else:
-                ints.append(list(map(var_at.__add__, map(of.__getitem__, partners))))
-                names.append(list(map(variables.__getitem__, ints[-1])))
+                columns.append(list(map(code.__sub__, map(of.__getitem__, partners))))
             v = written.get(c)
             if v is not None:  # each partner's image, then its variable
                 assert t.kids[p] == (c,), "a written position with children has no siblings"
-                wrote = map(image(c, v), map(ann[c].__getitem__, chain(partners) if fan else partners))
+                wrote, row = image(c, v), ann[c]
                 if fan:
-                    rhs = zip(wrote, chain(names[-1]))
+                    groups = [[(wrote(row[j]), code - of[j]) for j in js] for js in partners]
                 else:
-                    names.insert(-1, list(wrote))
-        if not any(column[0].__class__ is tuple for column in ints):  # one rule per class
-            rules.extend(zip(lhs, zip(*names)))
-            kids.extend(zip(*ints) if ints else itertools.repeat((), len(lhs)))
-            count.extend(itertools.repeat(1, len(lhs)))
+                    columns.insert(-1, list(map(wrote, map(row.__getitem__, partners))))
+        if not any(column[0].__class__ is tuple for column in columns):  # one rule per class
+            lhs.extend(owners)
+            rhs.extend(zip(*columns))
             continue
-        products = list(map(list, itertools.starmap(product, per_class(ints))))
-        sizes = list(map(len, products))
-        kids.extend(chain(products))
-        count.extend(sizes)
-        if rhs is None:
-            rhs = chain(itertools.starmap(product, per_class(names)))
-        rules.extend(zip(chain(map(itertools.repeat, lhs, sizes)), rhs))
-    if 0 not in written:  # B1's count: the sum of the root classes' counts
-        count[:len(first[0])] = [sum(count[:len(first[0])])]
-    gr = Grammar(g.vertex_count, "B1", variables, tuple(rules))
+        if groups is None:
+            groups = list(map(list, itertools.starmap(product, per_class(columns))))
+        lhs.extend(chain(map(itertools.repeat, owners, map(len, groups))))
+        rhs.extend(chain(groups))
     # positions number parents first, so the variables backwards list each
     # class before the classes whose rules use it
-    order = list(range(len(variables) - 1, -1, -1))
-    ends = list(itertools.accumulate(count, initial=0))
-    object.__setattr__(gr, "_table", _Table(0, order, ends, range(len(rules)), kids))
+    gr = _grammar(g.vertex_count, tuple(names), lhs, rhs, order=range(len(names) - 1, -1, -1))
     return Permutation(tuple(written[p] for p in sorted(written))), gr
 
 
@@ -684,19 +693,15 @@ def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutat
 
 def rename_terminals(gr: Grammar, b: Permutation) -> Grammar:
     """Apply b symbol-wise to the language; rule shapes and size unchanged."""
-    occurring = {x for _, rhs in gr.rules for x in rhs if isinstance(x, int)}
+    occurring = {x for rhs in gr._rhs for x in rhs if x > 0}
     for t in sorted(occurring):
         if t > b.size:
             raise GrammarError(f"renaming undefined on terminal {t}")
         if b(t) > gr.sigma_max:
-            raise GrammarError(
-                f"renaming sends terminal {t} to {b(t)}, outside the declared alphabet"
-            )
-    rules = tuple(
-        (lhs, tuple(b(x) if isinstance(x, int) else x for x in rhs))
-        for lhs, rhs in gr.rules
-    )
-    return Grammar(gr.sigma_max, gr.start, gr.variables, rules, gr.accepts_empty)
+            raise GrammarError(f"renaming sends terminal {t} to {b(t)}, outside the declared alphabet")
+    renamed = {t: b(t) for t in occurring}.get  # variables are no key
+    rhs = [tuple(map(renamed, symbols, symbols)) for symbols in gr._rhs]
+    return _grammar(gr.sigma_max, gr.variables, gr._lhs, rhs, gr.accepts_empty, gr._start)
 
 
 def erase_terminals(gr: Grammar, keep: int) -> Grammar:
@@ -704,24 +709,21 @@ def erase_terminals(gr: Grammar, keep: int) -> Grammar:
 
     The result has no epsilon anywhere in its rules; if the empty word
     arises it is recorded on the accepts_empty flag instead.  The declared
-    alphabet shrinks to 1..keep."""
+    alphabet shrinks to 1..keep, or stays 1..sigma_max if that is smaller."""
     if keep < 0:
         raise GrammarError("keep must be non-negative")
     # after erasure a variable with no word is dead, one whose shortest word
     # is empty is nullable, and one whose longest is empty derives only it
     low, high = _length_bounds(gr, keep)
-    start, _, _, ids, kids = _compiled(gr)
-    rules: list = []
-    for r, ks in sorted(zip(ids, kids)):
-        if any(low[k] < 0 for k in ks):
+    start, order = _compiled(gr)[:2]
+    lhs, rhs = [], []
+    for v, symbols in zip(gr._lhs, gr._rhs):
+        if any(x < 0 and low[~x] < 0 for x in symbols):
             continue
-        lhs, rhs = gr.rules[r]
-        kid = iter(ks).__next__
         slots: list[tuple] = []
-        for x in rhs:
-            if x.__class__ is not int:
-                k = kid()
-                slots.append((x,) if low[k] else (None,) if not high[k] else (x, None))
+        for x in symbols:
+            if x < 0:
+                slots.append((x,) if low[~x] else (None,) if not high[~x] else (x, None))
             elif x <= keep:
                 slots.append((x,))
         seen: set[tuple] = set()
@@ -729,34 +731,23 @@ def erase_terminals(gr: Grammar, keep: int) -> Grammar:
             new_rhs = tuple(x for x in combo if x is not None)
             if new_rhs and new_rhs not in seen:
                 seen.add(new_rhs)
-                rules.append((lhs, new_rhs))
+                lhs.append(v)
+                rhs.append(new_rhs)
     accepts_empty = gr.accepts_empty or low[start] == 0
-    return trim(Grammar(keep, gr.start, gr.variables, tuple(rules), accepts_empty))
+    return trim(_grammar(min(keep, gr.sigma_max), gr.variables, lhs, rhs, accepts_empty, start, order))
 
 
 def union_grammar(g1: Grammar, g2: Grammar) -> Grammar:
     """Fresh start with unit rules to both operands, renamed apart."""
     if g1.sigma_max != g2.sigma_max:
-        raise GrammarError(
-            f"alphabet mismatch: {g1.sigma_max} vs {g2.sigma_max}"
-        )
-    variables = ["B1"]
-    variables.extend(f"a:{v}" for v in g1.variables)
-    variables.extend(f"b:{v}" for v in g2.variables)
-
-    def tag(prefix: str, rhs) -> tuple:
-        return tuple(x if isinstance(x, int) else f"{prefix}:{x}" for x in rhs)
-
-    rules: list = [("B1", (f"a:{g1.start}",)), ("B1", (f"b:{g2.start}",))]
-    rules.extend((f"a:{lhs}", tag("a", rhs)) for lhs, rhs in g1.rules)
-    rules.extend((f"b:{lhs}", tag("b", rhs)) for lhs, rhs in g2.rules)
-    return Grammar(
-        g1.sigma_max,
-        "B1",
-        tuple(variables),
-        tuple(rules),
-        g1.accepts_empty or g2.accepts_empty,
-    )
+        raise GrammarError(f"alphabet mismatch: {g1.sigma_max} vs {g2.sigma_max}")
+    variables = ("B1", *[f"a:{v}" for v in g1.variables], *[f"b:{v}" for v in g2.variables])
+    shifts = ((g1, 1), (g2, 1 + len(g1.variables)))  # each operand's variable k is k + shift
+    lhs, rhs = [0, 0], [(~(gr._start + shift),) for gr, shift in shifts]
+    for gr, shift in shifts:
+        lhs.extend([v + shift for v in gr._lhs])
+        rhs.extend([tuple([x if x > 0 else x - shift for x in symbols]) for symbols in gr._rhs])
+    return _grammar(g1.sigma_max, variables, lhs, rhs, g1.accepts_empty or g2.accepts_empty)
 
 
 def group_from_subgroup(grH: Grammar, transversal: list[Permutation]) -> Grammar:
@@ -894,10 +885,10 @@ def parse_tree_yield(gr: Grammar, t: ParseTree) -> Word:
             continue
         kids = iter(node.children)
         items: list = []
-        for x in gr.rules[node.rule_index][1]:
-            if isinstance(x, str):
+        for x in gr._rhs[node.rule_index]:
+            if x < 0:
                 child = next(kids, None)
-                if child is None or gr.rules[child.rule_index][0] != x:
+                if child is None or gr._lhs[child.rule_index] != ~x:
                     raise GrammarError("parse tree does not follow the grammar rules")
                 x = child
             items.append(x)
@@ -926,7 +917,8 @@ def _json_array(items: list[str], indent: str) -> str:
 
 class _SymbolText(dict):
     """The JSON text of each grammar symbol: filled with the quoted
-    variables, it spells each terminal the first time it is looked up."""
+    variables, variable k under key ~k, it spells each terminal the first
+    time it is looked up."""
 
     def __missing__(self, a: int) -> str:
         text = self[a] = str(a)
@@ -934,18 +926,19 @@ class _SymbolText(dict):
 
 
 def grammar_to_json(gr: Grammar) -> str:
-    text = _SymbolText(zip(gr.variables, map(encode_basestring_ascii, gr.variables)))
+    names = gr.variables
+    text = _SymbolText({~k: encode_basestring_ascii(name) for k, name in enumerate(names)})
     spell = text.__getitem__
     # each rule as _json_array([lhs, _json_array(rhs, "   ")], "  ") lays it out
     rules = [
-        "[\n   " + text[lhs] + ",\n   ["
+        "[\n   " + text[~v] + ",\n   ["
         + ("\n    " + ",\n    ".join(map(spell, rhs)) + "\n   ]" if rhs else "]") + "\n  ]"
-        for lhs, rhs in gr.rules
+        for v, rhs in zip(gr._lhs, gr._rhs)
     ]
     return "".join((
         '{\n "sigma_max": ', str(gr.sigma_max),
-        ',\n "start": ', text[gr.start],
-        ',\n "variables": ', _json_array([text[v] for v in gr.variables], " "),
+        ',\n "start": ', text[~gr._start],
+        ',\n "variables": ', _json_array([text[~v] for v in range(len(names))], " "),
         ',\n "rules": ', _json_array(rules, " "),
         ',\n "accepts_empty": true' if gr.accepts_empty else "",
         "\n}\n",
@@ -973,6 +966,5 @@ def grammar_from_json(text: str) -> Grammar:
     # Python's bool is an int, so true would otherwise read as terminal 1
     if any(isinstance(x, bool) for _, rhs in doc["rules"] for x in rhs):
         raise GrammarError("grammar JSON has true or false where an integer belongs")
-    rules = tuple((lhs, tuple(rhs)) for lhs, rhs in doc["rules"])
-    variables, flag = tuple(doc["variables"]), doc.get("accepts_empty", False)
-    return Grammar(doc["sigma_max"], doc["start"], variables, rules, flag)
+    flag = doc.get("accepts_empty", False)
+    return Grammar(doc["sigma_max"], doc["start"], doc["variables"], doc["rules"], flag)

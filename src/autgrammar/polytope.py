@@ -161,7 +161,7 @@ def build_extended_formulation(gr: Grammar, style: str = "value") -> ExtendedFor
                 f"variable {_quote(name)} derives strings of lengths {sorted(ls)}; not positional"
             )
 
-    flow = [f"y_{r}" for r in range(len(gr.rules))]
+    flow = [f"y_{r}" for r in range(len(ids))]
     writes: dict[int, list[tuple[int, int]]] = {}  # position -> (symbol, rule)
     if not empty_language:
         try:
@@ -216,8 +216,7 @@ def lift_parse_tree(ef: ExtendedFormulation, t: ParseTree) -> dict:
         node = stack.pop()
         counts[node.rule_index] = counts.get(node.rule_index, 0) + 1
         stack.extend(node.children)
-    lhs, _ = ef.grammar.rules[t.rule_index]
-    if lhs != ef.grammar.start:
+    if ef.grammar._lhs[t.rule_index] != ef.grammar._start:
         raise PolytopeError("parse tree is not accepting (root is not the start rule)")
     return {y: Fraction(counts.get(r, 0)) for r, y in enumerate(ef.flow_vars)}
 

@@ -26,8 +26,14 @@ from autgrammar.grammar import (
     build_aut_grammar,
     build_embedded_group_grammar,
     build_regular_aut_grammar,
+    count_parse_trees,
     enumerate_language,
+    erase_terminals,
+    group_from_subgroup,
     membership,
+    rename_terminals,
+    trim,
+    union_grammar,
 )
 from autgrammar.graph import Graph, closed_neighborhood, is_connected
 from autgrammar.perm import Permutation
@@ -239,13 +245,14 @@ def reference_validate_tree_decomposition(g: Graph, t: TreeDecomposition) -> Val
     return ValidationReport(max(len(b) for b in t.bags.values()) - 1, tuple(violations))
 
 
-def check_handed_over_table(gr: Grammar) -> None:
-    """The table the builder hands over with gr, a tree or a regular
-    grammar, is the one `_compiled` builds from gr's fields, except that
-    its order may be any order that lists each variable once, after every
-    variable its rules use."""
-    table = gr._table
-    fresh = _compiled(Grammar(gr.sigma_max, gr.start, gr.variables, gr.rules))
+def check_full_check(gr: Grammar) -> None:
+    """gr, which a builder or a transform made from ints without the
+    public constructor's check, passes that check: its checked twin equals
+    it, the two tables agree on start, ends, ids and kids, and gr's order
+    lists each variable once, after every variable its rules use."""
+    twin = Grammar(gr.sigma_max, gr.start, gr.variables, gr.rules, gr.accepts_empty)
+    assert twin == gr
+    table, fresh = _compiled(gr), _compiled(twin)
     assert (table.start, table.ends, list(table.ids), table.kids) == (
         fresh.start, fresh.ends, list(fresh.ids), fresh.kids)
     assert sorted(table.order) == list(range(len(gr.variables)))
@@ -253,6 +260,28 @@ def check_handed_over_table(gr: Grammar) -> None:
     for v in table.order:
         assert all(ordered[k] for ks in table.kids[table.ends[v]:table.ends[v + 1]] for k in ks)
         ordered[v] = True
+
+
+def check_every_maker(g: Graph, *grammars: Grammar) -> None:
+    """`check_full_check` on g's embedded group on all of 1..m renamed by
+    the reversal, on each of the grammars built for g, and on what each
+    transform makes of it: its trim, its erasures to 1..m-1 and to nothing,
+    its renaming by the reversal, the union of the two, and the group of
+    the two cosets (for at most 1000 parse trees: it lists each coset's
+    language)."""
+    m = g.vertex_count
+    reversal = Permutation(tuple(range(m, 0, -1)))
+    made = [build_embedded_group_grammar(g, m, reversal)[1]]
+    for gr in grammars:
+        renamed = rename_terminals(gr, reversal)
+        made += [gr, trim(gr), erase_terminals(gr, m - 1), erase_terminals(gr, 0), renamed,
+                 union_grammar(gr, renamed)]
+        if count_parse_trees(gr) <= 1000:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the two cosets may be one
+                made.append(group_from_subgroup(gr, [Permutation(tuple(range(1, m + 1))), reversal]))
+    for gr in made:
+        check_full_check(gr)
 
 
 def json_reference(gr) -> str:

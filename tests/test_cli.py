@@ -19,7 +19,7 @@ from autgrammar.grammar import (
 )
 from autgrammar.oracle import brute_force_automorphisms
 from autgrammar.perm import Word, format_word, permute_word, to_string_word
-from conftest import binary_tree, fan_graph, format_graph, reference_language
+from conftest import binary_tree, fan_graph, format_graph, reference_language, star_graph
 
 C4_TEXT = "4 4\n1 2\n2 3\n3 4\n1 4\n"
 STAR5_TEXT = "5 4\n1 5\n2 5\n3 5\n4 5\n"
@@ -437,6 +437,25 @@ def test_sigma_max_type_error_is_the_constructors(tmp_path, capsys, value):
     capsys.readouterr()
     assert main(["count", str(grammar)]) == 2
     assert capsys.readouterr() == ("", f"error: bad grammar file {grammar}: {built.value}\n")
+
+
+@pytest.mark.parametrize("megabytes", [300, 500])
+def test_build_out_of_memory_exit_3(tmp_path, megabytes):
+    # star10's join holds about 40 M annotations, some 2 GB: under a cap on
+    # the child's address space, build runs out of memory, and it exits 3
+    # on one error line, with nothing on stdout and no --out file
+    resource = pytest.importorskip("resource")
+    graph, out = tmp_path / "star10.edges", tmp_path / "star10.json"
+    graph.write_text(format_graph(star_graph(10)))
+    limit = megabytes << 20
+
+    def cap():  # in the child only, between fork and exec
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    r = subprocess.run([sys.executable, "-m", "autgrammar", "build", "--graph", str(graph), "--out", str(out)],
+                       capture_output=True, text=True, preexec_fn=cap)
+    assert (r.returncode, r.stdout, r.stderr) == (3, "", "error: out of memory in build\n")
+    assert not out.exists()
 
 
 def test_build_from_invalid_td_exit_3(c4_file, tmp_path):

@@ -60,7 +60,8 @@ from autgrammar.perm import (
 from autgrammar.polytope import build_extended_formulation, lift_parse_tree
 from conftest import (
     binary_tree,
-    check_handed_over_table,
+    check_every_maker,
+    check_full_check,
     complete_graph,
     consistent_bags,
     cubic8,
@@ -236,6 +237,15 @@ def test_grammar_is_an_immutable_value():
     assert repr(ParseTree(1, ())) == "ParseTree(rule_index=1, children=())"
 
 
+def test_lists_read_as_tuples():
+    # a grammar given lists where tuples belong holds tuples: it hashes,
+    # and it equals its tuple twin
+    listed = Grammar(2, "B1", ["B1", "A"], [("B1", [1, "A"]), ["A", (2,)]])
+    twin = Grammar(2, "B1", ("B1", "A"), (("B1", (1, "A")), ("A", (2,))))
+    assert listed == twin and hash(listed) == hash(twin) and repr(listed) == repr(twin)
+    assert listed.variables == ("B1", "A") and listed.rules == (("B1", (1, "A")), ("A", (2,)))
+
+
 def test_compiled_table_is_invisible():
     # the read side's table, once built and cached, changes nothing a
     # caller sees of the grammar: equality, hash, repr, pickle, immutability
@@ -256,7 +266,8 @@ def test_compiled_table_is_invisible():
         with pytest.raises(AttributeError, match="Grammar is immutable"):
             setattr(gr, field, None)
     assert count_parse_trees(gr) == 4
-    # so is the table the tree builder hands over with its grammar
+    # so is the table the tree builder compiles, on its own order, as it
+    # makes its grammar
     built = aut_grammar(binary_tree(2))[1]
     plain = Grammar(built.sigma_max, built.start, built.variables, built.rules)
     assert hasattr(built, "_table") and not hasattr(plain, "_table")
@@ -268,21 +279,24 @@ def test_compiled_table_is_invisible():
 
 
 def test_tree_builder_hands_over_its_table(corpus):
+    # the builders and transforms make their grammars without the public
+    # constructor's check, and with the builder's order: each passes it
     rng = random.Random(17)
     graphs = [*corpus.values(), path_graph(12), cycle_graph(12), grid_graph(3, 3),
               binary_tree(3), spider(3, 2)]
     for g in graphs:
         for h in (g, relabel(g, rng)):
-            check_handed_over_table(aut_grammar(h)[1])
-            check_handed_over_table(build_regular_aut_grammar(h, compute_path_decomposition(h))[1])
+            regular = build_regular_aut_grammar(h, compute_path_decomposition(h))[1]
+            check_every_maker(h, aut_grammar(h)[1], regular)
     # where a class has several partners at a child, the writer takes each
     # class's product: spider 5x4 and a relabelled btree4.  Every child of
     # K6 is pinned.  The regular builder runs up to 10 vertices: above, the
     # path layout is the identity and its grammar slow to build
     for h in (complete_graph(6), spider(5, 4), relabel(binary_tree(4), rng)):
-        check_handed_over_table(aut_grammar(h)[1])
+        built = [aut_grammar(h)[1]]
         if h.vertex_count <= 10:
-            check_handed_over_table(build_regular_aut_grammar(h, compute_path_decomposition(h))[1])
+            built.append(build_regular_aut_grammar(h, compute_path_decomposition(h))[1])
+        check_every_maker(h, *built)
 
 
 def test_rules_out_of_lhs_order():
@@ -405,6 +419,17 @@ def test_erase_star(star5):
     assert len(enumerate_language(gr).words) == len(words)
 
 
+def test_erase_above_the_alphabet_keeps_it():
+    # keep past sigma_max erases nothing, and the declared alphabet does
+    # not grow to 1..keep, so neither does the grammar's size
+    gr = Grammar(3, "B1", ("B1", "A"), (("B1", (1, "A")), ("A", (2, 3)), ("A", (3, 2))))
+    for keep in (3, 10):
+        erased = erase_terminals(gr, keep)
+        assert erased == gr and erased.sigma_max == 3
+        assert grammar_size(erased) == grammar_size(gr)
+    assert erase_terminals(gr, 2).sigma_max == 2
+
+
 def test_erase_to_empty_word():
     gr = Grammar(3, "B1", ("B1",), (("B1", (3, 3)),))
     erased = erase_terminals(gr, 2)
@@ -525,7 +550,7 @@ def test_single_vertex_root_writes_into_b1():
     for built in (gr, regular):
         assert built.variables == ("B1",)
         assert built.rules == (("B1", (1,)),)
-        check_handed_over_table(built)
+        check_full_check(built)
 
 
 def test_leaves_write_into_their_parents_rules():

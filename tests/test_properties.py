@@ -76,7 +76,7 @@ from conftest import (
     binary_tree,
     check_annotated_bag,
     check_certificate,
-    check_handed_over_table,
+    check_every_maker,
     json_reference,
     lp_number_types,
     petersen_graph,
@@ -301,8 +301,7 @@ def test_min_fill_matches_reference_with_a_hub(g):
 @given(connected_graphs())
 def test_tree_builder_hands_over_its_table(g):
     assume(len(brute_force_automorphisms(g)) <= MAX_GROUP)
-    for _, gr in builds(g):
-        check_handed_over_table(gr)
+    check_every_maker(g, *(gr for _, gr in builds(g)))
 
 
 NOT_INVARIANT = re.compile(
