@@ -217,8 +217,9 @@ class _Search:
 
 def _images_on(ks: list[int]):
     """The function taking an image tuple to its images at indices ks, as
-    a tuple: itemgetter, which returns a bare item for one index and takes
-    no empty list, where it can."""
+    a tuple: itemgetter where it can (it takes no empty list and returns a
+    bare item for one index).  Only a vertex-free bag keys on no index:
+    adjacent bags sharing a vertex v share N[v], two or more vertices."""
     if len(ks) > 1:
         return operator.itemgetter(*ks)
     return lambda images: tuple([images[k] for k in ks])

@@ -8,18 +8,22 @@ validated.
 
 from __future__ import annotations
 
+from functools import total_ordering
+
 
 class PermError(Exception):
     pass
 
 
+@total_ordering
 class _Record:
     """An immutable value of one tuple field, hashed, compared and ordered
     as the one-tuple of that field, the way a frozen, ordered dataclass is
     (`hash(Permutation(p)) == hash((p,))`).  The field is read through
-    `_key`.  Written by hand: importing `dataclasses` loads `inspect`, and
-    each dataclass compiles its methods with `exec`, a fixed cost that
-    every CLI process would pay."""
+    `_key`; `<=`, `>` and `>=` are derived from `__lt__` by
+    `functools.total_ordering`.  Written by hand: importing `dataclasses`
+    loads `inspect`, and each dataclass compiles its methods with `exec`,
+    a fixed cost that every CLI process would pay."""
 
     __slots__ = ()
 
@@ -37,21 +41,6 @@ class _Record:
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return self._key() < other._key()
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() <= other._key()
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() > other._key()
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() >= other._key()
         return NotImplemented
 
     def __reduce__(self):

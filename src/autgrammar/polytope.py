@@ -83,40 +83,20 @@ class ParsedLP(NamedTuple):
 _UNIT = (0, 1)
 
 
-class ExtendedFormulation:
+class ExtendedFormulation(NamedTuple):
     """Rows are (name, ((coef, var), ...), rel, rhs), as `parse_lp` returns
-    them, with integer numbers.  Immutable; equal only to itself."""
+    them, with integer numbers.  Immutable, and equal only to itself: `==`
+    and `hash` are `object`'s, not the tuple's."""
 
-    __slots__ = ("grammar", "flow_vars", "constraints", "projection", "word_length")
+    grammar: Grammar
+    flow_vars: tuple[str, ...]
+    constraints: tuple  # src, then c_<k> conserving flow at every other variable
+    projection: tuple  # px<i> defining x_i, or pz<i>_<a> defining z_i_a
+    word_length: int
 
-    def __init__(
-        self,
-        grammar: Grammar,
-        flow_vars: tuple[str, ...],
-        constraints: tuple,  # src, then c_<k> conserving flow at every other variable
-        projection: tuple,  # px<i> defining x_i, or pz<i>_<a> defining z_i_a
-        word_length: int,
-    ):
-        object.__setattr__(self, "grammar", grammar)
-        object.__setattr__(self, "flow_vars", flow_vars)
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "projection", projection)
-        object.__setattr__(self, "word_length", word_length)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtendedFormulation is immutable")
-
-    def __reduce__(self):
-        return ExtendedFormulation, (
-            self.grammar, self.flow_vars, self.constraints, self.projection, self.word_length
-        )
-
-    def __repr__(self):
-        return (
-            f"ExtendedFormulation(grammar={self.grammar!r}, flow_vars={self.flow_vars!r}, "
-            f"constraints={self.constraints!r}, projection={self.projection!r}, "
-            f"word_length={self.word_length!r})"
-        )
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
     @property
     def lp(self) -> ParsedLP:

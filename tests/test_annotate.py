@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from autgrammar import annotate
 from autgrammar.annotate import (
     AnnotatedBag,
     AnnotationError,
     _Search,
+    _images_on,
     count_assignments,
     enumerate_annotated_bags,
     join_annotations,
@@ -414,6 +416,22 @@ def test_count_assignments_names_the_first_violation():
     with pytest.raises(DecompositionError) as caught:
         count_assignments(path_graph(40), TreeDecomposition({(): (1, 2)}))
     assert str(caught.value) == "invalid decomposition: vertex 3 not covered by any bag"
+
+
+def test_count_assignments_keys_an_empty_bag_on_no_index(monkeypatch):
+    # adjacent bags of a connected graph share no vertex of their domains
+    # or at least two (N[v] of a shared v), so only a vertex-free bag keys
+    # its parent's annotations on no index: each takes the empty key
+    calls = []
+
+    def images_on(ks):
+        calls.append(list(ks))
+        return _images_on(ks)
+
+    monkeypatch.setattr(annotate, "_images_on", images_on)
+    t = TreeDecomposition({(): (1, 2), (1,): (2, 3), (1, 1): ()})
+    assert count_assignments(path_graph(3), t) == 2
+    assert [] in calls and _images_on([])((5, 6)) == ()
 
 
 @pytest.mark.parametrize("g, t", [

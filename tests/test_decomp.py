@@ -191,6 +191,12 @@ def test_exact_small_cap():
         compute_tree_decomposition(g, "exact-small")
 
 
+def test_unknown_strategy_rejected(p3):
+    # the CLI's argparse choices refuse it first; the library says so too
+    with pytest.raises(DecompositionError, match="^unknown strategy 'bogus'$"):
+        compute_tree_decomposition(p3, "bogus")
+
+
 def test_disconnected_rejected():
     g = Graph(4, [(1, 2), (3, 4)])
     with pytest.raises(DisconnectedGraphError):

@@ -1,3 +1,4 @@
+import operator
 import pickle
 import random
 
@@ -125,3 +126,13 @@ def test_records_hash_compare_and_sort_as_tuples():
     with pytest.raises(TypeError):
         a < Word((1, 3, 2))
     assert pickle.loads(pickle.dumps(b)) == b
+
+
+def test_records_of_two_types_do_not_order():
+    # every comparison, not only <, refuses a Permutation against a Word
+    a, w = Permutation((1, 2, 3)), Word((1, 2, 3))
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(a, w)
+        with pytest.raises(TypeError):
+            compare(w, a)

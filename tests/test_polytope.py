@@ -1,7 +1,9 @@
+import copy
 import fractions
 import functools
 import itertools
 import math
+import pickle
 import sys
 import time
 import warnings
@@ -88,6 +90,23 @@ def test_extended_formulation_equals_only_itself():
     with pytest.raises(AttributeError):
         a.word_length = 3
     assert repr(a).startswith("ExtendedFormulation(grammar=Grammar(sigma_max=2, ")
+
+
+@pytest.mark.parametrize("style", ["value", "matrix"])
+def test_extended_formulation_pickles_and_copies(style):
+    # pickle and both copies give a new formulation, equal only to itself,
+    # with the same rows and the same repr
+    _, gr, _ = aut_ef(cycle_graph(5))
+    ef = build_extended_formulation(gr, style)
+    for back in (pickle.loads(pickle.dumps(ef)), copy.copy(ef), copy.deepcopy(ef)):
+        assert back is not ef and back != ef
+        assert back.lp == ef.lp and repr(back) == repr(ef)
+
+
+def test_unknown_projection_style_rejected():
+    gr = Grammar(2, "B1", ("B1",), (("B1", (1, 2)),))
+    with pytest.raises(PolytopeError, match="^unknown projection style 'bogus'$"):
+        build_extended_formulation(gr, "bogus")
 
 
 def test_single_rule_lp_rows():

@@ -479,17 +479,13 @@ def test_builders_write_one_variable_per_merge_class(g):
         assert all(len(set(sets)) == len(sets) for sets in at_position.values()), gr
 
 
-@settings(max_examples=50, deadline=None)
-@given(connected_graphs(), st.permutations(range(1, 9)), st.sampled_from(["min-fill", "exact-small"]),
-       st.data())
-def test_pinned_search_filters_unpinned_search(g, label, strategy, data):
-    # on a relabelled graph, for each parent and child of a yielding tree
-    # decomposition and of a path decomposition: the child's search pinned
-    # to a subset of the parent's keys (its images on the shared domain)
-    # is the child's unpinned search restricted to those keys; yielding
-    # decompositions pin the whole domain of many children
-    label = [v for v in label if v <= g.vertex_count]
-    g = Graph(g.vertex_count, [(label[u - 1], label[v - 1]) for u, v in g.edges])
+def check_pinned_search(g, strategy, choose_keys):
+    # for each parent and child of a yielding tree decomposition and of a
+    # path decomposition: the child's search pinned to a subset of the
+    # parent's keys (its images on the shared domain), chosen from the
+    # sorted keys offered, is the child's unpinned search restricted to
+    # those keys; yielding decompositions pin the whole domain of many
+    # children
     search = _Search(g)
     t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, strategy))
     for d in (t, compute_path_decomposition(g)):
@@ -502,12 +498,33 @@ def test_pinned_search_filters_unpinned_search(g, label, strategy, data):
                 at_p = [dom_p.index(v) for v in pinned]
                 at_c = [dom_c.index(v) for v in pinned]
                 offered = sorted({tuple(images[k] for k in at_p) for images in parent})
-                keys = data.draw(st.sets(st.sampled_from(offered))) if offered else set()
+                keys = choose_keys(offered)
                 expected = [
                     images for images in search.annotations(d.bag(c), dom_c, (), [()])
                     if tuple(images[k] for k in at_c) in keys
                 ]
                 assert search.annotations(d.bag(c), dom_c, pinned, keys) == expected, (p, c)
+
+
+@settings(max_examples=50, deadline=None)
+@given(connected_graphs(), st.permutations(range(1, 9)), st.sampled_from(["min-fill", "exact-small"]),
+       st.data())
+def test_pinned_search_filters_unpinned_search(g, label, strategy, data):
+    # on a relabelled graph with at most MAX_GROUP automorphisms, as the
+    # other search tests: the unpinned search of K8 takes seconds
+    assume(len(brute_force_automorphisms(g)) <= MAX_GROUP)
+    label = [v for v in label if v <= g.vertex_count]
+    g = Graph(g.vertex_count, [(label[u - 1], label[v - 1]) for u, v in g.edges])
+    check_pinned_search(g, strategy, lambda offered: data.draw(st.sets(st.sampled_from(offered))) if offered
+                        else set())
+
+
+def test_pinned_search_filters_unpinned_search_on_a_large_group():
+    # the drawn graphs stop at MAX_GROUP automorphisms; the 8-vertex star
+    # centred on 4 has 5040; each child is pinned to every other key offered
+    g = Graph(8, [(4, v) for v in range(1, 9) if v != 4])
+    assert len(brute_force_automorphisms(g)) == 5040
+    check_pinned_search(g, "min-fill", lambda offered: set(offered[::2]))
 
 
 @settings(max_examples=60, deadline=None)
