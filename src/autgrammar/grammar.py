@@ -46,12 +46,14 @@ the int rules on first use and cached on the grammar: the variables in
 dependencies-first order, and each variable's rules listed together.  The
 builders and transforms make their grammars from ints, unchecked
 (`_grammar`), the builder with its own order, so no search for one runs.
-Parse-tree counting, the word lengths and the positions each rule writes
-(`_length_bounds`, `_writes`: read by the extended formulation, the embed
-check, `trim` and `erase_terminals`) and the polytope's max-plus pricing
-loop over the table directly; the semiring pass walks its order and rule
-lists for the semirings of sets, spans and trees, valuing variables by
-index."""
+Parse-tree counting, the word lengths (`_length_bounds`: read by `trim`
+and `erase_terminals`), the positions each rule writes (`_writes`) and the
+polytope's max-plus pricing loop over the table directly; the semiring
+pass walks its order and rule lists for the semirings of sets, spans and
+trees, valuing variables by index.  `_writes` is the one check that a
+grammar is positional, the precondition of the extended formulation and
+the embed check: every variable derives words of one positive length and
+sits at one offset, so it spans one non-empty window."""
 
 from __future__ import annotations
 
@@ -60,6 +62,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 import warnings
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
@@ -293,13 +296,27 @@ def _length_bounds(gr: Grammar, keep: int | None = None) -> tuple[list[int], lis
     return low, high
 
 
-def _writes(gr: Grammar, length: list[int]) -> dict[int, list[tuple[int, int]]]:
+def _writes(gr: Grammar) -> dict[int, list[tuple[int, int]]] | None:
     """Word position -> the (symbol, rule index) pairs of the terminals
-    written there, for a grammar whose variables each derive words of one
-    length, given by index (`_length_bounds`).  A breadth-first walk by index
-    from the start places each variable at its one start offset; raises
-    GrammarError when a variable is met at two offsets or is never reached."""
+    written there, or None for a grammar with no words.  The one check that
+    a grammar is positional: raises GrammarError unless every variable
+    derives words of one positive length (`_length_bounds`) and a
+    breadth-first walk by index from the start places it at one offset, so
+    it spans one non-empty window and a parse tree uses it at most once."""
+    if gr.accepts_empty:
+        raise GrammarError("grammar accepts the empty word; not positional")
+    low, high = _length_bounds(gr)
     start, order, ends, ids, _ = _compiled(gr)
+    if low[start] < 0:
+        return None
+    bad = next((v for v in order if not 0 < low[v] == high[v]), None)
+    if bad is not None:
+        name = _quote(gr.variables[bad])
+        if not high[bad]:
+            raise GrammarError(f"variable {name} derives only the empty word; not positional")
+        # the set semiring, only to word the error
+        ls = _evaluate(gr, lambda r: {0}, lambda a: {1}, _pairwise_sums, _union, [bad])[bad]
+        raise GrammarError(f"variable {name} derives strings of lengths {sorted(ls)}; not positional")
     rules = gr._rhs
     writes: dict[int, list[tuple[int, int]]] = {}
     offset = [0] * len(order)  # 0: not reached yet
@@ -321,7 +338,7 @@ def _writes(gr: Grammar, length: list[int]) -> dict[int, list[tuple[int, int]]]:
                 elif offset[k] != at:
                     raise GrammarError(f"variable {_quote(gr.variables[k])} occurs at spans starting "
                                        f"{offset[k]} and {at}; not positional")
-                at += length[k]
+                at += low[k]
     if len(reached) < len(order):
         v = gr.variables[offset.index(0)]
         raise GrammarError(f"variable {_quote(v)} unreachable; trim the grammar first")
@@ -472,7 +489,8 @@ def enumerate_language(gr: Grammar, cap: int | None = None) -> LanguageResult:
     """All distinct words, lexicographically sorted, truncated at cap."""
     if cap is not None and cap < 0:
         raise GrammarError(f"cap must be non-negative, got {cap}")
-    words = tuple(map(Word, itertools.islice(iter_language(gr), None if cap is None else cap + 1)))
+    stop = None if cap is None or cap >= sys.maxsize else cap + 1  # a larger cap cannot truncate
+    words = tuple(map(Word, itertools.islice(iter_language(gr), stop)))
     truncated = cap is not None and len(words) > cap
     return LanguageResult(words[:cap] if truncated else words, truncated)
 
@@ -826,7 +844,7 @@ def build_embedded_group_grammar(
     # word position i holds s(alpha(i)), so 1..n is invariant unless a rule
     # writes a terminal above n at a position i with alpha(i) <= n; the
     # grammar is trim, so a parse tree through that rule is an automorphism
-    writes = _writes(gr_full, _length_bounds(gr_full)[0])
+    writes = _writes(gr_full)
     moved = (r for i in range(1, m + 1) if alpha_big(i) <= n for a, r in writes[i] if a > n)
     bad = next(moved, None)
     if bad is not None:

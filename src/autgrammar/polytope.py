@@ -3,11 +3,11 @@ positional grammar, with exact rational feasibility checks.
 
 One flow variable per rule instance; one unit leaves the start variable,
 and flow is conserved at every other variable.  Because the grammars built
-by this package give every variable a single fixed span, the flow polytope
-is integral (Martin, Rardin & Campbell, 1990), integral flows are exactly
-parse trees, and the projection x_i (the symbol value written at word
-position i) maps the flow polytope onto the convex hull of the word
-vectors.
+by this package give every variable a single fixed, non-empty span, a
+parse tree uses each rule at most once, the flow polytope is integral
+(Martin, Rardin & Campbell, 1990), integral flows are exactly parse trees,
+and the projection x_i (the symbol value written at word position i) maps
+the flow polytope onto the convex hull of the word vectors.
 
 The extended formulation is an LP: `ExtendedFormulation` holds its rows in
 the form `parse_lp` returns them, so `parse_lp(emit_lp(ef)) == ef.lp`.  The
@@ -42,12 +42,8 @@ are taken as they are.  A point is decided on two independent paths:
 The two agree exactly when the flow polytope projects onto conv(words),
 so their agreement tests that claim directly.
 
-`build_extended_formulation` reads the same table through the grammar
-layer's `_length_bounds`, one int pass giving each variable's shortest
-and longest word length, and `_writes`, a breadth-first walk by index
-that places each variable at its offset and each terminal at its
-position.  The set semiring runs only to word the error on a variable
-with several lengths, and only on the variables that one derives from.
+`build_extended_formulation` takes the grammar layer's one check that a
+grammar is positional, `_writes`.
 
 Layering: the LP-file path (`parse_lp`, `check_lp_feasibility`, the
 presolve and the simplex) imports nothing from `grammar`.  Only the
@@ -114,60 +110,41 @@ def build_extended_formulation(gr: Grammar, style: str = "value") -> ExtendedFor
     projection x_i = sum of (symbol written at i) * (rule flow), or, in
     the matrix style, z_i_a = sum of the flows of the rules writing a at i.
 
-    Raises unless the grammar is positional: every variable derives words
-    of one length, from one start offset, and is reachable.  A grammar
-    with no words gives the formulation with an infeasible source row,
-    with one warning."""
-    from .grammar import GrammarError, _compiled, _evaluate, _length_bounds, _pairwise_sums, _union, _writes
+    Raises unless the grammar is positional (`grammar._writes`): every
+    variable derives words of one positive length, from one start offset,
+    and is reachable, so a parse tree uses each rule at most once and its
+    flows are 0/1.  A grammar with no words gives the formulation with an
+    infeasible source row, with one warning."""
+    from .grammar import GrammarError, _compiled, _writes
 
     if style not in ("value", "matrix"):
         raise PolytopeError(f"unknown projection style {style!r}")
-    start, order, ends, ids, kids = _compiled(gr)
-    low, high = _length_bounds(gr)
-    empty_language = low[start] < 0 and not gr.accepts_empty
-    if empty_language:
+    start, order, ends, ids, _ = _compiled(gr)  # a cyclic grammar raises its own error
+    try:
+        writes = _writes(gr)
+    except GrammarError as e:
+        raise PolytopeError(str(e)) from None
+    if writes is None:
         # no words to project; the flow system itself is infeasible, and
         # every rule keeps its flow terms
         warnings.warn("grammar generates no words; source row is infeasible", stacklevel=2)
-    else:
-        if gr.accepts_empty:
-            raise PolytopeError("grammar accepts the empty word; not positional")
-        bad = next((v for v in order if not 0 <= low[v] == high[v]), None)
-        if bad is not None:
-            name = gr.variables[bad]
-            # the set semiring, only to word the error
-            ls = _evaluate(gr, lambda r: {0}, lambda a: {1}, _pairwise_sums, _union, [bad])[bad]
-            raise PolytopeError(
-                f"variable {_quote(name)} derives strings of lengths {sorted(ls)}; not positional"
-            )
 
     flow = [f"y_{r}" for r in range(len(ids))]
-    writes: dict[int, list[tuple[int, int]]] = {}  # position -> (symbol, rule)
-    if not empty_language:
-        try:
-            writes = _writes(gr, low)
-        except GrammarError as e:  # a variable at two offsets, or never reached
-            raise PolytopeError(str(e)) from None
-
     into = [(1, flow[r]) for r in ids]  # per listed rule: the flow into its lhs
-    out: list = [[] for _ in order]  # per variable: the flows of the rules using it
-    for r, ks in sorted(zip(ids, kids)):
-        y = flow[r]  # in rule order, so a rule's uses of one variable are adjacent
-        for k in ks:
-            terms = out[k]
-            if terms and terms[-1][1] == y:
-                terms[-1] = (terms[-1][0] - 1, y)
-            else:
-                terms.append((-1, y))
+    out: list = [[] for _ in order]  # per variable: the flows of the rules using it, in rule order
+    for y, symbols in zip(flow, gr._rhs):
+        for x in symbols:
+            if x < 0:
+                out[~x].append((-1, y))
     constraints = [("src", tuple(into[ends[start]:ends[start + 1]]), "=", 1)]
     for k in range(len(order)):
         if k != start:
             constraints.append((f"c_{k}", tuple(into[ends[k]:ends[k + 1]] + out[k]), "=", 0))
 
-    n = 0 if empty_language else low[start]
+    n = len(writes or ())  # the positions 1..n of the one word length
     projection: list = []
     for i in range(1, n + 1):
-        written = sorted(writes.get(i, ()))
+        written = sorted(writes[i])
         if style == "value":
             terms = [(1, f"x_{i}"), *((-a, flow[r]) for a, r in written)]
             projection.append((f"px{i}", tuple(terms), "=", 0))
@@ -695,17 +672,8 @@ def _simplex_feasible(rows: list, bounds: dict) -> bool:
 # CPLEX LP text.
 
 def _render_flow_terms(terms) -> str:
-    if not terms:
-        return "0"
-    parts: list[str] = []
-    for k, (coef, v) in enumerate(terms):
-        mag = abs(coef)
-        body = v if mag == 1 else f"{mag} {v}"
-        if k == 0:
-            parts.append(body if coef > 0 else f"- {body}")
-        else:
-            parts.append(f"+ {body}" if coef > 0 else f"- {body}")
-    return " ".join(parts)
+    # every flow coefficient is 1 or -1
+    return " ".join([f"+ {v}" if coef > 0 else f"- {v}" for coef, v in terms]).removeprefix("+ ") or "0"
 
 
 def emit_lp(ef: ExtendedFormulation) -> str:

@@ -378,6 +378,22 @@ EMPTY_LANGUAGE = '{"sigma_max": 1, "start": "S", "variables": ["S"], "rules": []
 CYCLIC = '{"sigma_max": 1, "start": "S", "variables": ["S"], "rules": [["S", ["S", 1]]]}\n'
 
 
+EMPTY_VARIABLE = (
+    '{"sigma_max": 2, "start": "S", "variables": ["S", "E", "A"], '
+    '"rules": [["S", ["E", "E", "A"]], ["E", []], ["A", [1]], ["A", [2]]]}\n'
+)
+
+
+def test_lift_of_empty_variable_exit_3(tmp_path, capsys):
+    # E spans an empty window, so a parse tree would give S -> E E A a flow
+    # of 2 into E: not positional, and no LP is written
+    grammar, model = tmp_path / "e.json", tmp_path / "e.lp"
+    grammar.write_text(EMPTY_VARIABLE)
+    assert main(["lift", str(grammar), "--out", str(model)]) == 3
+    assert capsys.readouterr() == ("", "error: variable 'E' derives only the empty word; not positional\n")
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("action", ["default", "error", "ignore"])
 def test_lift_of_empty_language_warns_once(tmp_path, capsys, action):
     # one `warning:` line per cause, whatever the warnings filter says;
@@ -501,6 +517,16 @@ def test_enum_cap(c4_file, tmp_path):
     r = run_cli("enum", out, "--cap", "3")
     assert len(r.stdout.strip().split("\n")) == 3
     assert "truncated" in r.stderr
+
+
+def test_enum_cap_past_maxsize(c4_file, tmp_path, capsys):
+    # a cap past sys.maxsize cannot truncate: every word, no message
+    out = str(tmp_path / "g.json")
+    assert main(["build", "--graph", c4_file, "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["enum", out, "--cap", "99999999999999999999"]) == 0
+    stdout, stderr = capsys.readouterr()
+    assert (len(stdout.splitlines()), stderr) == (8, "")
 
 
 def test_enum_memory_does_not_follow_sigma_max(tmp_path, capsys):

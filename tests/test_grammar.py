@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import time
 import tracemalloc
 
@@ -175,6 +176,14 @@ def test_enumerate_cap():
     assert enumerate_language(gr, cap=0) == ((), True)
     with pytest.raises(GrammarError):
         enumerate_language(gr, cap=-1)
+
+
+def test_enumerate_cap_past_maxsize():
+    # a cap no listed language can reach means no cap
+    gr = Grammar(3, "B1", ("B1",), tuple(("B1", (i,)) for i in (1, 2, 3)))
+    every = (tuple(Word((i,)) for i in (1, 2, 3)), False)
+    for cap in (sys.maxsize, 10**20):
+        assert enumerate_language(gr, cap) == every
 
 
 def test_enumerate_cap_bounds_memory():
@@ -512,6 +521,28 @@ def test_embedded_rejects_non_invariant(p3):
     with pytest.raises(GrammarError) as caught:
         build_embedded_group_grammar(p3, 2)
     assert str(caught.value) == "prefix 1..2 not invariant under the automorphism group (witness 3 2 1)"
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda gr, c4: parse_tree_yield(gr, ParseTree(0, (ParseTree(0, ()),))), "parse tree has extra children"),
+        (
+            lambda gr, c4: rename_terminals(gr, Permutation((1, 2, 4, 3))),
+            "renaming sends terminal 3 to 4, outside the declared alphabet",
+        ),
+        (lambda gr, c4: erase_terminals(gr, -1), "keep must be non-negative"),
+        (lambda gr, c4: group_from_subgroup(gr, []), "transversal must be nonempty"),
+        (lambda gr, c4: build_embedded_group_grammar(c4, 0), "prefix size 0 out of range 1..4"),
+        (lambda gr, c4: build_embedded_group_grammar(c4, 4, identity(3)), "coset representative must permute 1..4"),
+    ],
+    ids=["extra-child", "rename-past-sigma-max", "erase-negative", "empty-transversal", "embed-n-0", "embed-b-size"],
+)
+def test_transform_refusals(c4, refused, message):
+    gr = Grammar(3, "B1", ("B1",), (("B1", (3,)),))
+    with pytest.raises(GrammarError) as caught:
+        refused(gr, c4)
+    assert str(caught.value) == message
 
 
 def test_regular_grammar(p4, c4):

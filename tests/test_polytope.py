@@ -794,8 +794,12 @@ def test_empty_language_lp_warns():
             Grammar(2, "B1", ("B1", "A", "C"), (("B1", ("A",)), ("A", (1,)), ("C", (2,)))),
             "variable 'C' unreachable; trim the grammar first",
         ),
+        (
+            Grammar(2, "S", ("S", "E", "A"), (("S", ("E", "E", "A")), ("E", ()), ("A", (1,)), ("A", (2,)))),
+            "variable 'E' derives only the empty word; not positional",
+        ),
     ],
-    ids=["empty-word", "lengths", "no-lengths", "spans", "spans-rules-interleaved", "unreachable"],
+    ids=["empty-word", "lengths", "no-lengths", "spans", "spans-rules-interleaved", "unreachable", "empty-variable"],
 )
 def test_formulation_error_messages(gr, message):
     with pytest.raises(PolytopeError) as caught:
@@ -860,6 +864,15 @@ def test_lift_rejects_foreign_tree(c4, p3):
     foreign = trees(gr_p3)[0]
     with pytest.raises(Exception):
         lift_parse_tree(ef, foreign)
+
+
+def test_lift_rejects_a_subtree(c4):
+    # a subtree follows the rules, but its root is no start rule
+    _, gr, ef = aut_ef(c4)
+    subtree = enumerate_parse_trees(gr)[0].children[0]
+    with pytest.raises(PolytopeError) as caught:
+        lift_parse_tree(ef, subtree)
+    assert str(caught.value) == "parse tree is not accepting (root is not the start rule)"
 
 
 def test_matrix_projection(c4):

@@ -11,7 +11,10 @@ On random acyclic grammars: the streamed language against the
 set-semiring reference, the int length pass against the set semiring's
 lengths, with and without erased terminals, `erase_terminals` against a
 reference that erases through an intermediate grammar, and the LP text
-round trip of every formulation built from one.  On random positional grammars: the same round trip, and
+round trip of every formulation built from one.  On both kinds of
+random grammar, wherever the formulation builder accepts one: lifted
+parse trees within the [0,1] bounds, and the two check paths agreeing
+on words, midpoints and half-integral points.  On random positional grammars: the same round trip, and
 the projection path's master LP against its Fraction reference and the
 LP file's verdict.  On connected graphs and every prefix size: the embed
 builder's invariance check against the oracle's, and the table the
@@ -22,6 +25,7 @@ anew.  On
 valid and broken decompositions: the validation report against the
 reference that checks on root paths."""
 
+import random
 import re
 import warnings
 from fractions import Fraction
@@ -30,7 +34,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from autgrammar.annotate import AnnotatedBag, _Search, count_assignments, join_annotations
 from autgrammar.decomp import (
@@ -55,6 +59,7 @@ from autgrammar.grammar import (
     build_regular_aut_grammar,
     count_parse_trees,
     enumerate_language,
+    enumerate_parse_trees,
     erase_terminals,
     grammar_to_json,
     iter_language,
@@ -70,6 +75,7 @@ from autgrammar.polytope import (
     check_lp_feasibility,
     check_projection_feasibility,
     emit_lp,
+    lift_parse_tree,
     parse_lp,
 )
 from conftest import (
@@ -236,6 +242,41 @@ def test_lp_round_trip_on_random_grammars(drawn, style):
     assert not positional or ef.word_length, gr
     assert parsed == ef.lp
     assert lp_number_types(parsed) == lp_number_types(ef.lp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(acyclic_grammars(), positional_grammars()), st.randoms(use_true_random=False))
+@example(Grammar(1, "V0", ("V0", "V1"), (("V0", ("V1", "V1", "V1")), ("V1", ()))), random.Random(0))
+@example(Grammar(2, "S", ("S", "E", "A"), (("S", ("E", "E", "A")), ("E", ()), ("A", (1,)), ("A", (2,)))),
+         random.Random(0))
+def test_check_paths_agree_on_accepted_formulations(gr, rng):
+    # a formulation the builder accepts has 0/1 parse-tree points: each
+    # lifted parse tree lies in the [0,1] bounds, and column generation and
+    # the LP file give one verdict on up to three words, the midpoint of
+    # two and a half-integral point.  A variable that derives only the
+    # empty word would give a rule that uses it k times a flow of k
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the empty language warns
+        try:
+            ef = build_extended_formulation(gr)
+        except PolytopeError:
+            return
+    assume(count_parse_trees(gr) <= 2000)
+    parsed = parse_lp(emit_lp(ef))
+    words = [w.symbols for w in enumerate_language(gr).words]
+    n = ef.word_length
+    points = [(w, True) for w in rng.sample(words, min(3, len(words)))]
+    if words:
+        a, b = rng.choice(words), rng.choice(words)
+        points.append(([Fraction(u + v, 2) for u, v in zip(a, b)], True))
+    points.append(([Fraction(rng.randint(0, 8), 2) for _ in range(n)], None))
+    for x, member in points:
+        verdict = check_projection_feasibility(ef, x)
+        assert check_lp_feasibility(parsed, {f"x_{k}": v for k, v in enumerate(x, start=1)}) == verdict, x
+        assert member is None or verdict == member, x
+    for t in enumerate_parse_trees(gr):
+        point = lift_parse_tree(ef, t)
+        assert all(lo <= point[y] <= hi for y, (lo, hi) in ef.lp.bounds.items()), t
 
 
 def builds(g):
