@@ -12,15 +12,19 @@ checks each argument it can check without a file before it reads one (so
 a bad argument is reported even when a file is bad too), reads each
 file before it imports the layer that parses it, and refuses a graph it
 cannot take (a disconnected one, or one past the oracle's cap) before it
-imports the layers that would build from it.  The parser lists every
-command but gives arguments only to the one that runs.  Every
-precondition error derives from `autgrammar.PreconditionError`, defined in
-the package itself, so mapping errors to exit codes loads no layer either.
+imports the layers that would build from it.  Every precondition error
+derives from `autgrammar.PreconditionError`, defined in the package
+itself, so mapping errors to exit codes loads no layer either.
+
+One table, `_COMMANDS`, is the one list of commands: each name's help,
+handler and arguments.  The parser lists every command but gives
+arguments only to the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib  # loaded at interpreter start-up anyway
 import itertools
 import os
 import sys
@@ -38,16 +42,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
-    except OSError as e:
-        raise _UsageError(f"cannot read {path}: {e.strerror}") from None
-    except UnicodeDecodeError:
-        raise _UsageError(f"cannot read {path}: not ASCII text") from None
-
-
 def _write(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -56,99 +50,36 @@ def _write(path: str, text: str) -> None:
         raise _UsageError(f"cannot write {path}: {e.strerror}") from None
 
 
-def _load_graph(path: str):
-    text = _read(path)
-    from .graph import GraphError, parse_graph
+# each file kind's module, parser and parse error, imported once the file is read
+_PARSERS = {
+    "graph": ("graph", "parse_graph", "GraphError"),
+    "grammar": ("grammar", "grammar_from_json", "GrammarError"),
+    "LP": ("polytope", "parse_lp", "PolytopeError"),
+    "td": ("decomp", "read_pace_td", "TdParseError"),
+}
 
+
+def _load(path: str, kind: str):
     try:
-        return parse_graph(text)
-    except GraphError as e:
-        raise _UsageError(f"bad graph file {path}: {e}") from None
-
-
-def _load_grammar(path: str):
-    text = _read(path)
-    from . import grammar as gmod
-
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise _UsageError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise _UsageError(f"cannot read {path}: not ASCII text") from None
+    module, parser, error = _PARSERS[kind]
+    mod = importlib.import_module(f".{module}", __package__)
     try:
-        return gmod.grammar_from_json(text)
-    except gmod.GrammarError as e:
-        raise _UsageError(f"bad grammar file {path}: {e}") from None
-
-
-def _load_lp(path: str):
-    text = _read(path)
-    from . import polytope
-
-    try:
-        return polytope.parse_lp(text)
-    except polytope.PolytopeError as e:
-        raise _UsageError(f"bad LP file {path}: {e}") from None
-
-
-def _build_parser(command: str | None) -> _Parser:
-    """The parser with every command listed, and the arguments of the
-    named command only: no other subparser reads argv, so no other needs
-    them, and each command's --help text is the same."""
-    p = _Parser(prog="autgrammar")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    b = sub.add_parser("build", help="compile the automorphism grammar of a graph")
-    if command == "build":
-        b.add_argument("--graph", required=True)
-        b.add_argument("--td", help="PACE .td file to use instead of constructing one")
-        b.add_argument("--strategy", choices=["min-fill", "exact-small"], help="default min-fill")
-        b.add_argument("--path", action="store_true", help="regular grammar via a path decomposition")
-        b.add_argument("--out", required=True)
-
-    e = sub.add_parser("embed", help="grammar for the group embedded on the first vertices")
-    if command == "embed":
-        e.add_argument("--graph", required=True)
-        e.add_argument("--keep", type=int, required=True)
-        e.add_argument("--beta", help="coset representative, one-line image form")
-        e.add_argument("--out", required=True)
-
-    s = sub.add_parser("stats", help="rule/variable counts, size, regularity")
-    if command == "stats":
-        s.add_argument("grammar")
-
-    en = sub.add_parser("enum", help="enumerate the language")
-    if command == "enum":
-        en.add_argument("grammar")
-        en.add_argument("--cap", type=int, default=1000000)
-
-    c = sub.add_parser("count", help="number of accepting parse trees")
-    if command == "count":
-        c.add_argument("grammar")
-
-    m = sub.add_parser("member", help="decide membership of a word")
-    if command == "member":
-        m.add_argument("grammar")
-        m.add_argument("--word", required=True)
-
-    lf = sub.add_parser("lift", help="emit the extended formulation as a CPLEX LP file")
-    if command == "lift":
-        lf.add_argument("grammar")
-        lf.add_argument("--out", required=True)
-        lf.add_argument("--matrix", action="store_true", help="0/1 assignment-matrix projection")
-
-    ck = sub.add_parser("check", help="feasibility of a fixed projection point")
-    if command == "check":
-        ck.add_argument("model")
-        ck.add_argument("--point", required=True)
-
-    v = sub.add_parser("validate", help="full oracle cross-check for a graph")
-    if command == "validate":
-        v.add_argument("--graph", required=True)
-        v.add_argument("--strategy", choices=["min-fill", "exact-small"], default="min-fill")
-    return p
+        return getattr(mod, parser)(text)
+    except getattr(mod, error) as e:
+        raise _UsageError(f"bad {kind} file {path}: {e}") from None
 
 
 def _cmd_build(args) -> int:
     if args.strategy is not None and (args.td or args.path):
         raise _UsageError("--strategy cannot be combined with --td or --path")
-    g = _load_graph(args.graph)
-    td = _load_td(args.td) if args.td else None
+    g = _load(args.graph, "graph")
+    td = _load(args.td, "td") if args.td else None
     from .graph import require_connected
 
     require_connected(g)  # before the builder layers load
@@ -167,16 +98,6 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _load_td(path: str):
-    text = _read(path)
-    from . import decomp
-
-    try:
-        return decomp.read_pace_td(text)
-    except decomp.TdParseError as e:
-        raise _UsageError(f"bad td file {path}: {e}") from None
-
-
 def _cmd_embed(args) -> int:
     from .perm import PermError, format_permutation, parse_permutation
 
@@ -188,7 +109,7 @@ def _cmd_embed(args) -> int:
             raise _UsageError(f"bad --beta: {e}") from None
         if beta.size != args.keep:
             raise _UsageError(f"--beta must permute 1..{args.keep}")
-    g = _load_graph(args.graph)
+    g = _load(args.graph, "graph")
     if not 1 <= args.keep <= g.vertex_count:
         raise _UsageError(f"--keep must be in 1..{g.vertex_count}, got {args.keep}")
     from . import grammar as gmod
@@ -200,7 +121,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    gr = _load_grammar(args.grammar)
+    gr = _load(args.grammar, "grammar")
     from . import grammar as gmod
 
     size = gmod.grammar_size(gr)
@@ -214,7 +135,7 @@ def _cmd_stats(args) -> int:
 def _cmd_enum(args) -> int:
     if args.cap < 0:
         raise _UsageError(f"--cap must be non-negative, got {args.cap}")
-    gr = _load_grammar(args.grammar)
+    gr = _load(args.grammar, "grammar")
     from . import grammar as gmod
 
     words = gmod.iter_language(gr)
@@ -231,7 +152,7 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    gr = _load_grammar(args.grammar)
+    gr = _load(args.grammar, "grammar")
     from . import grammar as gmod
 
     print(gmod.count_parse_trees(gr))
@@ -245,7 +166,7 @@ def _cmd_member(args) -> int:
         w = parse_word(args.word)
     except PermError as e:
         raise _UsageError(f"bad --word: {e}") from None
-    gr = _load_grammar(args.grammar)
+    gr = _load(args.grammar, "grammar")
     from . import grammar as gmod
 
     print("true" if gmod.membership(gr, w) else "false")
@@ -253,7 +174,7 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    gr = _load_grammar(args.grammar)
+    gr = _load(args.grammar, "grammar")
     from . import polytope
 
     ef = polytope.build_extended_formulation(gr, style="matrix" if args.matrix else "value")
@@ -268,7 +189,7 @@ def _cmd_check(args) -> int:
         values = [polytope.parse_number(tok) for tok in args.point.split()]
     except polytope.PolytopeError as e:
         raise _UsageError(f"bad --point {_quote(args.point)}: {e}") from None
-    parsed = _load_lp(args.model)
+    parsed = _load(args.model, "LP")
     names = {v for _, terms, _, _ in parsed.constraints for _, v in terms}
     xs = sorted(
         (v for v in names if v.startswith("x_") and v[2:].isdigit()), key=lambda v: int(v[2:])
@@ -282,7 +203,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, "graph")
     from . import oracle
 
     auts = oracle.brute_force_automorphisms(g)  # refuses past its cap before the builders load
@@ -305,17 +226,11 @@ def _cmd_validate(args) -> int:
         n_words += 1
     if difference is None and n_words < len(expected):
         difference = expected[n_words], "oracle"
-    lang_ok = difference is None
-    print(f"language: {n_words} == {len(expected)}" if lang_ok
-          else f"language: {n_words} != {len(expected)}")
+    lang_ok = _check("language", n_words, len(expected), difference is None)
     trees = gmod.count_parse_trees(gr)
-    trees_ok = trees == n_words
-    print(f"parse_trees: {trees} == {n_words}" if trees_ok
-          else f"parse_trees: {trees} != {n_words}")
+    trees_ok = _check("parse_trees", trees, n_words, trees == n_words)
     annotations = annotate.count_assignments(g, t)
-    ann_ok = annotations == len(auts)
-    print(f"annotations: {annotations} == {len(auts)}" if ann_ok
-          else f"annotations: {annotations} != {len(auts)}")
+    ann_ok = _check("annotations", annotations, len(auts), annotations == len(auts))
     if lang_ok and trees_ok and ann_ok:
         print("result: ok")
         return 0
@@ -326,17 +241,57 @@ def _cmd_validate(args) -> int:
     return 1
 
 
+def _check(name: str, got: int, expected: int, held: bool) -> bool:
+    """Print one check line of validate; whether the check held."""
+    print(f"{name}: {got} {'==' if held else '!='} {expected}")
+    return held
+
+
+_STRATEGIES = ["min-fill", "exact-small"]
+_REQUIRED = {"required": True}
+
+# in --help's order; each argument is a flag or name and its add_argument options
 _COMMANDS = {
-    "build": _cmd_build,
-    "embed": _cmd_embed,
-    "stats": _cmd_stats,
-    "enum": _cmd_enum,
-    "count": _cmd_count,
-    "member": _cmd_member,
-    "lift": _cmd_lift,
-    "check": _cmd_check,
-    "validate": _cmd_validate,
+    "build": ("compile the automorphism grammar of a graph", _cmd_build, [
+        ("--graph", _REQUIRED),
+        ("--td", {"help": "PACE .td file to use instead of constructing one"}),
+        ("--strategy", {"choices": _STRATEGIES, "help": "default min-fill"}),
+        ("--path", {"action": "store_true", "help": "regular grammar via a path decomposition"}),
+        ("--out", _REQUIRED),
+    ]),
+    "embed": ("grammar for the group embedded on the first vertices", _cmd_embed, [
+        ("--graph", _REQUIRED),
+        ("--keep", {"type": int, "required": True}),
+        ("--beta", {"help": "coset representative, one-line image form"}),
+        ("--out", _REQUIRED),
+    ]),
+    "stats": ("rule/variable counts, size, regularity", _cmd_stats, [("grammar", {})]),
+    "enum": ("enumerate the language", _cmd_enum, [("grammar", {}), ("--cap", {"type": int, "default": 1000000})]),
+    "count": ("number of accepting parse trees", _cmd_count, [("grammar", {})]),
+    "member": ("decide membership of a word", _cmd_member, [("grammar", {}), ("--word", _REQUIRED)]),
+    "lift": ("emit the extended formulation as a CPLEX LP file", _cmd_lift, [
+        ("grammar", {}),
+        ("--out", _REQUIRED),
+        ("--matrix", {"action": "store_true", "help": "0/1 assignment-matrix projection"}),
+    ]),
+    "check": ("feasibility of a fixed projection point", _cmd_check, [("model", {}), ("--point", _REQUIRED)]),
+    "validate": ("full oracle cross-check for a graph", _cmd_validate,
+                 [("--graph", _REQUIRED), ("--strategy", {"choices": _STRATEGIES, "default": "min-fill"})]),
 }
+
+
+def _build_parser(command: str | None) -> _Parser:
+    """The parser with every command listed, and the arguments of the
+    named command only: no other subparser reads argv, so no other needs
+    them, and each command's --help text is the same."""
+    p = _Parser(prog="autgrammar")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, arguments) in _COMMANDS.items():
+        s = sub.add_parser(name, help=help_text)
+        if name == command:
+            for flag, options in arguments:
+                s.add_argument(flag, **options)
+    return p
 
 
 def main(argv=None) -> int:
@@ -365,7 +320,7 @@ def _run(argv) -> tuple[int, Exception | str | None]:
         except SystemExit as e:  # --help, written into stdout's buffer
             status = e.code
         else:
-            status = _COMMANDS[args.command](args)
+            status = _COMMANDS[args.command][1](args)  # its handler
         sys.stdout.flush()
         return status, None
     except BrokenPipeError:

@@ -803,13 +803,14 @@ def _coordinate(name: str, v) -> int | Fraction:
 
 
 def _parse_bound(line: str, numbers: dict):
-    """(variable, (lo, hi)) of a bound line, hi None for no upper end."""
+    """(variable, (lo, hi)) of a bound line, hi None for no upper end:
+    `lo <= x <= hi`, `x <= hi` or `x free`, and no other shape."""
     toks = line.split()
     if len(toks) == 2 and toks[1].lower() == "free":
         return toks[0], (None, None)
     if len(toks) == 5 and toks[1] == "<=" and toks[3] == "<=":
         return toks[2], (numbers[toks[0]], numbers[toks[4]])
-    if len(toks) == 3 and toks[1] == "<=":
+    if len(toks) == 3 and toks[1] == "<=" and not _NUMBER_START.match(toks[0]):  # `lo <= x` is refused
         return toks[0], (0, numbers[toks[2]])
     raise PolytopeError(f"unsupported bound line: {_quote(line)}")
 

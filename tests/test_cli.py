@@ -89,6 +89,48 @@ def test_build_from_td(c4_file, tmp_path):
     assert c.stdout.strip() == "8"
 
 
+P4_TEXT = "4 3\n1 2\n2 3\n3 4\n"
+P4_PATH_TD = "s td 4 2 4\nb 1 1\nb 2 1 2\nb 3 2 3\nb 4 3 4\n1 2\n2 3\n3 4\n"
+
+
+@pytest.mark.parametrize(
+    "td",
+    [P4_PATH_TD, "s td 4 2 4\nb 1 1\nb 2 3 4\nb 3 1 2\nb 4 2 3\n1 3\n3 4\n4 2\n"],
+    ids=["in-order", "ids-permuted"],
+)
+def test_build_path_from_td(tmp_path, td):
+    # P4's path {1}, {1,2}, {2,3}, {3,4} rooted at bag 1 is the one build
+    # --path constructs: the same bytes, whatever the ids of bags 2..4
+    (tmp_path / "p4.edges").write_text(P4_TEXT)
+    (tmp_path / "p4.td").write_text(td)
+    graph, built, read = str(tmp_path / "p4.edges"), tmp_path / "a.json", tmp_path / "b.json"
+    assert run_cli("build", "--graph", graph, "--path", "--out", str(built)).returncode == 0
+    r = run_cli("build", "--graph", graph, "--path", "--td", str(tmp_path / "p4.td"), "--out", str(read))
+    assert (r.returncode, r.stdout, r.stderr) == (0, "1 2 3 4\n", "")
+    assert read.read_bytes() == built.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "td, reason",
+    [
+        ("s td 3 2 4\nb 1 2 3\nb 2 1 2\nb 3 3 4\n1 2\n1 3\n", "decomposition is not path shaped"),
+        ("s td 3 2 4\nb 1 1 2\nb 2 2 3\nb 3 3 4\n1 2\n2 3\n",
+         "bag at () introduces 2 vertices, expected exactly 1"),
+    ],
+    ids=["tree", "two-at-root"],
+)
+def test_build_path_from_td_refused_exit_3(tmp_path, td, reason):
+    # a .td given with --path must be a path from bag 1 that introduces one
+    # vertex per bag
+    (tmp_path / "p4.edges").write_text(P4_TEXT)
+    (tmp_path / "p4.td").write_text(td)
+    out = tmp_path / "g.json"
+    r = run_cli("build", "--graph", str(tmp_path / "p4.edges"), "--path", "--td", str(tmp_path / "p4.td"),
+                "--out", str(out))
+    assert (r.returncode, r.stdout, r.stderr) == (3, "", f"error: {reason}\n")
+    assert not out.exists()
+
+
 def test_build_fan_from_td(tmp_path):
     # the fan F_1100 on the path decomposition with bags {i, i + 1, hub}:
     # the hub's annotations are searched over all 1101 vertices, past
@@ -632,6 +674,40 @@ def test_help_into_closed_pipe_exits_quietly(argv, unbuffered):
     shown = run_cli(*argv)
     assert (shown.returncode, shown.stderr) == (0, "")
     assert shown.stdout.startswith("usage: autgrammar")
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        ([], "[-h] {build,embed,stats,enum,count,member,lift,check,validate} ..."),
+        (["build"], "build [-h] --graph GRAPH [--td TD] [--strategy {min-fill,exact-small}] [--path] --out OUT"),
+        (["embed"], "embed [-h] --graph GRAPH --keep KEEP [--beta BETA] --out OUT"),
+        (["stats"], "stats [-h] grammar"),
+        (["enum"], "enum [-h] [--cap CAP] grammar"),
+        (["count"], "count [-h] grammar"),
+        (["member"], "member [-h] --word WORD grammar"),
+        (["lift"], "lift [-h] --out OUT [--matrix] grammar"),
+        (["check"], "check [-h] --point POINT model"),
+        (["validate"], "validate [-h] --graph GRAPH [--strategy {min-fill,exact-small}]"),
+    ],
+    ids=["top", "build", "embed", "stats", "enum", "count", "member", "lift", "check", "validate"],
+)
+def test_help_usage_lines(argv, usage):
+    # each command's arguments, as --help spells them, on one wide line
+    r = subprocess.run([sys.executable, "-m", "autgrammar", *argv, "--help"],
+                       capture_output=True, text=True, env={**os.environ, "COLUMNS": "200"})
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.splitlines()[0] == f"usage: autgrammar {usage}"
+
+
+def test_check_lower_bound_only_line_exit_2(tmp_path):
+    # `lo <= x` is no bound shape the reader takes: it names the line, and
+    # does not read the number as a variable
+    lp = tmp_path / "lo.lp"
+    lp.write_text("Subject To\n r1: x_1 - y = 0\nBounds\n 0 <= y\nEnd\n")
+    r = run_cli("check", str(lp), "--point", "1")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"error: bad LP file {lp}: unsupported bound line: '0 <= y'\n"
 
 
 C4_TD_BAGS = "b 1 1 2 4\nb 2 2 3 4\n"

@@ -720,7 +720,7 @@ def test_lp_bound_lines():
     assert parsed.bounds == {"y_0": (0, 1)}
     assert check_lp_feasibility(parsed, {})
     assert not check_lp_feasibility(parse_lp(lp.format("1/4")), {})
-    for bad in ("y_0 >= 1", "y_0 bounded", "1 >= y_0 >= 0", "0 <= y_0 <= 1 <= 2"):
+    for bad in ("y_0 >= 1", "y_0 bounded", "1 >= y_0 >= 0", "0 <= y_0 <= 1 <= 2", "0 <= y_0"):
         with pytest.raises(PolytopeError, match="unsupported bound line"):
             parse_lp(f"Subject To\n r1: y_0 = 1\nBounds\n {bad}\nEnd\n")
 
