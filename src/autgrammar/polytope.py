@@ -28,8 +28,10 @@ are taken as they are.  A point is decided on two independent paths:
   basis as det B and the integer adjugate, so its rounds make no
   Fraction; only a member's certificate weights are Fractions;
 - a point of an LP file (`check_lp_feasibility`, the `check` command),
-  which has no grammar, by an exact doubleton presolve that removes most
-  flow rows, then a phase-1 simplex on integer rows on what is left.
+  which has no grammar, by an exact doubleton presolve that removes the
+  rows of at most two terms (a tree grammar's LP has few: the variables
+  that would give them are written inline), then a phase-1 simplex on
+  integer rows on what is left.
   Each row carries its rhs as one more int entry, and a column that
   reaches its upper bound is complemented, so every nonbasic column sits
   at 0 and the simplex makes no Fraction after its set-up.  A crash
@@ -368,9 +370,11 @@ def _presolve(rows: list, bounds: dict):
     Which name survives a chain of doubletons only renames a column of the
     reduced system, but the simplex breaks ties by column name.  On the
     LP of the Petersen graph's min-fill tree grammar at its identity word,
-    keeping each chain's first name takes 4 pivots after the crash and
-    136 from an all-artificial start, and keeping its last takes 4 and
-    336."""
+    as built while variables with one rule, used by one rule, were kept,
+    keeping each chain's first name took 4 pivots after the crash and
+    136 from an all-artificial start, and keeping its last took 4 and
+    336.  A tree grammar's LP has no such chains now; a regular
+    grammar's, and an LP file from elsewhere, may."""
     lo = {v: a for v, (a, _) in bounds.items()}
     hi = {v: b for v, (_, b) in bounds.items()}
     if any(b is not None and lo[v] > b for v, b in hi.items()):
@@ -468,9 +472,9 @@ def _simplex_feasible(rows: list, bounds: dict) -> bool:
     fewest rows, ties to the smallest index.  The column enters at 0, so
     the swap is a degenerate pivot with no ratio test, and the phase-1
     objective sums only the artificials still basic.  On Petersen's
-    identity word (the LP of its min-fill tree grammar, 101 rows after the
-    presolve) the crash makes 90 swaps and leaves 4 pivots of the 136 that
-    an all-artificial start takes.
+    identity word (the LP of its min-fill tree grammar, 101 rows, which
+    the presolve keeps) the crash makes 90 swaps and leaves 4 pivots of
+    the 605 that an all-artificial start takes.
 
     The tableau stays over the integers (integer-preserving elimination:
     Edmonds 1967, Bareiss 1968).  Each row is held as coprime ints, its
@@ -804,14 +808,18 @@ def _coordinate(name: str, v) -> int | Fraction:
 
 def _parse_bound(line: str, numbers: dict):
     """(variable, (lo, hi)) of a bound line, hi None for no upper end:
-    `lo <= x <= hi`, `x <= hi` or `x free`, and no other shape."""
+    `lo <= x <= hi`, `x <= hi` or `x free`, and no other shape.  A token
+    that starts like a number names no variable, so `lo <= x`, `1 free`
+    and `0 <= 2 <= 3` are refused."""
     toks = line.split()
-    if len(toks) == 2 and toks[1].lower() == "free":
-        return toks[0], (None, None)
-    if len(toks) == 5 and toks[1] == "<=" and toks[3] == "<=":
-        return toks[2], (numbers[toks[0]], numbers[toks[4]])
-    if len(toks) == 3 and toks[1] == "<=" and not _NUMBER_START.match(toks[0]):  # `lo <= x` is refused
-        return toks[0], (0, numbers[toks[2]])
+    at = {2: 0, 3: 0, 5: 2}.get(len(toks))  # where each shape writes its variable
+    if at is not None and not _NUMBER_START.match(toks[at]):
+        if len(toks) == 2 and toks[1].lower() == "free":
+            return toks[0], (None, None)
+        if len(toks) == 5 and toks[1] == "<=" and toks[3] == "<=":
+            return toks[2], (numbers[toks[0]], numbers[toks[4]])
+        if len(toks) == 3 and toks[1] == "<=":
+            return toks[0], (0, numbers[toks[2]])
     raise PolytopeError(f"unsupported bound line: {_quote(line)}")
 
 

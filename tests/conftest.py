@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import json
@@ -282,6 +283,23 @@ def check_every_maker(g: Graph, *grammars: Grammar) -> None:
                 made.append(group_from_subgroup(gr, [Permutation(tuple(range(1, m + 1))), reversal]))
     for gr in made:
         check_full_check(gr)
+
+
+def inline_single_use(gr: Grammar) -> Grammar:
+    """gr with each variable other than the start that has one rule, and
+    one occurrence in all the rules' right-hand sides, written in place of
+    that occurrence and dropped; the other variables and rules keep their
+    names and order.  Applied to a tree grammar built with every such
+    variable kept, it gives what `build_aut_grammar` writes."""
+    count = collections.Counter(lhs for lhs, _ in gr.rules)
+    uses = collections.Counter(x for _, rhs in gr.rules for x in rhs if isinstance(x, str))
+    body = {lhs: rhs for lhs, rhs in gr.rules if lhs != gr.start and count[lhs] == uses[lhs] == 1}
+
+    def spelled(rhs):
+        return tuple(y for x in rhs for y in (spelled(body[x]) if x in body else (x,)))
+
+    rules = tuple((lhs, spelled(rhs)) for lhs, rhs in gr.rules if lhs not in body)
+    return Grammar(gr.sigma_max, gr.start, tuple(v for v in gr.variables if v not in body), rules)
 
 
 def json_reference(gr) -> str:

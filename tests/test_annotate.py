@@ -495,13 +495,16 @@ def test_top_down_pass_prunes_below_a_kept_parent():
     # kept parent annotation uses; without that step the grammar holds
     # unreachable variables (32 rules, not 29, and no formulation), and
     # without the whole pass it holds 34 rules.  Those counts include B1's
-    # unit rule to the one root class; since that class's rule is B1's own,
-    # the kept grammar has 28
+    # unit rule to the one root class, whose rule is now B1's own, and
+    # every class with one rule that one rule names, which is now written
+    # into that rule: the kept grammar is the one rule B1 -> the identity's
+    # word, while an unreachable class, which no rule names, keeps its
+    # variable and rule
     g = Graph(28, [tuple(map(int, e.split("-"))) for e in RIGID_CUBIC28.split()])
     t, alpha = make_permutation_yielding(g, compute_tree_decomposition(g, "min-fill"))
     assert t.width == 5
     _, gr = build_aut_grammar(g, t)
-    assert len(gr.rules) == 28
+    assert len(gr.rules) == 1
     assert trim(gr) == gr
     assert count_parse_trees(gr) == count_assignments(g, t) == bfs_automorphism_count(g) == 1
     assert enumerate_language(gr).words == (permute_word(to_string_word(identity(28)), alpha),)

@@ -710,6 +710,17 @@ def test_check_lower_bound_only_line_exit_2(tmp_path):
     assert r.stderr == f"error: bad LP file {lp}: unsupported bound line: '0 <= y'\n"
 
 
+@pytest.mark.parametrize("bound", ["1 free", "0 <= 2 <= 3"])
+def test_check_numeric_bound_variable_exit_2(tmp_path, bound):
+    # a number names no variable: the bound line is refused, not read as
+    # the bound of a variable that no row can name and then ignored
+    lp = tmp_path / "num.lp"
+    lp.write_text(f"Subject To\n r1: x_1 - y = 0\nBounds\n {bound}\nEnd\n")
+    r = run_cli("check", str(lp), "--point", "1")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"error: bad LP file {lp}: unsupported bound line: {bound!r}\n"
+
+
 C4_TD_BAGS = "b 1 1 2 4\nb 2 2 3 4\n"
 RULES_OK = '"start": "B1", "variables": ["B1"], "rules": [["B1", [1]]]'
 LP_HEAD = "Minimize\n obj: 0\nSubject To\n"

@@ -23,18 +23,23 @@ digests of today's bytes.  The LP names flows and rows by index, so no
 LP or `lift` digest moved.
 
 The partner-shape digests (K6, btree5 and spider 5x4, natural and
-relabelled) were recorded before the builder wrote its rules column by
-column, and that change keeps them.  The digests of btree6 and P80, the
-first golden graphs above 64 vertices, were recorded before the
-annotation search held vertex sets as int bitmasks, and that change
-keeps them.  The digest of P2000, a decomposition 2000 positions deep,
-was recorded while positions were still named by their root paths, and
-holding them as preorder ints keeps it.
+relabelled) pin every shape of partners in the benchmark's compile
+corpus; writing the rules column by column kept them.  The digests of
+btree6 and P80 are the first golden graphs above 64 vertices; holding
+vertex sets as int bitmasks kept them.  The digest of P2000 pins a
+decomposition 2000 positions deep; holding positions as preorder ints
+kept it.  The exact-small digests pin the `.td` text and the `build`
+output of seven small graphs, natural and relabelled; reading the bags
+from the one elimination that picks the order kept them.
 
-The exact-small digests (the `.td` text and the `build` output of seven
-small graphs, natural and relabelled) were recorded while the bags were
-still read from a second run of the elimination, and reading them from
-the one elimination that picks the order keeps them."""
+Every tree-grammar digest here (tree grammar, relabelled `build`,
+partner-shape, multiword, deep-path, exact-small `build`, `embed`, and
+the LP and `lift` text of tree grammars) was re-recorded when the tree
+builder began writing each class with one rule, which one rule names,
+into that rule instead of giving it a variable.  That moved all of them
+but natural-label star5's tree grammar, which has no such class, and
+moved no regular-grammar and no `.td` digest; the language, the
+parse-tree count and the LP verdicts did not change."""
 
 import hashlib
 import random
@@ -89,23 +94,23 @@ GRAPHS = {
 
 # name -> (tree grammar JSON, regular grammar JSON), position named
 GRAMMAR_DIGESTS = {
-    "C6": ("0725e7a9a70700d14ff9880d1d0cd4d61aa9cee756da6c5017fa35d17c73c2ef",
+    "C6": ("e133c2a424a30be5188707aa78da21813b5c32c2ed3267b44363f4a6fe3fcad9",
            "5900e2b80d63c50bb740605270f975678ed3ac46473993f19c1d6293b9650002"),
-    "K4": ("bf84cbf5aad3ebb86463bda5ddd0dfb2eecfd571616f1114676dd0b58dee6148",
+    "K4": ("8710073a65f33d5b124df323fe5b57a8fe2d1a2631c5add5268a3d85647b8d2e",
            "541c0e40507fbd75e3b3c0b3c8adcb41cdd76a370492d28aced264105adb893f"),
-    "K5": ("ee8a2c3cb8f604d19e2b41f760bedef00c90fe5c50c6f47a8773f4e432f4c6ea",
+    "K5": ("d58991289bb8a80a4f73f59b4cba665b1f069f77a6fda55b3c149333e213095d",
            "5f9a4261d2c85507c55e412ebbd50ef713944bab05bfb735b3bb4357f7ddc967"),
-    "P8": ("de8842b28f394907189e322f7b66ee5f768198807a90f97eef1d18516d899d8c",
+    "P8": ("7eba0c5f12a731a43ea378c9a27e2dc10eb0106248ca07f3fcb7210f7939dbc5",
            "2313e30e3a44224f25d3c4678974dbf0696b67f5ae25c99ae2ce82cd6a80fe57"),
-    "Petersen": ("36b127a49e8f4e34b1340321d3b5583a7fa43412fc4ef3933d5fa6b013710a6f",
+    "Petersen": ("c06fa7e10e93f67675410601eab1248e1e7ea738940905ce27d8e5c0af4fe0ad",
                  "a627e1ce6eac130d053fc8285e426f602d2c555f097481a14489abdc1647cef2"),
-    "Q3": ("9cf4ab336518f49f67867644944989d5d54d8f8a9ab9346e04bad8a2ad9ab7ea",
+    "Q3": ("0e77a301abd52a4e3dcb798e209d9716c01019893c4100adf0d777a6af92c2f3",
            "f98c9793d15481ecb8e0127462d0f991bad1cbc741d76d0552227890f1cd4a47"),
-    "btree3": ("d5d701bb682e41260b373ed77f7b192a40e9f14e7a2f8730e1fbd7e0e5c10a0d",
+    "btree3": ("72366878338bc19326af0c658d40ea6f5111d9149d3ac8982f7c23bee80a107e",
                "c58d466c30169cf76125de36f27011517f8617b124991727d61e33edc77fb67b"),
-    "grid3x3": ("a8e299b7ae1c96e3c69a09e43221da948fb7c548f4a315aacd92cfffd21eae34",
+    "grid3x3": ("755173510a2c8216a4dd502daf973d215e249c9cebc3186b7b7816c94b7821cc",
                 "f2d0f765fa9e074d54c8810617ce0734449be928d351a54aad56c879763e117b"),
-    "spider3x2": ("a51b40395c170174e5389b474ee536eb55493943545a580d33c5c03469891276",
+    "spider3x2": ("9db6953669650b2f813e52e09d2113a4e26b8e76b44e626a41364c4d2a5d1691",
                   "13f4a70edf97a717ef319553e7a25595679c7496439954537327f60fe263047c"),
     "star5": ("8d736dea1f44453a67efff2ad0457627d291f0869e4b50cec77a3c7355887781",
               "bbb10cdfe74843d8944836fe981b805574b98d582e0a9b1cb401e9fb8e88a5ce"),
@@ -113,31 +118,31 @@ GRAMMAR_DIGESTS = {
 
 # name -> (tree grammar JSON, regular grammar JSON), as written
 INDEXED_GRAMMAR_DIGESTS = {
-    "C6": ("9f56a9447cff767a95c7615152597becc0addf63740af6fb3514d0f127c4cbf3",
+    "C6": ("c39ed3dfa62ffc7c88865cc922a10bef0cfa7aefc312006f5e49f98e3f70b7c1",
            "fcb35cea54a11d9a9333bfa2dab3a093789571fd5863e0b9824fcc7d2ce200f6"),
-    "K4": ("c822c983dee697d8268046d437312b66c338b2a2ddddcecbfb490ac0be52368b",
+    "K4": ("732bd2eae99bf49580b1204703d119047fa62ebb41912a5c429c31023bee9488",
            "822b261fffaed415ae99135c8d86496b5b5ab3441ba4dc9edd1aa4caadeb04a9"),
-    "K5": ("01622417c73a376ac1ca3efcde6b6e2e1f59da4278fc666632f5541838bb1f21",
+    "K5": ("2491a7ed852b3ce892a797314f53b1e1c1522c4f1ba5aa9174bb68519f2250cd",
            "1ae76796f3d9d2b48263586f9083df3d20e21c9f215606e1ec77a454b121fb69"),
-    "P8": ("0d3cf5af72d014090e5fe43c75cc82c4e97ff6fa57c7402a819db741a27ffa71",
+    "P8": ("7eba0c5f12a731a43ea378c9a27e2dc10eb0106248ca07f3fcb7210f7939dbc5",
            "51b26ae06e453f16867d08b13a8f6e2976bf42e948b943251ab20f8643d74e44"),
-    "Petersen": ("62e08f4eee313b3aa9af2c4f33c96ab20f53b6addad4b837ce7f47591eabb821",
+    "Petersen": ("2ea888d8a53499efadc6d9cbd4a5373c049ab51b579b4b4193eec7702e9c8347",
                  "eedf76d1df0eae4bd48312db6df4418ee209bdeb807f2ec4203ffc6ad1f3c791"),
-    "Q3": ("d49710b21522a50155ccc8a6c3c577c9720fcada8737428eea8158db9f74bc98",
+    "Q3": ("71185776af0179e5ccd7437621572e7b5592ff95ab76e7464a8118138fffb276",
            "0304179ec1fe0bfba476a3fb8a056be1c48e738532b2c130e68d1b77ce6f1c0f"),
-    "btree3": ("9e389159545b8bbf5d03244fdbf6ac5c196e3a52ea8fd300ebfe662d97900544",
+    "btree3": ("88ec22e85172869a400269a4622bfa7358a614854beea70dccf214e0fe3bc5b8",
                "dd97ccfae11883b83864a1d64909a5f24f690a576173af217745e34ca5686dfc"),
-    "grid3x3": ("3470e01ca95e7b712634927d1f8c8c0aeeacc4cfc2f226066c65d71c47989444",
+    "grid3x3": ("41fb2119dd2ea89ce911f47ce95d4f85ac4f1abda3c3615ca579957523c43e17",
                 "a9bfec1c0239c86b199472b9f847ed317a4070b854fe262fee37ac8a758b6015"),
-    "spider3x2": ("f55228f2106a29e26e9a5d5f61a33a552694495c1ef7403f2fbb361145120f93",
+    "spider3x2": ("4e127630dd2a1218c15a6c84b260740c44245fc4fdd3885ffe3ebc71b972d442",
                   "e20a352b0e77b64585bceb49ac5af774ee665bea60bcbf6b63ac31e97e16d3a2"),
     "star5": ("63c097855695f56ed103a9358b7f1112c153033e706783f50267ce0ceb7de62e",
               "9847b5d96f03fdeb43fcdaaba32e03adb5e075d5db3e371bd75e32845a9038fd"),
 }
 
 LP_DIGESTS = {
-    "C6": "88dd4a312300cec0a9049dabc4e7e4efb25e9fcc97848d0014ec41e3524d2ecb",
-    "btree3": "704a38410312b09391868dfa2a460e5a6babeb79895710b1b18cd27268a3d55a",
+    "C6": "34a0893a9da3052ee9514b51b0a400246f627cd04062fdc6c7680f18000f412c",
+    "btree3": "8474a8bbd19d31f35dabe4bb293438e00adad04b7e96d6b9be5d37e08db38850",
 }
 
 # name -> (graph, seed of the relabelling)
@@ -154,32 +159,32 @@ RELABELLED = {
 # `lift` output): a build's output is its grammar JSON and its alpha line,
 # position named
 RELABELLED_DIGESTS = {
-    "C20": ("28f56eb0d410300a715c567eb507a3efe1465ee317ee915158266be2139547c0", None,
-            "e2c168af26c12d92fa76825ff10ef2fbedf1458f96bce782b44820b72e50d1c0"),
-    "P30": ("b8905abbca6286f2f6cc3338566c0b237c90d3ab592bd743fe177703251e8dd7", None,
-            "c26f2da636cf88c626104d40307ef7216c6b173021d8589dd357887429c1b2f9"),
-    "btree4": ("3722455b3f924ef63ccb24792849412ed2325a5e9cd7937888fa2f147f964b9a", None,
-               "d2821feee2ad07c8230cac6d792d380f1ac833b911b36b7071dc2cc77a26e4c2"),
-    "grid4x4": ("11c6afc79d1eebc457639c76f8df39c5c3c6cc57af4aac475a8c32017b3846bd", None,
-                "2135c023603549835133e368a02cc8d90e57342f95270671eea52ca379e6c464"),
-    "Q3": ("debc49399c1da6159c92dbe89414d89c73ee0226392caedd250ec4a02d39e930",
+    "C20": ("29c7c41ffb3abbeef4314e3ad977839994f43e997ef36e3a49541124abe3ca47", None,
+            "259586e584aa90702c2d697621f0e3f3931446c979dc96f5f45b823daae715c5"),
+    "P30": ("b3482edfd2adff1f282fe6070f58c30187dee8eb761ec18eb7f1babf2c676576", None,
+            "bc3033b2954312db08f0fae790e0882347e0ca2d717deb8bab81abda9f383da0"),
+    "btree4": ("fd2a0f7b69563b3ae3243ad83d062fc483880cbae64ae908bb46882be826f12d", None,
+               "9d4d4acbf4a89e30cf567c89ffbf89b1030ebbe37908adc14afed3d5c063321e"),
+    "grid4x4": ("2f55f191f38377433ebdccd55da56556acff5abb50cb578a2716d77ed108b050", None,
+                "5700d84fc44350a92e6e86c709c74b31a51f57ac0b46ffbf1712731de00d5c1f"),
+    "Q3": ("aa3d7ddbc2813e01f86229dd54e2ba6a42902d120dcaca441dc488cd47e46657",
            "2adf15dddadd394fd32afde44e76a1ae38709715281964d929e17e0e58cb4cb1",
-           "f67908173f3f1f2a3349688bd579a1558d3d8094e1afdd7e36c710dd33ff5604"),
-    "Petersen": ("e9409485e6c44f6a20418e573f8c5f55416504fcaf2e23ea3823e7e11fa00bbf",
+           "6ae1c366c5ecb13d9298696d6d4083e60aabb480cf96a1bc28bebec9ad055628"),
+    "Petersen": ("06e0cfb85353770da571a9881828d561a2cecfefe9d3dec39d01f7983f543109",
                  "0d351cfbfae5e87f20ba6f8270b991c6919720c636a33da454fc0a6bf2d7ce75",
-                 "5b6d0c752cbcdd285f9572cf1a4c66eb11fc84a1e072ca16507a431f4c3064b8"),
+                 "207dc6a98ffa8996334b4b50996325fb7e0bc1c9b7c9b9fa6e60054f31ccb09b"),
 }
 
 
 # name -> (`build` output, `build --path` output or None), as written
 INDEXED_RELABELLED_DIGESTS = {
-    "C20": ("75ab703fad58c8e865594126f47640d7e0b645df5e9df1361e25657ec725cbf0", None),
-    "P30": ("63fc5daacd5d29abf112e0c8e7a2779a9776594834453fdbf1042bf3cbbdcb3f", None),
-    "btree4": ("7597ddc304218de2cfe2cef1504972b13019ddf4be7074f328cc840c6fc8013a", None),
-    "grid4x4": ("ddea7e576ed3c414bf3e4ed139aa687d8613413fb7f18217094e7a427e1d974f", None),
-    "Q3": ("56fe94054caa464ad84315b556af1ebc1c1b76937c59f758e32af1442c457a11",
+    "C20": ("c7d2002708e86e51b1e06d636ff9cfe6edc4de7368129d569719796f31e52eed", None),
+    "P30": ("b3482edfd2adff1f282fe6070f58c30187dee8eb761ec18eb7f1babf2c676576", None),
+    "btree4": ("ff6bff2c648094a0f75259ecc49cddc40fc093c33927cc3daa7a92a5e384393c", None),
+    "grid4x4": ("6220391acf28756956748041f6135816b32a4e8423db0ff4c90341f4379959f2", None),
+    "Q3": ("46c71e330381535140929341228593ff776959147a31f6cca94f89d6a9d2cd86",
            "56232918388ec27c33b77b9b7c63eee74e85d02d745aa672af569c7ff5aeed98"),
-    "Petersen": ("644cc49d478d0feceb7d20d0189ab640f2316d0bb5e76e20a9cbbad5138c8437",
+    "Petersen": ("ea762b9e36a4eca6132271008c55ada221b88a156e1eb4e5ab396b2b4ab60be4",
                  "b08140f670a808e681ef91e2c4c5376fd0811120050deb8123423367c10aff5c"),
 }
 
@@ -275,12 +280,12 @@ PARTNER_SHAPES = {
 # name -> (`build` output with natural labels, relabelled), as written; a
 # relabelled complete graph is the same graph, so K6's two are equal
 PARTNER_SHAPE_DIGESTS = {
-    "K6": ("f4359e3b2ccff77d9212d9b087e69c456b790e33f5c74e9c7556dc324dfe0c5e",
-           "f4359e3b2ccff77d9212d9b087e69c456b790e33f5c74e9c7556dc324dfe0c5e"),
-    "btree5": ("eee1d9c57095f54a503692e47dad225bf59a63978aff7feab17c4a96f00f67a4",
-               "47f0054be08149bc3eadb348377bb80f7d085543c8ff4df50f11319b5b51cecf"),
-    "spider5x4": ("d05351e3ae9a0cc8ce4d5b6956f120dec32f12c48482fe6cd5a5e9717a1612ea",
-                  "6f9b57a8b0de16a482c36f6bf13818f636264a741811460dfb6235cd2d5a39d6"),
+    "K6": ("0230649b403bcc5f303f5ff5b69f88e6fc5c9e9df268cbbaec0be3213c02ec44",
+           "0230649b403bcc5f303f5ff5b69f88e6fc5c9e9df268cbbaec0be3213c02ec44"),
+    "btree5": ("b865ff81086faed9683aa97ea1e382c38734e86e006ad56e455163bb6717b383",
+               "3509052aa651e52e6713b44d858ecf1439d058cfac7bf8b410b9405402ceb4be"),
+    "spider5x4": ("1ab4034956d1647f608ba66a14ecf8e8bdef5d0d2998cf3f3cd912c3847108a0",
+                  "1ddad22657be1433b7c5f7a229e0c2c4d482d2849a2904165cdf0fc280301516"),
 }
 
 
@@ -302,10 +307,10 @@ MULTIWORD = {
 
 # name -> (`build` output with natural labels, relabelled), as written
 MULTIWORD_DIGESTS = {
-    "btree6": ("84176eb3ecb79e0a85da6f550f7ef1cb5d3b3871dfc470f304c8dea3c7e8136d",
-               "36b1931f2478fa0a265db2bdc52a2892af4107b2fe74b97bd3ac60811873c39d"),
-    "P80": ("2ecca985ba1b49668acc5a04d21ea94354ab7b9d2309f93f72c877f3ca5d13f9",
-            "3124ec010225dec7c2af14b577d89520f5c995c8f82e8f6a463687d04dbae048"),
+    "btree6": ("fce07e03c1c72c10cd2c1df8e43ab998b478dc714eef76761a1c9aa5799fd588",
+               "a556e918208ebc19f29307aff20a6342187314018c81823f4ce27bd0e41527af"),
+    "P80": ("b7e15bba3b3831b03f28d12c301b8f74a656fd9069b81b2cd31e1c8399267042",
+            "3b814d827a770f91eba1a850cbefae87b83c7b9bd3061fa3c3d23077e53f4521"),
 }
 
 
@@ -329,28 +334,28 @@ EMBEDDED = {
 # name -> (`embed` output: grammar JSON and alpha line, position named,
 # `lift` output)
 EMBEDDED_DIGESTS = {
-    "btree4 keep 15": ("f30f295a1a2a44b6ec7e24405e08c50a5a4520512145404ec6e139c41be72ffa",
-                       "9935881dbafc0e5d2c571fc3f031a103c74f57292e5047466e1d816d758b2cbf"),
-    "btree4 keep 7": ("fbff256afdd2709b717d255993c9eeca1f9b6c91b028a675abe8de36d8f690ec",
-                      "b3fa4c7938e9c911454807113a01f933c0c1fe89897d7d75f5b0aa9efb6b90b5"),
-    "btree5 keep 31": ("cb79dc16a0d55899547b90087405ee94a96468ce4492d2707cc24cc22815c2fe",
-                       "99fa375aec883df258bcab01239da667b5f2cc40ddd753bfe904f441dd48769d"),
-    "spider5x4 keep 1": ("6c2a09ded9cf1888239259ebd39c723113d659f8a13e5a3a600775b7d40c3044",
-                         "97595e1b7715dd9c32474509d649e8bfaa99d6004613fecf538adc2a5f82c9cd"),
+    "btree4 keep 15": ("91fd11af271f1066d453435229e580f02a64c392988fee7332463a2f8004dcc4",
+                       "68dcee4f8cc887abaa65e8541ee5428882775001ee9bcf2893978565bbc0c9ec"),
+    "btree4 keep 7": ("3068cc7c13c1d000bdacf041498d324188a89886ec7a4b21f95bf2c070dec351",
+                      "8a690689cd9171a86ef6e3d8a8582553c9b60a46fa10d3ed1f2b4b43c5f959bb"),
+    "btree5 keep 31": ("df89d917f94cb5fa26e760a8270cd6f3735da9cae342eba1385687b9826f1530",
+                       "c83724fada35f987873f81088fd357cd30a25ed4359665df8a592fc34df8d99e"),
+    "spider5x4 keep 1": ("20c06515c1aea36241a9c54786e49e6f43329ac7b583b229f886a697687c6e66",
+                         "4162877c79f8a7e3a10338b370e384c8a703141318fe3b47099a3a994665b9c0"),
     "btree4 keep 15, b reversed": (
-        "f1d5e64b166f71c0d5cc036aae64a6887540b03b2e70c182ed5a952025d9f571",
-        "99e5ab71c34dd26a8ac36546ad1c70de73cd5b8e7dde24f5b3a5e7ba1e4a0e88",
+        "e11a907cb7093dfcc2b8d3035c1ea3ce012cfecade13ae511b9ae9b5a8c4f93c",
+        "9c38655a008f357e598abe9638b4c4b401a314d8e6ccfa98d3d8164505533bb6",
     ),
 }
 
 
 # name -> `embed` output, as written
 INDEXED_EMBEDDED_DIGESTS = {
-    "btree4 keep 15": "bdb07eb3077d6d98af7a9fbc9f9832f008b7b9cf90d47d72c2c3514c3edf16cd",
-    "btree4 keep 7": "9e48d955492cbf3f4d658975503fd2cec179089004024a2e8b09643796bd6086",
-    "btree5 keep 31": "bef046889efbbf18c40e8e896eeb020544d200f45a19ae967b1b64ff660626df",
-    "spider5x4 keep 1": "77cc16c6494a3ad3f5be5e87c49b6d7b0e30c936c5e533776af8c4318e389b13",
-    "btree4 keep 15, b reversed": "77fc78ec3c9a0e06ffbfa0b8ad6e49b3626e688157863db33c64c3ba507c5752",
+    "btree4 keep 15": "4814ee0b5e4be01b1e8f3ebbdc01035fe1e021141056d7db5aaa24978c54c0fc",
+    "btree4 keep 7": "9bdc88f9f926a6a14aef9467b461d39a50a80063ddb5e3ef881a038f7f79256c",
+    "btree5 keep 31": "1c84fcbdae45445adac866b30104ae1eee0fc15e825c6e4be6c80a7a25763b88",
+    "spider5x4 keep 1": "0d30399d5323a4963143c68e064809b7cd23ce426e30312ef53634a47812796d",
+    "btree4 keep 15, b reversed": "ddeb334c311749ef8aa04f137a33f0455b9000ccf2b1e0090dab7b7acbf7c06f",
 }
 
 
@@ -366,7 +371,7 @@ def test_embedded_bytes(name):
 
 
 # natural-label P2000's `build` output (grammar JSON and alpha line)
-DEEP_PATH_DIGEST = "4d13215202729e3fe082cb2308a70729999de4dd7e965245a34fcf00c1075b53"
+DEEP_PATH_DIGEST = "311e3cb3d0272ff06edd0d08e419df4bb8cd484f036adfb56655b204dceb3a07"
 
 
 def test_deep_path_bytes():
@@ -389,33 +394,33 @@ EXACT_SMALL = {
 # labels, the same relabelled); a relabelled complete graph is the same graph
 EXACT_SMALL_DIGESTS = {
     "C5": (("1d9a3acae1404401569f25d41c9214fccd98da7a32a470d3eb374f3f831031bf",
-            "14d31cc6e1c0c72ca1c16636c880a8a4a81d31d5c74918446490be63c98031d7"),
+            "6fcddc7e7d4716b340c9805e1ece7f0598a00d0de7c7cf60e58d1b00b58a5666"),
            ("7ba595e72d90a92fe20bf340d22e5d2d61ea5b1e686821189106186b3bd830e0",
-            "a269debc8e6764c88b220db615113bf003d688702c030e7c5d3cef83f2c01ab8")),
+            "07d668d6a58e780555574e86d650c0d5cf6af13d71b7176348993bba1caf83b8")),
     "C6": (("8da0df1bd838dbc21941c8fe62add39e2ee5079aba9fbe5b7e5a18bd150cd4c0",
-            "8edcb69b61d940c35f37c36a4558bbeed13be20179dab2819d818c3f7e906c5a"),
+            "941a464b90c88f3b87fdadc52dde761c86bd7d1f9d4ca65a1b88714965cfa96c"),
            ("8e299cb79b8f7aa3ae7154badc9cc343fa0cb65706382f64798d1c7c3317159d",
-            "8d8075cb739d3ea5d81a56ce05b58cfdc7ecb64b0b9d57815660aadfb2aa7bce")),
+            "54a9d8cd8852cb42792754c8c6859452a82e020913c2070576f53d7361eb4115")),
     "K4": (("eea56d514e85e72e56446ffbbf6b3a9f0215585895b786b64e2d8f3b35ca2fe7",
-            "2fc0437230a4b06ed1f1bb97d199d488b01189660f5c3a1697b7c55d8e8e2d0a"),
+            "b8b8c799fa0c873f208cec100141ee308799897ef60613a4d1f7816b0e5b3106"),
            ("eea56d514e85e72e56446ffbbf6b3a9f0215585895b786b64e2d8f3b35ca2fe7",
-            "2fc0437230a4b06ed1f1bb97d199d488b01189660f5c3a1697b7c55d8e8e2d0a")),
+            "b8b8c799fa0c873f208cec100141ee308799897ef60613a4d1f7816b0e5b3106")),
     "star5": (("1f8da8ceb3272122c7bcbc9b669698da16a28d3037f5757d1ba2ed60f5cffc3d",
-               "8ea3ed575915ace75451fb413d6ffc6f13494508978d7b691a568d30edd632ca"),
+               "6b7aae8f86f62598cc359c0871f6830849b7741f206de97254a9afec5929f28b"),
               ("b36e0ae60182df9daf9f7ba757499a313e05864eef9cb173adb2fc193d6cb997",
-               "a2b23cd49d5ce864e57741d74cfc9327728c78407dbef8f337efe9835ecf5fbd")),
+               "2ccbc0ae8d362529c25b05ed3db808b8b787d141aa8621e2d887fb6628d2f319")),
     "grid3x3": (("4b57004ff2b42b5d6a6c58889300c0b71a05a3f942686b793638f06a1f3c61f0",
-                 "abef6faad5114ccf117adbd2b53284ae7e4dcb574324e31dd101500225972e0b"),
+                 "fdfcc2c5f9f6e64480daf8ec62ca95cfab0173970ec97221c9afc34bbedf7081"),
                 ("87237d1eac852a95d8a19044d74ca775d94c7f5ed9a40ca4eb61709af5678477",
-                 "d55e924f8ac852d145e18b5dcc352c1ffa805c111e2fbe05723bda161c77d481")),
+                 "db7ffed059cd2cd022108f7fb6d62bb6f49820b837c38f4fd1b7660f17da6906")),
     "Q3": (("80c7b83c8d7f5419b7fb327db27d13d06889693db2b50ffb5aaeddff53ff0a75",
-            "ac389955928dea6fe5d05896f83e78dfcb050b9820ede5c243ee3ff9959d7635"),
+            "4df8a5e419922a6bd1b4e96f0ffcf47f571f21ea7d085181c57869f4cac7037d"),
            ("c534e46f708856a3fd190950c209acc4c9328dd133022751e870083a53e68a8a",
-            "d6ea0ad4fa404a41a30385b7ff347b69bb5d3001c492c5ae926f1a186989e1ae")),
+            "b385a82bd6be9eb3ea13f06c45f47b6d226eb89efac4f0f6da4c523413c87ea0")),
     "Petersen": (("496be403f46f6007c82ce9e41e61b082751c69fd6a12fc591117af3c84377585",
-                  "4e71f06c6e0ca283f08ec3327052def4090aec86297d6bff72a839010cfb271c"),
+                  "b2713524d52abb804d94cc3a6b064d5f6ec7204ff59b605bd8601cd29d2915cf"),
                  ("d92a26a30507f2baa358cac614249120b44085a844b9caf5bb39d2fbe432c97a",
-                  "c139cc65e37f8a5e6333035eeed03fcd4fed3bdd42bcc19bf3e6364b8ae81b4a")),
+                  "84da2368d8564a28d4131a4ebf863a0c8d9f5fd028547de2d69b4123f2a364be")),
 }
 
 

@@ -68,6 +68,7 @@ from conftest import (
     cubic8,
     cycle_graph,
     grid_graph,
+    inline_single_use,
     json_reference,
     oracle_annotations,
     path_graph,
@@ -586,33 +587,37 @@ def test_single_vertex_root_writes_into_b1():
 
 def test_leaves_write_into_their_parents_rules():
     # P2: leaf 2 sits directly under the root, and leaf 1.1 under position
-    # 1, whose one child it is, so p:1's variables keep one rule with one
-    # terminal each.  P3: leaf 1.1.1 hangs under a chain of single-child
-    # positions, and 1.2 and 2 beside inner siblings.  No leaf position
-    # has a variable, and each rule writes its leaf children's terminals
-    # where their variables stood.  A variable p:<j>|b:<k> belongs to the
-    # j-th position in preorder, and P3's 1.1 is p:2.  The root's classes
-    # are B1's rules, so the root, p:0, has no variable either: the
-    # variables are those of the positions with children below the root
+    # 1, whose one child it is.  P3: leaf 1.1.1 hangs under a chain of
+    # single-child positions, and 1.2 and 2 beside inner siblings.  No leaf
+    # position has a variable, and each rule writes its leaf children's
+    # terminals where their variables stood.  The root's classes are B1's
+    # rules, and every class below them has one rule that one rule names,
+    # so it is written into that rule: each word is one rule of B1.  In
+    # the 7-vertex binary tree, (1, 1), the position with index 2 in
+    # preorder, has two classes of two rules each, so they keep their
+    # variables p:2|b:0 and p:2|b:1; every other class is written inline
     bags, gr = _tree_and_grammar(path_graph(2))
     assert bags == {(): (2,), (1,): (1, 2), (1, 1): (1,), (2,): (2,)}
-    assert gr.variables == ("B1", "p:1|b:0", "p:1|b:1")
-    assert gr.rules == (
-        ("B1", ("p:1|b:0", 2)), ("B1", ("p:1|b:1", 1)),
-        ("p:1|b:0", (1,)), ("p:1|b:1", (2,)),
-    )
+    assert gr.variables == ("B1",)
+    assert gr.rules == (("B1", (1, 2)), ("B1", (2, 1)))
     bags, gr = _tree_and_grammar(path_graph(3))
     assert bags == {(): (3,), (1,): (2, 3), (1, 1): (1, 2), (1, 1, 1): (1,), (1, 2): (2,), (2,): (3,)}
-    assert gr.variables == ("B1", "p:1|b:0", "p:1|b:1", "p:2|b:0", "p:2|b:1")
+    assert gr.variables == ("B1",)
+    assert gr.rules == (("B1", (3, 2, 1)), ("B1", (1, 2, 3)))
+    bags, gr = _tree_and_grammar(binary_tree(2))
+    assert list(bags)[2] == (1, 1) and bags[(1, 1)] == (1, 3)
+    assert gr.variables == ("B1", "p:2|b:0", "p:2|b:1")
     assert gr.rules == (
-        ("B1", ("p:1|b:1", 1)), ("B1", ("p:1|b:0", 3)),
-        ("p:1|b:0", ("p:2|b:0", 2)), ("p:1|b:1", ("p:2|b:1", 2)),
-        ("p:2|b:0", (1,)), ("p:2|b:1", (3,)),
+        ("B1", ("p:2|b:1", 5, 2, 4)), ("B1", ("p:2|b:1", 4, 2, 5)),
+        ("B1", ("p:2|b:0", 7, 3, 6)), ("B1", ("p:2|b:0", 6, 3, 7)),
+        ("p:2|b:0", (4, 5, 2, 1)), ("p:2|b:0", (5, 4, 2, 1)),
+        ("p:2|b:1", (6, 7, 3, 1)), ("p:2|b:1", (7, 6, 3, 1)),
     )
-    for g in (path_graph(2), path_graph(3)):
+    for g in (path_graph(2), path_graph(3), binary_tree(2)):
         alpha, gr = aut_grammar(g)
-        assert list(enumerate_language(gr).words) == oracle_language(g, alpha)
-        assert count_parse_trees(gr) == 2
+        words = oracle_language(g, alpha)
+        assert list(enumerate_language(gr).words) == words
+        assert count_parse_trees(gr) == len(words)
 
 
 def test_tree_grammar_not_regular(c4):
@@ -943,13 +948,15 @@ def test_join_matches_all_pairs_reference(corpus):
 
         ann, pann = survivors(t), survivors(pd)
         chain = pd.positions
-        for gr, (ref, ref_bags), bags in (
+        # the tree grammar writes each variable with one rule that one rule
+        # names into that rule; the regular grammar keeps them all
+        for gr, (ref, ref_bags), bags, inline in (
             (build_aut_grammar(g, t)[1], reference_aut_grammar(g, t),
-             {_head(t, p): ann[p] for p in t.positions if p and t.children(p)}),
+             {_head(t, p): ann[p] for p in t.positions if p and t.children(p)}, inline_single_use),
             (build_regular_aut_grammar(g, pd)[1], reference_regular_grammar(g, pd),
-             {f"p:{i - 2}": pann[chain[i - 2]] for i in range(2, len(chain) + 1)}),
+             {f"p:{i - 2}": pann[chain[i - 2]] for i in range(2, len(chain) + 1)}, lambda gr: gr),
         ):
-            minimal = _minimised(ref)
+            minimal = inline(_minimised(ref))
             assert grammar_to_json(gr) == grammar_to_json(minimal), name
             assert gr == minimal and trim(gr) == gr, name
             assert {h: list(bs) for h, bs in bags.items()} == ref_bags, name

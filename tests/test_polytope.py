@@ -714,13 +714,14 @@ def test_lp_free_variable_requires_point():
 
 def test_lp_bound_lines():
     # "y <= hi" is "0 <= y <= hi", as in the LP format; a bound line of any
-    # other shape is refused
+    # other shape is refused, and so is one whose variable is a number
     lp = "Subject To\n r1: y_0 = 1/2\nBounds\n y_0 <= {}\nEnd\n"
     parsed = parse_lp(lp.format("1"))
     assert parsed.bounds == {"y_0": (0, 1)}
     assert check_lp_feasibility(parsed, {})
     assert not check_lp_feasibility(parse_lp(lp.format("1/4")), {})
-    for bad in ("y_0 >= 1", "y_0 bounded", "1 >= y_0 >= 0", "0 <= y_0 <= 1 <= 2", "0 <= y_0"):
+    for bad in ("y_0 >= 1", "y_0 bounded", "1 >= y_0 >= 0", "0 <= y_0 <= 1 <= 2", "0 <= y_0",
+                "1 free", "0 <= 2 <= 3"):
         with pytest.raises(PolytopeError, match="unsupported bound line"):
             parse_lp(f"Subject To\n r1: y_0 = 1\nBounds\n {bad}\nEnd\n")
 

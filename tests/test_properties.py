@@ -3,8 +3,9 @@ builders against the brute-force oracle, and the two exact LP paths and
 the Fraction reference simplex against each other, that the count of
 whole-tree annotations is |Aut| and the parse-tree count on every kind of
 decomposition, that every variable a builder writes is one merge class,
-that the tree grammar names no leaf position and no root position and
-has no unit rule, that the annotation search pinned to a parent's keys
+that the tree grammar names no leaf position and no root position,
+has no unit rule and no variable but the start with one rule that one
+rule names, that the annotation search pinned to a parent's keys
 finds what the unpinned search finds for those keys, and that the keys
 a fully pinned child takes without a search are annotations.
 On random acyclic grammars: the streamed language against the
@@ -25,6 +26,7 @@ anew.  On
 valid and broken decompositions: the validation report against the
 reference that checks on root paths."""
 
+import collections
 import random
 import re
 import warnings
@@ -54,6 +56,7 @@ from autgrammar.grammar import (
     Grammar,
     GrammarError,
     _length_bounds,
+    _writes,
     build_aut_grammar,
     build_embedded_group_grammar,
     build_regular_aut_grammar,
@@ -459,17 +462,41 @@ def test_projection_matches_reference_on_positional_grammars(gr, data):
 @given(connected_graphs(), st.sampled_from(["min-fill", "exact-small"]))
 def test_tree_grammar_has_no_leaf_variables(g, strategy):
     # every leaf writes its terminal into its parent's rules, and the
-    # root's classes are B1's rules: the variables name exactly the
-    # positions with children other than the root, each p:<its index in
-    # preorder>; the language and the parse trees stay the oracle's
+    # root's classes are B1's rules: the variables name only positions
+    # with children other than the root, each p:<its index in preorder>
+    # (a position whose classes are all written inline names none); the
+    # language and the parse trees stay the oracle's
     auts = brute_force_automorphisms(g)
     assume(len(auts) <= MAX_GROUP)
     t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, strategy))
     alpha, gr = build_aut_grammar(g, t)
     heads = {v.rsplit("|b:", 1)[0] for v in gr.variables[1:]}
-    assert heads == {f"p:{j}" for j, p in enumerate(t.positions) if j and t.children(p)}
+    assert heads <= {f"p:{j}" for j, p in enumerate(t.positions) if j and t.children(p)}
     assert list(enumerate_language(gr).words) == sorted(permute_word(to_string_word(s), alpha) for s in auts)
     assert count_parse_trees(gr) == len(auts)
+
+
+@settings(max_examples=50, deadline=None)
+@given(connected_graphs(), st.sampled_from(["min-fill", "exact-small"]))
+def test_tree_grammar_writes_single_use_variables_inline(g, strategy):
+    # no variable but B1 has exactly one rule that exactly one rhs
+    # occurrence names; the grammar stays positional, spells the oracle's
+    # language with one parse tree per automorphism, and the identity's
+    # word is feasible on both LP paths
+    auts = brute_force_automorphisms(g)
+    assume(len(auts) <= MAX_GROUP)
+    t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, strategy))
+    alpha, gr = build_aut_grammar(g, t)
+    rules = collections.Counter(lhs for lhs, _ in gr.rules)
+    uses = collections.Counter(x for _, rhs in gr.rules for x in rhs if isinstance(x, str))
+    assert not [v for v in gr.variables[1:] if rules[v] == uses[v] == 1]
+    assert _writes(gr) is not None
+    assert list(enumerate_language(gr).words) == sorted(permute_word(to_string_word(s), alpha) for s in auts)
+    assert count_parse_trees(gr) == len(auts)
+    ef = build_extended_formulation(gr)
+    x = alpha.image  # the identity's word: position i holds alpha(i)
+    assert check_projection_feasibility(ef, x)
+    assert check_lp_feasibility(parse_lp(emit_lp(ef)), {f"x_{k}": v for k, v in enumerate(x, start=1)})
 
 
 def _check_no_unit_layer(g, strategy):
