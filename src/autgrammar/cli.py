@@ -194,6 +194,8 @@ def _cmd_check(args) -> int:
     xs = sorted(
         (v for v in names if v.startswith("x_") and v[2:].isdigit()), key=lambda v: int(v[2:])
     )
+    if not xs:  # a `lift --matrix` model: no value projection to fix a point in
+        raise _UsageError("model has no x_<i> coordinates; check decides points of the value projection only")
     if len(values) != len(xs):
         raise _UsageError(f"point has {len(values)} coordinates, model has {len(xs)}")
     point = dict(zip(xs, values))

@@ -20,23 +20,23 @@ vertex, stands in its parent's rules where a leaf variable with one rule
 would, and the root's classes' rules are the start's own, where the
 start's unit rule to each would be.  Parse trees then correspond
 one-to-one with consistent whole-tree annotations, hence with
-automorphisms, and they still do where a class with one rule, which one
-rule names, stands written into that rule instead of as a variable.  A
-word w produced for automorphism s satisfies w_i = s(alpha(i)) where
-alpha spells the leaf vertex order, so the language is exactly the
-string set of the group repositioned by alpha.
+automorphisms, and they still do after one pass over the built rules
+(`_inline`) writes each variable with one rule, which one rule names,
+into that rule instead.  A word w produced for automorphism s satisfies
+w_i = s(alpha(i)) where alpha spells the leaf vertex order, so the
+language is exactly the string set of the group repositioned by alpha.
 The regular grammar is the same construction on a path decomposition
 that introduces one vertex per bag, each bag writing the image of the
 vertex it introduces: one builder (`_build`) serves both, and since its
-root writes a terminal, the start keeps its rules B1 -> a X there, and
-since every position writes, no class is written inline: every rule
-stays B -> a or B -> a B'.  The consistency join
-(annotate.join_annotations) prunes the annotations and merges them into
-classes in one pass on int key ids; the builder names each class that
-keeps a variable p:<j>|b:<k> by its position's index j in preorder, so
-the k of a position's names may skip the classes written inline, and
-writes the rules of a position's classes column by column, one column
-per child, from each class's first annotation.
+root writes a terminal, the start keeps its rules B1 -> a X there.  No
+pass inlines its variables, so every rule stays B -> a or B -> a B'.
+The consistency join (annotate.join_annotations) prunes the annotations
+and merges them into classes in one pass on int key ids; the builder
+names each class p:<j>|b:<k> by its position's index j in preorder and
+writes the rules of a position's classes column by column, one int
+column per child, from each class's first annotation.  The inlining
+pass keeps the names of the variables it keeps, so the k of a tree
+grammar's names may skip the classes written inline.
 
 Layering: the read side (JSON, the compiled table, the semiring pass
 `_evaluate` and what is built on it: counting, enumeration, membership,
@@ -62,6 +62,7 @@ sits at one offset, so it spans one non-empty window."""
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -570,6 +571,38 @@ def trim(gr: Grammar) -> Grammar:
     return _grammar(gr.sigma_max, variables, lhs, rhs, gr.accepts_empty, new[start], order)
 
 
+def _inline(names: tuple, lhs: list, rhs: list) -> tuple[tuple, list, list]:
+    """The int rules (names, lhs, rhs) of an acyclic grammar whose start,
+    variable 0, no rule names, with each variable that has one rule, and
+    one occurrence in all the right-hand sides, written in place of that
+    occurrence and dropped.  The kept variables keep their names and order
+    and are renumbered in order, so a dependencies-first order stays one,
+    and the kept rules keep their order.  Each kept rule is spelled once,
+    on a stack of the rules it is inside, so a chain of any depth costs
+    time linear in what is written and no recursion."""
+    count = collections.Counter(lhs)
+    uses = collections.Counter(itertools.chain.from_iterable(rhs))  # variable k as ~k
+    body = {~v: symbols for v, symbols in zip(lhs, rhs) if count[v] == 1 and uses[~v] == 1}
+    kept = [v for v in range(len(names)) if ~v not in body]
+    code = {~v: ~k for k, v in enumerate(kept)}  # a kept variable's symbol, renumbered; terminals are no key
+    out_lhs, out_rhs = [], []
+    for v, symbols in zip(lhs, rhs):
+        if ~v in body:
+            continue
+        out, stack = [], [iter(symbols)]
+        while stack:
+            for x in stack[-1]:
+                if x in body:
+                    stack.append(iter(body[x]))
+                    break
+                out.append(code.get(x, x))
+            else:
+                stack.pop()
+        out_lhs.append(~code[~v])
+        out_rhs.append(tuple(out))
+    return tuple(map(names.__getitem__, kept)), out_lhs, out_rhs
+
+
 # ---------------------------------------------------------------------------
 # Construction from a decomposition.  The tree grammar is built from a
 # permutation-yielding tree decomposition, whose leaves write the terminals,
@@ -577,145 +610,103 @@ def trim(gr: Grammar) -> Grammar:
 # vertex per bag, every bag writing the image of the vertex it introduces:
 # one construction, `_build`, on the positions each builder says write.
 
-def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[Permutation, Grammar]:
-    """Compile Aut(g) out of t, a checked decomposition, into a grammar
-    over alphabet V(g).  written maps each position (a preorder int) that
-    writes a terminal, every childless position among them, to the vertex
-    whose image it writes; alpha is the written vertices in position order.
+def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[tuple, list, list]:
+    """Compile Aut(g) out of t, a checked decomposition, into the int
+    rules (names, lhs, rhs) of a grammar over alphabet V(g), B1 being
+    variable 0.  written maps each position (a preorder int) that writes
+    a terminal, every childless position among them, to the vertex whose
+    image it writes; word position i holds the i-th one's image.  The
+    variables number parents first, so backwards they are in
+    dependencies-first order.
 
     Each position with children has one variable per merge class of its
     annotations, but for a root that writes no terminal (every tree
     grammar's but a one-vertex graph's): its classes' rules, in class
     order, are B1's.  A written position writes its terminal into its
-    parent's rules, just before its own symbols when it has children, a
+    parent's rules, just before its own variable when it has children, a
     written root into B1's.  A childless position writes only its
     terminal and has no variable, the root of a one-vertex graph too.
-    A class of an unwritten position other than the root that has one
-    rule, which one rule names, has no variable either: that rule holds
-    its rule's symbols where its variable would be.  Only a tree
-    grammar has such classes, so the regular grammar keeps every rule
-    B -> a or B -> a B'.
+    Which variables are written inline `_inline` decides after the build.
 
-    Each class's rules are read off its first annotation i: per child, a
-    childless child writes the image of its vertex, any other the
-    symbols of i's partner there (a written one, an only child as on a
-    path, the partner's image first).  Where some class has several
-    partners at a child (a fan), each class's rules are its product over
-    the children.  Which classes are written inline is decided from the
-    partners before any rule is written; the variables are numbered in
-    position order, skipping those classes, and the rules are written
-    children first, so an inlined rule is ready when its user is
-    written."""
+    Each child of a position gives a column of ints over its classes,
+    read off each class's first annotation i: a childless child the image
+    of its vertex, any other the variable of i's partner there (a written
+    one, an only child as on a path, the partner's image first).  The
+    rules are the columns zipped, unless some class has several partners
+    at a child: that child gives tuples, and each class's rules are then
+    its product over the children."""
     from .annotate import join_annotations
 
     dom, ann, cls, first, up, members = join_annotations(g, t, written)
-    kids = t.kids
-    inner = [p for p, ks in enumerate(kids) if ks]  # preorder: parents before children
-    chain = itertools.chain.from_iterable
+    # one variable per merge class at each position with children, in
+    # position order after B1 (variable 0): p:<j>|b:<k>, variable base[j] + k,
+    # stands for the k-th class at position j, in first-appearance order.
+    # An unwritten root's classes are B1's rules instead: base[0] is 0
+    base, names = {}, ["B1"]
+    for j, ks in enumerate(t.kids):
+        if ks:
+            base[j] = len(names) if j or 0 in written else 0
+            if base[j]:
+                head = f"p:{j}|b:"
+                names.extend([f"{head}{k}" for k in range(len(first[j]))])
 
     def image(p, v):  # the image of vertex v, read off an annotation at p
         return operator.itemgetter(dom[p].index(v))
 
-    # each child c with children: per class of its parent, the annotation
-    # at c partnering the class's first annotation, or the list of them
-    # when c is in fans.  rules[p]: each class's rule count where a child of p
-    # fans out (one each elsewhere); uses[c]: how many rules name each
-    # class at c, counted at each unwritten position other than the root
-    partners, fans, rules, uses = {}, set(), {}, {}
-    for p in inner:
-        for c in kids[p]:
-            if kids[c]:
-                js = list(map(up[c].__getitem__, first[p]))
-                if members[c] is not None:  # from key ids to partner lists; else key id k is annotation k
-                    js = list(map(members[c].__getitem__, js))
-                    if max(map(len, js)) > 1:
-                        fans.add(c)
-                    else:
-                        js = list(chain(js))
-                partners[c] = js
-        fanned = [partners[c] for c in kids[p] if c in fans]
-        if fanned:
-            rules[p] = [math.prod(map(len, row)) for row in zip(*fanned)]
-        for c in kids[p]:
-            if kids[c] and c not in written:
-                # each class at c partners some class of p, so without a
-                # fan, as many classes as p has are named once each
-                of, count = cls[c], [1] * len(first[c])
-                if fanned or len(count) < len(first[p]):
-                    count = [0] * len(count)
-                    for m, js in zip(rules.get(p, itertools.repeat(1)),
-                                     partners[c] if c in fans else zip(partners[c])):
-                        for j in js:  # each of the class's m rules names one of js
-                            count[of[j]] += m // len(js)
-                uses[c] = count
-    # p:<j>|b:<k> is the variable of the k-th class at position j, in
-    # first-appearance order.  var[p]: p's first variable and the classes
-    # that have one, numbered from it in order; the variables follow B1
-    # (variable 0) in position order.  An unwritten root's classes are B1's
-    # rules instead, so it has no entry
-    names, var = ["B1"], {}
-    for p in inner:
-        if p or 0 in written:
-            kept, once, n = range(len(first[p])), uses.get(p), rules.get(p)
-            if once is not None:
-                kept = [k for k in kept if once[k] != 1 or n is not None and n[k] != 1]
-            var[p] = len(names), kept
-            names.extend([f"p:{p}|b:{k}" for k in kept])
-    # the rules, children first; a class's symbols in its parent's rules
-    # are (~its variable,), or its one rule's rhs when written inline
-    symbols, wrote = {}, {}  # wrote: p -> the lhs and rhs of its rules
-    for p in reversed(inner):
-        heads = first[p]
-        columns = []  # per child, per class: its symbols, or a tuple of alternatives at a fan
-        for c in kids[p]:
-            if not kids[c]:
-                columns.append(list(zip(map(image(p, written[c]), map(ann[p].__getitem__, heads)))))
-                continue
-            sym, of, v = symbols.pop(c), cls[c], written.get(c)
-            if v is None:
-                def spell(js, sym=sym, of=of):  # annotations at c -> their symbols
-                    return list(map(sym.__getitem__, map(of.__getitem__, js)))
-            else:  # each partner's image, then its symbols
-                assert kids[p] == (c,), "a written position with children has no siblings"
-
-                def spell(js, sym=sym, of=of, w=image(c, v), row=ann[c]):
-                    return [(w(row[j]),) + sym[of[j]] for j in js]
-            columns.append(list(map(tuple, map(spell, partners[c]))) if c in fans else spell(partners[c]))
-        if p in rules:  # each class's rules: its product over the children
-            groups = [functools.reduce(lambda a, b: [x + y for x in a for y in b], row)
-                      for row in zip(*[column if c in fans else zip(column)
-                                       for c, column in zip(kids[p], columns)])]
-            rows = [group[0] for group in groups]
-        else:  # one rule per class: the columns joined
-            groups, rows = None, functools.reduce(lambda a, b: list(map(operator.add, a, b)), columns)
-        if p not in var:  # an unwritten root: its classes' rules are B1's
-            rhs = rows if groups is None else list(chain(groups))
-            wrote[p] = [0] * len(rhs), rhs
-            continue
-        at, kept = var[p]
-        symbols[p] = spell = list(rows)  # a class without a variable has one rule: its rhs
-        for v, k in enumerate(kept, at):
-            spell[k] = (~v,)
-        owners = range(at, at + len(kept))
-        if groups is None:
-            wrote[p] = owners, map(rows.__getitem__, kept)
-        else:
-            groups = list(map(groups.__getitem__, kept))
-            wrote[p] = chain(map(itertools.repeat, owners, map(len, groups))), chain(groups)
-    lhs, rhs = [], []
-    if 0 in written:  # one B1 rule per kept annotation: the image it writes, then its class's symbols
+    # the rules as they are written, each variable's together, variable k
+    # as ~k.  A written root gives B1 one rule per kept annotation: the
+    # image it writes, then the annotation's variable, if it has one
+    lhs: list = []
+    rhs: list = []
+    if 0 in written:
         kept = [j for j, k in enumerate(cls[0]) if k is not None]
-        rhs = list(zip(map(image(0, written[0]), map(ann[0].__getitem__, kept))))
-        if kids[0]:
-            rhs = list(map(operator.add, rhs, map(symbols[0].__getitem__, map(cls[0].__getitem__, kept))))
+        columns = [list(map(image(0, written[0]), map(ann[0].__getitem__, kept)))]
+        if 0 in base:
+            columns.append([~(base[0] + cls[0][j]) for j in kept])
         lhs = [0] * len(kept)
-    for p in inner:
-        lhs.extend(wrote[p][0])
-        rhs.extend(wrote[p][1])
-    # variables number parents first, so backwards they list each
-    # variable before the variables whose rules use it
-    gr = _grammar(g.vertex_count, tuple(names), lhs, rhs, order=range(len(names) - 1, -1, -1))
-    return Permutation(tuple(written[p] for p in sorted(written))), gr
+        rhs = list(zip(*columns))
+    chain, product = itertools.chain.from_iterable, itertools.product
+
+    def per_class(columns):  # each class's options at each child: its tuple of partners, or its one entry
+        return zip(*[column if column[0].__class__ is tuple else zip(column) for column in columns])
+
+    for p, at in base.items():
+        heads = first[p]
+        owners = range(at, at + len(heads)) if at else itertools.repeat(0, len(heads))
+        columns, groups = [], None  # groups: each class's rules, when written apart from the columns
+        for c in t.kids[p]:
+            var_at = base.get(c)
+            if var_at is None:
+                columns.append(list(map(image(p, written[c]), map(ann[p].__getitem__, heads))))
+                continue
+            partners, of, fan = list(map(up[c].__getitem__, heads)), cls[c], False
+            if members[c] is not None:  # from key ids to partner lists; else key id k is annotation k
+                partners = list(map(members[c].__getitem__, partners))
+                fan = max(map(len, partners)) > 1
+                if not fan:
+                    partners = list(chain(partners))
+            code = ~var_at  # class k at c is variable var_at + k, written code - k
+            if fan:
+                columns.append([tuple([code - of[j] for j in js]) for js in partners])
+            else:
+                columns.append(list(map(code.__sub__, map(of.__getitem__, partners))))
+            v = written.get(c)
+            if v is not None:  # each partner's image, then its variable
+                assert t.kids[p] == (c,), "a written position with children has no siblings"
+                wrote, row = image(c, v), ann[c]
+                if fan:
+                    groups = [[(wrote(row[j]), code - of[j]) for j in js] for js in partners]
+                else:
+                    columns.insert(-1, list(map(wrote, map(row.__getitem__, partners))))
+        if not any(column[0].__class__ is tuple for column in columns):  # one rule per class
+            lhs.extend(owners)
+            rhs.extend(zip(*columns))
+            continue
+        if groups is None:
+            groups = list(map(list, itertools.starmap(product, per_class(columns))))
+        lhs.extend(chain(map(itertools.repeat, owners, map(len, groups))))
+        rhs.extend(chain(groups))
+    return tuple(names), lhs, rhs
 
 
 def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Grammar]:
@@ -725,9 +716,10 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
     automorphism strings repositioned by alpha (word position i holds the
     image of vertex alpha(i)), alpha being the leaf vertices in position
     order (`decomp.yield_order_of`).  Each leaf writes that image as a
-    terminal into its parent's rules and has no variable of its own, and
-    neither has a class with one rule that one rule names: its rule's
-    symbols stand in that rule.  Raises DecompositionError unless t is a valid permutation-yielding
+    terminal into its parent's rules and has no variable of its own.
+    After `_build`, one pass (`_inline`) writes each variable with one
+    rule, which one rule names, into that rule.  Raises
+    DecompositionError unless t is a valid permutation-yielding
     decomposition of g, and DisconnectedGraphError unless g is connected."""
     from .decomp import DecompositionError, require_valid, yield_order_of
     from .graph import require_connected
@@ -737,7 +729,8 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
     alpha = yield_order_of(t)
     if alpha.size != g.vertex_count:
         raise DecompositionError("decomposition is not permutation yielding")
-    return _build(g, t, dict(zip([p for p, ks in enumerate(t.kids) if not ks], alpha.image)))
+    names, lhs, rhs = _inline(*_build(g, t, dict(zip([p for p, ks in enumerate(t.kids) if not ks], alpha.image))))
+    return alpha, _grammar(g.vertex_count, names, lhs, rhs, order=range(len(names) - 1, -1, -1))
 
 
 def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutation, Grammar]:
@@ -752,7 +745,10 @@ def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutat
 
     require_connected(g)
     require_valid(g, pd)
-    return _build(g, pd, dict(enumerate(introduced_order(g, pd))))
+    introduced = introduced_order(g, pd)
+    names, lhs, rhs = _build(g, pd, dict(enumerate(introduced)))
+    gr = _grammar(g.vertex_count, names, lhs, rhs, order=range(len(names) - 1, -1, -1))
+    return Permutation(tuple(introduced)), gr
 
 
 # ---------------------------------------------------------------------------

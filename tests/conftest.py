@@ -290,7 +290,8 @@ def inline_single_use(gr: Grammar) -> Grammar:
     one occurrence in all the rules' right-hand sides, written in place of
     that occurrence and dropped; the other variables and rules keep their
     names and order.  Applied to a tree grammar built with every such
-    variable kept, it gives what `build_aut_grammar` writes."""
+    variable kept, it gives what `build_aut_grammar` writes.  The
+    recursive reference for `grammar._inline`, which spells on a stack."""
     count = collections.Counter(lhs for lhs, _ in gr.rules)
     uses = collections.Counter(x for _, rhs in gr.rules for x in rhs if isinstance(x, str))
     body = {lhs: rhs for lhs, rhs in gr.rules if lhs != gr.start and count[lhs] == uses[lhs] == 1}

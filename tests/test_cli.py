@@ -553,6 +553,18 @@ def test_lift_matrix(c4_file, tmp_path):
     assert "pz1_1: z_1_1" in open(model).read()
 
 
+@pytest.mark.parametrize("point", ["", "1 2 3 4"])
+def test_check_refuses_a_matrix_model(c4_file, tmp_path, point):
+    # a matrix model has z_<i>_<j> and no x_<i>: no point of the value
+    # projection, not even the empty one, can be decided on it
+    out, model = str(tmp_path / "g.json"), str(tmp_path / "model.lp")
+    run_cli("build", "--graph", c4_file, "--out", out)
+    assert run_cli("lift", out, "--out", model, "--matrix").returncode == 0
+    r = run_cli("check", model, "--point", point)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.startswith("error: model has no x_<i> coordinates") and r.stderr.count("\n") == 1, r.stderr
+
+
 def test_enum_cap(c4_file, tmp_path):
     out = str(tmp_path / "g.json")
     run_cli("build", "--graph", c4_file, "--out", out)

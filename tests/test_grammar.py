@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -47,7 +48,7 @@ from autgrammar.grammar import (
     trim,
     union_grammar,
 )
-from autgrammar.grammar import _compiled
+from autgrammar.grammar import _compiled, _grammar, _inline
 from autgrammar.oracle import brute_force_automorphisms, left_transversal
 from autgrammar.perm import (
     Permutation,
@@ -67,11 +68,13 @@ from conftest import (
     consistent_bags,
     cubic8,
     cycle_graph,
+    format_graph,
     grid_graph,
     inline_single_use,
     json_reference,
     oracle_annotations,
     path_graph,
+    petersen_graph,
     random_connected_graph,
     reference_language,
     relabel,
@@ -974,3 +977,50 @@ def test_long_paths_build_fast():
         _, gr = build_aut_grammar(g, t)
         assert time.process_time() - start < limit, n
         assert count_parse_trees(gr) == 2
+
+
+def test_deep_build_memory_is_linear():
+    # P4000's peak is 5.2x P1000's; it was 13.5x while the builder copied
+    # each inlined rule into its user's, so that a chain held rules of
+    # every length at once.  Past 4x is mostly the join's search, which
+    # holds an n-bit mask per vertex.  A first build loads what the builder
+    # loads, and a collection before each trace starts the collector alike
+    g = path_graph(3)
+    build_aut_grammar(g, make_permutation_yielding(g, compute_tree_decomposition(g))[0])
+    peaks = []
+    for n in (1000, 4000):
+        g = path_graph(n)
+        t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, "min-fill"))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            build_aut_grammar(g, t)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 6 * peaks[0], peaks
+
+
+def test_inline_matches_recursive_reference(corpus):
+    # the regular grammars keep every variable with one rule that one rule
+    # names, and there are many (a path's is one chain)
+    rng = random.Random(41)
+    graphs = [*corpus.values(), petersen_graph(), binary_tree(3), spider(3, 2), grid_graph(3, 3), path_graph(8)]
+    graphs += [random_connected_graph(rng, rng.randint(2, 7)) for _ in range(30)]
+    dropped = 0
+    for g in graphs:
+        gr = build_regular_aut_grammar(g, compute_path_decomposition(g))[1]
+        inlined = _grammar(gr.sigma_max, *_inline(gr.variables, gr._lhs, gr._rhs))
+        assert inlined == inline_single_use(gr), format_graph(g)
+        assert enumerate_language(inlined) == enumerate_language(gr)
+        assert count_parse_trees(inlined) == count_parse_trees(gr)
+        dropped += len(gr.variables) - len(inlined.variables)
+    assert dropped > len(graphs)
+
+
+def test_inline_flattens_a_deep_chain():
+    # 100 000 variables, each with one rule that the one above names: one
+    # rule, spelled without recursion
+    depth = 100_000
+    gr = chain_grammar(depth)
+    assert _inline(gr.variables, gr._lhs, gr._rhs) == (("A0",), [0], [tuple(range(1, depth + 1))])
