@@ -11,9 +11,9 @@ trees correspond one-to-one with automorphisms, and word position i holds
 the image of vertex alpha(i).
 """
 
+from autgrammar.annotate import build_aut_grammar
 from autgrammar.decomp import compute_tree_decomposition, make_permutation_yielding
 from autgrammar.grammar import (
-    build_aut_grammar,
     count_parse_trees,
     enumerate_language,
     grammar_size,

@@ -11,11 +11,10 @@ transversal of a subgroup.
 
 import itertools
 
+from autgrammar.annotate import build_aut_grammar, build_embedded_group_grammar
 from autgrammar.decomp import compute_tree_decomposition, make_permutation_yielding
 from autgrammar.grammar import (
     GrammarError,
-    build_aut_grammar,
-    build_embedded_group_grammar,
     count_parse_trees,
     enumerate_language,
     grammar_size,

@@ -15,8 +15,9 @@ prices every word at once.
 import itertools
 from fractions import Fraction
 
+from autgrammar.annotate import build_aut_grammar
 from autgrammar.decomp import compute_tree_decomposition, make_permutation_yielding
-from autgrammar.grammar import build_aut_grammar, enumerate_parse_trees, parse_tree_yield
+from autgrammar.grammar import enumerate_parse_trees, parse_tree_yield
 from autgrammar.graph import parse_graph
 from autgrammar.oracle import brute_force_automorphisms
 from autgrammar.perm import Permutation, permute_word, to_string_word

@@ -32,6 +32,9 @@ def _quote(value) -> str:
 _EXPORTS = {
     "annotate": (
         "AnnotatedBag",
+        "build_aut_grammar",
+        "build_embedded_group_grammar",
+        "build_regular_aut_grammar",
         "count_assignments",
         "enumerate_annotated_bags",
     ),
@@ -53,9 +56,6 @@ _EXPORTS = {
     ),
     "grammar": (
         "Grammar",
-        "build_aut_grammar",
-        "build_embedded_group_grammar",
-        "build_regular_aut_grammar",
         "count_parse_trees",
         "enumerate_language",
         "enumerate_parse_trees",

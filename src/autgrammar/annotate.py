@@ -1,14 +1,15 @@
-"""Annotated bags: a bag together with a partial automorphism defined on
-the bag's closed neighborhood.
+"""Compile a graph's automorphism group into a grammar, out of the
+annotated bags of a permutation-yielding tree decomposition.
 
-A map phi qualifies as an annotation of bag S when (1) the image of the
-closed neighborhood of S under phi equals the closed neighborhood of
-phi(S), and (2) phi is an isomorphism between the subgraphs induced by its
-domain and its image.  Annotations of adjacent decomposition nodes are
-consistent when they agree on the full intersection of their domains; the
-union of a consistent family over a whole decomposition is then a single
-well-defined vertex map, and for connected graphs that map is exactly an
-automorphism.
+An annotated bag is a bag together with a partial automorphism defined on
+the bag's closed neighborhood.  A map phi qualifies as an annotation of
+bag S when (1) the image of the closed neighborhood of S under phi equals
+the closed neighborhood of phi(S), and (2) phi is an isomorphism between
+the subgraphs induced by its domain and its image.  Annotations of
+adjacent decomposition nodes are consistent when they agree on the full
+intersection of their domains; the union of a consistent family over a
+whole decomposition is then a single well-defined vertex map, and for
+connected graphs that map is exactly an automorphism.
 
 Only annotations that can take part in such a family are searched for.
 Every vertex maps to one of its own stable colour (graph.stable_colouring),
@@ -30,11 +31,9 @@ computed once per call of join_annotations or enumerate_annotated_bags
 and dropped with the annotations; the neighbour masks are the graph's.
 
 The search and the join hold an annotation of bag S as its image tuple
-over the sorted domain N[S], and the grammar builders read images from
-those tuples.  A leaf that writes a terminal has no annotations of its
-own: its domain lies in its parent's, so its parent's annotations give
-its image.  An annotation's partners in a child depend only on its
-images on the shared domain, its key.  The join numbers each child's
+over the sorted domain N[S], and the builders read images from those
+tuples (`_image`).  An annotation's partners in a child depend only on
+its images on the shared domain, its key.  The join numbers each child's
 keys once, indexes its annotations by key id, and in one bottom-up pass
 both prunes them and merges them into classes that derive the same
 words.  AnnotatedBag, which pairs each domain vertex with its image, is
@@ -42,20 +41,47 @@ the public type: enumerate_annotated_bags wraps the tuples in it at its
 boundary.  count_assignments counts the consistent annotations of the
 whole tree in one product-sum pass over the join.  That is one per
 automorphism only on a connected graph (two disjoint edges have 16
-consistent annotations and 8 automorphisms), so, as the grammar builders
-do, it requires a connected graph and a valid decomposition, both checked
-by their owners (graph.require_connected, decomp.require_valid).
+consistent annotations and 8 automorphisms), so, as the builders do, it
+requires a connected graph and a valid decomposition, both checked by
+their owners (graph.require_connected, decomp.require_valid).
+
+The grammar's variables are inner positions other than the root paired
+with the join's classes, and its rules connect annotations that agree on
+their shared domain.  Each leaf's terminal, the image of its vertex read
+off its parent's annotations, stands in its parent's rules where a leaf
+variable with one rule would, and the root's classes' rules are the
+start's own, where the start's unit rule to each would be.  Parse trees
+then correspond one-to-one with consistent whole-tree annotations, hence
+with automorphisms, and they still do after one pass over the built
+rules (`_inline`) writes each variable with one rule, which one rule
+names, into that rule instead.  A word w produced for automorphism s
+satisfies w_i = s(alpha(i)) where alpha spells the leaf vertex order, so
+the language is exactly the string set of the group repositioned by
+alpha.  The regular grammar is the same construction on a path
+decomposition that introduces one vertex per bag, each bag writing the
+image of the vertex it introduces: one builder (`_build`) serves both,
+and since its root writes a terminal, the start keeps its rules
+B1 -> a X there.  No pass inlines its variables, so every rule stays
+B -> a or B -> a B'.  The embed builder decides whether the prefix is
+invariant from the host's grammar itself, so no builder loads `oracle`
+or `polytope`.
 """
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 import operator
 from typing import NamedTuple
 
 from . import PreconditionError
-from .decomp import TreeDecomposition, require_valid
+from .decomp import (DecompositionError, TreeDecomposition, compute_tree_decomposition, introduced_order,
+                     make_permutation_yielding, require_valid, yield_order_of)
+from .grammar import (Grammar, GrammarError, _compiled, _evaluate, _grammar, _writes, erase_terminals,
+                      permutation_from_aligned_word, rename_terminals)
 from .graph import Graph, closed_neighborhood, require_connected, stable_colouring
+from .perm import Permutation, Word, format_permutation, identity
 
 
 class AnnotationError(PreconditionError):
@@ -91,16 +117,15 @@ def enumerate_annotated_bags(g: Graph, s) -> list[AnnotatedBag]:
 class _Search:
     """The search for colour-preserving annotations of one graph, holding
     its vertex sets as ints in Graph.neighbor_masks' convention (the bit of
-    v is 1 << (v - 1)): per vertex its bit, its neighbours and its closed
-    neighbourhood, and per stable colour its vertices.  Lists indexed by
-    vertex have an unused entry 0."""
+    v is 1 << (v - 1)): per vertex its bit and its neighbours, and per
+    stable colour its vertices.  Lists indexed by vertex have an unused
+    entry 0."""
 
     def __init__(self, g: Graph):
         self.neighbors = g.neighbors
         self.colour = stable_colouring(g)
         self.bit = [0] + [1 << i for i in range(g.vertex_count)]
         self.nbits = [0, *g.neighbor_masks]
-        self.closed = [b | ns for b, ns in zip(self.bit, self.nbits)]
         self.cmask: dict[int, int] = {}
         for v in g.vertices:
             self.cmask[self.colour[v]] = self.cmask.get(self.colour[v], 0) | self.bit[v]
@@ -133,7 +158,7 @@ class _Search:
         domain's size is not bounded by the interpreter's recursion limit:
         each level keeps the mask of its passing candidates not yet tried
         and the used mask it was entered with."""
-        bit, nbits, closed = self.bit, self.nbits, self.closed
+        bit, nbits = self.bit, self.nbits
         slot = dict(zip(dom, range(len(dom))))
         order = [v for v in bag if v not in pinned]
         placed_bag = len(order)
@@ -163,7 +188,7 @@ class _Search:
                     if k == placed_bag:  # the bag's images' closed neighbourhood fills the domain
                         reach = 0
                         for s in at_bag:
-                            reach |= closed[img[s]]
+                            reach |= nbits[img[s]] | bit[img[s]]
                         reach = reach.bit_count()
                     if reach != size:
                         passing = 0
@@ -215,6 +240,12 @@ class _Search:
         return found
 
 
+def _image(dom: tuple[int, ...], v: int):
+    """The function taking an image tuple over the sorted domain dom to
+    the image of v."""
+    return operator.itemgetter(dom.index(v))
+
+
 def _images_on(ks: list[int]):
     """The function taking an image tuple to its images at indices ks, as
     a tuple: itemgetter where it can (it takes no empty list and returns a
@@ -254,7 +285,7 @@ def join_annotations(g: Graph, t: TreeDecomposition, written: dict | None = None
     decomposition's leaves, whose one vertex is in the parent's bag, and
     for the last bag of a path that introduces one vertex per bag: then
     every annotation at p extends to exactly one at c, and the image c
-    writes is read off p's as ann[p][i][dom[p].index(written[c])].
+    writes is read off p's by _image(dom[p], written[c]).
 
     Annotations at p and c are consistent when their images agree on the
     shared domain N[S_p] & N[S_c], which is fixed, so an annotation's key
@@ -319,10 +350,10 @@ def join_annotations(g: Graph, t: TreeDecomposition, written: dict | None = None
     sig: list = [None] * n  # c -> per key id, the pair, or the pair set, of its live annotations at c; else None
     for p in reversed(inner):  # children before parents
         kids, images = children[p], ann[p]
-        wrote = list(map(operator.itemgetter(dom[p].index(written[p])), images)) if p in written else None
+        wrote = list(map(_image(dom[p], written[p]), images)) if p in written else None
         # a leaf child's column is the image it writes, read off p's
         # annotation; any other child's is its pair, or pair set, by key id
-        columns = [map(operator.itemgetter(dom[p].index(written[c])), images) if c in leaf
+        columns = [map(_image(dom[p], written[c]), images) if c in leaf
                    else map(sig[c].__getitem__, up[c]) for c in kids]
         if not kids:
             sigs = [0] * len(images) if wrote is None else wrote
@@ -382,3 +413,236 @@ def count_assignments(g: Graph, t: TreeDecomposition) -> int:
         if p and members[p] is not None:
             count[p] = [sum(map(count[p].__getitem__, js)) for js in members[p]]
     return sum(count[0])
+
+
+# ---------------------------------------------------------------------------
+# Grammars from the join: the tree grammar from a permutation-yielding tree
+# decomposition, the regular grammar from a path decomposition, and the
+# group embedded on a vertex prefix.
+
+def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[tuple, list, list]:
+    """Compile Aut(g) out of t, a checked decomposition, into the int
+    rules (names, lhs, rhs) of a grammar over alphabet V(g), B1 being
+    variable 0.  written maps each position (a preorder int) that writes
+    a terminal, every childless position among them, to the vertex whose
+    image it writes; word position i holds the i-th one's image.  The
+    variables number parents first, so backwards they are in
+    dependencies-first order.
+
+    Each position with children has one variable per merge class of its
+    annotations, but for a root that writes no terminal (every tree
+    grammar's but a one-vertex graph's): its classes' rules, in class
+    order, are B1's.  A written position writes its terminal into its
+    parent's rules, just before its own variable when it has children, a
+    written root into B1's.  A childless position writes only its
+    terminal and has no variable, the root of a one-vertex graph too.
+    Which variables are written inline `_inline` decides after the build.
+
+    Each child of a position gives a column of ints over its classes,
+    read off each class's first annotation i: a childless child the image
+    of its vertex, any other the variable of i's partner there (a written
+    one, an only child as on a path, the partner's image first).  The
+    rules are the columns zipped, unless some class has several partners
+    at a child: that child gives tuples, and each class's rules are then
+    its product over the children."""
+    dom, ann, cls, first, up, members = join_annotations(g, t, written)
+    # one variable per merge class at each position with children, in
+    # position order after B1 (variable 0): p:<j>|b:<k>, variable base[j] + k,
+    # stands for the k-th class at position j, in first-appearance order.
+    # An unwritten root's classes are B1's rules instead: base[0] is 0
+    base, names = {}, ["B1"]
+    for j, ks in enumerate(t.kids):
+        if ks:
+            base[j] = len(names) if j or 0 in written else 0
+            if base[j]:
+                head = f"p:{j}|b:"
+                names.extend([f"{head}{k}" for k in range(len(first[j]))])
+
+    # the rules as they are written, each variable's together, variable k
+    # as ~k.  A written root gives B1 one rule per kept annotation: the
+    # image it writes, then the annotation's variable, if it has one
+    lhs: list = []
+    rhs: list = []
+    if 0 in written:
+        kept = [j for j, k in enumerate(cls[0]) if k is not None]
+        columns = [list(map(_image(dom[0], written[0]), map(ann[0].__getitem__, kept)))]
+        if 0 in base:
+            columns.append([~(base[0] + cls[0][j]) for j in kept])
+        lhs = [0] * len(kept)
+        rhs = list(zip(*columns))
+    chain, product = itertools.chain.from_iterable, itertools.product
+
+    def per_class(columns):  # each class's options at each child: its tuple of partners, or its one entry
+        return zip(*[column if column[0].__class__ is tuple else zip(column) for column in columns])
+
+    for p, at in base.items():
+        heads = first[p]
+        owners = range(at, at + len(heads)) if at else itertools.repeat(0, len(heads))
+        columns, groups = [], None  # groups: each class's rules, when written apart from the columns
+        for c in t.kids[p]:
+            var_at = base.get(c)
+            if var_at is None:
+                columns.append(list(map(_image(dom[p], written[c]), map(ann[p].__getitem__, heads))))
+                continue
+            partners, of, fan = list(map(up[c].__getitem__, heads)), cls[c], False
+            if members[c] is not None:  # from key ids to partner lists; else key id k is annotation k
+                partners = list(map(members[c].__getitem__, partners))
+                fan = max(map(len, partners)) > 1
+                if not fan:
+                    partners = list(chain(partners))
+            code = ~var_at  # class k at c is variable var_at + k, written code - k
+            if fan:
+                columns.append([tuple([code - of[j] for j in js]) for js in partners])
+            else:
+                columns.append(list(map(code.__sub__, map(of.__getitem__, partners))))
+            v = written.get(c)
+            if v is not None:  # each partner's image, then its variable
+                assert t.kids[p] == (c,), "a written position with children has no siblings"
+                wrote, row = _image(dom[c], v), ann[c]
+                if fan:
+                    groups = [[(wrote(row[j]), code - of[j]) for j in js] for js in partners]
+                else:
+                    columns.insert(-1, list(map(wrote, map(row.__getitem__, partners))))
+        if not any(column[0].__class__ is tuple for column in columns):  # one rule per class
+            lhs.extend(owners)
+            rhs.extend(zip(*columns))
+            continue
+        if groups is None:
+            groups = list(map(list, itertools.starmap(product, per_class(columns))))
+        lhs.extend(chain(map(itertools.repeat, owners, map(len, groups))))
+        rhs.extend(chain(groups))
+    return tuple(names), lhs, rhs
+
+
+def _inline(names: tuple, lhs: list, rhs: list) -> tuple[tuple, list, list]:
+    """The int rules (names, lhs, rhs) of an acyclic grammar whose start,
+    variable 0, no rule names, with each variable that has one rule, and
+    one occurrence in all the right-hand sides, written in place of that
+    occurrence and dropped.  The kept variables keep their names and order
+    and are renumbered in order, so a dependencies-first order stays one,
+    and the kept rules keep their order.  Each kept rule is spelled once,
+    on a stack of the rules it is inside, so a chain of any depth costs
+    time linear in what is written and no recursion."""
+    count = collections.Counter(lhs)
+    uses = collections.Counter(itertools.chain.from_iterable(rhs))  # variable k as ~k
+    body = {~v: symbols for v, symbols in zip(lhs, rhs) if count[v] == 1 and uses[~v] == 1}
+    kept = [v for v in range(len(names)) if ~v not in body]
+    code = {~v: ~k for k, v in enumerate(kept)}  # a kept variable's symbol, renumbered; terminals are no key
+    out_lhs, out_rhs = [], []
+    for v, symbols in zip(lhs, rhs):
+        if ~v in body:
+            continue
+        out, stack = [], [iter(symbols)]
+        while stack:
+            for x in stack[-1]:
+                if x in body:
+                    stack.append(iter(body[x]))
+                    break
+                out.append(code.get(x, x))
+            else:
+                stack.pop()
+        out_lhs.append(~code[~v])
+        out_rhs.append(tuple(out))
+    return tuple(map(names.__getitem__, kept)), out_lhs, out_rhs
+
+
+def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Grammar]:
+    """Compile Aut(g) into a grammar over alphabet V(g).
+
+    Returns (alpha, grammar) where the language equals the set of one-line
+    automorphism strings repositioned by alpha (word position i holds the
+    image of vertex alpha(i)), alpha being the leaf vertices in position
+    order (`decomp.yield_order_of`).  Each leaf writes that image as a
+    terminal into its parent's rules and has no variable of its own.
+    After `_build`, one pass (`_inline`) writes each variable with one
+    rule, which one rule names, into that rule.  Raises
+    DecompositionError unless t is a valid permutation-yielding
+    decomposition of g, and DisconnectedGraphError unless g is connected."""
+    require_connected(g)
+    require_valid(g, t)
+    alpha = yield_order_of(t)
+    if alpha.size != g.vertex_count:
+        raise DecompositionError("decomposition is not permutation yielding")
+    names, lhs, rhs = _inline(*_build(g, t, dict(zip([p for p, ks in enumerate(t.kids) if not ks], alpha.image))))
+    return alpha, _grammar(g.vertex_count, names, lhs, rhs, order=range(len(names) - 1, -1, -1))
+
+
+def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutation, Grammar]:
+    """Compile Aut(g) into a regular grammar, every rule (B, a) or
+    (B, a B'), from a path decomposition that introduces one vertex per
+    bag (`decomp.introduced_order`).  Returns (alpha, grammar) as
+    `build_aut_grammar` does, alpha being the introduced vertices in order:
+    each bag writes the image of the vertex it introduces into its
+    parent's rules, before the variable of its annotation's class."""
+    require_connected(g)
+    require_valid(g, pd)
+    introduced = introduced_order(g, pd)
+    names, lhs, rhs = _build(g, pd, dict(enumerate(introduced)))
+    gr = _grammar(g.vertex_count, names, lhs, rhs, order=range(len(names) - 1, -1, -1))
+    return Permutation(tuple(introduced)), gr
+
+
+def _word_through(gr: Grammar, rule: int) -> Word:
+    """A word of some parse tree that uses the given rule, which must lie on
+    one (as every rule of a trim grammar does).  One semiring pass values
+    each variable by a word it derives and one it derives through the rule,
+    or None when it derives none."""
+
+    def times(x: tuple, y: tuple) -> tuple:
+        (a, via_a), (b, via_b) = x, y
+        return a + b, (via_a + b if via_a is not None else None if via_b is None else a + via_b)
+
+    def plus(values) -> tuple:
+        word = via = None
+        for w, v in values:
+            word = w if word is None else word
+            via = v if via is None else via
+        return word, via
+
+    values = _evaluate(gr, lambda r: ((), () if r == rule else None), lambda a: ((a,), None), times, plus)
+    return Word(values[_compiled(gr).start][1])
+
+
+def build_embedded_group_grammar(
+    g: Graph, n: int, b: Permutation | None = None
+) -> tuple[Permutation, Grammar]:
+    """Compile the group that Aut(g) induces on the vertices 1..n, renamed
+    by the coset representative b (the identity by default): the non-prefix
+    vertices are erased out of the host's automorphism grammar, which is
+    then renamed by b.
+
+    Returns (alpha, grammar) as `build_aut_grammar` does, over alphabet
+    1..n: the language is the set of one-line strings of the restricted
+    automorphisms, composed with b and repositioned by alpha.  The parse
+    trees stay those of the host's grammar, one per automorphism of g, so
+    `count_parse_trees` gives |Aut(g)|, not the restricted group's order.
+    Raises GrammarError unless
+    g is connected, 1 <= n <= |V(g)|, b permutes 1..n, and 1..n is
+    invariant under Aut(g); the last error names a witness, an
+    automorphism that sends some vertex of 1..n outside it."""
+    require_connected(g)
+    m = g.vertex_count
+    if not 1 <= n <= m:
+        raise GrammarError(f"prefix size {n} out of range 1..{m}")
+    if b is None:
+        b = identity(n)
+    if b.size != n:
+        raise GrammarError(f"coset representative must permute 1..{n}")
+    t, _ = make_permutation_yielding(g, compute_tree_decomposition(g))
+    alpha_big, gr_full = build_aut_grammar(g, t)
+    # word position i holds s(alpha(i)), so 1..n is invariant unless a rule
+    # writes a terminal above n at a position i with alpha(i) <= n; the
+    # grammar is trim, so a parse tree through that rule is an automorphism
+    writes = _writes(gr_full)
+    moved = (r for i in range(1, m + 1) if alpha_big(i) <= n for a, r in writes[i] if a > n)
+    bad = next(moved, None)
+    if bad is not None:
+        witness = permutation_from_aligned_word(_word_through(gr_full, bad), alpha_big)
+        raise GrammarError(
+            f"prefix 1..{n} not invariant under the automorphism group "
+            f"(witness {format_permutation(witness)})"
+        )
+    kept = [i for i in range(1, m + 1) if alpha_big(i) <= n]
+    alpha = Permutation(tuple(alpha_big(i) for i in kept))
+    erased = erase_terminals(gr_full, n)
+    return alpha, rename_terminals(erased, b)

@@ -83,16 +83,16 @@ def _cmd_build(args) -> int:
     from .graph import require_connected
 
     require_connected(g)  # before the builder layers load
-    from . import decomp, grammar as gmod
+    from . import annotate, decomp, grammar as gmod
     from .perm import format_permutation
 
     if args.path:
         pd = td if td is not None else decomp.compute_path_decomposition(g)
-        alpha, gr = gmod.build_regular_aut_grammar(g, pd)
+        alpha, gr = annotate.build_regular_aut_grammar(g, pd)
     else:
         t0 = td if td is not None else decomp.compute_tree_decomposition(g, args.strategy or "min-fill")
         t, _ = decomp.make_permutation_yielding(g, t0)  # validates a .td input
-        alpha, gr = gmod.build_aut_grammar(g, t)
+        alpha, gr = annotate.build_aut_grammar(g, t)
     _write(args.out, gmod.grammar_to_json(gr))
     print(format_permutation(alpha))
     return 0
@@ -112,9 +112,9 @@ def _cmd_embed(args) -> int:
     g = _load(args.graph, "graph")
     if not 1 <= args.keep <= g.vertex_count:
         raise _UsageError(f"--keep must be in 1..{g.vertex_count}, got {args.keep}")
-    from . import grammar as gmod
+    from . import annotate, grammar as gmod
 
-    alpha, gr = gmod.build_embedded_group_grammar(g, args.keep, beta)
+    alpha, gr = annotate.build_embedded_group_grammar(g, args.keep, beta)
     _write(args.out, gmod.grammar_to_json(gr))
     print(format_permutation(alpha))
     return 0
@@ -214,7 +214,7 @@ def _cmd_validate(args) -> int:
 
     t0 = decomp.compute_tree_decomposition(g, args.strategy)
     t, _ = decomp.make_permutation_yielding(g, t0)
-    alpha, gr = gmod.build_aut_grammar(g, t)
+    alpha, gr = annotate.build_aut_grammar(g, t)
     expected = sorted(permute_word(to_string_word(a), alpha).symbols for a in auts)
     # both lists are sorted, so where they first part, the smaller word is
     # in one list only

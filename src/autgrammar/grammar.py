@@ -1,4 +1,5 @@
-"""Context-free grammars for finite permutation languages.
+"""Context-free grammars for finite permutation languages: the grammar
+value and its read side.
 
 Terminals are integers 1..sigma_max and variables are named by strings.
 A grammar holds its rules once, as ints: rule r is (lhs[r], rhs[r]), with
@@ -11,46 +12,15 @@ constructs is non-recursive (the variable dependency relation is acyclic),
 so the language analytics (enumeration, parse-tree counting, membership)
 are finite dynamic programs and refuse cyclic inputs.
 
-The central constructor compiles the automorphism group of a connected
-graph out of a permutation-yielding tree decomposition: variables are
-inner positions other than the root paired with classes of annotated
-bags that derive the same words, and rules connect annotations that
-agree on their shared domain.  Each leaf's terminal, the image of its
-vertex, stands in its parent's rules where a leaf variable with one rule
-would, and the root's classes' rules are the start's own, where the
-start's unit rule to each would be.  Parse trees then correspond
-one-to-one with consistent whole-tree annotations, hence with
-automorphisms, and they still do after one pass over the built rules
-(`_inline`) writes each variable with one rule, which one rule names,
-into that rule instead.  A word w produced for automorphism s satisfies
-w_i = s(alpha(i)) where alpha spells the leaf vertex order, so the
-language is exactly the string set of the group repositioned by alpha.
-The regular grammar is the same construction on a path decomposition
-that introduces one vertex per bag, each bag writing the image of the
-vertex it introduces: one builder (`_build`) serves both, and since its
-root writes a terminal, the start keeps its rules B1 -> a X there.  No
-pass inlines its variables, so every rule stays B -> a or B -> a B'.
-The consistency join (annotate.join_annotations) prunes the annotations
-and merges them into classes in one pass on int key ids; the builder
-names each class p:<j>|b:<k> by its position's index j in preorder and
-writes the rules of a position's classes column by column, one int
-column per child, from each class's first annotation.  The inlining
-pass keeps the names of the variables it keeps, so the k of a tree
-grammar's names may skip the classes written inline.
-
-Layering: the read side (JSON, the compiled table, the semiring pass
-`_evaluate` and what is built on it: counting, enumeration, membership,
-size, regularity and the transforms) imports no builder layer.  The
-builders import `annotate`, `decomp` and `graph` inside their own bodies,
-so a process that only reads a grammar file never loads them.  The embed
-builder decides whether the prefix is invariant from the host's grammar
-itself, so no builder loads `oracle` or `polytope`.
+Layering: this module imports no sibling but `perm`.  The builders, which
+compile a graph into a grammar, live in `annotate` next to the join they
+read, so a process that only reads a grammar file never loads them.
 
 The read side runs on one table per grammar (`_compiled`), derived from
 the int rules on first use and cached on the grammar: the variables in
 dependencies-first order, and each variable's rules listed together.  The
 builders and transforms make their grammars from ints, unchecked
-(`_grammar`), the builder with its own order, so no search for one runs.
+(`_grammar`), the builders with their own order, so no search for one runs.
 Parse-tree counting, the word lengths (`_length_bounds`: read by `trim`
 and `erase_terminals`), the positions each rule writes (`_writes`) and the
 polytope's max-plus pricing loop over the table directly; the semiring
@@ -62,7 +32,6 @@ sits at one offset, so it spans one non-empty window."""
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import json
@@ -72,14 +41,10 @@ import sys
 import warnings
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import PreconditionError, _quote
-from .perm import Permutation, Word, format_permutation, identity, inverse
-
-if TYPE_CHECKING:
-    from .decomp import TreeDecomposition
-    from .graph import Graph
+from .perm import Permutation, Word, inverse
 
 
 class GrammarError(PreconditionError):
@@ -571,186 +536,6 @@ def trim(gr: Grammar) -> Grammar:
     return _grammar(gr.sigma_max, variables, lhs, rhs, gr.accepts_empty, new[start], order)
 
 
-def _inline(names: tuple, lhs: list, rhs: list) -> tuple[tuple, list, list]:
-    """The int rules (names, lhs, rhs) of an acyclic grammar whose start,
-    variable 0, no rule names, with each variable that has one rule, and
-    one occurrence in all the right-hand sides, written in place of that
-    occurrence and dropped.  The kept variables keep their names and order
-    and are renumbered in order, so a dependencies-first order stays one,
-    and the kept rules keep their order.  Each kept rule is spelled once,
-    on a stack of the rules it is inside, so a chain of any depth costs
-    time linear in what is written and no recursion."""
-    count = collections.Counter(lhs)
-    uses = collections.Counter(itertools.chain.from_iterable(rhs))  # variable k as ~k
-    body = {~v: symbols for v, symbols in zip(lhs, rhs) if count[v] == 1 and uses[~v] == 1}
-    kept = [v for v in range(len(names)) if ~v not in body]
-    code = {~v: ~k for k, v in enumerate(kept)}  # a kept variable's symbol, renumbered; terminals are no key
-    out_lhs, out_rhs = [], []
-    for v, symbols in zip(lhs, rhs):
-        if ~v in body:
-            continue
-        out, stack = [], [iter(symbols)]
-        while stack:
-            for x in stack[-1]:
-                if x in body:
-                    stack.append(iter(body[x]))
-                    break
-                out.append(code.get(x, x))
-            else:
-                stack.pop()
-        out_lhs.append(~code[~v])
-        out_rhs.append(tuple(out))
-    return tuple(map(names.__getitem__, kept)), out_lhs, out_rhs
-
-
-# ---------------------------------------------------------------------------
-# Construction from a decomposition.  The tree grammar is built from a
-# permutation-yielding tree decomposition, whose leaves write the terminals,
-# and the regular grammar from a path decomposition that introduces one
-# vertex per bag, every bag writing the image of the vertex it introduces:
-# one construction, `_build`, on the positions each builder says write.
-
-def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[tuple, list, list]:
-    """Compile Aut(g) out of t, a checked decomposition, into the int
-    rules (names, lhs, rhs) of a grammar over alphabet V(g), B1 being
-    variable 0.  written maps each position (a preorder int) that writes
-    a terminal, every childless position among them, to the vertex whose
-    image it writes; word position i holds the i-th one's image.  The
-    variables number parents first, so backwards they are in
-    dependencies-first order.
-
-    Each position with children has one variable per merge class of its
-    annotations, but for a root that writes no terminal (every tree
-    grammar's but a one-vertex graph's): its classes' rules, in class
-    order, are B1's.  A written position writes its terminal into its
-    parent's rules, just before its own variable when it has children, a
-    written root into B1's.  A childless position writes only its
-    terminal and has no variable, the root of a one-vertex graph too.
-    Which variables are written inline `_inline` decides after the build.
-
-    Each child of a position gives a column of ints over its classes,
-    read off each class's first annotation i: a childless child the image
-    of its vertex, any other the variable of i's partner there (a written
-    one, an only child as on a path, the partner's image first).  The
-    rules are the columns zipped, unless some class has several partners
-    at a child: that child gives tuples, and each class's rules are then
-    its product over the children."""
-    from .annotate import join_annotations
-
-    dom, ann, cls, first, up, members = join_annotations(g, t, written)
-    # one variable per merge class at each position with children, in
-    # position order after B1 (variable 0): p:<j>|b:<k>, variable base[j] + k,
-    # stands for the k-th class at position j, in first-appearance order.
-    # An unwritten root's classes are B1's rules instead: base[0] is 0
-    base, names = {}, ["B1"]
-    for j, ks in enumerate(t.kids):
-        if ks:
-            base[j] = len(names) if j or 0 in written else 0
-            if base[j]:
-                head = f"p:{j}|b:"
-                names.extend([f"{head}{k}" for k in range(len(first[j]))])
-
-    def image(p, v):  # the image of vertex v, read off an annotation at p
-        return operator.itemgetter(dom[p].index(v))
-
-    # the rules as they are written, each variable's together, variable k
-    # as ~k.  A written root gives B1 one rule per kept annotation: the
-    # image it writes, then the annotation's variable, if it has one
-    lhs: list = []
-    rhs: list = []
-    if 0 in written:
-        kept = [j for j, k in enumerate(cls[0]) if k is not None]
-        columns = [list(map(image(0, written[0]), map(ann[0].__getitem__, kept)))]
-        if 0 in base:
-            columns.append([~(base[0] + cls[0][j]) for j in kept])
-        lhs = [0] * len(kept)
-        rhs = list(zip(*columns))
-    chain, product = itertools.chain.from_iterable, itertools.product
-
-    def per_class(columns):  # each class's options at each child: its tuple of partners, or its one entry
-        return zip(*[column if column[0].__class__ is tuple else zip(column) for column in columns])
-
-    for p, at in base.items():
-        heads = first[p]
-        owners = range(at, at + len(heads)) if at else itertools.repeat(0, len(heads))
-        columns, groups = [], None  # groups: each class's rules, when written apart from the columns
-        for c in t.kids[p]:
-            var_at = base.get(c)
-            if var_at is None:
-                columns.append(list(map(image(p, written[c]), map(ann[p].__getitem__, heads))))
-                continue
-            partners, of, fan = list(map(up[c].__getitem__, heads)), cls[c], False
-            if members[c] is not None:  # from key ids to partner lists; else key id k is annotation k
-                partners = list(map(members[c].__getitem__, partners))
-                fan = max(map(len, partners)) > 1
-                if not fan:
-                    partners = list(chain(partners))
-            code = ~var_at  # class k at c is variable var_at + k, written code - k
-            if fan:
-                columns.append([tuple([code - of[j] for j in js]) for js in partners])
-            else:
-                columns.append(list(map(code.__sub__, map(of.__getitem__, partners))))
-            v = written.get(c)
-            if v is not None:  # each partner's image, then its variable
-                assert t.kids[p] == (c,), "a written position with children has no siblings"
-                wrote, row = image(c, v), ann[c]
-                if fan:
-                    groups = [[(wrote(row[j]), code - of[j]) for j in js] for js in partners]
-                else:
-                    columns.insert(-1, list(map(wrote, map(row.__getitem__, partners))))
-        if not any(column[0].__class__ is tuple for column in columns):  # one rule per class
-            lhs.extend(owners)
-            rhs.extend(zip(*columns))
-            continue
-        if groups is None:
-            groups = list(map(list, itertools.starmap(product, per_class(columns))))
-        lhs.extend(chain(map(itertools.repeat, owners, map(len, groups))))
-        rhs.extend(chain(groups))
-    return tuple(names), lhs, rhs
-
-
-def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Grammar]:
-    """Compile Aut(g) into a grammar over alphabet V(g).
-
-    Returns (alpha, grammar) where the language equals the set of one-line
-    automorphism strings repositioned by alpha (word position i holds the
-    image of vertex alpha(i)), alpha being the leaf vertices in position
-    order (`decomp.yield_order_of`).  Each leaf writes that image as a
-    terminal into its parent's rules and has no variable of its own.
-    After `_build`, one pass (`_inline`) writes each variable with one
-    rule, which one rule names, into that rule.  Raises
-    DecompositionError unless t is a valid permutation-yielding
-    decomposition of g, and DisconnectedGraphError unless g is connected."""
-    from .decomp import DecompositionError, require_valid, yield_order_of
-    from .graph import require_connected
-
-    require_connected(g)
-    require_valid(g, t)
-    alpha = yield_order_of(t)
-    if alpha.size != g.vertex_count:
-        raise DecompositionError("decomposition is not permutation yielding")
-    names, lhs, rhs = _inline(*_build(g, t, dict(zip([p for p, ks in enumerate(t.kids) if not ks], alpha.image))))
-    return alpha, _grammar(g.vertex_count, names, lhs, rhs, order=range(len(names) - 1, -1, -1))
-
-
-def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutation, Grammar]:
-    """Compile Aut(g) into a regular grammar, every rule (B, a) or
-    (B, a B'), from a path decomposition that introduces one vertex per
-    bag (`decomp.introduced_order`).  Returns (alpha, grammar) as
-    `build_aut_grammar` does, alpha being the introduced vertices in order:
-    each bag writes the image of the vertex it introduces into its
-    parent's rules, before the variable of its annotation's class."""
-    from .decomp import introduced_order, require_valid
-    from .graph import require_connected
-
-    require_connected(g)
-    require_valid(g, pd)
-    introduced = introduced_order(g, pd)
-    names, lhs, rhs = _build(g, pd, dict(enumerate(introduced)))
-    gr = _grammar(g.vertex_count, names, lhs, rhs, order=range(len(names) - 1, -1, -1))
-    return Permutation(tuple(introduced)), gr
-
-
 # ---------------------------------------------------------------------------
 # Language-preserving transforms.
 
@@ -830,78 +615,6 @@ def group_from_subgroup(grH: Grammar, transversal: list[Permutation]) -> Grammar
     for p in parts[1:]:
         combined = union_grammar(combined, p)
     return combined
-
-
-# ---------------------------------------------------------------------------
-# Embedded groups and cosets: erase the non-prefix vertices out of the
-# automorphism grammar of the host graph, then rename by the coset
-# representative.
-
-def _word_through(gr: Grammar, rule: int) -> Word:
-    """A word of some parse tree that uses the given rule, which must lie on
-    one (as every rule of a trim grammar does).  One semiring pass values
-    each variable by a word it derives and one it derives through the rule,
-    or None when it derives none."""
-
-    def times(x: tuple, y: tuple) -> tuple:
-        (a, via_a), (b, via_b) = x, y
-        return a + b, (via_a + b if via_a is not None else None if via_b is None else a + via_b)
-
-    def plus(values) -> tuple:
-        word = via = None
-        for w, v in values:
-            word = w if word is None else word
-            via = v if via is None else via
-        return word, via
-
-    values = _evaluate(gr, lambda r: ((), () if r == rule else None), lambda a: ((a,), None), times, plus)
-    return Word(values[_compiled(gr).start][1])
-
-
-def build_embedded_group_grammar(
-    g: Graph, n: int, b: Permutation | None = None
-) -> tuple[Permutation, Grammar]:
-    """Compile the group that Aut(g) induces on the vertices 1..n, renamed
-    by the coset representative b (the identity by default).
-
-    Returns (alpha, grammar) as `build_aut_grammar` does, over alphabet
-    1..n: the language is the set of one-line strings of the restricted
-    automorphisms, composed with b and repositioned by alpha.  The parse
-    trees stay those of the host's grammar, one per automorphism of g, so
-    `count_parse_trees` gives |Aut(g)|, not the restricted group's order.
-    Raises GrammarError unless
-    g is connected, 1 <= n <= |V(g)|, b permutes 1..n, and 1..n is
-    invariant under Aut(g); the last error names a witness, an
-    automorphism that sends some vertex of 1..n outside it."""
-    from .decomp import compute_tree_decomposition, make_permutation_yielding
-    from .graph import require_connected
-
-    require_connected(g)
-    m = g.vertex_count
-    if not 1 <= n <= m:
-        raise GrammarError(f"prefix size {n} out of range 1..{m}")
-    if b is None:
-        b = identity(n)
-    if b.size != n:
-        raise GrammarError(f"coset representative must permute 1..{n}")
-    t, _ = make_permutation_yielding(g, compute_tree_decomposition(g))
-    alpha_big, gr_full = build_aut_grammar(g, t)
-    # word position i holds s(alpha(i)), so 1..n is invariant unless a rule
-    # writes a terminal above n at a position i with alpha(i) <= n; the
-    # grammar is trim, so a parse tree through that rule is an automorphism
-    writes = _writes(gr_full)
-    moved = (r for i in range(1, m + 1) if alpha_big(i) <= n for a, r in writes[i] if a > n)
-    bad = next(moved, None)
-    if bad is not None:
-        witness = permutation_from_aligned_word(_word_through(gr_full, bad), alpha_big)
-        raise GrammarError(
-            f"prefix 1..{n} not invariant under the automorphism group "
-            f"(witness {format_permutation(witness)})"
-        )
-    kept = [i for i in range(1, m + 1) if alpha_big(i) <= n]
-    alpha = Permutation(tuple(alpha_big(i) for i in kept))
-    erased = erase_terminals(gr_full, n)
-    return alpha, rename_terminals(erased, b)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,13 @@ from typing import NamedTuple
 
 import pytest
 
-from autgrammar.annotate import AnnotatedBag, AnnotationError
+from autgrammar.annotate import (
+    AnnotatedBag,
+    AnnotationError,
+    build_aut_grammar,
+    build_embedded_group_grammar,
+    build_regular_aut_grammar,
+)
 from autgrammar.decomp import (
     TreeDecomposition,
     ValidationReport,
@@ -24,9 +30,6 @@ from autgrammar.decomp import (
 from autgrammar.grammar import (
     Grammar,
     _compiled,
-    build_aut_grammar,
-    build_embedded_group_grammar,
-    build_regular_aut_grammar,
     count_parse_trees,
     enumerate_language,
     erase_terminals,
@@ -291,7 +294,7 @@ def inline_single_use(gr: Grammar) -> Grammar:
     that occurrence and dropped; the other variables and rules keep their
     names and order.  Applied to a tree grammar built with every such
     variable kept, it gives what `build_aut_grammar` writes.  The
-    recursive reference for `grammar._inline`, which spells on a stack."""
+    recursive reference for `annotate._inline`, which spells on a stack."""
     count = collections.Counter(lhs for lhs, _ in gr.rules)
     uses = collections.Counter(x for _, rhs in gr.rules for x in rhs if isinstance(x, str))
     body = {lhs: rhs for lhs, rhs in gr.rules if lhs != gr.start and count[lhs] == uses[lhs] == 1}

@@ -12,7 +12,12 @@ import math
 import time
 from fractions import Fraction
 
-from autgrammar.annotate import count_assignments
+from autgrammar.annotate import (
+    build_aut_grammar,
+    build_embedded_group_grammar,
+    build_regular_aut_grammar,
+    count_assignments,
+)
 from autgrammar.decomp import (
     compute_path_decomposition,
     compute_tree_decomposition,
@@ -21,9 +26,6 @@ from autgrammar.decomp import (
 )
 from autgrammar.grammar import (
     Grammar,
-    build_aut_grammar,
-    build_embedded_group_grammar,
-    build_regular_aut_grammar,
     count_parse_trees,
     enumerate_language,
     enumerate_parse_trees,

@@ -9,6 +9,7 @@ from autgrammar.annotate import (
     AnnotationError,
     _Search,
     _images_on,
+    build_aut_grammar,
     count_assignments,
     enumerate_annotated_bags,
     join_annotations,
@@ -21,7 +22,7 @@ from autgrammar.decomp import (
     compute_tree_decomposition,
     make_permutation_yielding,
 )
-from autgrammar.grammar import build_aut_grammar, count_parse_trees, enumerate_language, trim
+from autgrammar.grammar import count_parse_trees, enumerate_language, trim
 from autgrammar.graph import (
     DisconnectedGraphError,
     Graph,

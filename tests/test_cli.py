@@ -6,8 +6,7 @@ import tracemalloc
 
 import pytest
 
-from autgrammar import _quote
-from autgrammar import grammar as gmod
+from autgrammar import _quote, annotate
 from autgrammar.cli import main
 from autgrammar.grammar import (
     Grammar,
@@ -232,7 +231,7 @@ def test_validate_names_first_difference(c4_file, monkeypatch, capsys):
     # a builder that drops one leaf rule loses words, and one that adds a
     # leaf rule gains some: either way the smallest word in one list only
     # is named, with the list it is in
-    build = gmod.build_aut_grammar
+    build = annotate.build_aut_grammar
     for change, side in ((lambda rules, leaf: rules[:leaf] + rules[leaf + 1:], "oracle"),
                          (lambda rules, leaf: rules + ((rules[leaf][0], (4,)),), "grammar")):
         made = []
@@ -244,7 +243,7 @@ def test_validate_names_first_difference(c4_file, monkeypatch, capsys):
             made.append((g, alpha, Grammar(gr.sigma_max, gr.start, gr.variables, rules)))
             return made[-1][1:]
 
-        monkeypatch.setattr(gmod, "build_aut_grammar", broken)
+        monkeypatch.setattr(annotate, "build_aut_grammar", broken)
         assert main(["validate", "--graph", c4_file]) == 1
         lines = capsys.readouterr().out.splitlines()
         ((g, alpha, gr),) = made

@@ -19,8 +19,8 @@ from autgrammar.decomp import (
     write_pace_td,
     yield_order_of,
 )
-from autgrammar.annotate import count_assignments
-from autgrammar.grammar import build_aut_grammar, build_regular_aut_grammar, count_parse_trees, grammar_to_json
+from autgrammar.annotate import build_aut_grammar, build_regular_aut_grammar, count_assignments
+from autgrammar.grammar import count_parse_trees, grammar_to_json
 from autgrammar.graph import DisconnectedGraphError, Graph, is_connected
 from autgrammar.perm import Permutation
 from conftest import (

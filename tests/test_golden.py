@@ -47,6 +47,7 @@ import re
 
 import pytest
 
+from autgrammar.annotate import build_aut_grammar, build_embedded_group_grammar, build_regular_aut_grammar
 from autgrammar.decomp import (
     compute_path_decomposition,
     compute_tree_decomposition,
@@ -55,9 +56,6 @@ from autgrammar.decomp import (
 )
 from autgrammar.graph import Graph
 from autgrammar.grammar import (
-    build_aut_grammar,
-    build_embedded_group_grammar,
-    build_regular_aut_grammar,
     count_parse_trees,
     grammar_to_json,
     iter_language,

@@ -11,6 +11,10 @@ import pytest
 
 from autgrammar.annotate import (
     AnnotatedBag,
+    _inline,
+    build_aut_grammar,
+    build_embedded_group_grammar,
+    build_regular_aut_grammar,
     count_assignments,
     join_annotations,
 )
@@ -28,9 +32,6 @@ from autgrammar.grammar import (
     Grammar,
     GrammarError,
     ParseTree,
-    build_aut_grammar,
-    build_embedded_group_grammar,
-    build_regular_aut_grammar,
     count_parse_trees,
     enumerate_language,
     enumerate_parse_trees,
@@ -48,7 +49,7 @@ from autgrammar.grammar import (
     trim,
     union_grammar,
 )
-from autgrammar.grammar import _compiled, _grammar, _inline
+from autgrammar.grammar import _compiled, _grammar
 from autgrammar.oracle import brute_force_automorphisms, left_transversal
 from autgrammar.perm import (
     Permutation,

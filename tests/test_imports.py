@@ -1,12 +1,14 @@
 """Import boundaries: a process loads only the layers its command runs."""
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import autgrammar
-from autgrammar import cli
+from autgrammar import annotate, cli, grammar
 
 C4_TEXT = "4 4\n1 2\n2 3\n3 4\n1 4\n"
 BUILDERS = {"annotate", "decomp", "oracle"}
@@ -141,3 +143,22 @@ def test_public_names_resolve():
 
     with pytest.raises(AttributeError):
         autgrammar.no_such_name
+
+
+def test_grammar_imports_no_sibling_but_perm():
+    # the read side holds no builder: grammar.py imports no module of the
+    # package but perm, in a function body neither, and the builders are
+    # annotate's, resolved from the package as well
+    siblings = {p.stem for p in Path(autgrammar.__file__).parent.glob("*.py")} - {"__init__"}
+    imported = set()
+    for node in ast.walk(ast.parse(Path(grammar.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("autgrammar"):
+            imported |= {node.module.split(".")[1]} if "." in node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name.split(".")[1] for a in node.names if a.name.startswith("autgrammar.")}
+    assert imported & siblings == {"perm"}
+    assert not [name for name in dir(grammar) if name.startswith("build_")]
+    for name in ("build_aut_grammar", "build_embedded_group_grammar", "build_regular_aut_grammar"):
+        assert getattr(autgrammar, name) is getattr(annotate, name)

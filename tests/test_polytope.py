@@ -11,13 +11,14 @@ from fractions import Fraction
 
 import pytest
 
+from autgrammar.annotate import build_aut_grammar, build_regular_aut_grammar
 from autgrammar.decomp import (
+    compute_path_decomposition,
     compute_tree_decomposition,
     make_permutation_yielding,
 )
 from autgrammar.grammar import (
     Grammar,
-    build_aut_grammar,
     enumerate_language,
     enumerate_parse_trees,
     parse_tree_yield,
@@ -546,15 +547,25 @@ def test_petersen_lp_file_point_time():
     assert verdict and elapsed < 1.0, elapsed
 
 
+def path_ef(g):
+    alpha, gr = build_regular_aut_grammar(g, compute_path_decomposition(g))
+    return alpha, gr, build_extended_formulation(gr)
+
+
 def test_presolve_reduction_sizes(c5, q3):
     # the rows left are the flow rows of shared variables, which have more
-    # than two terms, and what substitution made of them
-    for g, size in ((c5, (11, 15)), (q3, (33, 72))):
-        alpha, gr, ef = aut_ef(g)
+    # than two terms, and what substitution made of them.  A tree grammar
+    # writes its variables of one rule, used once, inline, so its system
+    # has no doubleton to remove; a regular grammar keeps them
+    for g, make, before, after in ((c5, aut_ef, (11, 15), (11, 15)), (q3, aut_ef, (33, 72), (33, 72)),
+                                   (c5, path_ef, (41, 45), (11, 15)), (q3, path_ef, (281, 320), (41, 80))):
+        alpha, gr, ef = make(g)
         x = permute_word(to_string_word(Permutation(tuple(g.vertices))), alpha).symbols
         point = {f"x_{i}": Fraction(v) for i, v in enumerate(x, start=1)}
-        rows, bounds = _presolve(*_lp_system(ef.lp, point))
-        assert (len(rows), len(bounds)) == size
+        system = _lp_system(ef.lp, point)
+        assert tuple(map(len, system)) == before
+        rows, bounds = _presolve(*system)
+        assert (len(rows), len(bounds)) == after
         assert _simplex_feasible(rows, bounds)
 
 

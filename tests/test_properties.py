@@ -38,7 +38,15 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from autgrammar.annotate import AnnotatedBag, _Search, count_assignments, join_annotations
+from autgrammar.annotate import (
+    AnnotatedBag,
+    _Search,
+    build_aut_grammar,
+    build_embedded_group_grammar,
+    build_regular_aut_grammar,
+    count_assignments,
+    join_annotations,
+)
 from autgrammar.decomp import (
     DecompositionError,
     TreeDecomposition,
@@ -57,9 +65,6 @@ from autgrammar.grammar import (
     GrammarError,
     _length_bounds,
     _writes,
-    build_aut_grammar,
-    build_embedded_group_grammar,
-    build_regular_aut_grammar,
     count_parse_trees,
     enumerate_language,
     enumerate_parse_trees,
