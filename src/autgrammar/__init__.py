@@ -29,6 +29,35 @@ def _quote(value) -> str:
     return head if len(text) <= 20 else f"{head}… ({len(text)} characters)"
 
 
+class _Value:
+    """An immutable value: equal to one of its own class with equal
+    `_values()` (its constructor's arguments), hashed as them, and pickled
+    and copied by calling the class on them; `_set` alone fills its slots.
+    Not a frozen dataclass: importing `dataclasses` loads `inspect`, and
+    each dataclass compiles its methods with `exec`, a fixed cost that
+    every CLI process would pay.  Here so that every layer can share it."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 _EXPORTS = {
     "annotate": (
         "AnnotatedBag",

@@ -69,7 +69,6 @@ or `polytope`.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import operator
@@ -445,6 +444,12 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[tuple, list, 
     rules are the columns zipped, unless some class has several partners
     at a child: that child gives tuples, and each class's rules are then
     its product over the children."""
+    # The columns are re-read off each class's first annotation, although
+    # the join's signatures spell the same order (a written child's pair
+    # (w, k), a leaf's image): keeping them for the rules keeps every kept
+    # class's pair set alive past the join, and on C400 (319 600 kept
+    # classes) that raised the join's peak from 97.3 to 122.0 MiB and
+    # this function's from 160.9 to 186.0 MiB, to save 14 lines.
     dom, ann, cls, first, up, members = join_annotations(g, t, written)
     # one variable per merge class at each position with children, in
     # position order after B1 (variable 0): p:<j>|b:<k>, variable base[j] + k,
@@ -523,9 +528,14 @@ def _inline(names: tuple, lhs: list, rhs: list) -> tuple[tuple, list, list]:
     and the kept rules keep their order.  Each kept rule is spelled once,
     on a stack of the rules it is inside, so a chain of any depth costs
     time linear in what is written and no recursion."""
-    count = collections.Counter(lhs)
-    uses = collections.Counter(itertools.chain.from_iterable(rhs))  # variable k as ~k
-    body = {~v: symbols for v, symbols in zip(lhs, rhs) if count[v] == 1 and uses[~v] == 1}
+    count, uses = [0] * len(names), [0] * len(names)  # per variable: its rules, its occurrences
+    for v in lhs:
+        count[v] += 1
+    for x in itertools.chain.from_iterable(rhs):
+        if x < 0:
+            uses[~x] += 1
+    body = {~v: symbols for v, symbols in zip(lhs, rhs) if count[v] == 1 and uses[v] == 1}
+    del count, uses  # freed before the spelling
     kept = [v for v in range(len(names)) if ~v not in body]
     code = {~v: ~k for k, v in enumerate(kept)}  # a kept variable's symbol, renumbered; terminals are no key
     out_lhs, out_rhs = [], []

@@ -43,7 +43,7 @@ from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from . import PreconditionError, _quote
+from . import PreconditionError, _quote, _Value
 from .perm import Permutation, Word, inverse
 
 
@@ -55,16 +55,10 @@ class CyclicGrammarError(GrammarError):
     pass
 
 
-def _fill(gr: Grammar, **fields) -> None:
-    # sets slots past Grammar's immutability guard
-    for name, value in fields.items():
-        object.__setattr__(gr, name, value)
+class Grammar(_Value):
+    """An immutable `_Value` of its fields: sigma_max, start, variables,
+    rules and accepts_empty.
 
-
-class Grammar:
-    """Immutable; equal, and hashed alike, when every field is equal.
-
-    The fields are sigma_max, start, variables, rules and accepts_empty.
     Construction checks every name and symbol and interns the rules as
     ints (see the module docstring); lists are read as tuples."""
 
@@ -114,8 +108,8 @@ class Grammar:
                             f"terminal {_quote(x)} is not an integer in 1..{_quote(sigma_max)}") from None
                 raise
             lhs.append(~k)
-        _fill(self, sigma_max=sigma_max, variables=variables, accepts_empty=accepts_empty,
-              _start=~code[start], _lhs=lhs, _rhs=rhs)
+        self._set(sigma_max=sigma_max, variables=variables, accepts_empty=accepts_empty,
+                  _start=~code[start], _lhs=lhs, _rhs=rhs)
 
     @property
     def start(self) -> str:
@@ -131,25 +125,11 @@ class Grammar:
         names = self.variables
         spell = {~k: name for k, name in enumerate(names)}.get  # terminals are no key
         rules = tuple([(names[v], tuple(map(spell, rhs, rhs))) for v, rhs in zip(self._lhs, self._rhs)])
-        _fill(self, _rules=rules)
+        self._set(_rules=rules)
         return rules
 
     def _values(self) -> tuple:
         return (self.sigma_max, self.start, self.variables, self.rules, self.accepts_empty)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Grammar is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __reduce__(self):
-        return Grammar, self._values()
 
     def __repr__(self):
         fields = ("sigma_max", "start", "variables", "rules", "accepts_empty")
@@ -163,8 +143,8 @@ def _grammar(sigma_max: int, variables: tuple, lhs, rhs, accepts_empty: bool = F
     a dependencies-first order of the variables, its table is compiled at
     once on that order."""
     gr = Grammar.__new__(Grammar)
-    _fill(gr, sigma_max=sigma_max, variables=variables, accepts_empty=accepts_empty,
-          _start=start, _lhs=lhs, _rhs=rhs)
+    gr._set(sigma_max=sigma_max, variables=variables, accepts_empty=accepts_empty,
+            _start=start, _lhs=lhs, _rhs=rhs)
     if order is not None:
         _compiled(gr, order)
     return gr
@@ -236,7 +216,7 @@ def _compiled(gr: Grammar, order=None) -> _Table:
                     state[v] = 2
                     order.append(v)
     table = _Table(gr._start, order, ends, ids, kids)
-    _fill(gr, _table=table)
+    gr._set(_table=table)
     return table
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from . import PreconditionError
+from . import PreconditionError, _Value
 
 
 class GraphError(Exception):
@@ -40,8 +40,9 @@ class DisconnectedGraphError(GraphError, PreconditionError):
     """Raised by pipeline entry points that require a connected graph."""
 
 
-class Graph:
-    """Immutable simple graph on vertices 1..m.
+class Graph(_Value):
+    """Immutable simple graph on vertices 1..m, a `_Value` of its vertex
+    count and edges: the other fields are derived, and rebuilt on a copy.
 
     Adjacency is kept as a set of normalized pairs, as per-vertex sorted
     neighbor tuples and as per-vertex neighbor bitmasks.  The neighbor
@@ -66,34 +67,16 @@ class Graph:
             if pair in normalized:
                 raise DuplicateEdgeError(f"duplicate edge {{{pair[0]},{pair[1]}}}")
             normalized.add(pair)
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", frozenset(normalized))
         adj: dict[int, list[int]] = {v: [] for v in range(1, vertex_count + 1)}
         for u, v in normalized:
             adj[u].append(v)
             adj[v].append(u)
-        object.__setattr__(
-            self, "neighbors", {v: tuple(sorted(ns)) for v, ns in adj.items()}
-        )
-        object.__setattr__(self, "neighbor_masks", tuple(
-            sum(1 << (u - 1) for u in self.neighbors[v]) for v in self.vertices))
+        neighbors = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        self._set(vertex_count=vertex_count, edges=frozenset(normalized), neighbors=neighbors,
+                  neighbor_masks=tuple([sum(1 << (u - 1) for u in ns) for ns in neighbors.values()]))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.vertex_count == other.vertex_count
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.vertex_count, self.edges))
-
-    def __reduce__(self):
-        # the derived fields are rebuilt, since __setattr__ refuses to restore them
-        return Graph, (self.vertex_count, sorted(self.edges))
+    def _values(self) -> tuple:
+        return (self.vertex_count, self.edges)
 
     def __repr__(self):
         return f"Graph(vertex_count={self.vertex_count}, edges={sorted(self.edges)})"

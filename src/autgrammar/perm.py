@@ -10,47 +10,43 @@ from __future__ import annotations
 
 from functools import total_ordering
 
+from . import _Value
+
 
 class PermError(Exception):
     pass
 
 
 @total_ordering
-class _Record:
-    """An immutable value of one tuple field, hashed, compared and ordered
-    as the one-tuple of that field, the way a frozen, ordered dataclass is
-    (`hash(Permutation(p)) == hash((p,))`).  The field is read through
-    `_key`; `<=`, `>` and `>=` are derived from `__lt__` by
-    `functools.total_ordering`.  Written by hand: importing `dataclasses`
-    loads `inspect`, and each dataclass compiles its methods with `exec`,
-    a fixed cost that every CLI process would pay."""
+class _Record(_Value):
+    """A `_Value` of one tuple field, read through `_key`: its `_values()`
+    is `(field,)`, as for a frozen dataclass, and it orders as the field
+    (`total_ordering` derives `<=`, `>` and `>=` from `__lt__`)."""
 
     __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    def _values(self):
+        return (self._key(),)
 
-    def __hash__(self):
-        return hash((self._key(),))
-
+    # `_Value.__eq__` minus the one-tuples, for hot set lookups; it unsets __hash__
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._key() == other._key()
         return NotImplemented
+
+    __hash__ = _Value.__hash__
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return self._key() < other._key()
         return NotImplemented
 
-    def __reduce__(self):
-        return type(self), (self._key(),)
-
 
 class Permutation(_Record):
     __slots__ = ("image",)
 
     def __init__(self, image: tuple[int, ...]):
+        image = tuple(image)
         n = len(image)
         if sorted(image) != list(range(1, n + 1)):
             raise PermError(f"not a bijection of 1..{n}: {image}")
@@ -92,7 +88,7 @@ class Word(_Record):
     __slots__ = ("symbols",)
 
     def __init__(self, symbols: tuple[int, ...]):
-        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "symbols", tuple(symbols))
 
     def _key(self):
         return self.symbols

@@ -95,13 +95,6 @@ def test_max_degree(c4, star5):
     assert max_degree(Graph(1, [])) == 0
 
 
-def test_graph_immutable(c4):
-    with pytest.raises(AttributeError):
-        c4.vertex_count = 9
-    with pytest.raises(AttributeError):
-        c4.neighbor_masks = ()
-
-
 def test_graph_survives_pickle_and_copy():
     # the immutable fields cannot be restored one by one, so a graph is
     # rebuilt from its vertex count and edges
