@@ -32,14 +32,18 @@ def _quote(value) -> str:
 class _Value:
     """An immutable value: equal to one of its own class with equal
     `_values()` (its constructor's arguments), hashed as them, and pickled
-    and copied by calling the class on them; `_set` alone fills its slots.
-    Not a frozen dataclass: importing `dataclasses` loads `inspect`, and
-    each dataclass compiles its methods with `exec`, a fixed cost that
-    every CLI process would pay.  Here so that every layer can share it."""
+    and copied by calling the class on them; `_set` alone fills its slots,
+    and neither assignment nor deletion changes them.  Not a frozen
+    dataclass: importing `dataclasses` loads `inspect`, and each dataclass
+    compiles its methods with `exec`, a fixed cost that every CLI process
+    would pay.  Here so that every layer can share it."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _set(self, **fields) -> None:

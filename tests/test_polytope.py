@@ -513,6 +513,16 @@ def test_simplex_makes_no_fraction_on_integral_systems():
         assert not calls, (len(rows), calls[:5])
 
 
+def test_variable_named_like_an_artificial():
+    # the simplex's artificials are numbered columns with no name, so a
+    # variable named `_a:0` is a structural column like any other: three
+    # variables in [0, 1] cannot sum to 5
+    for name in ("_a:0", "a0"):
+        lp = parse_lp(f"Subject To\n r: x_1 + {name} + y + z = 5\nBounds\n"
+                      + "".join(f" 0 <= {v} <= 1\n" for v in (name, "y", "z")) + "End\n")
+        assert not check_lp_feasibility(lp, {"x_1": 0}), name
+
+
 def test_bound_flip_at_fractional_span():
     # one row of three terms, which the presolve keeps, over columns of
     # span 1/2: x_1 = 3/2 puts all three at their span (bound flips that
@@ -550,6 +560,30 @@ def test_petersen_lp_file_point_time():
 def path_ef(g):
     alpha, gr = build_regular_aut_grammar(g, compute_path_decomposition(g))
     return alpha, gr, build_extended_formulation(gr)
+
+
+def test_presolve_returns_long_rows_as_they_are():
+    # no row has at most two nonzero terms: the rows come back as they
+    # are, a zero entry dropped, with the bounds of their variables only
+    rows = [({"a": 1, "b": -1, "c": 2}, 1), ({"b": 1, "c": 1, "d": 1, "e": 0}, 2)]
+    bounds = {"a": (0, 1), "b": (0, None), "c": (0, 1), "d": (-1, 3), "e": (0, 1), "unused": (0, 1)}
+    kept, kept_bounds = _presolve(rows, bounds)
+    assert kept == [rows[0], ({"b": 1, "c": 1, "d": 1}, 2)] and kept[0][0] is rows[0][0]
+    assert kept_bounds == {"a": (0, 1), "b": (0, None), "c": (0, 1), "d": (-1, 3)}
+
+
+def test_presolve_counts_nonzero_terms():
+    # three entries, one of them 0, make a doubleton, which the presolve
+    # removes: a + b = 1 turns the second row into c + d = 1, which goes too
+    rows = [({"a": 1, "b": 1, "c": 0}, 1), ({"a": 1, "b": 1, "c": 1, "d": 1}, 2)]
+    assert _presolve(rows, dict.fromkeys("abcd", (0, 1))) == ([], {})
+
+
+def test_presolve_empty_bound_interval_without_short_rows():
+    rows = [({"a": 1, "b": 1, "c": 1}, 1)]
+    assert _presolve(rows, {"a": (0, 1), "b": (0, 1), "c": (2, 1)}) is None
+    # also on a variable in no row
+    assert _presolve(rows, {"a": (0, 1), "b": (0, 1), "c": (0, 1), "d": (1, 0)}) is None
 
 
 def test_presolve_reduction_sizes(c5, q3):

@@ -1,6 +1,7 @@
 """The contract that every immutable value shares (`autgrammar._Value`):
 equal, and hashed alike, by its `_values()` within its own class, pickled
-and copied by calling the class on them, and closed to assignment."""
+and copied by calling the class on them, and closed to assignment and
+deletion."""
 
 import copy
 import pickle
@@ -66,15 +67,29 @@ def test_pickle_and_copies_are_equal(value):
         assert back._values() == value._values() and repr(back) == repr(value)
 
 
-def test_every_assignment_raises(value):
-    cls = type(value)
+def _fields(cls) -> set:
+    """Every slot and property of cls, and one name it does not have."""
     names = [name for klass in cls.__mro__ for name in getattr(klass, "__slots__", ())]
     names += [name for name in vars(cls) if isinstance(vars(cls)[name], property)]
+    return {*names, "other"}
+
+
+def test_every_assignment_raises(value):
+    cls = type(value)
     before = repr(value)
-    for name in {*names, "other"}:
+    for name in _fields(cls):
         with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
             setattr(value, name, None)
     assert repr(value) == before
+
+
+def test_every_deletion_raises(value):
+    cls = type(value)
+    before = repr(value), hash(value)
+    for name in _fields(cls):
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            delattr(value, name)
+    assert (repr(value), hash(value)) == before
 
 
 def test_records_hash_as_the_one_tuple_of_their_field():
