@@ -54,21 +54,30 @@ start's own, where the start's unit rule to each would be.  Parse trees
 then correspond one-to-one with consistent whole-tree annotations, hence
 with automorphisms, and they still do after one pass over the built
 rules (`_inline`) writes each variable with one rule, which one rule
-names, into that rule instead.  A word w produced for automorphism s
-satisfies w_i = s(alpha(i)) where alpha spells the leaf vertex order, so
-the language is exactly the string set of the group repositioned by
-alpha.  The regular grammar is the same construction on a path
-decomposition that introduces one vertex per bag, each bag writing the
-image of the vertex it introduces: one builder (`_build`) serves both,
-and since its root writes a terminal, the start keeps its rules
-B1 -> a X there.  No pass inlines its variables, so every rule stays
-B -> a or B -> a B'.  The embed builder decides whether the prefix is
+names, into that rule instead.  The join merges annotations only by the
+words they derive below, so rules that begin alike are not shared: a
+second pass (`_share`) factors each variable's sorted rules by their
+shared prefixes into new variables s:<k> and makes variables with equal
+rules at one offset one, as the minimal acyclic automaton of a sorted
+word list is built, and `_inline` runs again.  The grammar stays
+positional, parse trees still map one to one, and the shared grammar is
+kept only when its `grammar_size` is smaller.  A word w produced for
+automorphism s satisfies w_i = s(alpha(i)) where alpha spells the leaf
+vertex order, so the language is exactly the string set of the group
+repositioned by alpha.  The regular grammar is the same construction on
+a path decomposition that introduces one vertex per bag, each bag
+writing the image of the vertex it introduces: one builder (`_build`)
+serves both, and since its root writes a terminal, the start keeps its
+rules B1 -> a X there.  No pass inlines or shares its variables, so
+every rule stays B -> a or B -> a B'.  The embed builder decides whether the prefix is
 invariant from the host's grammar itself, so no builder loads `oracle`
 or `polytope`.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 import operator
@@ -78,7 +87,7 @@ from . import PreconditionError
 from .decomp import (DecompositionError, TreeDecomposition, compute_tree_decomposition, introduced_order,
                      make_permutation_yielding, require_valid, yield_order_of)
 from .grammar import (Grammar, GrammarError, _compiled, _evaluate, _grammar, _writes, erase_terminals,
-                      permutation_from_aligned_word, rename_terminals)
+                      grammar_size, permutation_from_aligned_word, rename_terminals)
 from .graph import Graph, closed_neighborhood, require_connected, stable_colouring
 from .perm import Permutation, Word, format_permutation, identity
 
@@ -419,14 +428,15 @@ def count_assignments(g: Graph, t: TreeDecomposition) -> int:
 # decomposition, the regular grammar from a path decomposition, and the
 # group embedded on a vertex prefix.
 
-def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[tuple, list, list]:
+def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[tuple, list, list, list]:
     """Compile Aut(g) out of t, a checked decomposition, into the int
     rules (names, lhs, rhs) of a grammar over alphabet V(g), B1 being
-    variable 0.  written maps each position (a preorder int) that writes
-    a terminal, every childless position among them, to the vertex whose
-    image it writes; word position i holds the i-th one's image.  The
-    variables number parents first, so backwards they are in
-    dependencies-first order.
+    variable 0, and each variable's word end: the number of positions up
+    to the end of its position's subtree that write.  written maps each
+    position (a preorder int) that writes a terminal, every childless
+    position among them, to the vertex whose image it writes; word
+    position i holds the i-th one's image.  The variables number parents
+    first, so backwards they are in dependencies-first order.
 
     Each position with children has one variable per merge class of its
     annotations, but for a root that writes no terminal (every tree
@@ -455,13 +465,23 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[tuple, list, 
     # position order after B1 (variable 0): p:<j>|b:<k>, variable base[j] + k,
     # stands for the k-th class at position j, in first-appearance order.
     # An unwritten root's classes are B1's rules instead: base[0] is 0
-    base, names = {}, ["B1"]
+    # a variable at position j ends at word offset lead[last[j]]: the
+    # positions that write up to the last one in j's subtree, a preorder run
+    # (`_share` keys on it)
+    n = len(t.kids)
+    lead = list(itertools.accumulate(p in written for p in range(n)))
+    last = list(range(n))
+    for p in reversed(range(n)):
+        if t.kids[p]:
+            last[p] = last[t.kids[p][-1]]
+    base, names, end = {}, ["B1"], [lead[-1]]
     for j, ks in enumerate(t.kids):
         if ks:
             base[j] = len(names) if j or 0 in written else 0
             if base[j]:
                 head = f"p:{j}|b:"
                 names.extend([f"{head}{k}" for k in range(len(first[j]))])
+                end.extend(itertools.repeat(lead[last[j]], len(first[j])))
 
     # the rules as they are written, each variable's together, variable k
     # as ~k.  A written root gives B1 one rule per kept annotation: the
@@ -516,19 +536,20 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[tuple, list, 
             groups = list(map(list, itertools.starmap(product, per_class(columns))))
         lhs.extend(chain(map(itertools.repeat, owners, map(len, groups))))
         rhs.extend(chain(groups))
-    return tuple(names), lhs, rhs
+    return tuple(names), lhs, rhs, end
 
 
-def _inline(names: tuple, lhs: list, rhs: list) -> tuple[tuple, list, list]:
-    """The int rules (names, lhs, rhs) of an acyclic grammar whose start,
-    variable 0, no rule names, with each variable that has one rule, and
-    one occurrence in all the right-hand sides, written in place of that
-    occurrence and dropped.  The kept variables keep their names and order
-    and are renumbered in order, so a dependencies-first order stays one,
-    and the kept rules keep their order.  Each kept rule is spelled once,
-    on a stack of the rules it is inside, so a chain of any depth costs
-    time linear in what is written and no recursion."""
-    count, uses = [0] * len(names), [0] * len(names)  # per variable: its rules, its occurrences
+def _inline(variables: int, lhs: list, rhs: list) -> tuple[list, list]:
+    """The int rules (lhs, rhs) of an acyclic grammar of that many
+    variables with each variable that has one rule, and one occurrence in
+    all the right-hand sides, written in place of that occurrence and its
+    rule dropped (the start, which no rule names, stays).  No variable is
+    renumbered, so an inlined one is left with no rule (`_renumber` drops
+    it), and the kept rules keep their order.  A rule that names no such
+    variable is kept as it is; any other is spelled once, on a stack of
+    the rules it is inside, so a chain of any depth costs time linear in
+    what is written and no recursion."""
+    count, uses = [0] * variables, [0] * variables  # per variable: its rules, its occurrences
     for v in lhs:
         count[v] += 1
     for x in itertools.chain.from_iterable(rhs):
@@ -536,11 +557,14 @@ def _inline(names: tuple, lhs: list, rhs: list) -> tuple[tuple, list, list]:
             uses[~x] += 1
     body = {~v: symbols for v, symbols in zip(lhs, rhs) if count[v] == 1 and uses[v] == 1}
     del count, uses  # freed before the spelling
-    kept = [v for v in range(len(names)) if ~v not in body]
-    code = {~v: ~k for k, v in enumerate(kept)}  # a kept variable's symbol, renumbered; terminals are no key
+    plain = body.keys().isdisjoint
     out_lhs, out_rhs = [], []
     for v, symbols in zip(lhs, rhs):
         if ~v in body:
+            continue
+        out_lhs.append(v)
+        if plain(symbols):
+            out_rhs.append(symbols)
             continue
         out, stack = [], [iter(symbols)]
         while stack:
@@ -548,12 +572,115 @@ def _inline(names: tuple, lhs: list, rhs: list) -> tuple[tuple, list, list]:
                 if x in body:
                     stack.append(iter(body[x]))
                     break
-                out.append(code.get(x, x))
+                out.append(x)
             else:
                 stack.pop()
-        out_lhs.append(~code[~v])
         out_rhs.append(tuple(out))
-    return tuple(map(names.__getitem__, kept)), out_lhs, out_rhs
+    return out_lhs, out_rhs
+
+
+def _renumber(names, lhs: list, rhs: list) -> tuple[tuple, list, list]:
+    """The int rules (names, lhs, rhs) with the variables that have rules
+    numbered in the order their rules first appear, and no other: so when
+    each variable's rules come before those of the variables it names,
+    the start's first, the start is 0 and the reverse of the numbers is a
+    dependencies-first order.  The rules keep their order."""
+    kept = list(dict.fromkeys(lhs))
+    code = {~v: ~k for k, v in enumerate(kept)}  # a variable's symbol, renumbered
+    rhs = [tuple([x if x > 0 else code[x] for x in symbols]) for symbols in rhs]
+    return tuple(map(names.__getitem__, kept)), [~code[~v] for v in lhs], rhs
+
+
+def _share(names: tuple, lhs: list, rhs: list, end: list) -> tuple[list, list, list]:
+    """The int rules (names, lhs, rhs) of a positional grammar, each
+    variable's word end end[v] beside them, with each variable's rules
+    factored by their shared prefixes and equal tails at one offset made
+    one variable.  The input lists each variable's rules together, in
+    variable order (one that `_inline` wrote inline has none), the start
+    0 and each variable after the rules that name it, and two variables
+    at one position derive different words, as the join's classes do.
+    This is the minimal acyclic automaton construction of Revuz (TCS
+    1992) and of Daciuk, Mihov, Watson & Watson ("Incremental
+    construction of minimal acyclic finite-state automata", 2000), run
+    over sorted rule lists.
+
+    Children first, each variable's rules are sorted.  Rules that share a
+    first symbol keep their longest common prefix, short of the last
+    symbol of the first of them, and continue in a new variable that
+    holds the different suffixes, factored alike: it ends where its parent
+    ends.  Every variable with two rules or more, old or new, is looked up
+    in one register keyed by (end, rules); equal rules derive words of
+    one length, so equal tails at one offset become one variable, and
+    none is merged with one at another offset.  A new variable has two
+    rules or more, so a variable with one rule is not looked up.  The
+    grammar stays positional, and each variable keeps its parse trees one
+    to one.  An old variable keeps its number and name, so no rule is
+    renamed: a new variable equal to it is it, and it is never merged
+    into another, as the join's classes at one position derive different
+    words; new variables are numbered from len(names) and have no name
+    (None) yet.  The rules are listed in the reverse of the order
+    their variables were registered, the start's first, so each
+    variable's rules come before those of the variables it names, as
+    `_renumber` expects."""
+    first = operator.itemgetter(0)
+    names = list(names)
+    register: dict = {}  # (end, rules) -> the variable registered under it
+    out_lhs, out_rhs = [], []  # each registered variable's rules, listed backwards
+
+    def entry(stop: int, rules: tuple) -> int:  # a new variable, or the equal one registered
+        k = register.setdefault((stop, rules), len(names))
+        if k == len(names):
+            names.append(None)
+            out_lhs.extend(itertools.repeat(k, len(rules)))
+            out_rhs.extend(reversed(rules))
+        return k
+
+    def factored(rules: list, stop: int) -> list:
+        # one frame per variable being factored: its groups of rules by
+        # first symbol still to read, its rules so far, the prefix before
+        # it and the rules that prefix ends
+        top: list = []
+        stack = [(itertools.groupby(rules, first), top, (), None)]
+        while stack:
+            groups, out, head, into = stack[-1]
+            for _, group in groups:
+                group = list(group)
+                a = group[0]
+                if len(group) == 1 or len(a) == 1:
+                    out.extend(group)
+                    continue
+                b, k = group[-1], 1  # the sorted group's first and last share what all share
+                while k < len(a) - 1 and a[k] == b[k]:
+                    k += 1
+                tails = [r[k:] for r in group]
+                if len(set(map(first, tails))) == len(tails):  # a variable with nothing to factor
+                    out.append((*a[:k], ~entry(stop, tuple(tails))))
+                    continue
+                stack.append((itertools.groupby(tails, first), [], a[:k], out))
+                break
+            else:
+                stack.pop()
+                if into is not None:
+                    into.append((*head, ~entry(stop, tuple(out))))
+        return top
+
+    ruled = list(dict.fromkeys(lhs))  # the variables with rules, in order
+    ends = [*map(functools.partial(bisect.bisect_left, lhs), ruled), len(lhs)]
+    for i in range(len(ruled) - 1, -1, -1):  # children first
+        v, lo, hi = ruled[i], ends[i], ends[i + 1]
+        if hi - lo == 1:  # a new variable has two rules or more, so one with one is not looked up
+            out_lhs.append(v)
+            out_rhs.append(rhs[lo])
+            continue
+        rules = sorted(rhs[lo:hi])
+        if len(set(map(first, rules))) < len(rules):  # some rules share a first symbol
+            rules = factored(rules, end[v])
+        register.setdefault((end[v], tuple(rules)), v)
+        out_lhs.extend(itertools.repeat(v, len(rules)))
+        out_rhs.extend(reversed(rules))
+    out_lhs.reverse()
+    out_rhs.reverse()
+    return names, out_lhs, out_rhs
 
 
 def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Grammar]:
@@ -565,7 +692,10 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
     order (`decomp.yield_order_of`).  Each leaf writes that image as a
     terminal into its parent's rules and has no variable of its own.
     After `_build`, one pass (`_inline`) writes each variable with one
-    rule, which one rule names, into that rule.  Raises
+    rule, which one rule names, into that rule; then `_share` factors
+    each variable's rules by their shared prefixes and makes equal tails
+    at one offset one variable, and `_inline` runs again.  The shared
+    grammar is kept only when its `grammar_size` is smaller.  Raises
     DecompositionError unless t is a valid permutation-yielding
     decomposition of g, and DisconnectedGraphError unless g is connected."""
     require_connected(g)
@@ -573,8 +703,19 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
     alpha = yield_order_of(t)
     if alpha.size != g.vertex_count:
         raise DecompositionError("decomposition is not permutation yielding")
-    names, lhs, rhs = _inline(*_build(g, t, dict(zip([p for p, ks in enumerate(t.kids) if not ks], alpha.image))))
-    return alpha, _grammar(g.vertex_count, names, lhs, rhs, order=range(len(names) - 1, -1, -1))
+    written = dict(zip([p for p, ks in enumerate(t.kids) if not ks], alpha.image))
+    names, lhs, rhs, end = _build(g, t, written)
+    lhs, rhs = _inline(len(names), lhs, rhs)
+    shared, s_lhs, s_rhs = _share(names, lhs, rhs, end)
+    shared, s_lhs, s_rhs = _renumber(shared, *_inline(len(shared), s_lhs, s_rhs))
+    fresh = itertools.count()  # the new variables are named once the kept ones are known
+    shared = tuple([f"s:{next(fresh)}" if name is None else name for name in shared])
+    gr = _grammar(g.vertex_count, shared, s_lhs, s_rhs)
+    # the unshared grammar's `grammar_size`, counted before it is numbered
+    if grammar_size(gr).value >= (len(lhs) + sum(map(len, rhs))) * math.log2(g.vertex_count + len(set(lhs))):
+        gr = _grammar(g.vertex_count, *_renumber(names, lhs, rhs))
+    _compiled(gr, range(len(gr.variables) - 1, -1, -1))
+    return alpha, gr
 
 
 def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutation, Grammar]:
@@ -587,7 +728,7 @@ def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutat
     require_connected(g)
     require_valid(g, pd)
     introduced = introduced_order(g, pd)
-    names, lhs, rhs = _build(g, pd, dict(enumerate(introduced)))
+    names, lhs, rhs, _ = _build(g, pd, dict(enumerate(introduced)))
     gr = _grammar(g.vertex_count, names, lhs, rhs, order=range(len(names) - 1, -1, -1))
     return Permutation(tuple(introduced)), gr
 

@@ -141,7 +141,7 @@ def _cmd_enum(args) -> int:
     words = gmod.iter_language(gr)
     names = gmod._SymbolText()  # spells each terminal the words use, once
     cap = args.cap if args.cap < sys.maxsize else None  # a larger cap cannot truncate
-    lines = (" ".join([names[a] for a in w]) + "\n" for w in itertools.islice(words, cap))
+    lines = (" ".join(map(names.__getitem__, w)) + "\n" for w in itertools.islice(words, cap))
     # one write per block of lines: unbuffered, each write is a system call
     while block := "".join(itertools.islice(lines, 1024)):
         sys.stdout.write(block)

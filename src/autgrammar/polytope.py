@@ -858,11 +858,18 @@ def _lp_system(parsed: ParsedLP, point: dict) -> tuple[list, dict]:
     Fixed variables (typically the projection coordinates x_<i>) are
     substituted, each inequality gets a slack, and remaining variables
     take their Bounds entries, defaulting to [0, +inf) as in the LP
-    format."""
+    format.  The k-th slack is named _r:<k>, its prefix lengthened by an
+    underscore while a variable of the file starts with it, so no slack
+    shares a name with a variable."""
     point = {v: _coordinate(v, c) for v, c in point.items()}
     rows: list = []
     slack_id = 0
     bounds: dict = {}
+    prefix = "_r:"
+    names = {v for _, terms, _, _ in parsed.constraints for _, v in terms}
+    names.update(parsed.bounds)
+    while any(v.startswith(prefix) for v in names):
+        prefix = "_" + prefix
     for name, terms, rel, rhs in parsed.constraints:
         coeffs: dict = {}
         for coef, v in terms:
@@ -873,7 +880,7 @@ def _lp_system(parsed: ParsedLP, point: dict) -> tuple[list, dict]:
             else:
                 coeffs[v] = coef
         if rel in ("<=", ">="):
-            sv = f"_r:{slack_id}"
+            sv = f"{prefix}{slack_id}"
             slack_id += 1
             coeffs[sv] = 1 if rel == "<=" else -1
             bounds[sv] = (0, None)

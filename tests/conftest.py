@@ -14,6 +14,10 @@ import pytest
 from autgrammar.annotate import (
     AnnotatedBag,
     AnnotationError,
+    _build,
+    _inline,
+    _renumber,
+    _share,
     build_aut_grammar,
     build_embedded_group_grammar,
     build_regular_aut_grammar,
@@ -26,10 +30,12 @@ from autgrammar.decomp import (
     compute_tree_decomposition,
     make_permutation_yielding,
     validate_tree_decomposition,
+    yield_order_of,
 )
 from autgrammar.grammar import (
     Grammar,
     _compiled,
+    _grammar,
     count_parse_trees,
     enumerate_language,
     erase_terminals,
@@ -304,6 +310,21 @@ def inline_single_use(gr: Grammar) -> Grammar:
 
     rules = tuple((lhs, spelled(rhs)) for lhs, rhs in gr.rules if lhs not in body)
     return Grammar(gr.sigma_max, gr.start, tuple(v for v in gr.variables if v not in body), rules)
+
+
+def tree_grammar_stages(g: Graph, t: TreeDecomposition) -> tuple[Grammar, Grammar]:
+    """The two grammars `build_aut_grammar` chooses between on t, each
+    numbered by `_renumber`: the tree grammar after `_build` and `_inline`,
+    and the same after `_share` and `_inline` again, its new variables
+    named s:<k> in order.  It keeps the second when it is smaller."""
+    written = dict(zip([p for p, ks in enumerate(t.kids) if not ks], yield_order_of(t).image))
+    names, lhs, rhs, end = _build(g, t, written)
+    lhs, rhs = _inline(len(names), lhs, rhs)
+    shared, s_lhs, s_rhs = _share(names, lhs, rhs, end)
+    shared, s_lhs, s_rhs = _renumber(shared, *_inline(len(shared), s_lhs, s_rhs))
+    k = iter(range(len(shared)))
+    shared = tuple(name or f"s:{next(k)}" for name in shared)
+    return (_grammar(g.vertex_count, *_renumber(names, lhs, rhs)), _grammar(g.vertex_count, shared, s_lhs, s_rhs))
 
 
 def json_reference(gr) -> str:

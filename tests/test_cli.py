@@ -228,17 +228,19 @@ def test_validate(c4_file):
 
 
 def test_validate_names_first_difference(c4_file, monkeypatch, capsys):
-    # a builder that drops one leaf rule loses words, and one that adds a
-    # leaf rule gains some: either way the smallest word in one list only
-    # is named, with the list it is in
+    # a builder that drops a rule of terminals only loses words, and one
+    # that adds a rule writing that rule's first terminal throughout gains
+    # some: either way the smallest word in one list only is named, with
+    # the list it is in
     build = annotate.build_aut_grammar
-    for change, side in ((lambda rules, leaf: rules[:leaf] + rules[leaf + 1:], "oracle"),
-                         (lambda rules, leaf: rules + ((rules[leaf][0], (4,)),), "grammar")):
+    for change, side in ((lambda rules, r: rules[:r] + rules[r + 1:], "oracle"),
+                         (lambda rules, r: rules + ((rules[r][0], rules[r][1][:1] * len(rules[r][1])),),
+                          "grammar")):
         made = []
 
         def broken(g, t):
             alpha, gr = build(g, t)
-            leaf = next(r for r, (_, rhs) in enumerate(gr.rules) if rhs == (1,))
+            leaf = next(r for r, (_, rhs) in enumerate(gr.rules) if all(isinstance(x, int) for x in rhs))
             rules = change(gr.rules, leaf)
             made.append((g, alpha, Grammar(gr.sigma_max, gr.start, gr.variables, rules)))
             return made[-1][1:]

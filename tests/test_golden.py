@@ -39,7 +39,17 @@ builder began writing each class with one rule, which one rule names,
 into that rule instead of giving it a variable.  That moved all of them
 but natural-label star5's tree grammar, which has no such class, and
 moved no regular-grammar and no `.td` digest; the language, the
-parse-tree count and the LP verdicts did not change."""
+parse-tree count and the LP verdicts did not change.
+
+The tree-grammar digests of the grammars that `annotate._share` changes
+were re-recorded when the tree builder began factoring each variable's
+rules by their shared prefixes and making equal tails at one offset one
+variable (s:<k>): every such digest above but those of P8, P30, P80,
+P2000, spider 3x2, and natural and relabelled Q3, whose grammars the
+pass leaves as they were (paths have nothing to share, and on Q3 and
+spider 3x2 the shared grammar is larger, so it is not kept).  No
+regular-grammar and no `.td` digest moved, and neither did any language,
+parse-tree count or LP verdict."""
 
 import hashlib
 import random
@@ -92,55 +102,55 @@ GRAPHS = {
 
 # name -> (tree grammar JSON, regular grammar JSON), position named
 GRAMMAR_DIGESTS = {
-    "C6": ("e133c2a424a30be5188707aa78da21813b5c32c2ed3267b44363f4a6fe3fcad9",
+    "C6": ("70714cff5dbc7b440a415fa80dcb16f823a3e033e9481aa9e3c83d442f590267",
            "5900e2b80d63c50bb740605270f975678ed3ac46473993f19c1d6293b9650002"),
-    "K4": ("8710073a65f33d5b124df323fe5b57a8fe2d1a2631c5add5268a3d85647b8d2e",
+    "K4": ("1ee7fef0ef4ce51fc1dc73b2b19813c52f11f2fd31cd172bea9f01d066d0d182",
            "541c0e40507fbd75e3b3c0b3c8adcb41cdd76a370492d28aced264105adb893f"),
-    "K5": ("d58991289bb8a80a4f73f59b4cba665b1f069f77a6fda55b3c149333e213095d",
+    "K5": ("a81856e99d840f1d901bf1e1a5317d53970d57d89903ba2f9738491a74d93c69",
            "5f9a4261d2c85507c55e412ebbd50ef713944bab05bfb735b3bb4357f7ddc967"),
     "P8": ("7eba0c5f12a731a43ea378c9a27e2dc10eb0106248ca07f3fcb7210f7939dbc5",
            "2313e30e3a44224f25d3c4678974dbf0696b67f5ae25c99ae2ce82cd6a80fe57"),
-    "Petersen": ("c06fa7e10e93f67675410601eab1248e1e7ea738940905ce27d8e5c0af4fe0ad",
+    "Petersen": ("eb005214852a7581c3577b8cd422fbe22667ec60b970ab143b897414a7ca3f93",
                  "a627e1ce6eac130d053fc8285e426f602d2c555f097481a14489abdc1647cef2"),
     "Q3": ("0e77a301abd52a4e3dcb798e209d9716c01019893c4100adf0d777a6af92c2f3",
            "f98c9793d15481ecb8e0127462d0f991bad1cbc741d76d0552227890f1cd4a47"),
-    "btree3": ("72366878338bc19326af0c658d40ea6f5111d9149d3ac8982f7c23bee80a107e",
+    "btree3": ("ad14d416e79a1346d5c2242e3e27222e254d764b962ddfc70556c1550aa15038",
                "c58d466c30169cf76125de36f27011517f8617b124991727d61e33edc77fb67b"),
-    "grid3x3": ("755173510a2c8216a4dd502daf973d215e249c9cebc3186b7b7816c94b7821cc",
+    "grid3x3": ("1ec153df510b16ad37fa994cd34cf3013a76f8c5578fd3c5092a9fa57cf1f7ec",
                 "f2d0f765fa9e074d54c8810617ce0734449be928d351a54aad56c879763e117b"),
     "spider3x2": ("9db6953669650b2f813e52e09d2113a4e26b8e76b44e626a41364c4d2a5d1691",
                   "13f4a70edf97a717ef319553e7a25595679c7496439954537327f60fe263047c"),
-    "star5": ("8d736dea1f44453a67efff2ad0457627d291f0869e4b50cec77a3c7355887781",
+    "star5": ("6b98497980e77dda468435bf8f910b0536cae8ed16a253c5bf6f5f62906e6ad6",
               "bbb10cdfe74843d8944836fe981b805574b98d582e0a9b1cb401e9fb8e88a5ce"),
 }
 
 # name -> (tree grammar JSON, regular grammar JSON), as written
 INDEXED_GRAMMAR_DIGESTS = {
-    "C6": ("c39ed3dfa62ffc7c88865cc922a10bef0cfa7aefc312006f5e49f98e3f70b7c1",
+    "C6": ("70714cff5dbc7b440a415fa80dcb16f823a3e033e9481aa9e3c83d442f590267",
            "fcb35cea54a11d9a9333bfa2dab3a093789571fd5863e0b9824fcc7d2ce200f6"),
-    "K4": ("732bd2eae99bf49580b1204703d119047fa62ebb41912a5c429c31023bee9488",
+    "K4": ("4031c93f84c701cf6ccb4c67dfa302edc0aee8c5faa7ca5ba556a42cc0ff6607",
            "822b261fffaed415ae99135c8d86496b5b5ab3441ba4dc9edd1aa4caadeb04a9"),
-    "K5": ("2491a7ed852b3ce892a797314f53b1e1c1522c4f1ba5aa9174bb68519f2250cd",
+    "K5": ("89d1f637b39186d2ea67b7e6014e1fa606a3921ff3511990e606336ca863385f",
            "1ae76796f3d9d2b48263586f9083df3d20e21c9f215606e1ec77a454b121fb69"),
     "P8": ("7eba0c5f12a731a43ea378c9a27e2dc10eb0106248ca07f3fcb7210f7939dbc5",
            "51b26ae06e453f16867d08b13a8f6e2976bf42e948b943251ab20f8643d74e44"),
-    "Petersen": ("2ea888d8a53499efadc6d9cbd4a5373c049ab51b579b4b4193eec7702e9c8347",
+    "Petersen": ("65f554803c9f9e513fa0b7f246dc64b3ae8fbf0eb78fc2f3c059ea42eb7727d1",
                  "eedf76d1df0eae4bd48312db6df4418ee209bdeb807f2ec4203ffc6ad1f3c791"),
     "Q3": ("71185776af0179e5ccd7437621572e7b5592ff95ab76e7464a8118138fffb276",
            "0304179ec1fe0bfba476a3fb8a056be1c48e738532b2c130e68d1b77ce6f1c0f"),
-    "btree3": ("88ec22e85172869a400269a4622bfa7358a614854beea70dccf214e0fe3bc5b8",
+    "btree3": ("ed926e047c5e6366b6d43d739a5e338b39416292503fbf1db2afa50e6e4701f9",
                "dd97ccfae11883b83864a1d64909a5f24f690a576173af217745e34ca5686dfc"),
-    "grid3x3": ("41fb2119dd2ea89ce911f47ce95d4f85ac4f1abda3c3615ca579957523c43e17",
+    "grid3x3": ("3e5b7d26e000e2e2b1a6c72e5ce8707d86c073860bf63d646fed894989344f37",
                 "a9bfec1c0239c86b199472b9f847ed317a4070b854fe262fee37ac8a758b6015"),
     "spider3x2": ("4e127630dd2a1218c15a6c84b260740c44245fc4fdd3885ffe3ebc71b972d442",
                   "e20a352b0e77b64585bceb49ac5af774ee665bea60bcbf6b63ac31e97e16d3a2"),
-    "star5": ("63c097855695f56ed103a9358b7f1112c153033e706783f50267ce0ceb7de62e",
+    "star5": ("b5a5e2cb43dc95651f11a29bd290bda32607de21e16e7879b0defc3ee22fbddf",
               "9847b5d96f03fdeb43fcdaaba32e03adb5e075d5db3e371bd75e32845a9038fd"),
 }
 
 LP_DIGESTS = {
-    "C6": "34a0893a9da3052ee9514b51b0a400246f627cd04062fdc6c7680f18000f412c",
-    "btree3": "8474a8bbd19d31f35dabe4bb293438e00adad04b7e96d6b9be5d37e08db38850",
+    "C6": "e32e4c760f08739a16c4c6f3f500cb21d5f0afcf7bff962cc4138ead0998668b",
+    "btree3": "3215fcaff618c0e3a75d2bc4c254725ff661e70e800faa3a6ffe60064cfe2986",
 }
 
 # name -> (graph, seed of the relabelling)
@@ -157,32 +167,32 @@ RELABELLED = {
 # `lift` output): a build's output is its grammar JSON and its alpha line,
 # position named
 RELABELLED_DIGESTS = {
-    "C20": ("29c7c41ffb3abbeef4314e3ad977839994f43e997ef36e3a49541124abe3ca47", None,
-            "259586e584aa90702c2d697621f0e3f3931446c979dc96f5f45b823daae715c5"),
+    "C20": ("54423b1a23627d890c18862a06f35a63e9ccb33787f472037299d1d4eb61dc03", None,
+            "aed3766b5fc2dbe22418f402b634419bae0ced67e32673d33aae03eb06b025fe"),
     "P30": ("b3482edfd2adff1f282fe6070f58c30187dee8eb761ec18eb7f1babf2c676576", None,
             "bc3033b2954312db08f0fae790e0882347e0ca2d717deb8bab81abda9f383da0"),
-    "btree4": ("fd2a0f7b69563b3ae3243ad83d062fc483880cbae64ae908bb46882be826f12d", None,
-               "9d4d4acbf4a89e30cf567c89ffbf89b1030ebbe37908adc14afed3d5c063321e"),
-    "grid4x4": ("2f55f191f38377433ebdccd55da56556acff5abb50cb578a2716d77ed108b050", None,
-                "5700d84fc44350a92e6e86c709c74b31a51f57ac0b46ffbf1712731de00d5c1f"),
+    "btree4": ("8f36932c7cce088d8fcb70935b4196110bf869b0acaeb49c437c8fde54372dd0", None,
+               "43c77216390aaf7682de73b19ce3c8b3fd3a23d809c48c31cba7c4a43948c4dc"),
+    "grid4x4": ("ffe02e3f06469bc21d99179fd2aff7203b7113c0c5eaff2abaee643dcdd16ec1", None,
+                "06fbf32d8bb0a658999103c99a7c1f9f718f0b3dba7c9c5b76096a252d01cd74"),
     "Q3": ("aa3d7ddbc2813e01f86229dd54e2ba6a42902d120dcaca441dc488cd47e46657",
            "2adf15dddadd394fd32afde44e76a1ae38709715281964d929e17e0e58cb4cb1",
            "6ae1c366c5ecb13d9298696d6d4083e60aabb480cf96a1bc28bebec9ad055628"),
-    "Petersen": ("06e0cfb85353770da571a9881828d561a2cecfefe9d3dec39d01f7983f543109",
+    "Petersen": ("68e23d36c987e86f619aae37633cdd9413a4ed7aa55515382d1f6e917db19d08",
                  "0d351cfbfae5e87f20ba6f8270b991c6919720c636a33da454fc0a6bf2d7ce75",
-                 "207dc6a98ffa8996334b4b50996325fb7e0bc1c9b7c9b9fa6e60054f31ccb09b"),
+                 "eab4d82c8eba907db4ed02ce470494a549f686e3c8a0df77493759e9352a0108"),
 }
 
 
 # name -> (`build` output, `build --path` output or None), as written
 INDEXED_RELABELLED_DIGESTS = {
-    "C20": ("c7d2002708e86e51b1e06d636ff9cfe6edc4de7368129d569719796f31e52eed", None),
+    "C20": ("d58581c87d57ba0182b38b012dbc5846b4814564c1c0e9f26d5280f87f08438b", None),
     "P30": ("b3482edfd2adff1f282fe6070f58c30187dee8eb761ec18eb7f1babf2c676576", None),
-    "btree4": ("ff6bff2c648094a0f75259ecc49cddc40fc093c33927cc3daa7a92a5e384393c", None),
-    "grid4x4": ("6220391acf28756956748041f6135816b32a4e8423db0ff4c90341f4379959f2", None),
+    "btree4": ("83fe8754285f67dfc97fdc78012f9336ec9edfc915aeae36ed4c54066b57f39a", None),
+    "grid4x4": ("69ab091f8f4b878ca8c578d348b7e5773f28c0fdcb4b2d679d1cb0547c4f5beb", None),
     "Q3": ("46c71e330381535140929341228593ff776959147a31f6cca94f89d6a9d2cd86",
            "56232918388ec27c33b77b9b7c63eee74e85d02d745aa672af569c7ff5aeed98"),
-    "Petersen": ("ea762b9e36a4eca6132271008c55ada221b88a156e1eb4e5ab396b2b4ab60be4",
+    "Petersen": ("1aa9a248ff78a545319b058b56a3a400cd08a39dbd7dd31c50e49843abbe3dbf",
                  "b08140f670a808e681ef91e2c4c5376fd0811120050deb8123423367c10aff5c"),
 }
 
@@ -278,12 +288,12 @@ PARTNER_SHAPES = {
 # name -> (`build` output with natural labels, relabelled), as written; a
 # relabelled complete graph is the same graph, so K6's two are equal
 PARTNER_SHAPE_DIGESTS = {
-    "K6": ("0230649b403bcc5f303f5ff5b69f88e6fc5c9e9df268cbbaec0be3213c02ec44",
-           "0230649b403bcc5f303f5ff5b69f88e6fc5c9e9df268cbbaec0be3213c02ec44"),
-    "btree5": ("b865ff81086faed9683aa97ea1e382c38734e86e006ad56e455163bb6717b383",
-               "3509052aa651e52e6713b44d858ecf1439d058cfac7bf8b410b9405402ceb4be"),
-    "spider5x4": ("1ab4034956d1647f608ba66a14ecf8e8bdef5d0d2998cf3f3cd912c3847108a0",
-                  "1ddad22657be1433b7c5f7a229e0c2c4d482d2849a2904165cdf0fc280301516"),
+    "K6": ("ce14bc8f82c9562607fe07e0e66f7c5fc4c282d73af142d9321b4da3a830bedb",
+           "ce14bc8f82c9562607fe07e0e66f7c5fc4c282d73af142d9321b4da3a830bedb"),
+    "btree5": ("9f491662026d007014d3d2f190a73059cdb765576f8d8b67aa1d512dd0418ce6",
+               "a4a2d7a585326ce4f51ee00136e443d4314bb048266a0fe0ed3cc43ec5920389"),
+    "spider5x4": ("56251a2c703bee73864e4914087fe5aec6bcd66ff9f44e4c1435370c2f5d1927",
+                  "ecf68243d24f1176fe4823560e427e45a4bd58db75bdcd4965d9777f944af885"),
 }
 
 
@@ -305,8 +315,8 @@ MULTIWORD = {
 
 # name -> (`build` output with natural labels, relabelled), as written
 MULTIWORD_DIGESTS = {
-    "btree6": ("fce07e03c1c72c10cd2c1df8e43ab998b478dc714eef76761a1c9aa5799fd588",
-               "a556e918208ebc19f29307aff20a6342187314018c81823f4ce27bd0e41527af"),
+    "btree6": ("17db2c90506866106807859d92a9e4626ece4757e48e68042bd040c43dedde28",
+               "f3984c7bb1edf4039d5304ce30cf18d5a93a39a039df358c709b3eba63592013"),
     "P80": ("b7e15bba3b3831b03f28d12c301b8f74a656fd9069b81b2cd31e1c8399267042",
             "3b814d827a770f91eba1a850cbefae87b83c7b9bd3061fa3c3d23077e53f4521"),
 }
@@ -332,28 +342,28 @@ EMBEDDED = {
 # name -> (`embed` output: grammar JSON and alpha line, position named,
 # `lift` output)
 EMBEDDED_DIGESTS = {
-    "btree4 keep 15": ("91fd11af271f1066d453435229e580f02a64c392988fee7332463a2f8004dcc4",
-                       "68dcee4f8cc887abaa65e8541ee5428882775001ee9bcf2893978565bbc0c9ec"),
-    "btree4 keep 7": ("3068cc7c13c1d000bdacf041498d324188a89886ec7a4b21f95bf2c070dec351",
-                      "8a690689cd9171a86ef6e3d8a8582553c9b60a46fa10d3ed1f2b4b43c5f959bb"),
-    "btree5 keep 31": ("df89d917f94cb5fa26e760a8270cd6f3735da9cae342eba1385687b9826f1530",
-                       "c83724fada35f987873f81088fd357cd30a25ed4359665df8a592fc34df8d99e"),
-    "spider5x4 keep 1": ("20c06515c1aea36241a9c54786e49e6f43329ac7b583b229f886a697687c6e66",
-                         "4162877c79f8a7e3a10338b370e384c8a703141318fe3b47099a3a994665b9c0"),
+    "btree4 keep 15": ("7b67e4f2ad53cddc8f1bfea07e3377e2f30e376be31a7fcfff4d69d3289d76de",
+                       "08c2d3063859afbcb90e8e38fb378c54b9bca54998a4aa701def7f5e862fabe5"),
+    "btree4 keep 7": ("baa0309e60c89474eee535807241fa7dfed875ff1f8df6c120a3d20f8310f484",
+                      "e61b1fb0bf1b389bf5cd6b60c1ae2eb1dddbe3700eb3e240225cfe9b613aee22"),
+    "btree5 keep 31": ("1edd9ff3f0ae35f7d1fd858a7963c5227f6544785a8db96fe292d1731b319fe7",
+                       "a4f9db221f23b990dca22811c77cb5534d91df0339f48a6fbdd926f6968a5500"),
+    "spider5x4 keep 1": ("b3cfaae15292c76ddfcb297f6de28d145f0ca0a406e71022fea6131b751d6fbe",
+                         "3198ed0c32091ab8dd0b89d9b05dbe733d21089cb598572c5b01ccba4bb5d583"),
     "btree4 keep 15, b reversed": (
-        "e11a907cb7093dfcc2b8d3035c1ea3ce012cfecade13ae511b9ae9b5a8c4f93c",
-        "9c38655a008f357e598abe9638b4c4b401a314d8e6ccfa98d3d8164505533bb6",
+        "baf718be4dc8310877efa2182c206febea837672babf8f642961aee3e7e44d4c",
+        "f5b93ae91cb6700611f31831b745f0009d57c5cd715a7a33a029c8c4f9375fb6",
     ),
 }
 
 
 # name -> `embed` output, as written
 INDEXED_EMBEDDED_DIGESTS = {
-    "btree4 keep 15": "4814ee0b5e4be01b1e8f3ebbdc01035fe1e021141056d7db5aaa24978c54c0fc",
-    "btree4 keep 7": "9bdc88f9f926a6a14aef9467b461d39a50a80063ddb5e3ef881a038f7f79256c",
-    "btree5 keep 31": "1c84fcbdae45445adac866b30104ae1eee0fc15e825c6e4be6c80a7a25763b88",
-    "spider5x4 keep 1": "0d30399d5323a4963143c68e064809b7cd23ce426e30312ef53634a47812796d",
-    "btree4 keep 15, b reversed": "ddeb334c311749ef8aa04f137a33f0455b9000ccf2b1e0090dab7b7acbf7c06f",
+    "btree4 keep 15": "9887471b80c1ec563c2f12ddebe9f768de5023de73702d3aba404001efc42e5a",
+    "btree4 keep 7": "5be233ad8820904ff8cd1abb7b652ffa77f3980662cb39b2a355a356d09e0cee",
+    "btree5 keep 31": "429df69cb9340e49daed98c2e395fb1ee4043e58d870ce466f870fd55ea64431",
+    "spider5x4 keep 1": "c8bdf9fae9630d37da10862ca050f4162ff6c2f0d3e56b43aa706694ef150254",
+    "btree4 keep 15, b reversed": "762ba2ecee0135af8aa2a17201adfb270be9443f2fcb416d9da98d50cbe9a210",
 }
 
 
@@ -392,33 +402,33 @@ EXACT_SMALL = {
 # labels, the same relabelled); a relabelled complete graph is the same graph
 EXACT_SMALL_DIGESTS = {
     "C5": (("1d9a3acae1404401569f25d41c9214fccd98da7a32a470d3eb374f3f831031bf",
-            "6fcddc7e7d4716b340c9805e1ece7f0598a00d0de7c7cf60e58d1b00b58a5666"),
+            "0734fdf452f3d46763fb9e312b9b3c330b9e917e5d848d0641b4c06fe5def6e1"),
            ("7ba595e72d90a92fe20bf340d22e5d2d61ea5b1e686821189106186b3bd830e0",
-            "07d668d6a58e780555574e86d650c0d5cf6af13d71b7176348993bba1caf83b8")),
+            "781f106b3f70d8eaf3b5968e7c1d830d53c15b0fd64b0afcd64a416785a35e37")),
     "C6": (("8da0df1bd838dbc21941c8fe62add39e2ee5079aba9fbe5b7e5a18bd150cd4c0",
-            "941a464b90c88f3b87fdadc52dde761c86bd7d1f9d4ca65a1b88714965cfa96c"),
+            "bf33737ddf4c5674d2465b12b1d292413e0747bb5104821f33a1c7222236cd1b"),
            ("8e299cb79b8f7aa3ae7154badc9cc343fa0cb65706382f64798d1c7c3317159d",
-            "54a9d8cd8852cb42792754c8c6859452a82e020913c2070576f53d7361eb4115")),
+            "ade5a7a638f0fb6686bd925a76dab29a62fcb9af5d8575f7234a9dbc893c2a10")),
     "K4": (("eea56d514e85e72e56446ffbbf6b3a9f0215585895b786b64e2d8f3b35ca2fe7",
-            "b8b8c799fa0c873f208cec100141ee308799897ef60613a4d1f7816b0e5b3106"),
+            "84d25ee2faf6ca6ec377caaf73dca165f3578b2557a0b1566e547782c24fc585"),
            ("eea56d514e85e72e56446ffbbf6b3a9f0215585895b786b64e2d8f3b35ca2fe7",
-            "b8b8c799fa0c873f208cec100141ee308799897ef60613a4d1f7816b0e5b3106")),
+            "84d25ee2faf6ca6ec377caaf73dca165f3578b2557a0b1566e547782c24fc585")),
     "star5": (("1f8da8ceb3272122c7bcbc9b669698da16a28d3037f5757d1ba2ed60f5cffc3d",
-               "6b7aae8f86f62598cc359c0871f6830849b7741f206de97254a9afec5929f28b"),
+               "f39bc103d7a03bc8f59eea7defda2a5640db1ff58be1da038a4e48cc43de9b50"),
               ("b36e0ae60182df9daf9f7ba757499a313e05864eef9cb173adb2fc193d6cb997",
-               "2ccbc0ae8d362529c25b05ed3db808b8b787d141aa8621e2d887fb6628d2f319")),
+               "f7dd8062e6672e657f47ae3660ec46a1b5537c58b9797dccf075ed1173cfe645")),
     "grid3x3": (("4b57004ff2b42b5d6a6c58889300c0b71a05a3f942686b793638f06a1f3c61f0",
-                 "fdfcc2c5f9f6e64480daf8ec62ca95cfab0173970ec97221c9afc34bbedf7081"),
+                 "e83cb03c7cd3d9ead8700bbd14f106de4e0fd9b5d190d7bf3c3f99f1f7ef6dbd"),
                 ("87237d1eac852a95d8a19044d74ca775d94c7f5ed9a40ca4eb61709af5678477",
-                 "db7ffed059cd2cd022108f7fb6d62bb6f49820b837c38f4fd1b7660f17da6906")),
+                 "4a993a2ac8ee6ac72beb4ae02d157849c23934e0c836b5fe43f19c8111333bbf")),
     "Q3": (("80c7b83c8d7f5419b7fb327db27d13d06889693db2b50ffb5aaeddff53ff0a75",
             "4df8a5e419922a6bd1b4e96f0ffcf47f571f21ea7d085181c57869f4cac7037d"),
            ("c534e46f708856a3fd190950c209acc4c9328dd133022751e870083a53e68a8a",
             "b385a82bd6be9eb3ea13f06c45f47b6d226eb89efac4f0f6da4c523413c87ea0")),
     "Petersen": (("496be403f46f6007c82ce9e41e61b082751c69fd6a12fc591117af3c84377585",
-                  "b2713524d52abb804d94cc3a6b064d5f6ec7204ff59b605bd8601cd29d2915cf"),
+                  "18d5d3360504b936fabc0c564388cc6f92539aa1ecdb4c4cf00e45beb71b4bfa"),
                  ("d92a26a30507f2baa358cac614249120b44085a844b9caf5bb39d2fbe432c97a",
-                  "84da2368d8564a28d4131a4ebf863a0c8d9f5fd028547de2d69b4123f2a364be")),
+                  "94456d2656a5027933b81b123198c8256262e91d2186c26abe48dc2428a4c016")),
 }
 
 

@@ -12,6 +12,8 @@ import pytest
 from autgrammar.annotate import (
     AnnotatedBag,
     _inline,
+    _renumber,
+    _share,
     build_aut_grammar,
     build_embedded_group_grammar,
     build_regular_aut_grammar,
@@ -49,7 +51,7 @@ from autgrammar.grammar import (
     trim,
     union_grammar,
 )
-from autgrammar.grammar import _compiled, _grammar
+from autgrammar.grammar import _compiled, _grammar, _writes
 from autgrammar.oracle import brute_force_automorphisms, left_transversal
 from autgrammar.perm import (
     Permutation,
@@ -80,6 +82,8 @@ from conftest import (
     reference_language,
     relabel,
     spider,
+    star_graph,
+    tree_grammar_stages,
 )
 
 
@@ -953,9 +957,15 @@ def test_join_matches_all_pairs_reference(corpus):
         ann, pann = survivors(t), survivors(pd)
         chain = pd.positions
         # the tree grammar writes each variable with one rule that one rule
-        # names into that rule; the regular grammar keeps them all
+        # names into that rule; the regular grammar keeps them all.  The
+        # tree grammar is compared before `_share`, which keeps its parse
+        # trees and never makes it larger
+        unshared = tree_grammar_stages(g, t)[0]
+        shared = build_aut_grammar(g, t)[1]
+        assert count_parse_trees(shared) == count_parse_trees(unshared), name
+        assert grammar_size(shared).value <= grammar_size(unshared).value, name
         for gr, (ref, ref_bags), bags, inline in (
-            (build_aut_grammar(g, t)[1], reference_aut_grammar(g, t),
+            (unshared, reference_aut_grammar(g, t),
              {_head(t, p): ann[p] for p in t.positions if p and t.children(p)}, inline_single_use),
             (build_regular_aut_grammar(g, pd)[1], reference_regular_grammar(g, pd),
              {f"p:{i - 2}": pann[chain[i - 2]] for i in range(2, len(chain) + 1)}, lambda gr: gr),
@@ -1011,7 +1021,7 @@ def test_inline_matches_recursive_reference(corpus):
     dropped = 0
     for g in graphs:
         gr = build_regular_aut_grammar(g, compute_path_decomposition(g))[1]
-        inlined = _grammar(gr.sigma_max, *_inline(gr.variables, gr._lhs, gr._rhs))
+        inlined = _grammar(gr.sigma_max, *_renumber(gr.variables, *_inline(len(gr.variables), gr._lhs, gr._rhs)))
         assert inlined == inline_single_use(gr), format_graph(g)
         assert enumerate_language(inlined) == enumerate_language(gr)
         assert count_parse_trees(inlined) == count_parse_trees(gr)
@@ -1024,4 +1034,53 @@ def test_inline_flattens_a_deep_chain():
     # rule, spelled without recursion
     depth = 100_000
     gr = chain_grammar(depth)
-    assert _inline(gr.variables, gr._lhs, gr._rhs) == (("A0",), [0], [tuple(range(1, depth + 1))])
+    assert _inline(depth, gr._lhs, gr._rhs) == ([0], [tuple(range(1, depth + 1))])
+    assert _renumber(gr.variables, [0], [tuple(range(1, depth + 1))]) == (("A0",), [0], [tuple(range(1, depth + 1))])
+
+
+def test_share_factors_prefixes_and_merges_equal_tails():
+    # B1's rules through Y share Y and then 1 or 2: each shared stretch
+    # continues in a new variable of the tails after it, and the two tail
+    # sets (3 4, 4 3) at one offset are one variable, s:2.  X has those
+    # rules too, but it ends at 2 and s:2 at 4, so they stay apart
+    names = ("B1", "X", "Y")
+    lhs = [0, 0, 0, 0, 0, 0, 1, 1, 2, 2]
+    rhs = [(~2, 1, 3, 4), (~2, 1, 4, 3), (~2, 2, 3, 4), (~2, 2, 4, 3), (~1, 2, 1), (~1, 1, 2),
+           (3, 4), (4, 3), (1,), (2,)]
+    end = [4, 2, 1]  # each variable's word end: B1 spans 1-4, X 1-2 and Y 1
+    names, lhs, rhs = _renumber(*_share(names, lhs, rhs, end))
+    k = iter(range(len(names)))
+    gr = _grammar(4, tuple(name or f"s:{next(k)}" for name in names), lhs, rhs)  # new ones have no name yet
+    assert gr.rules == (
+        ("B1", ("Y", "s:1")), ("B1", ("X", "s:0")),
+        ("s:0", (1, 2)), ("s:0", (2, 1)),
+        ("s:1", (1, "s:2")), ("s:1", (2, "s:2")),
+        ("s:2", (3, 4)), ("s:2", (4, 3)),
+        ("X", (3, 4)), ("X", (4, 3)),
+        ("Y", (1,)), ("Y", (2,)),
+    )
+    assert count_parse_trees(gr) == 12 and _writes(gr) is not None
+
+
+def test_share_writes_no_empty_rule():
+    # two equal rules share every symbol: the shared stretch stops short
+    # of the last, so the new variable's rules are that symbol twice and
+    # both parse trees stay
+    names, lhs, rhs = _share(("B1",), [0, 0], [(1, 2), (1, 2)], [2])
+    assert names == ["B1", None]
+    gr = _grammar(2, ("B1", "W"), *_renumber(names, lhs, rhs)[1:])
+    assert gr.rules == (("B1", (1, "W")), ("W", (2,)), ("W", (2,)))
+    assert count_parse_trees(gr) == 2
+
+
+def test_star8_grammar_is_shared():
+    # 5089 rules, a list of the 5040 words, before the tree grammars
+    # shared their rules' prefixes; the language and the counts stay
+    g = star_graph(7)
+    t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, "min-fill"))
+    gr = build_aut_grammar(g, t)[1]
+    unshared = tree_grammar_stages(g, t)[0]
+    assert len(gr.rules) <= 600 < 5000 < len(unshared.rules)
+    assert count_parse_trees(gr) == count_parse_trees(unshared) == 5040
+    assert set(iter_language(gr)) == set(iter_language(unshared))
+    assert _writes(gr) is not None

@@ -429,9 +429,8 @@ def _decided_lp_corpus() -> list:
     """(parsed LP, point, presolved system, the reference's verdict) for
     the LP-file points of every corpus grammar whose presolved system has
     at most 150 rows, and (parsed LP, point, None, False) for those the
-    presolve alone rejects.  Left out are btree3's path grammar's (228
-    rows) and btree4's tree grammar's (170), where the reference takes up
-    to 14 s a point."""
+    presolve alone rejects.  Left out is btree3's path grammar's (228
+    rows), where the reference takes up to 14 s a point."""
     out = []
     for parsed, point in lp_corpus_points():
         reduced = _presolve(*_lp_system(parsed, point))
@@ -449,7 +448,9 @@ def test_simplex_matches_reference_on_lp_corpus():
     # points are decided here too (61 before, 64 now).  The presolve alone
     # rejects the raised points of P5's two grammars; that of star4's tree
     # grammar, which it rejected while each leaf had a variable of its
-    # own, reaches the simplex (22 rows)
+    # own, reaches the simplex (22 rows).  btree4's tree grammar's system,
+    # 170 rows before the tree grammars shared their rules' prefixes, is
+    # 114 since, so its three points are decided too (67)
     decided = 0
     for parsed, point, reduced, expected in _decided_lp_corpus():
         if reduced is None:
@@ -457,7 +458,7 @@ def test_simplex_matches_reference_on_lp_corpus():
             continue
         assert _simplex_feasible(*reduced) == expected == check_lp_feasibility(parsed, point), point
         decided += 1
-    assert decided == 64
+    assert decided == 67
 
 
 def test_blands_rule_matches_reference_on_lp_corpus(monkeypatch):
@@ -467,7 +468,7 @@ def test_blands_rule_matches_reference_on_lp_corpus(monkeypatch):
     monkeypatch.setattr(polytope, "_DANTZIG_PIVOTS_PER_ROW", 0)
     decided = [_simplex_feasible(*reduced) == expected
                for _, _, reduced, expected in _decided_lp_corpus() if reduced is not None]
-    assert decided == [True] * 64
+    assert decided == [True] * 67
 
 
 def _integral(system) -> bool:
@@ -633,6 +634,23 @@ def test_lp_system_is_exact(c5):
     assert rows == [({"y_0": 1, "_r:0": 1}, 1)]
     assert all(_exact(v) for v in (*rows[0][0].values(), rows[0][1]))
     assert bounds == {"_r:0": (0, None), "y_0": (0, None)}
+
+
+def test_slack_names_avoid_the_files_variables():
+    # the file's own _r:0, bounded to [0, 1], takes the value 3 in r2, so
+    # the LP is infeasible; a slack named _r:0 as well would have taken
+    # the file's bound and the file's row for its own
+    text = ("Subject To\n r1: x_1 + y <= 5\n r2: {v} = 3\n"
+            "Bounds\n 0 <= {v} <= 1\n 0 <= y <= 3\nEnd\n")
+    for v in ("_r:0", "r0", "__r:0"):
+        lp = parse_lp(text.format(v=v))
+        assert check_lp_feasibility(lp, {"x_1": 0}) is False, v
+    rows, bounds = _lp_system(parse_lp(text.format(v="_r:0")), {"x_1": 0})
+    assert rows == [({"y": 1, "__r:0": 1}, 5), ({"_r:0": 1}, 3)]
+    assert bounds == {"__r:0": (0, None), "y": (0, 3), "_r:0": (0, 1)}
+    # a name that starts with the lengthened prefix lengthens it again
+    lp = parse_lp("Subject To\n r1: x_1 + y <= 5\n r2: _r:0 + __r:7 = 3\nEnd\n")
+    assert [sorted(coeffs) for coeffs, _ in _lp_system(lp, {"x_1": 0})[0]] == [["___r:0", "y"], ["__r:7", "_r:0"]]
 
 
 def test_feasibility_midpoint(c4):

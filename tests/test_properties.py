@@ -69,6 +69,7 @@ from autgrammar.grammar import (
     enumerate_language,
     enumerate_parse_trees,
     erase_terminals,
+    grammar_size,
     grammar_to_json,
     iter_language,
 )
@@ -102,7 +103,9 @@ from conftest import (
     reference_projection_verdict,
     reference_simplex_feasible,
     reference_validate_tree_decomposition,
+    relabel,
     spider,
+    tree_grammar_stages,
 )
 
 
@@ -475,7 +478,7 @@ def test_tree_grammar_has_no_leaf_variables(g, strategy):
     assume(len(auts) <= MAX_GROUP)
     t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, strategy))
     alpha, gr = build_aut_grammar(g, t)
-    heads = {v.rsplit("|b:", 1)[0] for v in gr.variables[1:]}
+    heads = {v.rsplit("|b:", 1)[0] for v in gr.variables[1:] if not v.startswith("s:")}
     assert heads <= {f"p:{j}" for j, p in enumerate(t.positions) if j and t.children(p)}
     assert list(enumerate_language(gr).words) == sorted(permute_word(to_string_word(s), alpha) for s in auts)
     assert count_parse_trees(gr) == len(auts)
@@ -502,6 +505,35 @@ def test_tree_grammar_writes_single_use_variables_inline(g, strategy):
     x = alpha.image  # the identity's word: position i holds alpha(i)
     assert check_projection_feasibility(ef, x)
     assert check_lp_feasibility(parse_lp(emit_lp(ef)), {f"x_{k}": v for k, v in enumerate(x, start=1)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(max_vertices=10), st.randoms(use_true_random=False))
+@example(Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), random.Random(0))  # C4: B1 -> a s:<k>
+@example(Graph(6, [(v, 6) for v in range(1, 6)]), random.Random(1))  # a star: 5! words
+def test_shared_tree_grammar_keeps_the_group(g, rng):
+    # on a graph and on a relabelling of it, the grammar `_share` writes,
+    # whether or not the build keeps it, spells the oracle's language with
+    # one parse tree per automorphism, stays positional and gets the
+    # unshared grammar's verdicts on both LP paths for a word and a point
+    # that is none (all ones); the build keeps the smaller of the two
+    for h in (g, relabel(g, rng)):
+        auts = brute_force_automorphisms(h)
+        assume(len(auts) <= MAX_GROUP)
+        t, _ = make_permutation_yielding(h, compute_tree_decomposition(h, "min-fill"))
+        alpha, gr = build_aut_grammar(h, t)
+        unshared, shared = tree_grammar_stages(h, t)
+        smaller = grammar_size(shared).value < grammar_size(unshared).value
+        assert gr == (shared if smaller else unshared)
+        words = sorted(permute_word(to_string_word(s), alpha) for s in auts)
+        assert list(enumerate_language(shared).words) == words
+        assert count_parse_trees(shared) == len(auts)
+        assert _writes(shared) is not None
+        ef = build_extended_formulation(shared)
+        parsed = parse_lp(emit_lp(ef))
+        for x, member in ((words[-1].symbols, True), ((1,) * h.vertex_count, h.vertex_count == 1)):
+            assert check_projection_feasibility(ef, x) == member, x
+            assert check_lp_feasibility(parsed, {f"x_{k}": v for k, v in enumerate(x, start=1)}) == member, x
 
 
 def _check_no_unit_layer(g, strategy):
