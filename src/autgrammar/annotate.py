@@ -69,9 +69,13 @@ a path decomposition that introduces one vertex per bag, each bag
 writing the image of the vertex it introduces: one builder (`_build`)
 serves both, and since its root writes a terminal, the start keeps its
 rules B1 -> a X there.  No pass inlines or shares its variables, so
-every rule stays B -> a or B -> a B'.  The embed builder decides whether the prefix is
-invariant from the host's grammar itself, so no builder loads `oracle`
-or `polytope`.
+every rule stays B -> a or B -> a B'; but a class may have both a X and
+a X', so the classes are not an automaton's states.  One pass
+(`_determinise`) runs the subset construction forward from B1, so the
+regular grammar is the deterministic automaton of the group's words,
+still one parse tree per word.  The embed builder decides whether the
+prefix is invariant from the host's grammar itself, so no builder loads
+`oracle` or `polytope`.
 """
 
 from __future__ import annotations
@@ -683,6 +687,63 @@ def _share(names: tuple, lhs: list, rhs: list, end: list) -> tuple[list, list, l
     return names, out_lhs, out_rhs
 
 
+def _determinise(names: tuple, lhs: list, rhs: list) -> tuple[tuple, list, list]:
+    """The int rules (names, lhs, rhs) of `_build`'s regular grammar, every
+    rule B -> a or B -> a B', made the deterministic automaton of its
+    words by the subset construction (Rabin & Scott, IBM J. Res. Dev.
+    1959), run forward from B1 one layer at a time.  The input lists each
+    variable's rules together, in variable order, B1 (0) first, and every
+    variable writes one word position, its layer.
+
+    A state is the sorted tuple of the input variables it stands for,
+    registered once, so only the subsets that some prefix reaches are
+    built.  A state has one rule per terminal a, in order of a's first
+    appearance among its variables' rules: a alone at the last layer, and
+    otherwise a T, T the state of the variables those rules name.  A state
+    of one variable keeps that variable's name, any other is s:<k>,
+    numbered by first appearance.  The states are numbered layer by layer,
+    B1 first, and within a layer those of one variable come first, in
+    variable order, then the others; so the reverse of the numbers is a
+    dependencies-first order, and a grammar in which no variable has two
+    rules that begin alike comes out as it went in."""
+    starts = [0] * (len(names) + 1)  # variable v's rules are rhs[starts[v]:starts[v + 1]]
+    for v in lhs:
+        starts[v + 1] += 1
+    starts = list(itertools.accumulate(starts))
+    out_names, out_lhs, out_rhs = [names[0]], [], []
+    fresh = itertools.count()
+    layer, at = [(0,)], 0  # the layer's states, numbered from at
+    while layer:
+        rows = []  # per state of the layer: its rules, each a terminal and its state's symbol
+        reached: dict = {}  # the next layer's states, in first-appearance order
+        for state in layer:
+            if len(rhs[starts[state[0]]]) == 1:  # the last layer: terminals alone
+                rows.append(list(dict.fromkeys([r for v in state for r in rhs[starts[v]:starts[v + 1]]])))
+                continue
+            by: dict = {}  # terminal -> the variables its rules name, as ~v
+            for v in state:
+                for a, x in rhs[starts[v]:starts[v + 1]]:
+                    to = by.get(a)
+                    if to is None:
+                        by[a] = [x]
+                    else:
+                        to.append(x)
+            row = [(a, (~xs[0],) if len(xs) == 1 else tuple(sorted(map(operator.invert, set(xs)))))
+                   for a, xs in by.items()]
+            reached.update(dict.fromkeys([s for _, s in row]))
+            rows.append(row)
+        nxt = len(out_names)
+        layer = sorted([s for s in reached if len(s) == 1])
+        layer += [s for s in reached if len(s) > 1]
+        out_names.extend([names[s[0]] if len(s) == 1 else f"s:{next(fresh)}" for s in layer])
+        code = dict(zip(layer, range(~nxt, ~(nxt + len(layer)), -1)))  # a state's symbol ~k
+        for k, row in enumerate(rows, at):
+            out_lhs.extend(itertools.repeat(k, len(row)))
+            out_rhs.extend(row if not reached else [(a, code[s]) for a, s in row])  # the last layer's are rules
+        at = nxt
+    return tuple(out_names), out_lhs, out_rhs
+
+
 def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Grammar]:
     """Compile Aut(g) into a grammar over alphabet V(g).
 
@@ -724,11 +785,15 @@ def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutat
     bag (`decomp.introduced_order`).  Returns (alpha, grammar) as
     `build_aut_grammar` does, alpha being the introduced vertices in order:
     each bag writes the image of the vertex it introduces into its
-    parent's rules, before the variable of its annotation's class."""
+    parent's rules, before the variable of its annotation's class.  Then
+    `_determinise` makes those rules the deterministic automaton of the
+    words: no variable has two rules that begin with one terminal, and a
+    variable stands for the set of classes that some prefix reaches."""
     require_connected(g)
     require_valid(g, pd)
     introduced = introduced_order(g, pd)
     names, lhs, rhs, _ = _build(g, pd, dict(enumerate(introduced)))
+    names, lhs, rhs = _determinise(names, lhs, rhs)
     gr = _grammar(g.vertex_count, names, lhs, rhs, order=range(len(names) - 1, -1, -1))
     return Permutation(tuple(introduced)), gr
 

@@ -72,6 +72,8 @@ def _load(path: str, kind: str):
     try:
         return getattr(mod, parser)(text)
     except getattr(mod, error) as e:
+        if kind == "graph" and isinstance(e, PreconditionError):  # too few edges to be connected: exit 3
+            raise
         raise _UsageError(f"bad {kind} file {path}: {e}") from None
 
 

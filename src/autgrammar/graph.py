@@ -94,7 +94,9 @@ class Graph(_Value):
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse edge-list text: a header line "m k" followed by k lines "u v"."""
+    """Parse edge-list text: a header line "m k" followed by k lines "u v".
+    A header with k < m - 1 raises DisconnectedGraphError at once, as no
+    graph with fewer edges than that is connected."""
     lines = [ln for ln in text.split("\n") if ln.strip() != ""]
     if not lines:
         raise MalformedLineError("empty input")
@@ -109,6 +111,8 @@ def parse_graph(text: str) -> Graph:
         raise MalformedLineError(f"vertex count must be positive, got {m}")
     if k < 0:
         raise MalformedLineError(f"edge count must be non-negative, got {k}")
+    if k < m - 1:  # refused before Graph allocates per vertex: every command needs a connected graph
+        raise DisconnectedGraphError(f"graph not connected: {k} edges cannot connect {m} vertices")
     if len(lines) - 1 != k:
         raise MalformedLineError(f"expected {k} edge lines, found {len(lines) - 1}")
     edges = []

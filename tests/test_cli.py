@@ -517,6 +517,36 @@ def test_build_out_of_memory_exit_3(tmp_path, megabytes):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("header, command", [
+    ("100000000000000000000 0", ["build", "--out"]),
+    ("100000000000000000000 0", ["validate"]),
+    ("100000000000000000000 0", ["embed", "--keep", "1", "--out"]),
+    ("100000000 5", ["build", "--out"]),
+    ("100000000 5", ["validate"]),
+    ("100000000 5", ["embed", "--keep", "1", "--out"]),
+])
+def test_huge_header_is_refused_as_disconnected(tmp_path, header, command):
+    # a header of m vertices and k < m - 1 edges names no connected graph,
+    # and every command that reads a graph needs one: it is refused before
+    # any per-vertex allocation, so a small cap on the child's address
+    # space is never reached (before, the line said out of memory)
+    resource = pytest.importorskip("resource")
+    graph, out = tmp_path / "big.edges", tmp_path / "big.json"
+    graph.write_text(header + "\n" + "".join(f"{v} {v + 1}\n" for v in range(1, int(header.split()[1]) + 1)))
+    limit = 300 << 20
+
+    def cap():  # in the child only, between fork and exec
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    argv = [*command, str(out)] if command[-1] == "--out" else command
+    r = subprocess.run([sys.executable, "-m", "autgrammar", *argv, "--graph", str(graph)],
+                       capture_output=True, text=True, preexec_fn=cap, timeout=1)
+    m, k = header.split()
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr == f"error: graph not connected: {k} edges cannot connect {m} vertices\n"
+    assert not out.exists()
+
+
 def test_build_from_invalid_td_exit_3(c4_file, tmp_path):
     td = tmp_path / "bad.td"
     td.write_text("s td 2 2 4\nb 1 1 2\nb 2 3 4\n1 2\n")  # misses edge {2,3}

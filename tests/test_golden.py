@@ -4,7 +4,8 @@ shows here.
 
 The regular-grammar digests (the relabelled graphs' `build --path`
 output among them) were recorded before the consistency join and the
-class merging became one pass, and every change since keeps them.  The
+class merging became one pass, and every change kept them until the
+regular grammar became a deterministic automaton (the last paragraph).  The
 tree grammar, relabelled `build`, LP, `lift` and `embed` digests were
 re-recorded when each leaf's terminal was first written into its
 parent's rules instead of into a leaf variable with one rule: that
@@ -49,7 +50,17 @@ P2000, spider 3x2, and natural and relabelled Q3, whose grammars the
 pass leaves as they were (paths have nothing to share, and on Q3 and
 spider 3x2 the shared grammar is larger, so it is not kept).  No
 regular-grammar and no `.td` digest moved, and neither did any language,
-parse-tree count or LP verdict."""
+parse-tree count or LP verdict.
+
+The regular-grammar digests were re-recorded when `build --path` began
+writing the deterministic automaton of the group's words
+(`annotate._determinise`) instead of the join's classes: every one but
+P8's, a path's grammar having no variable with two rules that begin
+alike, both as written and position named (a state of several of the
+join's classes is named s:<k>, which `_position_named` leaves as it is).
+That moved no tree-grammar, relabelled `build`, LP, `lift`, `embed` or
+`.td` digest, and no alpha line; the languages, parse-tree counts and LP
+verdicts of the regular grammars stayed as they were."""
 
 import hashlib
 import random
@@ -103,49 +114,49 @@ GRAPHS = {
 # name -> (tree grammar JSON, regular grammar JSON), position named
 GRAMMAR_DIGESTS = {
     "C6": ("70714cff5dbc7b440a415fa80dcb16f823a3e033e9481aa9e3c83d442f590267",
-           "5900e2b80d63c50bb740605270f975678ed3ac46473993f19c1d6293b9650002"),
+           "6dc4c500f8faafc49217a139c375b60c9e5fcd649078fb02690b6eedf0733297"),
     "K4": ("1ee7fef0ef4ce51fc1dc73b2b19813c52f11f2fd31cd172bea9f01d066d0d182",
-           "541c0e40507fbd75e3b3c0b3c8adcb41cdd76a370492d28aced264105adb893f"),
+           "2d6a5ab978444b84528236b6da3c29ab9b7083e5c67cb277e2bcc6d5dac105e6"),
     "K5": ("a81856e99d840f1d901bf1e1a5317d53970d57d89903ba2f9738491a74d93c69",
-           "5f9a4261d2c85507c55e412ebbd50ef713944bab05bfb735b3bb4357f7ddc967"),
+           "f09004d850d3334ee9e37c0e3b3836b4cd28c0162a2b74c1848f6a590122ed0e"),
     "P8": ("7eba0c5f12a731a43ea378c9a27e2dc10eb0106248ca07f3fcb7210f7939dbc5",
            "2313e30e3a44224f25d3c4678974dbf0696b67f5ae25c99ae2ce82cd6a80fe57"),
     "Petersen": ("eb005214852a7581c3577b8cd422fbe22667ec60b970ab143b897414a7ca3f93",
-                 "a627e1ce6eac130d053fc8285e426f602d2c555f097481a14489abdc1647cef2"),
+                 "6b3f6748d74e00a5be9a10e678a94eaaefa0ed6cc011576e1ef2527d857a06b8"),
     "Q3": ("0e77a301abd52a4e3dcb798e209d9716c01019893c4100adf0d777a6af92c2f3",
-           "f98c9793d15481ecb8e0127462d0f991bad1cbc741d76d0552227890f1cd4a47"),
+           "296511661e3f2e16d39225c5123dae4bdbce9922157d3a784ec401e279c824b7"),
     "btree3": ("ad14d416e79a1346d5c2242e3e27222e254d764b962ddfc70556c1550aa15038",
-               "c58d466c30169cf76125de36f27011517f8617b124991727d61e33edc77fb67b"),
+               "8f9a10ba02c75b0d5d234303cb6218749a7b4b1fe865e5ca1f27166daed5a5c7"),
     "grid3x3": ("1ec153df510b16ad37fa994cd34cf3013a76f8c5578fd3c5092a9fa57cf1f7ec",
-                "f2d0f765fa9e074d54c8810617ce0734449be928d351a54aad56c879763e117b"),
+                "d3c1bbcf0ff691223623ed179fa52c99a46dccb095fc6804a223b57c25065d43"),
     "spider3x2": ("9db6953669650b2f813e52e09d2113a4e26b8e76b44e626a41364c4d2a5d1691",
-                  "13f4a70edf97a717ef319553e7a25595679c7496439954537327f60fe263047c"),
+                  "60825e861fb447690f3701001dc302f62b7481e23e4ad8cb0fe1491053ee3c43"),
     "star5": ("6b98497980e77dda468435bf8f910b0536cae8ed16a253c5bf6f5f62906e6ad6",
-              "bbb10cdfe74843d8944836fe981b805574b98d582e0a9b1cb401e9fb8e88a5ce"),
+              "501c211a6b28689b33b623920229dacad17e72524ea05416e5b253b23924ad80"),
 }
 
 # name -> (tree grammar JSON, regular grammar JSON), as written
 INDEXED_GRAMMAR_DIGESTS = {
     "C6": ("70714cff5dbc7b440a415fa80dcb16f823a3e033e9481aa9e3c83d442f590267",
-           "fcb35cea54a11d9a9333bfa2dab3a093789571fd5863e0b9824fcc7d2ce200f6"),
+           "79f173c3210563c7840ea5d1a8a55e84ca88b76559ecef8329f0a9b735c6cc0f"),
     "K4": ("4031c93f84c701cf6ccb4c67dfa302edc0aee8c5faa7ca5ba556a42cc0ff6607",
-           "822b261fffaed415ae99135c8d86496b5b5ab3441ba4dc9edd1aa4caadeb04a9"),
+           "f7f5d8af7b44ad42aab0b6dde7f16fe0b2c291bf3600a9be206cba303c57d057"),
     "K5": ("89d1f637b39186d2ea67b7e6014e1fa606a3921ff3511990e606336ca863385f",
-           "1ae76796f3d9d2b48263586f9083df3d20e21c9f215606e1ec77a454b121fb69"),
+           "fc3bb2a936323f9ae5354b8618ad15ced9b496e1b159d33422d63a7d5a34ec7a"),
     "P8": ("7eba0c5f12a731a43ea378c9a27e2dc10eb0106248ca07f3fcb7210f7939dbc5",
            "51b26ae06e453f16867d08b13a8f6e2976bf42e948b943251ab20f8643d74e44"),
     "Petersen": ("65f554803c9f9e513fa0b7f246dc64b3ae8fbf0eb78fc2f3c059ea42eb7727d1",
-                 "eedf76d1df0eae4bd48312db6df4418ee209bdeb807f2ec4203ffc6ad1f3c791"),
+                 "38b4f7d4447ec00e258062b5907f5266b1098512da0b6a76a76edd6c8d67fec0"),
     "Q3": ("71185776af0179e5ccd7437621572e7b5592ff95ab76e7464a8118138fffb276",
-           "0304179ec1fe0bfba476a3fb8a056be1c48e738532b2c130e68d1b77ce6f1c0f"),
+           "f7443813de59ada76af5381cb132ddc2c626e19175daefd41b51f7ea0abd421a"),
     "btree3": ("ed926e047c5e6366b6d43d739a5e338b39416292503fbf1db2afa50e6e4701f9",
-               "dd97ccfae11883b83864a1d64909a5f24f690a576173af217745e34ca5686dfc"),
+               "191d5aec82596ec4b0146ff7f4787e8a230b9eda1243e3e9ab8747dd204c9968"),
     "grid3x3": ("3e5b7d26e000e2e2b1a6c72e5ce8707d86c073860bf63d646fed894989344f37",
-                "a9bfec1c0239c86b199472b9f847ed317a4070b854fe262fee37ac8a758b6015"),
+                "7b3fd72dc08023739d18da790d5a6e13416d8b64b42afc71c5ea319458558df5"),
     "spider3x2": ("4e127630dd2a1218c15a6c84b260740c44245fc4fdd3885ffe3ebc71b972d442",
-                  "e20a352b0e77b64585bceb49ac5af774ee665bea60bcbf6b63ac31e97e16d3a2"),
+                  "da4f3dd53e831d163d5799183e4ed22b078bdb294a6925effdd6adc732ecb004"),
     "star5": ("b5a5e2cb43dc95651f11a29bd290bda32607de21e16e7879b0defc3ee22fbddf",
-              "9847b5d96f03fdeb43fcdaaba32e03adb5e075d5db3e371bd75e32845a9038fd"),
+              "39bf0544bd729d07ad074a19bb0f3a516181df636add6584655596008c103ff8"),
 }
 
 LP_DIGESTS = {
@@ -176,10 +187,10 @@ RELABELLED_DIGESTS = {
     "grid4x4": ("ffe02e3f06469bc21d99179fd2aff7203b7113c0c5eaff2abaee643dcdd16ec1", None,
                 "06fbf32d8bb0a658999103c99a7c1f9f718f0b3dba7c9c5b76096a252d01cd74"),
     "Q3": ("aa3d7ddbc2813e01f86229dd54e2ba6a42902d120dcaca441dc488cd47e46657",
-           "2adf15dddadd394fd32afde44e76a1ae38709715281964d929e17e0e58cb4cb1",
+           "2812b54a3ae2ef6f3a1cbb6934fa8ea20cacc47258ffad86629bf4c0b4a24da4",
            "6ae1c366c5ecb13d9298696d6d4083e60aabb480cf96a1bc28bebec9ad055628"),
     "Petersen": ("68e23d36c987e86f619aae37633cdd9413a4ed7aa55515382d1f6e917db19d08",
-                 "0d351cfbfae5e87f20ba6f8270b991c6919720c636a33da454fc0a6bf2d7ce75",
+                 "c49651b4dedfb02b1bd8a42eba27bdedef0fc4045ab4f6e41359d800922fc241",
                  "eab4d82c8eba907db4ed02ce470494a549f686e3c8a0df77493759e9352a0108"),
 }
 
@@ -191,9 +202,9 @@ INDEXED_RELABELLED_DIGESTS = {
     "btree4": ("83fe8754285f67dfc97fdc78012f9336ec9edfc915aeae36ed4c54066b57f39a", None),
     "grid4x4": ("69ab091f8f4b878ca8c578d348b7e5773f28c0fdcb4b2d679d1cb0547c4f5beb", None),
     "Q3": ("46c71e330381535140929341228593ff776959147a31f6cca94f89d6a9d2cd86",
-           "56232918388ec27c33b77b9b7c63eee74e85d02d745aa672af569c7ff5aeed98"),
+           "0982cbec035b3019f329d1450c29d6ff433c71592636cb01a9e4ada3c9eba4ae"),
     "Petersen": ("1aa9a248ff78a545319b058b56a3a400cd08a39dbd7dd31c50e49843abbe3dbf",
-                 "b08140f670a808e681ef91e2c4c5376fd0811120050deb8123423367c10aff5c"),
+                 "f4a0b7ce892e2122bf92eb9f18ae8c5ffd24a82c65cacdfd0812d122d0c0e413"),
 }
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from autgrammar.annotate import (
     AnnotatedBag,
+    _build,
     _inline,
     _renumber,
     _share,
@@ -62,13 +63,21 @@ from autgrammar.perm import (
     permute_word,
     to_string_word,
 )
-from autgrammar.polytope import build_extended_formulation, lift_parse_tree
+from autgrammar.polytope import (
+    build_extended_formulation,
+    check_lp_feasibility,
+    check_projection_feasibility,
+    emit_lp,
+    lift_parse_tree,
+    parse_lp,
+)
 from conftest import (
     binary_tree,
     check_every_maker,
     check_full_check,
     complete_graph,
     consistent_bags,
+    cube_graph,
     cubic8,
     cycle_graph,
     format_graph,
@@ -776,6 +785,69 @@ def test_random_graphs_regular_route():
         assert count_parse_trees(gr) == len(auts), g
 
 
+def _regular_stages(g):
+    """`_build`'s regular grammar, before `_determinise`, and the
+    (alpha, grammar) that build_regular_aut_grammar writes."""
+    pd = compute_path_decomposition(g)
+    names, lhs, rhs, _ = _build(g, pd, dict(enumerate(introduced_order(g, pd))))
+    return _grammar(g.vertex_count, names, lhs, rhs), build_regular_aut_grammar(g, pd)
+
+
+def test_regular_grammar_of_complete_graph_is_the_subset_automaton():
+    # a prefix of S_n's words leaves any order of the vertices not yet
+    # written, so a state is the set of vertices written: 2^n - 1 of them
+    # (the full set is no variable's), the state of a set of k vertices
+    # with n - k rules, n 2^(n - 1) rules in all; before `_determinise`
+    # K8's grammar had 109 600
+    for n in range(1, 9):
+        gr = build_regular_aut_grammar(complete_graph(n), compute_path_decomposition(complete_graph(n)))[1]
+        assert (len(gr.rules), len(gr.variables)) == (n * 2 ** (n - 1), 2 ** n - 1), n
+        assert count_parse_trees(gr) == math.factorial(n)
+
+
+def test_regular_grammar_is_the_minimal_automaton(corpus):
+    # the regular grammar is a deterministic automaton of the oracle's
+    # words, one parse tree per word, no larger than `_build`'s grammar;
+    # no two of its variables have equal rules, so, its variables being
+    # layered, no two states are equivalent and it is the minimal one
+    # (Revuz, TCS 1992): a merge pass would find nothing here
+    rng = random.Random(46)
+    graphs = [*corpus.values(), petersen_graph(), binary_tree(2), spider(3, 2), grid_graph(3, 3),
+              complete_graph(5), cycle_graph(8), Graph(1, [])]
+    graphs += [random_connected_graph(rng, rng.randint(2, 10)) for _ in range(40)]
+    shrunk = 0
+    for g in graphs:
+        before, (alpha, gr) = _regular_stages(g)
+        rules: dict = {}
+        for v, symbols in zip(gr._lhs, gr._rhs):
+            rules.setdefault(v, []).append(symbols)
+        assert all(len({r[0] for r in rs}) == len(rs) for rs in rules.values()), format_graph(g)
+        assert len(set(map(frozenset, rules.values()))) == len(rules) == len(gr.variables), format_graph(g)
+        assert is_regular(gr) and _writes(gr) is not None
+        words = oracle_language(g, alpha)
+        assert list(enumerate_language(gr).words) == words, format_graph(g)
+        assert count_parse_trees(gr) == len(words)
+        assert grammar_size(gr).value <= grammar_size(before).value
+        shrunk += len(gr.rules) < len(before.rules)
+    assert shrunk > len(graphs) // 4
+
+
+def test_lp_paths_agree_on_determinised_grammars():
+    # a member word and a permutation outside the group: the LP file's
+    # presolve and simplex and the column generation give the same verdict
+    for g in (petersen_graph(), cube_graph(), binary_tree(2)):
+        before, (_, gr) = _regular_stages(g)
+        assert len(gr.rules) < len(before.rules)
+        ef = build_extended_formulation(gr)
+        parsed = parse_lp(emit_lp(ef))
+        words = set(iter_language(gr))
+        member = min(words)
+        other = next(p for p in itertools.permutations(range(1, g.vertex_count + 1)) if p not in words)
+        for x, want in ((member, True), (other, False)):
+            point = {f"x_{k}": v for k, v in enumerate(x, start=1)}
+            assert check_lp_feasibility(parsed, point) == check_projection_feasibility(ef, x) == want, x
+
+
 def test_regular_star(star5):
     pd = compute_path_decomposition(star5)
     alpha, gr = build_regular_aut_grammar(star5, pd)
@@ -958,16 +1030,19 @@ def test_join_matches_all_pairs_reference(corpus):
         chain = pd.positions
         # the tree grammar writes each variable with one rule that one rule
         # names into that rule; the regular grammar keeps them all.  The
-        # tree grammar is compared before `_share`, which keeps its parse
-        # trees and never makes it larger
+        # tree grammar is compared before `_share` and the regular grammar
+        # before `_determinise`; each pass keeps the parse-tree count and
+        # never makes its grammar larger
         unshared = tree_grammar_stages(g, t)[0]
         shared = build_aut_grammar(g, t)[1]
-        assert count_parse_trees(shared) == count_parse_trees(unshared), name
-        assert grammar_size(shared).value <= grammar_size(unshared).value, name
+        undeterminised, (_, determinised) = _regular_stages(g)
+        for before, after in ((unshared, shared), (undeterminised, determinised)):
+            assert count_parse_trees(after) == count_parse_trees(before), name
+            assert grammar_size(after).value <= grammar_size(before).value, name
         for gr, (ref, ref_bags), bags, inline in (
             (unshared, reference_aut_grammar(g, t),
              {_head(t, p): ann[p] for p in t.positions if p and t.children(p)}, inline_single_use),
-            (build_regular_aut_grammar(g, pd)[1], reference_regular_grammar(g, pd),
+            (undeterminised, reference_regular_grammar(g, pd),
              {f"p:{i - 2}": pann[chain[i - 2]] for i in range(2, len(chain) + 1)}, lambda gr: gr),
         ):
             minimal = inline(_minimised(ref))

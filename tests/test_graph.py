@@ -1,6 +1,7 @@
 import pytest
 
 from autgrammar.graph import (
+    DisconnectedGraphError,
     DuplicateEdgeError,
     Graph,
     MalformedLineError,
@@ -48,6 +49,16 @@ def test_parse_malformed():
         parse_graph("2 2\n1 2")
     with pytest.raises(MalformedLineError):
         parse_graph("2 1\n1 x")
+
+
+def test_parse_refuses_too_few_edges_from_the_header():
+    # k < m - 1 edges connect no m vertices: refused before any edge line
+    # is read or any per-vertex list is made, whatever m is
+    with pytest.raises(DisconnectedGraphError, match="2 edges cannot connect 4 vertices"):
+        parse_graph("4 2\n1 2\n3 4")
+    with pytest.raises(DisconnectedGraphError, match="0 edges cannot connect 100000000000000000000 vertices"):
+        parse_graph("100000000000000000000 0")
+    assert parse_graph("1 0").vertex_count == 1
 
 
 def test_round_trip_bit_exact():

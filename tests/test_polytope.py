@@ -429,8 +429,10 @@ def _decided_lp_corpus() -> list:
     """(parsed LP, point, presolved system, the reference's verdict) for
     the LP-file points of every corpus grammar whose presolved system has
     at most 150 rows, and (parsed LP, point, None, False) for those the
-    presolve alone rejects.  Left out is btree3's path grammar's (228
-    rows), where the reference takes up to 14 s a point."""
+    presolve alone rejects.  Left out is Petersen's path grammar's (181
+    rows, 141 before the regular grammars were determinised).  btree3's
+    path grammar's, left out at 228 rows, where the reference took up to
+    14 s a point, is 38 rows since and is decided."""
     out = []
     for parsed, point in lp_corpus_points():
         reduced = _presolve(*_lp_system(parsed, point))
@@ -450,7 +452,9 @@ def test_simplex_matches_reference_on_lp_corpus():
     # grammar, which it rejected while each leaf had a variable of its
     # own, reaches the simplex (22 rows).  btree4's tree grammar's system,
     # 170 rows before the tree grammars shared their rules' prefixes, is
-    # 114 since, so its three points are decided too (67)
+    # 114 since, so its three points are decided too (67).  Since the
+    # regular grammars are deterministic automata, btree3's path grammar's
+    # three points are decided and Petersen's are not, so it stays 67
     decided = 0
     for parsed, point, reduced, expected in _decided_lp_corpus():
         if reduced is None:
@@ -487,7 +491,9 @@ def test_simplex_makes_no_fraction_on_integral_systems():
     # times their lcm of denominators, as the simplex's set-up takes them:
     # while each leaf had a variable of its own, btree4's presolve left two
     # rows with a coefficient -2/3 (from a projection row that the point
-    # made -2 y_a - 3 y_b = -2); now every lcm is 1
+    # made -2 y_a - 3 y_b = -2); now every lcm is 1.  Determinising the
+    # regular grammars made no system integral or fractional that was not,
+    # so the count stayed 34
     systems = [_presolve(*_lp_system(parsed, point)) for parsed, point in lp_corpus_points()]
     systems = [s for s in systems if s is not None and _integral(s)]
     assert len(systems) == 34
@@ -591,9 +597,13 @@ def test_presolve_reduction_sizes(c5, q3):
     # the rows left are the flow rows of shared variables, which have more
     # than two terms, and what substitution made of them.  A tree grammar
     # writes its variables of one rule, used once, inline, so its system
-    # has no doubleton to remove; a regular grammar keeps them
+    # has no doubleton to remove; a regular grammar keeps them.  The
+    # regular grammars are deterministic automata, with fewer rules and
+    # variables than the join's classes had (C5 (41, 45) -> (11, 15), Q3
+    # (281, 320) -> (41, 80) then) but more of them shared, so fewer rows
+    # are removed
     for g, make, before, after in ((c5, aut_ef, (11, 15), (11, 15)), (q3, aut_ef, (33, 72), (33, 72)),
-                                   (c5, path_ef, (41, 45), (11, 15)), (q3, path_ef, (281, 320), (41, 80))):
+                                   (c5, path_ef, (36, 40), (16, 20)), (q3, path_ef, (217, 256), (73, 112))):
         alpha, gr, ef = make(g)
         x = permute_word(to_string_word(Permutation(tuple(g.vertices))), alpha).symbols
         point = {f"x_{i}": Fraction(v) for i, v in enumerate(x, start=1)}

@@ -540,14 +540,17 @@ def _check_no_unit_layer(g, strategy):
     # no rule of either grammar is a unit rule X -> Y.  The tree grammar's
     # root writes no terminal (a one-vertex graph's has no children), so no
     # variable p:0|b:* exists; the regular grammar's root writes one, so
-    # B1 -> a p:0|b:k stays, for every graph with a second vertex
+    # B1 -> a X stays, for every graph with a second vertex, X the state
+    # of the root's classes that a reaches: p:0|b:k for one, s:<k> for more
     t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, strategy))
     tree = build_aut_grammar(g, t)[1]
     regular = build_regular_aut_grammar(g, compute_path_decomposition(g))[1]
     for gr in (tree, regular):
         assert not any(len(rhs) == 1 and isinstance(rhs[0], str) for _, rhs in gr.rules)
     assert not any(v.startswith("p:0|") for v in tree.variables)
-    assert any(v.startswith("p:0|") for v in regular.variables) == (g.vertex_count > 1)
+    named = {rhs[-1] for lhs, rhs in regular.rules if lhs == "B1" and isinstance(rhs[-1], str)}
+    assert bool(named) == (g.vertex_count > 1)
+    assert all(v.startswith(("p:0|", "s:")) for v in named), named
 
 
 def test_no_unit_layer_on_corpus(corpus):
