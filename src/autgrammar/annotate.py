@@ -52,30 +52,35 @@ off its parent's annotations, stands in its parent's rules where a leaf
 variable with one rule would, and the root's classes' rules are the
 start's own, where the start's unit rule to each would be.  Parse trees
 then correspond one-to-one with consistent whole-tree annotations, hence
-with automorphisms, and they still do after one pass over the built
-rules (`_inline`) writes each variable with one rule, which one rule
-names, into that rule instead.  The join merges annotations only by the
-words they derive below, so rules that begin alike are not shared: a
-second pass (`_share`) factors each variable's sorted rules by their
-shared prefixes into new variables s:<k> and makes variables with equal
-rules at one offset one, as the minimal acyclic automaton of a sorted
-word list is built, and `_inline` runs again.  The grammar stays
-positional, parse trees still map one to one, and the shared grammar is
-kept only when its `grammar_size` is smaller.  A word w produced for
-automorphism s satisfies w_i = s(alpha(i)) where alpha spells the leaf
-vertex order, so the language is exactly the string set of the group
-repositioned by alpha.  The regular grammar is the same construction on
-a path decomposition that introduces one vertex per bag, each bag
-writing the image of the vertex it introduces: one builder (`_build`)
-serves both, and since its root writes a terminal, the start keeps its
-rules B1 -> a X there.  No pass inlines or shares its variables, so
-every rule stays B -> a or B -> a B'; but a class may have both a X and
-a X', so the classes are not an automaton's states.  One pass
-(`_determinise`) runs the subset construction forward from B1, so the
-regular grammar is the deterministic automaton of the group's words,
-still one parse tree per word.  The embed builder decides whether the
-prefix is invariant from the host's grammar itself, so no builder loads
-`oracle` or `polytope`.
+with automorphisms, and they still do with a position whose classes
+each have one rule, which one rule names, spliced: its classes have no
+variables, and their rules are written into their parent's.  Such
+positions are whole: Aut(g) acts transitively on a position's kept
+annotations, by phi -> tau o phi, and that action sends classes to
+classes and keeps their rule and use counts, so a position's classes are
+all spliced or none is.  The join merges annotations only by the words
+they derive below, so rules that begin alike are not shared: a second
+pass (`_share`) factors each variable's sorted rules by their shared
+prefixes into new variables s:<k> and makes variables with equal rules
+at one offset one, as the minimal acyclic automaton of a sorted word
+list is built, and a last pass (`_spelled`) writes each variable that
+then has one rule, which one rule names, into that rule, and numbers the
+rest.  The grammar stays positional, parse trees still map one to one,
+and the shared grammar is kept only when its `grammar_size` is smaller.
+A word w produced for automorphism s satisfies w_i = s(alpha(i)) where
+alpha spells the leaf vertex order, so the language is exactly the
+string set of the group repositioned by alpha.  The regular grammar is
+the same construction on a path decomposition that introduces one vertex
+per bag, each bag writing the image of the vertex it introduces: one
+builder (`_build`) serves both, and since its root writes a terminal,
+the start keeps its rules B1 -> a X there.  No written position is
+spliced, and no pass shares its variables, so every rule stays B -> a or
+B -> a B'; but a class may have both a X and a X', so the classes are
+not an automaton's states.  One pass (`_determinise`) runs the subset
+construction forward from B1, so the regular grammar is the
+deterministic automaton of the group's words, still one parse tree per
+word.  The embed builder decides whether the prefix is invariant from
+the host's grammar itself, so no builder loads `oracle` or `polytope`.
 """
 
 from __future__ import annotations
@@ -448,44 +453,109 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[tuple, list, 
     order, are B1's.  A written position writes its terminal into its
     parent's rules, just before its own variable when it has children, a
     written root into B1's.  A childless position writes only its
-    terminal and has no variable, the root of a one-vertex graph too.
-    Which variables are written inline `_inline` decides after the build.
+    terminal and has no variable, the root of a one-vertex graph too.  Nor
+    has a spliced position: an unwritten one whose classes each have one
+    rule, each named by one of its parent's rules, that is, whose classes
+    number its own rules and its parent's (positions are whole: see the
+    module docstring).  No variable but B1 has one rule and one use, and
+    the regular grammar, all written, keeps its rules B -> a B'.
 
     Each child of a position gives a column of ints over its classes,
     read off each class's first annotation i: a childless child the image
-    of its vertex, any other the variable of i's partner there (a written
-    one, an only child as on a path, the partner's image first).  The
-    rules are the columns zipped, unless some class has several partners
-    at a child: that child gives tuples, and each class's rules are then
-    its product over the children."""
-    # The columns are re-read off each class's first annotation, although
-    # the join's signatures spell the same order (a written child's pair
-    # (w, k), a leaf's image): keeping them for the rules keeps every kept
-    # class's pair set alive past the join, and on C400 (319 600 kept
-    # classes) that raised the join's peak from 97.3 to 122.0 MiB and
-    # this function's from 160.9 to 186.0 MiB, to save 14 lines.
+    of its vertex, a spliced one its own columns, read through an index
+    list from the parent's classes to its own that composes one position
+    at a time, any other the variable of i's partner there (a written one
+    the partner's image first).  The rules are the columns zipped,
+    unless some class has several partners at a child, a fan: that child
+    gives tuples, of variables or, at a spliced or written child, of the
+    partners' rows, and each class's rules are then its product over the
+    children."""
+    # The columns are re-read off each class's first annotation, not kept
+    # from the join's signatures, which spell the same order: keeping those
+    # raised C400's peak here from 160.9 to 186.0 MiB, to save 14 lines.
     dom, ann, cls, first, up, members = join_annotations(g, t, written)
-    # one variable per merge class at each position with children, in
-    # position order after B1 (variable 0): p:<j>|b:<k>, variable base[j] + k,
+    n, kids = len(t.kids), t.kids
+    # per position c but the root, its column over its parent's classes: a
+    # childless c's image, any other's partner annotation, or at a fan each
+    # class's list of them; and per position, its classes' rule count
+    col: list = [None] * n
+    fans, rules = set(), [0] * n
+    for p, ks in enumerate(kids):
+        heads, count = first[p], None
+        for c in ks:
+            if not kids[c]:
+                col[c] = list(map(_image(dom[p], written[c]), map(ann[p].__getitem__, heads)))
+                continue
+            # up[c] is a range at the parent's very domain: the heads are the partners, no new ints
+            partners = heads if up[c].__class__ is range else list(map(up[c].__getitem__, heads))
+            if members[c] is not None:  # from key ids to partner lists; else key id k is annotation k
+                partners = list(map(members[c].__getitem__, partners))
+                if max(map(len, partners)) > 1:
+                    fans.add(c)
+                    count = [len(js) * k for js, k in zip(partners, count or itertools.repeat(1))]
+                else:
+                    partners = list(itertools.chain.from_iterable(partners))
+            col[c] = partners
+        if ks:
+            rules[p] = len(heads) if count is None else sum(count)
+    spliced = {c for c in range(1, n) if kids[c] and c not in written
+               and rules[c] == len(first[c]) == rules[t.parent[c]]}
+
+    # one variable per merge class at each unspliced position with children,
+    # in position order after B1 (variable 0): p:<j>|b:<k>, variable base[j] + k,
     # stands for the k-th class at position j, in first-appearance order.
     # An unwritten root's classes are B1's rules instead: base[0] is 0
     # a variable at position j ends at word offset lead[last[j]]: the
     # positions that write up to the last one in j's subtree, a preorder run
     # (`_share` keys on it)
-    n = len(t.kids)
     lead = list(itertools.accumulate(p in written for p in range(n)))
     last = list(range(n))
     for p in reversed(range(n)):
-        if t.kids[p]:
-            last[p] = last[t.kids[p][-1]]
+        if kids[p]:
+            last[p] = last[kids[p][-1]]
     base, names, end = {}, ["B1"], [lead[-1]]
-    for j, ks in enumerate(t.kids):
-        if ks:
+    for j, ks in enumerate(kids):
+        if ks and j not in spliced:
             base[j] = len(names) if j or 0 in written else 0
             if base[j]:
                 head = f"p:{j}|b:"
                 names.extend([f"{head}{k}" for k in range(len(first[j]))])
                 end.extend(itertools.repeat(lead[last[j]], len(first[j])))
+
+    def gathered(p: int) -> tuple[list, bool]:
+        # p's columns, each spliced child's own in place of its variable's,
+        # and whether some fan's options are rows; below p, ks maps p's
+        # classes to those of the spliced position being read
+        columns, rows, stack = [], False, [(iter(kids[p]), None)]
+        while stack:
+            below, ks = stack[-1]
+            for c in below:
+                column = col[c] if ks is None else list(map(col[c].__getitem__, ks))
+                if not kids[c]:
+                    columns.append(column)
+                    continue
+                of, fan = cls[c], c in fans
+                if c in spliced and not fan:
+                    stack.append((iter(kids[c]), list(map(of.__getitem__, column))))
+                    break
+                if c in spliced:  # a fan whose options are the partner classes' rows
+                    symbols = list(zip(*gathered(c)[0]))
+                    column, rows = [tuple([symbols[of[j]] for j in js]) for js in column], True
+                elif c in written:  # each partner's image, then its variable
+                    wrote, code, row = _image(dom[c], written[c]), ~base[c], ann[c]
+                    if fan:
+                        column, rows = [tuple([(wrote(row[j]), code - of[j]) for j in js]) for js in column], True
+                    else:
+                        columns.append(list(map(wrote, map(row.__getitem__, column))))
+                        column = list(map(code.__sub__, map(of.__getitem__, column)))
+                else:  # class k at c is variable base[c] + k, written code - k
+                    code = ~base[c]
+                    column = ([tuple([code - of[j] for j in js]) for js in column] if fan
+                              else list(map(code.__sub__, map(of.__getitem__, column))))
+                columns.append(column)
+            else:
+                stack.pop()
+        return columns, rows
 
     # the rules as they are written, each variable's together, variable k
     # as ~k.  A written root gives B1 one rule per kept annotation: the
@@ -501,59 +571,42 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[tuple, list, 
         rhs = list(zip(*columns))
     chain, product = itertools.chain.from_iterable, itertools.product
 
-    def per_class(columns):  # each class's options at each child: its tuple of partners, or its one entry
-        return zip(*[column if column[0].__class__ is tuple else zip(column) for column in columns])
+    def options(column):  # each class's options at a child, each a tuple of symbols
+        return (zip(zip(column)) if column[0].__class__ is not tuple else column if column[0][0].__class__ is tuple
+                else [tuple(zip(os)) for os in column])
 
     for p, at in base.items():
-        heads = first[p]
-        owners = range(at, at + len(heads)) if at else itertools.repeat(0, len(heads))
-        columns, groups = [], None  # groups: each class's rules, when written apart from the columns
-        for c in t.kids[p]:
-            var_at = base.get(c)
-            if var_at is None:
-                columns.append(list(map(_image(dom[p], written[c]), map(ann[p].__getitem__, heads))))
-                continue
-            partners, of, fan = list(map(up[c].__getitem__, heads)), cls[c], False
-            if members[c] is not None:  # from key ids to partner lists; else key id k is annotation k
-                partners = list(map(members[c].__getitem__, partners))
-                fan = max(map(len, partners)) > 1
-                if not fan:
-                    partners = list(chain(partners))
-            code = ~var_at  # class k at c is variable var_at + k, written code - k
-            if fan:
-                columns.append([tuple([code - of[j] for j in js]) for js in partners])
-            else:
-                columns.append(list(map(code.__sub__, map(of.__getitem__, partners))))
-            v = written.get(c)
-            if v is not None:  # each partner's image, then its variable
-                assert t.kids[p] == (c,), "a written position with children has no siblings"
-                wrote, row = _image(dom[c], v), ann[c]
-                if fan:
-                    groups = [[(wrote(row[j]), code - of[j]) for j in js] for js in partners]
-                else:
-                    columns.insert(-1, list(map(wrote, map(row.__getitem__, partners))))
+        owners = range(at, at + len(first[p])) if at else itertools.repeat(0, len(first[p]))
+        columns, rows = gathered(p)
         if not any(column[0].__class__ is tuple for column in columns):  # one rule per class
             lhs.extend(owners)
             rhs.extend(zip(*columns))
             continue
-        if groups is None:
-            groups = list(map(list, itertools.starmap(product, per_class(columns))))
+        if rows:
+            groups = [[tuple(chain(combo)) for combo in product(*os)] for os in zip(*map(options, columns))]
+        else:  # each class's options at each child: its tuple of partners, or its one entry
+            groups = list(map(list, itertools.starmap(product, zip(*[
+                column if column[0].__class__ is tuple else zip(column) for column in columns]))))
         lhs.extend(chain(map(itertools.repeat, owners, map(len, groups))))
         rhs.extend(chain(groups))
+    del gathered  # it calls itself, a cycle that would hold the join until a collection
     return tuple(names), lhs, rhs, end
 
 
-def _inline(variables: int, lhs: list, rhs: list) -> tuple[list, list]:
-    """The int rules (lhs, rhs) of an acyclic grammar of that many
-    variables with each variable that has one rule, and one occurrence in
-    all the right-hand sides, written in place of that occurrence and its
-    rule dropped (the start, which no rule names, stays).  No variable is
-    renumbered, so an inlined one is left with no rule (`_renumber` drops
-    it), and the kept rules keep their order.  A rule that names no such
-    variable is kept as it is; any other is spelled once, on a stack of
-    the rules it is inside, so a chain of any depth costs time linear in
-    what is written and no recursion."""
-    count, uses = [0] * variables, [0] * variables  # per variable: its rules, its occurrences
+def _spelled(names, lhs: list, rhs: list) -> tuple[tuple, list, list]:
+    """The int rules (names, lhs, rhs) of an acyclic grammar with each
+    variable that has one rule, and one occurrence in all the right-hand
+    sides, written in place of that occurrence and dropped (the start,
+    which no rule names, stays).  The others are numbered in the order
+    their rules first appear, and one with no name (None) is named s:<k>
+    in that order: so when each variable's rules come before those of the
+    variables it names, the start's first, the start is 0 and the reverse
+    of the numbers is a dependencies-first order.  The kept rules keep
+    their order, and each is spelled and numbered once: one that names no
+    dropped variable symbol by symbol, any other on a stack of the rules
+    it is inside, so a chain of any depth costs time linear in what is
+    written and no recursion."""
+    count, uses = [0] * len(names), [0] * len(names)  # per variable: its rules, its occurrences
     for v in lhs:
         count[v] += 1
     for x in itertools.chain.from_iterable(rhs):
@@ -561,14 +614,15 @@ def _inline(variables: int, lhs: list, rhs: list) -> tuple[list, list]:
             uses[~x] += 1
     body = {~v: symbols for v, symbols in zip(lhs, rhs) if count[v] == 1 and uses[v] == 1}
     del count, uses  # freed before the spelling
-    plain = body.keys().isdisjoint
-    out_lhs, out_rhs = [], []
+    kept = [v for v in dict.fromkeys(lhs) if ~v not in body]
+    code = {~v: ~k for k, v in enumerate(kept)}  # a kept variable's symbol, renumbered
+    get, plain = code.get, body.keys().isdisjoint
+    out_rhs = []
     for v, symbols in zip(lhs, rhs):
         if ~v in body:
             continue
-        out_lhs.append(v)
         if plain(symbols):
-            out_rhs.append(symbols)
+            out_rhs.append(tuple(map(get, symbols, symbols)))
             continue
         out, stack = [], [iter(symbols)]
         while stack:
@@ -576,23 +630,13 @@ def _inline(variables: int, lhs: list, rhs: list) -> tuple[list, list]:
                 if x in body:
                     stack.append(iter(body[x]))
                     break
-                out.append(x)
+                out.append(get(x, x))
             else:
                 stack.pop()
         out_rhs.append(tuple(out))
-    return out_lhs, out_rhs
-
-
-def _renumber(names, lhs: list, rhs: list) -> tuple[tuple, list, list]:
-    """The int rules (names, lhs, rhs) with the variables that have rules
-    numbered in the order their rules first appear, and no other: so when
-    each variable's rules come before those of the variables it names,
-    the start's first, the start is 0 and the reverse of the numbers is a
-    dependencies-first order.  The rules keep their order."""
-    kept = list(dict.fromkeys(lhs))
-    code = {~v: ~k for k, v in enumerate(kept)}  # a variable's symbol, renumbered
-    rhs = [tuple([x if x > 0 else code[x] for x in symbols]) for symbols in rhs]
-    return tuple(map(names.__getitem__, kept)), [~code[~v] for v in lhs], rhs
+    fresh = itertools.count()
+    names = tuple([f"s:{next(fresh)}" if names[v] is None else names[v] for v in kept])
+    return names, [~code[~v] for v in lhs if ~v not in body], out_rhs
 
 
 def _share(names: tuple, lhs: list, rhs: list, end: list) -> tuple[list, list, list]:
@@ -600,9 +644,9 @@ def _share(names: tuple, lhs: list, rhs: list, end: list) -> tuple[list, list, l
     variable's word end end[v] beside them, with each variable's rules
     factored by their shared prefixes and equal tails at one offset made
     one variable.  The input lists each variable's rules together, in
-    variable order (one that `_inline` wrote inline has none), the start
-    0 and each variable after the rules that name it, and two variables
-    at one position derive different words, as the join's classes do.
+    variable order, every variable having some, the start 0 and each
+    variable after the rules that name it, and two variables at one
+    position derive different words, as the join's classes do.
     This is the minimal acyclic automaton construction of Revuz (TCS
     1992) and of Daciuk, Mihov, Watson & Watson ("Incremental
     construction of minimal acyclic finite-state automata", 2000), run
@@ -625,7 +669,7 @@ def _share(names: tuple, lhs: list, rhs: list, end: list) -> tuple[list, list, l
     (None) yet.  The rules are listed in the reverse of the order
     their variables were registered, the start's first, so each
     variable's rules come before those of the variables it names, as
-    `_renumber` expects."""
+    `_spelled` expects."""
     first = operator.itemgetter(0)
     names = list(names)
     register: dict = {}  # (end, rules) -> the variable registered under it
@@ -668,10 +712,9 @@ def _share(names: tuple, lhs: list, rhs: list, end: list) -> tuple[list, list, l
                     into.append((*head, ~entry(stop, tuple(out))))
         return top
 
-    ruled = list(dict.fromkeys(lhs))  # the variables with rules, in order
-    ends = [*map(functools.partial(bisect.bisect_left, lhs), ruled), len(lhs)]
-    for i in range(len(ruled) - 1, -1, -1):  # children first
-        v, lo, hi = ruled[i], ends[i], ends[i + 1]
+    ends = [*map(functools.partial(bisect.bisect_left, lhs), range(len(names))), len(lhs)]
+    for v in range(len(names) - 1, -1, -1):  # children first
+        lo, hi = ends[v], ends[v + 1]
         if hi - lo == 1:  # a new variable has two rules or more, so one with one is not looked up
             out_lhs.append(v)
             out_rhs.append(rhs[lo])
@@ -751,12 +794,13 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
     automorphism strings repositioned by alpha (word position i holds the
     image of vertex alpha(i)), alpha being the leaf vertices in position
     order (`decomp.yield_order_of`).  Each leaf writes that image as a
-    terminal into its parent's rules and has no variable of its own.
-    After `_build`, one pass (`_inline`) writes each variable with one
-    rule, which one rule names, into that rule; then `_share` factors
-    each variable's rules by their shared prefixes and makes equal tails
-    at one offset one variable, and `_inline` runs again.  The shared
-    grammar is kept only when its `grammar_size` is smaller.  Raises
+    terminal into its parent's rules and has no variable of its own, and
+    so does each position whose classes have one rule each that one rule
+    names (`_build`).  Then `_share` factors each variable's rules by their
+    shared prefixes and makes equal tails at one offset one variable, and
+    `_spelled` writes each variable left with one rule that one rule names
+    into that rule and numbers the others.  The shared grammar is kept
+    only when its `grammar_size` is smaller.  Raises
     DecompositionError unless t is a valid permutation-yielding
     decomposition of g, and DisconnectedGraphError unless g is connected."""
     require_connected(g)
@@ -766,15 +810,10 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
         raise DecompositionError("decomposition is not permutation yielding")
     written = dict(zip([p for p, ks in enumerate(t.kids) if not ks], alpha.image))
     names, lhs, rhs, end = _build(g, t, written)
-    lhs, rhs = _inline(len(names), lhs, rhs)
-    shared, s_lhs, s_rhs = _share(names, lhs, rhs, end)
-    shared, s_lhs, s_rhs = _renumber(shared, *_inline(len(shared), s_lhs, s_rhs))
-    fresh = itertools.count()  # the new variables are named once the kept ones are known
-    shared = tuple([f"s:{next(fresh)}" if name is None else name for name in shared])
-    gr = _grammar(g.vertex_count, shared, s_lhs, s_rhs)
-    # the unshared grammar's `grammar_size`, counted before it is numbered
-    if grammar_size(gr).value >= (len(lhs) + sum(map(len, rhs))) * math.log2(g.vertex_count + len(set(lhs))):
-        gr = _grammar(g.vertex_count, *_renumber(names, lhs, rhs))
+    gr = _grammar(g.vertex_count, *_spelled(*_share(names, lhs, rhs, end)))
+    # the unshared grammar's `grammar_size`, counted on its int rules
+    if grammar_size(gr).value >= (len(lhs) + sum(map(len, rhs))) * math.log2(g.vertex_count + len(names)):
+        gr = _grammar(g.vertex_count, names, lhs, rhs)
     _compiled(gr, range(len(gr.variables) - 1, -1, -1))
     return alpha, gr
 

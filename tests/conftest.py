@@ -15,9 +15,8 @@ from autgrammar.annotate import (
     AnnotatedBag,
     AnnotationError,
     _build,
-    _inline,
-    _renumber,
     _share,
+    _spelled,
     build_aut_grammar,
     build_embedded_group_grammar,
     build_regular_aut_grammar,
@@ -300,7 +299,7 @@ def inline_single_use(gr: Grammar) -> Grammar:
     that occurrence and dropped; the other variables and rules keep their
     names and order.  Applied to a tree grammar built with every such
     variable kept, it gives what `build_aut_grammar` writes.  The
-    recursive reference for `annotate._inline`, which spells on a stack."""
+    recursive reference for `annotate._spelled`, which spells on a stack."""
     count = collections.Counter(lhs for lhs, _ in gr.rules)
     uses = collections.Counter(x for _, rhs in gr.rules for x in rhs if isinstance(x, str))
     body = {lhs: rhs for lhs, rhs in gr.rules if lhs != gr.start and count[lhs] == uses[lhs] == 1}
@@ -313,18 +312,15 @@ def inline_single_use(gr: Grammar) -> Grammar:
 
 
 def tree_grammar_stages(g: Graph, t: TreeDecomposition) -> tuple[Grammar, Grammar]:
-    """The two grammars `build_aut_grammar` chooses between on t, each
-    numbered by `_renumber`: the tree grammar after `_build` and `_inline`,
-    and the same after `_share` and `_inline` again, its new variables
-    named s:<k> in order.  It keeps the second when it is smaller."""
+    """The two grammars `build_aut_grammar` chooses between on t: the tree
+    grammar as `_build` writes it, every position whose classes have one
+    rule each that one rule names spliced into its parent's rules, and the
+    same after `_share` and `_spelled`, its new variables named s:<k> in
+    order.  It keeps the second when it is smaller."""
     written = dict(zip([p for p, ks in enumerate(t.kids) if not ks], yield_order_of(t).image))
     names, lhs, rhs, end = _build(g, t, written)
-    lhs, rhs = _inline(len(names), lhs, rhs)
-    shared, s_lhs, s_rhs = _share(names, lhs, rhs, end)
-    shared, s_lhs, s_rhs = _renumber(shared, *_inline(len(shared), s_lhs, s_rhs))
-    k = iter(range(len(shared)))
-    shared = tuple(name or f"s:{next(k)}" for name in shared)
-    return (_grammar(g.vertex_count, *_renumber(names, lhs, rhs)), _grammar(g.vertex_count, shared, s_lhs, s_rhs))
+    return (_grammar(g.vertex_count, names, lhs, rhs),
+            _grammar(g.vertex_count, *_spelled(*_share(names, lhs, rhs, end))))
 
 
 def json_reference(gr) -> str:

@@ -1,3 +1,4 @@
+import collections
 import gc
 import itertools
 import json
@@ -12,9 +13,8 @@ import pytest
 from autgrammar.annotate import (
     AnnotatedBag,
     _build,
-    _inline,
-    _renumber,
     _share,
+    _spelled,
     build_aut_grammar,
     build_embedded_group_grammar,
     build_regular_aut_grammar,
@@ -28,6 +28,7 @@ from autgrammar.decomp import (
     compute_tree_decomposition,
     introduced_order,
     make_permutation_yielding,
+    yield_order_of,
 )
 from autgrammar.graph import DisconnectedGraphError, Graph
 from autgrammar.grammar import (
@@ -1066,25 +1067,75 @@ def test_long_paths_build_fast():
 
 
 def test_deep_build_memory_is_linear():
-    # P4000's peak is 5.2x P1000's; it was 13.5x while the builder copied
+    # P4000's peak is 4.0x P1000's; it was 13.5x while the builder copied
     # each inlined rule into its user's, so that a chain held rules of
     # every length at once.  Past 4x is mostly the join's search, which
-    # holds an n-bit mask per vertex.  A first build loads what the builder
-    # loads, and a collection before each trace starts the collector alike
+    # holds an n-bit mask per vertex.  A spider's legs are chains below
+    # the hub's fan, written as its options, and spider 3x1400's peak is
+    # 4.2x spider 3x350's.  A first build loads what the builder loads,
+    # and a collection before each trace starts the collector alike
     g = path_graph(3)
     build_aut_grammar(g, make_permutation_yielding(g, compute_tree_decomposition(g))[0])
-    peaks = []
-    for n in (1000, 4000):
-        g = path_graph(n)
-        t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, "min-fill"))
-        gc.collect()
-        tracemalloc.start()
-        try:
-            build_aut_grammar(g, t)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] < 6 * peaks[0], peaks
+    for series in ((path_graph(1000), path_graph(4000)), (spider(3, 350), spider(3, 1400))):
+        peaks = []
+        for g in series:
+            t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, "min-fill"))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                build_aut_grammar(g, t)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 6 * peaks[0], (series[0].vertex_count, peaks)
+
+
+def _class_counts(g, t):
+    """Per position with children, the rule count of each of its classes,
+    and per position with children but the root, the use count of each:
+    read off the join, a class has one rule per choice of one partner at
+    each child that has classes, and each rule names one partner's class
+    there (the root's classes' rules are B1's)."""
+    written = dict(zip([p for p, ks in enumerate(t.kids) if not ks], yield_order_of(t).image))
+    _, _, cls, first, up, members = join_annotations(g, t, written)
+    rules, uses = {}, {c: [0] * len(first[c]) for c in range(1, len(t.kids)) if t.kids[c]}
+    for p, ks in enumerate(t.kids):
+        inner = [c for c in ks if t.kids[c]]
+        for i in first[p] if ks else ():
+            partners = {c: [up[c][i]] if members[c] is None else members[c][up[c][i]] for c in inner}
+            count = math.prod(map(len, partners.values()))
+            rules.setdefault(p, []).append(count)
+            for c, js in partners.items():
+                for j in js:
+                    uses[c][cls[c][j]] += count // len(js)
+    return rules, uses
+
+
+def test_positions_are_spliced_whole(corpus):
+    # Aut(g) acts transitively on a position's kept annotations, and the
+    # action keeps the classes' rule and use counts, so at every position
+    # all classes have one rule count and one use count.  `_build` splices
+    # each position whose classes have one rule each that one rule names,
+    # so no variable of its output but B1 has one rule and one use
+    rng = random.Random(47)
+    graphs = [*corpus.values(), petersen_graph(), binary_tree(3), spider(3, 2), spider(4, 3), cubic8(),
+              grid_graph(3, 3), path_graph(8)]
+    graphs += [relabel(g, rng) for g in graphs]
+    graphs += [random_connected_graph(rng, rng.randint(2, 9)) for _ in range(40)]
+    spliced = 0
+    for g in graphs:
+        for strategy in ("min-fill", "exact-small")[:1 + (g.vertex_count <= 10)]:
+            t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, strategy))
+            rules, uses = _class_counts(g, t)
+            assert all(len(set(counts)) == 1 for counts in (*rules.values(), *uses.values())), format_graph(g)
+            written = dict(zip([p for p, ks in enumerate(t.kids) if not ks], yield_order_of(t).image))
+            names, lhs, rhs, _ = _build(g, t, written)
+            counts = collections.Counter(lhs)
+            named = collections.Counter(~x for symbols in rhs for x in symbols if x < 0)
+            assert not [v for v in range(1, len(names)) if counts[v] == named[v] == 1], format_graph(g)
+            assert sorted(counts) == list(range(len(names))), format_graph(g)
+            spliced += sum(rules[c][0] == uses[c][0] == 1 for c in uses)
+    assert spliced > len(graphs)
 
 
 def test_inline_matches_recursive_reference(corpus):
@@ -1096,7 +1147,7 @@ def test_inline_matches_recursive_reference(corpus):
     dropped = 0
     for g in graphs:
         gr = build_regular_aut_grammar(g, compute_path_decomposition(g))[1]
-        inlined = _grammar(gr.sigma_max, *_renumber(gr.variables, *_inline(len(gr.variables), gr._lhs, gr._rhs)))
+        inlined = _grammar(gr.sigma_max, *_spelled(gr.variables, gr._lhs, gr._rhs))
         assert inlined == inline_single_use(gr), format_graph(g)
         assert enumerate_language(inlined) == enumerate_language(gr)
         assert count_parse_trees(inlined) == count_parse_trees(gr)
@@ -1109,8 +1160,7 @@ def test_inline_flattens_a_deep_chain():
     # rule, spelled without recursion
     depth = 100_000
     gr = chain_grammar(depth)
-    assert _inline(depth, gr._lhs, gr._rhs) == ([0], [tuple(range(1, depth + 1))])
-    assert _renumber(gr.variables, [0], [tuple(range(1, depth + 1))]) == (("A0",), [0], [tuple(range(1, depth + 1))])
+    assert _spelled(gr.variables, gr._lhs, gr._rhs) == (("A0",), [0], [tuple(range(1, depth + 1))])
 
 
 def test_share_factors_prefixes_and_merges_equal_tails():
@@ -1123,9 +1173,7 @@ def test_share_factors_prefixes_and_merges_equal_tails():
     rhs = [(~2, 1, 3, 4), (~2, 1, 4, 3), (~2, 2, 3, 4), (~2, 2, 4, 3), (~1, 2, 1), (~1, 1, 2),
            (3, 4), (4, 3), (1,), (2,)]
     end = [4, 2, 1]  # each variable's word end: B1 spans 1-4, X 1-2 and Y 1
-    names, lhs, rhs = _renumber(*_share(names, lhs, rhs, end))
-    k = iter(range(len(names)))
-    gr = _grammar(4, tuple(name or f"s:{next(k)}" for name in names), lhs, rhs)  # new ones have no name yet
+    gr = _grammar(4, *_spelled(*_share(names, lhs, rhs, end)))  # new ones are named as they are numbered
     assert gr.rules == (
         ("B1", ("Y", "s:1")), ("B1", ("X", "s:0")),
         ("s:0", (1, 2)), ("s:0", (2, 1)),
@@ -1143,7 +1191,7 @@ def test_share_writes_no_empty_rule():
     # both parse trees stay
     names, lhs, rhs = _share(("B1",), [0, 0], [(1, 2), (1, 2)], [2])
     assert names == ["B1", None]
-    gr = _grammar(2, ("B1", "W"), *_renumber(names, lhs, rhs)[1:])
+    gr = _grammar(2, ("B1", "W"), *_spelled(names, lhs, rhs)[1:])
     assert gr.rules == (("B1", (1, "W")), ("W", (2,)), ("W", (2,)))
     assert count_parse_trees(gr) == 2
 
