@@ -24,7 +24,10 @@ from the record of the one elimination that picks the order), PACE-style
 .td file import/export, path decompositions from vertex layouts (exact
 for small graphs, by the same subset search), and the transform that
 turns any valid decomposition into a permutation-yielding one (every
-vertex in exactly one leaf bag, as a singleton).
+vertex in exactly one leaf bag, as a singleton).  The transform first
+merges each position with one child whose bag contains its own into that
+child; compute_tree_decomposition and the path decompositions keep such
+nested links.
 
 It is also the one owner of what a decomposition is and what it yields.
 Every entry that takes a decomposition from its caller (the yielding
@@ -489,13 +492,44 @@ def yield_order_of(t: TreeDecomposition) -> Permutation:
     return Permutation(tuple(seq))
 
 
+def _without_chains(t: TreeDecomposition) -> TreeDecomposition:
+    """t with every position that has one child, whose bag contains its
+    own, merged into that child, which takes its slot under the parent: a
+    chain of such positions collapses into its last one.  The rest keep
+    their bags and their preorder.  Every vertex of a merged bag is in the
+    child's, so the result is valid when t is and has its width."""
+    bags, kids = t.bag_list, t.kids
+    slot = [-1] * len(bags)  # position -> the result's number its children hang under
+    out_parent: list[int] = []
+    out_bags: list[tuple[int, ...]] = []
+    for i, b in enumerate(bags):  # preorder: parents first
+        up = slot[t.parent[i]] if i else -1
+        if len(kids[i]) == 1 and set(b).issubset(bags[kids[i][0]]):
+            slot[i] = up
+        else:
+            slot[i] = len(out_bags)
+            out_parent.append(up)
+            out_bags.append(b)
+    return TreeDecomposition._of(out_parent, out_bags)
+
+
 def make_permutation_yielding(
     g: Graph, t: TreeDecomposition
 ) -> tuple[TreeDecomposition, Permutation]:
     """Rebuild t so that every vertex occurs in exactly one leaf bag, as a
     singleton, without increasing the width.
 
-    One preorder pass picks each vertex's leaf: its preorder-smallest
+    First each position with one child whose bag contains its own is
+    merged into that child (_without_chains).  Min-fill cuts K_n into a
+    chain of nested bags whose positions all see the whole graph, so each
+    merge class there is one word and the grammar has about 0.7 n! rules;
+    merged, the chain is one bag whose n leaves write B1's words, which
+    annotate._share folds to the automaton of the vertex subsets
+    (n 2^(n - 1) - n rules).  A decomposition with no such link is small
+    (Bodlaender, "A partial k-arboretum of graphs with bounded treewidth",
+    1998).
+
+    Then one preorder pass picks each vertex's leaf: its preorder-smallest
     singleton leaf, else a fresh leaf attached as the last child of the
     preorder-smallest position whose bag contains it (fresh leaves in
     vertex order).  The decomposition is then cut down to all positions on
@@ -505,6 +539,7 @@ def make_permutation_yielding(
     (yield_order_of).
     """
     require_valid(g, t)
+    t = _without_chains(t)
     parent, bags = list(t.parent), list(t.bag_list)
     kids = list(map(list, t.kids))
     pick: dict[int, tuple[bool, int]] = {}  # v -> (needs a fresh leaf, its leaf or the fresh leaf's host)

@@ -299,7 +299,9 @@ def test_deep_min_fill_and_pace_round_trip():
     out, alpha = make_permutation_yielding(g, t)
     assert validate_tree_decomposition(g, out).ok
     assert out.width == 1
-    assert max(len(p) for p in out.positions) == 1200  # a fresh leaf under the deepest bag
+    # the root singleton {1200} is merged into its child {1199, 1200},
+    # which holds it, and a fresh leaf hangs under the deepest bag
+    assert max(len(p) for p in out.positions) == 1199
     assert sorted(alpha.image) == list(g.vertices)
 
 
@@ -384,7 +386,7 @@ def test_validate_t3_reports_from_the_highest_position():
 
 
 def test_yielding_reroots_below_top():
-    # a chain whose upper bags never lead to chosen leaves gets cut away
+    # a chain of nested bags is merged into its last position
     g = path_graph(2)
     t = TreeDecomposition(
         {(): (1, 2), (1,): (1, 2), (1, 1): (1, 2), (1, 1, 1): (1,), (1, 1, 2): (2,)}
@@ -392,7 +394,20 @@ def test_yielding_reroots_below_top():
     out, alpha = make_permutation_yielding(g, t)
     assert validate_tree_decomposition(g, out).ok
     assert out.width == t.width
-    assert len(out.positions) == 3  # re-rooted at the deepest shared ancestor
+    assert len(out.positions) == 3  # the chain's last position and its two leaves
+    assert alpha.image == (1, 2)
+
+
+def test_yielding_cuts_above_a_top_with_a_bare_sibling():
+    # the root has two children, so nothing is merged.  Its second child
+    # holds only 1, whose singleton leaf is under the first, so no picked
+    # leaf is below it: the transform keeps the first child's subtree,
+    # below the deepest position above every picked leaf
+    g = path_graph(2)
+    t = read_pace_td("s td 5 2 2\nb 1 1 2\nb 2 1 2\nb 3 1\nb 4 2\nb 5 1\n1 2\n2 3\n2 4\n1 5\n")
+    assert t.bags == {(): (1, 2), (1,): (1, 2), (1, 1): (1,), (1, 2): (2,), (2,): (1,)}
+    out, alpha = make_permutation_yielding(g, t)
+    assert out == TreeDecomposition({(): (1, 2), (1,): (1,), (2,): (2,)})
     assert alpha.image == (1, 2)
 
 

@@ -60,7 +60,22 @@ alike, both as written and position named (a state of several of the
 join's classes is named s:<k>, which `_position_named` leaves as it is).
 That moved no tree-grammar, relabelled `build`, LP, `lift`, `embed` or
 `.td` digest, and no alpha line; the languages, parse-tree counts and LP
-verdicts of the regular grammars stayed as they were."""
+verdicts of the regular grammars stayed as they were.
+
+The tree-grammar digests were re-recorded when the yielding transform
+began merging each position that has one child whose bag contains its
+own into that child.  That moved 28 entries: the tree grammars of K4,
+K5, Petersen, Q3, btree3, grid3x3 and spider3x2; the relabelled `build`
+of C20, Petersen, Q3, btree4 and grid4x4; every partner-shape entry but
+relabelled spider 5x4's digest; both of btree6's; the `embed` output of
+btree4 keep 15 (both entries), btree4 keep 7, btree5 keep 31 and
+spider5x4 keep 1; and the exact-small `build` output of C5, C6, K4,
+Petersen, Q3, grid3x3 and star5.  Only K4 (28 rules to 24), K5 (105 to
+75), spider3x2 (15 to 12) and K6 (546 to 186) changed size; the others
+lost positions, so their variables' position numbers shifted.  Of the
+`lift` digests only relabelled Q3's moved: its 72 rules changed, though
+their count did not.  No LP, regular-grammar, `.td` or deep-path digest
+moved, and neither did any language, parse-tree count or LP verdict."""
 
 import hashlib
 import random
@@ -115,21 +130,21 @@ GRAPHS = {
 GRAMMAR_DIGESTS = {
     "C6": ("70714cff5dbc7b440a415fa80dcb16f823a3e033e9481aa9e3c83d442f590267",
            "6dc4c500f8faafc49217a139c375b60c9e5fcd649078fb02690b6eedf0733297"),
-    "K4": ("1ee7fef0ef4ce51fc1dc73b2b19813c52f11f2fd31cd172bea9f01d066d0d182",
+    "K4": ("81578187ebaa79e4e27f073e6923e4ba3fc181c115491d021b59d0c46637b79e",
            "2d6a5ab978444b84528236b6da3c29ab9b7083e5c67cb277e2bcc6d5dac105e6"),
-    "K5": ("a81856e99d840f1d901bf1e1a5317d53970d57d89903ba2f9738491a74d93c69",
+    "K5": ("202c23f5a235c3d02225be2cdefc1db27dddb5486a26b4e6ae9ce3f1423d0f8a",
            "f09004d850d3334ee9e37c0e3b3836b4cd28c0162a2b74c1848f6a590122ed0e"),
     "P8": ("7eba0c5f12a731a43ea378c9a27e2dc10eb0106248ca07f3fcb7210f7939dbc5",
            "2313e30e3a44224f25d3c4678974dbf0696b67f5ae25c99ae2ce82cd6a80fe57"),
-    "Petersen": ("eb005214852a7581c3577b8cd422fbe22667ec60b970ab143b897414a7ca3f93",
+    "Petersen": ("22f6a280014dce27b38bb485eb3ef40a054f64cc9ca98029ec1bef8fd88b18fb",
                  "6b3f6748d74e00a5be9a10e678a94eaaefa0ed6cc011576e1ef2527d857a06b8"),
-    "Q3": ("0e77a301abd52a4e3dcb798e209d9716c01019893c4100adf0d777a6af92c2f3",
+    "Q3": ("21c7a8b2087a388bd23c39f4d24c37b4d01602efa338d53fc828d969873cf091",
            "296511661e3f2e16d39225c5123dae4bdbce9922157d3a784ec401e279c824b7"),
-    "btree3": ("ad14d416e79a1346d5c2242e3e27222e254d764b962ddfc70556c1550aa15038",
+    "btree3": ("2c3225cf3d1ba34f1d0126eab8377e4ba747d86aa8471cf210f20f11f4ecceb3",
                "8f9a10ba02c75b0d5d234303cb6218749a7b4b1fe865e5ca1f27166daed5a5c7"),
-    "grid3x3": ("1ec153df510b16ad37fa994cd34cf3013a76f8c5578fd3c5092a9fa57cf1f7ec",
+    "grid3x3": ("9fbbe299bac6985f43614795e31066638166f6e4ca1b95d97c74ee150bc9709a",
                 "d3c1bbcf0ff691223623ed179fa52c99a46dccb095fc6804a223b57c25065d43"),
-    "spider3x2": ("9db6953669650b2f813e52e09d2113a4e26b8e76b44e626a41364c4d2a5d1691",
+    "spider3x2": ("56302396527b8235ddf352d4cb5905f802905e7b9c368b17af57fd32cf71d820",
                   "60825e861fb447690f3701001dc302f62b7481e23e4ad8cb0fe1491053ee3c43"),
     "star5": ("6b98497980e77dda468435bf8f910b0536cae8ed16a253c5bf6f5f62906e6ad6",
               "501c211a6b28689b33b623920229dacad17e72524ea05416e5b253b23924ad80"),
@@ -139,21 +154,21 @@ GRAMMAR_DIGESTS = {
 INDEXED_GRAMMAR_DIGESTS = {
     "C6": ("70714cff5dbc7b440a415fa80dcb16f823a3e033e9481aa9e3c83d442f590267",
            "79f173c3210563c7840ea5d1a8a55e84ca88b76559ecef8329f0a9b735c6cc0f"),
-    "K4": ("4031c93f84c701cf6ccb4c67dfa302edc0aee8c5faa7ca5ba556a42cc0ff6607",
+    "K4": ("81578187ebaa79e4e27f073e6923e4ba3fc181c115491d021b59d0c46637b79e",
            "f7f5d8af7b44ad42aab0b6dde7f16fe0b2c291bf3600a9be206cba303c57d057"),
-    "K5": ("89d1f637b39186d2ea67b7e6014e1fa606a3921ff3511990e606336ca863385f",
+    "K5": ("202c23f5a235c3d02225be2cdefc1db27dddb5486a26b4e6ae9ce3f1423d0f8a",
            "fc3bb2a936323f9ae5354b8618ad15ced9b496e1b159d33422d63a7d5a34ec7a"),
     "P8": ("7eba0c5f12a731a43ea378c9a27e2dc10eb0106248ca07f3fcb7210f7939dbc5",
            "51b26ae06e453f16867d08b13a8f6e2976bf42e948b943251ab20f8643d74e44"),
-    "Petersen": ("65f554803c9f9e513fa0b7f246dc64b3ae8fbf0eb78fc2f3c059ea42eb7727d1",
+    "Petersen": ("22fa5e5ce6360be8d48695203d5f8d38414bc622c1395a3d7bd56a0533fe6443",
                  "38b4f7d4447ec00e258062b5907f5266b1098512da0b6a76a76edd6c8d67fec0"),
-    "Q3": ("71185776af0179e5ccd7437621572e7b5592ff95ab76e7464a8118138fffb276",
+    "Q3": ("03f501d9e1195e736956f1e5850453ec89f9c504a77f708820b517462222aece",
            "f7443813de59ada76af5381cb132ddc2c626e19175daefd41b51f7ea0abd421a"),
-    "btree3": ("ed926e047c5e6366b6d43d739a5e338b39416292503fbf1db2afa50e6e4701f9",
+    "btree3": ("fef307f3fc138deaf24bfe263338a964bdd3c23cacd281eaeae47d79f8a3ff58",
                "191d5aec82596ec4b0146ff7f4787e8a230b9eda1243e3e9ab8747dd204c9968"),
-    "grid3x3": ("3e5b7d26e000e2e2b1a6c72e5ce8707d86c073860bf63d646fed894989344f37",
+    "grid3x3": ("b26f60a8b8168733845fec2293a56b26fe8b5086f30ca7a34697c5ded2148f25",
                 "7b3fd72dc08023739d18da790d5a6e13416d8b64b42afc71c5ea319458558df5"),
-    "spider3x2": ("4e127630dd2a1218c15a6c84b260740c44245fc4fdd3885ffe3ebc71b972d442",
+    "spider3x2": ("c985e2300052d85ebb7e712d075689de756de648eefed2e1c34412d61d3b30b6",
                   "da4f3dd53e831d163d5799183e4ed22b078bdb294a6925effdd6adc732ecb004"),
     "star5": ("b5a5e2cb43dc95651f11a29bd290bda32607de21e16e7879b0defc3ee22fbddf",
               "39bf0544bd729d07ad074a19bb0f3a516181df636add6584655596008c103ff8"),
@@ -178,18 +193,18 @@ RELABELLED = {
 # `lift` output): a build's output is its grammar JSON and its alpha line,
 # position named
 RELABELLED_DIGESTS = {
-    "C20": ("54423b1a23627d890c18862a06f35a63e9ccb33787f472037299d1d4eb61dc03", None,
+    "C20": ("7abeb89419080622b82fedfbe3f151b6ad028c260e7e199e92a13dd772410961", None,
             "aed3766b5fc2dbe22418f402b634419bae0ced67e32673d33aae03eb06b025fe"),
     "P30": ("b3482edfd2adff1f282fe6070f58c30187dee8eb761ec18eb7f1babf2c676576", None,
             "bc3033b2954312db08f0fae790e0882347e0ca2d717deb8bab81abda9f383da0"),
-    "btree4": ("8f36932c7cce088d8fcb70935b4196110bf869b0acaeb49c437c8fde54372dd0", None,
+    "btree4": ("40129f80ba0690cf55b21b6bcd08d519df15abde4fa4de48eaea3d64ff6f9795", None,
                "43c77216390aaf7682de73b19ce3c8b3fd3a23d809c48c31cba7c4a43948c4dc"),
-    "grid4x4": ("ffe02e3f06469bc21d99179fd2aff7203b7113c0c5eaff2abaee643dcdd16ec1", None,
+    "grid4x4": ("c18b813bc8c5d29bb0cd843117a3eaad3b9ed0f00e5398e079da6bd3effb7e69", None,
                 "06fbf32d8bb0a658999103c99a7c1f9f718f0b3dba7c9c5b76096a252d01cd74"),
-    "Q3": ("aa3d7ddbc2813e01f86229dd54e2ba6a42902d120dcaca441dc488cd47e46657",
+    "Q3": ("2f6002bd0d96f9be27f6f57117463bb9a13173332921643b2fc7b5b212d7b0bd",
            "2812b54a3ae2ef6f3a1cbb6934fa8ea20cacc47258ffad86629bf4c0b4a24da4",
-           "6ae1c366c5ecb13d9298696d6d4083e60aabb480cf96a1bc28bebec9ad055628"),
-    "Petersen": ("68e23d36c987e86f619aae37633cdd9413a4ed7aa55515382d1f6e917db19d08",
+           "dcec85ce7062fd4daf77b49597c0be889d057ff823b65b57986fe91412fc17de"),
+    "Petersen": ("8a24513528d4501b990b6f44819b5802ca859cb55408970c64adf91cacdaa323",
                  "c49651b4dedfb02b1bd8a42eba27bdedef0fc4045ab4f6e41359d800922fc241",
                  "eab4d82c8eba907db4ed02ce470494a549f686e3c8a0df77493759e9352a0108"),
 }
@@ -197,13 +212,13 @@ RELABELLED_DIGESTS = {
 
 # name -> (`build` output, `build --path` output or None), as written
 INDEXED_RELABELLED_DIGESTS = {
-    "C20": ("d58581c87d57ba0182b38b012dbc5846b4814564c1c0e9f26d5280f87f08438b", None),
+    "C20": ("7cd9137f1acd07d58da959eca52002f448167409ec6e3e34a8cce2bcf141eba4", None),
     "P30": ("b3482edfd2adff1f282fe6070f58c30187dee8eb761ec18eb7f1babf2c676576", None),
-    "btree4": ("83fe8754285f67dfc97fdc78012f9336ec9edfc915aeae36ed4c54066b57f39a", None),
-    "grid4x4": ("69ab091f8f4b878ca8c578d348b7e5773f28c0fdcb4b2d679d1cb0547c4f5beb", None),
-    "Q3": ("46c71e330381535140929341228593ff776959147a31f6cca94f89d6a9d2cd86",
+    "btree4": ("a746d36185ebc2f6ed78c20b7a43c7f93b1f5c2cbb0e185d0d5b2a804ce33a77", None),
+    "grid4x4": ("ca52867af84d42dc7469ec7067456db90b96a1058a9ae30fa378b56d1d0b05d7", None),
+    "Q3": ("39587281a816c89d5b2682ab5769ed70f84d93401900b5edd8f41f687c80e1cc",
            "0982cbec035b3019f329d1450c29d6ff433c71592636cb01a9e4ada3c9eba4ae"),
-    "Petersen": ("1aa9a248ff78a545319b058b56a3a400cd08a39dbd7dd31c50e49843abbe3dbf",
+    "Petersen": ("5f57ad806bc7423cfdf5429dcd9d4b8d8cd206e150fe2d9486558adcec5fe1bc",
                  "f4a0b7ce892e2122bf92eb9f18ae8c5ffd24a82c65cacdfd0812d122d0c0e413"),
 }
 
@@ -299,11 +314,11 @@ PARTNER_SHAPES = {
 # name -> (`build` output with natural labels, relabelled), as written; a
 # relabelled complete graph is the same graph, so K6's two are equal
 PARTNER_SHAPE_DIGESTS = {
-    "K6": ("ce14bc8f82c9562607fe07e0e66f7c5fc4c282d73af142d9321b4da3a830bedb",
-           "ce14bc8f82c9562607fe07e0e66f7c5fc4c282d73af142d9321b4da3a830bedb"),
-    "btree5": ("9f491662026d007014d3d2f190a73059cdb765576f8d8b67aa1d512dd0418ce6",
-               "a4a2d7a585326ce4f51ee00136e443d4314bb048266a0fe0ed3cc43ec5920389"),
-    "spider5x4": ("56251a2c703bee73864e4914087fe5aec6bcd66ff9f44e4c1435370c2f5d1927",
+    "K6": ("4e43ad37ecd019c58d61425e955806b223564ca6ce000e4b0da5fd81a4742f5c",
+           "4e43ad37ecd019c58d61425e955806b223564ca6ce000e4b0da5fd81a4742f5c"),
+    "btree5": ("bb17379a1ca2272f6538368c74fc52ba86182e61445ad9f08c622ad16a7d0a38",
+               "b6571fed5bb8385b304cfeddcaee3421afd48504a0adb460bb10ae3a2a58e325"),
+    "spider5x4": ("8e644897611307f8ebc7ca8296f4a531f7296ac335777aa0e51f4db5dac32408",
                   "ecf68243d24f1176fe4823560e427e45a4bd58db75bdcd4965d9777f944af885"),
 }
 
@@ -326,8 +341,8 @@ MULTIWORD = {
 
 # name -> (`build` output with natural labels, relabelled), as written
 MULTIWORD_DIGESTS = {
-    "btree6": ("17db2c90506866106807859d92a9e4626ece4757e48e68042bd040c43dedde28",
-               "f3984c7bb1edf4039d5304ce30cf18d5a93a39a039df358c709b3eba63592013"),
+    "btree6": ("21ba3be67b8c8033424ba7707bffe2e6494f511bbe4077cac17fc3508bc32e18",
+               "522038325bb9129689ba55366220c9710294441cb8f457cd56469111754d9a30"),
     "P80": ("b7e15bba3b3831b03f28d12c301b8f74a656fd9069b81b2cd31e1c8399267042",
             "3b814d827a770f91eba1a850cbefae87b83c7b9bd3061fa3c3d23077e53f4521"),
 }
@@ -353,16 +368,16 @@ EMBEDDED = {
 # name -> (`embed` output: grammar JSON and alpha line, position named,
 # `lift` output)
 EMBEDDED_DIGESTS = {
-    "btree4 keep 15": ("7b67e4f2ad53cddc8f1bfea07e3377e2f30e376be31a7fcfff4d69d3289d76de",
+    "btree4 keep 15": ("bee4e4efaea731d54c506442e28833743e48f102f0158111abf5b7147e7d642f",
                        "08c2d3063859afbcb90e8e38fb378c54b9bca54998a4aa701def7f5e862fabe5"),
-    "btree4 keep 7": ("baa0309e60c89474eee535807241fa7dfed875ff1f8df6c120a3d20f8310f484",
+    "btree4 keep 7": ("5a02bab48d40a22ddd3920a9e85af23a46d0707f53e58ef0afbc6261d2bffa4b",
                       "e61b1fb0bf1b389bf5cd6b60c1ae2eb1dddbe3700eb3e240225cfe9b613aee22"),
-    "btree5 keep 31": ("1edd9ff3f0ae35f7d1fd858a7963c5227f6544785a8db96fe292d1731b319fe7",
+    "btree5 keep 31": ("cb00e868e00f4aaf71dc6f206d4c8b5212d86e92e52d89c5191995d440fe9f8a",
                        "a4f9db221f23b990dca22811c77cb5534d91df0339f48a6fbdd926f6968a5500"),
-    "spider5x4 keep 1": ("b3cfaae15292c76ddfcb297f6de28d145f0ca0a406e71022fea6131b751d6fbe",
+    "spider5x4 keep 1": ("815923d17f179e6d5baa3adbdfd2a2cd78debaa0894ef7bc7f6d00c0da3bda94",
                          "3198ed0c32091ab8dd0b89d9b05dbe733d21089cb598572c5b01ccba4bb5d583"),
     "btree4 keep 15, b reversed": (
-        "baf718be4dc8310877efa2182c206febea837672babf8f642961aee3e7e44d4c",
+        "cd4f83edbcd2f45c844ae31ff193d2e41bb7e33f92cc4eee992f7839cee9d897",
         "f5b93ae91cb6700611f31831b745f0009d57c5cd715a7a33a029c8c4f9375fb6",
     ),
 }
@@ -370,11 +385,11 @@ EMBEDDED_DIGESTS = {
 
 # name -> `embed` output, as written
 INDEXED_EMBEDDED_DIGESTS = {
-    "btree4 keep 15": "9887471b80c1ec563c2f12ddebe9f768de5023de73702d3aba404001efc42e5a",
-    "btree4 keep 7": "5be233ad8820904ff8cd1abb7b652ffa77f3980662cb39b2a355a356d09e0cee",
-    "btree5 keep 31": "429df69cb9340e49daed98c2e395fb1ee4043e58d870ce466f870fd55ea64431",
-    "spider5x4 keep 1": "c8bdf9fae9630d37da10862ca050f4162ff6c2f0d3e56b43aa706694ef150254",
-    "btree4 keep 15, b reversed": "762ba2ecee0135af8aa2a17201adfb270be9443f2fcb416d9da98d50cbe9a210",
+    "btree4 keep 15": "c266fd6e98ebd2d9648a8831234c0dc00cdc55ea9000e52bff2fb41e9caa40a6",
+    "btree4 keep 7": "c186a24eceaf046bb7d6afc5d08cb98ef88581717a491814a708d7105b98dd84",
+    "btree5 keep 31": "785a81e1cdcb2610b61557276e74b26ab99a8f55d1c5bc961ceb8cb4d0893dcb",
+    "spider5x4 keep 1": "63c800f3a9093c9474611b061e0cae35f300367ce889405b16e83e23052e95c0",
+    "btree4 keep 15, b reversed": "0867d50f3dc1c046f529d84f5ab1eddd6ed8c099eadc40343bac53a8708aa42f",
 }
 
 
@@ -413,33 +428,33 @@ EXACT_SMALL = {
 # labels, the same relabelled); a relabelled complete graph is the same graph
 EXACT_SMALL_DIGESTS = {
     "C5": (("1d9a3acae1404401569f25d41c9214fccd98da7a32a470d3eb374f3f831031bf",
-            "0734fdf452f3d46763fb9e312b9b3c330b9e917e5d848d0641b4c06fe5def6e1"),
+            "b3f36bdd3a97e86b76f4eb62722e9c958ebf4f80cb704941e92e0d9ae2b0bf2d"),
            ("7ba595e72d90a92fe20bf340d22e5d2d61ea5b1e686821189106186b3bd830e0",
-            "781f106b3f70d8eaf3b5968e7c1d830d53c15b0fd64b0afcd64a416785a35e37")),
+            "da6b00180f5070987294560581ecc78654882c8533506d06ad43118c89a0cfff")),
     "C6": (("8da0df1bd838dbc21941c8fe62add39e2ee5079aba9fbe5b7e5a18bd150cd4c0",
-            "bf33737ddf4c5674d2465b12b1d292413e0747bb5104821f33a1c7222236cd1b"),
+            "6ce9d91b596482579dc1f49dd0c87c8f5f97882e848fa83e32ac0b1e46c54ece"),
            ("8e299cb79b8f7aa3ae7154badc9cc343fa0cb65706382f64798d1c7c3317159d",
-            "ade5a7a638f0fb6686bd925a76dab29a62fcb9af5d8575f7234a9dbc893c2a10")),
+            "cf1c88e5966db3a60f6b1609e96cb0721944d751a0ff51eb81155b978da4a6ad")),
     "K4": (("eea56d514e85e72e56446ffbbf6b3a9f0215585895b786b64e2d8f3b35ca2fe7",
-            "84d25ee2faf6ca6ec377caaf73dca165f3578b2557a0b1566e547782c24fc585"),
+            "9e52fcab3b5d31bd3278eb5a6f7f1b1711ff845c9f1cba462c86881784b78252"),
            ("eea56d514e85e72e56446ffbbf6b3a9f0215585895b786b64e2d8f3b35ca2fe7",
-            "84d25ee2faf6ca6ec377caaf73dca165f3578b2557a0b1566e547782c24fc585")),
+            "9e52fcab3b5d31bd3278eb5a6f7f1b1711ff845c9f1cba462c86881784b78252")),
     "star5": (("1f8da8ceb3272122c7bcbc9b669698da16a28d3037f5757d1ba2ed60f5cffc3d",
-               "f39bc103d7a03bc8f59eea7defda2a5640db1ff58be1da038a4e48cc43de9b50"),
+               "7f977af127b3da1c77cc7e412244d724fb5166bbde12d844661c05a28fdde0ee"),
               ("b36e0ae60182df9daf9f7ba757499a313e05864eef9cb173adb2fc193d6cb997",
-               "f7dd8062e6672e657f47ae3660ec46a1b5537c58b9797dccf075ed1173cfe645")),
+               "0fd711eaffb7d50d73efad5abf1c049e37e44c31a0d38b09e1ccb16a4577a6fe")),
     "grid3x3": (("4b57004ff2b42b5d6a6c58889300c0b71a05a3f942686b793638f06a1f3c61f0",
-                 "e83cb03c7cd3d9ead8700bbd14f106de4e0fd9b5d190d7bf3c3f99f1f7ef6dbd"),
+                 "753f01f1ec543decdd52ea85f2b2f46a8e27fcc2e928cb08e4594b39eae47ab1"),
                 ("87237d1eac852a95d8a19044d74ca775d94c7f5ed9a40ca4eb61709af5678477",
-                 "4a993a2ac8ee6ac72beb4ae02d157849c23934e0c836b5fe43f19c8111333bbf")),
+                 "e382b9bb23671f29614814ca2f768272c57be9170c925727e6c345f1d3888660")),
     "Q3": (("80c7b83c8d7f5419b7fb327db27d13d06889693db2b50ffb5aaeddff53ff0a75",
-            "4df8a5e419922a6bd1b4e96f0ffcf47f571f21ea7d085181c57869f4cac7037d"),
+            "a656c51e96d6fdb7bf3312e9990cd19d615c8d901c63d1f2c33e4b48940544b6"),
            ("c534e46f708856a3fd190950c209acc4c9328dd133022751e870083a53e68a8a",
-            "b385a82bd6be9eb3ea13f06c45f47b6d226eb89efac4f0f6da4c523413c87ea0")),
+            "5234c2e1e4ad0506fff6068d4533234ada5b92ff0108a0745f25817ea868d88e")),
     "Petersen": (("496be403f46f6007c82ce9e41e61b082751c69fd6a12fc591117af3c84377585",
-                  "18d5d3360504b936fabc0c564388cc6f92539aa1ecdb4c4cf00e45beb71b4bfa"),
+                  "c283a04eae01e6b2a437bb8808e72eec654d52877beae028c4a4f0eebcdb2853"),
                  ("d92a26a30507f2baa358cac614249120b44085a844b9caf5bb39d2fbe432c97a",
-                  "94456d2656a5027933b81b123198c8256262e91d2186c26abe48dc2428a4c016")),
+                  "a4f603c89b9fed12bca6e88b57945ecd41a2b58b8df0cecdcf4607cb88bedfc4")),
 }
 
 

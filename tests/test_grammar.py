@@ -604,32 +604,33 @@ def test_single_vertex_root_writes_into_b1():
 
 
 def test_leaves_write_into_their_parents_rules():
-    # P2: leaf 2 sits directly under the root, and leaf 1.1 under position
-    # 1, whose one child it is.  P3: leaf 1.1.1 hangs under a chain of
-    # single-child positions, and 1.2 and 2 beside inner siblings.  No leaf
-    # position has a variable, and each rule writes its leaf children's
-    # terminals where their variables stood.  The root's classes are B1's
-    # rules, and every class below them has one rule that one rule names,
-    # so it is written into that rule: each word is one rule of B1.  In
-    # the 7-vertex binary tree, (1, 1), the position with index 2 in
-    # preorder, has two classes of two rules each, so they keep their
-    # variables p:2|b:0 and p:2|b:1; every other class is written inline
+    # Min-fill's root singleton is merged into its one child, whose bag
+    # contains it.  P2: both leaves sit directly under the root.  P3: leaf
+    # 1.1 is the one child of position 1, and 2 and 3 sit beside it.
+    # No leaf position has a variable, and each rule writes its leaf
+    # children's terminals where their variables stood.  The root's
+    # classes are B1's rules, and every class below them has one rule
+    # that one rule names, so it is written into that rule: each word is
+    # one rule of B1.  In the 7-vertex binary tree, (1,), the position
+    # with index 1 in preorder, has two classes of two rules each, so they
+    # keep their variables p:1|b:0 and p:1|b:1; every other class is
+    # written inline
     bags, gr = _tree_and_grammar(path_graph(2))
-    assert bags == {(): (2,), (1,): (1, 2), (1, 1): (1,), (2,): (2,)}
+    assert bags == {(): (1, 2), (1,): (1,), (2,): (2,)}
     assert gr.variables == ("B1",)
     assert gr.rules == (("B1", (1, 2)), ("B1", (2, 1)))
     bags, gr = _tree_and_grammar(path_graph(3))
-    assert bags == {(): (3,), (1,): (2, 3), (1, 1): (1, 2), (1, 1, 1): (1,), (1, 2): (2,), (2,): (3,)}
+    assert bags == {(): (2, 3), (1,): (1, 2), (1, 1): (1,), (2,): (2,), (3,): (3,)}
     assert gr.variables == ("B1",)
-    assert gr.rules == (("B1", (3, 2, 1)), ("B1", (1, 2, 3)))
+    assert gr.rules == (("B1", (1, 2, 3)), ("B1", (3, 2, 1)))
     bags, gr = _tree_and_grammar(binary_tree(2))
-    assert list(bags)[2] == (1, 1) and bags[(1, 1)] == (1, 3)
-    assert gr.variables == ("B1", "p:2|b:0", "p:2|b:1")
+    assert list(bags)[1] == (1,) and bags[(1,)] == (1, 3)
+    assert gr.variables == ("B1", "p:1|b:0", "p:1|b:1")
     assert gr.rules == (
-        ("B1", ("p:2|b:1", 5, 2, 4)), ("B1", ("p:2|b:1", 4, 2, 5)),
-        ("B1", ("p:2|b:0", 7, 3, 6)), ("B1", ("p:2|b:0", 6, 3, 7)),
-        ("p:2|b:0", (4, 5, 2, 1)), ("p:2|b:0", (5, 4, 2, 1)),
-        ("p:2|b:1", (6, 7, 3, 1)), ("p:2|b:1", (7, 6, 3, 1)),
+        ("B1", ("p:1|b:1", 4, 2, 5)), ("B1", ("p:1|b:1", 5, 2, 4)),
+        ("B1", ("p:1|b:0", 6, 3, 7)), ("B1", ("p:1|b:0", 7, 3, 6)),
+        ("p:1|b:0", (4, 5, 2, 1)), ("p:1|b:0", (5, 4, 2, 1)),
+        ("p:1|b:1", (6, 7, 3, 1)), ("p:1|b:1", (7, 6, 3, 1)),
     )
     for g in (path_graph(2), path_graph(3), binary_tree(2)):
         alpha, gr = aut_grammar(g)
@@ -803,6 +804,20 @@ def test_regular_grammar_of_complete_graph_is_the_subset_automaton():
     for n in range(1, 9):
         gr = build_regular_aut_grammar(complete_graph(n), compute_path_decomposition(complete_graph(n)))[1]
         assert (len(gr.rules), len(gr.variables)) == (n * 2 ** (n - 1), 2 ** n - 1), n
+        assert count_parse_trees(gr) == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_tree_grammar_of_complete_graph_is_the_subset_automaton(n):
+    # min-fill cuts K_n into a chain of nested bags, which the yielding
+    # transform merges into one bag whose n leaves write B1's n! words;
+    # sharing their prefixes and equal tails folds them to B1 and a
+    # variable per set of 2 to n - 1 vertices still to write, a set of k
+    # with k rules: n 2^(n - 1) - n in all (K8 had 29 016 before the
+    # merge), whatever the labels
+    for g in (complete_graph(n), relabel(complete_graph(n), random.Random(n))):
+        _, gr = aut_grammar(g)
+        assert (len(gr.rules), len(gr.variables)) == (n * 2 ** (n - 1) - n, 2 ** n - n - 1)
         assert count_parse_trees(gr) == math.factorial(n)
 
 

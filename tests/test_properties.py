@@ -2,7 +2,9 @@
 builders against the brute-force oracle, and the two exact LP paths and
 the Fraction reference simplex against each other, that the count of
 whole-tree annotations is |Aut| and the parse-tree count on every kind of
-decomposition, that every variable a builder writes is one merge class,
+decomposition, that the yielded decomposition merges every position
+whose one inner child holds its bag, that every variable a builder
+writes is one merge class,
 that the tree grammar names no leaf position and no root position,
 has no unit rule and no variable but the start with one rule that one
 rule names, that the annotation search pinned to a parent's keys
@@ -48,6 +50,7 @@ from autgrammar.annotate import (
     join_annotations,
 )
 from autgrammar.decomp import (
+    EXACT_SMALL_CAP,
     DecompositionError,
     TreeDecomposition,
     _exact_order,
@@ -73,7 +76,7 @@ from autgrammar.grammar import (
     grammar_to_json,
     iter_language,
 )
-from autgrammar.oracle import brute_force_automorphisms, restricted_action
+from autgrammar.oracle import ORACLE_CAP, brute_force_automorphisms, restricted_action
 from autgrammar.perm import Word, parse_permutation, permute_word, to_string_word
 from autgrammar.polytope import (
     PolytopeError,
@@ -301,7 +304,7 @@ def builds(g):
 def test_builders_match_oracle(g):
     auts = brute_force_automorphisms(g)
     # a grammar has about |Aut| rules per position when the group acts on
-    # every bag; K8's (|Aut| = 40320) takes tens of seconds to build
+    # every bag, and the oracle lists every automorphism
     assume(len(auts) <= MAX_GROUP)
     for alpha, gr in builds(g):
         expected = sorted(permute_word(to_string_word(s), alpha) for s in auts)
@@ -464,6 +467,26 @@ def test_projection_matches_reference_on_positional_grammars(gr, data):
         assert verdict == expected and repr(verdict) == repr(expected), x
         check_certificate(gr, x, *verdict)
         assert check_lp_feasibility(parsed, {f"x_{k}": v for k, v in enumerate(x, start=1)}) == verdict[0], x
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(max_vertices=11), st.sampled_from(["min-fill", "exact-small"]))
+def test_yielding_merges_nested_single_children(g, strategy):
+    # the yielded decomposition is valid, has the input's width and no
+    # position whose children, leaves aside, are one whose bag contains
+    # its own, and its grammar has one parse tree per automorphism (the
+    # oracle's, up to its cap)
+    assume(g.vertex_count >= 2 and (strategy == "min-fill" or g.vertex_count <= EXACT_SMALL_CAP))
+    t = compute_tree_decomposition(g, strategy)
+    y, _ = make_permutation_yielding(g, t)
+    assert validate_tree_decomposition(g, y).ok
+    assert y.width == t.width
+    inner = [[c for c in ks if y.kids[c]] for ks in y.kids]
+    assert not [i for i, ks in enumerate(inner) if len(ks) == 1 and set(y.bag_list[i]) <= set(y.bag_list[ks[0]])]
+    if g.vertex_count <= ORACLE_CAP:
+        auts = brute_force_automorphisms(g)
+        if len(auts) <= MAX_GROUP:
+            assert count_parse_trees(build_aut_grammar(g, y)[1]) == len(auts)
 
 
 @settings(max_examples=50, deadline=None)
