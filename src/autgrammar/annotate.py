@@ -58,15 +58,20 @@ variables, and their rules are written into their parent's.  Such
 positions are whole: Aut(g) acts transitively on a position's kept
 annotations, by phi -> tau o phi, and that action sends classes to
 classes and keeps their rule and use counts, so a position's classes are
-all spliced or none is.  The join merges annotations only by the words
-they derive below, so rules that begin alike are not shared: a second
-pass (`_share`) factors each variable's sorted rules by their shared
-prefixes into new variables s:<k> and makes variables with equal rules
-at one offset one, as the minimal acyclic automaton of a sorted word
-list is built, and a last pass (`_spelled`) writes each variable that
-then has one rule, which one rule names, into that rule, and numbers the
-rest.  The grammar stays positional, parse trees still map one to one,
-and the shared grammar is kept only when its `grammar_size` is smaller.
+all spliced or none is.  A class with several partners at some child, a
+fan, has the product of its options at the children as its rules, or,
+where that is larger by symbol count, one rule that names at each fan a
+factor variable whose rules are its options there (p:<c>|f:<i> at the
+fan c): Σ k_i options in place of Π k_i combinations.  The join merges
+annotations only by the words they derive below, so rules that begin
+alike are not shared: a second pass (`_share`) factors each variable's
+sorted rules by their shared prefixes into new variables s:<k> and
+makes variables with equal rules at one offset one, as the minimal
+acyclic automaton of a sorted word list is built, and a last pass
+(`_spelled`) writes each variable that then has one rule, which one rule
+names, into that rule, and numbers the rest.  The grammar stays
+positional, parse trees still map one to one, and the shared grammar is
+kept only when its `grammar_size` is smaller.
 A word w produced for automorphism s satisfies w_i = s(alpha(i)) where
 alpha spells the leaf vertex order, so the language is exactly the
 string set of the group repositioned by alpha.  The regular grammar is
@@ -453,23 +458,35 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[tuple, list, 
     order, are B1's.  A written position writes its terminal into its
     parent's rules, just before its own variable when it has children, a
     written root into B1's.  A childless position writes only its
-    terminal and has no variable, the root of a one-vertex graph too.  Nor
-    has a spliced position: an unwritten one whose classes each have one
-    rule, each named by one of its parent's rules, that is, whose classes
-    number its own rules and its parent's (positions are whole: see the
-    module docstring).  No variable but B1 has one rule and one use, and
-    the regular grammar, all written, keeps its rules B -> a B'.
+    terminal and has no variable, the root of a one-vertex graph too.
 
     Each child of a position gives a column of ints over its classes,
     read off each class's first annotation i: a childless child the image
     of its vertex, a spliced one its own columns, read through an index
     list from the parent's classes to its own that composes one position
     at a time, any other the variable of i's partner there (a written one
-    the partner's image first).  The rules are the columns zipped,
-    unless some class has several partners at a child, a fan: that child
-    gives tuples, of variables or, at a spliced or written child, of the
-    partners' rows, and each class's rules are then its product over the
-    children."""
+    the partner's image first).  The rules are the columns zipped, unless
+    some class has several partners at a child, a fan: each partner is
+    then an option, a tuple of symbols (its class's variable, a written
+    one's image first, or its class's row where the fan is spliced).  A
+    position with f fans, k_i options of r_i symbols at the i-th and rules
+    of L symbols, writes each class either as its product over the
+    children, Π k_i rules and Π k_i·(1 + L) symbols, or as one rule that
+    names a factor variable at each fan, whose rules are the class's
+    options there: 1 + L − Σ r_i + f + Σ k_i·(1 + r_i) symbols.  Positions
+    are whole (see the module docstring), so each position is decided
+    once, children first, on the totals over its classes, and keeps the
+    product where it is no larger.  One fan with nothing beside it costs
+    two symbols more factored, so the regular grammar, all written, keeps
+    its rules B -> a B'.  A factor variable stands at its fan c, named
+    p:<c>|f:<i>, and the parent's classes with one option set there, one
+    signature at c in the join, share it.
+
+    A position has no variables, spliced, when it is unwritten and its
+    classes each have one rule, each named by one rule: when its classes
+    number its own rules and the rules that name them, its parent's, or
+    at a factored fan its factor variables' (positions are whole).  So no
+    variable but B1 has one rule and one use."""
     # The columns are re-read off each class's first annotation, not kept
     # from the join's signatures, which spell the same order: keeping those
     # raised C400's peak here from 160.9 to 186.0 MiB, to save 14 lines.
@@ -477,9 +494,11 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[tuple, list, 
     n, kids = len(t.kids), t.kids
     # per position c but the root, its column over its parent's classes: a
     # childless c's image, any other's partner annotation, or at a fan each
-    # class's list of them; and per position, its classes' rule count
+    # class's list of them; per fan, its options over all its parent's
+    # classes; per position, its rule count if written as the product; and
+    # the positions with a fan
     col: list = [None] * n
-    fans, rules = set(), [0] * n
+    options, rules, fan_parents = [0] * n, [0] * n, []
     for p, ks in enumerate(kids):
         heads, count = first[p], None
         for c in ks:
@@ -491,71 +510,137 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[tuple, list, 
             if members[c] is not None:  # from key ids to partner lists; else key id k is annotation k
                 partners = list(map(members[c].__getitem__, partners))
                 if max(map(len, partners)) > 1:
-                    fans.add(c)
+                    options[c] = sum(map(len, partners))
                     count = [len(js) * k for js, k in zip(partners, count or itertools.repeat(1))]
                 else:
                     partners = list(itertools.chain.from_iterable(partners))
             col[c] = partners
         if ks:
             rules[p] = len(heads) if count is None else sum(count)
-    spliced = {c for c in range(1, n) if kids[c] and c not in written
-               and rules[c] == len(first[c]) == rules[t.parent[c]]}
+        if count is not None:
+            fan_parents.append(p)
 
-    # one variable per merge class at each unspliced position with children,
-    # in position order after B1 (variable 0): p:<j>|b:<k>, variable base[j] + k,
-    # stands for the k-th class at position j, in first-appearance order.
-    # An unwritten root's classes are B1's rules instead: base[0] is 0
-    # a variable at position j ends at word offset lead[last[j]]: the
-    # positions that write up to the last one in j's subtree, a preorder run
-    # (`_share` keys on it)
+    # children first, each position with a fan keeps the product or writes
+    # factors, on the product's row lengths: there a child is spliced only
+    # as the one fan, its rows its options.  The classes of a factored
+    # fan's parent that have one option set, their signature there in the
+    # join, share one factor variable: ids[c] maps each of them to its
+    # set's, and heads[c] lists each set's first class
+    factored, ids, heads = set(), [None] * n, [None] * n
+
+    def width(c: int) -> int:
+        # the symbols in c's rules, each spliced position below c read in place
+        total, stack = 0, [c]
+        while stack:
+            q = stack.pop()
+            for d in kids[q]:
+                if not kids[d] or options[d] and q in factored:  # a terminal, or a factor variable
+                    total += 1
+                elif d not in written and rules[d] == len(first[d]) == rules[q]:
+                    stack.append(d)
+                else:
+                    total += 1 + (d in written)
+        return total
+
+    for p in reversed(fan_parents):
+        classes, line, fans, factors = len(first[p]), 0, 0, 0
+        for c in kids[p]:
+            w = 1 + (c in written) if kids[c] else 1
+            if options[c]:
+                if c not in written and rules[c] == len(first[c]) == rules[p]:
+                    w = width(c)
+                fans += 1
+                factors += options[c] * (1 + w) - classes * w
+            line += w
+        if rules[p] * (1 + line) <= classes * (1 + line + fans) + factors:
+            continue
+        factored.add(p)
+        rules[p] = classes
+        for c in kids[p]:
+            if not options[c]:
+                continue
+            if options[c] == len(first[c]):  # each class of c is one option: the sets are disjoint
+                ids[c] = heads[c] = range(classes)
+                continue
+            of, sets = cls[c], {}
+            ids[c] = [sets.setdefault(frozenset(map(of.__getitem__, js)), len(sets)) for js in col[c]]
+            heads[c] = sorted(dict(zip(reversed(ids[c]), range(classes - 1, -1, -1))).values())
+            options[c] = sum(len(col[c][x]) for x in heads[c])  # the factor variables' rules
+    # spliced: the positions whose classes each have one rule, named by one
+    # rule of their parent's, or at a factored fan of its factor variables'
+    parent = t.parent
+    spliced = {c for c in range(1, n) if kids[c] and c not in written and rules[c] == len(first[c])
+               == (options[c] if ids[c] is not None else rules[parent[c]])}
+
+    # per position with children, in preorder after B1 (variable 0): a
+    # factored fan's factor variables, p:<j>|f:<i> for its i-th option set,
+    # then, unless it is spliced, one variable per merge class,
+    # p:<j>|b:<k> for its k-th class in first-appearance order.  factor[j]
+    # holds the fan's symbols over its parent's classes, and class k at j
+    # is variable base[j] + k; an unwritten root's classes are B1's rules
+    # instead: base[0] is 0.  A variable at position j ends at word offset
+    # lead[last[j]]: the positions that write up to the last one in j's
+    # subtree, a preorder run (`_share` keys on it)
     lead = list(itertools.accumulate(p in written for p in range(n)))
     last = list(range(n))
     for p in reversed(range(n)):
         if kids[p]:
             last[p] = last[kids[p][-1]]
-    base, names, end = {}, ["B1"], [lead[-1]]
+    base, names, end, factor = {}, ["B1"], [lead[-1]], [None] * n
     for j, ks in enumerate(kids):
-        if ks and j not in spliced:
+        if not ks:
+            continue
+        if ids[j] is not None:
+            factor[j] = list(map((~len(names)).__sub__, ids[j]))
+            names.extend([f"p:{j}|f:{i}" for i in range(len(heads[j]))])
+            end.extend(itertools.repeat(lead[last[j]], len(heads[j])))
+        if j not in spliced:
             base[j] = len(names) if j or 0 in written else 0
             if base[j]:
                 head = f"p:{j}|b:"
                 names.extend([f"{head}{k}" for k in range(len(first[j]))])
                 end.extend(itertools.repeat(lead[last[j]], len(first[j])))
 
-    def gathered(p: int) -> tuple[list, bool]:
-        # p's columns, each spliced child's own in place of its variable's,
-        # and whether some fan's options are rows; below p, ks maps p's
-        # classes to those of the spliced position being read
-        columns, rows, stack = [], False, [(iter(kids[p]), None)]
+    def gathered(p: int) -> list:
+        # p's columns, each spliced child's own in place of its variable's, a
+        # fan's as a list of options per class unless factored; below p, ks
+        # maps p's classes to those of the spliced position being read
+        columns, stack = [], [(iter(kids[p]), None)]
         while stack:
             below, ks = stack[-1]
             for c in below:
-                column = col[c] if ks is None else list(map(col[c].__getitem__, ks))
-                if not kids[c]:
+                column = col[c] if factor[c] is None else factor[c]
+                if ks is not None:
+                    column = list(map(column.__getitem__, ks))
+                if not kids[c] or factor[c] is not None:
                     columns.append(column)
                     continue
-                of, fan = cls[c], c in fans
-                if c in spliced and not fan:
+                if options[c]:  # a product fan: only at p, as a spliced position has none
+                    columns.append(fanned(c, column))
+                    continue
+                of = cls[c]
+                if c in spliced:
                     stack.append((iter(kids[c]), list(map(of.__getitem__, column))))
                     break
-                if c in spliced:  # a fan whose options are the partner classes' rows
-                    symbols = list(zip(*gathered(c)[0]))
-                    column, rows = [tuple([symbols[of[j]] for j in js]) for js in column], True
-                elif c in written:  # each partner's image, then its variable
-                    wrote, code, row = _image(dom[c], written[c]), ~base[c], ann[c]
-                    if fan:
-                        column, rows = [tuple([(wrote(row[j]), code - of[j]) for j in js]) for js in column], True
-                    else:
-                        columns.append(list(map(wrote, map(row.__getitem__, column))))
-                        column = list(map(code.__sub__, map(of.__getitem__, column)))
-                else:  # class k at c is variable base[c] + k, written code - k
-                    code = ~base[c]
-                    column = ([tuple([code - of[j] for j in js]) for js in column] if fan
-                              else list(map(code.__sub__, map(of.__getitem__, column))))
-                columns.append(column)
+                if c in written:  # each partner's image, then its variable
+                    columns.append(list(map(_image(dom[c], written[c]), map(ann[c].__getitem__, column))))
+                # class k at c is variable base[c] + k, written code - k
+                columns.append(list(map((~base[c]).__sub__, map(of.__getitem__, column))))
             else:
                 stack.pop()
-        return columns, rows
+        return columns
+
+    def fanned(c: int, column: list) -> list:
+        # the options at the fan c of each of its parent's classes in column
+        of = cls[c]
+        if c in spliced:  # the partner classes' rows
+            rows = list(zip(*gathered(c)))
+            return [[rows[of[j]] for j in js] for js in column]
+        code = ~base[c]
+        if c in written:
+            wrote, row = _image(dom[c], written[c]), ann[c]
+            return [[(wrote(row[j]), code - of[j]) for j in js] for js in column]
+        return [[(code - of[j],) for j in js] for js in column]
 
     # the rules as they are written, each variable's together, variable k
     # as ~k.  A written root gives B1 one rule per kept annotation: the
@@ -569,27 +654,30 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[tuple, list, 
             columns.append([~(base[0] + cls[0][j]) for j in kept])
         lhs = [0] * len(kept)
         rhs = list(zip(*columns))
-    chain, product = itertools.chain.from_iterable, itertools.product
-
-    def options(column):  # each class's options at a child, each a tuple of symbols
-        return (zip(zip(column)) if column[0].__class__ is not tuple else column if column[0][0].__class__ is tuple
-                else [tuple(zip(os)) for os in column])
-
-    for p, at in base.items():
-        owners = range(at, at + len(first[p])) if at else itertools.repeat(0, len(first[p]))
-        columns, rows = gathered(p)
-        if not any(column[0].__class__ is tuple for column in columns):  # one rule per class
+    chain, repeat = itertools.chain.from_iterable, itertools.repeat
+    for p, ks in enumerate(kids):
+        if not ks:
+            continue
+        if factor[p] is not None:
+            groups = fanned(p, list(map(col[p].__getitem__, heads[p])))
+            at = ~factor[p][0]  # class 0's set is the first
+            lhs.extend(chain(map(repeat, range(at, at + len(groups)), map(len, groups))))
+            rhs.extend(chain(groups))
+        at = base.get(p)
+        if at is None:
+            continue
+        owners = range(at, at + len(first[p])) if at else repeat(0, len(first[p]))
+        columns = gathered(p)
+        if rules[p] == len(first[p]):  # one rule per class
             lhs.extend(owners)
             rhs.extend(zip(*columns))
             continue
-        if rows:
-            groups = [[tuple(chain(combo)) for combo in product(*os)] for os in zip(*map(options, columns))]
-        else:  # each class's options at each child: its tuple of partners, or its one entry
-            groups = list(map(list, itertools.starmap(product, zip(*[
-                column if column[0].__class__ is tuple else zip(column) for column in columns]))))
-        lhs.extend(chain(map(itertools.repeat, owners, map(len, groups))))
+        # each class's options at each child, a plain column's its one symbol
+        groups = [[tuple(chain(combo)) for combo in itertools.product(*os)] for os in zip(*[
+            column if column[0].__class__ is list else zip(zip(column)) for column in columns])]
+        lhs.extend(chain(map(repeat, owners, map(len, groups))))
         rhs.extend(chain(groups))
-    del gathered  # it calls itself, a cycle that would hold the join until a collection
+    del gathered, fanned  # they call each other, a cycle that would hold the join until a collection
     return tuple(names), lhs, rhs, end
 
 
@@ -645,8 +733,9 @@ def _share(names: tuple, lhs: list, rhs: list, end: list) -> tuple[list, list, l
     factored by their shared prefixes and equal tails at one offset made
     one variable.  The input lists each variable's rules together, in
     variable order, every variable having some, the start 0 and each
-    variable after the rules that name it, and two variables at one
-    position derive different words, as the join's classes do.
+    variable after the rules that name it, and no two variables at one
+    position have equal rules: the join's classes derive different words,
+    and a fan's factor variables have different option sets.
     This is the minimal acyclic automaton construction of Revuz (TCS
     1992) and of Daciuk, Mihov, Watson & Watson ("Incremental
     construction of minimal acyclic finite-state automata", 2000), run
@@ -664,8 +753,8 @@ def _share(names: tuple, lhs: list, rhs: list, end: list) -> tuple[list, list, l
     grammar stays positional, and each variable keeps its parse trees one
     to one.  An old variable keeps its number and name, so no rule is
     renamed: a new variable equal to it is it, and it is never merged
-    into another, as the join's classes at one position derive different
-    words; new variables are numbered from len(names) and have no name
+    into another, as no two old variables at one position have equal
+    rules; new variables are numbered from len(names) and have no name
     (None) yet.  The rules are listed in the reverse of the order
     their variables were registered, the start's first, so each
     variable's rules come before those of the variables it names, as
@@ -796,7 +885,9 @@ def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Gram
     order (`decomp.yield_order_of`).  Each leaf writes that image as a
     terminal into its parent's rules and has no variable of its own, and
     so does each position whose classes have one rule each that one rule
-    names (`_build`).  Then `_share` factors each variable's rules by their
+    names (`_build`); a class with several partners at some child names
+    a factor variable of its options there where its product would be
+    larger.  Then `_share` factors each variable's rules by their
     shared prefixes and makes equal tails at one offset one variable, and
     `_spelled` writes each variable left with one rule that one rule names
     into that rule and numbers the others.  The shared grammar is kept

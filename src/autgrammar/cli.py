@@ -11,7 +11,8 @@ loads only those, and `--help` or a usage error loads none.  A handler
 checks each argument it can check without a file before it reads one (so
 a bad argument is reported even when a file is bad too), reads each
 file before it imports the layer that parses it, and refuses a graph it
-cannot take (a disconnected one, or one past the oracle's cap) before it
+cannot take (a disconnected one, or one past the oracle's cap), and a
+tree decomposition that the yielding transform refuses, before it
 imports the layers that would build from it.  Every precondition error
 derives from `autgrammar.PreconditionError`, defined in the package
 itself, so mapping errors to exit codes loads no layer either.
@@ -85,16 +86,17 @@ def _cmd_build(args) -> int:
     from .graph import require_connected
 
     require_connected(g)  # before the builder layers load
-    from . import annotate, decomp, grammar as gmod
-    from .perm import format_permutation
+    from . import decomp
 
     if args.path:
-        pd = td if td is not None else decomp.compute_path_decomposition(g)
-        alpha, gr = annotate.build_regular_aut_grammar(g, pd)
-    else:
+        t = td if td is not None else decomp.compute_path_decomposition(g)
+    else:  # the transform validates a .td input, before the builder layers load too
         t0 = td if td is not None else decomp.compute_tree_decomposition(g, args.strategy or "min-fill")
-        t, _ = decomp.make_permutation_yielding(g, t0)  # validates a .td input
-        alpha, gr = annotate.build_aut_grammar(g, t)
+        t, _ = decomp.make_permutation_yielding(g, t0)
+    from . import annotate, grammar as gmod
+    from .perm import format_permutation
+
+    alpha, gr = (annotate.build_regular_aut_grammar if args.path else annotate.build_aut_grammar)(g, t)
     _write(args.out, gmod.grammar_to_json(gr))
     print(format_permutation(alpha))
     return 0

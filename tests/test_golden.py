@@ -75,7 +75,20 @@ Petersen, Q3, grid3x3 and star5.  Only K4 (28 rules to 24), K5 (105 to
 lost positions, so their variables' position numbers shifted.  Of the
 `lift` digests only relabelled Q3's moved: its 72 rules changed, though
 their count did not.  No LP, regular-grammar, `.td` or deep-path digest
-moved, and neither did any language, parse-tree count or LP verdict."""
+moved, and neither did any language, parse-tree count or LP verdict.
+
+The digests of the grammars with a factored fan were re-recorded when
+the tree builder began writing a class's options at a fan once, as the
+rules of a factor variable p:<c>|f:<i>, wherever the product of its
+options over the children is larger by symbol count.  That moved 11
+entries: btree3's tree grammar (both digests) and its LP; relabelled
+btree4's `build` (both) and `lift`; the partner-shape entries of btree5
+and spider 5x4; both of btree6's; and the `embed` output of btree4 keep
+15 (both entries), btree4 keep 7, btree5 keep 31 and spider5x4 keep 1.
+Every other golden grammar, btree2's among them, keeps the product at
+each of its fans, so its bytes did not move.  No regular-grammar, `.td`,
+deep-path or exact-small digest moved, and neither did any language,
+parse-tree count or LP verdict."""
 
 import hashlib
 import random
@@ -140,7 +153,7 @@ GRAMMAR_DIGESTS = {
                  "6b3f6748d74e00a5be9a10e678a94eaaefa0ed6cc011576e1ef2527d857a06b8"),
     "Q3": ("21c7a8b2087a388bd23c39f4d24c37b4d01602efa338d53fc828d969873cf091",
            "296511661e3f2e16d39225c5123dae4bdbce9922157d3a784ec401e279c824b7"),
-    "btree3": ("2c3225cf3d1ba34f1d0126eab8377e4ba747d86aa8471cf210f20f11f4ecceb3",
+    "btree3": ("1cccc9df74b7482f2f69f496e023c5aa6fdb32be626d16f019010635bba4dcf7",
                "8f9a10ba02c75b0d5d234303cb6218749a7b4b1fe865e5ca1f27166daed5a5c7"),
     "grid3x3": ("9fbbe299bac6985f43614795e31066638166f6e4ca1b95d97c74ee150bc9709a",
                 "d3c1bbcf0ff691223623ed179fa52c99a46dccb095fc6804a223b57c25065d43"),
@@ -164,7 +177,7 @@ INDEXED_GRAMMAR_DIGESTS = {
                  "38b4f7d4447ec00e258062b5907f5266b1098512da0b6a76a76edd6c8d67fec0"),
     "Q3": ("03f501d9e1195e736956f1e5850453ec89f9c504a77f708820b517462222aece",
            "f7443813de59ada76af5381cb132ddc2c626e19175daefd41b51f7ea0abd421a"),
-    "btree3": ("fef307f3fc138deaf24bfe263338a964bdd3c23cacd281eaeae47d79f8a3ff58",
+    "btree3": ("eb617f0698f0f8aa0735e1098b74602161257e91025e1b3ad002d0b2b2b55549",
                "191d5aec82596ec4b0146ff7f4787e8a230b9eda1243e3e9ab8747dd204c9968"),
     "grid3x3": ("b26f60a8b8168733845fec2293a56b26fe8b5086f30ca7a34697c5ded2148f25",
                 "7b3fd72dc08023739d18da790d5a6e13416d8b64b42afc71c5ea319458558df5"),
@@ -176,7 +189,7 @@ INDEXED_GRAMMAR_DIGESTS = {
 
 LP_DIGESTS = {
     "C6": "e32e4c760f08739a16c4c6f3f500cb21d5f0afcf7bff962cc4138ead0998668b",
-    "btree3": "3215fcaff618c0e3a75d2bc4c254725ff661e70e800faa3a6ffe60064cfe2986",
+    "btree3": "aecb87858887e1c9efff672155b600107bf9ed1a9f0c614a4384aaf8a37fb344",
 }
 
 # name -> (graph, seed of the relabelling)
@@ -197,8 +210,8 @@ RELABELLED_DIGESTS = {
             "aed3766b5fc2dbe22418f402b634419bae0ced67e32673d33aae03eb06b025fe"),
     "P30": ("b3482edfd2adff1f282fe6070f58c30187dee8eb761ec18eb7f1babf2c676576", None,
             "bc3033b2954312db08f0fae790e0882347e0ca2d717deb8bab81abda9f383da0"),
-    "btree4": ("40129f80ba0690cf55b21b6bcd08d519df15abde4fa4de48eaea3d64ff6f9795", None,
-               "43c77216390aaf7682de73b19ce3c8b3fd3a23d809c48c31cba7c4a43948c4dc"),
+    "btree4": ("8b6e24eb948266b6e650f108b254229fc99e4bad04bb919414f7bc77dc72fcdb", None,
+               "683192214c3b38544baa8a7b169fb3e8c70ff20a51bf4ad1b1775cd846fa9583"),
     "grid4x4": ("c18b813bc8c5d29bb0cd843117a3eaad3b9ed0f00e5398e079da6bd3effb7e69", None,
                 "06fbf32d8bb0a658999103c99a7c1f9f718f0b3dba7c9c5b76096a252d01cd74"),
     "Q3": ("2f6002bd0d96f9be27f6f57117463bb9a13173332921643b2fc7b5b212d7b0bd",
@@ -214,7 +227,7 @@ RELABELLED_DIGESTS = {
 INDEXED_RELABELLED_DIGESTS = {
     "C20": ("7cd9137f1acd07d58da959eca52002f448167409ec6e3e34a8cce2bcf141eba4", None),
     "P30": ("b3482edfd2adff1f282fe6070f58c30187dee8eb761ec18eb7f1babf2c676576", None),
-    "btree4": ("a746d36185ebc2f6ed78c20b7a43c7f93b1f5c2cbb0e185d0d5b2a804ce33a77", None),
+    "btree4": ("4d90890d038df268639ccf8d2bb777e3f221be9d463b687490aae7554faa1e78", None),
     "grid4x4": ("ca52867af84d42dc7469ec7067456db90b96a1058a9ae30fa378b56d1d0b05d7", None),
     "Q3": ("39587281a816c89d5b2682ab5769ed70f84d93401900b5edd8f41f687c80e1cc",
            "0982cbec035b3019f329d1450c29d6ff433c71592636cb01a9e4ada3c9eba4ae"),
@@ -316,10 +329,10 @@ PARTNER_SHAPES = {
 PARTNER_SHAPE_DIGESTS = {
     "K6": ("4e43ad37ecd019c58d61425e955806b223564ca6ce000e4b0da5fd81a4742f5c",
            "4e43ad37ecd019c58d61425e955806b223564ca6ce000e4b0da5fd81a4742f5c"),
-    "btree5": ("bb17379a1ca2272f6538368c74fc52ba86182e61445ad9f08c622ad16a7d0a38",
-               "b6571fed5bb8385b304cfeddcaee3421afd48504a0adb460bb10ae3a2a58e325"),
-    "spider5x4": ("8e644897611307f8ebc7ca8296f4a531f7296ac335777aa0e51f4db5dac32408",
-                  "ecf68243d24f1176fe4823560e427e45a4bd58db75bdcd4965d9777f944af885"),
+    "btree5": ("05d368a6df7a78cdb27995006326bc87da5d11f3dfbc760a38edc651e067dabf",
+               "d67972d9eeba82fb185e6fa28eaffcea4aaa5601ad63b988723f5d2b12e18d3b"),
+    "spider5x4": ("abfbfb82f866a0db1c7206b478e689e0a7e87631c5bec0c9f0f32034f1b31282",
+                  "a6c619cf31f05ca337fcc4bb531e321666ae6eff51c579d016b4e4c1cdf05be9"),
 }
 
 
@@ -341,8 +354,8 @@ MULTIWORD = {
 
 # name -> (`build` output with natural labels, relabelled), as written
 MULTIWORD_DIGESTS = {
-    "btree6": ("21ba3be67b8c8033424ba7707bffe2e6494f511bbe4077cac17fc3508bc32e18",
-               "522038325bb9129689ba55366220c9710294441cb8f457cd56469111754d9a30"),
+    "btree6": ("a2599aa757ad1c05816d004516e2a9e937e561cf588156f2fc67bf6043e722fb",
+               "7caf43435b01d0223ebffd97295ca014c9ed6fbeac1ad38e7d4cb672b8b2e554"),
     "P80": ("b7e15bba3b3831b03f28d12c301b8f74a656fd9069b81b2cd31e1c8399267042",
             "3b814d827a770f91eba1a850cbefae87b83c7b9bd3061fa3c3d23077e53f4521"),
 }
@@ -368,28 +381,28 @@ EMBEDDED = {
 # name -> (`embed` output: grammar JSON and alpha line, position named,
 # `lift` output)
 EMBEDDED_DIGESTS = {
-    "btree4 keep 15": ("bee4e4efaea731d54c506442e28833743e48f102f0158111abf5b7147e7d642f",
-                       "08c2d3063859afbcb90e8e38fb378c54b9bca54998a4aa701def7f5e862fabe5"),
-    "btree4 keep 7": ("5a02bab48d40a22ddd3920a9e85af23a46d0707f53e58ef0afbc6261d2bffa4b",
-                      "e61b1fb0bf1b389bf5cd6b60c1ae2eb1dddbe3700eb3e240225cfe9b613aee22"),
-    "btree5 keep 31": ("cb00e868e00f4aaf71dc6f206d4c8b5212d86e92e52d89c5191995d440fe9f8a",
-                       "a4f9db221f23b990dca22811c77cb5534d91df0339f48a6fbdd926f6968a5500"),
-    "spider5x4 keep 1": ("815923d17f179e6d5baa3adbdfd2a2cd78debaa0894ef7bc7f6d00c0da3bda94",
-                         "3198ed0c32091ab8dd0b89d9b05dbe733d21089cb598572c5b01ccba4bb5d583"),
+    "btree4 keep 15": ("059ad7de6e732ae106b84ecf9dec4e5caf9887a094faaa18df8955e738cbf9b0",
+                       "0d71348e6b363825ac3e53997b709f52909c5a196054e2a08d8f8ac2f0e4b077"),
+    "btree4 keep 7": ("b82f4bc32e67f39743349b1e82c44d3918c93ea248999a89fdaf4a3b86fef2ce",
+                      "d63d42ad7891c577a7198a1c0859b651de2d69de6bc2dad1c6f13a12fed656b2"),
+    "btree5 keep 31": ("20c8d71e37e7891e45794c65afe0233bf570b051480937fa48e6d7ff77e904f0",
+                       "44cb196ef9cc77b2c478e0528814911aab26333f885868e3406bb5fe63635672"),
+    "spider5x4 keep 1": ("159616add83c73ee262a36b72149555717f2cca4e1164a164a98ed28e974543d",
+                         "4d72d47e7ae879a92188622d127ceb59e50a2ad6da0f3a1024bb64b3a488397f"),
     "btree4 keep 15, b reversed": (
-        "cd4f83edbcd2f45c844ae31ff193d2e41bb7e33f92cc4eee992f7839cee9d897",
-        "f5b93ae91cb6700611f31831b745f0009d57c5cd715a7a33a029c8c4f9375fb6",
+        "82529249995c2b880201594ceffba37ed7a1321b33355e6760ed46242efb51b9",
+        "bedf2890cc67d54b3eedd15106a32f55c88bd8cb99e9532fb1691d9d8ade5d72",
     ),
 }
 
 
 # name -> `embed` output, as written
 INDEXED_EMBEDDED_DIGESTS = {
-    "btree4 keep 15": "c266fd6e98ebd2d9648a8831234c0dc00cdc55ea9000e52bff2fb41e9caa40a6",
-    "btree4 keep 7": "c186a24eceaf046bb7d6afc5d08cb98ef88581717a491814a708d7105b98dd84",
-    "btree5 keep 31": "785a81e1cdcb2610b61557276e74b26ab99a8f55d1c5bc961ceb8cb4d0893dcb",
-    "spider5x4 keep 1": "63c800f3a9093c9474611b061e0cae35f300367ce889405b16e83e23052e95c0",
-    "btree4 keep 15, b reversed": "0867d50f3dc1c046f529d84f5ab1eddd6ed8c099eadc40343bac53a8708aa42f",
+    "btree4 keep 15": "c1dff49bd3dc86e41ba92c194c80e9ce872c3d0d5c78f1dfeae30b69733a1e49",
+    "btree4 keep 7": "675e08101e0e603014edc93eed551a8962f868d39686da5b5ab113b0a9affff5",
+    "btree5 keep 31": "712cc1faecbb134d489a9c9a3d0ce72b6ae09f250a58a3cc1f0b687360bc41a0",
+    "spider5x4 keep 1": "159616add83c73ee262a36b72149555717f2cca4e1164a164a98ed28e974543d",
+    "btree4 keep 15, b reversed": "abb45909ee924eea8ee6cd5675ee4ff72724cee4ea7a70436929ff0b441afddc",
 }
 
 

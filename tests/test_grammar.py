@@ -1105,52 +1105,50 @@ def test_deep_build_memory_is_linear():
         assert peaks[1] < 6 * peaks[0], (series[0].vertex_count, peaks)
 
 
-def _class_counts(g, t):
-    """Per position with children, the rule count of each of its classes,
-    and per position with children but the root, the use count of each:
-    read off the join, a class has one rule per choice of one partner at
-    each child that has classes, and each rule names one partner's class
-    there (the root's classes' rules are B1's)."""
+def _option_counts(g, t):
+    """Per position with children, per class, the number of its partners
+    at each child that has classes, read off the join: a class's options
+    at a fan are its partners there."""
     written = dict(zip([p for p, ks in enumerate(t.kids) if not ks], yield_order_of(t).image))
-    _, _, cls, first, up, members = join_annotations(g, t, written)
-    rules, uses = {}, {c: [0] * len(first[c]) for c in range(1, len(t.kids)) if t.kids[c]}
-    for p, ks in enumerate(t.kids):
-        inner = [c for c in ks if t.kids[c]]
-        for i in first[p] if ks else ():
-            partners = {c: [up[c][i]] if members[c] is None else members[c][up[c][i]] for c in inner}
-            count = math.prod(map(len, partners.values()))
-            rules.setdefault(p, []).append(count)
-            for c, js in partners.items():
-                for j in js:
-                    uses[c][cls[c][j]] += count // len(js)
-    return rules, uses
+    _, _, _, first, up, members = join_annotations(g, t, written)
+    return {p: [tuple(1 if members[c] is None else len(members[c][up[c][i]]) for c in ks if t.kids[c])
+                for i in first[p]]
+            for p, ks in enumerate(t.kids) if ks}
 
 
 def test_positions_are_spliced_whole(corpus):
     # Aut(g) acts transitively on a position's kept annotations, and the
-    # action keeps the classes' rule and use counts, so at every position
-    # all classes have one rule count and one use count.  `_build` splices
-    # each position whose classes have one rule each that one rule names,
-    # so no variable of its output but B1 has one rule and one use
+    # action keeps the classes' option counts at each child, so every
+    # class of a position has the same ones; and in what `_build` writes,
+    # the variables of one position's classes, and those of one fan's
+    # factor variables, have one rule count and one use count.  `_build`
+    # splices each position whose classes have one rule each that one
+    # rule names, its parent's or a factor variable's, so no variable of
+    # its output but B1 has one rule and one use; some fans are factored
     rng = random.Random(47)
     graphs = [*corpus.values(), petersen_graph(), binary_tree(3), spider(3, 2), spider(4, 3), cubic8(),
-              grid_graph(3, 3), path_graph(8)]
+              grid_graph(3, 3), path_graph(8), binary_tree(4), spider(5, 4)]
     graphs += [relabel(g, rng) for g in graphs]
     graphs += [random_connected_graph(rng, rng.randint(2, 9)) for _ in range(40)]
-    spliced = 0
+    spliced = factored = 0
     for g in graphs:
         for strategy in ("min-fill", "exact-small")[:1 + (g.vertex_count <= 10)]:
             t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, strategy))
-            rules, uses = _class_counts(g, t)
-            assert all(len(set(counts)) == 1 for counts in (*rules.values(), *uses.values())), format_graph(g)
+            assert all(len(set(counts)) == 1 for counts in _option_counts(g, t).values()), format_graph(g)
             written = dict(zip([p for p, ks in enumerate(t.kids) if not ks], yield_order_of(t).image))
             names, lhs, rhs, _ = _build(g, t, written)
             counts = collections.Counter(lhs)
             named = collections.Counter(~x for symbols in rhs for x in symbols if x < 0)
             assert not [v for v in range(1, len(names)) if counts[v] == named[v] == 1], format_graph(g)
             assert sorted(counts) == list(range(len(names))), format_graph(g)
-            spliced += sum(rules[c][0] == uses[c][0] == 1 for c in uses)
+            groups = collections.defaultdict(set)  # p:<j>|b and p:<j>|f: its rule and use counts
+            for v in range(1, len(names)):
+                groups[names[v][:names[v].index("|") + 2]].add((counts[v], named[v]))
+            assert all(len(pairs) == 1 for pairs in groups.values()), format_graph(g)
+            spliced += sum(f"p:{j}|b" not in groups for j, ks in enumerate(t.kids) if j and ks)
+            factored += any(name.endswith("|f") for name in groups)
     assert spliced > len(graphs)
+    assert factored > 5
 
 
 def test_inline_matches_recursive_reference(corpus):
@@ -1209,6 +1207,32 @@ def test_share_writes_no_empty_rule():
     gr = _grammar(2, ("B1", "W"), *_spelled(names, lhs, rhs)[1:])
     assert gr.rules == (("B1", (1, "W")), ("W", (2,)), ("W", (2,)))
     assert count_parse_trees(gr) == 2
+
+
+@pytest.mark.parametrize(
+    "g, rules, bits, variables",
+    [
+        # (rules, bits) while every fan was written as its product: spider
+        # 5x4 165, 4 389; spider 6x6 486, 14 381; btree4 168, 5 138; btree6
+        # 2 728, 129 107.  btree2 keeps its product: one factored fan would
+        # cost more symbols than the two combinations it replaces
+        (spider(5, 4), 95, 2184, None),
+        (spider(6, 6), 216, 5758, None),
+        (binary_tree(4), 156, 4617, None),
+        (binary_tree(6), 2668, 115090, None),
+        (binary_tree(2), 8, 133, 3),
+    ],
+    ids=["spider5x4", "spider6x6", "btree4", "btree6", "btree2"],
+)
+def test_fans_are_written_as_factors(g, rules, bits, variables):
+    # natural labels, min-fill: a class's options at a fan are written once,
+    # as a factor variable's rules, where the product of its options over
+    # the children would be larger
+    t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, "min-fill"))
+    gr = build_aut_grammar(g, t)[1]
+    assert (len(gr.rules), round(grammar_size(gr).value)) == (rules, bits)
+    assert variables is None or len(gr.variables) == variables
+    assert any("|f:" in v for v in gr.variables) == (variables is None)
 
 
 def test_star8_grammar_is_shared():

@@ -115,6 +115,8 @@ def test_unreadable_file_loads_no_parser(tmp_path, args, loaded):
 
 DISCONNECTED_TEXT = "4 2\n1 2\n3 4\n"
 P11_TEXT = "11 10\n" + "".join(f"{i - 1} {i}\n" for i in range(2, 12))  # past the oracle's cap
+C5_TEXT = "5 5\n1 2\n2 3\n3 4\n4 5\n1 5\n"
+UNCOVERING_TD = "s td 1 4 5\nb 1 1 2 3 4\n"  # well formed, but its one bag misses vertex 5
 
 
 @pytest.mark.parametrize(
@@ -133,6 +135,22 @@ def test_refusal_loads_no_builder(tmp_path, text, args, loaded):
     if args[-1] == "--out":
         args = [*args, str(tmp_path / "out.json")]
     assert loaded_by(*args, "--graph", str(tmp_path / "g.edges")) == (3, loaded)
+
+
+def test_invalid_td_loads_no_builder(tmp_path):
+    # the yielding transform refuses a .td that does not cover the graph
+    # before annotate or grammar loads: exit 3 and one error line
+    (tmp_path / "c5.edges").write_text(C5_TEXT)
+    (tmp_path / "bad.td").write_text(UNCOVERING_TD)
+    args = ["build", "--graph", str(tmp_path / "c5.edges"), "--td", str(tmp_path / "bad.td"),
+            "--out", str(tmp_path / "out.json")]
+    code, modules = loaded_by(*args)
+    assert code == 3
+    assert not modules & {"annotate", "grammar"}, modules
+    r = subprocess.run([sys.executable, "-m", "autgrammar", *args], capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (3, "")
+    assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: "), r.stderr
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_public_names_resolve():

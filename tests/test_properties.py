@@ -495,13 +495,14 @@ def test_tree_grammar_has_no_leaf_variables(g, strategy):
     # every leaf writes its terminal into its parent's rules, and the
     # root's classes are B1's rules: the variables name only positions
     # with children other than the root, each p:<its index in preorder>
-    # (a position whose classes are all written inline names none); the
-    # language and the parse trees stay the oracle's
+    # (a position whose classes are all written inline names none, and a
+    # factored fan's factor variables name the fan); the language and the
+    # parse trees stay the oracle's
     auts = brute_force_automorphisms(g)
     assume(len(auts) <= MAX_GROUP)
     t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, strategy))
     alpha, gr = build_aut_grammar(g, t)
-    heads = {v.rsplit("|b:", 1)[0] for v in gr.variables[1:] if not v.startswith("s:")}
+    heads = {v.rsplit("|", 1)[0] for v in gr.variables[1:] if not v.startswith("s:")}
     assert heads <= {f"p:{j}" for j, p in enumerate(t.positions) if j and t.children(p)}
     assert list(enumerate_language(gr).words) == sorted(permute_word(to_string_word(s), alpha) for s in auts)
     assert count_parse_trees(gr) == len(auts)
@@ -591,10 +592,13 @@ def test_no_unit_layer(g, strategy):
 
 @settings(max_examples=20, deadline=None)
 @given(connected_graphs(max_vertices=7))
+@example(Graph(6, [(1, 2), (1, 3), (1, 4), (2, 5), (2, 6)]))  # two root classes, one option set at a fan
 def test_builders_write_one_variable_per_merge_class(g):
     # merging keeps the oracle's language and |Aut| parse trees, and
-    # leaves no two variables of one position with equal rule sets: every
-    # child is already named by its class, so the sets need no renaming
+    # leaves no two variables of one position with equal rule sets, a
+    # fan's factor variables (p:<j>|f:<i>) counted with its classes: every
+    # child is already named by its class, and the classes with one option
+    # set at a fan share its factor variable, so the sets need no renaming
     auts = brute_force_automorphisms(g)
     assume(len(auts) <= 120)
     for alpha, gr in builds(g):
@@ -606,7 +610,7 @@ def test_builders_write_one_variable_per_merge_class(g):
             rule_sets[lhs].add(rhs)
         at_position: dict = {}
         for v in gr.variables:
-            at_position.setdefault(v.rsplit("|b:", 1)[0], []).append(frozenset(rule_sets[v]))
+            at_position.setdefault(v.rsplit("|", 1)[0], []).append(frozenset(rule_sets[v]))
         assert all(len(set(sets)) == len(sets) for sets in at_position.values()), gr
 
 
