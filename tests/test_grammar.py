@@ -1106,20 +1106,29 @@ def test_deep_build_memory_is_linear():
 
 
 def _option_counts(g, t):
-    """Per position with children, per class, the number of its partners
-    at each child that has classes, read off the join: a class's options
-    at a fan are its partners there."""
+    """Read off the join: per position with children, per class, the
+    number of its partners at each child that has classes (its options
+    there); and per such child, per class, the number of its parent's
+    classes' options that it is."""
     written = dict(zip([p for p, ks in enumerate(t.kids) if not ks], yield_order_of(t).image))
-    _, _, _, first, up, members = join_annotations(g, t, written)
-    return {p: [tuple(1 if members[c] is None else len(members[c][up[c][i]]) for c in ks if t.kids[c])
-                for i in first[p]]
-            for p, ks in enumerate(t.kids) if ks}
+    _, _, cls, first, up, members = join_annotations(g, t, written)
+    options, uses = {}, {c: [0] * len(first[c]) for c in range(1, len(t.kids)) if t.kids[c]}
+    for p, ks in enumerate(t.kids):
+        inner = [c for c in ks if t.kids[c]]
+        for i in first[p] if ks else ():
+            partners = [[up[c][i]] if members[c] is None else members[c][up[c][i]] for c in inner]
+            options.setdefault(p, []).append(tuple(map(len, partners)))
+            for c, js in zip(inner, partners):
+                for j in js:
+                    uses[c][cls[c][j]] += 1
+    return options, uses
 
 
 def test_positions_are_spliced_whole(corpus):
     # Aut(g) acts transitively on a position's kept annotations, and the
-    # action keeps the classes' option counts at each child, so every
-    # class of a position has the same ones; and in what `_build` writes,
+    # action keeps the classes' option counts at each child and how often
+    # each is an option, so every class of a position has the same ones;
+    # and in what `_build` writes,
     # the variables of one position's classes, and those of one fan's
     # factor variables, have one rule count and one use count.  `_build`
     # splices each position whose classes have one rule each that one
@@ -1134,7 +1143,8 @@ def test_positions_are_spliced_whole(corpus):
     for g in graphs:
         for strategy in ("min-fill", "exact-small")[:1 + (g.vertex_count <= 10)]:
             t, _ = make_permutation_yielding(g, compute_tree_decomposition(g, strategy))
-            assert all(len(set(counts)) == 1 for counts in _option_counts(g, t).values()), format_graph(g)
+            options, uses = _option_counts(g, t)
+            assert all(len(set(counts)) == 1 for counts in (*options.values(), *uses.values())), format_graph(g)
             written = dict(zip([p for p, ks in enumerate(t.kids) if not ks], yield_order_of(t).image))
             names, lhs, rhs, _ = _build(g, t, written)
             counts = collections.Counter(lhs)
