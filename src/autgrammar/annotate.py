@@ -74,18 +74,16 @@ positional, parse trees still map one to one, and the shared grammar is
 kept only when its `grammar_size` is smaller.
 A word w produced for automorphism s satisfies w_i = s(alpha(i)) where
 alpha spells the leaf vertex order, so the language is exactly the
-string set of the group repositioned by alpha.  The regular grammar is
-the same construction on a path decomposition that introduces one vertex
-per bag, each bag writing the image of the vertex it introduces: one
-builder (`_build`) serves both, and since its root writes a terminal,
-the start keeps its rules B1 -> a X there.  No written position is
-spliced, and no pass shares its variables, so every rule stays B -> a or
-B -> a B'; but a class may have both a X and a X', so the classes are
-not an automaton's states.  One pass (`_determinise`) runs the subset
-construction forward from B1, so the regular grammar is the
-deterministic automaton of the group's words, still one parse tree per
-word.  The embed builder decides whether the prefix is invariant from
-the host's grammar itself, so no builder loads `oracle` or `polytope`.
+string set of the group repositioned by alpha.  The regular grammar comes
+from the same join on a path decomposition that introduces one vertex
+per bag, each bag writing the image of the vertex it introduces; it
+needs no grammar of classes first.  One pass (`_automaton`) runs the
+subset construction forward from B1 straight over the join, reading
+each class's moves off its first annotation's partners, one layer of
+classes at a time: the regular grammar is the deterministic automaton
+of the group's words, one parse tree per word.  The embed builder
+decides whether the prefix is invariant from the host's grammar itself,
+so no builder loads `oracle` or `polytope`.
 """
 
 from __future__ import annotations
@@ -443,50 +441,44 @@ def count_assignments(g: Graph, t: TreeDecomposition) -> int:
 # group embedded on a vertex prefix.
 
 def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[tuple, list, list, list]:
-    """Compile Aut(g) out of t, a checked decomposition, into the int
-    rules (names, lhs, rhs) of a grammar over alphabet V(g), B1 being
-    variable 0, and each variable's word end: the number of positions up
-    to the end of its position's subtree that write.  written maps each
-    position (a preorder int) that writes a terminal, every childless
-    position among them, to the vertex whose image it writes; word
-    position i holds the i-th one's image.  The variables number parents
-    first, so backwards they are in dependencies-first order.
+    """Compile Aut(g) out of t, a checked permutation-yielding
+    decomposition, into the int rules (names, lhs, rhs) of a tree grammar
+    over alphabet V(g), B1 being variable 0, and each variable's word end:
+    the number of leaves up to the end of its position's subtree.  written
+    maps each leaf (a childless position, as a preorder int) to the vertex
+    whose image it writes; word position i holds the i-th one's image.
+    The variables number parents first, so backwards they are in
+    dependencies-first order.
 
     Each position with children has one variable per merge class of its
-    annotations, but for a root that writes no terminal (every tree
-    grammar's but a one-vertex graph's): its classes' rules, in class
-    order, are B1's.  A written position writes its terminal into its
-    parent's rules, just before its own variable when it has children, a
-    written root into B1's.  A childless position writes only its
-    terminal and has no variable, the root of a one-vertex graph too.
+    annotations, but for the root: its classes' rules, in class order,
+    are B1's.  A leaf writes its terminal into its parent's rules and has
+    no variable, the root of a one-vertex graph into B1's.
 
     Each child of a position gives a column of ints over its classes,
-    read off each class's first annotation i: a childless child the image
-    of its vertex, a spliced one its own columns, read through an index
-    list from the parent's classes to its own that composes one position
-    at a time, any other the variable of i's partner there (a written one
-    the partner's image first).  The rules are the columns zipped, unless
-    some class has several partners at a child, a fan: each partner is
-    then an option, a tuple of symbols (its class's variable, a written
-    one's image first, or its class's row where the fan is spliced).  A
-    position with f fans, k_i options of r_i symbols at the i-th and rules
-    of L symbols, writes each class either as its product over the
-    children, Π k_i rules and Π k_i·(1 + L) symbols, or as one rule that
-    names a factor variable at each fan, whose rules are the class's
-    options there: 1 + L − Σ r_i + f + Σ k_i·(1 + r_i) symbols.  Positions
-    are whole (see the module docstring), so each position is decided
-    once, children first, on the totals over its classes, and keeps the
-    product where it is no larger.  One fan with nothing beside it costs
-    two symbols more factored, so the regular grammar, all written, keeps
-    its rules B -> a B'.  A factor variable stands at its fan c, named
+    read off each class's first annotation i: a leaf the image of its
+    vertex, a spliced child its own columns, read through an index list
+    from the parent's classes to its own that composes one position at a
+    time, any other the variable of i's partner there.  The rules are the
+    columns zipped, unless some class has several partners at a child, a
+    fan: each partner is then an option, a tuple of symbols (its class's
+    variable, or its class's row where the fan is spliced).  A position
+    with f fans, k_i options of r_i symbols at the i-th and rules of L
+    symbols, writes each class either as its product over the children,
+    Π k_i rules and Π k_i·(1 + L) symbols, or as one rule that names a
+    factor variable at each fan, whose rules are the class's options
+    there: 1 + L − Σ r_i + f + Σ k_i·(1 + r_i) symbols.  Positions are
+    whole (see the module docstring), so each position is decided once,
+    children first, on the totals over its classes, and keeps the product
+    where it is no larger.  A factor variable stands at its fan c, named
     p:<c>|f:<i>, and the parent's classes with one option set there, one
     signature at c in the join, share it.
 
-    A position has no variables, spliced, when it is unwritten and its
-    classes each have one rule, each named by one rule: when its classes
-    number its own rules and the rules that name them, its parent's, or
-    at a factored fan its factor variables' (positions are whole).  So no
-    variable but B1 has one rule and one use."""
+    A position has no variables, spliced, when its classes each have one
+    rule, each named by one rule: when its classes number its own rules
+    and the rules that name them, its parent's, or at a factored fan its
+    factor variables' (positions are whole).  So no variable but B1 has
+    one rule and one use."""
     # The columns are re-read off each class's first annotation, not kept
     # from the join's signatures, which spell the same order: keeping those
     # raised C400's peak here from 160.9 to 186.0 MiB, to save 14 lines.
@@ -534,20 +526,18 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[tuple, list, 
         while stack:
             q = stack.pop()
             for d in kids[q]:
-                if not kids[d] or options[d] and q in factored:  # a terminal, or a factor variable
-                    total += 1
-                elif d not in written and rules[d] == len(first[d]) == rules[q]:
+                if kids[d] and not (options[d] and q in factored) and rules[d] == len(first[d]) == rules[q]:
                     stack.append(d)
-                else:
-                    total += 1 + (d in written)
+                else:  # a terminal, a factor variable or a variable
+                    total += 1
         return total
 
     for p in reversed(fan_parents):
         classes, line, fans, factors = len(first[p]), 0, 0, 0
         for c in kids[p]:
-            w = 1 + (c in written) if kids[c] else 1
+            w = 1
             if options[c]:
-                if c not in written and rules[c] == len(first[c]) == rules[p]:
+                if rules[c] == len(first[c]) == rules[p]:
                     w = width(c)
                 fans += 1
                 factors += options[c] * (1 + w) - classes * w
@@ -569,7 +559,7 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[tuple, list, 
     # spliced: the positions whose classes each have one rule, named by one
     # rule of their parent's, or at a factored fan of its factor variables'
     parent = t.parent
-    spliced = {c for c in range(1, n) if kids[c] and c not in written and rules[c] == len(first[c])
+    spliced = {c for c in range(1, n) if kids[c] and rules[c] == len(first[c])
                == (options[c] if ids[c] is not None else rules[parent[c]])}
 
     # per position with children, in preorder after B1 (variable 0): a
@@ -577,10 +567,10 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[tuple, list, 
     # then, unless it is spliced, one variable per merge class,
     # p:<j>|b:<k> for its k-th class in first-appearance order.  factor[j]
     # holds the fan's symbols over its parent's classes, and class k at j
-    # is variable base[j] + k; an unwritten root's classes are B1's rules
-    # instead: base[0] is 0.  A variable at position j ends at word offset
-    # lead[last[j]]: the positions that write up to the last one in j's
-    # subtree, a preorder run (`_share` keys on it)
+    # is variable base[j] + k; the root's classes are B1's rules instead:
+    # base[0] is 0.  A variable at position j ends at word offset
+    # lead[last[j]]: the leaves up to the last one in j's subtree, a
+    # preorder run (`_share` keys on it)
     lead = list(itertools.accumulate(p in written for p in range(n)))
     last = list(range(n))
     for p in reversed(range(n)):
@@ -595,7 +585,7 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[tuple, list, 
             names.extend([f"p:{j}|f:{i}" for i in range(len(heads[j]))])
             end.extend(itertools.repeat(lead[last[j]], len(heads[j])))
         if j not in spliced:
-            base[j] = len(names) if j or 0 in written else 0
+            base[j] = len(names) if j else 0
             if base[j]:
                 head = f"p:{j}|b:"
                 names.extend([f"{head}{k}" for k in range(len(first[j]))])
@@ -622,8 +612,6 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[tuple, list, 
                 if c in spliced:
                     stack.append((iter(kids[c]), list(map(of.__getitem__, column))))
                     break
-                if c in written:  # each partner's image, then its variable
-                    columns.append(list(map(_image(dom[c], written[c]), map(ann[c].__getitem__, column))))
                 # class k at c is variable base[c] + k, written code - k
                 columns.append(list(map((~base[c]).__sub__, map(of.__getitem__, column))))
             else:
@@ -637,23 +625,11 @@ def _build(g: Graph, t: TreeDecomposition, written: dict) -> tuple[tuple, list, 
             rows = list(zip(*gathered(c)))
             return [[rows[of[j]] for j in js] for js in column]
         code = ~base[c]
-        if c in written:
-            wrote, row = _image(dom[c], written[c]), ann[c]
-            return [[(wrote(row[j]), code - of[j]) for j in js] for js in column]
         return [[(code - of[j],) for j in js] for js in column]
 
     # the rules as they are written, each variable's together, variable k
-    # as ~k.  A written root gives B1 one rule per kept annotation: the
-    # image it writes, then the annotation's variable, if it has one
-    lhs: list = []
-    rhs: list = []
-    if 0 in written:
-        kept = [j for j, k in enumerate(cls[0]) if k is not None]
-        columns = [list(map(_image(dom[0], written[0]), map(ann[0].__getitem__, kept)))]
-        if 0 in base:
-            columns.append([~(base[0] + cls[0][j]) for j in kept])
-        lhs = [0] * len(kept)
-        rhs = list(zip(*columns))
+    # as ~k; a one-vertex graph's root writes its terminal into B1's
+    lhs, rhs = ([], []) if kids[0] else ([0], [(1,)])
     chain, repeat = itertools.chain.from_iterable, itertools.repeat
     for p, ks in enumerate(kids):
         if not ks:
@@ -819,61 +795,68 @@ def _share(names: tuple, lhs: list, rhs: list, end: list) -> tuple[list, list, l
     return names, out_lhs, out_rhs
 
 
-def _determinise(names: tuple, lhs: list, rhs: list) -> tuple[tuple, list, list]:
-    """The int rules (names, lhs, rhs) of `_build`'s regular grammar, every
-    rule B -> a or B -> a B', made the deterministic automaton of its
-    words by the subset construction (Rabin & Scott, IBM J. Res. Dev.
-    1959), run forward from B1 one layer at a time.  The input lists each
-    variable's rules together, in variable order, B1 (0) first, and every
-    variable writes one word position, its layer.
+def _automaton(g: Graph, pd: TreeDecomposition, written: dict) -> tuple[tuple, list, list]:
+    """The int rules (names, lhs, rhs) of the deterministic automaton of
+    Aut(g)'s words on pd, a checked path decomposition whose bag p writes
+    the image of written[p]: the subset construction (Rabin & Scott, IBM
+    J. Res. Dev. 1959) run forward from B1 over join_annotations, one
+    layer of classes at a time, every rule B -> a or B -> a B'.
 
-    A state is the sorted tuple of the input variables it stands for,
-    registered once, so only the subsets that some prefix reaches are
-    built.  A state has one rule per terminal a, in order of a's first
-    appearance among its variables' rules: a alone at the last layer, and
-    otherwise a T, T the state of the variables those rules name.  A state
-    of one variable keeps that variable's name, any other is s:<k>,
-    numbered by first appearance.  The states are numbered layer by layer,
-    B1 first, and within a layer those of one variable come first, in
-    variable order, then the others; so the reverse of the numbers is a
-    dependencies-first order, and a grammar in which no variable has two
-    rules that begin alike comes out as it went in."""
-    starts = [0] * (len(names) + 1)  # variable v's rules are rhs[starts[v]:starts[v + 1]]
-    for v in lhs:
-        starts[v + 1] += 1
-    starts = list(itertools.accumulate(starts))
-    out_names, out_lhs, out_rhs = [names[0]], [], []
+    A state is the sorted tuple of the classes at one position that some
+    prefix reaches.  A class at p - 1 moves as the partners at p of its
+    first annotation i do, in members order: each on its image written
+    at p to its class; at the last position, on the image read off i,
+    alone.  B1 moves as the root's kept annotations.  A state has one
+    rule per terminal a, in order of a's first appearance among its
+    classes' moves, to the state of the classes a moves to.  A state of
+    one class k at p is p:<p>|b:<k>, any other s:<k> by first appearance.
+    The states are numbered layer by layer, B1 first, those of one class
+    first and in class order, so the reverse of the numbers is a
+    dependencies-first order."""
+    n = len(pd.parent)
+    if n == 1:  # a one-vertex graph: the identity
+        return ("B1",), [0], [(1,)]
+    dom, ann, cls, first, up, members = join_annotations(g, pd, written)
+    names, lhs, rhs = ["B1"], [], []
     fresh = itertools.count()
     layer, at = [(0,)], 0  # the layer's states, numbered from at
-    while layer:
-        rows = []  # per state of the layer: its rules, each a terminal and its state's symbol
+    for p in range(n - 1):  # the layer's moves write position p, into the classes there
+        # per class of the layer, the annotations at p it moves as; the
+        # previous layer's are dropped first, so the peak stays the join's own
+        partners = None
+        wrote, of = list(map(_image(dom[p], written[p]), ann[p])), cls[p]
+        if not p:  # B1, one class before position 0: the root's kept annotations
+            partners = [[j for j, k in enumerate(of) if k is not None]]
+        elif members[p] is None:  # the partner of a class's first annotation: its key id
+            partners = [(k,) for k in map(up[p].__getitem__, first[p - 1])]
+        else:  # the partners of a class's first annotation
+            partners = list(map(members[p].__getitem__, map(up[p].__getitem__, first[p - 1])))
+        rows = []  # per state of the layer: its rules, each a terminal and its state
         reached: dict = {}  # the next layer's states, in first-appearance order
         for state in layer:
-            if len(rhs[starts[state[0]]]) == 1:  # the last layer: terminals alone
-                rows.append(list(dict.fromkeys([r for v in state for r in rhs[starts[v]:starts[v + 1]]])))
-                continue
-            by: dict = {}  # terminal -> the variables its rules name, as ~v
-            for v in state:
-                for a, x in rhs[starts[v]:starts[v + 1]]:
-                    to = by.get(a)
-                    if to is None:
-                        by[a] = [x]
-                    else:
-                        to.append(x)
-            row = [(a, (~xs[0],) if len(xs) == 1 else tuple(sorted(map(operator.invert, set(xs)))))
-                   for a, xs in by.items()]
+            by: dict = {}  # terminal -> the classes it moves to
+            for k in state:
+                for j in partners[k]:
+                    by.setdefault(wrote[j], []).append(of[j])
+            row = [(a, (xs[0],) if len(xs) == 1 else tuple(sorted(set(xs)))) for a, xs in by.items()]
             reached.update(dict.fromkeys([s for _, s in row]))
             rows.append(row)
-        nxt = len(out_names)
+        nxt = len(names)
         layer = sorted([s for s in reached if len(s) == 1])
         layer += [s for s in reached if len(s) > 1]
-        out_names.extend([names[s[0]] if len(s) == 1 else f"s:{next(fresh)}" for s in layer])
+        names.extend([f"p:{p}|b:{s[0]}" if len(s) == 1 else f"s:{next(fresh)}" for s in layer])
         code = dict(zip(layer, range(~nxt, ~(nxt + len(layer)), -1)))  # a state's symbol ~k
         for k, row in enumerate(rows, at):
-            out_lhs.extend(itertools.repeat(k, len(row)))
-            out_rhs.extend(row if not reached else [(a, code[s]) for a, s in row])  # the last layer's are rules
+            lhs.extend(itertools.repeat(k, len(row)))
+            rhs.extend([(a, code[s]) for a, s in row])
         at = nxt
-    return tuple(out_names), out_lhs, out_rhs
+    # the last position's image, alone, read off each class's first annotation
+    last = list(map(_image(dom[n - 2], written[n - 1]), map(ann[n - 2].__getitem__, first[n - 2])))
+    for k, state in enumerate(layer, at):
+        row = list(dict.fromkeys([last[x] for x in state]))
+        lhs.extend(itertools.repeat(k, len(row)))
+        rhs.extend(zip(row))
+    return tuple(names), lhs, rhs
 
 
 def build_aut_grammar(g: Graph, t: TreeDecomposition) -> tuple[Permutation, Grammar]:
@@ -914,16 +897,15 @@ def build_regular_aut_grammar(g: Graph, pd: TreeDecomposition) -> tuple[Permutat
     (B, a B'), from a path decomposition that introduces one vertex per
     bag (`decomp.introduced_order`).  Returns (alpha, grammar) as
     `build_aut_grammar` does, alpha being the introduced vertices in order:
-    each bag writes the image of the vertex it introduces into its
-    parent's rules, before the variable of its annotation's class.  Then
-    `_determinise` makes those rules the deterministic automaton of the
-    words: no variable has two rules that begin with one terminal, and a
-    variable stands for the set of classes that some prefix reaches."""
+    each bag writes the image of the vertex it introduces.  The grammar is
+    the deterministic automaton of the words, read off the join by
+    `_automaton`: no variable has two rules that begin with one terminal,
+    and a variable stands for the set of classes that some prefix
+    reaches."""
     require_connected(g)
     require_valid(g, pd)
     introduced = introduced_order(g, pd)
-    names, lhs, rhs, _ = _build(g, pd, dict(enumerate(introduced)))
-    names, lhs, rhs = _determinise(names, lhs, rhs)
+    names, lhs, rhs = _automaton(g, pd, dict(enumerate(introduced)))
     gr = _grammar(g.vertex_count, names, lhs, rhs, order=range(len(names) - 1, -1, -1))
     return Permutation(tuple(introduced)), gr
 

@@ -11,9 +11,10 @@ loads only those, and `--help` or a usage error loads none.  A handler
 checks each argument it can check without a file before it reads one (so
 a bad argument is reported even when a file is bad too), reads each
 file before it imports the layer that parses it, and refuses a graph it
-cannot take (a disconnected one, or one past the oracle's cap), and a
-tree decomposition that the yielding transform refuses, before it
-imports the layers that would build from it.  Every precondition error
+cannot take (a disconnected one, or one past the oracle's cap), a tree
+decomposition that the yielding transform refuses, and a path
+decomposition that is not valid or does not introduce one vertex per
+bag, before it imports the layers that would build from it.  Every precondition error
 derives from `autgrammar.PreconditionError`, defined in the package
 itself, so mapping errors to exit codes loads no layer either.
 
@@ -88,7 +89,10 @@ def _cmd_build(args) -> int:
     require_connected(g)  # before the builder layers load
     from . import decomp
 
-    if args.path:
+    if args.path:  # a given path is checked as the builder checks it, before the builder layers load
+        if td is not None:
+            decomp.require_valid(g, td)
+            decomp.introduced_order(g, td)
         t = td if td is not None else decomp.compute_path_decomposition(g)
     else:  # the transform validates a .td input, before the builder layers load too
         t0 = td if td is not None else decomp.compute_tree_decomposition(g, args.strategy or "min-fill")

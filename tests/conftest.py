@@ -323,6 +323,41 @@ def tree_grammar_stages(g: Graph, t: TreeDecomposition) -> tuple[Grammar, Gramma
             _grammar(g.vertex_count, *_spelled(*_share(names, lhs, rhs, end))))
 
 
+def reference_subset_automaton(gr: Grammar) -> Grammar:
+    """The subset construction (Rabin & Scott 1959) over a grammar whose
+    every rule is B -> a B' or B -> a, each variable at one word position:
+    the deterministic automaton of its words, numbered and named as
+    `annotate._automaton` does.  A state is the tuple of the variables it
+    stands for, in declaration order, and has one rule per terminal, in
+    order of first appearance among its variables' rules.  Layer by layer
+    from the start, a layer's states of one variable come first, in
+    declaration order and named as it, then the others, s:<k> by first
+    appearance.  The reference for `_automaton`, which reads the moves
+    straight off the join instead of off a grammar."""
+    rules = collections.defaultdict(list)
+    for lhs, rhs in gr.rules:
+        rules[lhs].append(rhs)
+    rank = {v: i for i, v in enumerate(gr.variables)}
+    name, fresh, out, layer = {(gr.start,): gr.start}, itertools.count(), [], [(gr.start,)]
+    while layer:
+        reached = {}
+        for state in layer:
+            moves = {}
+            for v in state:
+                for a, *to in rules[v]:
+                    moves.setdefault(a, set()).update(to)
+            for a, to in moves.items():
+                target = tuple(sorted(to, key=rank.__getitem__))
+                out.append((state, a, target))
+                reached.setdefault(target)
+        reached.pop((), None)  # the last position's terminals go nowhere
+        layer = sorted((s for s in reached if len(s) == 1), key=lambda s: rank[s[0]])
+        layer += [s for s in reached if len(s) > 1]
+        name.update((s, s[0] if len(s) == 1 else f"s:{next(fresh)}") for s in layer)
+    rules = tuple((name[state], (a, name[target]) if target else (a,)) for state, a, target in out)
+    return Grammar(gr.sigma_max, gr.start, tuple(name.values()), rules)
+
+
 def json_reference(gr) -> str:
     """What grammar_to_json must write: the document json.dumps lays out
     with indent=1, plus a final newline."""

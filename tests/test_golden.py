@@ -15,7 +15,7 @@ digests to output that did not move: each golden graph's tree grammar
 spells the same group as its regular grammar, with one parse tree per
 automorphism.
 
-Since the two grammars come from one builder, every variable is named
+Since the two grammars come from one join, every variable is named
 p:<j>|b:<k> by the index j of its position.  That renaming moved every
 grammar digest and no rule, so the digests recorded before it, under the
 names p:<position>|b:<k> (tree) and q:<j + 2>|b:<k> (regular), are still
@@ -53,14 +53,17 @@ regular-grammar and no `.td` digest moved, and neither did any language,
 parse-tree count or LP verdict.
 
 The regular-grammar digests were re-recorded when `build --path` began
-writing the deterministic automaton of the group's words
-(`annotate._determinise`) instead of the join's classes: every one but
-P8's, a path's grammar having no variable with two rules that begin
-alike, both as written and position named (a state of several of the
-join's classes is named s:<k>, which `_position_named` leaves as it is).
-That moved no tree-grammar, relabelled `build`, LP, `lift`, `embed` or
-`.td` digest, and no alpha line; the languages, parse-tree counts and LP
-verdicts of the regular grammars stayed as they were.
+writing the deterministic automaton of the group's words instead of the
+join's classes, by a subset construction over a grammar of those
+classes: every one but P8's, a path's grammar having no variable with
+two rules that begin alike, both as written and position named (a state
+of several of the join's classes is named s:<k>, which `_position_named`
+leaves as it is).  That moved no tree-grammar, relabelled `build`, LP,
+`lift`, `embed` or `.td` digest, and no alpha line; the languages,
+parse-tree counts and LP verdicts of the regular grammars stayed as they
+were.  Reading the automaton straight off the join
+(`annotate._automaton`), with no grammar of classes written first, moved
+no digest.
 
 The tree-grammar digests were re-recorded when the yielding transform
 began merging each position that has one child whose bag contains its

@@ -30,7 +30,7 @@ from autgrammar.decomp import (
     make_permutation_yielding,
     yield_order_of,
 )
-from autgrammar.graph import DisconnectedGraphError, Graph
+from autgrammar.graph import DisconnectedGraphError, Graph, closed_neighborhood
 from autgrammar.grammar import (
     CyclicGrammarError,
     Grammar,
@@ -90,6 +90,7 @@ from conftest import (
     petersen_graph,
     random_connected_graph,
     reference_language,
+    reference_subset_automaton,
     relabel,
     spider,
     star_graph,
@@ -787,20 +788,12 @@ def test_random_graphs_regular_route():
         assert count_parse_trees(gr) == len(auts), g
 
 
-def _regular_stages(g):
-    """`_build`'s regular grammar, before `_determinise`, and the
-    (alpha, grammar) that build_regular_aut_grammar writes."""
-    pd = compute_path_decomposition(g)
-    names, lhs, rhs, _ = _build(g, pd, dict(enumerate(introduced_order(g, pd))))
-    return _grammar(g.vertex_count, names, lhs, rhs), build_regular_aut_grammar(g, pd)
-
-
 def test_regular_grammar_of_complete_graph_is_the_subset_automaton():
     # a prefix of S_n's words leaves any order of the vertices not yet
     # written, so a state is the set of vertices written: 2^n - 1 of them
     # (the full set is no variable's), the state of a set of k vertices
-    # with n - k rules, n 2^(n - 1) rules in all; before `_determinise`
-    # K8's grammar had 109 600
+    # with n - k rules, n 2^(n - 1) rules in all; the grammar of the join's
+    # classes that it was once determinised from had 109 600 for K8
     for n in range(1, 9):
         gr = build_regular_aut_grammar(complete_graph(n), compute_path_decomposition(complete_graph(n)))[1]
         assert (len(gr.rules), len(gr.variables)) == (n * 2 ** (n - 1), 2 ** n - 1), n
@@ -822,18 +815,26 @@ def test_tree_grammar_of_complete_graph_is_the_subset_automaton(n):
 
 
 def test_regular_grammar_is_the_minimal_automaton(corpus):
-    # the regular grammar is a deterministic automaton of the oracle's
-    # words, one parse tree per word, no larger than `_build`'s grammar;
-    # no two of its variables have equal rules, so, its variables being
-    # layered, no two states are equivalent and it is the minimal one
-    # (Revuz, TCS 1992): a merge pass would find nothing here
+    # the regular grammar is the reference subset construction over the
+    # reference grammar of the join's classes (its NFA), byte for byte: a
+    # deterministic automaton of the oracle's words, one parse tree per
+    # word, no larger than that NFA; no two of its variables have equal
+    # rules, so, its variables being layered, no two states are
+    # equivalent and it is the minimal one (Revuz, TCS 1992): a merge
+    # pass would find nothing here.  The named graphs are also taken
+    # relabelled, where a state's moves need not come in terminal order
     rng = random.Random(46)
     graphs = [*corpus.values(), petersen_graph(), binary_tree(2), spider(3, 2), grid_graph(3, 3),
               complete_graph(5), cycle_graph(8), Graph(1, [])]
+    named = len(graphs)
     graphs += [random_connected_graph(rng, rng.randint(2, 10)) for _ in range(40)]
+    graphs += [relabel(g, rng) for g in graphs[:named]]
     shrunk = 0
     for g in graphs:
-        before, (alpha, gr) = _regular_stages(g)
+        pd = compute_path_decomposition(g)
+        before = _minimised(reference_regular_grammar(g, pd, _automorphism_bags)[0])
+        alpha, gr = build_regular_aut_grammar(g, pd)
+        assert grammar_to_json(gr) == grammar_to_json(reference_subset_automaton(before)), format_graph(g)
         rules: dict = {}
         for v, symbols in zip(gr._lhs, gr._rhs):
             rules.setdefault(v, []).append(symbols)
@@ -852,7 +853,9 @@ def test_lp_paths_agree_on_determinised_grammars():
     # a member word and a permutation outside the group: the LP file's
     # presolve and simplex and the column generation give the same verdict
     for g in (petersen_graph(), cube_graph(), binary_tree(2)):
-        before, (_, gr) = _regular_stages(g)
+        pd = compute_path_decomposition(g)
+        before = _minimised(reference_regular_grammar(g, pd, _automorphism_bags)[0])
+        _, gr = build_regular_aut_grammar(g, pd)
         assert len(gr.rules) < len(before.rules)
         ef = build_extended_formulation(gr)
         parsed = parse_lp(emit_lp(ef))
@@ -883,6 +886,19 @@ def test_regular_star(star5):
 
 def _oracle_bags(g, s):
     return [AnnotatedBag(tuple(sorted(s)), phi) for phi in oracle_annotations(g, s)]
+
+
+def _automorphism_bags(g, s):
+    """The restrictions of the oracle's automorphisms to N[s], ordered as
+    `_oracle_bags` orders its annotations: on a connected graph, exactly
+    the annotations of s that a trimmed reference keeps, as each takes
+    part in a consistent annotation of the whole decomposition, an
+    automorphism.  The all-pairs search of a 10-vertex graph's bags takes
+    a minute (Petersen's path decomposition), this a moment."""
+    bag = tuple(sorted(s))
+    dom = closed_neighborhood(g, bag)
+    images = sorted({tuple(map(a, dom)) for a in brute_force_automorphisms(g)})
+    return [AnnotatedBag(bag, tuple(zip(dom, im))) for im in images]
 
 
 def _ranked(gr, bag_of):
@@ -1000,9 +1016,9 @@ def reference_aut_grammar(g, t):
     return gr, {h: bs for h, bs in ranked.items() if h not in leaves and h != _head(t, ())}
 
 
-def reference_regular_grammar(g, pd):
+def reference_regular_grammar(g, pd, bags=_oracle_bags):
     order, chain = introduced_order(g, pd), pd.positions
-    ann = [_oracle_bags(g, pd.bag(p)) for p in chain]
+    ann = [bags(g, pd.bag(p)) for p in chain]
     n = len(chain)
     bag_of = {f"p:{i - 2}|b:{j}": b for i in range(2, n + 1) for j, b in enumerate(ann[i - 2])}
     rules = []
@@ -1045,25 +1061,26 @@ def test_join_matches_all_pairs_reference(corpus):
         ann, pann = survivors(t), survivors(pd)
         chain = pd.positions
         # the tree grammar writes each variable with one rule that one rule
-        # names into that rule; the regular grammar keeps them all.  The
-        # tree grammar is compared before `_share` and the regular grammar
-        # before `_determinise`; each pass keeps the parse-tree count and
-        # never makes its grammar larger
+        # names into that rule, and is compared before `_share`; the
+        # regular grammar is the subset construction over the regular
+        # reference, minimised.  Sharing and the subset construction keep
+        # the parse-tree count and never make a grammar larger
         unshared = tree_grammar_stages(g, t)[0]
         shared = build_aut_grammar(g, t)[1]
-        undeterminised, (_, determinised) = _regular_stages(g)
-        for before, after in ((unshared, shared), (undeterminised, determinised)):
+        regular = build_regular_aut_grammar(g, pd)[1]
+        refs = reference_aut_grammar(g, t), reference_regular_grammar(g, pd)
+        for before, after in ((unshared, shared), (_minimised(refs[1][0]), regular)):
             assert count_parse_trees(after) == count_parse_trees(before), name
             assert grammar_size(after).value <= grammar_size(before).value, name
-        for gr, (ref, ref_bags), bags, inline in (
-            (unshared, reference_aut_grammar(g, t),
+        for gr, (ref, ref_bags), bags, finish in (
+            (unshared, refs[0],
              {_head(t, p): ann[p] for p in t.positions if p and t.children(p)}, inline_single_use),
-            (undeterminised, reference_regular_grammar(g, pd),
-             {f"p:{i - 2}": pann[chain[i - 2]] for i in range(2, len(chain) + 1)}, lambda gr: gr),
+            (regular, refs[1],
+             {f"p:{i - 2}": pann[chain[i - 2]] for i in range(2, len(chain) + 1)}, reference_subset_automaton),
         ):
-            minimal = inline(_minimised(ref))
-            assert grammar_to_json(gr) == grammar_to_json(minimal), name
-            assert gr == minimal and trim(gr) == gr, name
+            made = finish(_minimised(ref))
+            assert grammar_to_json(gr) == grammar_to_json(made), name
+            assert gr == made and trim(gr) == gr, name
             assert {h: list(bs) for h, bs in bags.items()} == ref_bags, name
         assert count_assignments(g, t) == len(brute_force_automorphisms(g)), name
 
@@ -1079,6 +1096,25 @@ def test_long_paths_build_fast():
         _, gr = build_aut_grammar(g, t)
         assert time.process_time() - start < limit, n
         assert count_parse_trees(gr) == 2
+
+
+def test_regular_build_holds_one_layer_beside_the_join():
+    # the automaton is read straight off the join, one layer of classes at
+    # a time, so K7's `build --path` peaks where its join does, at 2.1 MiB
+    # under tracemalloc.  Writing the grammar of the join's classes whole
+    # (13 699 rules) and determinising it peaked at 3.8 MiB.  A first
+    # build loads what the builder loads
+    g = complete_graph(7)
+    pd = compute_path_decomposition(g)
+    build_regular_aut_grammar(g, pd)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        build_regular_aut_grammar(g, pd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.7 * 2 ** 20, peak
 
 
 def test_deep_build_memory_is_linear():

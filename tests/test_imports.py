@@ -153,6 +153,22 @@ def test_invalid_td_loads_no_builder(tmp_path):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_invalid_path_td_loads_no_builder(tmp_path):
+    # a path .td that misses a vertex is refused before annotate or
+    # grammar loads, as a tree-shaped one is: exit 3 and one error line
+    (tmp_path / "c5.edges").write_text(C5_TEXT)
+    (tmp_path / "bad.td").write_text(UNCOVERING_TD)
+    args = ["build", "--graph", str(tmp_path / "c5.edges"), "--path", "--td", str(tmp_path / "bad.td"),
+            "--out", str(tmp_path / "out.json")]
+    code, modules = loaded_by(*args)
+    assert code == 3
+    assert not modules & {"annotate", "grammar"}, modules
+    r = subprocess.run([sys.executable, "-m", "autgrammar", *args], capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (3, "")
+    assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: "), r.stderr
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_public_names_resolve():
     for name in autgrammar.__all__:
         assert getattr(autgrammar, name) is not None, name
